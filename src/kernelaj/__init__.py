@@ -101,7 +101,6 @@ from .training import (
     TrainConfig,
     TrainingLog,
     discretize_times,
-    loo_hazards,
     loss_nll,
     loss_ranking,
     total_loss,

@@ -170,20 +170,35 @@ def embed(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def pairwise_sq_dists(E1: np.ndarray, E2=None) -> np.ndarray:
-    """Squared Euclidean distances between embedding rows, clipped at 0."""
+    """Squared Euclidean distances between embedding rows, clipped at 0.
+
+    One GEMM of augmented rows, [e1, |e1|^2, 1] . [-2 e2, 1, |e2|^2], writes
+    |e1|^2 + |e2|^2 - 2 e1.e2 into a single buffer that is clipped in place.
+    """
     E1 = np.asarray(E1, dtype=np.float64)
     E2 = E1 if E2 is None else np.asarray(E2, dtype=np.float64)
     if E1.shape[1] != E2.shape[1]:
         raise ShapeMismatch("embedding dimensions differ")
-    sq1 = (E1 * E1).sum(axis=1)[:, None]
-    sq2 = (E2 * E2).sum(axis=1)[None, :]
-    d2 = sq1 + sq2 - 2.0 * (E1 @ E2.T)
-    return np.maximum(d2, 0.0)
+    d = E1.shape[1]
+    A = np.empty((E1.shape[0], d + 2))
+    A[:, :d] = E1
+    A[:, d] = np.einsum("ij,ij->i", E1, E1)
+    A[:, d + 1] = 1.0
+    B = np.empty((E2.shape[0], d + 2))
+    np.multiply(E2, -2.0, out=B[:, :d])
+    B[:, d] = 1.0
+    B[:, d + 1] = np.einsum("ij,ij->i", E2, E2)
+    D2 = A @ B.T
+    if E2 is E1:
+        np.fill_diagonal(D2, 0.0)       # rounding leaves ~1e-14 on the diagonal
+    return np.maximum(D2, 0.0, out=D2)
 
 
 def kernel_matrix(E1: np.ndarray, E2=None) -> np.ndarray:
-    """exp(-||e_i - e_j||^2) for all row pairs."""
-    return np.exp(-pairwise_sq_dists(E1, E2))
+    """exp(-||e_i - e_j||^2) for all row pairs, computed in one buffer."""
+    K = pairwise_sq_dists(E1, E2)
+    np.negative(K, out=K)
+    return np.exp(K, out=K)
 
 
 def kernel(e1: np.ndarray, e2: np.ndarray) -> float:
@@ -199,11 +214,17 @@ def kernel(e1: np.ndarray, e2: np.ndarray) -> float:
 def kernel_matrix_backward(E: np.ndarray, K: np.ndarray, dK: np.ndarray) -> np.ndarray:
     """dLoss/dE given dLoss/dK for K = exp(-pairwise_sq_dists(E)).
 
-    Uses d K_ij / d e_i = -2 K_ij (e_i - e_j) and the symmetry of K.
+    With P = dK * K (diagonal dropped) and d K_ij / d e_i = -2 K_ij (e_i - e_j),
+    dE_i = -2 (sum_j (P_ij + P_ji) e_i - sum_j (P_ij + P_ji) e_j). A column of
+    ones appended to E makes the row and column sums of P come out of the
+    same two GEMMs as P E and P^T E; no transposed copy of P is formed.
     """
-    M = (dK + dK.T) * K
-    np.fill_diagonal(M, 0.0)
-    return -2.0 * (M.sum(axis=1)[:, None] * E - M @ E)
+    P = np.multiply(dK, K)
+    np.fill_diagonal(P, 0.0)
+    Ea = np.hstack((E, np.ones((E.shape[0], 1))))
+    S = P @ Ea
+    S += (Ea.T @ P).T
+    return -2.0 * (S[:, -1:] * E - S[:, :-1])
 
 
 def flatten_params(params: MlpParams) -> np.ndarray:

@@ -24,8 +24,8 @@ from .errors import ShapeMismatch
 from .training import (
     TrainConfig,
     TrainingLog,
+    _at_risk,
     _criterion_is_improvement,
-    _label_matrices,
     ranking_value_and_dpsi,
 )
 
@@ -136,7 +136,7 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
     D = np.tensordot(W, np.asarray(d_tables, np.float64), axes=(1, 0))
     N = W @ np.asarray(n_tables, np.float64)
     m, L = D.shape[2], D.shape[1]
-    _, at_risk = _label_matrices(kap, dl, m, L)
+    at_risk = _at_risk(kap, L)
     pos = N > 0
     invN = np.where(pos, 1.0 / np.where(pos, N, 1.0), 0.0)
     hazards = D * invN[:, :, None]
@@ -177,7 +177,7 @@ def _sft_objective(params, weights, kappa, delta, alpha, sigma, want_grad):
     Q, L, m = d_prime.shape
     D = np.tensordot(W, d_prime, axes=(1, 0))        # (n, L, m)
     N = W @ n_prime                                  # (n, L)
-    _, at_risk = _label_matrices(kap, dl, m, L)
+    at_risk = _at_risk(kap, L)
 
     unc = np.flatnonzero(dl != 0)
     log_total = 0.0

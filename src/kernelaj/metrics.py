@@ -22,6 +22,8 @@ import numpy as np
 from .core import Cohort, StepCurve
 from .errors import DegenerateGrid, NoComparablePairs, NoEvents, ShapeMismatch
 
+INTERP_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class EvalGrid:
@@ -80,39 +82,65 @@ class BrierResult:
     n_excluded: int
 
 
+def ipcw_weights(cohort: Cohort, times, censor_curve: StepCurve):
+    """Censoring-survival weights of the Brier score: S_censor(Y_i^-) per
+    subject and S_censor(t) per horizon. They do not depend on predictions."""
+    return (np.asarray(censor_curve.eval_left(cohort.time), dtype=np.float64),
+            np.atleast_1d(np.asarray(censor_curve(times), dtype=np.float64)))
+
+
+def brier_scores(cif_values, cohort: Cohort, delta: int, times, weights):
+    """Censoring-weighted Brier scores for event ``delta`` at every horizon.
+
+    ``cif_values[i, k]`` is the predicted F_delta(times[k] | X_i) and
+    ``weights`` comes from :func:`ipcw_weights` for the same cohort and
+    times. Returns (values (k,), n_excluded (k,)): subjects whose required
+    weight is zero are dropped from the sum (not from the denominator n)
+    and counted.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    F = np.asarray(cif_values, dtype=np.float64)
+    n = cohort.n
+    if F.shape != (n, times.size):
+        raise ShapeMismatch(f"expected predictions of shape {(n, times.size)}, "
+                            f"got {F.shape}")
+    w_past, w_now = weights
+    y, ev = cohort.time, cohort.event
+    # subjects on the contiguous axis, so a horizon's sum is the same pairwise
+    # sum whether it is scored alone (brier_score) or on a grid
+    F = np.ascontiguousarray(F.T)
+    past = y[None, :] <= times[:, None]
+    past_ok = w_past > 0
+    now_ok = w_now > 0
+    hit = (ev == delta) & past_ok
+    other = (ev != delta) & (ev != 0) & past_ok
+
+    sq = np.square(F)
+    terms = np.zeros_like(sq)
+    # still at risk at t: F^2 / S_censor(t)
+    np.divide(sq, w_now[:, None], out=terms, where=~past & now_ok[:, None])
+    # event of interest by t: (1 - F)^2, competing event by t: F^2, over S_censor(Y^-)
+    np.divide(np.square(1.0 - F), w_past, out=terms, where=past & hit)
+    np.divide(sq, w_past, out=terms, where=past & other)
+
+    lost = (ev != 0) & ~past_ok
+    excluded = (past & lost).sum(axis=1) + np.where(now_ok, 0, (~past).sum(axis=1))
+    return terms.sum(axis=1) / n, excluded.astype(np.int64)
+
+
 def brier_score(cif_values, cohort: Cohort, delta: int, t: float,
                 censor_curve: StepCurve) -> BrierResult:
     """Censoring-weighted Brier score for event ``delta`` at horizon ``t``.
 
-    ``cif_values[i]`` is the predicted F_delta(t | X_i). Subjects whose
-    required censoring-survival weight is zero are dropped from the sum (but
-    not from the denominator n) and reported in ``n_excluded``.
+    ``cif_values[i]`` is the predicted F_delta(t | X_i); a one-horizon view
+    of :func:`brier_scores`.
     """
     F = np.asarray(cif_values, dtype=np.float64)
-    n = cohort.n
-    if F.shape != (n,):
-        raise ShapeMismatch(f"expected {n} predictions, got shape {F.shape}")
-    y, ev = cohort.time, cohort.event
-
-    had_event = (ev == delta) & (y <= t)
-    had_competing = (ev != delta) & (ev != 0) & (y <= t)
-    at_risk = y > t
-
-    w_past = censor_curve.eval_left(y)
-    w_now = censor_curve(t)
-
-    total = 0.0
-    excluded = 0
-    for mask, sq, w in (
-        (had_event, (1.0 - F) ** 2, w_past),
-        (had_competing, F ** 2, w_past),
-        (at_risk, F ** 2, np.full(n, w_now)),
-    ):
-        w = np.broadcast_to(np.asarray(w, dtype=np.float64), (n,))
-        usable = mask & (w > 0)
-        excluded += int((mask & (w <= 0)).sum())
-        total += (sq[usable] / w[usable]).sum()
-    return BrierResult(value=float(total / n), n_excluded=excluded)
+    if F.shape != (cohort.n,):
+        raise ShapeMismatch(f"expected {cohort.n} predictions, got shape {F.shape}")
+    values, excluded = brier_scores(F[:, None], cohort, delta, [t],
+                                    ipcw_weights(cohort, [t], censor_curve))
+    return BrierResult(value=float(values[0]), n_excluded=int(excluded[0]))
 
 
 def integrated_brier(bs_values, grid: EvalGrid) -> float:
@@ -160,14 +188,29 @@ def interpolate_curves(curve_values, knot_times, eval_times) -> np.ndarray:
 
     ``curve_values`` is (n, L) at the model's grid times; curves are anchored
     at (0, 0) and held flat beyond the last knot. Preserves monotonicity and
-    [0, 1] bounds.
+    [0, 1] bounds. Computes np.interp's slope * (t - knot) + value for all
+    rows at once: one knot search shared by every row, then two gathers per
+    block of ``INTERP_BLOCK_ROWS`` rows.
     """
     V = np.atleast_2d(np.asarray(curve_values, dtype=np.float64))
     knots = np.concatenate(([0.0], np.asarray(knot_times, dtype=np.float64)))
     eval_times = np.asarray(eval_times, dtype=np.float64)
-    out = np.empty((V.shape[0], eval_times.size), dtype=np.float64)
-    for i in range(V.shape[0]):
-        out[i] = np.interp(eval_times, knots, np.concatenate(([0.0], V[i])))
+    n, k = V.shape[0], knots.size
+    j = np.searchsorted(knots, eval_times, side="right") - 1
+    offset = eval_times - knots[np.clip(j, 0, k - 1)]
+    offset[(j < 0) | (j >= k - 1)] = 0.0        # flat before 0 and from the last knot
+    j = np.clip(j, 0, k - 1)
+    step = np.diff(knots)
+    out = np.empty((n, eval_times.size), dtype=np.float64)
+    for r0 in range(0, n, INTERP_BLOCK_ROWS):
+        block = V[r0:r0 + INTERP_BLOCK_ROWS]
+        values = np.zeros((block.shape[0], k))
+        values[:, 1:] = block
+        slopes = np.zeros((block.shape[0], k))
+        np.divide(np.diff(values, axis=1), step, out=slopes[:, :-1])
+        dst = out[r0:r0 + block.shape[0]]
+        np.multiply(slopes[:, j], offset, out=dst)
+        dst += values[:, j]
     return out
 
 
@@ -195,13 +238,11 @@ def evaluate_cif_predictions(curves_per_event, knot_times, cohort: Cohort,
     m = curves.shape[0]
     if censor_curve is None:
         censor_curve = censoring_survival(cohort)
+    weights = ipcw_weights(cohort, eval_grid.times, censor_curve)
     out = {"ctd": [], "ibs": []}
     for d in range(1, m + 1):
         out["ctd"].append(concordance_td_from_curves(curves[d - 1], knot_times, cohort, d))
         pred = interpolate_curves(curves[d - 1], knot_times, eval_grid.times)
-        bs = [
-            brier_score(pred[:, j], cohort, d, t, censor_curve).value
-            for j, t in enumerate(eval_grid.times)
-        ]
-        out["ibs"].append(integrated_brier(np.array(bs), eval_grid))
+        bs, _ = brier_scores(pred, cohort, d, eval_grid.times, weights)
+        out["ibs"].append(integrated_brier(bs, eval_grid))
     return out

@@ -61,6 +61,34 @@ class KernelAJModel:
                        sft_applied=sft_applied, sft_rejected=sft_rejected)
 
 
+_NOT_FINITE = "features are not finite or too large to embed"
+
+
+def _embed_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
+    """Embeddings of a feature matrix; rejects the first row whose features
+    are not finite or whose embedding overflows, instead of letting it fall
+    back silently to the population estimate."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeMismatch("expected a feature matrix (n, p)")
+    bad = ~np.isfinite(X).all(axis=1)
+    if not bad.any():
+        E = embed_batch(params, X)
+        bad = ~np.isfinite(np.einsum("ij,ij->i", E, E))
+    if bad.any():
+        raise ValueError(f"row {int(np.argmax(bad))}: {_NOT_FINITE}")
+    return E
+
+
+def _embed_one(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Single-query form of :func:`_embed_rows`, kept cheap for per-row calls."""
+    x = np.asarray(x, dtype=np.float64)
+    e = embed(params, x) if np.isfinite(x).all() else None
+    if e is None or not np.isfinite(np.einsum("i,i->", e, e)):
+        raise ValueError(f"row 0: {_NOT_FINITE}")
+    return e
+
+
 def weighted_summaries(model: KernelAJModel, x: np.ndarray):
     """Kernel-weighted event and at-risk tables for one query point.
 
@@ -68,7 +96,7 @@ def weighted_summaries(model: KernelAJModel, x: np.ndarray):
     holds the exemplars within tau; when it is empty the tables are zero and
     the caller should fall back to the population estimate.
     """
-    e = embed(model.params, x)
+    e = _embed_one(model.params, x)
     positions = neighbors_within_tau(e, model.clusters)
     L, m = model.population_d.shape
     if positions.size == 0:
@@ -96,19 +124,17 @@ def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
     """Batch prediction at the model's grid times.
 
     Returns (cif (m, n, L), survival (n, L), fallback (n,) bool mask of rows
-    that used the population estimate).
+    that used the population estimate). A row whose features are not finite,
+    or too large to embed, raises ValueError naming the first such row.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeMismatch("expected a feature matrix (n, p)")
-    E = embed_batch(model.params, X)
+    E = _embed_rows(model.params, X)
     sq = pairwise_sq_dists(E, model.clusters.exemplar_embeddings)
     tau_sq = model.clusters.tau ** 2
     W = np.where(sq <= tau_sq, np.exp(-sq), 0.0)
     fallback = ~(sq <= tau_sq).any(axis=1)
 
     L, m = model.population_d.shape
-    n = X.shape[0]
+    n = E.shape[0]
     d_w = np.tensordot(W, model.d_tables, axes=(1, 0))     # (n, L, m)
     n_w = W @ model.n_tables                               # (n, L)
     pos = n_w > 0
@@ -133,7 +159,7 @@ def cluster_weight_decomposition(model: KernelAJModel, x: np.ndarray):
     Returns (exemplar_ids, weights summing to 1). Normalization cancels in
     the hazard ratios, so predictions from normalized and raw weights agree.
     """
-    e = embed(model.params, x)
+    e = _embed_one(model.params, x)
     positions = neighbors_within_tau(e, model.clusters)
     if positions.size == 0:
         raise EmptyNeighborhood("no exemplar within tau of the query")

@@ -19,6 +19,24 @@ with delta_i = d and kappa_i < kappa_j, the within-batch CIF estimates at
 subject i's bin via exp((F_d(kappa_i | x_j) - F_d(kappa_i | x_i)) / sigma),
 normalized by n^2. The total loss is alpha * NLL + (1 - alpha) * ranking.
 
+Hazard tables
+-------------
+Both sums depend on j only through the pair (kappa_j, delta_j). The step
+therefore stable-sorts the batch by code = kappa * (m + 1) + delta, so the
+rows of each (bin, event) group are adjacent, and builds the zero-diagonal
+kernel matrix W once in that order. One ``np.add.reduceat`` over W's columns
+gives G[i, u], the weight of row i on group u. The numerators are the columns
+of the event groups; the denominators add the groups of each bin and take a
+reverse cumulative sum over bins. The validation criterion does the same
+against the training set, with the training rows sorted before the kernel
+is built.
+
+In the backward pass dLoss/dW[i, j] is again a function of j's group: a
+prefix sum over the at-risk bins plus j's own event cell. It is built as an
+(n, groups) table and repeated by group size; with P = dW * W the embedding
+gradient is -2 ((rowsum P + colsum P) e_i - (P E)_i - (P^T E)_i). Loss and
+gradients are sums over rows, so the sort changes only rounding.
+
 Leave-one-out sums run over the current minibatch only, so batch composition
 affects the loss; shuffling is seeded and the loop is deterministic. All
 gradients are exact hand-derived reverse-mode; finite differences are used
@@ -26,6 +44,7 @@ only as a test oracle.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,15 +53,26 @@ from .embedding import (
     EmbeddingConfig,
     MlpParams,
     backward,
+    embed_batch,
     flatten_grads,
     flatten_params,
     forward_cached,
     init_mlp,
     kernel_matrix,
-    pairwise_sq_dists,
+    kernel_matrix_backward,
     unflatten_params,
 )
-from .errors import NoEvents, ShapeMismatch
+from .errors import DegenerateGrid, NoComparablePairs, NoEvents, ShapeMismatch
+from .metrics import (
+    EvalGrid,
+    brier_scores,
+    build_eval_grid,
+    censoring_survival,
+    concordance_td_from_curves,
+    integrated_brier,
+    interpolate_curves,
+    ipcw_weights,
+)
 
 PSI_CLAMP = 1e-12
 MAX_TIME_STEPS = 512
@@ -138,37 +168,56 @@ def discretize_times(grid: EventTimeGrid, k: int) -> DiscreteTimeMap:
     return DiscreteTimeMap(EventTimeGrid(reps), L)
 
 
-def _label_matrices(kappa, delta, m, L):
-    """Event one-hots (m, n, L) and the at-risk mask (n, L).
-
-    at_risk[i, l] = 1{kappa_i >= l + 1}, which is also the indicator of bins
-    whose hazards enter subject i's likelihood term.
-    """
+def _at_risk(kappa, L):
+    """at_risk[i, l] = 1{kappa_i >= l + 1}: the bins whose hazards enter
+    subject i's likelihood term, and the bins where i is at risk."""
     kappa = np.asarray(kappa, dtype=np.int64)
-    delta = np.asarray(delta, dtype=np.int64)
-    n = kappa.size
-    evt = np.zeros((m, n, L), dtype=np.float64)
-    unc = delta != 0
-    if unc.any():
-        idx = np.flatnonzero(unc)
-        evt[delta[idx] - 1, idx, kappa[idx] - 1] = 1.0
-    at_risk = (np.arange(1, L + 1)[None, :] <= kappa[:, None]).astype(np.float64)
-    return evt, at_risk
+    return (np.arange(1, L + 1)[None, :] <= kappa[:, None]).astype(np.float64)
 
 
-def _psi_from_weights(weights, evt, at_risk):
-    """Hazard ratios from a (q, n_ref) weight matrix against reference labels.
+class _Groups(NamedTuple):
+    """Rows grouped by (bin, event): ``order`` stable-sorts them by
+    code = kappa * (m + 1) + delta; group u spans ``counts[u]`` sorted rows
+    from ``starts[u]`` and carries labels ``kappa[u]``, ``delta[u]``."""
 
-    Returns psi (m, q, L), the numerators and denominators, and the mask of
-    bins with positive denominator (zero-denominator entries yield psi = 0).
+    order: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    kappa: np.ndarray
+    delta: np.ndarray
+
+
+def _code_groups(kappa, delta, m) -> _Groups:
+    code = np.asarray(kappa, np.int64) * (m + 1) + np.asarray(delta, np.int64)
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    counts = np.diff(np.r_[starts, code.size])
+    return _Groups(order, starts, counts, code[starts] // (m + 1), code[starts] % (m + 1))
+
+
+def _hazard_tables(W, groups: _Groups, m, L):
+    """Kernel hazards of q rows against reference rows in group order.
+
+    ``W[i, j]`` weighs reference row j for row i. Segment sums give
+    G[i, u], row i's weight on group u; numerators are the event groups'
+    columns of G, denominators add the groups of each bin and take a reverse
+    cumulative sum over bins. Returns psi (m, q, L) and 1/den (q, L), zero
+    where nobody is at risk (psi is 0 there).
     """
-    m = evt.shape[0]
-    den = weights @ at_risk
+    q = W.shape[0]
+    G = np.add.reduceat(W, groups.starts, axis=1)
+    gk, gd = groups.kappa, groups.delta
+    bins = np.flatnonzero(np.r_[True, gk[1:] != gk[:-1]])
+    R = np.zeros((q, L + 1))
+    R[:, gk[bins]] = np.add.reduceat(G, bins, axis=1)
+    den = _reverse_cumsum(R[:, 1:], axis=1)
+    num = np.zeros((m, q, L))
+    ev = gd > 0
+    num[gd[ev] - 1, :, gk[ev] - 1] = G[:, ev].T
     pos = den > 0
     inv_den = np.where(pos, 1.0 / np.where(pos, den, 1.0), 0.0)
-    num = np.stack([weights @ evt[d] for d in range(m)])
-    psi = num * inv_den[None, :, :]
-    return psi, num, den, pos, inv_den
+    return num * inv_den[None, :, :], inv_den
 
 
 def _cif_from_psi(psi):
@@ -185,22 +234,14 @@ def _cif_from_psi(psi):
     return F, S, S_prev, u
 
 
-def loo_hazards(embeddings, kappa, delta, num_event_types, num_bins):
-    """Leave-one-out kernel hazard tensor for a minibatch.
-
-    Returns psi with shape (batch, m, L) and a boolean mask of (batch, L)
-    entries whose at-risk denominator was zero (those psi entries are 0 and
-    are clamped downstream before logs).
-    """
-    E = np.asarray(embeddings, dtype=np.float64)
-    if E.shape[0] < 2:
-        raise ShapeMismatch("leave-one-out hazards need a batch of size >= 2")
-    K = kernel_matrix(E)
-    W = K.copy()
-    np.fill_diagonal(W, 0.0)
-    evt, at_risk = _label_matrices(kappa, delta, num_event_types, num_bins)
-    psi, _, _, pos, _ = _psi_from_weights(W, evt, at_risk)
-    return np.transpose(psi, (1, 0, 2)), ~pos
+def _nll(psi, kappa, delta, at_risk):
+    """NLL of a hazard tensor psi (m, n, L), plus the uncensored rows and
+    their own-event hazards, which the backward pass reuses."""
+    unc = np.flatnonzero(delta != 0)
+    own = psi[delta[unc] - 1, unc, kappa[unc] - 1]
+    log_total = np.log(np.clip(own, PSI_CLAMP, 1.0)).sum()
+    hazard_total = (psi * at_risk[None, :, :]).sum()
+    return float(-(log_total - hazard_total) / kappa.size), unc, own
 
 
 def loss_nll(psi, kappa, delta):
@@ -212,15 +253,7 @@ def loss_nll(psi, kappa, delta):
     psi_t = np.transpose(np.asarray(psi, dtype=np.float64), (1, 0, 2))
     kappa = np.asarray(kappa, dtype=np.int64)
     delta = np.asarray(delta, dtype=np.int64)
-    m, n, L = psi_t.shape
-    _, at_risk = _label_matrices(kappa, delta, m, L)
-    log_total = 0.0
-    unc = np.flatnonzero(delta != 0)
-    if unc.size:
-        own = psi_t[delta[unc] - 1, unc, kappa[unc] - 1]
-        log_total = np.log(np.clip(own, PSI_CLAMP, 1.0)).sum()
-    hazard_total = (psi_t * at_risk[None, :, :]).sum()
-    return float(-(log_total - hazard_total) / n)
+    return _nll(psi_t, kappa, delta, _at_risk(kappa, psi_t.shape[2]))[0]
 
 
 def cif_pair_matrix(cif_curves, kappa):
@@ -335,55 +368,36 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     return float(rank), dpsi
 
 
-def batch_loss_from_params(params, X, kappa, delta, m, L, alpha, sigma):
-    """Forward-only total loss of a minibatch (used by finite differences)."""
-    E, _ = forward_cached(params, X)
-    K = kernel_matrix(E)
-    W = K.copy()
-    np.fill_diagonal(W, 0.0)
-    evt, at_risk = _label_matrices(kappa, delta, m, L)
-    psi, _, _, _, _ = _psi_from_weights(W, evt, at_risk)
-    nll = loss_nll(np.transpose(psi, (1, 0, 2)), kappa, delta)
-    rank = 0.0
-    if alpha < 1.0:
-        F, _, _, _ = _cif_from_psi(psi)
-        rank = loss_ranking(cif_pair_matrix(F, kappa), kappa, delta, sigma)
-    return total_loss(nll, rank, alpha)
-
-
 def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
     """Total loss of a minibatch and exact gradients for every parameter.
 
-    Returns (loss, weight_grads, bias_grads). The backward pass runs through
-    the leave-one-out hazard ratios, the survival cumulative product, the
-    pairwise ranking comparisons, the kernel matrix, and the network.
+    Returns (loss, weight_grads, bias_grads). The batch is processed in
+    (bin, event) order; loss and gradients are sums over rows, so the order
+    changes only rounding. The backward pass runs through the leave-one-out
+    hazard ratios, the survival cumulative product, the pairwise ranking
+    comparisons, the kernel matrix, and the network.
     """
     X = np.asarray(X, dtype=np.float64)
-    kappa = np.asarray(kappa, dtype=np.int64)
-    delta = np.asarray(delta, dtype=np.int64)
     n = X.shape[0]
     if n < 2:
         raise ShapeMismatch("batch must contain at least 2 subjects")
+    groups = _code_groups(kappa, delta, m)
+    X = X[groups.order]
+    kappa = np.asarray(kappa, dtype=np.int64)[groups.order]
+    delta = np.asarray(delta, dtype=np.int64)[groups.order]
 
     E, cache = forward_cached(params, X)
-    K = kernel_matrix(E)
-    W = K.copy()
+    W = kernel_matrix(E)
     np.fill_diagonal(W, 0.0)
-    evt, at_risk = _label_matrices(kappa, delta, m, L)
-    psi, num, den, pos, inv_den = _psi_from_weights(W, evt, at_risk)
-
-    unc = np.flatnonzero(delta != 0)
-    own = psi[delta[unc] - 1, unc, kappa[unc] - 1] if unc.size else np.empty(0)
-    log_total = np.log(np.clip(own, PSI_CLAMP, 1.0)).sum() if unc.size else 0.0
-    hazard_total = (psi * at_risk[None, :, :]).sum()
-    nll = float(-(log_total - hazard_total) / n)
+    psi, inv_den = _hazard_tables(W, groups, m, L)
+    at_risk = _at_risk(kappa, L)
+    nll, unc, own = _nll(psi, kappa, delta, at_risk)
 
     # dNLL / dpsi
     dpsi = np.tile((at_risk / n)[None, :, :], (m, 1, 1))
-    if unc.size:
-        live = own > PSI_CLAMP
-        idx = unc[live]
-        dpsi[delta[idx] - 1, idx, kappa[idx] - 1] -= 1.0 / (n * own[live])
+    live = own > PSI_CLAMP
+    idx = unc[live]
+    dpsi[delta[idx] - 1, idx, kappa[idx] - 1] -= 1.0 / (n * own[live])
     dpsi *= alpha
 
     rank = 0.0
@@ -392,17 +406,19 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
                                                  scale=1.0 - alpha)
         dpsi += dpsi_rank
 
-    # psi = num / den  (zero where den == 0, locally constant there)
+    # psi = num / den (zero where den == 0, locally constant there). dW[i, j]
+    # depends on j only through j's group: the at-risk bins l < kappa_j
+    # (a prefix sum of dden) plus j's own event cell of dnum.
     dnum = dpsi * inv_den[None, :, :]
     dden = -(dnum * psi).sum(axis=0)
-    dW = dden @ at_risk.T
-    for d in range(m):
-        dW += dnum[d] @ evt[d].T
-    np.fill_diagonal(dW, 0.0)
+    prefix = np.zeros((n, L + 1))
+    np.cumsum(dden, axis=1, out=prefix[:, 1:])
+    table = prefix[:, groups.kappa]
+    ev = groups.delta > 0
+    table[:, ev] += dnum[groups.delta[ev] - 1, :, groups.kappa[ev] - 1].T
+    dW = np.repeat(table, groups.counts, axis=1)
 
-    M = (dW + dW.T) * K
-    np.fill_diagonal(M, 0.0)
-    dE = -2.0 * (M.sum(axis=1)[:, None] * E - M @ E)
+    dE = kernel_matrix_backward(E, W, dW)
     dw, db = backward(params, cache, dE)
     loss = total_loss(nll, rank, alpha)
     return loss, dw, db
@@ -414,9 +430,9 @@ def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):
 
     Returns (psi (m, q, L), F (m, q, L), S (q, L)).
     """
-    Kq = kernel_matrix(np.asarray(E_query, np.float64), np.asarray(E_ref, np.float64))
-    evt, at_risk = _label_matrices(kappa_ref, delta_ref, m, L)
-    psi, _, _, _, _ = _psi_from_weights(Kq, evt, at_risk)
+    groups = _code_groups(kappa_ref, delta_ref, m)
+    E_ref = np.asarray(E_ref, np.float64)[groups.order]
+    psi, _ = _hazard_tables(kernel_matrix(E_query, E_ref), groups, m, L)
     F, S, _, _ = _cif_from_psi(psi)
     return psi, F, S
 
@@ -451,40 +467,65 @@ def _criterion_is_improvement(criterion, value, best):
     return value < best
 
 
-def _evaluate_criterion(criterion, params, train, valid, dtm, tcfg, eval_ctx):
-    """Validation criterion with hazards against the full training set."""
-    from . import metrics as _metrics
-    from .embedding import embed_batch
+class _CriterionInputs(NamedTuple):
+    """What the validation criterion needs that does not change during a fit:
+    time bins of both cohorts and, for IBS, the evaluation grid plus the
+    validation cohort's censoring weights on it."""
 
+    kappa_train: np.ndarray
+    kappa_valid: np.ndarray
+    eval_grid: EvalGrid = None
+    weights: tuple = None
+
+
+def _criterion_inputs(criterion, train, valid, dtm, kappa_train) -> _CriterionInputs:
+    """Precompute the criterion's fixed inputs and check that it can be
+    computed at all, so an infeasible criterion fails before epoch 1."""
+    _, kappa_valid = dtm.apply(valid)
+    if criterion == "ctd":
+        last = valid.time.max()
+        for d in range(1, train.m + 1):
+            if not (valid.time[valid.event == d] < last).any():
+                raise NoComparablePairs(
+                    f"validation cohort has no comparable pairs for event {d}")
+    if criterion != "ibs":
+        return _CriterionInputs(kappa_train, kappa_valid)
+    pooled = np.concatenate(
+        (train.time[train.event != 0], valid.time[valid.event != 0]))
+    eval_grid = build_eval_grid(pooled)
+    if len(eval_grid) < 2:
+        raise DegenerateGrid("the IBS criterion needs at least 2 evaluation times")
+    weights = ipcw_weights(valid, eval_grid.times, censoring_survival(valid))
+    return _CriterionInputs(kappa_train, kappa_valid, eval_grid, weights)
+
+
+def _evaluate_criterion(criterion, params, train, valid, dtm, tcfg,
+                        inputs: _CriterionInputs):
+    """Validation criterion with hazards against the full training set."""
     m, L = train.m, len(dtm.grid)
     E_train = embed_batch(params, train.features)
     E_valid = embed_batch(params, valid.features)
-    _, kappa_tr = dtm.apply(train)
-    _, kappa_va = dtm.apply(valid)
-    psi, F, _ = kernel_hazard_curves(E_valid, E_train, kappa_tr, train.event, m, L)
+    psi, F, _ = kernel_hazard_curves(E_valid, E_train, inputs.kappa_train,
+                                     train.event, m, L)
 
+    kappa_va = inputs.kappa_valid
     if criterion == "objective":
-        nll = loss_nll(np.transpose(psi, (1, 0, 2)), kappa_va, valid.event)
+        nll, _, _ = _nll(psi, kappa_va, valid.event, _at_risk(kappa_va, L))
         rank = 0.0
         if tcfg.alpha < 1.0:
             rank = loss_ranking(cif_pair_matrix(F, kappa_va), kappa_va, valid.event,
                                 tcfg.sigma)
         return total_loss(nll, rank, tcfg.alpha)
 
-    eval_grid, censor = eval_ctx
     values = []
     for d in range(1, m + 1):
-        pred = _metrics.interpolate_curves(F[d - 1], dtm.grid.times, eval_grid.times)
         if criterion == "ibs":
-            bs = [
-                _metrics.brier_score(pred[:, j], valid, d, t, censor).value
-                for j, t in enumerate(eval_grid.times)
-            ]
-            values.append(_metrics.integrated_brier(np.array(bs), eval_grid))
+            times = inputs.eval_grid.times
+            pred = interpolate_curves(F[d - 1], dtm.grid.times, times)
+            bs, _ = brier_scores(pred, valid, d, times, inputs.weights)
+            values.append(integrated_brier(bs, inputs.eval_grid))
         else:
-            values.append(
-                _metrics.concordance_td_from_curves(F[d - 1], dtm.grid.times, valid, d)
-            )
+            values.append(concordance_td_from_curves(F[d - 1], dtm.grid.times, valid, d))
     return float(np.mean(values))
 
 
@@ -492,10 +533,13 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
                     tcfg: TrainConfig, dtm: DiscreteTimeMap):
     """Minibatch gradient descent with patience-based early stopping.
 
-    Both cohorts must already be preprocessed on the shared time map. After
-    every epoch the configured validation criterion is evaluated against the
-    full training set embeddings; the best checkpoint is kept and training
-    stops when no improvement is seen for ``patience`` epochs.
+    Both cohorts must already be preprocessed on the shared time map. A
+    criterion that cannot be computed on them (ctd without a comparable pair
+    for some event type, IBS with fewer than 2 evaluation times) raises
+    before the first epoch. After every epoch the configured validation
+    criterion is evaluated against the full training set embeddings; the
+    best checkpoint is kept and training stops when no improvement is seen
+    for ``patience`` epochs.
 
     Returns (best_params, TrainingLog).
     """
@@ -503,16 +547,7 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
         raise NoEvents("training cohort has no uncensored records")
     m, L = train.m, len(dtm.grid)
     _, kappa = dtm.apply(train)
-
-    eval_ctx = None
-    if tcfg.early_stop_criterion in ("ibs", "ctd"):
-        from . import metrics as _metrics
-
-        pooled = np.concatenate(
-            (train.time[train.event != 0], valid.time[valid.event != 0]))
-        eval_grid = _metrics.build_eval_grid(pooled)
-        censor = _metrics.censoring_survival(valid)
-        eval_ctx = (eval_grid, censor)
+    inputs = _criterion_inputs(tcfg.early_stop_criterion, train, valid, dtm, kappa)
 
     params = init_mlp(ecfg)
     flat = flatten_params(params)
@@ -543,7 +578,7 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
         epoch_loss = epoch_loss / max(seen, 1)
 
         value = _evaluate_criterion(
-            tcfg.early_stop_criterion, params, train, valid, dtm, tcfg, eval_ctx)
+            tcfg.early_stop_criterion, params, train, valid, dtm, tcfg, inputs)
         improved = _criterion_is_improvement(tcfg.early_stop_criterion, value, best_value)
         if improved:
             best_value = value

@@ -5,7 +5,7 @@ import pytest
 
 from kernelaj import EmbeddingConfig, init_mlp
 from kernelaj.embedding import embed_batch, flatten_params, unflatten_params
-from kernelaj.training import batch_loss_from_params
+from dense_oracle import batch_loss_from_params
 
 
 def random_batch(rng, n=12, p=3, m=2, L=5, censor_frac=0.3):

@@ -1,0 +1,214 @@
+"""The dense one-hot training step, validation hazards and scalar Brier
+score that the segment-sum implementation in ``kernelaj`` replaced.
+
+The functions below are kept verbatim as test oracles: the kernel comes
+from E @ E.T, the hazard tables from weight-matrix products with (n, L)
+one-hot label matrices, and each Brier horizon is scored on its own. Only
+the shared building blocks that did not change (the network, the CIF
+recursion, the ranking backward) are imported from the package.
+"""
+
+import numpy as np
+
+from kernelaj.core import Cohort, StepCurve
+from kernelaj.embedding import backward, forward_cached
+from kernelaj.errors import ShapeMismatch
+from kernelaj.metrics import BrierResult
+from kernelaj.training import (
+    PSI_CLAMP,
+    _cif_from_psi,
+    cif_pair_matrix,
+    loss_nll,
+    loss_ranking,
+    ranking_value_and_dpsi,
+    total_loss,
+)
+
+
+def pairwise_sq_dists(E1: np.ndarray, E2=None) -> np.ndarray:
+    """Squared Euclidean distances between embedding rows, clipped at 0."""
+    E1 = np.asarray(E1, dtype=np.float64)
+    E2 = E1 if E2 is None else np.asarray(E2, dtype=np.float64)
+    if E1.shape[1] != E2.shape[1]:
+        raise ShapeMismatch("embedding dimensions differ")
+    sq1 = (E1 * E1).sum(axis=1)[:, None]
+    sq2 = (E2 * E2).sum(axis=1)[None, :]
+    d2 = sq1 + sq2 - 2.0 * (E1 @ E2.T)
+    return np.maximum(d2, 0.0)
+
+
+def kernel_matrix(E1: np.ndarray, E2=None) -> np.ndarray:
+    """exp(-||e_i - e_j||^2) for all row pairs."""
+    return np.exp(-pairwise_sq_dists(E1, E2))
+
+
+def _label_matrices(kappa, delta, m, L):
+    """Event one-hots (m, n, L) and the at-risk mask (n, L).
+
+    at_risk[i, l] = 1{kappa_i >= l + 1}, which is also the indicator of bins
+    whose hazards enter subject i's likelihood term.
+    """
+    kappa = np.asarray(kappa, dtype=np.int64)
+    delta = np.asarray(delta, dtype=np.int64)
+    n = kappa.size
+    evt = np.zeros((m, n, L), dtype=np.float64)
+    unc = delta != 0
+    if unc.any():
+        idx = np.flatnonzero(unc)
+        evt[delta[idx] - 1, idx, kappa[idx] - 1] = 1.0
+    at_risk = (np.arange(1, L + 1)[None, :] <= kappa[:, None]).astype(np.float64)
+    return evt, at_risk
+
+
+def _psi_from_weights(weights, evt, at_risk):
+    """Hazard ratios from a (q, n_ref) weight matrix against reference labels.
+
+    Returns psi (m, q, L), the numerators and denominators, and the mask of
+    bins with positive denominator (zero-denominator entries yield psi = 0).
+    """
+    m = evt.shape[0]
+    den = weights @ at_risk
+    pos = den > 0
+    inv_den = np.where(pos, 1.0 / np.where(pos, den, 1.0), 0.0)
+    num = np.stack([weights @ evt[d] for d in range(m)])
+    psi = num * inv_den[None, :, :]
+    return psi, num, den, pos, inv_den
+
+
+def loo_hazards(embeddings, kappa, delta, num_event_types, num_bins):
+    """Leave-one-out kernel hazard tensor for a minibatch.
+
+    Returns psi with shape (batch, m, L) and a boolean mask of (batch, L)
+    entries whose at-risk denominator was zero (those psi entries are 0 and
+    are clamped downstream before logs).
+    """
+    E = np.asarray(embeddings, dtype=np.float64)
+    if E.shape[0] < 2:
+        raise ShapeMismatch("leave-one-out hazards need a batch of size >= 2")
+    K = kernel_matrix(E)
+    W = K.copy()
+    np.fill_diagonal(W, 0.0)
+    evt, at_risk = _label_matrices(kappa, delta, num_event_types, num_bins)
+    psi, _, _, pos, _ = _psi_from_weights(W, evt, at_risk)
+    return np.transpose(psi, (1, 0, 2)), ~pos
+
+
+def batch_loss_from_params(params, X, kappa, delta, m, L, alpha, sigma):
+    """Forward-only total loss of a minibatch (used by finite differences)."""
+    E, _ = forward_cached(params, X)
+    K = kernel_matrix(E)
+    W = K.copy()
+    np.fill_diagonal(W, 0.0)
+    evt, at_risk = _label_matrices(kappa, delta, m, L)
+    psi, _, _, _, _ = _psi_from_weights(W, evt, at_risk)
+    nll = loss_nll(np.transpose(psi, (1, 0, 2)), kappa, delta)
+    rank = 0.0
+    if alpha < 1.0:
+        F, _, _, _ = _cif_from_psi(psi)
+        rank = loss_ranking(cif_pair_matrix(F, kappa), kappa, delta, sigma)
+    return total_loss(nll, rank, alpha)
+
+
+def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
+    """Total loss of a minibatch and exact gradients for every parameter.
+
+    Returns (loss, weight_grads, bias_grads). The backward pass runs through
+    the leave-one-out hazard ratios, the survival cumulative product, the
+    pairwise ranking comparisons, the kernel matrix, and the network.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    kappa = np.asarray(kappa, dtype=np.int64)
+    delta = np.asarray(delta, dtype=np.int64)
+    n = X.shape[0]
+    if n < 2:
+        raise ShapeMismatch("batch must contain at least 2 subjects")
+
+    E, cache = forward_cached(params, X)
+    K = kernel_matrix(E)
+    W = K.copy()
+    np.fill_diagonal(W, 0.0)
+    evt, at_risk = _label_matrices(kappa, delta, m, L)
+    psi, num, den, pos, inv_den = _psi_from_weights(W, evt, at_risk)
+
+    unc = np.flatnonzero(delta != 0)
+    own = psi[delta[unc] - 1, unc, kappa[unc] - 1] if unc.size else np.empty(0)
+    log_total = np.log(np.clip(own, PSI_CLAMP, 1.0)).sum() if unc.size else 0.0
+    hazard_total = (psi * at_risk[None, :, :]).sum()
+    nll = float(-(log_total - hazard_total) / n)
+
+    # dNLL / dpsi
+    dpsi = np.tile((at_risk / n)[None, :, :], (m, 1, 1))
+    if unc.size:
+        live = own > PSI_CLAMP
+        idx = unc[live]
+        dpsi[delta[idx] - 1, idx, kappa[idx] - 1] -= 1.0 / (n * own[live])
+    dpsi *= alpha
+
+    rank = 0.0
+    if alpha < 1.0:
+        rank, dpsi_rank = ranking_value_and_dpsi(psi, kappa, delta, sigma,
+                                                 scale=1.0 - alpha)
+        dpsi += dpsi_rank
+
+    # psi = num / den  (zero where den == 0, locally constant there)
+    dnum = dpsi * inv_den[None, :, :]
+    dden = -(dnum * psi).sum(axis=0)
+    dW = dden @ at_risk.T
+    for d in range(m):
+        dW += dnum[d] @ evt[d].T
+    np.fill_diagonal(dW, 0.0)
+
+    M = (dW + dW.T) * K
+    np.fill_diagonal(M, 0.0)
+    dE = -2.0 * (M.sum(axis=1)[:, None] * E - M @ E)
+    dw, db = backward(params, cache, dE)
+    loss = total_loss(nll, rank, alpha)
+    return loss, dw, db
+
+
+def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):
+    """Kernel-weighted hazards and CIF curves of query points vs a reference
+    set (no leave-one-out; queries are assumed disjoint from the reference).
+
+    Returns (psi (m, q, L), F (m, q, L), S (q, L)).
+    """
+    Kq = kernel_matrix(np.asarray(E_query, np.float64), np.asarray(E_ref, np.float64))
+    evt, at_risk = _label_matrices(kappa_ref, delta_ref, m, L)
+    psi, _, _, _, _ = _psi_from_weights(Kq, evt, at_risk)
+    F, S, _, _ = _cif_from_psi(psi)
+    return psi, F, S
+
+
+def brier_score(cif_values, cohort: Cohort, delta: int, t: float,
+                censor_curve: StepCurve) -> BrierResult:
+    """Censoring-weighted Brier score for event ``delta`` at horizon ``t``.
+
+    ``cif_values[i]`` is the predicted F_delta(t | X_i). Subjects whose
+    required censoring-survival weight is zero are dropped from the sum (but
+    not from the denominator n) and reported in ``n_excluded``.
+    """
+    F = np.asarray(cif_values, dtype=np.float64)
+    n = cohort.n
+    if F.shape != (n,):
+        raise ShapeMismatch(f"expected {n} predictions, got shape {F.shape}")
+    y, ev = cohort.time, cohort.event
+
+    had_event = (ev == delta) & (y <= t)
+    had_competing = (ev != delta) & (ev != 0) & (y <= t)
+    at_risk = y > t
+
+    w_past = censor_curve.eval_left(y)
+    w_now = censor_curve(t)
+
+    total = 0.0
+    excluded = 0
+    for mask, sq, w in (
+        (had_event, (1.0 - F) ** 2, w_past),
+        (had_competing, F ** 2, w_past),
+        (at_risk, F ** 2, np.full(n, w_now)),
+    ):
+        w = np.broadcast_to(np.asarray(w, dtype=np.float64), (n,))
+        usable = mask & (w > 0)
+        excluded += int((mask & (w <= 0)).sum())
+        total += (sq[usable] / w[usable]).sum()
+    return BrierResult(value=float(total / n), n_excluded=excluded)

@@ -1,0 +1,199 @@
+"""The segment-sum training step, validation hazards, blocked interpolation
+and vectorised Brier score against the dense oracles in ``dense_oracle``.
+
+Random cohorts come from hypothesis with ``derandomize=True`` so every run
+draws the same examples.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
+
+import dense_oracle as oracle
+from conftest import relative_error
+from kernelaj import Cohort, EmbeddingConfig, StepCurve, init_mlp
+from kernelaj.embedding import flatten_grads, kernel_matrix, pairwise_sq_dists
+from kernelaj.metrics import (
+    INTERP_BLOCK_ROWS,
+    brier_score,
+    brier_scores,
+    censoring_survival,
+    interpolate_curves,
+    ipcw_weights,
+)
+from kernelaj.training import kernel_hazard_curves, total_loss_and_grad
+
+REPRODUCIBLE = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def labelled_batches(draw, all_censored=False):
+    """(X, kappa, delta, m, L, seed): kappa in 0..L, delta in 0..m, with
+    censored rows allowed at kappa = 0 and events at kappa >= 1."""
+    n = draw(st.integers(2, 24))
+    m = draw(st.integers(1, 3))
+    L = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # few distinct bins -> tied kappa; bins above kmax -> zero denominators
+    kmax = draw(st.integers(0, L))
+    delta = np.zeros(n, np.int64) if all_censored else rng.integers(0, m + 1, n)
+    kappa = np.where(delta == 0, rng.integers(0, kmax + 1, n),
+                     rng.integers(1, max(kmax, 1) + 1, n))
+    X = rng.normal(size=(n, 3))
+    return X, kappa.astype(np.int64), delta.astype(np.int64), m, L, seed
+
+
+def small_params(seed):
+    cfg = EmbeddingConfig(input_dim=3, num_layers=2, hidden_units=5, embed_dim=2,
+                          activation="tanh")
+    return init_mlp(cfg, seed=seed % 1000)
+
+
+def assert_step_matches_oracle(X, kappa, delta, m, L, alpha, seed, perm=None):
+    params = small_params(seed)
+    want_loss, want_dw, want_db = oracle.total_loss_and_grad(
+        params, X, kappa, delta, m, L, alpha, 0.7)
+    if perm is not None:
+        X, kappa, delta = X[perm], kappa[perm], delta[perm]
+    loss, dw, db = total_loss_and_grad(params, X, kappa, delta, m, L, alpha, 0.7)
+    assert abs(loss - want_loss) <= 1e-12 * max(abs(want_loss), 1e-12)
+    assert relative_error(flatten_grads(dw, db), flatten_grads(want_dw, want_db)) <= 1e-12
+
+
+class TestTrainingStep:
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @REPRODUCIBLE
+    @given(batch=labelled_batches())
+    def test_random_batches(self, alpha, batch):
+        X, kappa, delta, m, L, seed = batch
+        assert_step_matches_oracle(X, kappa, delta, m, L, alpha, seed)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @REPRODUCIBLE
+    @given(batch=labelled_batches(), data=st.data())
+    def test_permuted_rows(self, alpha, batch, data):
+        X, kappa, delta, m, L, seed = batch
+        perm = np.array(data.draw(st.permutations(range(X.shape[0]))))
+        assert_step_matches_oracle(X, kappa, delta, m, L, alpha, seed, perm)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @REPRODUCIBLE
+    @given(batch=labelled_batches(all_censored=True))
+    def test_all_censored_batches(self, alpha, batch):
+        X, kappa, delta, m, L, seed = batch
+        assert_step_matches_oracle(X, kappa, delta, m, L, alpha, seed)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_fixed_edge_cases(self, alpha):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(9, 3))
+        cases = [
+            # every row tied in one bin, two event types
+            (np.full(9, 2), np.array([1, 2, 0, 1, 2, 0, 1, 1, 2]), 2, 3),
+            # kappa = 0 censored rows and empty top bins (zero denominators)
+            (np.array([0, 0, 1, 1, 2, 0, 1, 2, 0]),
+             np.array([0, 0, 1, 0, 1, 0, 1, 0, 0]), 1, 6),
+            # all censored, some at kappa = 0
+            (np.array([0, 3, 1, 0, 2, 3, 0, 1, 2]), np.zeros(9, np.int64), 2, 4),
+        ]
+        for kappa, delta, m, L in cases:
+            assert_step_matches_oracle(X, kappa.astype(np.int64),
+                                       delta.astype(np.int64), m, L, alpha, 11)
+
+
+class TestValidationHazards:
+    @REPRODUCIBLE
+    @given(batch=labelled_batches(), q=st.integers(1, 9))
+    def test_matches_dense_tables(self, batch, q):
+        X, kappa, delta, m, L, seed = batch
+        rng = np.random.default_rng(seed)
+        E_ref = rng.normal(size=(X.shape[0], 2))
+        E_query = rng.normal(size=(q, 2))
+        got = kernel_hazard_curves(E_query, E_ref, kappa, delta, m, L)
+        want = oracle.kernel_hazard_curves(E_query, E_ref, kappa, delta, m, L)
+        for a, b in zip(got, want):
+            assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @REPRODUCIBLE
+    @given(seed=st.integers(0, 2**32 - 1), n1=st.integers(1, 30), n2=st.integers(1, 30))
+    def test_kernel_matches_dense_kernel(self, seed, n1, n2):
+        rng = np.random.default_rng(seed)
+        E1, E2 = rng.normal(size=(n1, 4)), rng.normal(size=(n2, 4))
+        assert_allclose(pairwise_sq_dists(E1, E2), oracle.pairwise_sq_dists(E1, E2),
+                        rtol=1e-12, atol=1e-12)
+        assert_allclose(kernel_matrix(E1), oracle.kernel_matrix(E1), rtol=0, atol=1e-12)
+
+
+class TestInterpolation:
+    def test_matches_per_row_interp(self):
+        rng = np.random.default_rng(3)
+        n, L = INTERP_BLOCK_ROWS * 2 + 17, 12
+        knots = np.cumsum(rng.uniform(0.1, 1.0, L))
+        curves = np.cumsum(rng.uniform(0, 0.05, (n, L)), axis=1)
+        eval_times = np.concatenate((
+            [-1.0, -1e-9, 0.0], knots, knots[-1] + [1e-9, 5.0],
+            rng.uniform(0, knots[-1], 40)))
+        want = np.vstack([np.interp(eval_times, np.r_[0.0, knots], np.r_[0.0, row])
+                          for row in curves])
+        assert_array_equal(interpolate_curves(curves, knots, eval_times), want)
+
+    @REPRODUCIBLE
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), L=st.integers(1, 9))
+    def test_random_curves(self, seed, n, L):
+        rng = np.random.default_rng(seed)
+        knots = np.unique(rng.uniform(0.1, 10.0, L))
+        curves = rng.uniform(0, 1, (n, knots.size))
+        eval_times = np.concatenate((rng.uniform(-1, 12, 15), knots))
+        want = np.vstack([np.interp(eval_times, np.r_[0.0, knots], np.r_[0.0, row])
+                          for row in curves])
+        assert_array_equal(interpolate_curves(curves, knots, eval_times), want)
+
+
+@st.composite
+def brier_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 3))
+    times = np.round(rng.uniform(0.5, 6.0, n), 1)        # ties in observed times
+    events = rng.integers(0, m + 1, n)
+    cohort = Cohort(np.zeros((n, 1)), times, events, m)
+    if draw(st.booleans()):
+        censor = censoring_survival(cohort)
+    else:                                                 # reaches 0: exclusions
+        knots = np.sort(rng.uniform(0.5, 6.0, 3))
+        censor = StepCurve(knots, np.array([0.7, 0.3, 0.0]))
+    horizons = np.unique(np.round(rng.uniform(0.3, 6.5, 12), 1))
+    F = rng.uniform(0, 1, (n, horizons.size))
+    return cohort, censor, horizons, F, int(rng.integers(1, m + 1))
+
+
+class TestBrier:
+    @REPRODUCIBLE
+    @given(case=brier_cases())
+    def test_grid_matches_scalar_oracle(self, case):
+        cohort, censor, horizons, F, delta = case
+        values, excluded = brier_scores(F, cohort, delta, horizons,
+                                        ipcw_weights(cohort, horizons, censor))
+        for k, t in enumerate(horizons):
+            want = oracle.brier_score(F[:, k], cohort, delta, t, censor)
+            assert values[k] == pytest.approx(want.value, rel=1e-12, abs=1e-15)
+            assert excluded[k] == want.n_excluded
+            one = brier_score(F[:, k], cohort, delta, t, censor)
+            assert one.value == values[k]
+            assert one.n_excluded == excluded[k]
+
+    def test_excluded_subjects_counted_per_horizon(self):
+        cohort = Cohort(np.zeros((3, 1)), [2.0, 0.5, 4.0], [1, 1, 0], 1)
+        censor = StepCurve([1.0, 3.0], [0.5, 0.0])
+        horizons = np.array([1.0, 2.5, 3.5])
+        F = np.full((3, 3), 0.4)
+        _, excluded = brier_scores(F, cohort, 1, horizons,
+                                   ipcw_weights(cohort, horizons, censor))
+        want = [oracle.brier_score(F[:, k], cohort, 1, t, censor).n_excluded
+                for k, t in enumerate(horizons)]
+        assert list(excluded) == want
+        assert max(want) > 0

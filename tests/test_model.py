@@ -322,3 +322,33 @@ class TestInterpretationQuantities:
         K = exemplar_kernel_matrix(model)
         assert_allclose(K, K.T)
         assert_allclose(np.diag(K), 1.0)
+
+
+class TestNonFiniteFeatures:
+    """Rows whose features are not finite, or too large to embed, are
+    rejected by name instead of falling back to the population curve. The
+    network is ReLU, so a 1e300 feature overflows the embedding."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.cohort = random_cohort(rng)
+        params = init_mlp(EmbeddingConfig(input_dim=self.cohort.p, num_layers=2,
+                                          hidden_units=6, embed_dim=2, init_seed=3))
+        self.model = build_model(self.cohort, params, epsilon=0.5, tau=2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_predict_cif_grid_names_first_bad_row(self, bad):
+        X = self.cohort.features[:5].copy()
+        X[3, 1] = bad
+        X[4, 0] = bad
+        with pytest.raises(ValueError, match="row 3"):
+            predict_cif_grid(self.model, X)
+
+    @pytest.mark.parametrize("fn", [weighted_summaries, predict_curves,
+                                    cluster_weight_decomposition, explain_subject])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e300])
+    def test_single_row_entry_points(self, fn, bad):
+        x = self.cohort.features[0].copy()
+        x[2] = bad
+        with pytest.raises(ValueError, match="row 0"):
+            fn(self.model, x)

@@ -6,28 +6,34 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import finite_difference_grad, random_batch, relative_error
+from dense_oracle import (
+    _label_matrices,
+    _psi_from_weights,
+    batch_loss_from_params,
+    loo_hazards,
+)
 from kernelaj import (
     Cohort,
+    DegenerateGrid,
     EmbeddingConfig,
     EventTimeGrid,
+    NoComparablePairs,
+    SynthConfig,
     TrainConfig,
+    build_event_grid,
     discretize_times,
+    generate_synthetic,
     init_mlp,
-    loo_hazards,
     loss_nll,
     loss_ranking,
     total_loss,
     total_loss_and_grad,
     train_embedding,
 )
+from kernelaj import training
+from kernelaj.cli import fit_pipeline
 from kernelaj.embedding import flatten_grads, flatten_params
-from kernelaj.training import (
-    _cif_from_psi,
-    _label_matrices,
-    _psi_from_weights,
-    batch_loss_from_params,
-    cif_pair_matrix,
-)
+from kernelaj.training import _cif_from_psi, cif_pair_matrix
 
 PSI_CLAMP = 1e-12
 
@@ -346,3 +352,50 @@ class TestBatchCif:
                     assert pairs[0, i, j] == 0.0
                 else:
                     assert pairs[0, i, j] == F[0, j, kappa[i] - 1]
+
+
+class TestCriterionFeasibility:
+    """An early-stopping criterion that cannot be computed on the validation
+    cohort fails before the first training step."""
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        calls = []
+        real = training.total_loss_and_grad
+        monkeypatch.setattr(training, "total_loss_and_grad",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    def test_ctd_without_event_two_in_valid(self, monkeypatch):
+        cohort = generate_synthetic(SynthConfig(n=600, p=2, w1=(1.0, 0.0),
+                                                w2=(0.0, 1.0), seed=4))
+        train = cohort.subset(np.arange(400))
+        valid = cohort.subset(np.arange(400, 600))
+        valid = Cohort(valid.features, valid.time,
+                       np.where(valid.event == 2, 0, valid.event), m=2)
+        ecfg = EmbeddingConfig(input_dim=2, num_layers=1, hidden_units=4,
+                               embed_dim=2)
+        tcfg = TrainConfig(batch_size=128, max_epochs=2, patience=2,
+                           num_time_steps=8, early_stop_criterion="ctd")
+        calls = self.count_steps(monkeypatch)
+        with pytest.raises(NoComparablePairs, match="event 2"):
+            fit_pipeline(train, valid, ecfg, tcfg, epsilon=0.5)
+        assert calls == []
+
+    def test_ibs_with_a_single_evaluation_time(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(20, 2))
+        times = np.where(np.arange(20) % 2 == 0, 1.0, rng.uniform(2.0, 5.0, 20))
+        events = np.where(np.arange(20) % 2 == 0, 1, 0)
+        cohort = Cohort(X, times, events, m=1)
+        dtm = discretize_times(build_event_grid(cohort), 0)
+        train, _ = dtm.apply(cohort.subset(np.arange(14)))
+        valid, _ = dtm.apply(cohort.subset(np.arange(14, 20)))
+        ecfg = EmbeddingConfig(input_dim=2, num_layers=1, hidden_units=4,
+                               embed_dim=2)
+        tcfg = TrainConfig(batch_size=8, max_epochs=2, patience=2,
+                           early_stop_criterion="ibs")
+        calls = self.count_steps(monkeypatch)
+        with pytest.raises(DegenerateGrid):
+            train_embedding(train, valid, ecfg, tcfg, dtm)
+        assert calls == []
