@@ -90,6 +90,7 @@ from .model import (
     cluster_weight_decomposition,
     conditional_median,
     event_probability,
+    explain_rows,
     explain_subject,
     predict_cif_grid,
     predict_curves,
@@ -102,7 +103,6 @@ from .training import (
     TrainingLog,
     discretize_times,
     loss_nll,
-    loss_ranking,
     total_loss,
     total_loss_and_grad,
     train_embedding,

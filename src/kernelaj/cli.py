@@ -3,12 +3,10 @@
 Configuration files are JSON with strictly validated keys; any unknown key is
 rejected before work starts. Commands exit 0 on success and nonzero with a
 single-line ``error: ...`` message on stderr otherwise (2 for configuration
-or data problems). The environment variable ``DKAJ_THREADS`` caps row-level
-parallelism in evaluate/explain; results are independent of the setting.
+or data problems).
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -17,7 +15,13 @@ import numpy as np
 
 from . import metrics as metricsmod
 from .clustering import build_cluster_model, tau_from_min_kernel_weight
-from .core import Cohort, build_event_grid, risk_event_counts
+from .core import (
+    Cohort,
+    build_event_grid,
+    cif_from_hazards,
+    risk_event_counts,
+    table_hazards,
+)
 from .dataio import (
     FeatureSchema,
     SynthConfig,
@@ -29,14 +33,7 @@ from .dataio import (
 from .embedding import EmbeddingConfig, embed_batch
 from .errors import ConfigError, KernelAJError, SchemaMismatch
 from .finetune import fine_tune_summaries
-from .model import (
-    KernelAJModel,
-    cluster_curves,
-    exemplar_kernel_matrix,
-    explain_subject,
-    predict_cif_grid,
-    predict_curves,
-)
+from .model import KernelAJModel, exemplar_kernel_matrix, explain_rows, predict_cif_grid
 from .serialize import load_model, save_model
 from .training import TrainConfig, discretize_times, train_embedding
 
@@ -52,7 +49,7 @@ _TRAIN_KEYS = {"learning_rate", "batch_size", "max_epochs", "patience",
 _CLUSTER_KEYS = {"epsilon", "squared_radius", "min_kernel_weight",
                  "shuffle_seed"}
 _SFT_KEYS = {"enabled", "learning_rate", "max_epochs", "patience",
-             "early_stop_criterion", "seed"}
+             "early_stop_criterion"}
 _SIM_KEYS = {"n", "p", "w1", "w2", "censoring_rate", "seed"}
 
 
@@ -79,28 +76,6 @@ def _load_json(path):
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {path}: {exc}") from None
-
-
-def _threads() -> int:
-    raw = os.environ.get("DKAJ_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"DKAJ_THREADS must be an integer, got '{raw}'")
-    return max(value, 1)
-
-
-def predict_cif_grid_parallel(model: KernelAJModel, X: np.ndarray, threads: int):
-    """Row-chunked prediction; output is identical for any thread count."""
-    if threads <= 1 or X.shape[0] < 2 * threads:
-        return predict_cif_grid(model, X)
-    chunks = np.array_split(np.arange(X.shape[0]), threads)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda idx: predict_cif_grid(model, X[idx]), chunks))
-    cif = np.concatenate([p[0] for p in parts], axis=1)
-    surv = np.concatenate([p[1] for p in parts], axis=0)
-    fallback = np.concatenate([p[2] for p in parts], axis=0)
-    return cif, surv, fallback
 
 
 def _parse_fit_config(doc: dict):
@@ -229,7 +204,6 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     if sft_config.get("enabled"):
         sft_tcfg = TrainConfig(
             learning_rate=float(sft_config.get("learning_rate", 0.001)),
-            batch_size=tcfg.batch_size,
             max_epochs=int(sft_config.get("max_epochs", 100)),
             patience=int(sft_config.get("patience", tcfg.patience)),
             alpha=1.0,
@@ -237,7 +211,6 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
             num_time_steps=tcfg.num_time_steps,
             early_stop_criterion=sft_config.get("early_stop_criterion",
                                                 tcfg.early_stop_criterion),
-            seed=int(sft_config.get("seed", tcfg.seed)),
         )
         model, sft_result = fine_tune_summaries(model, train_pre, valid_pre,
                                                 sft_tcfg)
@@ -264,7 +237,7 @@ def cmd_evaluate(model_path: str, data_path: str, out_dir: str,
                                      time_column, event_column)
     os.makedirs(out_dir, exist_ok=True)
 
-    cif, _, _ = predict_cif_grid_parallel(model, cohort.features, _threads())
+    cif, _, _ = predict_cif_grid(model, cohort.features)
     event_times = cohort.time[cohort.event != 0]
     eval_grid = metricsmod.build_eval_grid(event_times)
     censor = metricsmod.censoring_survival(cohort)
@@ -321,29 +294,27 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
 
     if clusters_mode:
         sizes = model.clusters.cluster_sizes()
-        rows = []
-        for qi, ex in enumerate(model.clusters.exemplar_ids):
-            curves = cluster_curves(model, qi)
-            risks = [float(c.values[-1]) for c in curves.cifs]
-            rows.append((int(ex), int(sizes[qi]), risks, curves))
-        rows.sort(key=lambda r: -r[2][0])
+        ids = model.clusters.exemplar_ids
+        cif, surv, _, _ = cif_from_hazards(
+            table_hazards(model.clusters.d_cluster, model.clusters.n_cluster))
+        order = sorted(range(ids.size), key=lambda qi: -cif[0, qi, -1])
 
         lines = ["exemplar_id,size," +
                  ",".join(f"risk_event_{d}" for d in range(1, model.m + 1))]
-        for ex, size, risks, _ in rows:
-            lines.append(f"{ex},{size}," + ",".join(repr(r) for r in risks))
+        for qi in order:
+            lines.append(f"{int(ids[qi])},{int(sizes[qi])}," +
+                         ",".join(repr(float(r)) for r in cif[:, qi, -1]))
         with open(os.path.join(out_dir, "cluster_summary.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
         lines = ["exemplar_id,time,survival," +
                  ",".join(f"cif_{d}" for d in range(1, model.m + 1))]
-        for ex, _, _, curves in rows:
+        for qi in order:
             for k, t in enumerate(model.grid.times):
-                vals = [float(curves.survival.values[k])] + [
-                    float(c.values[k]) for c in curves.cifs]
-                lines.append(f"{ex},{float(t)!r}," +
-                             ",".join(repr(v) for v in vals))
+                vals = [surv[qi, k], *cif[:, qi, k]]
+                lines.append(f"{int(ids[qi])},{float(t)!r}," +
+                             ",".join(repr(float(v)) for v in vals))
         with open(os.path.join(out_dir, "cluster_cifs.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -361,7 +332,6 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                 fh.write("\n".join(lines) + "\n")
 
         K = exemplar_kernel_matrix(model)
-        ids = model.clusters.exemplar_ids
         lines = ["exemplar_id," + ",".join(str(int(i)) for i in ids)]
         for qi, ex in enumerate(ids):
             lines.append(f"{int(ex)}," + ",".join(repr(float(v)) for v in K[qi]))
@@ -375,11 +345,10 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
         raise ConfigError("explain needs --data <csv> or --clusters")
     cohort = _load_compatible_cohort(data_path, schema, model,
                                      time_column, event_column)
+    infos, cif, surv = explain_rows(model, cohort.features)
+    times = [float(t) for t in model.grid.times]
     records = []
-    for i in range(cohort.n):
-        x = cohort.features[i]
-        info = explain_subject(model, x)
-        curves = predict_curves(model, x)
+    for i, info in enumerate(infos):
         records.append({
             "row": i,
             "exemplar_ids": [int(v) for v in info.exemplar_ids],
@@ -389,9 +358,9 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                 None if v is None else float(v) for v in info.conditional_medians],
             "used_fallback": bool(info.used_fallback),
             "cif": {
-                "times": [float(t) for t in model.grid.times],
-                "survival": [float(v) for v in curves.survival.values],
-                **{f"event_{d}": [float(v) for v in curves.cif(d).values]
+                "times": times,
+                "survival": [float(v) for v in surv[i]],
+                **{f"event_{d}": [float(v) for v in cif[d - 1, i]]
                    for d in range(1, model.m + 1)},
             },
         })

@@ -191,6 +191,12 @@ class CifSet:
     def t_max(self) -> float:
         return float(self.survival.knots[-1])
 
+    @classmethod
+    def from_values(cls, knots, survival, cifs) -> "CifSet":
+        """Step curves from survival (L,) and CIF (m, L) values at the knots."""
+        return cls(StepCurve(knots, survival, initial_value=1.0),
+                   tuple(StepCurve(knots, c, initial_value=0.0) for c in cifs))
+
 
 @dataclass(frozen=True)
 class PiecewiseHazard:
@@ -268,23 +274,48 @@ def risk_event_counts(cohort_pre: Cohort, grid: EventTimeGrid):
     return d, n_at_risk.astype(np.float64)
 
 
-def _hazards_from_counts(d: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Per-bin hazards d / n with the convention 0 where n == 0."""
-    n = np.asarray(n, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    safe = np.where(n > 0, n, 1.0)
-    return np.where(n[:, None] > 0, d / safe[:, None], 0.0)
+def safe_reciprocal(n):
+    """1/n where n > 0 and 0 elsewhere. Every hazard is d * safe_reciprocal(n),
+    so a bin where nobody is at risk has hazard 0."""
+    pos = n > 0
+    return np.where(pos, 1.0 / np.where(pos, n, 1.0), 0.0)
+
+
+def table_hazards(d, n):
+    """Hazards h[k, q, l] = d[q, l, k] / n[q, l] of event tables d (q, L, m)
+    over at-risk tables n (q, L), laid out (m, q, L) for cif_from_hazards."""
+    return np.transpose(d * safe_reciprocal(n)[:, :, None], (2, 0, 1))
+
+
+def cif_from_hazards(h):
+    """The Aalen-Johansen recursion for hazards h (m, q, L) of q subjects.
+
+    u[q, l] = max(1 - sum_k h[k, q, l], 0)
+    S[q, l] = prod_{a <= l} u[q, a]
+    F[k, q, l] = sum_{a <= l} h[k, q, a] * S[q, a - 1]    (S[q, -1] = 1)
+
+    The floor at 0 binds only where rounding takes the summed hazard past 1,
+    which happens at a subject's last bin with anyone at risk; later hazards
+    are 0 there, so F is the same with or without it. Returns
+    (F, S, S_prev, u); the training backward pass reuses S_prev and u.
+    """
+    u = np.maximum(1.0 - h.sum(axis=0), 0.0)
+    S = np.cumprod(u, axis=1)
+    S_prev = np.concatenate((np.ones((S.shape[0], 1)), S[:, :-1]), axis=1)
+    F = np.cumsum(h * S_prev[None, :, :], axis=2)
+    return F, S, S_prev, u
 
 
 def curves_from_counts(d: np.ndarray, n: np.ndarray, grid: EventTimeGrid,
                        allow_zero_risk: bool = False) -> CifSet:
     """Survival and CIF step curves from (possibly weighted) counts.
 
-    S(t)     = prod_{l: t_l <= t} (1 - sum_delta d[l, delta] / n[l])
+    S(t)     = prod_{l: t_l <= t} max(1 - sum_delta d[l, delta] / n[l], 0)
     F_d(t)   = sum_{l: t_l <= t} (d[l, delta] / n[l]) * S(t_{l-1})
 
-    Bins with n[l] == 0 contribute zero hazard; with ``allow_zero_risk``
-    False (the population case) such bins raise DegenerateRisk instead.
+    This is the one-subject view of :func:`cif_from_hazards`. Bins with
+    n[l] == 0 contribute zero hazard; with ``allow_zero_risk`` False (the
+    population case) such bins raise DegenerateRisk instead.
     """
     d = np.asarray(d, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
@@ -292,17 +323,8 @@ def curves_from_counts(d: np.ndarray, n: np.ndarray, grid: EventTimeGrid,
         raise ShapeMismatch("counts must have shapes (L, m) and (L,)")
     if not allow_zero_risk and (n <= 0).any():
         raise DegenerateRisk("empty risk set at a grid time")
-    hazards = _hazards_from_counts(d, n)
-    total = hazards.sum(axis=1)
-    surv = np.cumprod(1.0 - total)
-    surv_prev = np.concatenate(([1.0], surv[:-1]))
-    cif_values = np.cumsum(hazards * surv_prev[:, None], axis=0)
-    survival = StepCurve(grid.times, surv, initial_value=1.0)
-    cifs = tuple(
-        StepCurve(grid.times, cif_values[:, j], initial_value=0.0)
-        for j in range(d.shape[1])
-    )
-    return CifSet(survival, cifs)
+    F, S, _, _ = cif_from_hazards(table_hazards(d[None], n[None]))
+    return CifSet.from_values(grid.times, S[0], F[:, 0])
 
 
 def kaplan_meier(d: np.ndarray, n: np.ndarray, grid: EventTimeGrid) -> StepCurve:

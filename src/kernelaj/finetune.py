@@ -18,15 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterModel
-from .core import Cohort
-from .embedding import embed_batch, pairwise_sq_dists
+from .core import Cohort, cif_from_hazards, table_hazards
 from .errors import ShapeMismatch
+from .model import frozen_subject_weights, predict_cif_grid
 from .training import (
     TrainConfig,
     TrainingLog,
     _at_risk,
     _criterion_is_improvement,
+    _nll,
+    _reverse_cumsum,
+    ranking_value,
     ranking_value_and_dpsi,
+    total_loss,
 )
 
 INIT_FLOOR = 1e-12
@@ -87,20 +91,17 @@ def sft_counts(params: SftParams):
     d_prime = np.exp(params.gamma) + np.exp(params.gamma_baseline)[None, :, :]
     c_prime = np.exp(params.omega) + np.exp(params.omega_baseline)[None, :]
     shed = d_prime.sum(axis=2) + c_prime
-    n_prime = np.flip(np.cumsum(np.flip(shed, axis=1), axis=1), axis=1)
-    return d_prime, n_prime
+    return d_prime, _reverse_cumsum(shed, axis=1)
 
 
-def frozen_subject_weights(params_mlp, clusters: ClusterModel,
-                           features: np.ndarray) -> np.ndarray:
-    """Per-subject kernel weights to the exemplars, zero outside tau."""
-    E = embed_batch(params_mlp, features)
-    sq = pairwise_sq_dists(E, clusters.exemplar_embeddings)
-    return np.where(sq <= clusters.tau ** 2, np.exp(-sq), 0.0)
-
-
-def _active_rows(weights):
-    return np.flatnonzero(weights.sum(axis=1) > 0)
+def _active_rows(weights, kappa, delta):
+    """Weights and labels of the subjects with a nonempty frozen neighborhood."""
+    weights = np.asarray(weights, dtype=np.float64)
+    active = np.flatnonzero(weights.sum(axis=1) > 0)
+    if active.size == 0:
+        raise ShapeMismatch("no subject has a nonempty frozen neighborhood")
+    return (weights[active], np.asarray(kappa, dtype=np.int64)[active],
+            np.asarray(delta, dtype=np.int64)[active])
 
 
 def sft_negative_log_likelihood(params: SftParams, weights, kappa, delta,
@@ -123,35 +124,14 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
     Used to score the model before fine-tuning without the log-floor
     perturbation the parameterization introduces.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    kappa = np.asarray(kappa, dtype=np.int64)
-    delta = np.asarray(delta, dtype=np.int64)
-    active = _active_rows(weights)
-    W = weights[active]
-    kap = kappa[active]
-    dl = delta[active]
-    n = active.size
-    if n == 0:
-        raise ShapeMismatch("no subject has a nonempty frozen neighborhood")
+    W, kap, dl = _active_rows(weights, kappa, delta)
     D = np.tensordot(W, np.asarray(d_tables, np.float64), axes=(1, 0))
-    N = W @ np.asarray(n_tables, np.float64)
-    m, L = D.shape[2], D.shape[1]
-    at_risk = _at_risk(kap, L)
-    pos = N > 0
-    invN = np.where(pos, 1.0 / np.where(pos, N, 1.0), 0.0)
-    hazards = D * invN[:, :, None]
-    unc = np.flatnonzero(dl != 0)
-    log_total = 0.0
-    if unc.size:
-        own = hazards[unc, kap[unc] - 1, dl[unc] - 1]
-        log_total = np.log(np.clip(own, INIT_FLOOR, 1.0)).sum()
-    hazard_total = (hazards * at_risk[:, :, None]).sum()
-    nll = float(-(log_total - hazard_total) / n)
+    psi = table_hazards(D, W @ np.asarray(n_tables, np.float64))
+    nll, _, _ = _nll(psi, kap, dl, _at_risk(kap, psi.shape[2]))
     rank = 0.0
     if alpha < 1.0:
-        psi = np.transpose(hazards, (2, 0, 1))
-        rank, _ = ranking_value_and_dpsi(psi, kap, dl, sigma, scale=0.0)
-    return alpha * nll + (1.0 - alpha) * rank
+        rank = ranking_value(cif_from_hazards(psi)[0], kap, dl, sigma)
+    return total_loss(nll, rank, alpha)
 
 
 def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
@@ -162,17 +142,8 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
 
 
 def _sft_objective(params, weights, kappa, delta, alpha, sigma, want_grad):
-    weights = np.asarray(weights, dtype=np.float64)
-    kappa = np.asarray(kappa, dtype=np.int64)
-    delta = np.asarray(delta, dtype=np.int64)
-    active = _active_rows(weights)
-    W = weights[active]
-    kap = kappa[active]
-    dl = delta[active]
-    n = active.size
-    if n == 0:
-        raise ShapeMismatch("no subject has a nonempty frozen neighborhood")
-
+    W, kap, dl = _active_rows(weights, kappa, delta)
+    n = kap.size
     d_prime, n_prime = sft_counts(params)
     Q, L, m = d_prime.shape
     D = np.tensordot(W, d_prime, axes=(1, 0))        # (n, L, m)
@@ -239,8 +210,6 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     validation criterion strictly improves over the model before fine-tuning;
     ties or regressions return the original tables with ``sft_rejected``.
     """
-    from .model import predict_cif_grid
-
     # Frozen kernel weights and discretized labels.
     W_train = frozen_subject_weights(model.params, model.clusters, train.features)
     _, kappa_tr = model.dtm.apply(train)

@@ -2,6 +2,10 @@
 exemplar-weighted summary tables, survival/CIF curves with a population
 fallback, and the individual-level interpretation quantities.
 
+Every prediction goes through one path: frozen_subject_weights, the
+weighted tables, and the Aalen-Johansen recursion in ``core``. The per-row
+entry points are one-row views of the batch functions.
+
 A trained model is immutable; prediction and explanation are pure functions
 and safe for concurrent use.
 """
@@ -10,9 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clustering import ClusterModel, neighbors_within_tau
-from .core import CifSet, Cohort, StepCurve, curves_from_counts
-from .embedding import MlpParams, embed, embed_batch, pairwise_sq_dists
+from .clustering import ClusterModel
+from .core import CifSet, Cohort, cif_from_hazards, curves_from_counts, table_hazards
+from .embedding import MlpParams, embed_batch, pairwise_sq_dists
 from .errors import EmptyNeighborhood, NoRisk, ShapeMismatch
 from .training import DiscreteTimeMap
 
@@ -80,77 +84,80 @@ def _embed_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return E
 
 
-def _embed_one(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Single-query form of :func:`_embed_rows`, kept cheap for per-row calls."""
+def _row(x) -> np.ndarray:
+    """One feature vector as a one-row feature matrix."""
     x = np.asarray(x, dtype=np.float64)
-    e = embed(params, x) if np.isfinite(x).all() else None
-    if e is None or not np.isfinite(np.einsum("i,i->", e, e)):
-        raise ValueError(f"row 0: {_NOT_FINITE}")
-    return e
+    if x.ndim != 1:
+        raise ShapeMismatch(f"expected a 1-D feature vector, got shape {x.shape}")
+    return x[None, :]
 
 
-def weighted_summaries(model: KernelAJModel, x: np.ndarray):
-    """Kernel-weighted event and at-risk tables for one query point.
-
-    Returns (d_w (L, m), n_w (L,), neighbor_positions). The neighbor set
-    holds the exemplars within tau; when it is empty the tables are zero and
-    the caller should fall back to the population estimate.
-    """
-    e = _embed_one(model.params, x)
-    positions = neighbors_within_tau(e, model.clusters)
-    L, m = model.population_d.shape
-    if positions.size == 0:
-        return np.zeros((L, m)), np.zeros(L), positions
-    diff = model.clusters.exemplar_embeddings[positions] - e
-    w = np.exp(-np.einsum("qd,qd->q", diff, diff))
-    d_w = np.tensordot(w, model.d_tables[positions], axes=(0, 0))
-    n_w = w @ model.n_tables[positions]
-    return d_w, n_w, positions
+def frozen_subject_weights(params_mlp: MlpParams, clusters: ClusterModel,
+                           features: np.ndarray) -> np.ndarray:
+    """Kernel weights exp(-||e_i - e_q||^2) of every feature row to every
+    exemplar, zero beyond tau: the (n, Q) weights behind every prediction and
+    every fine-tuning step. A row whose features are not finite, or too large
+    to embed, raises ValueError naming the first such row."""
+    E = _embed_rows(params_mlp, features)
+    sq = pairwise_sq_dists(E, clusters.exemplar_embeddings)
+    return np.where(sq <= clusters.tau ** 2, np.exp(-sq), 0.0)
 
 
-def predict_curves(model: KernelAJModel, x: np.ndarray) -> CifSet:
-    """Survival and CIF step curves for one feature vector.
+def _weighted_tables(model: KernelAJModel, W):
+    """Kernel-weighted event (n, L, m) and at-risk (n, L) tables."""
+    return np.tensordot(W, model.d_tables, axes=(1, 0)), W @ model.n_tables
 
-    Falls back to the population-level estimate when no exemplar lies within
-    tau of the query embedding.
-    """
-    d_w, n_w, positions = weighted_summaries(model, x)
-    if positions.size == 0:
-        return model.population_curves()
-    return curves_from_counts(d_w, n_w, model.grid, allow_zero_risk=True)
+
+def _curves_from_weights(model: KernelAJModel, W):
+    """CIF (m, n, L), survival (n, L) and the fallback mask for exemplar
+    weights W (n, Q); a row with no positive weight gets the population
+    estimate."""
+    cif, surv, _, _ = cif_from_hazards(table_hazards(*_weighted_tables(model, W)))
+    fallback = ~W.any(axis=1)
+    if fallback.any():
+        pop = model.population_curves()
+        surv[fallback] = pop.survival.values
+        cif[:, fallback] = np.stack([c.values for c in pop.cifs])[:, None, :]
+    return cif, surv, fallback
 
 
 def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
     """Batch prediction at the model's grid times.
 
     Returns (cif (m, n, L), survival (n, L), fallback (n,) bool mask of rows
-    that used the population estimate). A row whose features are not finite,
-    or too large to embed, raises ValueError naming the first such row.
+    that used the population estimate because no exemplar within tau has a
+    positive kernel weight).
+    A row whose features are not finite, or too large to embed, raises
+    ValueError naming the first such row.
     """
-    E = _embed_rows(model.params, X)
-    sq = pairwise_sq_dists(E, model.clusters.exemplar_embeddings)
-    tau_sq = model.clusters.tau ** 2
-    W = np.where(sq <= tau_sq, np.exp(-sq), 0.0)
-    fallback = ~(sq <= tau_sq).any(axis=1)
+    return _curves_from_weights(
+        model, frozen_subject_weights(model.params, model.clusters, X))
 
-    L, m = model.population_d.shape
-    n = E.shape[0]
-    d_w = np.tensordot(W, model.d_tables, axes=(1, 0))     # (n, L, m)
-    n_w = W @ model.n_tables                               # (n, L)
-    pos = n_w > 0
-    inv = np.where(pos, 1.0 / np.where(pos, n_w, 1.0), 0.0)
-    hazards = d_w * inv[:, :, None]
-    surv = np.cumprod(np.clip(1.0 - hazards.sum(axis=2), 0.0, 1.0), axis=1)
-    surv_prev = np.concatenate((np.ones((n, 1)), surv[:, :-1]), axis=1)
-    cif = np.cumsum(hazards * surv_prev[:, :, None], axis=1)
 
-    if fallback.any():
-        pop = model.population_curves()
-        pop_surv = pop.survival.values
-        pop_cif = np.stack([c.values for c in pop.cifs], axis=1)
-        surv[fallback] = pop_surv
-        cif[fallback] = pop_cif
-    return np.transpose(cif, (2, 0, 1)), surv, fallback
+def weighted_summaries(model: KernelAJModel, x: np.ndarray):
+    """Kernel-weighted event and at-risk tables for one query point.
+
+    Returns (d_w (L, m), n_w (L,), neighbor_positions). The neighbor set
+    holds the exemplars within tau (those with positive kernel weight); when
+    it is empty the tables are zero and the prediction falls back to the
+    population estimate.
+    """
+    W = frozen_subject_weights(model.params, model.clusters, _row(x))
+    d_w, n_w = _weighted_tables(model, W)
+    return d_w[0], n_w[0], np.flatnonzero(W[0])
+
+
+def predict_curves(model: KernelAJModel, x: np.ndarray) -> CifSet:
+    """Survival and CIF step curves for one feature vector: the one-row view
+    of :func:`predict_cif_grid`, population fallback included."""
+    cif, surv, _ = predict_cif_grid(model, _row(x))
+    return CifSet.from_values(model.grid.times, surv[0], cif[:, 0])
+
+
+def _normalized_weights(model: KernelAJModel, w):
+    """Ids and normalized weights of the exemplars with positive weight in w."""
+    positions = np.flatnonzero(w)
+    return model.clusters.exemplar_ids[positions], w[positions] / w[positions].sum()
 
 
 def cluster_weight_decomposition(model: KernelAJModel, x: np.ndarray):
@@ -159,13 +166,32 @@ def cluster_weight_decomposition(model: KernelAJModel, x: np.ndarray):
     Returns (exemplar_ids, weights summing to 1). Normalization cancels in
     the hazard ratios, so predictions from normalized and raw weights agree.
     """
-    e = _embed_one(model.params, x)
-    positions = neighbors_within_tau(e, model.clusters)
-    if positions.size == 0:
+    ids, weights = _normalized_weights(
+        model, frozen_subject_weights(model.params, model.clusters, _row(x))[0])
+    if ids.size == 0:
         raise EmptyNeighborhood("no exemplar within tau of the query")
-    diff = model.clusters.exemplar_embeddings[positions] - e
-    w = np.exp(-np.einsum("qd,qd->q", diff, diff))
-    return model.clusters.exemplar_ids[positions], w / w.sum()
+    return ids, weights
+
+
+def _event_probabilities(cif):
+    """(n, m) earliest-event probabilities from CIF values (m, n, L)."""
+    tail = cif[:, :, -1].T
+    total = tail.sum(axis=1)
+    if (total <= 0).any():
+        raise NoRisk(f"row {int(np.argmax(total <= 0))}: all cumulative incidence "
+                     "values are zero at the horizon")
+    return tail / total[:, None]
+
+
+def _conditional_medians(cif, knots):
+    """Per row of CIF values (m, n, L), the tuple of conditional median times
+    of the m event types (None for an event type with zero mass)."""
+    total = cif[:, :, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = (cif / total[:, :, None] >= 0.5).argmax(axis=2)
+    return [tuple(float(knots[f]) if t > 0 else None
+                  for f, t in zip(first[:, i], total[:, i]))
+            for i in range(cif.shape[1])]
 
 
 def event_probability(cifset: CifSet) -> np.ndarray:
@@ -174,11 +200,7 @@ def event_probability(cifset: CifSet) -> np.ndarray:
     Approximates F_delta(infinity) by the CIF at the last grid time and
     renormalizes the values to sum to 1.
     """
-    tail = np.array([c.values[-1] for c in cifset.cifs], dtype=np.float64)
-    total = tail.sum()
-    if total <= 0:
-        raise NoRisk("all cumulative incidence values are zero at the horizon")
-    return tail / total
+    return _event_probabilities(np.stack([c.values for c in cifset.cifs])[:, None])[0]
 
 
 def conditional_median(cifset: CifSet, delta: int):
@@ -187,12 +209,8 @@ def conditional_median(cifset: CifSet, delta: int):
     Smallest grid time where the renormalized CIF reaches one half; None when
     the event has zero mass at the horizon.
     """
-    curve = cifset.cif(delta)
-    total = curve.values[-1]
-    if total <= 0:
-        return None
-    crossing = np.flatnonzero(curve.values / total >= 0.5)
-    return float(curve.knots[crossing[0]])
+    cif = np.stack([c.values for c in cifset.cifs])[:, None]
+    return _conditional_medians(cif, cifset.survival.knots)[0][delta - 1]
 
 
 @dataclass(frozen=True)
@@ -206,19 +224,28 @@ class Explanation:
     used_fallback: bool
 
 
+def explain_rows(model: KernelAJModel, X: np.ndarray):
+    """Interpretation records for every row of a feature matrix.
+
+    Returns (explanations, cif (m, n, L), survival (n, L)): the records and
+    the curves they were read from. Each row is embedded once.
+    """
+    W = frozen_subject_weights(model.params, model.clusters, X)
+    cif, surv, fallback = _curves_from_weights(model, W)
+    probs = _event_probabilities(cif)
+    medians = _conditional_medians(cif, model.grid.times)
+    records = []
+    for i in range(W.shape[0]):
+        ids, weights = _normalized_weights(model, W[i])
+        records.append(Explanation(ids, weights, probs[i], medians[i], bool(fallback[i])))
+    return records, cif, surv
+
+
 def explain_subject(model: KernelAJModel, x: np.ndarray) -> Explanation:
-    """Per-subject interpretation record."""
-    curves = predict_curves(model, x)
-    try:
-        ids, weights = cluster_weight_decomposition(model, x)
-        fallback = False
-    except EmptyNeighborhood:
-        ids = np.empty(0, dtype=np.int64)
-        weights = np.empty(0, dtype=np.float64)
-        fallback = True
-    probs = event_probability(curves)
-    medians = tuple(conditional_median(curves, d) for d in range(1, curves.m + 1))
-    return Explanation(ids, weights, probs, medians, fallback)
+    """Per-subject interpretation record: the one-row view of
+    :func:`explain_rows`."""
+    records, _, _ = explain_rows(model, _row(x))
+    return records[0]
 
 
 def cluster_curves(model: KernelAJModel, position: int) -> CifSet:

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Cohort, EventTimeGrid
+from .core import Cohort, EventTimeGrid, cif_from_hazards, safe_reciprocal
 from .embedding import (
     EmbeddingConfig,
     MlpParams,
@@ -215,23 +215,8 @@ def _hazard_tables(W, groups: _Groups, m, L):
     num = np.zeros((m, q, L))
     ev = gd > 0
     num[gd[ev] - 1, :, gk[ev] - 1] = G[:, ev].T
-    pos = den > 0
-    inv_den = np.where(pos, 1.0 / np.where(pos, den, 1.0), 0.0)
+    inv_den = safe_reciprocal(den)
     return num * inv_den[None, :, :], inv_den
-
-
-def _cif_from_psi(psi):
-    """Within-batch survival and CIF values at the grid bins.
-
-    S[i, l] = prod_{a <= l} (1 - sum_d psi[d, i, a]); F[d, i, l] equals the
-    cumulative sum of psi * S at the previous bin.
-    """
-    h_all = psi.sum(axis=0)
-    u = 1.0 - h_all
-    S = np.cumprod(u, axis=1)
-    S_prev = np.concatenate((np.ones((S.shape[0], 1)), S[:, :-1]), axis=1)
-    F = np.cumsum(psi * S_prev[None, :, :], axis=2)
-    return F, S, S_prev, u
 
 
 def _nll(psi, kappa, delta, at_risk):
@@ -256,45 +241,33 @@ def loss_nll(psi, kappa, delta):
     return _nll(psi_t, kappa, delta, _at_risk(kappa, psi_t.shape[2]))[0]
 
 
-def cif_pair_matrix(cif_curves, kappa):
-    """Pairwise CIF lookups C[d, i, j] = F_d(kappa_i | x_j).
+def _ranking_terms(F, kappa, delta, sigma):
+    """The ranking loss, one event type at a time.
 
-    ``cif_curves`` has shape (m, n, L) of within-batch CIF values at the grid
-    bins; rows with kappa_i = 0 evaluate to 0 (before the first bin).
+    ``F`` (m, n, L) holds within-batch CIF values at the grid bins. For each
+    event type d with a comparable pair, yields (d, expd) with
+    expd[i, j] = exp((F_d(kappa_i | x_j) - F_d(kappa_i | x_i)) / sigma) on the
+    pairs where delta_i = d + 1 and kappa_i < kappa_j, and 0 elsewhere.
     """
-    F = np.asarray(cif_curves, dtype=np.float64)
-    kappa = np.asarray(kappa, dtype=np.int64)
     m, n, L = F.shape
     kid = np.clip(kappa - 1, 0, L - 1)
-    out = np.empty((m, n, n), dtype=np.float64)
-    for d in range(m):
-        cols = F[d][:, kid]          # (j, i): curve of j at subject i's bin
-        out[d] = cols.T
-    out[:, kappa == 0, :] = 0.0
-    return out
-
-
-def loss_ranking(cif_pairs, kappa, delta, sigma):
-    """Pairwise exponential ranking penalty, normalized by batch size squared.
-
-    ``cif_pairs[d, i, j]`` is the predicted CIF of event d+1 for subject j's
-    features at subject i's (discretized) observed time. Pairs count when
-    subject i has event d+1 strictly before subject j's time bin.
-    """
-    C = np.asarray(cif_pairs, dtype=np.float64)
-    kappa = np.asarray(kappa, dtype=np.int64)
-    delta = np.asarray(delta, dtype=np.int64)
-    m, n, _ = C.shape
-    total = 0.0
     earlier = kappa[:, None] < kappa[None, :]
     for d in range(m):
         comparable = earlier & (delta == d + 1)[:, None]
         if not comparable.any():
             continue
-        own = np.diagonal(C[d])
-        diffs = (C[d] - own[:, None]) / sigma
-        total += np.exp(diffs[comparable]).sum()
-    return float(total / (n * n))
+        diff = F[d][:, kid].T                    # (i, j): F_d(kappa_i | x_j)
+        diff -= np.diagonal(diff).copy()[:, None]
+        diff /= sigma
+        yield d, np.exp(diff, out=diff) * comparable
+
+
+def ranking_value(F, kappa, delta, sigma):
+    """Pairwise exponential ranking penalty of CIF values F (m, n, L),
+    normalized by n squared."""
+    n = F.shape[1]
+    return float(sum(expd.sum() / (n * n)
+                     for _, expd in _ranking_terms(F, kappa, delta, sigma)))
 
 
 def total_loss(nll_value, ranking_value, alpha):
@@ -336,29 +309,18 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     m, n, L = psi.shape
     kappa = np.asarray(kappa, dtype=np.int64)
     delta = np.asarray(delta, dtype=np.int64)
-    F, S, S_prev, u = _cif_from_psi(psi)
+    F, S, S_prev, u = cif_from_hazards(psi)
     kid = np.clip(kappa - 1, 0, L - 1)
     onehot = np.zeros((n, L), dtype=np.float64)
     rows = np.flatnonzero(kappa >= 1)
     onehot[rows, kid[rows]] = 1.0
-    earlier = kappa[:, None] < kappa[None, :]
     dF = np.zeros_like(F)
     rank = 0.0
-    any_pairs = False
-    for d in range(m):
-        comparable = (earlier & (delta == d + 1)[:, None]).astype(np.float64)
-        if not comparable.any():
-            continue
-        any_pairs = True
-        Fat = F[d][:, kid].T                     # (i, j): F_d(kappa_i | x_j)
-        own_f = np.diagonal(Fat)
-        expd = np.exp((Fat - own_f[:, None]) / sigma) * comparable
-        rank += expd.sum() / (n * n)
-        Gp = (scale / (n * n * sigma)) * expd
+    for d, Gp in _ranking_terms(F, kappa, delta, sigma):
+        rank += Gp.sum() / (n * n)
+        Gp *= scale / (n * n * sigma)
         dF[d] += Gp.T @ onehot
         dF[d] -= onehot * Gp.sum(axis=1)[:, None]
-    if not any_pairs:
-        return 0.0, np.zeros_like(psi)
     dA = _reverse_cumsum(dF, axis=2)
     dpsi = dA * S_prev[None, :, :]
     dS_prev = (dA * psi).sum(axis=0)
@@ -433,7 +395,7 @@ def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):
     groups = _code_groups(kappa_ref, delta_ref, m)
     E_ref = np.asarray(E_ref, np.float64)[groups.order]
     psi, _ = _hazard_tables(kernel_matrix(E_query, E_ref), groups, m, L)
-    F, S, _, _ = _cif_from_psi(psi)
+    F, S, _, _ = cif_from_hazards(psi)
     return psi, F, S
 
 
@@ -513,8 +475,7 @@ def _evaluate_criterion(criterion, params, train, valid, dtm, tcfg,
         nll, _, _ = _nll(psi, kappa_va, valid.event, _at_risk(kappa_va, L))
         rank = 0.0
         if tcfg.alpha < 1.0:
-            rank = loss_ranking(cif_pair_matrix(F, kappa_va), kappa_va, valid.event,
-                                tcfg.sigma)
+            rank = ranking_value(F, kappa_va, valid.event, tcfg.sigma)
         return total_loss(nll, rank, tcfg.alpha)
 
     values = []

@@ -1,11 +1,13 @@
-"""The dense one-hot training step, validation hazards and scalar Brier
-score that the segment-sum implementation in ``kernelaj`` replaced.
+"""The dense one-hot training step, validation hazards, scalar Brier
+score, CIF recursion and pairwise ranking loss that ``kernelaj`` replaced.
 
 The functions below are kept verbatim as test oracles: the kernel comes
 from E @ E.T, the hazard tables from weight-matrix products with (n, L)
-one-hot label matrices, and each Brier horizon is scored on its own. Only
-the shared building blocks that did not change (the network, the CIF
-recursion, the ranking backward) are imported from the package.
+one-hot label matrices, each Brier horizon is scored on its own, the CIF
+recursion leaves 1 - sum(h) unfloored and the ranking loss reads a dense
+(m, n, n) matrix of pairwise CIF lookups. Only the shared building blocks
+that did not change (the network, the NLL, the ranking backward) are
+imported from the package.
 """
 
 import numpy as np
@@ -16,13 +18,65 @@ from kernelaj.errors import ShapeMismatch
 from kernelaj.metrics import BrierResult
 from kernelaj.training import (
     PSI_CLAMP,
-    _cif_from_psi,
-    cif_pair_matrix,
     loss_nll,
-    loss_ranking,
     ranking_value_and_dpsi,
     total_loss,
 )
+
+
+def _cif_from_psi(psi):
+    """Within-batch survival and CIF values at the grid bins.
+
+    S[i, l] = prod_{a <= l} (1 - sum_d psi[d, i, a]); F[d, i, l] equals the
+    cumulative sum of psi * S at the previous bin.
+    """
+    h_all = psi.sum(axis=0)
+    u = 1.0 - h_all
+    S = np.cumprod(u, axis=1)
+    S_prev = np.concatenate((np.ones((S.shape[0], 1)), S[:, :-1]), axis=1)
+    F = np.cumsum(psi * S_prev[None, :, :], axis=2)
+    return F, S, S_prev, u
+
+
+def cif_pair_matrix(cif_curves, kappa):
+    """Pairwise CIF lookups C[d, i, j] = F_d(kappa_i | x_j).
+
+    ``cif_curves`` has shape (m, n, L) of within-batch CIF values at the grid
+    bins; rows with kappa_i = 0 evaluate to 0 (before the first bin).
+    """
+    F = np.asarray(cif_curves, dtype=np.float64)
+    kappa = np.asarray(kappa, dtype=np.int64)
+    m, n, L = F.shape
+    kid = np.clip(kappa - 1, 0, L - 1)
+    out = np.empty((m, n, n), dtype=np.float64)
+    for d in range(m):
+        cols = F[d][:, kid]          # (j, i): curve of j at subject i's bin
+        out[d] = cols.T
+    out[:, kappa == 0, :] = 0.0
+    return out
+
+
+def loss_ranking(cif_pairs, kappa, delta, sigma):
+    """Pairwise exponential ranking penalty, normalized by batch size squared.
+
+    ``cif_pairs[d, i, j]`` is the predicted CIF of event d+1 for subject j's
+    features at subject i's (discretized) observed time. Pairs count when
+    subject i has event d+1 strictly before subject j's time bin.
+    """
+    C = np.asarray(cif_pairs, dtype=np.float64)
+    kappa = np.asarray(kappa, dtype=np.int64)
+    delta = np.asarray(delta, dtype=np.int64)
+    m, n, _ = C.shape
+    total = 0.0
+    earlier = kappa[:, None] < kappa[None, :]
+    for d in range(m):
+        comparable = earlier & (delta == d + 1)[:, None]
+        if not comparable.any():
+            continue
+        own = np.diagonal(C[d])
+        diffs = (C[d] - own[:, None]) / sigma
+        total += np.exp(diffs[comparable]).sum()
+    return float(total / (n * n))
 
 
 def pairwise_sq_dists(E1: np.ndarray, E2=None) -> np.ndarray:

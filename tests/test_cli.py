@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kernelaj import SynthConfig, generate_synthetic, load_model, write_cohort_csv
+from kernelaj import (
+    SynthConfig,
+    explain_subject,
+    generate_synthetic,
+    load_cohort,
+    load_model,
+    predict_curves,
+    write_cohort_csv,
+)
 from kernelaj.cli import main
-from kernelaj.model import predict_cif_grid
+from kernelaj.model import cluster_curves, predict_cif_grid
 
 
 def write_config(tmp_path, train_csv, **overrides):
@@ -116,6 +124,13 @@ class TestFit:
         assert main(["fit", "--config", str(config_path)]) == 2
         assert "training.warp_speed" in capsys.readouterr().err
 
+    def test_sft_seed_rejected(self, tmp_path, train_csv, capsys):
+        # full-batch fine-tuning draws no random numbers, so it takes no seed
+        config_path, _ = write_config(tmp_path, train_csv,
+                                      sft={"enabled": True, "seed": 3})
+        assert main(["fit", "--config", str(config_path)]) == 2
+        assert "unknown config key 'sft.seed'" in capsys.readouterr().err
+
     def test_sft_flag_recorded(self, tmp_path, train_csv):
         config_path, _ = write_config(
             tmp_path, train_csv,
@@ -160,19 +175,6 @@ class TestEvaluate:
         assert (tmp_path / "e1" / "metrics.csv").read_bytes() == \
             (tmp_path / "e2" / "metrics.csv").read_bytes()
 
-    def test_threads_env_does_not_change_results(self, tmp_path, train_csv,
-                                                 test_csv, monkeypatch):
-        config_path, _ = write_config(tmp_path, train_csv)
-        main(["fit", "--config", str(config_path)])
-        model_path = str(tmp_path / "out" / "model.json")
-        main(["evaluate", "--model", model_path, "--data", str(test_csv),
-              "--out", str(tmp_path / "st")])
-        monkeypatch.setenv("DKAJ_THREADS", "4")
-        main(["evaluate", "--model", model_path, "--data", str(test_csv),
-              "--out", str(tmp_path / "mt")])
-        assert (tmp_path / "st" / "metrics.csv").read_bytes() == \
-            (tmp_path / "mt" / "metrics.csv").read_bytes()
-
     def test_missing_model_exit_2(self, tmp_path, test_csv, capsys):
         rc = main(["evaluate", "--model", str(tmp_path / "nope.json"),
                    "--data", str(test_csv), "--out", str(tmp_path / "x")])
@@ -212,6 +214,52 @@ class TestExplain:
             assert sum(rec["weights"]) == pytest.approx(1.0)
         assert sum(rec["event_probabilities"]) == pytest.approx(1.0)
 
+    def test_cluster_cifs_match_cluster_curves(self, tmp_path, train_csv):
+        # one batched recursion over all clusters gives each cluster's curves
+        # bit for bit: the recursion is elementwise along the time bins
+        config_path, _ = write_config(tmp_path, train_csv)
+        main(["fit", "--config", str(config_path)])
+        model_path = tmp_path / "out" / "model.json"
+        assert main(["explain", "--model", str(model_path), "--clusters",
+                     "--out", str(tmp_path / "rep")]) == 0
+        model, _ = load_model(model_path)
+        position = {int(ex): qi for qi, ex in enumerate(model.clusters.exemplar_ids)}
+        lines = (tmp_path / "rep" / "cluster_cifs.csv").read_text().splitlines()[1:]
+        assert len(lines) == model.clusters.num_clusters * len(model.grid)
+        for line in lines:
+            ex, t, *values = line.split(",")
+            curves = cluster_curves(model, position[int(ex)])
+            k = int(np.searchsorted(model.grid.times, float(t)))
+            assert model.grid.times[k] == float(t)
+            want = [curves.survival.values[k]] + [c.values[k] for c in curves.cifs]
+            assert [float(v) for v in values] == want
+
+    def test_subject_records_match_per_row_entry_points(self, tmp_path, train_csv,
+                                                        test_csv):
+        config_path, _ = write_config(tmp_path, train_csv)
+        main(["fit", "--config", str(config_path)])
+        model_path = tmp_path / "out" / "model.json"
+        assert main(["explain", "--model", str(model_path), "--data", str(test_csv),
+                     "--out", str(tmp_path / "rep")]) == 0
+        records = json.loads((tmp_path / "rep" / "explanations.json").read_text())
+        model, schema = load_model(model_path)
+        table = load_cohort(test_csv, schema.kinds, "time", "event")
+        X = schema.transform(table)
+        assert len(records) == X.shape[0]
+        for rec, x in zip(records, X):
+            info = explain_subject(model, x)
+            curves = predict_curves(model, x)
+            assert rec["exemplar_ids"] == [int(v) for v in info.exemplar_ids]
+            assert rec["used_fallback"] == info.used_fallback
+            assert_allclose(rec["weights"], info.weights, rtol=0, atol=1e-14)
+            assert_allclose(rec["event_probabilities"], info.event_probabilities,
+                            rtol=0, atol=1e-14)
+            assert_allclose(rec["cif"]["survival"], curves.survival.values,
+                            rtol=0, atol=1e-14)
+            for d in range(1, model.m + 1):
+                assert_allclose(rec["cif"][f"event_{d}"], curves.cif(d).values,
+                                rtol=0, atol=1e-14)
+
     def test_single_cluster_model_reproduces_population(self, tmp_path,
                                                         train_csv):
         config_path, _ = write_config(tmp_path, train_csv,
@@ -220,8 +268,6 @@ class TestExplain:
         main(["fit", "--config", str(config_path)])
         model, _ = load_model(tmp_path / "out" / "model.json")
         assert model.clusters.num_clusters == 1
-        from kernelaj.model import cluster_curves
-
         pop = model.population_curves()
         single = cluster_curves(model, 0)
         assert_allclose(single.survival.values, pop.survival.values, atol=1e-12)

@@ -1,5 +1,6 @@
-"""The segment-sum training step, validation hazards, blocked interpolation
-and vectorised Brier score against the dense oracles in ``dense_oracle``.
+"""The segment-sum training step, validation hazards, ranking forward,
+blocked interpolation and vectorised Brier score against the dense oracles
+in ``dense_oracle``.
 
 Random cohorts come from hypothesis with ``derandomize=True`` so every run
 draws the same examples.
@@ -23,7 +24,12 @@ from kernelaj.metrics import (
     interpolate_curves,
     ipcw_weights,
 )
-from kernelaj.training import kernel_hazard_curves, total_loss_and_grad
+from kernelaj.training import (
+    kernel_hazard_curves,
+    ranking_value,
+    ranking_value_and_dpsi,
+    total_loss_and_grad,
+)
 
 REPRODUCIBLE = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -125,6 +131,23 @@ class TestValidationHazards:
         assert_allclose(pairwise_sq_dists(E1, E2), oracle.pairwise_sq_dists(E1, E2),
                         rtol=1e-12, atol=1e-12)
         assert_allclose(kernel_matrix(E1), oracle.kernel_matrix(E1), rtol=0, atol=1e-12)
+
+
+class TestRankingForward:
+    """The one ranking forward against the dense pair-matrix oracle, on
+    batches whose uncensored rows all have kappa >= 1 (as every discretized
+    cohort does)."""
+
+    @REPRODUCIBLE
+    @given(batch=labelled_batches(), sigma=st.sampled_from([0.3, 1.0, 2.5]))
+    def test_matches_dense_pair_matrix(self, batch, sigma):
+        _, kappa, delta, m, L, seed = batch
+        psi = np.random.default_rng(seed).uniform(0, 0.3, (m, kappa.size, L))
+        F, _, _, _ = oracle._cif_from_psi(psi)
+        want = oracle.loss_ranking(oracle.cif_pair_matrix(F, kappa), kappa, delta, sigma)
+        got = ranking_value(F, kappa, delta, sigma)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert ranking_value_and_dpsi(psi, kappa, delta, sigma, scale=1.0)[0] == got
 
 
 class TestInterpolation:

@@ -3,7 +3,9 @@ the population estimator, conservation, and interpretation quantities."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kernelaj import (
     Cohort,
@@ -28,8 +30,11 @@ from kernelaj import (
     risk_event_counts,
     weighted_summaries,
 )
+from kernelaj.clustering import ClusterModel
+from kernelaj.core import EventTimeGrid
 from kernelaj.embedding import MlpParams, embed_batch
 from kernelaj.model import cluster_curves, exemplar_kernel_matrix
+from kernelaj.training import DiscreteTimeMap
 
 
 def random_cohort(rng, n=25, p=3, m=2):
@@ -172,9 +177,9 @@ class TestPredictionProperties:
         cif, surv, _ = predict_cif_grid(model, X)
         for i in range(8):
             single = predict_curves(model, X[i])
-            assert_allclose(surv[i], single.survival.values, atol=1e-12)
+            assert_allclose(surv[i], single.survival.values, atol=1e-14)
             for d in range(1, 3):
-                assert_allclose(cif[d - 1, i], single.cif(d).values, atol=1e-12)
+                assert_allclose(cif[d - 1, i], single.cif(d).values, atol=1e-14)
 
     def test_hand_weighted_summary_sums(self):
         # query embeds at the origin; exemplars sit at squared distances
@@ -220,6 +225,104 @@ class TestPredictionProperties:
         b = curves_from_counts(3.0 * d_w, 3.0 * n_w, model.grid,
                                allow_zero_risk=True)
         assert_allclose(a.survival.values, b.survival.values, atol=1e-12)
+
+
+@st.composite
+def weighted_cluster_models(draw):
+    """A model over random cluster tables plus query rows.
+
+    The network is the identity, so a query's weights are exp(-||x - e_q||^2)
+    of its own features. Every cluster that is still at risk in the final bin
+    has only events there, so each query's weighted tables end in a bin whose
+    hazards add to 1 in exact arithmetic and to 1 +- rounding in floating
+    point. Cluster 0 reaches the final bin; the others may empty earlier. The
+    last query row lies far from every exemplar.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q, L, m = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    last = rng.integers(0, L, Q)
+    last[0] = L - 1
+    live = np.arange(L)[None, :] <= last[:, None]
+    d = rng.integers(0, 4, (Q, L, m)) * live[:, :, None] + 0.0
+    d[np.arange(Q), last, 0] += 1.0
+    censored = rng.integers(0, 3, (Q, L)) * live + 0.0
+    censored[np.arange(Q), last] = 0.0
+    n = np.flip(np.cumsum(np.flip(d.sum(axis=2) + censored, axis=1), axis=1), axis=1)
+    centers = rng.normal(size=(Q, 2))
+    tau = draw(st.sampled_from([0.8, 2.0, np.inf]))
+    clusters = ClusterModel(exemplar_ids=np.arange(Q), exemplar_embeddings=centers,
+                            assignments=np.arange(Q), d_cluster=d, n_cluster=n,
+                            epsilon=0.5, tau=tau)
+    model = KernelAJModel(
+        params=MlpParams((2, 2), (np.eye(2),), (np.zeros(2),)),
+        clusters=clusters,
+        dtm=DiscreteTimeMap(EventTimeGrid(np.arange(1.0, L + 1.0)), L),
+        population_d=d.sum(axis=0), population_n=n.sum(axis=0),
+        d_tables=d, n_tables=n)
+    X = centers[rng.integers(0, Q, 8)] + rng.normal(scale=0.7, size=(8, 2))
+    return model, np.vstack((X, [[1e3, -1e3]]))
+
+
+def assert_valid_curves(surv, cif):
+    """survival (n, L) and CIF (m, n, L) values of a competing-risks estimate."""
+    assert (surv >= 0).all()
+    assert (np.diff(surv, axis=-1) <= 0).all()
+    assert (np.diff(cif, axis=-1) >= 0).all()
+    assert cif.min() >= 0 and cif.max() <= 1 + 1e-12
+    assert np.abs(surv + cif.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+def curve_values(curves):
+    return curves.survival.values, np.stack([c.values for c in curves.cifs])
+
+
+ONE_RULE = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+class TestOneAalenJohansenRule:
+    """Every entry point applies the same hazard and survival rule, so curves
+    from weighted tables are valid and each per-row entry point is the
+    one-row view of the batch path."""
+
+    @ONE_RULE
+    @given(case=weighted_cluster_models())
+    def test_curves_are_valid(self, case):
+        model, X = case
+        cif, surv, _ = predict_cif_grid(model, X)
+        assert_valid_curves(surv, cif)
+        for x in X:
+            assert_valid_curves(*curve_values(predict_curves(model, x)))
+            d_w, n_w, _ = weighted_summaries(model, x)
+            assert_valid_curves(*curve_values(
+                curves_from_counts(d_w, n_w, model.grid, allow_zero_risk=True)))
+
+    @ONE_RULE
+    @given(case=weighted_cluster_models())
+    def test_per_row_entry_points_are_batch_views(self, case):
+        model, X = case
+        for x in X:
+            cif, surv, fallback = predict_cif_grid(model, x[None])
+            single = predict_curves(model, x)
+            assert_array_equal(single.survival.values, surv[0])
+            for d in range(1, model.m + 1):
+                assert_array_equal(single.cif(d).values, cif[d - 1, 0])
+            info = explain_subject(model, x)
+            assert info.used_fallback == fallback[0]
+            assert_array_equal(info.event_probabilities, event_probability(single))
+            assert info.conditional_medians == tuple(
+                conditional_median(single, d) for d in range(1, model.m + 1))
+            if fallback[0]:
+                with pytest.raises(EmptyNeighborhood):
+                    cluster_weight_decomposition(model, x)
+                continue
+            ids, weights = cluster_weight_decomposition(model, x)
+            assert_array_equal(ids, info.exemplar_ids)
+            assert_array_equal(weights, info.weights)
+            d_w, n_w, _ = weighted_summaries(model, x)
+            from_tables = curves_from_counts(d_w, n_w, model.grid, allow_zero_risk=True)
+            assert_array_equal(from_tables.survival.values, surv[0])
+            for d in range(1, model.m + 1):
+                assert_array_equal(from_tables.cif(d).values, cif[d - 1, 0])
 
 
 class TestWeightDecomposition:

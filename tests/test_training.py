@@ -7,10 +7,13 @@ from numpy.testing import assert_allclose
 
 from conftest import finite_difference_grad, random_batch, relative_error
 from dense_oracle import (
+    _cif_from_psi,
     _label_matrices,
     _psi_from_weights,
     batch_loss_from_params,
+    cif_pair_matrix,
     loo_hazards,
+    loss_ranking,
 )
 from kernelaj import (
     Cohort,
@@ -25,7 +28,6 @@ from kernelaj import (
     generate_synthetic,
     init_mlp,
     loss_nll,
-    loss_ranking,
     total_loss,
     total_loss_and_grad,
     train_embedding,
@@ -33,7 +35,6 @@ from kernelaj import (
 from kernelaj import training
 from kernelaj.cli import fit_pipeline
 from kernelaj.embedding import flatten_grads, flatten_params
-from kernelaj.training import _cif_from_psi, cif_pair_matrix
 
 PSI_CLAMP = 1e-12
 
