@@ -57,6 +57,7 @@ from .errors import (
     NoComparablePairs,
     NoEvents,
     NoRisk,
+    NonFiniteFeatures,
     ParseError,
     SchemaMismatch,
     ShapeMismatch,
@@ -102,7 +103,6 @@ from .training import (
     TrainConfig,
     TrainingLog,
     discretize_times,
-    loss_nll,
     total_loss,
     total_loss_and_grad,
     train_embedding,

@@ -1,9 +1,10 @@
 """Command-line pipeline: fit, evaluate, explain, simulate.
 
-Configuration files are JSON with strictly validated keys; any unknown key is
-rejected before work starts. Commands exit 0 on success and nonzero with a
-single-line ``error: ...`` message on stderr otherwise (2 for configuration
-or data problems).
+Configuration files are JSON with strictly validated keys and values; an
+unknown key or a rejected value is reported before work starts. Commands exit
+0 on success and 2 with a single-line ``error: ...`` message on stderr for
+configuration or data problems. Any other exception is a bug and propagates
+with its traceback.
 """
 
 import argparse
@@ -68,6 +69,15 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
+def _checked(path: str, build):
+    """Call ``build``; a ValueError or TypeError it raises (a value the
+    config class or parser rejects) becomes a ConfigError naming ``path``."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value in '{path}': {exc}", key=path) from None
+
+
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -98,15 +108,38 @@ def _parse_fit_config(doc: dict):
     return doc
 
 
-def _epsilon_from_config(cluster_cfg: dict) -> float:
-    if cluster_cfg.get("epsilon") is not None:
-        return float(cluster_cfg["epsilon"])
-    return float(np.sqrt(float(cluster_cfg["squared_radius"])))
+def _clustering_from_config(cluster_cfg: dict):
+    """(epsilon, min_kernel_weight, shuffle_seed), checked before training."""
+    def build():
+        if cluster_cfg.get("epsilon") is not None:
+            epsilon = float(cluster_cfg["epsilon"])
+        else:
+            epsilon = float(np.sqrt(float(cluster_cfg["squared_radius"])))
+        if not epsilon >= 0:
+            raise ValueError("epsilon must be nonnegative")
+        min_weight = float(cluster_cfg.get("min_kernel_weight", 0.01))
+        tau_from_min_kernel_weight(min_weight)
+        return epsilon, min_weight, cluster_cfg.get("shuffle_seed")
+    return _checked("clustering", build)
+
+
+def _sft_train_config(sft_config: dict, tcfg: TrainConfig) -> TrainConfig:
+    """The fine-tuning TrainConfig of an ``sft`` config section."""
+    return _checked("sft", lambda: TrainConfig(
+        learning_rate=float(sft_config.get("learning_rate", 0.001)),
+        max_epochs=int(sft_config.get("max_epochs", 100)),
+        patience=int(sft_config.get("patience", tcfg.patience)),
+        alpha=1.0,
+        sigma=tcfg.sigma,
+        num_time_steps=tcfg.num_time_steps,
+        early_stop_criterion=sft_config.get("early_stop_criterion",
+                                            tcfg.early_stop_criterion),
+    ))
 
 
 def cmd_fit(config_path: str) -> int:
     doc = _parse_fit_config(_load_json(config_path))
-    seed = int(doc.get("seed", 0))
+    seed = _checked("seed", lambda: int(doc.get("seed", 0)))
     out_dir = doc.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     data_cfg = doc["data"]
@@ -127,29 +160,33 @@ def cmd_fit(config_path: str) -> int:
         except FileNotFoundError:
             raise ConfigError(f"missing data path 'data.valid': {data_cfg['valid']}",
                               key="data.valid") from None
-        train_cohort, valid_cohort, schema = fit_apply_preprocessor(
-            train_table, valid_table, schema_spec=schema_spec)
+        train_cohort, valid_cohort, schema = _checked(
+            f"{data_cfg['train']}, {data_cfg['valid']}",
+            lambda: fit_apply_preprocessor(train_table, valid_table,
+                                           schema_spec=schema_spec))
     else:
-        full_cohort, schema = fit_apply_preprocessor(
-            train_table, schema_spec=schema_spec)
-        frac = float(data_cfg.get("valid_fraction", 0.2))
+        full_cohort, schema = _checked(
+            data_cfg["train"],
+            lambda: fit_apply_preprocessor(train_table, schema_spec=schema_spec))
+        frac = _checked("data.valid_fraction",
+                        lambda: float(data_cfg.get("valid_fraction", 0.2)))
+        if not 0.0 <= frac < 1.0:
+            raise ConfigError("invalid value in 'data.valid_fraction': "
+                              "must lie in [0, 1)", key="data.valid_fraction")
         perm = np.random.default_rng(seed).permutation(full_cohort.n)
         n_valid = max(int(full_cohort.n * frac), 1)
         valid_cohort = full_cohort.subset(perm[:n_valid])
         train_cohort = full_cohort.subset(perm[n_valid:])
 
-    ecfg = EmbeddingConfig(input_dim=train_cohort.p,
-                           **doc.get("embedding", {}))
-    tcfg = TrainConfig(**doc.get("training", {}))
-    cluster_cfg = doc.get("clustering", {})
-    sft_cfg = doc.get("sft", {})
+    ecfg = _checked("embedding", lambda: EmbeddingConfig(
+        input_dim=train_cohort.p, **doc.get("embedding", {})))
+    tcfg = _checked("training", lambda: TrainConfig(**doc.get("training", {})))
+    epsilon, min_weight, shuffle_seed = _clustering_from_config(doc.get("clustering", {}))
 
     model, logs = fit_pipeline(train_cohort, valid_cohort, ecfg, tcfg,
-                               epsilon=_epsilon_from_config(cluster_cfg),
-                               min_kernel_weight=float(
-                                   cluster_cfg.get("min_kernel_weight", 0.01)),
-                               shuffle_seed=cluster_cfg.get("shuffle_seed"),
-                               sft_config=sft_cfg,
+                               epsilon=epsilon, min_kernel_weight=min_weight,
+                               shuffle_seed=shuffle_seed,
+                               sft_config=doc.get("sft", {}),
                                config_snapshot=doc)
     save_model(model, os.path.join(out_dir, "model.json"), schema)
     with open(os.path.join(out_dir, "training_log.csv"), "w", encoding="utf-8") as fh:
@@ -169,7 +206,10 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
 
     Preprocess and discretize times, train the embedding, cluster, summarize,
     and optionally fine-tune the summary tables. Returns (model, logs dict).
+    An invalid ``sft_config`` raises ConfigError before training starts.
     """
+    sft_config = sft_config or {}
+    sft_tcfg = _sft_train_config(sft_config, tcfg) if sft_config.get("enabled") else None
     grid = build_event_grid(train_cohort)
     dtm = discretize_times(grid, tcfg.num_time_steps)
     train_pre, _ = dtm.apply(train_cohort)
@@ -200,18 +240,7 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     )
     logs = {"train": train_log}
 
-    sft_config = sft_config or {}
-    if sft_config.get("enabled"):
-        sft_tcfg = TrainConfig(
-            learning_rate=float(sft_config.get("learning_rate", 0.001)),
-            max_epochs=int(sft_config.get("max_epochs", 100)),
-            patience=int(sft_config.get("patience", tcfg.patience)),
-            alpha=1.0,
-            sigma=tcfg.sigma,
-            num_time_steps=tcfg.num_time_steps,
-            early_stop_criterion=sft_config.get("early_stop_criterion",
-                                                tcfg.early_stop_criterion),
-        )
+    if sft_tcfg is not None:
         model, sft_result = fine_tune_summaries(model, train_pre, valid_pre,
                                                 sft_tcfg)
         logs["sft"] = sft_result.log
@@ -227,7 +256,7 @@ def _load_compatible_cohort(path, schema: FeatureSchema, model: KernelAJModel,
     if int(table.event.max(initial=0)) > model.m:
         raise SchemaMismatch(
             f"event indicator exceeds model's {model.m} event types")
-    return Cohort(features, table.time, table.event, model.m)
+    return _checked(str(path), lambda: Cohort(features, table.time, table.event, model.m))
 
 
 def cmd_evaluate(model_path: str, data_path: str, out_dir: str,
@@ -375,14 +404,14 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
 def cmd_simulate(config_path: str, out_path: str) -> int:
     doc = _load_json(config_path)
     _check_keys(doc, _SIM_KEYS, "")
-    cfg = SynthConfig(
+    cfg = _checked(config_path, lambda: SynthConfig(
         n=int(_require(doc, "n", "")),
         p=int(_require(doc, "p", "")),
         w1=tuple(_require(doc, "w1", "")),
         w2=tuple(_require(doc, "w2", "")),
         censoring_rate=float(doc.get("censoring_rate", 0.5)),
         seed=int(doc.get("seed", 0)),
-    )
+    ))
     cohort = generate_synthetic(cfg)
     write_cohort_csv(cohort, out_path)
     sidecar = out_path + ".config.json"
@@ -400,6 +429,8 @@ def _load_model_checked(path):
         return load_model(path)
     except FileNotFoundError:
         raise ConfigError(f"model file not found: {path}") from None
+    except ValueError as exc:
+        raise ConfigError(f"model file is not valid: {path}: {exc}") from None
 
 
 def _build_parser():
@@ -450,9 +481,6 @@ def main(argv=None) -> int:
             return cmd_simulate(args.config, args.out)
         raise ConfigError(f"unknown command {args.command}")
     except KernelAJError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -169,14 +169,9 @@ def embed(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return embed_batch(params, x[None, :])[0]
 
 
-def pairwise_sq_dists(E1: np.ndarray, E2=None) -> np.ndarray:
-    """Squared Euclidean distances between embedding rows, clipped at 0.
-
-    One GEMM of augmented rows, [e1, |e1|^2, 1] . [-2 e2, 1, |e2|^2], writes
-    |e1|^2 + |e2|^2 - 2 e1.e2 into a single buffer that is clipped in place.
-    """
-    E1 = np.asarray(E1, dtype=np.float64)
-    E2 = E1 if E2 is None else np.asarray(E2, dtype=np.float64)
+def _augmented_rows(E1, E2):
+    """Rows [e1, |e1|^2, 1] and [-2 e2, 1, |e2|^2]: the product of a row of
+    the first with a row of the second is |e1|^2 + |e2|^2 - 2 e1.e2."""
     if E1.shape[1] != E2.shape[1]:
         raise ShapeMismatch("embedding dimensions differ")
     d = E1.shape[1]
@@ -188,17 +183,46 @@ def pairwise_sq_dists(E1: np.ndarray, E2=None) -> np.ndarray:
     np.multiply(E2, -2.0, out=B[:, :d])
     B[:, d] = 1.0
     B[:, d + 1] = np.einsum("ij,ij->i", E2, E2)
+    return A, B
+
+
+def pairwise_sq_dists(E1: np.ndarray, E2=None) -> np.ndarray:
+    """Squared Euclidean distances between embedding rows, clipped at 0.
+
+    One GEMM of augmented rows, [e1, |e1|^2, 1] . [-2 e2, 1, |e2|^2], writes
+    |e1|^2 + |e2|^2 - 2 e1.e2 into a single buffer that is clipped in place.
+    """
+    E1 = np.asarray(E1, dtype=np.float64)
+    E2 = E1 if E2 is None else np.asarray(E2, dtype=np.float64)
+    A, B = _augmented_rows(E1, E2)
     D2 = A @ B.T
     if E2 is E1:
         np.fill_diagonal(D2, 0.0)       # rounding leaves ~1e-14 on the diagonal
     return np.maximum(D2, 0.0, out=D2)
 
 
+def _exp_neg(D2):
+    np.negative(D2, out=D2)
+    return np.exp(D2, out=D2)
+
+
 def kernel_matrix(E1: np.ndarray, E2=None) -> np.ndarray:
     """exp(-||e_i - e_j||^2) for all row pairs, computed in one buffer."""
-    K = pairwise_sq_dists(E1, E2)
-    np.negative(K, out=K)
-    return np.exp(K, out=K)
+    return _exp_neg(pairwise_sq_dists(E1, E2))
+
+
+def kernel_rows(E1: np.ndarray, E2: np.ndarray) -> np.ndarray:
+    """exp(-||e1_i - e2_j||^2) like ``kernel_matrix(E1, E2)``, but with one
+    matrix-vector product per row of E1. A GEMM's rounding depends on its
+    shape; here every row comes out of the same call whichever rows are
+    passed with it, so a caller may split E1 into blocks of any size and
+    get bit-identical rows."""
+    A, B = _augmented_rows(np.asarray(E1, np.float64), np.asarray(E2, np.float64))
+    Bt = np.ascontiguousarray(B.T)
+    D2 = np.empty((A.shape[0], B.shape[0]))
+    for a, out in zip(A, D2):
+        np.dot(a, Bt, out=out)
+    return _exp_neg(np.maximum(D2, 0.0, out=D2))
 
 
 def kernel(e1: np.ndarray, e2: np.ndarray) -> float:

@@ -13,6 +13,10 @@ class DegenerateRisk(KernelAJError):
     """A risk set is empty where the estimator requires it to be positive."""
 
 
+class NonFiniteFeatures(KernelAJError, ValueError):
+    """A feature row is not finite, or too large to embed."""
+
+
 class ShapeMismatch(KernelAJError):
     """Array dimensions are inconsistent with the model or each other."""
 

@@ -17,7 +17,7 @@ import numpy as np
 from .clustering import ClusterModel
 from .core import CifSet, Cohort, cif_from_hazards, curves_from_counts, table_hazards
 from .embedding import MlpParams, embed_batch, pairwise_sq_dists
-from .errors import EmptyNeighborhood, NoRisk, ShapeMismatch
+from .errors import EmptyNeighborhood, NoRisk, NonFiniteFeatures, ShapeMismatch
 from .training import DiscreteTimeMap
 
 
@@ -80,7 +80,7 @@ def _embed_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
         E = embed_batch(params, X)
         bad = ~np.isfinite(np.einsum("ij,ij->i", E, E))
     if bad.any():
-        raise ValueError(f"row {int(np.argmax(bad))}: {_NOT_FINITE}")
+        raise NonFiniteFeatures(f"row {int(np.argmax(bad))}: {_NOT_FINITE}")
     return E
 
 

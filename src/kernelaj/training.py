@@ -19,6 +19,20 @@ with delta_i = d and kappa_i < kappa_j, the within-batch CIF estimates at
 subject i's bin via exp((F_d(kappa_i | x_j) - F_d(kappa_i | x_i)) / sigma),
 normalized by n^2. The total loss is alpha * NLL + (1 - alpha) * ranking.
 
+A pair's term depends on i only through its bin l = kappa_i - 1 and its own
+value F_d(l | x_i), so the ranking loss factors per bin. With M_l the largest
+F_d(l | x_j) over the rows at risk past bin l,
+
+    A[j, l] = exp((F_d(l | x_j) - M_l) / sigma) 1{kappa_j > l + 1},
+    T_l     = sum_j A[j, l],   B_i = exp((M_l - F_d(l | x_i)) / sigma),
+
+and the loss of event d is sum_{i: delta_i = d} B_i T_{kappa_i - 1} / n^2.
+Its gradient puts A[j, l] times the bin's sum of B on every cell and takes
+B_i T_{kappa_i - 1} off row i's own cell, so the forward and backward cost
+O(m n L) with no n x n array. The shift keeps A <= 1, and B_i equals row
+i's largest pairwise term, so nothing overflows that the pairwise sum would
+not.
+
 Hazard tables
 -------------
 Both sums depend on j only through the pair (kappa_j, delta_j). The step
@@ -60,6 +74,7 @@ from .embedding import (
     init_mlp,
     kernel_matrix,
     kernel_matrix_backward,
+    kernel_rows,
     unflatten_params,
 )
 from .errors import DegenerateGrid, NoComparablePairs, NoEvents, ShapeMismatch
@@ -76,6 +91,7 @@ from .metrics import (
 
 PSI_CLAMP = 1e-12
 MAX_TIME_STEPS = 512
+CRITERION_BLOCK_ROWS = 256
 
 _CRITERIA = ("objective", "ibs", "ctd")
 
@@ -229,45 +245,38 @@ def _nll(psi, kappa, delta, at_risk):
     return float(-(log_total - hazard_total) / kappa.size), unc, own
 
 
-def loss_nll(psi, kappa, delta):
-    """Negative mean leave-one-out log likelihood of a batch.
-
-    ``psi`` has shape (batch, m, L); hazards are clamped to [1e-12, 1]
-    before the log so zero-hazard event bins stay finite.
-    """
-    psi_t = np.transpose(np.asarray(psi, dtype=np.float64), (1, 0, 2))
-    kappa = np.asarray(kappa, dtype=np.int64)
-    delta = np.asarray(delta, dtype=np.int64)
-    return _nll(psi_t, kappa, delta, _at_risk(kappa, psi_t.shape[2]))[0]
-
-
 def _ranking_terms(F, kappa, delta, sigma):
-    """The ranking loss, one event type at a time.
+    """The ranking loss, one event type at a time, factored per time bin.
 
     ``F`` (m, n, L) holds within-batch CIF values at the grid bins. For each
-    event type d with a comparable pair, yields (d, expd) with
-    expd[i, j] = exp((F_d(kappa_i | x_j) - F_d(kappa_i | x_i)) / sigma) on the
-    pairs where delta_i = d + 1 and kappa_i < kappa_j, and 0 elsewhere.
+    event type d with an event in the batch, yields (d, rows, bins, B, A, T):
+    the rows with delta = d + 1, their bins kappa - 1, B per row, and A
+    (n, L) and T (L,) as in the module docstring. Event d contributes
+    sum(B * T[bins]) / n^2.
     """
     m, n, L = F.shape
-    kid = np.clip(kappa - 1, 0, L - 1)
-    earlier = kappa[:, None] < kappa[None, :]
+    later = kappa[:, None] > np.arange(1, L + 1)[None, :]   # kappa_j > l + 1
     for d in range(m):
-        comparable = earlier & (delta == d + 1)[:, None]
-        if not comparable.any():
+        rows = np.flatnonzero(delta == d + 1)
+        if rows.size == 0:
             continue
-        diff = F[d][:, kid].T                    # (i, j): F_d(kappa_i | x_j)
-        diff -= np.diagonal(diff).copy()[:, None]
-        diff /= sigma
-        yield d, np.exp(diff, out=diff) * comparable
+        bins = kappa[rows] - 1
+        masked = np.where(later, F[d], -np.inf)
+        shift = masked.max(axis=0)
+        shift[shift == -np.inf] = 0.0                      # bins nobody outlives
+        masked -= shift
+        masked /= sigma
+        A = np.exp(masked, out=masked)
+        B = np.exp((shift[bins] - F[d][rows, bins]) / sigma)
+        yield d, rows, bins, B, A, A.sum(axis=0)
 
 
 def ranking_value(F, kappa, delta, sigma):
     """Pairwise exponential ranking penalty of CIF values F (m, n, L),
     normalized by n squared."""
     n = F.shape[1]
-    return float(sum(expd.sum() / (n * n)
-                     for _, expd in _ranking_terms(F, kappa, delta, sigma)))
+    return float(sum((B * T[bins]).sum() / (n * n)
+                     for _, _, bins, B, _, T in _ranking_terms(F, kappa, delta, sigma)))
 
 
 def total_loss(nll_value, ranking_value, alpha):
@@ -310,17 +319,14 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     kappa = np.asarray(kappa, dtype=np.int64)
     delta = np.asarray(delta, dtype=np.int64)
     F, S, S_prev, u = cif_from_hazards(psi)
-    kid = np.clip(kappa - 1, 0, L - 1)
-    onehot = np.zeros((n, L), dtype=np.float64)
-    rows = np.flatnonzero(kappa >= 1)
-    onehot[rows, kid[rows]] = 1.0
     dF = np.zeros_like(F)
     rank = 0.0
-    for d, Gp in _ranking_terms(F, kappa, delta, sigma):
-        rank += Gp.sum() / (n * n)
-        Gp *= scale / (n * n * sigma)
-        dF[d] += Gp.T @ onehot
-        dF[d] -= onehot * Gp.sum(axis=1)[:, None]
+    c = scale / (n * n * sigma)
+    for d, rows, bins, B, A, T in _ranking_terms(F, kappa, delta, sigma):
+        BT = B * T[bins]
+        rank += BT.sum() / (n * n)
+        dF[d] = A * (c * np.bincount(bins, weights=B, minlength=L))
+        dF[d, rows, bins] -= c * BT
     dA = _reverse_cumsum(dF, axis=2)
     dpsi = dA * S_prev[None, :, :]
     dS_prev = (dA * psi).sum(axis=0)
@@ -336,8 +342,8 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
     Returns (loss, weight_grads, bias_grads). The batch is processed in
     (bin, event) order; loss and gradients are sums over rows, so the order
     changes only rounding. The backward pass runs through the leave-one-out
-    hazard ratios, the survival cumulative product, the pairwise ranking
-    comparisons, the kernel matrix, and the network.
+    hazard ratios, the survival cumulative product, the per-bin ranking
+    terms, the kernel matrix, and the network.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -390,11 +396,20 @@ def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):
     """Kernel-weighted hazards and CIF curves of query points vs a reference
     set (no leave-one-out; queries are assumed disjoint from the reference).
 
+    The query x reference kernel is built ``CRITERION_BLOCK_ROWS`` query rows
+    at a time, so memory stays O(block * n_ref) whatever the query count,
+    and row by row (``kernel_rows``), so the result does not depend on the
+    block size.
+
     Returns (psi (m, q, L), F (m, q, L), S (q, L)).
     """
     groups = _code_groups(kappa_ref, delta_ref, m)
     E_ref = np.asarray(E_ref, np.float64)[groups.order]
-    psi, _ = _hazard_tables(kernel_matrix(E_query, E_ref), groups, m, L)
+    E_query = np.asarray(E_query, np.float64)
+    psi = np.empty((m, E_query.shape[0], L))
+    for start in range(0, E_query.shape[0], CRITERION_BLOCK_ROWS):
+        rows = slice(start, start + CRITERION_BLOCK_ROWS)
+        psi[:, rows], _ = _hazard_tables(kernel_rows(E_query[rows], E_ref), groups, m, L)
     F, S, _, _ = cif_from_hazards(psi)
     return psi, F, S
 

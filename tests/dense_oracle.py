@@ -1,25 +1,27 @@
 """The dense one-hot training step, validation hazards, scalar Brier
-score, CIF recursion and pairwise ranking loss that ``kernelaj`` replaced.
+score, CIF recursion, NLL and pairwise ranking loss that ``kernelaj``
+replaced.
 
 The functions below are kept verbatim as test oracles: the kernel comes
 from E @ E.T, the hazard tables from weight-matrix products with (n, L)
 one-hot label matrices, each Brier horizon is scored on its own, the CIF
-recursion leaves 1 - sum(h) unfloored and the ranking loss reads a dense
-(m, n, n) matrix of pairwise CIF lookups. Only the shared building blocks
-that did not change (the network, the NLL, the ranking backward) are
-imported from the package.
+recursion leaves 1 - sum(h) unfloored, the NLL builds its own at-risk mask
+and the ranking loss and its backward pass read dense n x n matrices of
+pairwise CIF lookups. Only the shared building blocks that did not change
+(the network, the floored CIF recursion and the cumulative-product
+backward) are imported from the package.
 """
 
 import numpy as np
 
-from kernelaj.core import Cohort, StepCurve
+from kernelaj.core import Cohort, StepCurve, cif_from_hazards
 from kernelaj.embedding import backward, forward_cached
 from kernelaj.errors import ShapeMismatch
 from kernelaj.metrics import BrierResult
 from kernelaj.training import (
     PSI_CLAMP,
-    loss_nll,
-    ranking_value_and_dpsi,
+    _cumprod_backward,
+    _reverse_cumsum,
     total_loss,
 )
 
@@ -79,6 +81,58 @@ def loss_ranking(cif_pairs, kappa, delta, sigma):
     return float(total / (n * n))
 
 
+def _ranking_terms(F, kappa, delta, sigma):
+    """The ranking loss, one event type at a time.
+
+    ``F`` (m, n, L) holds within-batch CIF values at the grid bins. For each
+    event type d with a comparable pair, yields (d, expd) with
+    expd[i, j] = exp((F_d(kappa_i | x_j) - F_d(kappa_i | x_i)) / sigma) on the
+    pairs where delta_i = d + 1 and kappa_i < kappa_j, and 0 elsewhere.
+    """
+    m, n, L = F.shape
+    kid = np.clip(kappa - 1, 0, L - 1)
+    earlier = kappa[:, None] < kappa[None, :]
+    for d in range(m):
+        comparable = earlier & (delta == d + 1)[:, None]
+        if not comparable.any():
+            continue
+        diff = F[d][:, kid].T                    # (i, j): F_d(kappa_i | x_j)
+        diff -= np.diagonal(diff).copy()[:, None]
+        diff /= sigma
+        yield d, np.exp(diff, out=diff) * comparable
+
+
+def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
+    """Ranking loss of a batch plus its gradient w.r.t. the hazard tensor.
+
+    ``psi`` has shape (m, n, L). Returns (value, dpsi) where dpsi already
+    carries the factor ``scale`` (the loss value does not). The backward pass
+    runs through the CIF cumulative sums and the survival cumulative product.
+    """
+    m, n, L = psi.shape
+    kappa = np.asarray(kappa, dtype=np.int64)
+    delta = np.asarray(delta, dtype=np.int64)
+    F, S, S_prev, u = cif_from_hazards(psi)
+    kid = np.clip(kappa - 1, 0, L - 1)
+    onehot = np.zeros((n, L), dtype=np.float64)
+    rows = np.flatnonzero(kappa >= 1)
+    onehot[rows, kid[rows]] = 1.0
+    dF = np.zeros_like(F)
+    rank = 0.0
+    for d, Gp in _ranking_terms(F, kappa, delta, sigma):
+        rank += Gp.sum() / (n * n)
+        Gp *= scale / (n * n * sigma)
+        dF[d] += Gp.T @ onehot
+        dF[d] -= onehot * Gp.sum(axis=1)[:, None]
+    dA = _reverse_cumsum(dF, axis=2)
+    dpsi = dA * S_prev[None, :, :]
+    dS_prev = (dA * psi).sum(axis=0)
+    dS = np.concatenate((dS_prev[:, 1:], np.zeros((n, 1))), axis=1)
+    du = _cumprod_backward(u, S, dS)
+    dpsi += (-du)[None, :, :]
+    return float(rank), dpsi
+
+
 def pairwise_sq_dists(E1: np.ndarray, E2=None) -> np.ndarray:
     """Squared Euclidean distances between embedding rows, clipped at 0."""
     E1 = np.asarray(E1, dtype=np.float64)
@@ -127,6 +181,26 @@ def _psi_from_weights(weights, evt, at_risk):
     num = np.stack([weights @ evt[d] for d in range(m)])
     psi = num * inv_den[None, :, :]
     return psi, num, den, pos, inv_den
+
+
+def loss_nll(psi, kappa, delta):
+    """Negative mean leave-one-out log likelihood of a batch.
+
+    ``psi`` has shape (batch, m, L); hazards are clamped to [1e-12, 1]
+    before the log so zero-hazard event bins stay finite.
+    """
+    psi_t = np.transpose(np.asarray(psi, dtype=np.float64), (1, 0, 2))
+    kappa = np.asarray(kappa, dtype=np.int64)
+    delta = np.asarray(delta, dtype=np.int64)
+    m, n, L = psi_t.shape
+    _, at_risk = _label_matrices(kappa, delta, m, L)
+    log_total = 0.0
+    unc = np.flatnonzero(delta != 0)
+    if unc.size:
+        own = psi_t[delta[unc] - 1, unc, kappa[unc] - 1]
+        log_total = np.log(np.clip(own, PSI_CLAMP, 1.0)).sum()
+    hazard_total = (psi_t * at_risk[None, :, :]).sum()
+    return float(-(log_total - hazard_total) / n)
 
 
 def loo_hazards(embeddings, kappa, delta, num_event_types, num_bins):

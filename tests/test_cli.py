@@ -17,6 +17,7 @@ from kernelaj import (
     predict_curves,
     write_cohort_csv,
 )
+from kernelaj import cli
 from kernelaj.cli import main
 from kernelaj.model import cluster_curves, predict_cif_grid
 
@@ -131,6 +132,35 @@ class TestFit:
         assert main(["fit", "--config", str(config_path)]) == 2
         assert "unknown config key 'sft.seed'" in capsys.readouterr().err
 
+    def test_out_of_range_training_value_exit_2(self, tmp_path, train_csv, capsys):
+        config_path, _ = write_config(tmp_path, train_csv, training={"alpha": 2})
+        assert main(["fit", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'training'" in err
+        assert "alpha must lie in [0, 1]" in err
+
+    def test_bad_sft_value_exit_2_before_training(self, tmp_path, train_csv, capsys,
+                                                   monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train_embedding", no_training)
+        config_path, _ = write_config(tmp_path, train_csv,
+                                      sft={"enabled": True, "max_epochs": 0})
+        assert main(["fit", "--config", str(config_path)]) == 2
+        assert "'sft'" in capsys.readouterr().err
+
+    def test_bug_inside_fit_pipeline_propagates(self, tmp_path, train_csv, monkeypatch):
+        # a TypeError raised by the program, not by a config value, is a bug:
+        # it must surface with its traceback instead of exiting 2
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "build_cluster_model", broken)
+        config_path, _ = write_config(tmp_path, train_csv)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            main(["fit", "--config", str(config_path)])
+
     def test_sft_flag_recorded(self, tmp_path, train_csv):
         config_path, _ = write_config(
             tmp_path, train_csv,
@@ -174,6 +204,21 @@ class TestEvaluate:
               "--out", str(tmp_path / "e2")])
         assert (tmp_path / "e1" / "metrics.csv").read_bytes() == \
             (tmp_path / "e2" / "metrics.csv").read_bytes()
+
+    def test_features_too_large_to_embed_exit_2(self, tmp_path, train_csv, test_csv,
+                                                capsys):
+        config_path, _ = write_config(tmp_path, train_csv)
+        main(["fit", "--config", str(config_path)])
+        lines = test_csv.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[0] = "1e300"
+        lines[3] = ",".join(cells)
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--model", str(tmp_path / "out" / "model.json"),
+                   "--data", str(bad_csv), "--out", str(tmp_path / "e")])
+        assert rc == 2
+        assert "row 2" in capsys.readouterr().err
 
     def test_missing_model_exit_2(self, tmp_path, test_csv, capsys):
         rc = main(["evaluate", "--model", str(tmp_path / "nope.json"),

@@ -1,10 +1,12 @@
-"""The segment-sum training step, validation hazards, ranking forward,
+"""The segment-sum training step, validation hazards, per-bin ranking loss,
 blocked interpolation and vectorised Brier score against the dense oracles
 in ``dense_oracle``.
 
 Random cohorts come from hypothesis with ``derandomize=True`` so every run
 draws the same examples.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +16,24 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import dense_oracle as oracle
 from conftest import relative_error
-from kernelaj import Cohort, EmbeddingConfig, StepCurve, init_mlp
-from kernelaj.embedding import flatten_grads, kernel_matrix, pairwise_sq_dists
+from kernelaj import (
+    Cohort,
+    EmbeddingConfig,
+    StepCurve,
+    SynthConfig,
+    TrainConfig,
+    build_event_grid,
+    discretize_times,
+    generate_synthetic,
+    init_mlp,
+)
+from kernelaj import training
+from kernelaj.embedding import (
+    flatten_grads,
+    kernel_matrix,
+    kernel_rows,
+    pairwise_sq_dists,
+)
 from kernelaj.metrics import (
     INTERP_BLOCK_ROWS,
     brier_score,
@@ -132,22 +150,109 @@ class TestValidationHazards:
                         rtol=1e-12, atol=1e-12)
         assert_allclose(kernel_matrix(E1), oracle.kernel_matrix(E1), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("block", [1, 7, 256, 10**6])
+    def test_block_size_does_not_change_bits(self, monkeypatch, block):
+        rng = np.random.default_rng(4)
+        q, n, m, L = 2 * 256 + 17, 200, 2, 16
+        E_query, E_ref = rng.normal(size=(q, 8)), rng.normal(size=(n, 8))
+        kappa = rng.integers(0, L + 1, n)
+        delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
+        monkeypatch.setattr(training, "CRITERION_BLOCK_ROWS", q)
+        want = kernel_hazard_curves(E_query, E_ref, kappa, delta, m, L)
+        monkeypatch.setattr(training, "CRITERION_BLOCK_ROWS", block)
+        got = kernel_hazard_curves(E_query, E_ref, kappa, delta, m, L)
+        for a, b in zip(got, want):
+            assert_array_equal(a, b)
+
+    def test_kernel_rows_matches_kernel_matrix(self):
+        rng = np.random.default_rng(6)
+        E1, E2 = rng.normal(size=(13, 5)), rng.normal(size=(29, 5))
+        assert_allclose(kernel_rows(E1, E2), kernel_matrix(E1, E2), rtol=1e-13, atol=1e-15)
+
+
+def _psi_batch(batch):
+    _, kappa, delta, m, L, seed = batch
+    psi = np.random.default_rng(seed).uniform(0, 0.3, (m, kappa.size, L))
+    return psi, kappa, delta
+
 
 class TestRankingForward:
-    """The one ranking forward against the dense pair-matrix oracle, on
-    batches whose uncensored rows all have kappa >= 1 (as every discretized
-    cohort does)."""
+    """The per-bin ranking loss and its hazard gradient against the dense
+    pairwise oracles, on batches whose uncensored rows all have kappa >= 1
+    (as every discretized cohort does)."""
 
     @REPRODUCIBLE
-    @given(batch=labelled_batches(), sigma=st.sampled_from([0.3, 1.0, 2.5]))
+    @given(batch=labelled_batches(), sigma=st.sampled_from([0.05, 0.3, 1.0, 2.5]))
     def test_matches_dense_pair_matrix(self, batch, sigma):
-        _, kappa, delta, m, L, seed = batch
-        psi = np.random.default_rng(seed).uniform(0, 0.3, (m, kappa.size, L))
+        psi, kappa, delta = _psi_batch(batch)
         F, _, _, _ = oracle._cif_from_psi(psi)
         want = oracle.loss_ranking(oracle.cif_pair_matrix(F, kappa), kappa, delta, sigma)
         got = ranking_value(F, kappa, delta, sigma)
         assert abs(got - want) <= 1e-12 * abs(want)
         assert ranking_value_and_dpsi(psi, kappa, delta, sigma, scale=1.0)[0] == got
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 2.5])
+    @REPRODUCIBLE
+    @given(batch=labelled_batches())
+    def test_dpsi_matches_dense_backward(self, sigma, batch):
+        psi, kappa, delta = _psi_batch(batch)
+        value, dpsi = ranking_value_and_dpsi(psi, kappa, delta, sigma, scale=0.4)
+        want_value, want_dpsi = oracle.ranking_value_and_dpsi(psi, kappa, delta, sigma,
+                                                              scale=0.4)
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        assert relative_error(dpsi, want_dpsi) <= 1e-12
+
+    @REPRODUCIBLE
+    @given(batch=labelled_batches(), all_censored=st.booleans())
+    def test_no_comparable_pair_gives_exact_zeros(self, batch, all_censored):
+        psi, kappa, delta = _psi_batch(batch)
+        if all_censored:
+            delta = np.zeros_like(delta)
+        else:                                   # every event in the last bin
+            kappa = np.where(delta > 0, psi.shape[2], kappa)
+        F, _, _, _ = oracle._cif_from_psi(psi)
+        assert ranking_value(F, kappa, delta, 0.3) == 0.0
+        value, dpsi = ranking_value_and_dpsi(psi, kappa, delta, 0.3, scale=1.0)
+        assert value == 0.0
+        assert not dpsi.any()
+
+    def test_no_square_buffer(self):
+        n, m, L = 4096, 2, 64
+        rng = np.random.default_rng(8)
+        psi = rng.uniform(0, 0.02, (m, n, L))
+        kappa = rng.integers(0, L + 1, n)
+        delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
+        F, _, _, _ = oracle._cif_from_psi(psi)
+        tracemalloc.start()
+        try:
+            ranking_value(F, kappa, delta, 0.5)
+            ranking_value_and_dpsi(psi, kappa, delta, 0.5, scale=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+    def test_objective_criterion_has_no_square_buffer(self):
+        n_train, q = 300, 4096
+        cohort = generate_synthetic(SynthConfig(
+            n=n_train + q, p=3, w1=(0.6, 0.0, 0.0), w2=(0.0, 0.6, 0.0),
+            censoring_rate=0.3, seed=3))
+        dtm = discretize_times(build_event_grid(cohort), 64)
+        train, _ = dtm.apply(cohort.subset(np.arange(n_train)))
+        valid, _ = dtm.apply(cohort.subset(np.arange(n_train, n_train + q)))
+        tcfg = TrainConfig(alpha=0.5, sigma=0.5)
+        params = small_params(0)
+        inputs = training._criterion_inputs("objective", train, valid, dtm,
+                                            dtm.apply(train)[1])
+        tracemalloc.start()
+        try:
+            value = training._evaluate_criterion("objective", params, train, valid,
+                                                 dtm, tcfg, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        assert peak < q * q * 8
 
 
 class TestInterpolation:

@@ -13,6 +13,7 @@ from dense_oracle import (
     batch_loss_from_params,
     cif_pair_matrix,
     loo_hazards,
+    loss_nll,
     loss_ranking,
 )
 from kernelaj import (
@@ -27,7 +28,6 @@ from kernelaj import (
     discretize_times,
     generate_synthetic,
     init_mlp,
-    loss_nll,
     total_loss,
     total_loss_and_grad,
     train_embedding,
