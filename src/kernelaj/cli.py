@@ -36,7 +36,7 @@ from .errors import ConfigError, KernelAJError, SchemaMismatch
 from .finetune import fine_tune_summaries
 from .model import KernelAJModel, exemplar_kernel_matrix, explain_rows, predict_cif_grid
 from .serialize import load_model, save_model
-from .training import TrainConfig, discretize_times, train_embedding
+from .training import TrainConfig, _criterion_inputs, discretize_times, train_embedding
 
 _TOP_KEYS = {"seed", "output_dir", "data", "embedding", "training",
              "clustering", "sft"}
@@ -206,14 +206,17 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
 
     Preprocess and discretize times, train the embedding, cluster, summarize,
     and optionally fine-tune the summary tables. Returns (model, logs dict).
-    An invalid ``sft_config`` raises ConfigError before training starts.
+    An invalid ``sft_config``, or an SFT criterion that cannot be computed
+    on the validation cohort, raises before training starts.
     """
     sft_config = sft_config or {}
     sft_tcfg = _sft_train_config(sft_config, tcfg) if sft_config.get("enabled") else None
     grid = build_event_grid(train_cohort)
     dtm = discretize_times(grid, tcfg.num_time_steps)
-    train_pre, _ = dtm.apply(train_cohort)
+    train_pre, kappa = dtm.apply(train_cohort)
     valid_pre, _ = dtm.apply(valid_cohort)
+    if sft_tcfg is not None:
+        _criterion_inputs(sft_tcfg.early_stop_criterion, train_pre, valid_pre, dtm, kappa)
 
     params, train_log = train_embedding(train_pre, valid_pre, ecfg, tcfg, dtm)
 

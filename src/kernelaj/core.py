@@ -234,26 +234,24 @@ def build_event_grid(cohort: Cohort) -> EventTimeGrid:
 
 
 def breslow_preprocess(cohort: Cohort, grid: EventTimeGrid):
-    """Snap censored times back to the preceding event time.
+    """Snap every record back to the preceding grid time.
 
-    A censored record keeps whatever event-grid information its observation
-    carries: its time becomes the latest grid time <= its observed time, or 0
-    if it was censored before the first event. Uncensored records are
-    unchanged. Also returns the time-bin index kappa in {0, ..., L} for every
-    record (kappa = 0 means before t_1).
+    A record's time becomes the latest grid time <= its observed time, or 0
+    if it was censored before the first grid time; an event before the first
+    grid time is moved up to it, so every event occupies a bin. On the
+    cohort's own event grid uncensored times are grid values and stay
+    unchanged; on a coarser grid they move down with the censored ones. Also
+    returns the time-bin index kappa in {0, ..., L} for every record (kappa =
+    0 only for records censored before t_1).
 
     Using <= rather than a strict inequality makes the operation idempotent
     and keeps a record censored exactly at an event time inside that time's
     risk set, matching the classical at-risk convention.
     """
-    times = cohort.time.copy()
-    censored = cohort.event == 0
-    # Number of grid times <= observed time; for uncensored records this is
-    # exact because their times are grid values by construction.
-    kappa = np.searchsorted(grid.times, times, side="right").astype(np.int64)
-    padded = np.concatenate(([0.0], grid.times))
-    times[censored] = padded[kappa[censored]]
-    return cohort.replace_times(times), kappa
+    kappa = np.searchsorted(grid.times, cohort.time, side="right").astype(np.int64)
+    uncensored = cohort.event != 0
+    kappa[uncensored] = np.maximum(kappa[uncensored], 1)
+    return cohort.replace_times(grid.with_leading_zero()[kappa]), kappa
 
 
 def risk_event_counts(cohort_pre: Cohort, grid: EventTimeGrid):

@@ -113,11 +113,24 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - a * a
 
 
-def forward_cached(params: MlpParams, X: np.ndarray):
+def rowwise_matmul(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """A @ M with every row from its own vector-matrix product.
+
+    A GEMM's rounding depends on its shape, so a row of ``A @ M`` changes in
+    the last bits with the rows passed alongside it. Here every row is the
+    same product (a matmul stacked over the rows of A), so a caller may split
+    A into blocks of any size, single rows included, and get the same bits.
+    """
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    return (A[:, None, :] @ np.ascontiguousarray(M, dtype=np.float64))[:, 0, :]
+
+
+def forward_cached(params: MlpParams, X: np.ndarray, product=np.matmul):
     """Batch forward pass returning embeddings and layer caches.
 
     The cache holds per-layer pre-activations and activations, consumed by
-    :func:`backward` to produce exact parameter gradients.
+    :func:`backward` to produce exact parameter gradients. ``product(a, w.T)``
+    is each layer's matrix product.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
@@ -128,7 +141,7 @@ def forward_cached(params: MlpParams, X: np.ndarray):
     zs, activations = [], [X]
     n_layers = len(params.weights)
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
+        z = product(a, w.T) + b
         zs.append(z)
         a = z if k == n_layers - 1 else _activate(z, params.activation)
         activations.append(a)
@@ -189,40 +202,28 @@ def _augmented_rows(E1, E2):
 def pairwise_sq_dists(E1: np.ndarray, E2=None) -> np.ndarray:
     """Squared Euclidean distances between embedding rows, clipped at 0.
 
-    One GEMM of augmented rows, [e1, |e1|^2, 1] . [-2 e2, 1, |e2|^2], writes
+    Products of augmented rows, [e1, |e1|^2, 1] . [-2 e2, 1, |e2|^2], write
     |e1|^2 + |e2|^2 - 2 e1.e2 into a single buffer that is clipped in place.
+    The self form ``pairwise_sq_dists(E)`` is one GEMM with an exact 0
+    diagonal. The two-set form is a :func:`rowwise_matmul`, so a row's
+    distances do not depend on the rows of E1 passed with it.
     """
     E1 = np.asarray(E1, dtype=np.float64)
-    E2 = E1 if E2 is None else np.asarray(E2, dtype=np.float64)
-    A, B = _augmented_rows(E1, E2)
-    D2 = A @ B.T
-    if E2 is E1:
+    if E2 is None:
+        A, B = _augmented_rows(E1, E1)
+        D2 = A @ B.T
         np.fill_diagonal(D2, 0.0)       # rounding leaves ~1e-14 on the diagonal
+    else:
+        A, B = _augmented_rows(E1, np.asarray(E2, dtype=np.float64))
+        D2 = rowwise_matmul(A, B.T)
     return np.maximum(D2, 0.0, out=D2)
-
-
-def _exp_neg(D2):
-    np.negative(D2, out=D2)
-    return np.exp(D2, out=D2)
 
 
 def kernel_matrix(E1: np.ndarray, E2=None) -> np.ndarray:
     """exp(-||e_i - e_j||^2) for all row pairs, computed in one buffer."""
-    return _exp_neg(pairwise_sq_dists(E1, E2))
-
-
-def kernel_rows(E1: np.ndarray, E2: np.ndarray) -> np.ndarray:
-    """exp(-||e1_i - e2_j||^2) like ``kernel_matrix(E1, E2)``, but with one
-    matrix-vector product per row of E1. A GEMM's rounding depends on its
-    shape; here every row comes out of the same call whichever rows are
-    passed with it, so a caller may split E1 into blocks of any size and
-    get bit-identical rows."""
-    A, B = _augmented_rows(np.asarray(E1, np.float64), np.asarray(E2, np.float64))
-    Bt = np.ascontiguousarray(B.T)
-    D2 = np.empty((A.shape[0], B.shape[0]))
-    for a, out in zip(A, D2):
-        np.dot(a, Bt, out=out)
-    return _exp_neg(np.maximum(D2, 0.0, out=D2))
+    D2 = pairwise_sq_dists(E1, E2)
+    np.negative(D2, out=D2)
+    return np.exp(D2, out=D2)
 
 
 def kernel(e1: np.ndarray, e2: np.ndarray) -> float:

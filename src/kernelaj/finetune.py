@@ -1,16 +1,24 @@
 """Optional fine-tuning of the per-cluster summary tables.
 
-The count tables are re-parameterized as strictly positive quantities,
+Summary fine-tuning (SFT) re-fits the count tables with the kernel and the
+cluster assignments frozen. The tables are re-parameterized as strictly
+positive quantities,
 
     d'[q, l, d] = exp(gamma[q, l, d]) + exp(gamma_baseline[l, d])
     c'[q, l]    = exp(omega[q, l])    + exp(omega_baseline[l])
     n'[q, l]    = sum_d d'[q, l, d] + c'[q, l] + n'[q, l + 1]   (n'[q, L] = 0)
 
-and optimized by gradient descent on the (non leave-one-out) negative log
-likelihood with the kernel and cluster assignments frozen. Initialization
-reproduces the raw counts up to a 1e-12 floor that guards log(0). The tuned
-tables are kept only when the validation criterion strictly improves;
-otherwise the original model is returned with ``sft_rejected`` set.
+and subject i's hazards are psi[d, i, l] = D[d, i, l] * (1/N)[i, l] with
+D = W d' and N = W n', where W holds the frozen kernel weights of the
+subjects to the exemplars. SFT minimizes the training step's objective
+(:func:`training.objective_and_dpsi`) on these table hazards, without
+leave-one-out, by gradient descent: dLoss/dpsi is chained through the
+step's num/den rule to D and N, then through W and the parameterization.
+Initialization reproduces the raw counts up to a 1e-12 floor that guards
+log(0). Candidates are scored with the training criterion's inputs and
+scorer; the tuned tables are kept only when the validation criterion
+strictly improves, otherwise the original model is returned with
+``sft_rejected`` set.
 """
 
 from dataclasses import dataclass
@@ -18,19 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterModel
-from .core import Cohort, cif_from_hazards, table_hazards
+from .core import Cohort, safe_reciprocal
 from .errors import ShapeMismatch
-from .model import frozen_subject_weights, predict_cif_grid
+from .model import _curves_from_weights, frozen_subject_weights
 from .training import (
     TrainConfig,
     TrainingLog,
-    _at_risk,
+    _criterion_inputs,
     _criterion_is_improvement,
-    _nll,
+    _curve_criterion,
+    _ratio_backward,
     _reverse_cumsum,
-    ranking_value,
-    ranking_value_and_dpsi,
-    total_loss,
+    objective_and_dpsi,
+    objective_value,
 )
 
 INIT_FLOOR = 1e-12
@@ -104,88 +112,53 @@ def _active_rows(weights, kappa, delta):
             np.asarray(delta, dtype=np.int64)[active])
 
 
-def sft_negative_log_likelihood(params: SftParams, weights, kappa, delta,
-                                alpha: float = 1.0, sigma: float = 1.0) -> float:
-    """Negative mean log likelihood of the tuned tables (no leave-one-out).
+def _sft_hazards(d_tables, n_tables, W):
+    """Hazards psi (m, n, L) = D * (1/N) of event tables (Q, L, m) and
+    at-risk tables (Q, L) under weights W (n, Q), with D = W d built in
+    (m, n, L) layout; also returns 1/N (n, L)."""
+    D = W @ np.asarray(d_tables, np.float64).transpose(2, 0, 1)
+    inv_N = safe_reciprocal(W @ np.asarray(n_tables, np.float64))
+    return D * inv_N[None, :, :], inv_N
+
+
+def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
+                              alpha: float = 1.0, sigma: float = 1.0) -> float:
+    """The training objective of given count tables (no leave-one-out).
 
     ``weights[i, q]`` is the frozen kernel weight of subject i to exemplar q.
     Subjects with an all-zero weight row are dropped; the mean runs over the
     retained subjects. With alpha < 1 the ranking penalty is blended in.
     """
-    value, _ = _sft_objective(params, weights, kappa, delta, alpha, sigma,
-                              want_grad=False)
-    return value
-
-
-def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
-                              alpha: float = 1.0, sigma: float = 1.0) -> float:
-    """Same objective evaluated directly on given count tables.
-
-    Used to score the model before fine-tuning without the log-floor
-    perturbation the parameterization introduces.
-    """
     W, kap, dl = _active_rows(weights, kappa, delta)
-    D = np.tensordot(W, np.asarray(d_tables, np.float64), axes=(1, 0))
-    psi = table_hazards(D, W @ np.asarray(n_tables, np.float64))
-    nll, _, _ = _nll(psi, kap, dl, _at_risk(kap, psi.shape[2]))
-    rank = 0.0
-    if alpha < 1.0:
-        rank = ranking_value(cif_from_hazards(psi)[0], kap, dl, sigma)
-    return total_loss(nll, rank, alpha)
+    psi, _ = _sft_hazards(d_tables, n_tables, W)
+    return objective_value(psi, kap, dl, alpha, sigma)
+
+
+def sft_negative_log_likelihood(params: SftParams, weights, kappa, delta,
+                                alpha: float = 1.0, sigma: float = 1.0) -> float:
+    """:func:`sft_objective_from_tables` of the tables the parameters derive."""
+    return sft_objective_from_tables(*sft_counts(params), weights, kappa, delta,
+                                     alpha, sigma)
 
 
 def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
                       alpha: float = 1.0, sigma: float = 1.0):
-    """Loss plus exact gradients w.r.t. every fine-tuning parameter."""
-    return _sft_objective(params, weights, kappa, delta, alpha, sigma,
-                          want_grad=True)
+    """Loss plus exact gradients w.r.t. every fine-tuning parameter.
 
-
-def _sft_objective(params, weights, kappa, delta, alpha, sigma, want_grad):
+    The loss and dLoss/dpsi come from the training step's objective; the
+    gradient is chained through psi = D * (1/N), D = W d', N = W n' and the
+    parameterization. Returns (loss, (dgamma, dgamma_baseline, domega,
+    domega_baseline)).
+    """
     W, kap, dl = _active_rows(weights, kappa, delta)
-    n = kap.size
     d_prime, n_prime = sft_counts(params)
-    Q, L, m = d_prime.shape
-    D = np.tensordot(W, d_prime, axes=(1, 0))        # (n, L, m)
-    N = W @ n_prime                                  # (n, L)
-    at_risk = _at_risk(kap, L)
+    psi, inv_N = _sft_hazards(d_prime, n_prime, W)
+    loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma)
+    dD, dN = _ratio_backward(dpsi, psi, inv_N)
 
-    unc = np.flatnonzero(dl != 0)
-    log_total = 0.0
-    if unc.size:
-        own_d = D[unc, kap[unc] - 1, dl[unc] - 1]
-        own_n = N[unc, kap[unc] - 1]
-        log_total = (np.log(own_d) - np.log(own_n)).sum()
-    hazards = D / N[:, :, None]
-    hazard_total = (hazards * at_risk[:, :, None]).sum()
-    nll = float(-(log_total - hazard_total) / n)
-
-    rank = 0.0
-    psi = np.transpose(hazards, (2, 0, 1))           # (m, n, L)
-    if alpha < 1.0:
-        rank, dpsi_rank = ranking_value_and_dpsi(psi, kap, dl, sigma,
-                                                 scale=1.0 - alpha)
-    loss = alpha * nll + (1.0 - alpha) * rank
-    if not want_grad:
-        return loss, None
-
-    # dLoss/dD and dLoss/dN, starting from the likelihood terms.
-    G_D = np.tile(((alpha / n) * (at_risk / N))[:, :, None], (1, 1, m))
-    G_N = -(alpha / n) * (at_risk * D.sum(axis=2) / (N * N))
-    if unc.size:
-        G_D[unc, kap[unc] - 1, dl[unc] - 1] -= (alpha / n) / own_d
-        G_N[unc, kap[unc] - 1] += (alpha / n) / own_n
-    if alpha < 1.0:
-        dhaz = np.transpose(dpsi_rank, (1, 2, 0))    # (n, L, m)
-        G_D += dhaz / N[:, :, None]
-        G_N += -(dhaz * D).sum(axis=2) / (N * N)
-
-    dd_prime = np.tensordot(W.T, G_D, axes=(1, 0))   # (Q, L, m)
-    dn_prime = W.T @ G_N                             # (Q, L)
-    shed_grad = np.cumsum(dn_prime, axis=1)          # n' is a reversed cumsum
-    dd_prime = dd_prime + shed_grad[:, :, None]
-    dc_prime = shed_grad
-
+    dd_prime = (W.T @ dD).transpose(1, 2, 0)         # (Q, L, m)
+    dc_prime = np.cumsum(W.T @ dN, axis=1)           # n' is a reversed cumsum
+    dd_prime += dc_prime[:, :, None]
     grads = (
         dd_prime * np.exp(params.gamma),
         (dd_prime * np.exp(params.gamma_baseline)[None, :, :]).sum(axis=0),
@@ -210,32 +183,19 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     validation criterion strictly improves over the model before fine-tuning;
     ties or regressions return the original tables with ``sft_rejected``.
     """
-    # Frozen kernel weights and discretized labels.
+    criterion = config.early_stop_criterion
     W_train = frozen_subject_weights(model.params, model.clusters, train.features)
-    _, kappa_tr = model.dtm.apply(train)
     W_valid = frozen_subject_weights(model.params, model.clusters, valid.features)
-    _, kappa_va = model.dtm.apply(valid)
-
-    eval_grid = None
-    if config.early_stop_criterion in ("ibs", "ctd"):
-        from . import metrics as _metrics
-
-        pooled = np.concatenate(
-            (train.time[train.event != 0], valid.time[valid.event != 0]))
-        eval_grid = _metrics.build_eval_grid(pooled)
+    _, kappa_tr = model.dtm.apply(train)
+    inputs = _criterion_inputs(criterion, train, valid, model.dtm, kappa_tr)
 
     def evaluate(candidate_model):
-        if config.early_stop_criterion == "objective":
+        if criterion == "objective":
             return sft_objective_from_tables(
                 candidate_model.d_tables, candidate_model.n_tables,
-                W_valid, kappa_va, valid.event, config.alpha, config.sigma)
-        from . import metrics as _metrics
-
-        cif, _, _ = predict_cif_grid(candidate_model, valid.features)
-        scores = _metrics.evaluate_cif_predictions(
-            cif, model.grid.times, valid, eval_grid)
-        key = "ibs" if config.early_stop_criterion == "ibs" else "ctd"
-        return float(np.mean(scores[key]))
+                W_valid, inputs.kappa_valid, valid.event, config.alpha, config.sigma)
+        cif, _, _ = _curves_from_weights(candidate_model, W_valid)
+        return _curve_criterion(criterion, cif, model.grid.times, valid, inputs)
 
     params = init_sft_params(model.clusters)
     # Baseline on the init-parameter tables: a run that never moves the
@@ -245,7 +205,7 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     baseline = evaluate(model.with_tables(d0, n0))
     raw_value = evaluate(model)
 
-    log = TrainingLog(criterion=config.early_stop_criterion)
+    log = TrainingLog(criterion=criterion)
     best_value = baseline
     best_params = None
     stall = 0
@@ -257,10 +217,8 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
         candidate = model.with_tables(d_prime, n_prime, sft_applied=True)
         value = evaluate(candidate)
         improved = (
-            _criterion_is_improvement(config.early_stop_criterion, value,
-                                      best_value)
-            and _criterion_is_improvement(config.early_stop_criterion, value,
-                                          raw_value))
+            _criterion_is_improvement(criterion, value, best_value)
+            and _criterion_is_improvement(criterion, value, raw_value))
         if improved:
             best_value = value
             best_params = params

@@ -3,8 +3,10 @@ exemplar-weighted summary tables, survival/CIF curves with a population
 fallback, and the individual-level interpretation quantities.
 
 Every prediction goes through one path: frozen_subject_weights, the
-weighted tables, and the Aalen-Johansen recursion in ``core``. The per-row
-entry points are one-row views of the batch functions.
+weighted tables, and the Aalen-Johansen recursion in ``core``. Their matrix
+products are taken row by row (``embedding.rowwise_matmul``), so a row's
+prediction has the same bits whichever rows are passed with it, and the
+per-row entry points are one-row views of the batch functions.
 
 A trained model is immutable; prediction and explanation are pure functions
 and safe for concurrent use.
@@ -16,7 +18,7 @@ import numpy as np
 
 from .clustering import ClusterModel
 from .core import CifSet, Cohort, cif_from_hazards, curves_from_counts, table_hazards
-from .embedding import MlpParams, embed_batch, pairwise_sq_dists
+from .embedding import MlpParams, forward_cached, pairwise_sq_dists, rowwise_matmul
 from .errors import EmptyNeighborhood, NoRisk, NonFiniteFeatures, ShapeMismatch
 from .training import DiscreteTimeMap
 
@@ -69,15 +71,17 @@ _NOT_FINITE = "features are not finite or too large to embed"
 
 
 def _embed_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    """Embeddings of a feature matrix; rejects the first row whose features
-    are not finite or whose embedding overflows, instead of letting it fall
-    back silently to the population estimate."""
+    """Embeddings of a feature matrix, each layer's product taken row by row
+    so a row's embedding does not depend on the rows passed with it. Rejects
+    the first row whose features are not finite or whose embedding
+    overflows, instead of letting it fall back silently to the population
+    estimate."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatch("expected a feature matrix (n, p)")
     bad = ~np.isfinite(X).all(axis=1)
     if not bad.any():
-        E = embed_batch(params, X)
+        E, _ = forward_cached(params, X, rowwise_matmul)
         bad = ~np.isfinite(np.einsum("ij,ij->i", E, E))
     if bad.any():
         raise NonFiniteFeatures(f"row {int(np.argmax(bad))}: {_NOT_FINITE}")
@@ -104,8 +108,10 @@ def frozen_subject_weights(params_mlp: MlpParams, clusters: ClusterModel,
 
 
 def _weighted_tables(model: KernelAJModel, W):
-    """Kernel-weighted event (n, L, m) and at-risk (n, L) tables."""
-    return np.tensordot(W, model.d_tables, axes=(1, 0)), W @ model.n_tables
+    """Kernel-weighted event (n, L, m) and at-risk (n, L) tables, row by row."""
+    Q, L, m = model.d_tables.shape
+    d_w = rowwise_matmul(W, model.d_tables.reshape(Q, L * m)).reshape(-1, L, m)
+    return d_w, rowwise_matmul(W, model.n_tables)
 
 
 def _curves_from_weights(model: KernelAJModel, W):

@@ -18,6 +18,9 @@ summed over event types d. The ranking loss compares, for every ordered pair
 with delta_i = d and kappa_i < kappa_j, the within-batch CIF estimates at
 subject i's bin via exp((F_d(kappa_i | x_j) - F_d(kappa_i | x_i)) / sigma),
 normalized by n^2. The total loss is alpha * NLL + (1 - alpha) * ranking.
+``objective_and_dpsi`` maps a hazard tensor psi to this loss and dLoss/dpsi;
+the minibatch step and summary fine-tuning call it, and the objective
+criterion and the fine-tuning criterion call its forward, ``objective_value``.
 
 A pair's term depends on i only through its bin l = kappa_i - 1 and its own
 value F_d(l | x_i), so the ranking loss factors per bin. With M_l the largest
@@ -62,7 +65,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Cohort, EventTimeGrid, cif_from_hazards, safe_reciprocal
+from .core import (
+    Cohort,
+    EventTimeGrid,
+    breslow_preprocess,
+    cif_from_hazards,
+    safe_reciprocal,
+)
 from .embedding import (
     EmbeddingConfig,
     MlpParams,
@@ -74,7 +83,6 @@ from .embedding import (
     init_mlp,
     kernel_matrix,
     kernel_matrix_backward,
-    kernel_rows,
     unflatten_params,
 )
 from .errors import DegenerateGrid, NoComparablePairs, NoEvents, ShapeMismatch
@@ -134,33 +142,21 @@ class TrainConfig:
 class DiscreteTimeMap:
     """Mapping from raw observed times to representative time bins.
 
-    ``grid`` holds the representative times r_1 < ... < r_k. An uncensored
-    time maps to the largest representative <= it (clamped up to the first
-    bin when it falls below r_1, so every event occupies a bin); a censored
-    time maps to the number of representatives <= it, which re-applies the
-    censoring preprocessing on the coarse grid and is idempotent.
+    ``grid`` holds the representative times r_1 < ... < r_k. ``apply`` snaps
+    a cohort with :func:`core.breslow_preprocess`: every time maps to the
+    largest representative <= it, and an event below r_1 to the first bin.
     """
 
     grid: EventTimeGrid
     source_grid_size: int
 
-    def bin_index(self, times, censored) -> np.ndarray:
-        """1-based bin index kappa in {0..k}; 0 only for censored records."""
-        times = np.asarray(times, dtype=np.float64)
-        censored = np.asarray(censored, dtype=bool)
-        kappa = np.searchsorted(self.grid.times, times, side="right").astype(np.int64)
-        kappa[~censored] = np.maximum(kappa[~censored], 1)
-        return kappa
-
     def apply(self, cohort: Cohort):
         """Snap a cohort's times onto the representative grid.
 
-        Returns the preprocessed cohort (censored times become grid values or
-        0) and the kappa array.
+        Returns the preprocessed cohort (times become grid values, or 0 for
+        censored records before r_1) and the kappa array.
         """
-        kappa = self.bin_index(cohort.time, cohort.event == 0)
-        padded = self.grid.with_leading_zero()
-        return cohort.replace_times(padded[kappa]), kappa
+        return breslow_preprocess(cohort, self.grid)
 
 
 def discretize_times(grid: EventTimeGrid, k: int) -> DiscreteTimeMap:
@@ -174,8 +170,7 @@ def discretize_times(grid: EventTimeGrid, k: int) -> DiscreteTimeMap:
     if k < 0:
         raise ValueError("k must be >= 0")
     L = len(grid)
-    k_eff = L if k == 0 else min(k, MAX_TIME_STEPS)
-    k_eff = min(k_eff, MAX_TIME_STEPS)
+    k_eff = min(k or L, MAX_TIME_STEPS)
     if k_eff >= L:
         return DiscreteTimeMap(grid, L)
     levels = np.arange(1, k_eff + 1, dtype=np.float64) / k_eff
@@ -284,6 +279,44 @@ def total_loss(nll_value, ranking_value, alpha):
     return alpha * nll_value + (1.0 - alpha) * ranking_value
 
 
+def objective_value(psi, kappa, delta, alpha, sigma):
+    """The training objective alpha * NLL + (1 - alpha) * ranking of a
+    hazard tensor psi (m, n, L); the forward of :func:`objective_and_dpsi`."""
+    nll, _, _ = _nll(psi, kappa, delta, _at_risk(kappa, psi.shape[2]))
+    rank = 0.0
+    if alpha < 1.0:
+        rank = ranking_value(cif_from_hazards(psi)[0], kappa, delta, sigma)
+    return total_loss(nll, rank, alpha)
+
+
+def objective_and_dpsi(psi, kappa, delta, alpha, sigma):
+    """The training objective of a hazard tensor psi (m, n, L) and its
+    gradient dLoss/dpsi. An own-event hazard at or below ``PSI_CLAMP`` enters
+    the NLL clamped and gets no gradient from its log."""
+    m, n, L = psi.shape
+    at_risk = _at_risk(kappa, L)
+    nll, unc, own = _nll(psi, kappa, delta, at_risk)
+    dpsi = np.tile((at_risk / n)[None, :, :], (m, 1, 1))
+    live = own > PSI_CLAMP
+    idx = unc[live]
+    dpsi[delta[idx] - 1, idx, kappa[idx] - 1] -= 1.0 / (n * own[live])
+    dpsi *= alpha
+
+    rank = 0.0
+    if alpha < 1.0:
+        rank, dpsi_rank = ranking_value_and_dpsi(psi, kappa, delta, sigma,
+                                                 scale=1.0 - alpha)
+        dpsi += dpsi_rank
+    return total_loss(nll, rank, alpha), dpsi
+
+
+def _ratio_backward(dpsi, psi, inv_den):
+    """Gradients (dnum (m, n, L), dden (n, L)) of psi = num * inv_den, with
+    inv_den = 1/den and 0 where den == 0 (psi is locally constant there)."""
+    dnum = dpsi * inv_den[None, :, :]
+    return dnum, -(dnum * psi).sum(axis=0)
+
+
 def _reverse_cumsum(x, axis=1):
     return np.flip(np.cumsum(np.flip(x, axis=axis), axis=axis), axis=axis)
 
@@ -358,27 +391,11 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
     W = kernel_matrix(E)
     np.fill_diagonal(W, 0.0)
     psi, inv_den = _hazard_tables(W, groups, m, L)
-    at_risk = _at_risk(kappa, L)
-    nll, unc, own = _nll(psi, kappa, delta, at_risk)
+    loss, dpsi = objective_and_dpsi(psi, kappa, delta, alpha, sigma)
 
-    # dNLL / dpsi
-    dpsi = np.tile((at_risk / n)[None, :, :], (m, 1, 1))
-    live = own > PSI_CLAMP
-    idx = unc[live]
-    dpsi[delta[idx] - 1, idx, kappa[idx] - 1] -= 1.0 / (n * own[live])
-    dpsi *= alpha
-
-    rank = 0.0
-    if alpha < 1.0:
-        rank, dpsi_rank = ranking_value_and_dpsi(psi, kappa, delta, sigma,
-                                                 scale=1.0 - alpha)
-        dpsi += dpsi_rank
-
-    # psi = num / den (zero where den == 0, locally constant there). dW[i, j]
-    # depends on j only through j's group: the at-risk bins l < kappa_j
-    # (a prefix sum of dden) plus j's own event cell of dnum.
-    dnum = dpsi * inv_den[None, :, :]
-    dden = -(dnum * psi).sum(axis=0)
+    # dW[i, j] depends on j only through j's group: the at-risk bins
+    # l < kappa_j (a prefix sum of dden) plus j's own event cell of dnum.
+    dnum, dden = _ratio_backward(dpsi, psi, inv_den)
     prefix = np.zeros((n, L + 1))
     np.cumsum(dden, axis=1, out=prefix[:, 1:])
     table = prefix[:, groups.kappa]
@@ -388,7 +405,6 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
 
     dE = kernel_matrix_backward(E, W, dW)
     dw, db = backward(params, cache, dE)
-    loss = total_loss(nll, rank, alpha)
     return loss, dw, db
 
 
@@ -397,9 +413,9 @@ def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):
     set (no leave-one-out; queries are assumed disjoint from the reference).
 
     The query x reference kernel is built ``CRITERION_BLOCK_ROWS`` query rows
-    at a time, so memory stays O(block * n_ref) whatever the query count,
-    and row by row (``kernel_rows``), so the result does not depend on the
-    block size.
+    at a time, so memory stays O(block * n_ref) whatever the query count.
+    A two-set ``kernel_matrix`` computes each row on its own, so the result
+    does not depend on the block size.
 
     Returns (psi (m, q, L), F (m, q, L), S (q, L)).
     """
@@ -409,7 +425,7 @@ def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):
     psi = np.empty((m, E_query.shape[0], L))
     for start in range(0, E_query.shape[0], CRITERION_BLOCK_ROWS):
         rows = slice(start, start + CRITERION_BLOCK_ROWS)
-        psi[:, rows], _ = _hazard_tables(kernel_rows(E_query[rows], E_ref), groups, m, L)
+        psi[:, rows], _ = _hazard_tables(kernel_matrix(E_query[rows], E_ref), groups, m, L)
     F, S, _, _ = cif_from_hazards(psi)
     return psi, F, S
 
@@ -485,23 +501,24 @@ def _evaluate_criterion(criterion, params, train, valid, dtm, tcfg,
     psi, F, _ = kernel_hazard_curves(E_valid, E_train, inputs.kappa_train,
                                      train.event, m, L)
 
-    kappa_va = inputs.kappa_valid
     if criterion == "objective":
-        nll, _, _ = _nll(psi, kappa_va, valid.event, _at_risk(kappa_va, L))
-        rank = 0.0
-        if tcfg.alpha < 1.0:
-            rank = ranking_value(F, kappa_va, valid.event, tcfg.sigma)
-        return total_loss(nll, rank, tcfg.alpha)
+        return objective_value(psi, inputs.kappa_valid, valid.event, tcfg.alpha,
+                               tcfg.sigma)
+    return _curve_criterion(criterion, F, dtm.grid.times, valid, inputs)
 
+
+def _curve_criterion(criterion, F, knot_times, valid, inputs: _CriterionInputs):
+    """The IBS or ctd criterion of CIF values F (m, q, L) at ``knot_times``
+    for the validation cohort, averaged over event types."""
     values = []
-    for d in range(1, m + 1):
+    for d in range(1, F.shape[0] + 1):
         if criterion == "ibs":
             times = inputs.eval_grid.times
-            pred = interpolate_curves(F[d - 1], dtm.grid.times, times)
+            pred = interpolate_curves(F[d - 1], knot_times, times)
             bs, _ = brier_scores(pred, valid, d, times, inputs.weights)
             values.append(integrated_brier(bs, inputs.eval_grid))
         else:
-            values.append(concordance_td_from_curves(F[d - 1], dtm.grid.times, valid, d))
+            values.append(concordance_td_from_curves(F[d - 1], knot_times, valid, d))
     return float(np.mean(values))
 
 

@@ -1,15 +1,17 @@
 """The dense one-hot training step, validation hazards, scalar Brier
-score, CIF recursion, NLL and pairwise ranking loss that ``kernelaj``
-replaced.
+score, CIF recursion, NLL, pairwise ranking loss and hand-derived fine-tuning
+objective that ``kernelaj`` replaced.
 
 The functions below are kept verbatim as test oracles: the kernel comes
 from E @ E.T, the hazard tables from weight-matrix products with (n, L)
 one-hot label matrices, each Brier horizon is scored on its own, the CIF
-recursion leaves 1 - sum(h) unfloored, the NLL builds its own at-risk mask
-and the ranking loss and its backward pass read dense n x n matrices of
-pairwise CIF lookups. Only the shared building blocks that did not change
-(the network, the floored CIF recursion and the cumulative-product
-backward) are imported from the package.
+recursion leaves 1 - sum(h) unfloored, the NLL builds its own at-risk mask,
+the ranking loss and its backward pass read dense n x n matrices of
+pairwise CIF lookups, and the fine-tuning objective derives its likelihood
+and gradient by hand. Only the shared building blocks that did not change
+(the network, the floored CIF recursion, the cumulative-product backward,
+the at-risk mask and the fine-tuning table parameterization) are imported
+from the package.
 """
 
 import numpy as np
@@ -18,8 +20,10 @@ from kernelaj.core import Cohort, StepCurve, cif_from_hazards
 from kernelaj.embedding import backward, forward_cached
 from kernelaj.errors import ShapeMismatch
 from kernelaj.metrics import BrierResult
+from kernelaj.finetune import _active_rows, sft_counts
 from kernelaj.training import (
     PSI_CLAMP,
+    _at_risk,
     _cumprod_backward,
     _reverse_cumsum,
     total_loss,
@@ -340,3 +344,57 @@ def brier_score(cif_values, cohort: Cohort, delta: int, t: float,
         excluded += int((mask & (w <= 0)).sum())
         total += (sq[usable] / w[usable]).sum()
     return BrierResult(value=float(total / n), n_excluded=excluded)
+
+
+def _sft_objective(params, weights, kappa, delta, alpha, sigma, want_grad):
+    W, kap, dl = _active_rows(weights, kappa, delta)
+    n = kap.size
+    d_prime, n_prime = sft_counts(params)
+    Q, L, m = d_prime.shape
+    D = np.tensordot(W, d_prime, axes=(1, 0))        # (n, L, m)
+    N = W @ n_prime                                  # (n, L)
+    at_risk = _at_risk(kap, L)
+
+    unc = np.flatnonzero(dl != 0)
+    log_total = 0.0
+    if unc.size:
+        own_d = D[unc, kap[unc] - 1, dl[unc] - 1]
+        own_n = N[unc, kap[unc] - 1]
+        log_total = (np.log(own_d) - np.log(own_n)).sum()
+    hazards = D / N[:, :, None]
+    hazard_total = (hazards * at_risk[:, :, None]).sum()
+    nll = float(-(log_total - hazard_total) / n)
+
+    rank = 0.0
+    psi = np.transpose(hazards, (2, 0, 1))           # (m, n, L)
+    if alpha < 1.0:
+        rank, dpsi_rank = ranking_value_and_dpsi(psi, kap, dl, sigma,
+                                                 scale=1.0 - alpha)
+    loss = alpha * nll + (1.0 - alpha) * rank
+    if not want_grad:
+        return loss, None
+
+    # dLoss/dD and dLoss/dN, starting from the likelihood terms.
+    G_D = np.tile(((alpha / n) * (at_risk / N))[:, :, None], (1, 1, m))
+    G_N = -(alpha / n) * (at_risk * D.sum(axis=2) / (N * N))
+    if unc.size:
+        G_D[unc, kap[unc] - 1, dl[unc] - 1] -= (alpha / n) / own_d
+        G_N[unc, kap[unc] - 1] += (alpha / n) / own_n
+    if alpha < 1.0:
+        dhaz = np.transpose(dpsi_rank, (1, 2, 0))    # (n, L, m)
+        G_D += dhaz / N[:, :, None]
+        G_N += -(dhaz * D).sum(axis=2) / (N * N)
+
+    dd_prime = np.tensordot(W.T, G_D, axes=(1, 0))   # (Q, L, m)
+    dn_prime = W.T @ G_N                             # (Q, L)
+    shed_grad = np.cumsum(dn_prime, axis=1)          # n' is a reversed cumsum
+    dd_prime = dd_prime + shed_grad[:, :, None]
+    dc_prime = shed_grad
+
+    grads = (
+        dd_prime * np.exp(params.gamma),
+        (dd_prime * np.exp(params.gamma_baseline)[None, :, :]).sum(axis=0),
+        dc_prime * np.exp(params.omega),
+        (dc_prime * np.exp(params.omega_baseline)[None, :]).sum(axis=0),
+    )
+    return loss, grads

@@ -3,7 +3,12 @@ recurrence, exact gradients, and validation backtracking."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import dense_oracle as oracle
+from conftest import relative_error
 
 from kernelaj import (
     Cohort,
@@ -183,6 +188,49 @@ class TestLoss:
             denom = max(np.linalg.norm(fd.ravel()), 1e-12)
             rel = np.linalg.norm((grad - fd).ravel()) / denom
             assert rel <= 1e-4, f"array {a_idx}: rel error {rel}"
+
+
+@st.composite
+def sft_problems(draw):
+    """(params, weights, kappa, delta): random tables and frozen weights, with
+    some all-zero weight rows and at least one subject kept."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, Q = draw(st.integers(2, 30)), draw(st.integers(1, 6))
+    L, m = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    params = SftParams(rng.normal(0.0, 1.0, (Q, L, m)), rng.normal(-1.0, 1.0, (L, m)),
+                       rng.normal(0.0, 1.0, (Q, L)), rng.normal(-1.0, 1.0, L))
+    W = rng.uniform(0.0, 1.0, (n, Q)) * (rng.random((n, 1)) < 0.8)
+    W[0] += 0.1
+    kappa = rng.integers(0, L + 1, n)
+    delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
+    return params, W, kappa, delta
+
+
+class TestOracle:
+    """The fine-tuning loss and gradient, chained from the training step's
+    objective, against the hand-derived objective they replaced."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(problem=sft_problems())
+    def test_matches_hand_derived_objective(self, alpha, problem):
+        params, W, kappa, delta = problem
+        loss, grads = sft_loss_and_grad(params, W, kappa, delta, alpha, sigma=0.7)
+        want_loss, want_grads = oracle._sft_objective(params, W, kappa, delta, alpha,
+                                                      0.7, want_grad=True)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for got, want in zip(grads, want_grads):
+            assert relative_error(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(problem=sft_problems())
+    def test_one_forward(self, alpha, problem):
+        params, W, kappa, delta = problem
+        value = sft_negative_log_likelihood(params, W, kappa, delta, alpha, sigma=0.7)
+        assert value == sft_objective_from_tables(*sft_counts(params), W, kappa, delta,
+                                                  alpha, sigma=0.7)
+        assert value == sft_loss_and_grad(params, W, kappa, delta, alpha, sigma=0.7)[0]
 
 
 class TestFineTune:

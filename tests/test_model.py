@@ -181,6 +181,20 @@ class TestPredictionProperties:
             for d in range(1, 3):
                 assert_allclose(cif[d - 1, i], single.cif(d).values, atol=1e-14)
 
+    def test_rows_do_not_depend_on_batch(self):
+        rng = np.random.default_rng(9)
+        cohort = random_cohort(rng, n=300, p=8)
+        params = init_mlp(EmbeddingConfig(input_dim=8, num_layers=2, hidden_units=32,
+                                          embed_dim=8, init_seed=3))
+        model = build_model(cohort, params, epsilon=1.0, tau=3.0, num_time_steps=32)
+        X = rng.normal(size=(64, 8))
+        cif, surv, fallback = predict_cif_grid(model, X)
+        for i in range(X.shape[0]):
+            one_cif, one_surv, one_fallback = predict_cif_grid(model, X[i:i + 1])
+            assert_array_equal(one_cif[:, 0], cif[:, i])
+            assert_array_equal(one_surv[0], surv[i])
+            assert one_fallback[0] == fallback[i]
+
     def test_hand_weighted_summary_sums(self):
         # query embeds at the origin; exemplars sit at squared distances
         # log 2 and log 4, so kernel weights are exactly 0.5 and 0.25

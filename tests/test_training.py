@@ -3,7 +3,7 @@ hand-derived gradients, and the training loop."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import finite_difference_grad, random_batch, relative_error
 from dense_oracle import (
@@ -24,6 +24,7 @@ from kernelaj import (
     NoComparablePairs,
     SynthConfig,
     TrainConfig,
+    breslow_preprocess,
     build_event_grid,
     discretize_times,
     generate_synthetic,
@@ -32,7 +33,8 @@ from kernelaj import (
     total_loss_and_grad,
     train_embedding,
 )
-from kernelaj import training
+from kernelaj import cli, training
+from kernelaj.core import risk_event_counts
 from kernelaj.cli import fit_pipeline
 from kernelaj.embedding import flatten_grads, flatten_params
 
@@ -67,6 +69,20 @@ class TestDiscretizeTimes:
         # 3 -> floor rep 2 (bin 1); 1 -> below first rep, clamps to bin 1; 4 -> bin 2
         assert_allclose(pre.time, [2.0, 2.0, 4.0])
         assert list(kappa) == [1, 1, 2]
+
+    def test_breslow_preprocess_is_the_snapping_rule(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = 60
+            cohort = Cohort(np.zeros((n, 1)), rng.exponential(2.0, n),
+                            rng.integers(0, 3, n), m=2)
+            dtm = discretize_times(build_event_grid(cohort), 8)
+            snapped, kappa = breslow_preprocess(cohort, dtm.grid)
+            applied, kappa_applied = dtm.apply(cohort)
+            assert_array_equal(kappa, kappa_applied)
+            for a, b in zip(risk_event_counts(snapped, dtm.grid),
+                            risk_event_counts(applied, dtm.grid)):
+                assert_array_equal(a, b)
 
     def test_censored_mapping_idempotent(self):
         dtm = discretize_times(EventTimeGrid([1.0, 2.0, 3.0, 4.0]), 2)
@@ -367,7 +383,10 @@ class TestCriterionFeasibility:
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         return calls
 
-    def test_ctd_without_event_two_in_valid(self, monkeypatch):
+    @staticmethod
+    def no_event_two_pairs():
+        """Train/valid cohorts whose validation set has no event-2 record, so
+        ctd has no comparable event-2 pair while IBS is well defined."""
         cohort = generate_synthetic(SynthConfig(n=600, p=2, w1=(1.0, 0.0),
                                                 w2=(0.0, 1.0), seed=4))
         train = cohort.subset(np.arange(400))
@@ -376,11 +395,37 @@ class TestCriterionFeasibility:
                        np.where(valid.event == 2, 0, valid.event), m=2)
         ecfg = EmbeddingConfig(input_dim=2, num_layers=1, hidden_units=4,
                                embed_dim=2)
+        return train, valid, ecfg
+
+    def test_ctd_without_event_two_in_valid(self, monkeypatch):
+        train, valid, ecfg = self.no_event_two_pairs()
         tcfg = TrainConfig(batch_size=128, max_epochs=2, patience=2,
                            num_time_steps=8, early_stop_criterion="ctd")
         calls = self.count_steps(monkeypatch)
         with pytest.raises(NoComparablePairs, match="event 2"):
             fit_pipeline(train, valid, ecfg, tcfg, epsilon=0.5)
+        assert calls == []
+
+    def test_sft_ibs_without_event_two_pairs(self):
+        train, valid, ecfg = self.no_event_two_pairs()
+        tcfg = TrainConfig(batch_size=128, max_epochs=2, patience=2,
+                           num_time_steps=8)
+        _, logs = fit_pipeline(train, valid, ecfg, tcfg, epsilon=0.5,
+                               sft_config={"enabled": True, "max_epochs": 2,
+                                           "early_stop_criterion": "ibs"})
+        assert len(logs["sft"].rows) > 0
+
+    def test_sft_ctd_fails_before_training(self, monkeypatch):
+        train, valid, ecfg = self.no_event_two_pairs()
+        tcfg = TrainConfig(batch_size=128, max_epochs=2, patience=2,
+                           num_time_steps=8)
+        calls = []
+        real = cli.train_embedding
+        monkeypatch.setattr(cli, "train_embedding",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        with pytest.raises(NoComparablePairs, match="event 2"):
+            fit_pipeline(train, valid, ecfg, tcfg, epsilon=0.5,
+                         sft_config={"enabled": True, "early_stop_criterion": "ctd"})
         assert calls == []
 
     def test_ibs_with_a_single_evaluation_time(self, monkeypatch):
