@@ -378,22 +378,21 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
     cohort = _load_compatible_cohort(data_path, schema, model,
                                      time_column, event_column)
     infos, cif, surv = explain_rows(model, cohort.features)
-    times = [float(t) for t in model.grid.times]
+    times = model.grid.times.tolist()
+    surv, cif = surv.tolist(), cif.tolist()
     records = []
     for i, info in enumerate(infos):
         records.append({
             "row": i,
-            "exemplar_ids": [int(v) for v in info.exemplar_ids],
-            "weights": [float(v) for v in info.weights],
-            "event_probabilities": [float(v) for v in info.event_probabilities],
-            "conditional_medians": [
-                None if v is None else float(v) for v in info.conditional_medians],
+            "exemplar_ids": info.exemplar_ids.tolist(),
+            "weights": info.weights.tolist(),
+            "event_probabilities": info.event_probabilities.tolist(),
+            "conditional_medians": list(info.conditional_medians),
             "used_fallback": bool(info.used_fallback),
             "cif": {
                 "times": times,
-                "survival": [float(v) for v in surv[i]],
-                **{f"event_{d}": [float(v) for v in cif[d - 1, i]]
-                   for d in range(1, model.m + 1)},
+                "survival": surv[i],
+                **{f"event_{d}": cif[d - 1][i] for d in range(1, model.m + 1)},
             },
         })
     out_path = os.path.join(out_dir, "explanations.json")

@@ -272,11 +272,13 @@ def risk_event_counts(cohort_pre: Cohort, grid: EventTimeGrid):
     return d, n_at_risk.astype(np.float64)
 
 
-def safe_reciprocal(n):
+def safe_reciprocal(n, out=None):
     """1/n where n > 0 and 0 elsewhere. Every hazard is d * safe_reciprocal(n),
-    so a bin where nobody is at risk has hazard 0."""
+    so a bin where nobody is at risk has hazard 0. ``out`` may be n itself."""
     pos = n > 0
-    return np.where(pos, 1.0 / np.where(pos, n, 1.0), 0.0)
+    out = np.divide(1.0, n, out=out, where=pos)
+    out[~pos] = 0.0
+    return out
 
 
 def table_hazards(d, n):

@@ -199,29 +199,33 @@ def _augmented_rows(E1, E2):
     return A, B
 
 
-def pairwise_sq_dists(E1: np.ndarray, E2=None) -> np.ndarray:
+def pairwise_sq_dists(E1: np.ndarray, E2=None, out=None) -> np.ndarray:
     """Squared Euclidean distances between embedding rows, clipped at 0.
 
     Products of augmented rows, [e1, |e1|^2, 1] . [-2 e2, 1, |e2|^2], write
     |e1|^2 + |e2|^2 - 2 e1.e2 into a single buffer that is clipped in place.
     The self form ``pairwise_sq_dists(E)`` is one GEMM with an exact 0
-    diagonal. The two-set form is a :func:`rowwise_matmul`, so a row's
+    diagonal; it writes into ``out``, a C-contiguous (n, n) array, when one
+    is given. The two-set form is a :func:`rowwise_matmul`, so a row's
     distances do not depend on the rows of E1 passed with it.
     """
     E1 = np.asarray(E1, dtype=np.float64)
     if E2 is None:
         A, B = _augmented_rows(E1, E1)
-        D2 = A @ B.T
+        D2 = np.matmul(A, B.T, out=out)
         np.fill_diagonal(D2, 0.0)       # rounding leaves ~1e-14 on the diagonal
     else:
+        if out is not None:
+            raise ShapeMismatch("out is supported for the self form only")
         A, B = _augmented_rows(E1, np.asarray(E2, dtype=np.float64))
         D2 = rowwise_matmul(A, B.T)
     return np.maximum(D2, 0.0, out=D2)
 
 
-def kernel_matrix(E1: np.ndarray, E2=None) -> np.ndarray:
-    """exp(-||e_i - e_j||^2) for all row pairs, computed in one buffer."""
-    D2 = pairwise_sq_dists(E1, E2)
+def kernel_matrix(E1: np.ndarray, E2=None, out=None) -> np.ndarray:
+    """exp(-||e_i - e_j||^2) for all row pairs, computed in one buffer
+    (``out`` for the self form, see :func:`pairwise_sq_dists`)."""
+    D2 = pairwise_sq_dists(E1, E2, out)
     np.negative(D2, out=D2)
     return np.exp(D2, out=D2)
 
@@ -236,15 +240,17 @@ def kernel(e1: np.ndarray, e2: np.ndarray) -> float:
     return float(np.exp(-(diff @ diff)))
 
 
-def kernel_matrix_backward(E: np.ndarray, K: np.ndarray, dK: np.ndarray) -> np.ndarray:
+def kernel_matrix_backward(E: np.ndarray, K: np.ndarray, dK: np.ndarray,
+                           out=None) -> np.ndarray:
     """dLoss/dE given dLoss/dK for K = exp(-pairwise_sq_dists(E)).
 
     With P = dK * K (diagonal dropped) and d K_ij / d e_i = -2 K_ij (e_i - e_j),
     dE_i = -2 (sum_j (P_ij + P_ji) e_i - sum_j (P_ij + P_ji) e_j). A column of
     ones appended to E makes the row and column sums of P come out of the
     same two GEMMs as P E and P^T E; no transposed copy of P is formed.
+    P is written into ``out`` when given, which may be dK itself.
     """
-    P = np.multiply(dK, K)
+    P = np.multiply(dK, K, out=out)
     np.fill_diagonal(P, 0.0)
     Ea = np.hstack((E, np.ones((E.shape[0], 1))))
     S = P @ Ea

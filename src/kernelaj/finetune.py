@@ -103,22 +103,29 @@ def sft_counts(params: SftParams):
 
 
 def _active_rows(weights, kappa, delta):
-    """Weights and labels of the subjects with a nonempty frozen neighborhood."""
+    """Weights and labels of the subjects with a nonempty frozen neighborhood
+    (the inputs themselves when every subject has one)."""
     weights = np.asarray(weights, dtype=np.float64)
-    active = np.flatnonzero(weights.sum(axis=1) > 0)
-    if active.size == 0:
+    kappa = np.asarray(kappa, dtype=np.int64)
+    delta = np.asarray(delta, dtype=np.int64)
+    active = weights.sum(axis=1) > 0
+    if not active.any():
         raise ShapeMismatch("no subject has a nonempty frozen neighborhood")
-    return (weights[active], np.asarray(kappa, dtype=np.int64)[active],
-            np.asarray(delta, dtype=np.int64)[active])
+    if active.all():
+        return weights, kappa, delta
+    return weights[active], kappa[active], delta[active]
 
 
-def _sft_hazards(d_tables, n_tables, W):
+def _sft_hazards(d_tables, n_tables, W, psi_out=None, inv_out=None):
     """Hazards psi (m, n, L) = D * (1/N) of event tables (Q, L, m) and
     at-risk tables (Q, L) under weights W (n, Q), with D = W d built in
-    (m, n, L) layout; also returns 1/N (n, L)."""
-    D = W @ np.asarray(d_tables, np.float64).transpose(2, 0, 1)
-    inv_N = safe_reciprocal(W @ np.asarray(n_tables, np.float64))
-    return D * inv_N[None, :, :], inv_N
+    (m, n, L) layout and psi formed in D's array; also returns 1/N (n, L).
+    ``psi_out`` and ``inv_out`` are optional arrays for psi and 1/N."""
+    psi = np.matmul(W, np.asarray(d_tables, np.float64).transpose(2, 0, 1), out=psi_out)
+    inv_N = np.matmul(W, np.asarray(n_tables, np.float64), out=inv_out)
+    safe_reciprocal(inv_N, out=inv_N)
+    psi *= inv_N[None, :, :]
+    return psi, inv_N
 
 
 def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
@@ -142,19 +149,31 @@ def sft_negative_log_likelihood(params: SftParams, weights, kappa, delta,
 
 
 def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
-                      alpha: float = 1.0, sigma: float = 1.0):
+                      alpha: float = 1.0, sigma: float = 1.0, buffers=None):
     """Loss plus exact gradients w.r.t. every fine-tuning parameter.
 
     The loss and dLoss/dpsi come from the training step's objective; the
     gradient is chained through psi = D * (1/N), D = W d', N = W n' and the
     parameterization. Returns (loss, (dgamma, dgamma_baseline, domega,
     domega_baseline)).
+
+    ``buffers`` is an optional (3, m, n, L) array for psi, dLoss/dpsi and
+    scratch, n counting the subjects with a nonempty neighborhood
+    (``fine_tune_summaries`` allocates it once); the results do not depend
+    on it.
     """
     W, kap, dl = _active_rows(weights, kappa, delta)
     d_prime, n_prime = sft_counts(params)
-    psi, inv_N = _sft_hazards(d_prime, n_prime, W)
-    loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma)
-    dD, dN = _ratio_backward(dpsi, psi, inv_N)
+    _, L, m = d_prime.shape
+    if buffers is None:
+        buffers = np.empty((3, m, kap.size, L))
+    if buffers.shape != (3, m, kap.size, L):
+        raise ShapeMismatch(f"fine-tuning buffers must have shape {(3, m, kap.size, L)}")
+    psi_buf, dpsi_buf, scratch = buffers
+    # 1/N lives in scratch until dD is formed, the last read before scratch is reused
+    psi, inv_N = _sft_hazards(d_prime, n_prime, W, psi_buf, scratch[0])
+    loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma, out=dpsi_buf)
+    dD, dN = _ratio_backward(dpsi, psi, inv_N, scratch)
 
     dd_prime = (W.T @ dD).transpose(1, 2, 0)         # (Q, L, m)
     dc_prime = np.cumsum(W.T @ dN, axis=1)           # n' is a reversed cumsum
@@ -188,6 +207,8 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     W_valid = frozen_subject_weights(model.params, model.clusters, valid.features)
     _, kappa_tr = model.dtm.apply(train)
     inputs = _criterion_inputs(criterion, train, valid, model.dtm, kappa_tr)
+    W_train, kappa_tr, event_tr = _active_rows(W_train, kappa_tr, train.event)
+    buffers = np.empty((3, model.m, kappa_tr.size, len(model.grid)))
 
     def evaluate(candidate_model):
         if criterion == "objective":
@@ -210,8 +231,8 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     best_params = None
     stall = 0
     for epoch in range(1, config.max_epochs + 1):
-        loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, train.event,
-                                        config.alpha, config.sigma)
+        loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, event_tr,
+                                        config.alpha, config.sigma, buffers)
         params = params.shifted(*grads, step=config.learning_rate)
         d_prime, n_prime = sft_counts(params)
         candidate = model.with_tables(d_prime, n_prime, sft_applied=True)

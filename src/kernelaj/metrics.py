@@ -23,6 +23,7 @@ from .core import Cohort, StepCurve
 from .errors import DegenerateGrid, NoComparablePairs, NoEvents, ShapeMismatch
 
 INTERP_BLOCK_ROWS = 256
+CONCORDANCE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -214,17 +215,36 @@ def interpolate_curves(curve_values, knot_times, eval_times) -> np.ndarray:
     return out
 
 
-def risk_matrix_from_curves(curve_values, knot_times, eval_at_times) -> np.ndarray:
-    """R[i, j] = linear-interpolated curve of subject j at subject i's time."""
-    cols = interpolate_curves(curve_values, knot_times, eval_at_times)
-    return cols.T
-
-
 def concordance_td_from_curves(curve_values, knot_times, cohort: Cohort,
                                delta: int) -> float:
-    """Concordance where risks come from linearly interpolated CIF curves."""
-    R = risk_matrix_from_curves(curve_values, knot_times, cohort.time)
-    return concordance_td(R, cohort, delta)
+    """:func:`concordance_td` of linearly interpolated CIF curves, where
+    F_delta(Y_i | X_j) is curve j at subject i's time.
+
+    The curves are interpolated at the times of ``CONCORDANCE_BLOCK_ROWS``
+    anchor subjects (event ``delta``) at a time, and the concordant, tied
+    and comparable pairs are counted per block, so memory is O(n * block)
+    rather than n x n. Interpolation is elementwise in the evaluation
+    times, so the counts, and the result, equal concordance_td's on the
+    full risk matrix.
+    """
+    curves = np.atleast_2d(np.asarray(curve_values, dtype=np.float64))
+    n = cohort.n
+    if curves.shape[0] != n:
+        raise ShapeMismatch(f"expected {n} curves, got {curves.shape[0]}")
+    time = cohort.time
+    anchors = np.flatnonzero(cohort.event == delta)
+    concordant = ties = comparable = 0
+    for start in range(0, anchors.size, CONCORDANCE_BLOCK_ROWS):
+        rows = anchors[start:start + CONCORDANCE_BLOCK_ROWS]
+        risk = interpolate_curves(curves, knot_times, time[rows])   # (n, block)
+        own = risk[rows, np.arange(rows.size)]
+        later = time[:, None] > time[rows]
+        concordant += int(np.count_nonzero((own > risk) & later))
+        ties += int(np.count_nonzero((own == risk) & later))
+        comparable += int(np.count_nonzero(later))
+    if comparable == 0:
+        raise NoComparablePairs(f"no comparable pairs for event {delta}")
+    return (concordant + 0.5 * ties) / comparable
 
 
 def evaluate_cif_predictions(curves_per_event, knot_times, cohort: Cohort,

@@ -22,6 +22,8 @@ from .embedding import MlpParams, forward_cached, pairwise_sq_dists, rowwise_mat
 from .errors import EmptyNeighborhood, NoRisk, NonFiniteFeatures, ShapeMismatch
 from .training import DiscreteTimeMap
 
+PREDICT_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class KernelAJModel:
@@ -96,15 +98,19 @@ def _row(x) -> np.ndarray:
     return x[None, :]
 
 
+def _exemplar_weights(clusters: ClusterModel, E: np.ndarray) -> np.ndarray:
+    """Kernel weights of embeddings E (n, d) to every exemplar, zero beyond tau."""
+    sq = pairwise_sq_dists(E, clusters.exemplar_embeddings)
+    return np.where(sq <= clusters.tau ** 2, np.exp(-sq), 0.0)
+
+
 def frozen_subject_weights(params_mlp: MlpParams, clusters: ClusterModel,
                            features: np.ndarray) -> np.ndarray:
     """Kernel weights exp(-||e_i - e_q||^2) of every feature row to every
     exemplar, zero beyond tau: the (n, Q) weights behind every prediction and
     every fine-tuning step. A row whose features are not finite, or too large
     to embed, raises ValueError naming the first such row."""
-    E = _embed_rows(params_mlp, features)
-    sq = pairwise_sq_dists(E, clusters.exemplar_embeddings)
-    return np.where(sq <= clusters.tau ** 2, np.exp(-sq), 0.0)
+    return _exemplar_weights(clusters, _embed_rows(params_mlp, features))
 
 
 def _weighted_tables(model: KernelAJModel, W):
@@ -135,9 +141,20 @@ def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
     positive kernel weight).
     A row whose features are not finite, or too large to embed, raises
     ValueError naming the first such row.
+    Rows are embedded together, then weighted and predicted
+    ``PREDICT_BLOCK_ROWS`` at a time into the outputs, so the (n, Q) weights
+    and the weighted tables never exist whole; rows are batch-invariant, so
+    the block size does not change the bits.
     """
-    return _curves_from_weights(
-        model, frozen_subject_weights(model.params, model.clusters, X))
+    E = _embed_rows(model.params, X)
+    n, L = E.shape[0], len(model.grid)
+    cif, surv = np.empty((model.m, n, L)), np.empty((n, L))
+    fallback = np.empty(n, dtype=bool)
+    for start in range(0, n, PREDICT_BLOCK_ROWS):
+        rows = slice(start, start + PREDICT_BLOCK_ROWS)
+        cif[:, rows], surv[rows], fallback[rows] = _curves_from_weights(
+            model, _exemplar_weights(model.clusters, E[rows]))
+    return cif, surv, fallback
 
 
 def weighted_summaries(model: KernelAJModel, x: np.ndarray):

@@ -48,11 +48,16 @@ reverse cumulative sum over bins. The validation criterion does the same
 against the training set, with the training rows sorted before the kernel
 is built.
 
-In the backward pass dLoss/dW[i, j] is again a function of j's group: a
+In the backward pass dLoss/dW[i, j] is again a function of j's code: a
 prefix sum over the at-risk bins plus j's own event cell. It is built as an
-(n, groups) table and repeated by group size; with P = dW * W the embedding
-gradient is -2 ((rowsum P + colsum P) e_i - (P E)_i - (P^T E)_i). Loss and
-gradients are sums over rows, so the sort changes only rounding.
+(n, L + 1, m + 1) table over all codes and gathered by each row's code;
+with P = dW * W the embedding gradient is -2 ((rowsum P + colsum P) e_i -
+(P E)_i - (P^T E)_i). Loss and gradients are sums over rows, so the sort
+changes only rounding.
+
+The kernel and P are the step's only n x n arrays. ``train_embedding``
+allocates two B x B buffers for them once per fit, so steps reuse resident
+pages instead of taking fresh ones from the allocator.
 
 Leave-one-out sums run over the current minibatch only, so batch composition
 affects the loss; shuffling is seeded and the loop is deterministic. All
@@ -188,12 +193,11 @@ def _at_risk(kappa, L):
 
 class _Groups(NamedTuple):
     """Rows grouped by (bin, event): ``order`` stable-sorts them by
-    code = kappa * (m + 1) + delta; group u spans ``counts[u]`` sorted rows
-    from ``starts[u]`` and carries labels ``kappa[u]``, ``delta[u]``."""
+    code = kappa * (m + 1) + delta; group u starts at sorted row
+    ``starts[u]`` and carries labels ``kappa[u]``, ``delta[u]``."""
 
     order: np.ndarray
     starts: np.ndarray
-    counts: np.ndarray
     kappa: np.ndarray
     delta: np.ndarray
 
@@ -203,8 +207,7 @@ def _code_groups(kappa, delta, m) -> _Groups:
     order = np.argsort(code, kind="stable")
     code = code[order]
     starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
-    counts = np.diff(np.r_[starts, code.size])
-    return _Groups(order, starts, counts, code[starts] // (m + 1), code[starts] % (m + 1))
+    return _Groups(order, starts, code[starts] // (m + 1), code[starts] % (m + 1))
 
 
 def _hazard_tables(W, groups: _Groups, m, L):
@@ -230,13 +233,14 @@ def _hazard_tables(W, groups: _Groups, m, L):
     return num * inv_den[None, :, :], inv_den
 
 
-def _nll(psi, kappa, delta, at_risk):
+def _nll(psi, kappa, delta, at_risk, scratch=None):
     """NLL of a hazard tensor psi (m, n, L), plus the uncensored rows and
-    their own-event hazards, which the backward pass reuses."""
+    their own-event hazards, which the backward pass reuses. ``scratch``, an
+    optional array shaped like psi, receives the at-risk hazards."""
     unc = np.flatnonzero(delta != 0)
     own = psi[delta[unc] - 1, unc, kappa[unc] - 1]
     log_total = np.log(np.clip(own, PSI_CLAMP, 1.0)).sum()
-    hazard_total = (psi * at_risk[None, :, :]).sum()
+    hazard_total = np.multiply(psi, at_risk[None, :, :], out=scratch).sum()
     return float(-(log_total - hazard_total) / kappa.size), unc, own
 
 
@@ -289,14 +293,17 @@ def objective_value(psi, kappa, delta, alpha, sigma):
     return total_loss(nll, rank, alpha)
 
 
-def objective_and_dpsi(psi, kappa, delta, alpha, sigma):
+def objective_and_dpsi(psi, kappa, delta, alpha, sigma, out=None):
     """The training objective of a hazard tensor psi (m, n, L) and its
     gradient dLoss/dpsi. An own-event hazard at or below ``PSI_CLAMP`` enters
-    the NLL clamped and gets no gradient from its log."""
+    the NLL clamped and gets no gradient from its log. ``out``, an optional
+    array shaped like psi, serves as the NLL's scratch and then receives
+    dLoss/dpsi."""
     m, n, L = psi.shape
     at_risk = _at_risk(kappa, L)
-    nll, unc, own = _nll(psi, kappa, delta, at_risk)
-    dpsi = np.tile((at_risk / n)[None, :, :], (m, 1, 1))
+    nll, unc, own = _nll(psi, kappa, delta, at_risk, out)
+    dpsi = np.divide(at_risk[None, :, :], n,
+                     out=np.empty_like(psi) if out is None else out)
     live = own > PSI_CLAMP
     idx = unc[live]
     dpsi[delta[idx] - 1, idx, kappa[idx] - 1] -= 1.0 / (n * own[live])
@@ -310,11 +317,14 @@ def objective_and_dpsi(psi, kappa, delta, alpha, sigma):
     return total_loss(nll, rank, alpha), dpsi
 
 
-def _ratio_backward(dpsi, psi, inv_den):
+def _ratio_backward(dpsi, psi, inv_den, scratch=None):
     """Gradients (dnum (m, n, L), dden (n, L)) of psi = num * inv_den, with
-    inv_den = 1/den and 0 where den == 0 (psi is locally constant there)."""
-    dnum = dpsi * inv_den[None, :, :]
-    return dnum, -(dnum * psi).sum(axis=0)
+    inv_den = 1/den and 0 where den == 0 (psi is locally constant there).
+    dnum overwrites dpsi; ``scratch``, an optional array shaped like psi,
+    receives dnum * psi and may hold inv_den itself."""
+    dnum = np.multiply(dpsi, inv_den[None, :, :], out=dpsi)
+    dden = np.multiply(dnum, psi, out=scratch).sum(axis=0)
+    return dnum, np.negative(dden, out=dden)
 
 
 def _reverse_cumsum(x, axis=1):
@@ -369,7 +379,12 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     return float(rank), dpsi
 
 
-def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
+def _square(buf, n):
+    """The leading n * n elements of a contiguous buffer as an (n, n) array."""
+    return buf.ravel()[:n * n].reshape(n, n)
+
+
+def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffers=None):
     """Total loss of a minibatch and exact gradients for every parameter.
 
     Returns (loss, weight_grads, bias_grads). The batch is processed in
@@ -377,33 +392,44 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
     changes only rounding. The backward pass runs through the leave-one-out
     hazard ratios, the survival cumulative product, the per-bin ranking
     terms, the kernel matrix, and the network.
+
+    The kernel and dLoss/dkernel live in ``buffers``, two C-contiguous
+    arrays of at least n * n float64 each (``train_embedding`` allocates
+    them once per fit); without them the step allocates its own. The
+    results do not depend on which.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
         raise ShapeMismatch("batch must contain at least 2 subjects")
+    if buffers is None:
+        buffers = np.empty((2, n, n))
+    if min(buf.size for buf in buffers) < n * n:
+        raise ShapeMismatch(f"step buffers hold fewer than {n} x {n} elements")
     groups = _code_groups(kappa, delta, m)
     X = X[groups.order]
     kappa = np.asarray(kappa, dtype=np.int64)[groups.order]
     delta = np.asarray(delta, dtype=np.int64)[groups.order]
 
     E, cache = forward_cached(params, X)
-    W = kernel_matrix(E)
+    W = kernel_matrix(E, out=_square(buffers[0], n))
     np.fill_diagonal(W, 0.0)
     psi, inv_den = _hazard_tables(W, groups, m, L)
     loss, dpsi = objective_and_dpsi(psi, kappa, delta, alpha, sigma)
 
-    # dW[i, j] depends on j only through j's group: the at-risk bins
-    # l < kappa_j (a prefix sum of dden) plus j's own event cell of dnum.
+    # dW[i, j] depends on j only through its code (kappa_j, delta_j): the
+    # at-risk bins l < kappa_j (a prefix sum of dden) plus j's own event
+    # cell of dnum. table[i, k, d] holds it for every code.
     dnum, dden = _ratio_backward(dpsi, psi, inv_den)
-    prefix = np.zeros((n, L + 1))
-    np.cumsum(dden, axis=1, out=prefix[:, 1:])
-    table = prefix[:, groups.kappa]
-    ev = groups.delta > 0
-    table[:, ev] += dnum[groups.delta[ev] - 1, :, groups.kappa[ev] - 1].T
-    dW = np.repeat(table, groups.counts, axis=1)
+    table = np.empty((n, L + 1, m + 1))
+    table[:, 0] = 0.0
+    np.cumsum(dden, axis=1, out=table[:, 1:, 0])
+    np.add(table[:, 1:, :1], dnum.transpose(1, 2, 0), out=table[:, 1:, 1:])
+    # mode="clip" lets take write straight into the buffer ("raise" copies)
+    dW = np.take(table.reshape(n, -1), kappa * (m + 1) + delta, axis=1,
+                 out=_square(buffers[1], n), mode="clip")
 
-    dE = kernel_matrix_backward(E, W, dW)
+    dE = kernel_matrix_backward(E, W, dW, out=dW)
     dw, db = backward(params, cache, dE)
     return loss, dw, db
 
@@ -543,6 +569,8 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
     inputs = _criterion_inputs(tcfg.early_stop_criterion, train, valid, dtm, kappa)
 
     params = init_mlp(ecfg)
+    side = min(tcfg.batch_size, train.n)
+    buffers = np.empty((2, side, side))
     flat = flatten_params(params)
     velocity = np.zeros_like(flat)
     rng = np.random.default_rng(tcfg.seed)
@@ -561,7 +589,7 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
                 continue
             loss, dw, db = total_loss_and_grad(
                 params, train.features[batch], kappa[batch], train.event[batch],
-                m, L, tcfg.alpha, tcfg.sigma)
+                m, L, tcfg.alpha, tcfg.sigma, buffers)
             grad = flatten_grads(dw, db)
             velocity = tcfg.momentum * velocity - tcfg.learning_rate * grad
             flat = flat + velocity

@@ -1,6 +1,6 @@
 """The dense one-hot training step, validation hazards, scalar Brier
-score, CIF recursion, NLL, pairwise ranking loss and hand-derived fine-tuning
-objective that ``kernelaj`` replaced.
+score, CIF recursion, NLL, pairwise ranking loss, n x n concordance risk
+matrix and hand-derived fine-tuning objective that ``kernelaj`` replaced.
 
 The functions below are kept verbatim as test oracles: the kernel comes
 from E @ E.T, the hazard tables from weight-matrix products with (n, L)
@@ -10,8 +10,8 @@ the ranking loss and its backward pass read dense n x n matrices of
 pairwise CIF lookups, and the fine-tuning objective derives its likelihood
 and gradient by hand. Only the shared building blocks that did not change
 (the network, the floored CIF recursion, the cumulative-product backward,
-the at-risk mask and the fine-tuning table parameterization) are imported
-from the package.
+the at-risk mask, curve interpolation and the fine-tuning table
+parameterization) are imported from the package.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from kernelaj.core import Cohort, StepCurve, cif_from_hazards
 from kernelaj.embedding import backward, forward_cached
 from kernelaj.errors import ShapeMismatch
-from kernelaj.metrics import BrierResult
+from kernelaj.metrics import BrierResult, interpolate_curves
 from kernelaj.finetune import _active_rows, sft_counts
 from kernelaj.training import (
     PSI_CLAMP,
@@ -135,6 +135,12 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     du = _cumprod_backward(u, S, dS)
     dpsi += (-du)[None, :, :]
     return float(rank), dpsi
+
+
+def risk_matrix_from_curves(curve_values, knot_times, eval_at_times) -> np.ndarray:
+    """R[i, j] = linear-interpolated curve of subject j at subject i's time."""
+    cols = interpolate_curves(curve_values, knot_times, eval_at_times)
+    return cols.T
 
 
 def pairwise_sq_dists(E1: np.ndarray, E2=None) -> np.ndarray:

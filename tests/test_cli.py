@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from kernelaj import (
     SynthConfig,
+    explain_rows,
     explain_subject,
     generate_synthetic,
     load_cohort,
@@ -304,6 +305,36 @@ class TestExplain:
             for d in range(1, model.m + 1):
                 assert_allclose(rec["cif"][f"event_{d}"], curves.cif(d).values,
                                 rtol=0, atol=1e-14)
+
+    def test_subject_records_bytes_match_per_element_conversion(self, tmp_path,
+                                                                 train_csv, test_csv):
+        # explanations.json is built from .tolist(); it must carry the same
+        # bytes as records whose numbers are converted one by one
+        config_path, _ = write_config(tmp_path, train_csv)
+        main(["fit", "--config", str(config_path)])
+        model_path = tmp_path / "out" / "model.json"
+        assert main(["explain", "--model", str(model_path), "--data", str(test_csv),
+                     "--out", str(tmp_path / "rep")]) == 0
+        model, schema = load_model(model_path)
+        X = schema.transform(load_cohort(test_csv, schema.kinds, "time", "event"))
+        infos, cif, surv = explain_rows(model, X)
+        records = [{
+            "row": i,
+            "exemplar_ids": [int(v) for v in info.exemplar_ids],
+            "weights": [float(v) for v in info.weights],
+            "event_probabilities": [float(v) for v in info.event_probabilities],
+            "conditional_medians": [
+                None if v is None else float(v) for v in info.conditional_medians],
+            "used_fallback": bool(info.used_fallback),
+            "cif": {
+                "times": [float(t) for t in model.grid.times],
+                "survival": [float(v) for v in surv[i]],
+                **{f"event_{d}": [float(v) for v in cif[d - 1, i]]
+                   for d in range(1, model.m + 1)},
+            },
+        } for i, info in enumerate(infos)]
+        want = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "rep" / "explanations.json").read_bytes() == want.encode()
 
     def test_single_cluster_model_reproduces_population(self, tmp_path,
                                                         train_csv):

@@ -1,6 +1,7 @@
 """The segment-sum training step, validation hazards, per-bin ranking loss,
-blocked interpolation and vectorised Brier score against the dense oracles
-in ``dense_oracle``.
+blocked interpolation, blocked concordance and vectorised Brier score
+against the dense oracles in ``dense_oracle``, plus the memory bounds of
+the step and the concordance.
 
 Random cohorts come from hypothesis with ``derandomize=True`` so every run
 draws the same examples.
@@ -27,17 +28,21 @@ from kernelaj import (
     generate_synthetic,
     init_mlp,
 )
-from kernelaj import training
+from kernelaj import metrics, training
 from kernelaj.embedding import (
     flatten_grads,
     kernel_matrix,
     pairwise_sq_dists,
 )
+from kernelaj.errors import NoComparablePairs, ShapeMismatch
 from kernelaj.metrics import (
+    CONCORDANCE_BLOCK_ROWS,
     INTERP_BLOCK_ROWS,
     brier_score,
     brier_scores,
     censoring_survival,
+    concordance_td,
+    concordance_td_from_curves,
     interpolate_curves,
     ipcw_weights,
 )
@@ -125,6 +130,52 @@ class TestTrainingStep:
         for kappa, delta, m, L in cases:
             assert_step_matches_oracle(X, kappa.astype(np.int64),
                                        delta.astype(np.int64), m, L, alpha, 11)
+
+
+class TestStepBuffers:
+    """The step given the per-fit buffers of ``train_embedding``."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @REPRODUCIBLE
+    @given(batch=labelled_batches(), extra=st.integers(0, 5))
+    def test_bit_equal_without_buffers(self, alpha, batch, extra):
+        # extra > 0 is a short last batch in buffers sized for a full one;
+        # NaN-filled buffers show that no stale element is read
+        X, kappa, delta, m, L, seed = batch
+        params = small_params(seed)
+        side = X.shape[0] + extra
+        buffers = np.full((2, side, side), np.nan)
+        want_loss, want_dw, want_db = total_loss_and_grad(
+            params, X, kappa, delta, m, L, alpha, 0.7)
+        for _ in range(2):
+            loss, dw, db = total_loss_and_grad(params, X, kappa, delta, m, L, alpha,
+                                               0.7, buffers)
+            assert loss == want_loss
+            assert_array_equal(flatten_grads(dw, db), flatten_grads(want_dw, want_db))
+
+    def test_small_buffers_rejected(self):
+        X = np.random.default_rng(0).normal(size=(5, 3))
+        with pytest.raises(ShapeMismatch):
+            total_loss_and_grad(small_params(0), X, np.ones(5, np.int64),
+                                np.ones(5, np.int64), 1, 2, 1.0, 1.0,
+                                np.empty((2, 4, 4)))
+
+    def test_step_allocates_less_than_one_square(self):
+        B, m, L = 1024, 2, 64
+        rng = np.random.default_rng(7)
+        params = init_mlp(EmbeddingConfig(input_dim=8, num_layers=2, hidden_units=32,
+                                          embed_dim=8))
+        X = rng.normal(size=(B, 8))
+        kappa = rng.integers(0, L + 1, B)
+        delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, B))
+        buffers = np.empty((2, B, B))
+        tracemalloc.start()
+        try:
+            total_loss_and_grad(params, X, kappa, delta, m, L, 1.0, 1.0, buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < B * B * 8
 
 
 class TestValidationHazards:
@@ -278,6 +329,55 @@ class TestInterpolation:
         want = np.vstack([np.interp(eval_times, np.r_[0.0, knots], np.r_[0.0, row])
                           for row in curves])
         assert_array_equal(interpolate_curves(curves, knots, eval_times), want)
+
+
+@st.composite
+def scored_cohorts(draw):
+    """(cohort, curves, knots, block): tied observed times, competing events,
+    censoring, and curve values on a coarse lattice, so that interpolated
+    risks tie at knot times."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 50)), draw(st.integers(1, 3))
+    times = rng.integers(1, 12, n) * 0.5
+    events = rng.integers(0, m + 1, n)
+    knots = np.unique(rng.integers(1, 12, draw(st.integers(1, 8))) * 0.5)
+    curves = np.round(rng.uniform(0, 1, (n, knots.size)), 1)
+    block = draw(st.sampled_from([1, 3, CONCORDANCE_BLOCK_ROWS]))
+    return Cohort(np.zeros((n, 1)), times, events, m), curves, knots, block
+
+
+class TestBlockedConcordance:
+    @REPRODUCIBLE
+    @given(case=scored_cohorts())
+    def test_equals_dense_risk_matrix(self, case):
+        cohort, curves, knots, block = case
+        R = oracle.risk_matrix_from_curves(curves, knots, cohort.time)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "CONCORDANCE_BLOCK_ROWS", block)
+            for delta in range(1, cohort.m + 1):
+                try:
+                    want = concordance_td(R, cohort, delta)
+                except NoComparablePairs:
+                    with pytest.raises(NoComparablePairs):
+                        concordance_td_from_curves(curves, knots, cohort, delta)
+                    continue
+                assert concordance_td_from_curves(curves, knots, cohort, delta) == want
+
+    def test_no_square_buffer(self):
+        n, L = 4096, 64
+        rng = np.random.default_rng(9)
+        knots = np.cumsum(rng.uniform(0.1, 1.0, L))
+        curves = np.cumsum(rng.uniform(0, 0.02, (n, L)), axis=1)
+        cohort = Cohort(np.zeros((n, 1)), rng.uniform(0, knots[-1], n),
+                        rng.integers(0, 3, n), 2)
+        tracemalloc.start()
+        try:
+            value = concordance_td_from_curves(curves, knots, cohort, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= value <= 1.0
+        assert peak < n * n * 8
 
 
 @st.composite

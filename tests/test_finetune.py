@@ -1,11 +1,13 @@
 """Tests for summary-table fine-tuning: initialization consistency, the
 recurrence, exact gradients, and validation backtracking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import dense_oracle as oracle
 from conftest import relative_error
@@ -28,6 +30,7 @@ from kernelaj.finetune import SftParams, frozen_subject_weights, sft_objective_f
 from kernelaj.model import KernelAJModel
 from kernelaj.core import risk_event_counts
 from kernelaj.embedding import MlpParams, embed_batch
+from kernelaj.errors import ShapeMismatch
 
 FLOOR = 1e-12
 
@@ -231,6 +234,52 @@ class TestOracle:
         assert value == sft_objective_from_tables(*sft_counts(params), W, kappa, delta,
                                                   alpha, sigma=0.7)
         assert value == sft_loss_and_grad(params, W, kappa, delta, alpha, sigma=0.7)[0]
+
+
+class TestBuffers:
+    """Fine-tuning with the per-fit buffers of ``fine_tune_summaries``."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(problem=sft_problems())
+    def test_bit_equal_without_buffers(self, alpha, problem):
+        # NaN-filled buffers, used twice, show that no stale element is read
+        params, W, kappa, delta = problem
+        Q, L, m = params.gamma.shape
+        buffers = np.full((3, m, int((W.sum(axis=1) > 0).sum()), L), np.nan)
+        want_loss, want_grads = sft_loss_and_grad(params, W, kappa, delta, alpha, 0.7)
+        for _ in range(2):
+            loss, grads = sft_loss_and_grad(params, W, kappa, delta, alpha, 0.7, buffers)
+            assert loss == want_loss
+            for got, want in zip(grads, want_grads):
+                assert_array_equal(got, want)
+
+    def test_wrong_buffer_shape_rejected(self):
+        clusters, pre, grid, _ = d0_single_cluster()
+        _, kappa = breslow_preprocess(pre, grid)
+        W = np.ones((pre.n, 1))
+        with pytest.raises(ShapeMismatch):
+            sft_loss_and_grad(init_sft_params(clusters), W, kappa, pre.event,
+                              buffers=np.empty((3, pre.m, pre.n + 1, len(grid))))
+
+    def test_epoch_allocates_less_than_one_table(self):
+        n, Q, L, m = 4800, 38, 64, 2
+        rng = np.random.default_rng(3)
+        params = SftParams(rng.normal(0.0, 1.0, (Q, L, m)), rng.normal(-1.0, 1.0, (L, m)),
+                           rng.normal(0.0, 1.0, (Q, L)), rng.normal(-1.0, 1.0, L))
+        W = rng.uniform(0.0, 1.0, (n, Q))
+        kappa = rng.integers(0, L + 1, n)
+        delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
+        buffers = np.empty((3, m, n, L))
+        tracemalloc.start()
+        try:
+            loss, grads = sft_loss_and_grad(params, W, kappa, delta, 1.0, 1.0, buffers)
+            sft_counts(params.shifted(*grads, step=0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss)
+        assert peak < m * n * L * 8
 
 
 class TestFineTune:

@@ -16,7 +16,8 @@ from kernelaj import (
     integrated_brier,
     interpolate_curves,
 )
-from kernelaj.metrics import EvalGrid, risk_matrix_from_curves
+from kernelaj.metrics import EvalGrid
+from dense_oracle import risk_matrix_from_curves
 
 
 def make_cohort(times, events, m=2):

@@ -30,6 +30,7 @@ from kernelaj import (
     risk_event_counts,
     weighted_summaries,
 )
+from kernelaj import model as model_module
 from kernelaj.clustering import ClusterModel
 from kernelaj.core import EventTimeGrid
 from kernelaj.embedding import MlpParams, embed_batch
@@ -194,6 +195,22 @@ class TestPredictionProperties:
             assert_array_equal(one_cif[:, 0], cif[:, i])
             assert_array_equal(one_surv[0], surv[i])
             assert one_fallback[0] == fallback[i]
+
+    @pytest.mark.parametrize("block", [1, 7, model_module.PREDICT_BLOCK_ROWS, 5000])
+    def test_row_blocks_do_not_change_bits(self, monkeypatch, block):
+        rng = np.random.default_rng(10)
+        cohort = random_cohort(rng, n=300, p=8)
+        params = init_mlp(EmbeddingConfig(input_dim=8, num_layers=2, hidden_units=32,
+                                          embed_dim=8, init_seed=3))
+        model = build_model(cohort, params, epsilon=1.0, tau=3.0, num_time_steps=32)
+        X = rng.normal(size=(2100, 8)) * 10.0    # some rows fall back
+        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 1 << 20)
+        whole = predict_cif_grid(model, X)
+        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", block)
+        blocked = predict_cif_grid(model, X)
+        assert whole[2].any() and not whole[2].all()
+        for got, want in zip(blocked, whole):
+            assert_array_equal(got, want)
 
     def test_hand_weighted_summary_sums(self):
         # query embeds at the origin; exemplars sit at squared distances
@@ -459,6 +476,13 @@ class TestNonFiniteFeatures:
         X[3, 1] = bad
         X[4, 0] = bad
         with pytest.raises(ValueError, match="row 3"):
+            predict_cif_grid(self.model, X)
+
+    def test_bad_row_in_a_later_block_named_by_global_index(self, monkeypatch):
+        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 4)
+        X = self.cohort.features[:12].copy()
+        X[9, 0] = np.nan
+        with pytest.raises(ValueError, match="row 9:"):
             predict_cif_grid(self.model, X)
 
     @pytest.mark.parametrize("fn", [weighted_summaries, predict_curves,
