@@ -16,7 +16,6 @@ from .core import (
     EventTimeGrid,
     PiecewiseHazard,
     StepCurve,
-    SubjectRecord,
     aalen_johansen,
     breslow_preprocess,
     build_event_grid,
@@ -43,7 +42,6 @@ from .embedding import (
     embed,
     embed_batch,
     init_mlp,
-    kernel,
     kernel_matrix,
 )
 from .errors import (
@@ -70,7 +68,6 @@ from .finetune import (
     init_sft_params,
     sft_counts,
     sft_loss_and_grad,
-    sft_negative_log_likelihood,
 )
 from .metrics import (
     BrierResult,
@@ -83,6 +80,8 @@ from .metrics import (
     evaluate_cif_predictions,
     integrated_brier,
     interpolate_curves,
+    score_curves,
+    scorer,
 )
 from .model import (
     Explanation,

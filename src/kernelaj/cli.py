@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import metrics as metricsmod
-from .clustering import build_cluster_model, tau_from_min_kernel_weight
+from .clustering import build_cluster_model, cluster_positions, tau_from_min_kernel_weight
 from .core import (
     Cohort,
     build_event_grid,
@@ -36,7 +36,7 @@ from .errors import ConfigError, KernelAJError, SchemaMismatch
 from .finetune import fine_tune_summaries
 from .model import KernelAJModel, exemplar_kernel_matrix, explain_rows, predict_cif_grid
 from .serialize import load_model, save_model
-from .training import TrainConfig, _criterion_inputs, discretize_times, train_embedding
+from .training import TrainConfig, criterion_scorer, discretize_times, train_embedding
 
 _TOP_KEYS = {"seed", "output_dir", "data", "embedding", "training",
              "clustering", "sft"}
@@ -76,6 +76,21 @@ def _checked(path: str, build):
         return build()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid value in '{path}': {exc}", key=path) from None
+
+
+def _load_data(data_cfg: dict, key: str):
+    """The ``data.<key>`` table of a fit config."""
+    try:
+        return load_cohort(data_cfg[key], data_cfg["schema"], data_cfg["time_column"],
+                           data_cfg["event_column"])
+    except FileNotFoundError:
+        raise ConfigError(f"missing data path 'data.{key}': {data_cfg[key]}",
+                          key=f"data.{key}") from None
+
+
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _load_json(path):
@@ -145,21 +160,9 @@ def cmd_fit(config_path: str) -> int:
     data_cfg = doc["data"]
 
     schema_spec = data_cfg["schema"]
-    try:
-        train_table = load_cohort(data_cfg["train"], schema_spec,
-                                  data_cfg["time_column"], data_cfg["event_column"])
-    except FileNotFoundError:
-        raise ConfigError(f"missing data path 'data.train': {data_cfg['train']}",
-                          key="data.train") from None
-
+    train_table = _load_data(data_cfg, "train")
     if data_cfg.get("valid"):
-        try:
-            valid_table = load_cohort(data_cfg["valid"], schema_spec,
-                                      data_cfg["time_column"],
-                                      data_cfg["event_column"])
-        except FileNotFoundError:
-            raise ConfigError(f"missing data path 'data.valid': {data_cfg['valid']}",
-                              key="data.valid") from None
+        valid_table = _load_data(data_cfg, "valid")
         train_cohort, valid_cohort, schema = _checked(
             f"{data_cfg['train']}, {data_cfg['valid']}",
             lambda: fit_apply_preprocessor(train_table, valid_table,
@@ -213,10 +216,10 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     sft_tcfg = _sft_train_config(sft_config, tcfg) if sft_config.get("enabled") else None
     grid = build_event_grid(train_cohort)
     dtm = discretize_times(grid, tcfg.num_time_steps)
-    train_pre, kappa = dtm.apply(train_cohort)
+    train_pre, _ = dtm.apply(train_cohort)
     valid_pre, _ = dtm.apply(valid_cohort)
     if sft_tcfg is not None:
-        _criterion_inputs(sft_tcfg.early_stop_criterion, train_pre, valid_pre, dtm, kappa)
+        criterion_scorer(sft_tcfg.early_stop_criterion, train_pre, valid_pre, dtm)
 
     params, train_log = train_embedding(train_pre, valid_pre, ecfg, tcfg, dtm)
 
@@ -226,10 +229,11 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
                                    tau, shuffle_seed)
     pop_d, pop_n = risk_event_counts(train_pre, dtm.grid)
 
-    feature_means = np.vstack([
-        train_pre.features[clusters.assignments == q].mean(axis=0)
-        for q in clusters.exemplar_ids
-    ])
+    # each cluster's rows in input order, so every mean keeps its bits
+    order = np.argsort(cluster_positions(clusters.exemplar_ids, clusters.assignments),
+                       kind="stable")
+    feature_means = np.vstack([rows.mean(axis=0) for rows in np.split(
+        train_pre.features[order], np.cumsum(clusters.cluster_sizes())[:-1])])
     model = KernelAJModel(
         params=params,
         clusters=clusters,
@@ -270,18 +274,12 @@ def cmd_evaluate(model_path: str, data_path: str, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
 
     cif, _, _ = predict_cif_grid(model, cohort.features)
-    event_times = cohort.time[cohort.event != 0]
-    eval_grid = metricsmod.build_eval_grid(event_times)
-    censor = metricsmod.censoring_survival(cohort)
-    scores = metricsmod.evaluate_cif_predictions(
-        cif, model.grid.times, cohort, eval_grid, censor)
-
-    pop = model.population_curves()
-    pop_cif = np.stack([
-        np.tile(c.values, (cohort.n, 1)) for c in pop.cifs
-    ])
-    pop_scores = metricsmod.evaluate_cif_predictions(
-        pop_cif, model.grid.times, cohort, eval_grid, censor)
+    scorer = metricsmod.scorer(
+        cohort, metricsmod.build_eval_grid(cohort.time[cohort.event != 0]))
+    scores = metricsmod.score_curves(cif, model.grid.times, scorer)
+    pop_cif = np.stack([np.tile(c.values, (cohort.n, 1))
+                        for c in model.population_curves().cifs])
+    pop_scores = metricsmod.score_curves(pop_cif, model.grid.times, scorer)
 
     lines = ["event,metric,value"]
     for d in range(1, model.m + 1):
@@ -290,8 +288,7 @@ def cmd_evaluate(model_path: str, data_path: str, out_dir: str,
         lines.append(f"{d},ctd_population,{pop_scores['ctd'][d - 1]!r}")
         lines.append(f"{d},ibs_population,{pop_scores['ibs'][d - 1]!r}")
     out_path = os.path.join(out_dir, "metrics.csv")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(out_path, lines)
     print(f"metrics written to {out_path}")
     return 0
 
@@ -336,9 +333,7 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
         for qi in order:
             lines.append(f"{int(ids[qi])},{int(sizes[qi])}," +
                          ",".join(repr(float(r)) for r in cif[:, qi, -1]))
-        with open(os.path.join(out_dir, "cluster_summary.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(os.path.join(out_dir, "cluster_summary.csv"), lines)
 
         lines = ["exemplar_id,time,survival," +
                  ",".join(f"cif_{d}" for d in range(1, model.m + 1))]
@@ -347,9 +342,7 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                 vals = [surv[qi, k], *cif[:, qi, k]]
                 lines.append(f"{int(ids[qi])},{float(t)!r}," +
                              ",".join(repr(float(v)) for v in vals))
-        with open(os.path.join(out_dir, "cluster_cifs.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(os.path.join(out_dir, "cluster_cifs.csv"), lines)
 
         feat_rows = _original_scale_summary(model, schema)
         if feat_rows:
@@ -359,17 +352,13 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                 lines.append(",".join(
                     str(row[c]) if c == "exemplar_id" else repr(row[c])
                     for c in cols))
-            with open(os.path.join(out_dir, "cluster_features.csv"), "w",
-                      encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+            _write_lines(os.path.join(out_dir, "cluster_features.csv"), lines)
 
         K = exemplar_kernel_matrix(model)
         lines = ["exemplar_id," + ",".join(str(int(i)) for i in ids)]
         for qi, ex in enumerate(ids):
             lines.append(f"{int(ex)}," + ",".join(repr(float(v)) for v in K[qi]))
-        with open(os.path.join(out_dir, "kernel_matrix.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(os.path.join(out_dir, "kernel_matrix.csv"), lines)
         print(f"cluster reports written to {out_dir}")
         return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cohort, EventTimeGrid, risk_event_counts
+from .core import Cohort, EventTimeGrid
 from .errors import ShapeMismatch
 
 
@@ -62,24 +62,36 @@ def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float, shuffle_seed=Non
     return np.asarray(exemplar_ids, dtype=np.int64), assignments
 
 
+def cluster_positions(exemplar_ids, assignments) -> np.ndarray:
+    """Position in ``exemplar_ids`` of every point's exemplar."""
+    exemplar_ids = np.asarray(exemplar_ids, dtype=np.int64)
+    assignments = np.asarray(assignments, dtype=np.int64)
+    position = np.full(max(exemplar_ids.max(), assignments.max()) + 1, -1)
+    position[exemplar_ids] = np.arange(exemplar_ids.size)
+    pos = position[assignments]
+    if (pos < 0).any():
+        raise ValueError("every assignment must reference an exemplar")
+    return pos
+
+
 def summarize_clusters(cohort_pre: Cohort, grid: EventTimeGrid,
                        assignments: np.ndarray, exemplar_ids: np.ndarray):
     """Per-cluster event counts (Q, L, m) and at-risk counts (Q, L).
 
-    The cohort must already be preprocessed on ``grid``; summing the tables
-    over clusters reproduces the population counts exactly.
+    The cohort must already be preprocessed on ``grid``, so an event lies
+    exactly on its bin's grid time. One pass counts the points of every
+    (cluster, bin, event) cell, with bin kappa = number of grid times <= the
+    point's time; at-risk counts are reverse cumulative sums over bins.
+    Summing the tables over clusters reproduces the population counts
+    exactly.
     """
-    exemplar_ids = np.asarray(exemplar_ids, dtype=np.int64)
-    assignments = np.asarray(assignments, dtype=np.int64)
-    Q, L, m = exemplar_ids.size, len(grid), cohort_pre.m
-    d_cluster = np.zeros((Q, L, m), dtype=np.float64)
-    n_cluster = np.zeros((Q, L), dtype=np.float64)
-    for qi, q in enumerate(exemplar_ids):
-        members = np.flatnonzero(assignments == q)
-        d, n = risk_event_counts(cohort_pre.subset(members), grid)
-        d_cluster[qi] = d
-        n_cluster[qi] = n
-    return d_cluster, n_cluster
+    Q, L, m = np.size(exemplar_ids), len(grid), cohort_pre.m
+    kappa = np.searchsorted(grid.times, cohort_pre.time, side="right")
+    cells = np.zeros((Q, L + 1, m + 1))
+    np.add.at(cells, (cluster_positions(exemplar_ids, assignments), kappa,
+                      cohort_pre.event), 1.0)
+    n_cluster = np.cumsum(cells[:, :0:-1].sum(axis=2), axis=1)[:, ::-1]
+    return np.ascontiguousarray(cells[:, 1:, 1:]), np.ascontiguousarray(n_cluster)
 
 
 @dataclass(frozen=True)
@@ -127,9 +139,8 @@ class ClusterModel:
         return int(self.exemplar_ids.size)
 
     def cluster_sizes(self) -> np.ndarray:
-        return np.array(
-            [(self.assignments == q).sum() for q in self.exemplar_ids], dtype=np.int64
-        )
+        return np.bincount(cluster_positions(self.exemplar_ids, self.assignments),
+                           minlength=self.num_clusters)
 
 
 def build_cluster_model(embeddings, cohort_pre, grid, epsilon, tau,

@@ -18,20 +18,11 @@ Callers must not perturb observed times after preprocessing: tie handling
 relies on exact floating-point equality of times snapped to grid values.
 """
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRisk, EmptyCohort, NoEvents, ShapeMismatch
-
-
-class SubjectRecord(NamedTuple):
-    """One observation: feature vector, observed time, event indicator."""
-
-    features: np.ndarray
-    time: float
-    event: int
 
 
 @dataclass(frozen=True)
@@ -86,16 +77,6 @@ class Cohort:
     @property
     def p(self) -> int:
         return self.features.shape[1]
-
-    @classmethod
-    def from_records(cls, records: Sequence[SubjectRecord], m: int) -> "Cohort":
-        feats = np.vstack([np.atleast_1d(r.features) for r in records])
-        times = np.array([r.time for r in records], dtype=np.float64)
-        events = np.array([r.event for r in records], dtype=np.int64)
-        return cls(feats, times, events, m)
-
-    def record(self, i: int) -> SubjectRecord:
-        return SubjectRecord(self.features[i], float(self.time[i]), int(self.event[i]))
 
     def subset(self, idx) -> "Cohort":
         idx = np.asarray(idx)

@@ -230,16 +230,6 @@ def kernel_matrix(E1: np.ndarray, E2=None, out=None) -> np.ndarray:
     return np.exp(D2, out=D2)
 
 
-def kernel(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Similarity of two embeddings in (0, 1]; 1 iff the embeddings match."""
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    if e1.shape != e2.shape:
-        raise ShapeMismatch(f"embedding shapes differ: {e1.shape} vs {e2.shape}")
-    diff = e1 - e2
-    return float(np.exp(-(diff @ diff)))
-
-
 def kernel_matrix_backward(E: np.ndarray, K: np.ndarray, dK: np.ndarray,
                            out=None) -> np.ndarray:
     """dLoss/dE given dLoss/dK for K = exp(-pairwise_sq_dists(E)).

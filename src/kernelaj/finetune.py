@@ -15,10 +15,11 @@ subjects to the exemplars. SFT minimizes the training step's objective
 leave-one-out, by gradient descent: dLoss/dpsi is chained through the
 step's num/den rule to D and N, then through W and the parameterization.
 Initialization reproduces the raw counts up to a 1e-12 floor that guards
-log(0). Candidates are scored with the training criterion's inputs and
-scorer; the tuned tables are kept only when the validation criterion
-strictly improves, otherwise the original model is returned with
-``sft_rejected`` set.
+log(0). Candidates are scored with the training criterion's scorer
+(:func:`training.criterion_scorer`) and stopped by its
+:class:`training.TrainingLog`; the tuned tables are kept only when the
+validation criterion strictly improves, otherwise the original model is
+returned with ``sft_rejected`` set.
 """
 
 from dataclasses import dataclass
@@ -28,15 +29,14 @@ import numpy as np
 from .clustering import ClusterModel
 from .core import Cohort, safe_reciprocal
 from .errors import ShapeMismatch
+from .metrics import score_curves
 from .model import _curves_from_weights, frozen_subject_weights
 from .training import (
     TrainConfig,
     TrainingLog,
-    _criterion_inputs,
-    _criterion_is_improvement,
-    _curve_criterion,
     _ratio_backward,
     _reverse_cumsum,
+    criterion_scorer,
     objective_and_dpsi,
     objective_value,
 )
@@ -141,13 +141,6 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
     return objective_value(psi, kap, dl, alpha, sigma)
 
 
-def sft_negative_log_likelihood(params: SftParams, weights, kappa, delta,
-                                alpha: float = 1.0, sigma: float = 1.0) -> float:
-    """:func:`sft_objective_from_tables` of the tables the parameters derive."""
-    return sft_objective_from_tables(*sft_counts(params), weights, kappa, delta,
-                                     alpha, sigma)
-
-
 def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
                       alpha: float = 1.0, sigma: float = 1.0, buffers=None):
     """Loss plus exact gradients w.r.t. every fine-tuning parameter.
@@ -206,7 +199,8 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     W_train = frozen_subject_weights(model.params, model.clusters, train.features)
     W_valid = frozen_subject_weights(model.params, model.clusters, valid.features)
     _, kappa_tr = model.dtm.apply(train)
-    inputs = _criterion_inputs(criterion, train, valid, model.dtm, kappa_tr)
+    _, kappa_va = model.dtm.apply(valid)
+    valid_scorer = criterion_scorer(criterion, train, valid, model.dtm)
     W_train, kappa_tr, event_tr = _active_rows(W_train, kappa_tr, train.event)
     buffers = np.empty((3, model.m, kappa_tr.size, len(model.grid)))
 
@@ -214,50 +208,39 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
         if criterion == "objective":
             return sft_objective_from_tables(
                 candidate_model.d_tables, candidate_model.n_tables,
-                W_valid, inputs.kappa_valid, valid.event, config.alpha, config.sigma)
+                W_valid, kappa_va, valid.event, config.alpha, config.sigma)
         cif, _, _ = _curves_from_weights(candidate_model, W_valid)
-        return _curve_criterion(criterion, cif, model.grid.times, valid, inputs)
+        return float(np.mean(score_curves(cif, model.grid.times, valid_scorer,
+                                          (criterion,))[criterion]))
 
     params = init_sft_params(model.clusters)
-    # Baseline on the init-parameter tables: a run that never moves the
-    # parameters then ties exactly and backtracks. The raw-table value guards
-    # acceptance against the (<= 1e-6 relative) floor perturbation.
+    # A candidate must beat both the init-parameter tables (a run that never
+    # moves the parameters then ties exactly and backtracks) and the raw
+    # tables (which differ by the <= 1e-6 relative floor): the log starts
+    # from the better of the two.
     d0, n0 = sft_counts(params)
-    baseline = evaluate(model.with_tables(d0, n0))
+    log = TrainingLog(criterion=criterion, best_value=evaluate(model.with_tables(d0, n0)))
     raw_value = evaluate(model)
+    if log.improves(raw_value):
+        log.best_value = raw_value
 
-    log = TrainingLog(criterion=criterion)
-    best_value = baseline
     best_params = None
-    stall = 0
     for epoch in range(1, config.max_epochs + 1):
         loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, event_tr,
                                         config.alpha, config.sigma, buffers)
         params = params.shifted(*grads, step=config.learning_rate)
         d_prime, n_prime = sft_counts(params)
-        candidate = model.with_tables(d_prime, n_prime, sft_applied=True)
-        value = evaluate(candidate)
-        improved = (
-            _criterion_is_improvement(criterion, value, best_value)
-            and _criterion_is_improvement(criterion, value, raw_value))
-        if improved:
-            best_value = value
+        if log.add(epoch, loss, evaluate(model.with_tables(d_prime, n_prime,
+                                                           sft_applied=True))):
             best_params = params
-            log.best_epoch = epoch
-            log.best_value = float(value)
-            stall = 0
-        else:
-            stall += 1
-        log.add(epoch, loss, value, improved)
-        if stall >= config.patience:
+        if log.stalled(epoch, config.patience):
             break
 
-    result = SftResult(accepted=best_params is not None,
-                       baseline_criterion=float(raw_value),
-                       best_criterion=float(
-                           best_value if best_params is not None else raw_value),
+    accepted = best_params is not None
+    result = SftResult(accepted=accepted, baseline_criterion=float(raw_value),
+                       best_criterion=float(log.best_value if accepted else raw_value),
                        log=log)
-    if best_params is None:
+    if not accepted:
         return model.with_tables(model.clusters.d_cluster, model.clusters.n_cluster,
                                  sft_applied=False, sft_rejected=True), result
     d_prime, n_prime = sft_counts(best_params)

@@ -247,22 +247,51 @@ def concordance_td_from_curves(curve_values, knot_times, cohort: Cohort,
     return (concordant + 0.5 * ties) / comparable
 
 
-def evaluate_cif_predictions(curves_per_event, knot_times, cohort: Cohort,
-                             eval_grid: EvalGrid, censor_curve=None) -> dict:
-    """Per-event concordance and integrated Brier score for a prediction set.
+@dataclass(frozen=True)
+class Scorer:
+    """A cohort to score predictions on and, for IBS, its evaluation grid
+    with the censoring weights on it (see :func:`scorer`)."""
 
-    ``curves_per_event`` is (m, n, L): CIF values at the model grid for each
-    subject. Returns {"ctd": [...], "ibs": [...]} indexed by event type - 1.
-    """
-    curves = np.asarray(curves_per_event, dtype=np.float64)
-    m = curves.shape[0]
+    cohort: Cohort
+    eval_grid: EvalGrid = None
+    weights: tuple = None
+
+
+def scorer(cohort: Cohort, eval_grid: EvalGrid = None, censor_curve=None) -> Scorer:
+    """A :class:`Scorer` of ``cohort``. IBS needs ``eval_grid``; its IPCW
+    weights come from ``censor_curve`` (the cohort's own censoring
+    Kaplan-Meier curve by default) and are computed here, once."""
+    if eval_grid is None:
+        return Scorer(cohort)
     if censor_curve is None:
         censor_curve = censoring_survival(cohort)
-    weights = ipcw_weights(cohort, eval_grid.times, censor_curve)
-    out = {"ctd": [], "ibs": []}
-    for d in range(1, m + 1):
-        out["ctd"].append(concordance_td_from_curves(curves[d - 1], knot_times, cohort, d))
-        pred = interpolate_curves(curves[d - 1], knot_times, eval_grid.times)
-        bs, _ = brier_scores(pred, cohort, d, eval_grid.times, weights)
-        out["ibs"].append(integrated_brier(bs, eval_grid))
+    return Scorer(cohort, eval_grid, ipcw_weights(cohort, eval_grid.times, censor_curve))
+
+
+def score_curves(curves, knot_times, scorer: Scorer, criteria=("ctd", "ibs")) -> dict:
+    """Per-event scores of CIF values ``curves`` (m, n, L) at ``knot_times``.
+
+    Returns {criterion: [score of event 1, ..., event m]} for each of the
+    requested ``criteria``, "ctd" (:func:`concordance_td_from_curves`)
+    and "ibs" (the curves interpolated onto the scorer's grid, Brier-scored
+    with its weights and integrated); nothing else is computed.
+    """
+    curves = np.asarray(curves, dtype=np.float64)
+    cohort, grid = scorer.cohort, scorer.eval_grid
+    out = {criterion: [] for criterion in criteria}
+    for d in range(1, curves.shape[0] + 1):
+        if "ctd" in out:
+            out["ctd"].append(concordance_td_from_curves(curves[d - 1], knot_times, cohort, d))
+        if "ibs" in out:
+            pred = interpolate_curves(curves[d - 1], knot_times, grid.times)
+            bs, _ = brier_scores(pred, cohort, d, grid.times, scorer.weights)
+            out["ibs"].append(integrated_brier(bs, grid))
     return out
+
+
+def evaluate_cif_predictions(curves_per_event, knot_times, cohort: Cohort,
+                             eval_grid: EvalGrid, censor_curve=None) -> dict:
+    """Per-event concordance and integrated Brier score for a prediction set:
+    {"ctd": [...], "ibs": [...]} from :func:`score_curves`."""
+    return score_curves(curves_per_event, knot_times,
+                        scorer(cohort, eval_grid, censor_curve))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clustering import ClusterModel
-from .core import CifSet, Cohort, cif_from_hazards, curves_from_counts, table_hazards
+from .core import CifSet, cif_from_hazards, curves_from_counts, table_hazards
 from .embedding import MlpParams, forward_cached, pairwise_sq_dists, rowwise_matmul
 from .errors import EmptyNeighborhood, NoRisk, NonFiniteFeatures, ShapeMismatch
 from .training import DiscreteTimeMap
@@ -283,8 +283,3 @@ def exemplar_kernel_matrix(model: KernelAJModel) -> np.ndarray:
     sq = pairwise_sq_dists(model.clusters.exemplar_embeddings)
     return np.exp(-sq)
 
-
-def cohort_cif_predictions(model: KernelAJModel, cohort: Cohort):
-    """CIF curves at grid times for every cohort member: (m, n, L)."""
-    cif, _, _ = predict_cif_grid(model, cohort.features)
-    return cif

@@ -79,7 +79,6 @@ from .core import (
 )
 from .embedding import (
     EmbeddingConfig,
-    MlpParams,
     backward,
     embed_batch,
     flatten_grads,
@@ -90,17 +89,8 @@ from .embedding import (
     kernel_matrix_backward,
     unflatten_params,
 )
-from .errors import DegenerateGrid, NoComparablePairs, NoEvents, ShapeMismatch
-from .metrics import (
-    EvalGrid,
-    brier_scores,
-    build_eval_grid,
-    censoring_survival,
-    concordance_td_from_curves,
-    integrated_brier,
-    interpolate_curves,
-    ipcw_weights,
-)
+from .errors import NoEvents, ShapeMismatch
+from .metrics import Scorer, build_eval_grid, score_curves, scorer
 
 PSI_CLAMP = 1e-12
 MAX_TIME_STEPS = 512
@@ -458,18 +448,34 @@ def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):
 
 @dataclass
 class TrainingLog:
-    """Per-epoch record of the loss and the early-stopping criterion."""
+    """Per-epoch record of the loss and the early-stopping criterion, and
+    the stopping rule: an epoch is the best so far when its value strictly
+    beats ``best_value`` (higher for ctd, lower otherwise). ``best_value``
+    starts as NaN, which any first value beats."""
 
     criterion: str
     rows: list = field(default_factory=list)
     best_epoch: int = 0
     best_value: float = np.nan
 
-    def add(self, epoch, train_loss, valid_criterion, is_best):
-        self.rows.append((epoch, float(train_loss), float(valid_criterion), bool(is_best)))
+    def improves(self, value) -> bool:
+        if np.isnan(self.best_value):
+            return True
+        if self.criterion == "ctd":
+            return value > self.best_value
+        return value < self.best_value
 
-    def criterion_history(self):
-        return [r[2] for r in self.rows]
+    def add(self, epoch, train_loss, value) -> bool:
+        """Record an epoch; returns whether it is the new best."""
+        improved = self.improves(value)
+        if improved:
+            self.best_epoch, self.best_value = epoch, float(value)
+        self.rows.append((epoch, float(train_loss), float(value), improved))
+        return improved
+
+    def stalled(self, epoch, patience) -> bool:
+        """No improvement in the last ``patience`` epochs up to ``epoch``."""
+        return epoch - self.best_epoch >= patience
 
     def to_csv(self) -> str:
         lines = ["epoch,train_loss,valid_criterion,is_best"]
@@ -478,74 +484,40 @@ class TrainingLog:
         return "\n".join(lines) + "\n"
 
 
-def _criterion_is_improvement(criterion, value, best):
-    if np.isnan(best):
-        return True
-    if criterion == "ctd":
-        return value > best
-    return value < best
+def criterion_scorer(criterion, train: Cohort, valid: Cohort,
+                     dtm: DiscreteTimeMap) -> Scorer:
+    """The validation cohort's scorer for ``criterion``; IBS is scored on the
+    grid of pooled training and validation event times.
 
-
-class _CriterionInputs(NamedTuple):
-    """What the validation criterion needs that does not change during a fit:
-    time bins of both cohorts and, for IBS, the evaluation grid plus the
-    validation cohort's censoring weights on it."""
-
-    kappa_train: np.ndarray
-    kappa_valid: np.ndarray
-    eval_grid: EvalGrid = None
-    weights: tuple = None
-
-
-def _criterion_inputs(criterion, train, valid, dtm, kappa_train) -> _CriterionInputs:
-    """Precompute the criterion's fixed inputs and check that it can be
-    computed at all, so an infeasible criterion fails before epoch 1."""
-    _, kappa_valid = dtm.apply(valid)
-    if criterion == "ctd":
-        last = valid.time.max()
-        for d in range(1, train.m + 1):
-            if not (valid.time[valid.event == d] < last).any():
-                raise NoComparablePairs(
-                    f"validation cohort has no comparable pairs for event {d}")
-    if criterion != "ibs":
-        return _CriterionInputs(kappa_train, kappa_valid)
-    pooled = np.concatenate(
-        (train.time[train.event != 0], valid.time[valid.event != 0]))
-    eval_grid = build_eval_grid(pooled)
-    if len(eval_grid) < 2:
-        raise DegenerateGrid("the IBS criterion needs at least 2 evaluation times")
-    weights = ipcw_weights(valid, eval_grid.times, censoring_survival(valid))
-    return _CriterionInputs(kappa_train, kappa_valid, eval_grid, weights)
+    One prediction set (all zeros) is scored here, so a criterion that
+    cannot be computed raises before training starts, with the scorer's own
+    error: NoComparablePairs naming the event for ctd, DegenerateGrid for
+    IBS with fewer than 2 evaluation times.
+    """
+    eval_grid = None
+    if criterion == "ibs":
+        eval_grid = build_eval_grid(np.concatenate(
+            (train.time[train.event != 0], valid.time[valid.event != 0])))
+    valid_scorer = scorer(valid, eval_grid)
+    if criterion != "objective":
+        zeros = np.broadcast_to(0.0, (train.m, valid.n, len(dtm.grid)))
+        score_curves(zeros, dtm.grid.times, valid_scorer, (criterion,))
+    return valid_scorer
 
 
 def _evaluate_criterion(criterion, params, train, valid, dtm, tcfg,
-                        inputs: _CriterionInputs):
+                        valid_scorer: Scorer):
     """Validation criterion with hazards against the full training set."""
     m, L = train.m, len(dtm.grid)
     E_train = embed_batch(params, train.features)
     E_valid = embed_batch(params, valid.features)
-    psi, F, _ = kernel_hazard_curves(E_valid, E_train, inputs.kappa_train,
+    psi, F, _ = kernel_hazard_curves(E_valid, E_train, dtm.apply(train)[1],
                                      train.event, m, L)
-
     if criterion == "objective":
-        return objective_value(psi, inputs.kappa_valid, valid.event, tcfg.alpha,
+        return objective_value(psi, dtm.apply(valid)[1], valid.event, tcfg.alpha,
                                tcfg.sigma)
-    return _curve_criterion(criterion, F, dtm.grid.times, valid, inputs)
-
-
-def _curve_criterion(criterion, F, knot_times, valid, inputs: _CriterionInputs):
-    """The IBS or ctd criterion of CIF values F (m, q, L) at ``knot_times``
-    for the validation cohort, averaged over event types."""
-    values = []
-    for d in range(1, F.shape[0] + 1):
-        if criterion == "ibs":
-            times = inputs.eval_grid.times
-            pred = interpolate_curves(F[d - 1], knot_times, times)
-            bs, _ = brier_scores(pred, valid, d, times, inputs.weights)
-            values.append(integrated_brier(bs, inputs.eval_grid))
-        else:
-            values.append(concordance_td_from_curves(F[d - 1], knot_times, valid, d))
-    return float(np.mean(values))
+    return float(np.mean(score_curves(F, dtm.grid.times, valid_scorer,
+                                      (criterion,))[criterion]))
 
 
 def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
@@ -553,12 +525,11 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
     """Minibatch gradient descent with patience-based early stopping.
 
     Both cohorts must already be preprocessed on the shared time map. A
-    criterion that cannot be computed on them (ctd without a comparable pair
-    for some event type, IBS with fewer than 2 evaluation times) raises
-    before the first epoch. After every epoch the configured validation
+    criterion that cannot be computed on them raises before the first epoch
+    (:func:`criterion_scorer`). After every epoch the configured validation
     criterion is evaluated against the full training set embeddings; the
-    best checkpoint is kept and training stops when no improvement is seen
-    for ``patience`` epochs.
+    log's best checkpoint is kept and training stops when the log has
+    stalled for ``patience`` epochs.
 
     Returns (best_params, TrainingLog).
     """
@@ -566,7 +537,7 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
         raise NoEvents("training cohort has no uncensored records")
     m, L = train.m, len(dtm.grid)
     _, kappa = dtm.apply(train)
-    inputs = _criterion_inputs(tcfg.early_stop_criterion, train, valid, dtm, kappa)
+    valid_scorer = criterion_scorer(tcfg.early_stop_criterion, train, valid, dtm)
 
     params = init_mlp(ecfg)
     side = min(tcfg.batch_size, train.n)
@@ -576,8 +547,6 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
     rng = np.random.default_rng(tcfg.seed)
     log = TrainingLog(criterion=tcfg.early_stop_criterion)
     best_params = params.copy()
-    best_value = np.nan
-    stall = 0
 
     for epoch in range(1, tcfg.max_epochs + 1):
         perm = rng.permutation(train.n)
@@ -599,18 +568,10 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
         epoch_loss = epoch_loss / max(seen, 1)
 
         value = _evaluate_criterion(
-            tcfg.early_stop_criterion, params, train, valid, dtm, tcfg, inputs)
-        improved = _criterion_is_improvement(tcfg.early_stop_criterion, value, best_value)
-        if improved:
-            best_value = value
+            tcfg.early_stop_criterion, params, train, valid, dtm, tcfg, valid_scorer)
+        if log.add(epoch, epoch_loss, value):
             best_params = params.copy()
-            log.best_epoch = epoch
-            log.best_value = float(value)
-            stall = 0
-        else:
-            stall += 1
-        log.add(epoch, epoch_loss, value, improved)
-        if stall >= tcfg.patience:
+        if log.stalled(epoch, tcfg.patience):
             break
 
     return best_params, log

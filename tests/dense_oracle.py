@@ -1,6 +1,9 @@
 """The dense one-hot training step, validation hazards, scalar Brier
 score, CIF recursion, NLL, pairwise ranking loss, n x n concordance risk
-matrix and hand-derived fine-tuning objective that ``kernelaj`` replaced.
+matrix, hand-derived fine-tuning objective, hand-written criterion checks,
+stopping rule and per-cluster loops that ``kernelaj`` replaced, plus the
+scalar kernel and the fine-tuning objective of parameters, which only tests
+use.
 
 The functions below are kept verbatim as test oracles: the kernel comes
 from E @ E.T, the hazard tables from weight-matrix products with (n, L)
@@ -16,11 +19,11 @@ parameterization) are imported from the package.
 
 import numpy as np
 
-from kernelaj.core import Cohort, StepCurve, cif_from_hazards
+from kernelaj.core import Cohort, StepCurve, cif_from_hazards, risk_event_counts
 from kernelaj.embedding import backward, forward_cached
-from kernelaj.errors import ShapeMismatch
-from kernelaj.metrics import BrierResult, interpolate_curves
-from kernelaj.finetune import _active_rows, sft_counts
+from kernelaj.errors import DegenerateGrid, NoComparablePairs, ShapeMismatch
+from kernelaj.metrics import BrierResult, build_eval_grid, interpolate_curves
+from kernelaj.finetune import _active_rows, sft_counts, sft_objective_from_tables
 from kernelaj.training import (
     PSI_CLAMP,
     _at_risk,
@@ -404,3 +407,70 @@ def _sft_objective(params, weights, kappa, delta, alpha, sigma, want_grad):
         (dc_prime * np.exp(params.omega_baseline)[None, :]).sum(axis=0),
     )
     return loss, grads
+
+
+def kernel(e1, e2) -> float:
+    """Similarity of two embeddings in (0, 1]; 1 iff the embeddings match."""
+    e1 = np.asarray(e1, dtype=np.float64)
+    e2 = np.asarray(e2, dtype=np.float64)
+    if e1.shape != e2.shape:
+        raise ShapeMismatch(f"embedding shapes differ: {e1.shape} vs {e2.shape}")
+    diff = e1 - e2
+    return float(np.exp(-(diff @ diff)))
+
+
+def sft_negative_log_likelihood(params, weights, kappa, delta, alpha=1.0, sigma=1.0):
+    """``sft_objective_from_tables`` of the tables the parameters derive."""
+    return sft_objective_from_tables(*sft_counts(params), weights, kappa, delta,
+                                     alpha, sigma)
+
+
+def check_criterion(criterion, train, valid):
+    """The hand-written feasibility checks of the validation criterion: ctd
+    needs, for every event type, a validation event before the last
+    validation time; IBS needs at least 2 evaluation times on the pooled
+    event times."""
+    if criterion == "ctd":
+        last = valid.time.max()
+        for d in range(1, train.m + 1):
+            if not (valid.time[valid.event == d] < last).any():
+                raise NoComparablePairs(
+                    f"validation cohort has no comparable pairs for event {d}")
+    if criterion == "ibs":
+        pooled = np.concatenate(
+            (train.time[train.event != 0], valid.time[valid.event != 0]))
+        if len(build_eval_grid(pooled)) < 2:
+            raise DegenerateGrid("the IBS criterion needs at least 2 evaluation times")
+
+
+def criterion_is_improvement(criterion, value, best):
+    """The per-loop stopping rule: any value beats a NaN best; ctd is
+    higher-better, every other criterion lower-better, both strict."""
+    if np.isnan(best):
+        return True
+    if criterion == "ctd":
+        return value > best
+    return value < best
+
+
+def summarize_clusters(cohort_pre, grid, assignments, exemplar_ids):
+    """Per-cluster (d, n) tables, one member cohort per cluster."""
+    exemplar_ids = np.asarray(exemplar_ids, dtype=np.int64)
+    assignments = np.asarray(assignments, dtype=np.int64)
+    Q, L, m = exemplar_ids.size, len(grid), cohort_pre.m
+    d_cluster = np.zeros((Q, L, m), dtype=np.float64)
+    n_cluster = np.zeros((Q, L), dtype=np.float64)
+    for qi, q in enumerate(exemplar_ids):
+        members = np.flatnonzero(assignments == q)
+        d, n = risk_event_counts(cohort_pre.subset(members), grid)
+        d_cluster[qi] = d
+        n_cluster[qi] = n
+    return d_cluster, n_cluster
+
+
+def cluster_sizes(exemplar_ids, assignments):
+    return np.array([(assignments == q).sum() for q in exemplar_ids], dtype=np.int64)
+
+
+def cluster_feature_means(features, exemplar_ids, assignments):
+    return np.vstack([features[assignments == q].mean(axis=0) for q in exemplar_ids])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_grad, random_batch, relative_error
+from dense_oracle import sft_negative_log_likelihood
 from kernelaj import (
     Cohort,
     EmbeddingConfig,
@@ -44,7 +45,6 @@ from kernelaj.finetune import (
     SftParams,
     frozen_subject_weights,
     sft_loss_and_grad,
-    sft_negative_log_likelihood,
     sft_objective_from_tables,
 )
 from kernelaj.metrics import evaluate_cif_predictions

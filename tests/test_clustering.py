@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
+import dense_oracle as oracle
 from kernelaj import (
+    ClusterModel,
     Cohort,
+    EmbeddingConfig,
+    TrainConfig,
     breslow_preprocess,
     build_cluster_model,
     build_event_grid,
@@ -15,6 +21,7 @@ from kernelaj import (
     summarize_clusters,
     tau_from_min_kernel_weight,
 )
+from kernelaj.cli import fit_pipeline
 
 
 def toy_cohort():
@@ -112,6 +119,59 @@ class TestSummaries:
         d, n = risk_event_counts(pre, grid)
         assert_allclose(d_c.sum(axis=0), d)
         assert_allclose(n_c.sum(axis=0), n)
+
+
+
+@st.composite
+def clustered_cohorts(draw):
+    """(preprocessed cohort, grid, assignments, exemplar_ids): exemplar ids
+    in shuffled creation order, each exemplar assigned to itself, tied and
+    censored times, and clusters with no event or no one at risk late."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 60)), draw(st.integers(1, 3))
+    times = rng.integers(1, 9, n) * 0.5
+    events = rng.integers(0, m + 1, n)
+    events[0] = 1
+    cohort = Cohort(np.zeros((n, 1)), times, events, m)
+    grid = build_event_grid(cohort)
+    pre, _ = breslow_preprocess(cohort, grid)
+    exemplar_ids = rng.permutation(n)[:draw(st.integers(1, n))]
+    assignments = exemplar_ids[rng.integers(0, exemplar_ids.size, n)]
+    assignments[exemplar_ids] = exemplar_ids
+    return pre, grid, assignments, exemplar_ids
+
+
+class TestBookkeeping:
+    """One counting pass per table against the per-cluster loops."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(case=clustered_cohorts())
+    def test_summaries_and_sizes_equal_the_loops(self, case):
+        pre, grid, assignments, exemplar_ids = case
+        d_c, n_c = summarize_clusters(pre, grid, assignments, exemplar_ids)
+        want_d, want_n = oracle.summarize_clusters(pre, grid, assignments, exemplar_ids)
+        assert_array_equal(d_c, want_d)
+        assert_array_equal(n_c, want_n)
+        model = ClusterModel(exemplar_ids, np.zeros((exemplar_ids.size, 1)), assignments,
+                             d_c, n_c, epsilon=0.0, tau=1.0)
+        assert_array_equal(model.cluster_sizes(),
+                           oracle.cluster_sizes(exemplar_ids, assignments))
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_feature_means_keep_their_bits(self, p):
+        # with one feature, .mean(axis=0) sums a contiguous column pairwise,
+        # so a row-by-row accumulation would differ in the last bits
+        rng = np.random.default_rng(p)
+        n = 600
+        X = rng.normal(size=(n, p))
+        cohort = Cohort(X, rng.uniform(0.5, 5.0, n), rng.integers(0, 3, n), m=2)
+        train, valid = cohort.subset(np.arange(500)), cohort.subset(np.arange(500, n))
+        ecfg = EmbeddingConfig(input_dim=p, num_layers=1, hidden_units=4, embed_dim=2)
+        tcfg = TrainConfig(batch_size=128, max_epochs=1, patience=1, num_time_steps=8)
+        model, _ = fit_pipeline(train, valid, ecfg, tcfg, epsilon=0.3, shuffle_seed=1)
+        assert (model.clusters.cluster_sizes() > 8).any()
+        assert_array_equal(model.cluster_feature_means, oracle.cluster_feature_means(
+            X[:500], model.clusters.exemplar_ids, model.clusters.assignments))
 
 
 class TestNeighbors:

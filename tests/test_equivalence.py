@@ -1,7 +1,8 @@
 """The segment-sum training step, validation hazards, per-bin ranking loss,
 blocked interpolation, blocked concordance and vectorised Brier score
-against the dense oracles in ``dense_oracle``, plus the memory bounds of
-the step and the concordance.
+against the dense oracles in ``dense_oracle``, the one scorer against the
+per-event composition it replaced, plus the memory bounds of the step and
+the concordance.
 
 Random cohorts come from hypothesis with ``derandomize=True`` so every run
 draws the same examples.
@@ -20,6 +21,7 @@ from conftest import relative_error
 from kernelaj import (
     Cohort,
     EmbeddingConfig,
+    EvalGrid,
     StepCurve,
     SynthConfig,
     TrainConfig,
@@ -43,8 +45,12 @@ from kernelaj.metrics import (
     censoring_survival,
     concordance_td,
     concordance_td_from_curves,
+    evaluate_cif_predictions,
+    integrated_brier,
     interpolate_curves,
     ipcw_weights,
+    score_curves,
+    scorer,
 )
 from kernelaj.training import (
     kernel_hazard_curves,
@@ -293,12 +299,11 @@ class TestRankingForward:
         valid, _ = dtm.apply(cohort.subset(np.arange(n_train, n_train + q)))
         tcfg = TrainConfig(alpha=0.5, sigma=0.5)
         params = small_params(0)
-        inputs = training._criterion_inputs("objective", train, valid, dtm,
-                                            dtm.apply(train)[1])
+        valid_scorer = training.criterion_scorer("objective", train, valid, dtm)
         tracemalloc.start()
         try:
             value = training._evaluate_criterion("objective", params, train, valid,
-                                                 dtm, tcfg, inputs)
+                                                 dtm, tcfg, valid_scorer)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,3 +430,65 @@ class TestBrier:
                 for k, t in enumerate(horizons)]
         assert list(excluded) == want
         assert max(want) > 0
+
+
+@st.composite
+def scoring_cases(draw):
+    """(curves (m, n, L), knots, cohort, eval grid, censoring curve or None):
+    tied observed times, censoring, competing events and lattice curve
+    values; every event type has a comparable pair. The censoring curve may
+    reach 0, which excludes subjects from the Brier score."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 1, 40))
+    times = rng.integers(1, 12, n) * 0.5
+    events = rng.integers(0, m + 1, n)
+    events[:m], times[:m], times[m] = np.arange(1, m + 1), 0.5, 6.0
+    cohort = Cohort(np.zeros((n, 1)), times, events, m)
+    knots = np.unique(rng.integers(1, 12, draw(st.integers(1, 8))) * 0.5)
+    curves = np.round(rng.uniform(0, 1, (m, n, knots.size)), 1)
+    grid_times = np.unique(rng.integers(1, 14, draw(st.integers(2, 12))) * 0.5)
+    if grid_times.size < 2:
+        grid_times = np.array([1.0, 5.5])
+    censor = draw(st.sampled_from([None, "own", "reaches zero"]))
+    if censor == "own":
+        censor = censoring_survival(cohort)
+    elif censor == "reaches zero":
+        censor = StepCurve(np.sort(rng.uniform(0.5, 6.0, 3)), np.array([0.7, 0.3, 0.0]))
+    return curves, knots, cohort, EvalGrid(grid_times, 100, 90.0), censor
+
+
+class TestScoreCurves:
+    """score_curves against interpolate_curves -> brier_scores ->
+    integrated_brier and concordance_td_from_curves, event by event."""
+
+    @REPRODUCIBLE
+    @given(case=scoring_cases())
+    def test_bit_equal_to_per_event_composition(self, case):
+        curves, knots, cohort, grid, censor = case
+        weights = ipcw_weights(cohort, grid.times,
+                               censor if censor is not None else censoring_survival(cohort))
+        want = {"ctd": [], "ibs": []}
+        for d in range(1, cohort.m + 1):
+            pred = interpolate_curves(curves[d - 1], knots, grid.times)
+            bs, _ = brier_scores(pred, cohort, d, grid.times, weights)
+            want["ibs"].append(integrated_brier(bs, grid))
+            want["ctd"].append(concordance_td_from_curves(curves[d - 1], knots, cohort, d))
+        one = scorer(cohort, grid, censor)
+        assert score_curves(curves, knots, one) == want
+        assert score_curves(curves, knots, one, ("ibs",)) == {"ibs": want["ibs"]}
+        assert score_curves(curves, knots, one, ("ctd",)) == {"ctd": want["ctd"]}
+        assert evaluate_cif_predictions(curves, knots, cohort, grid, censor) == want
+
+    def test_scores_only_the_requested_criteria(self, monkeypatch):
+        cohort = Cohort(np.zeros((4, 1)), [1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], 1)
+        curves = np.linspace(0.1, 0.4, 4)[None, :, None] * np.ones((1, 4, 2))
+        grid = EvalGrid(np.array([1.0, 3.0]), 100, 90.0)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("not requested")
+
+        monkeypatch.setattr(metrics, "concordance_td_from_curves", fail)
+        assert list(score_curves(curves, [1.0, 3.0], scorer(cohort, grid), ("ibs",))) == ["ibs"]
+        monkeypatch.setattr(metrics, "brier_scores", fail)
+        assert list(score_curves(curves, [1.0, 3.0], scorer(cohort), ())) == []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import dense_oracle as oracle
+from dense_oracle import sft_negative_log_likelihood
 from conftest import relative_error
 
 from kernelaj import (
@@ -24,8 +25,8 @@ from kernelaj import (
     predict_cif_grid,
     sft_counts,
     sft_loss_and_grad,
-    sft_negative_log_likelihood,
 )
+from kernelaj import finetune
 from kernelaj.finetune import SftParams, frozen_subject_weights, sft_objective_from_tables
 from kernelaj.model import KernelAJModel
 from kernelaj.core import risk_event_counts
@@ -311,6 +312,37 @@ class TestFineTune:
                 assert result.best_criterion < result.baseline_criterion
             else:
                 assert result.best_criterion == result.baseline_criterion
+
+    @pytest.mark.parametrize("baseline, raw, flags", [
+        (1.0, 0.5, [False, False, True]),        # 0.7 and 0.6 beat the baseline only
+        (0.5, 1.0, [False, False, True]),        # ... the raw tables only
+        (np.nan, 0.5, [False, False, True]),     # a NaN value is beaten by any value
+        (0.5, np.nan, [False, False, True]),
+        (1.0, 0.8, [True, True, True]),
+    ])
+    def test_candidate_must_beat_baseline_and_raw_tables(self, monkeypatch, baseline,
+                                                         raw, flags):
+        model, train, valid = toy_model(seed=4, epsilon=0.8)
+        values = iter([baseline, raw, 0.7, 0.6, 0.4])
+        monkeypatch.setattr(finetune, "sft_objective_from_tables",
+                            lambda *args, **kwargs: next(values))
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=3, patience=3)
+        tuned, result = fine_tune_summaries(model, train, valid, cfg)
+        assert [row[3] for row in result.log.rows] == flags
+        assert result.accepted and tuned.sft_applied
+        assert result.best_criterion == 0.4
+        assert result.baseline_criterion == raw or np.isnan(raw)
+
+    def test_candidate_beating_one_reference_is_rejected(self, monkeypatch):
+        model, train, valid = toy_model(seed=4, epsilon=0.8)
+        for baseline, raw in ((1.0, 0.5), (0.5, 1.0)):
+            values = iter([baseline, raw, 0.7, 0.6])
+            monkeypatch.setattr(finetune, "sft_objective_from_tables",
+                                lambda *args, **kwargs: next(values))
+            cfg = TrainConfig(learning_rate=0.01, max_epochs=2, patience=3)
+            tuned, result = fine_tune_summaries(model, train, valid, cfg)
+            assert not result.accepted and tuned.sft_rejected
+            assert result.best_criterion == raw
 
     def test_same_seed_identical_outcome(self):
         model, train, valid = toy_model(seed=6, epsilon=1.5)

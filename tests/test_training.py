@@ -1,8 +1,11 @@
 """Tests for time discretization, the leave-one-out kernel losses, their
-hand-derived gradients, and the training loop."""
+hand-derived gradients, the training loop, its stopping rule and the
+validation criterion's scorer."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import finite_difference_grad, random_batch, relative_error
@@ -11,7 +14,9 @@ from dense_oracle import (
     _label_matrices,
     _psi_from_weights,
     batch_loss_from_params,
+    check_criterion,
     cif_pair_matrix,
+    criterion_is_improvement,
     loo_hazards,
     loss_nll,
     loss_ranking,
@@ -21,9 +26,11 @@ from kernelaj import (
     DegenerateGrid,
     EmbeddingConfig,
     EventTimeGrid,
+    KernelAJError,
     NoComparablePairs,
     SynthConfig,
     TrainConfig,
+    TrainingLog,
     breslow_preprocess,
     build_event_grid,
     discretize_times,
@@ -325,7 +332,7 @@ class TestTrainingLoop:
                            patience=3, seed=3)
         _, log = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
                                  tcfg, self.dtm)
-        history = log.criterion_history()
+        history = [row[2] for row in log.rows]
         best = np.inf
         stall = 0
         stop_epoch = None
@@ -445,3 +452,84 @@ class TestCriterionFeasibility:
         with pytest.raises(DegenerateGrid):
             train_embedding(train, valid, ecfg, tcfg, dtm)
         assert calls == []
+
+
+@st.composite
+def criterion_cohorts(draw):
+    """Preprocessed (train, valid, dtm): few distinct times, so the pooled
+    event times may give one evaluation time, and validation cohorts that
+    may lack an event type or have it only at their last time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    lattice = draw(st.integers(1, 6))
+
+    def cohort(n):
+        events = rng.integers(0, m + 1, n)
+        events[rng.uniform(size=n) < draw(st.floats(0.0, 0.8))] = 0
+        return Cohort(np.zeros((n, 1)), rng.integers(1, lattice + 1, n) * 1.0, events, m)
+
+    train, valid = cohort(draw(st.integers(1, 12))), cohort(draw(st.integers(1, 30)))
+    train.event[0] = 1
+    dtm = discretize_times(build_event_grid(train), 0)
+    return dtm.apply(train)[0], dtm.apply(valid)[0], dtm
+
+
+class TestCriterionScorer:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=criterion_cohorts())
+    def test_raises_exactly_when_the_hand_written_checks_did(self, case):
+        train, valid, dtm = case
+        for criterion in ("objective", "ibs", "ctd"):
+            try:
+                check_criterion(criterion, train, valid)
+            except KernelAJError as exc:
+                with pytest.raises(type(exc)) as got:
+                    training.criterion_scorer(criterion, train, valid, dtm)
+                if isinstance(exc, NoComparablePairs):
+                    assert str(exc).split()[-2:] == str(got.value).split()[-2:]
+                continue
+            scorer = training.criterion_scorer(criterion, train, valid, dtm)
+            assert scorer.cohort is valid
+            assert (scorer.eval_grid is not None) == (criterion == "ibs")
+
+    def test_both_checks_can_fire(self):
+        # the strategy above reaches both failures, not only the happy path
+        one_time = Cohort(np.zeros((3, 1)), [1.0, 1.0, 2.0], [1, 1, 0], 1)
+        dtm = discretize_times(build_event_grid(one_time), 0)
+        pre, _ = dtm.apply(one_time)
+        for criterion in ("ibs", "ctd"):
+            with pytest.raises(KernelAJError):
+                check_criterion(criterion, pre, pre)
+            with pytest.raises(KernelAJError):
+                training.criterion_scorer(criterion, pre, pre, dtm)
+
+
+class TestStoppingRule:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(criterion=st.sampled_from(["objective", "ibs", "ctd"]),
+           values=st.lists(st.sampled_from([np.nan, 0.25, 0.5, 0.75]), min_size=1,
+                           max_size=12),
+           patience=st.integers(1, 4))
+    def test_log_replays_the_per_loop_rule(self, criterion, values, patience):
+        log = TrainingLog(criterion=criterion)
+        best, stall, flags = np.nan, 0, []
+        for epoch, value in enumerate(values, start=1):
+            want = criterion_is_improvement(criterion, value, best)
+            if want:
+                best, stall = value, 0
+            else:
+                stall += 1
+            flags.append(want)
+            assert log.add(epoch, 0.0, value) == want
+            assert log.stalled(epoch, patience) == (stall >= patience)
+            assert log.best_value == best or np.isnan(log.best_value) and np.isnan(best)
+        assert [row[3] for row in log.rows] == flags
+
+    def test_direction_ties_and_nan_first(self):
+        for criterion, better, worse in (("ctd", 0.7, 0.5), ("ibs", 0.5, 0.7)):
+            log = TrainingLog(criterion=criterion)
+            assert [log.add(1, 0.0, np.nan), log.add(2, 0.0, 0.6), log.add(3, 0.0, 0.6),
+                    log.add(4, 0.0, worse), log.add(5, 0.0, better)] == [
+                        True, True, False, False, True]
+            assert (log.best_epoch, log.best_value) == (5, better)
+            assert not log.stalled(6, 2) and log.stalled(7, 2)
