@@ -368,26 +368,29 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                                      time_column, event_column)
     infos, cif, surv = explain_rows(model, cohort.features)
     times = model.grid.times.tolist()
-    surv, cif = surv.tolist(), cif.tolist()
-    records = []
-    for i, info in enumerate(infos):
-        records.append({
-            "row": i,
-            "exemplar_ids": info.exemplar_ids.tolist(),
-            "weights": info.weights.tolist(),
-            "event_probabilities": info.event_probabilities.tolist(),
-            "conditional_medians": list(info.conditional_medians),
-            "used_fallback": bool(info.used_fallback),
-            "cif": {
-                "times": times,
-                "survival": surv[i],
-                **{f"event_{d}": cif[d - 1][i] for d in range(1, model.m + 1)},
-            },
-        })
     out_path = os.path.join(out_dir, "explanations.json")
+    # one record at a time, in the bytes json.dump(records, indent=2,
+    # sort_keys=True) would write for the whole list (never empty: a Cohort
+    # has at least one row)
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write("[")
+        for i, info in enumerate(infos):
+            record = {
+                "row": i,
+                "exemplar_ids": info.exemplar_ids.tolist(),
+                "weights": info.weights.tolist(),
+                "event_probabilities": info.event_probabilities.tolist(),
+                "conditional_medians": list(info.conditional_medians),
+                "used_fallback": bool(info.used_fallback),
+                "cif": {
+                    "times": times,
+                    "survival": surv[i].tolist(),
+                    **{f"event_{d}": cif[d - 1, i].tolist() for d in range(1, model.m + 1)},
+                },
+            }
+            fh.write(",\n  " if i else "\n  ")
+            fh.write(json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n  "))
+        fh.write("\n]\n")
     print(f"explanations written to {out_path}")
     return 0
 

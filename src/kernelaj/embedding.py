@@ -113,16 +113,20 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - a * a
 
 
-def rowwise_matmul(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+def rowwise_matmul(A: np.ndarray, M: np.ndarray, out=None) -> np.ndarray:
     """A @ M with every row from its own vector-matrix product.
 
     A GEMM's rounding depends on its shape, so a row of ``A @ M`` changes in
     the last bits with the rows passed alongside it. Here every row is the
     same product (a matmul stacked over the rows of A), so a caller may split
     A into blocks of any size, single rows included, and get the same bits.
+    The product is written into ``out``, a C-contiguous array, when given.
     """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    return (A[:, None, :] @ np.ascontiguousarray(M, dtype=np.float64))[:, 0, :]
+    A = np.ascontiguousarray(A, dtype=np.float64)[:, None, :]
+    M = np.ascontiguousarray(M, dtype=np.float64)
+    if out is not None:
+        out = out.reshape(A.shape[0], 1, M.shape[1])
+    return np.matmul(A, M, out=out)[:, 0, :]
 
 
 def forward_cached(params: MlpParams, X: np.ndarray, product=np.matmul):
@@ -182,9 +186,14 @@ def embed(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return embed_batch(params, x[None, :])[0]
 
 
-def _augmented_rows(E1, E2):
-    """Rows [e1, |e1|^2, 1] and [-2 e2, 1, |e2|^2]: the product of a row of
-    the first with a row of the second is |e1|^2 + |e2|^2 - 2 e1.e2."""
+def _neg_sq_dists(E1, E2, out):
+    """-(squared distances) before clipping, from one product of augmented
+    rows [e1, |e1|^2, 1] . [2 e2, -1, -|e2|^2] = 2 e1.e2 - |e1|^2 - |e2|^2.
+    Negating every input of a product negates its result exactly, so this is
+    -(|e1|^2 + |e2|^2 - 2 e1.e2) to the bit."""
+    self_form = E2 is None
+    E1 = np.asarray(E1, dtype=np.float64)
+    E2 = E1 if self_form else np.asarray(E2, dtype=np.float64)
     if E1.shape[1] != E2.shape[1]:
         raise ShapeMismatch("embedding dimensions differ")
     d = E1.shape[1]
@@ -193,54 +202,48 @@ def _augmented_rows(E1, E2):
     A[:, d] = np.einsum("ij,ij->i", E1, E1)
     A[:, d + 1] = 1.0
     B = np.empty((E2.shape[0], d + 2))
-    np.multiply(E2, -2.0, out=B[:, :d])
-    B[:, d] = 1.0
-    B[:, d + 1] = np.einsum("ij,ij->i", E2, E2)
-    return A, B
+    np.multiply(E2, 2.0, out=B[:, :d])
+    B[:, d] = -1.0
+    B[:, d + 1] = -np.einsum("ij,ij->i", E2, E2)
+    if not self_form:
+        return rowwise_matmul(A, B.T, out)
+    N = np.matmul(A, B.T, out=out)
+    np.fill_diagonal(N, 0.0)        # rounding leaves ~1e-14 on the diagonal
+    return N
 
 
 def pairwise_sq_dists(E1: np.ndarray, E2=None, out=None) -> np.ndarray:
     """Squared Euclidean distances between embedding rows, clipped at 0.
 
-    Products of augmented rows, [e1, |e1|^2, 1] . [-2 e2, 1, |e2|^2], write
-    |e1|^2 + |e2|^2 - 2 e1.e2 into a single buffer that is clipped in place.
-    The self form ``pairwise_sq_dists(E)`` is one GEMM with an exact 0
-    diagonal; it writes into ``out``, a C-contiguous (n, n) array, when one
-    is given. The two-set form is a :func:`rowwise_matmul`, so a row's
-    distances do not depend on the rows of E1 passed with it.
+    One product of augmented rows writes |e1|^2 + |e2|^2 - 2 e1.e2, negated,
+    into a single buffer (``out``, a C-contiguous array, when given) that is
+    negated back and clipped in place. The self form ``pairwise_sq_dists(E)``
+    is one GEMM with an exact 0 diagonal. The two-set form is a
+    :func:`rowwise_matmul`, so a row's distances do not depend on the rows of
+    E1 passed with it.
     """
-    E1 = np.asarray(E1, dtype=np.float64)
-    if E2 is None:
-        A, B = _augmented_rows(E1, E1)
-        D2 = np.matmul(A, B.T, out=out)
-        np.fill_diagonal(D2, 0.0)       # rounding leaves ~1e-14 on the diagonal
-    else:
-        if out is not None:
-            raise ShapeMismatch("out is supported for the self form only")
-        A, B = _augmented_rows(E1, np.asarray(E2, dtype=np.float64))
-        D2 = rowwise_matmul(A, B.T)
+    D2 = _neg_sq_dists(E1, E2, out)
+    np.negative(D2, out=D2)
     return np.maximum(D2, 0.0, out=D2)
 
 
 def kernel_matrix(E1: np.ndarray, E2=None, out=None) -> np.ndarray:
     """exp(-||e_i - e_j||^2) for all row pairs, computed in one buffer
-    (``out`` for the self form, see :func:`pairwise_sq_dists`)."""
-    D2 = pairwise_sq_dists(E1, E2, out)
-    np.negative(D2, out=D2)
-    return np.exp(D2, out=D2)
+    (``out`` when given, see :func:`pairwise_sq_dists`): the product yields
+    -D^2 directly, so one clip and one exp finish it."""
+    N = _neg_sq_dists(E1, E2, out)
+    np.minimum(N, 0.0, out=N)
+    return np.exp(N, out=N)
 
 
-def kernel_matrix_backward(E: np.ndarray, K: np.ndarray, dK: np.ndarray,
-                           out=None) -> np.ndarray:
-    """dLoss/dE given dLoss/dK for K = exp(-pairwise_sq_dists(E)).
+def kernel_matrix_backward(E: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """dLoss/dE given P = dLoss/dK * K for K = exp(-pairwise_sq_dists(E)).
 
-    With P = dK * K (diagonal dropped) and d K_ij / d e_i = -2 K_ij (e_i - e_j),
-    dE_i = -2 (sum_j (P_ij + P_ji) e_i - sum_j (P_ij + P_ji) e_j). A column of
-    ones appended to E makes the row and column sums of P come out of the
-    same two GEMMs as P E and P^T E; no transposed copy of P is formed.
-    P is written into ``out`` when given, which may be dK itself.
+    With d K_ij / d e_i = -2 K_ij (e_i - e_j), dE_i = -2 (sum_j (P_ij + P_ji)
+    e_i - sum_j (P_ij + P_ji) e_j). A column of ones appended to E makes the
+    row and column sums of P come out of the same two GEMMs as P E and P^T E;
+    no transposed copy of P is formed. P's diagonal is set to 0 in place.
     """
-    P = np.multiply(dK, K, out=out)
     np.fill_diagonal(P, 0.0)
     Ea = np.hstack((E, np.ones((E.shape[0], 1))))
     S = P @ Ea

@@ -50,14 +50,19 @@ is built.
 
 In the backward pass dLoss/dW[i, j] is again a function of j's code: a
 prefix sum over the at-risk bins plus j's own event cell. It is built as an
-(n, L + 1, m + 1) table over all codes and gathered by each row's code;
-with P = dW * W the embedding gradient is -2 ((rowsum P + colsum P) e_i -
-(P E)_i - (P^T E)_i). Loss and gradients are sums over rows, so the sort
-changes only rounding.
+(n, L + 1, m + 1) table over all codes and gathered by each row's code, a
+block of rows at a time, into W itself: W becomes P = dW * W, and the
+embedding gradient is -2 ((rowsum P + colsum P) e_i - (P E)_i - (P^T E)_i).
+Loss and gradients are sums over rows, so the sort changes only rounding.
 
-The kernel and P are the step's only n x n arrays. ``train_embedding``
-allocates two B x B buffers for them once per fit, so steps reuse resident
-pages instead of taking fresh ones from the allocator.
+Memory
+------
+W, later P, is the step's only n x n array, and the criterion's
+validation x training kernel is built in blocks of query rows. Both live in
+one buffer of max(B^2, n_train) float64 that ``train_embedding`` allocates
+once per fit, so the epoch loop reuses resident pages instead of taking
+fresh ones from the allocator, and holds no other array that grows with
+B^2 or with n_valid * n_train.
 
 Leave-one-out sums run over the current minibatch only, so batch composition
 affects the loss; shuffling is seeded and the loop is deterministic. All
@@ -94,7 +99,7 @@ from .metrics import Scorer, build_eval_grid, score_curves, scorer
 
 PSI_CLAMP = 1e-12
 MAX_TIME_STEPS = 512
-CRITERION_BLOCK_ROWS = 256
+GATHER_BLOCK_ROWS = 64
 
 _CRITERIA = ("objective", "ibs", "ctd")
 
@@ -181,7 +186,7 @@ def _at_risk(kappa, L):
     return (np.arange(1, L + 1)[None, :] <= kappa[:, None]).astype(np.float64)
 
 
-class _Groups(NamedTuple):
+class CodeGroups(NamedTuple):
     """Rows grouped by (bin, event): ``order`` stable-sorts them by
     code = kappa * (m + 1) + delta; group u starts at sorted row
     ``starts[u]`` and carries labels ``kappa[u]``, ``delta[u]``."""
@@ -192,15 +197,15 @@ class _Groups(NamedTuple):
     delta: np.ndarray
 
 
-def _code_groups(kappa, delta, m) -> _Groups:
+def code_groups(kappa, delta, m) -> CodeGroups:
     code = np.asarray(kappa, np.int64) * (m + 1) + np.asarray(delta, np.int64)
     order = np.argsort(code, kind="stable")
     code = code[order]
     starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
-    return _Groups(order, starts, code[starts] // (m + 1), code[starts] % (m + 1))
+    return CodeGroups(order, starts, code[starts] // (m + 1), code[starts] % (m + 1))
 
 
-def _hazard_tables(W, groups: _Groups, m, L):
+def _hazard_tables(W, groups: CodeGroups, m, L):
     """Kernel hazards of q rows against reference rows in group order.
 
     ``W[i, j]`` weighs reference row j for row i. Segment sums give
@@ -369,12 +374,15 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     return float(rank), dpsi
 
 
-def _square(buf, n):
-    """The leading n * n elements of a contiguous buffer as an (n, n) array."""
-    return buf.ravel()[:n * n].reshape(n, n)
+def _block(buf, rows, cols):
+    """The leading rows * cols elements of a contiguous buffer as a
+    (rows, cols) array."""
+    if buf.size < rows * cols:
+        raise ShapeMismatch(f"buffer holds fewer than {rows} x {cols} elements")
+    return buf.reshape(-1)[:rows * cols].reshape(rows, cols)
 
 
-def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffers=None):
+def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None):
     """Total loss of a minibatch and exact gradients for every parameter.
 
     Returns (loss, weight_grads, bias_grads). The batch is processed in
@@ -383,26 +391,24 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffers=Non
     hazard ratios, the survival cumulative product, the per-bin ranking
     terms, the kernel matrix, and the network.
 
-    The kernel and dLoss/dkernel live in ``buffers``, two C-contiguous
-    arrays of at least n * n float64 each (``train_embedding`` allocates
-    them once per fit); without them the step allocates its own. The
-    results do not depend on which.
+    The kernel W lives in ``buffer``, a C-contiguous float64 array of at
+    least n * n elements (``train_embedding`` allocates one per fit);
+    without it the step allocates its own. dLoss/dW is gathered
+    ``GATHER_BLOCK_ROWS`` rows at a time and multiplied into W, which then
+    holds P = dLoss/dW * W. The results do not depend on the buffer.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
         raise ShapeMismatch("batch must contain at least 2 subjects")
-    if buffers is None:
-        buffers = np.empty((2, n, n))
-    if min(buf.size for buf in buffers) < n * n:
-        raise ShapeMismatch(f"step buffers hold fewer than {n} x {n} elements")
-    groups = _code_groups(kappa, delta, m)
+    W = _block(np.empty(n * n) if buffer is None else buffer, n, n)
+    groups = code_groups(kappa, delta, m)
     X = X[groups.order]
     kappa = np.asarray(kappa, dtype=np.int64)[groups.order]
     delta = np.asarray(delta, dtype=np.int64)[groups.order]
 
     E, cache = forward_cached(params, X)
-    W = kernel_matrix(E, out=_square(buffers[0], n))
+    kernel_matrix(E, out=W)
     np.fill_diagonal(W, 0.0)
     psi, inv_den = _hazard_tables(W, groups, m, L)
     loss, dpsi = objective_and_dpsi(psi, kappa, delta, alpha, sigma)
@@ -415,33 +421,44 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffers=Non
     table[:, 0] = 0.0
     np.cumsum(dden, axis=1, out=table[:, 1:, 0])
     np.add(table[:, 1:, :1], dnum.transpose(1, 2, 0), out=table[:, 1:, 1:])
-    # mode="clip" lets take write straight into the buffer ("raise" copies)
-    dW = np.take(table.reshape(n, -1), kappa * (m + 1) + delta, axis=1,
-                 out=_square(buffers[1], n), mode="clip")
+    table = table.reshape(n, -1)
+    codes = kappa * (m + 1) + delta
+    scratch = np.empty((min(GATHER_BLOCK_ROWS, n), n))
+    for start in range(0, n, GATHER_BLOCK_ROWS):
+        stop = min(start + GATHER_BLOCK_ROWS, n)
+        # mode="clip" lets take write straight into scratch ("raise" copies)
+        dW = np.take(table[start:stop], codes, axis=1, mode="clip",
+                     out=scratch[:stop - start])
+        W[start:stop] *= dW
 
-    dE = kernel_matrix_backward(E, W, dW, out=dW)
+    dE = kernel_matrix_backward(E, W)
     dw, db = backward(params, cache, dE)
     return loss, dw, db
 
 
-def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):
+def kernel_hazard_curves(E_query, E_ref, groups: CodeGroups, m, L, buffer):
     """Kernel-weighted hazards and CIF curves of query points vs a reference
     set (no leave-one-out; queries are assumed disjoint from the reference).
 
-    The query x reference kernel is built ``CRITERION_BLOCK_ROWS`` query rows
-    at a time, so memory stays O(block * n_ref) whatever the query count.
-    A two-set ``kernel_matrix`` computes each row on its own, so the result
-    does not depend on the block size.
+    ``groups`` is :func:`code_groups` of the reference labels; E_ref is in
+    the reference rows' own order. The query x reference kernel is built in
+    ``buffer``, a C-contiguous float64 array of at least n_ref elements,
+    ``buffer.size // n_ref`` query rows at a time, so it needs no memory
+    beyond the buffer that grows with q * n_ref. A two-set ``kernel_matrix``
+    computes each row on its own, so the result does not depend on the
+    buffer size.
 
     Returns (psi (m, q, L), F (m, q, L), S (q, L)).
     """
-    groups = _code_groups(kappa_ref, delta_ref, m)
     E_ref = np.asarray(E_ref, np.float64)[groups.order]
     E_query = np.asarray(E_query, np.float64)
-    psi = np.empty((m, E_query.shape[0], L))
-    for start in range(0, E_query.shape[0], CRITERION_BLOCK_ROWS):
-        rows = slice(start, start + CRITERION_BLOCK_ROWS)
-        psi[:, rows], _ = _hazard_tables(kernel_matrix(E_query[rows], E_ref), groups, m, L)
+    q, n_ref = E_query.shape[0], E_ref.shape[0]
+    step = max(buffer.size // n_ref, 1)       # a smaller buffer fails in _block
+    psi = np.empty((m, q, L))
+    for start in range(0, q, step):
+        Eq = E_query[start:start + step]
+        W = kernel_matrix(Eq, E_ref, out=_block(buffer, Eq.shape[0], n_ref))
+        psi[:, start:start + step], _ = _hazard_tables(W, groups, m, L)
     F, S, _, _ = cif_from_hazards(psi)
     return psi, F, S
 
@@ -506,16 +523,16 @@ def criterion_scorer(criterion, train: Cohort, valid: Cohort,
 
 
 def _evaluate_criterion(criterion, params, train, valid, dtm, tcfg,
-                        valid_scorer: Scorer):
-    """Validation criterion with hazards against the full training set."""
+                        valid_scorer: Scorer, groups: CodeGroups, kappa_valid, buffer):
+    """Validation criterion with hazards against the full training set.
+    ``groups`` holds the training rows' (bin, event) groups, ``kappa_valid``
+    the validation bins, ``buffer`` the fit's buffer."""
     m, L = train.m, len(dtm.grid)
     E_train = embed_batch(params, train.features)
     E_valid = embed_batch(params, valid.features)
-    psi, F, _ = kernel_hazard_curves(E_valid, E_train, dtm.apply(train)[1],
-                                     train.event, m, L)
+    psi, F, _ = kernel_hazard_curves(E_valid, E_train, groups, m, L, buffer)
     if criterion == "objective":
-        return objective_value(psi, dtm.apply(valid)[1], valid.event, tcfg.alpha,
-                               tcfg.sigma)
+        return objective_value(psi, kappa_valid, valid.event, tcfg.alpha, tcfg.sigma)
     return float(np.mean(score_curves(F, dtm.grid.times, valid_scorer,
                                       (criterion,))[criterion]))
 
@@ -537,11 +554,13 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
         raise NoEvents("training cohort has no uncensored records")
     m, L = train.m, len(dtm.grid)
     _, kappa = dtm.apply(train)
+    groups = code_groups(kappa, train.event, m)
+    _, kappa_valid = dtm.apply(valid)
     valid_scorer = criterion_scorer(tcfg.early_stop_criterion, train, valid, dtm)
 
     params = init_mlp(ecfg)
     side = min(tcfg.batch_size, train.n)
-    buffers = np.empty((2, side, side))
+    buffer = np.empty(max(side * side, train.n))
     flat = flatten_params(params)
     velocity = np.zeros_like(flat)
     rng = np.random.default_rng(tcfg.seed)
@@ -558,7 +577,7 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
                 continue
             loss, dw, db = total_loss_and_grad(
                 params, train.features[batch], kappa[batch], train.event[batch],
-                m, L, tcfg.alpha, tcfg.sigma, buffers)
+                m, L, tcfg.alpha, tcfg.sigma, buffer)
             grad = flatten_grads(dw, db)
             velocity = tcfg.momentum * velocity - tcfg.learning_rate * grad
             flat = flat + velocity
@@ -568,7 +587,8 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
         epoch_loss = epoch_loss / max(seen, 1)
 
         value = _evaluate_criterion(
-            tcfg.early_stop_criterion, params, train, valid, dtm, tcfg, valid_scorer)
+            tcfg.early_stop_criterion, params, train, valid, dtm, tcfg, valid_scorer,
+            groups, kappa_valid, buffer)
         if log.add(epoch, epoch_loss, value):
             best_params = params.copy()
         if log.stalled(epoch, tcfg.patience):

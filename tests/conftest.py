@@ -1,4 +1,7 @@
-"""Shared helpers: random labeled batches and finite-difference oracles."""
+"""Shared helpers: random labeled batches, finite-difference oracles and
+the traced memory peak of a call."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +40,17 @@ def finite_difference_grad(params, X, kappa, delta, m, L, alpha, sigma, step=1e-
                                     delta, m, L, alpha, sigma)
         grad[k] = (lu - ld) / (2 * step)
     return grad
+
+
+def traced_peak(fn):
+    """Run ``fn()``; returns (its result, the tracemalloc peak in bytes of
+    what it allocated and numpy reports to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def relative_error(analytic, reference):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import traced_peak
 from kernelaj import (
     SynthConfig,
     explain_rows,
@@ -251,7 +252,9 @@ class TestExplain:
         rc = main(["explain", "--model", model_path, "--data", str(test_csv),
                    "--out", str(tmp_path / "rep")])
         assert rc == 0
-        records = json.loads((tmp_path / "rep" / "explanations.json").read_text())
+        text = (tmp_path / "rep" / "explanations.json").read_text()
+        records = json.loads(text)
+        assert text == json.dumps(records, indent=2, sort_keys=True) + "\n"
         assert len(records) == 60
         rec = records[0]
         assert set(rec) >= {"exemplar_ids", "weights", "event_probabilities",
@@ -335,6 +338,25 @@ class TestExplain:
         } for i, info in enumerate(infos)]
         want = json.dumps(records, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "rep" / "explanations.json").read_bytes() == want.encode()
+
+    def test_records_written_one_at_a_time(self, tmp_path, train_csv):
+        # writing adds less than one float64 copy of the curves to the
+        # prediction's own peak; records held as Python floats take 4x that
+        config_path, _ = write_config(tmp_path, train_csv, training={"num_time_steps": 64})
+        main(["fit", "--config", str(config_path)])
+        model_path = tmp_path / "out" / "model.json"
+        query = tmp_path / "query.csv"
+        write_cohort_csv(generate_synthetic(SynthConfig(
+            n=3000, p=3, w1=(0.6, 0.0, 0.0), w2=(0.0, 0.6, 0.0),
+            censoring_rate=0.3, seed=3)), query)
+        model, schema = load_model(model_path)
+        X = schema.transform(load_cohort(query, schema.kinds, "time", "event"))
+        (_, cif, surv), predict_peak = traced_peak(lambda: explain_rows(model, X))
+        rc, peak = traced_peak(lambda: main([
+            "explain", "--model", str(model_path), "--data", str(query),
+            "--out", str(tmp_path / "rep")]))
+        assert rc == 0
+        assert peak - predict_peak < cif.nbytes + surv.nbytes
 
     def test_single_cluster_model_reproduces_population(self, tmp_path,
                                                         train_csv):

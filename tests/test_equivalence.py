@@ -8,8 +8,6 @@ Random cohorts come from hypothesis with ``derandomize=True`` so every run
 draws the same examples.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import dense_oracle as oracle
-from conftest import relative_error
+from conftest import relative_error, traced_peak
 from kernelaj import (
     Cohort,
     EmbeddingConfig,
@@ -53,6 +51,7 @@ from kernelaj.metrics import (
     scorer,
 )
 from kernelaj.training import (
+    code_groups,
     kernel_hazard_curves,
     ranking_value,
     ranking_value_and_dpsi,
@@ -150,12 +149,12 @@ class TestStepBuffers:
         X, kappa, delta, m, L, seed = batch
         params = small_params(seed)
         side = X.shape[0] + extra
-        buffers = np.full((2, side, side), np.nan)
+        buffer = np.full(side * side, np.nan)
         want_loss, want_dw, want_db = total_loss_and_grad(
             params, X, kappa, delta, m, L, alpha, 0.7)
         for _ in range(2):
             loss, dw, db = total_loss_and_grad(params, X, kappa, delta, m, L, alpha,
-                                               0.7, buffers)
+                                               0.7, buffer)
             assert loss == want_loss
             assert_array_equal(flatten_grads(dw, db), flatten_grads(want_dw, want_db))
 
@@ -164,7 +163,7 @@ class TestStepBuffers:
         with pytest.raises(ShapeMismatch):
             total_loss_and_grad(small_params(0), X, np.ones(5, np.int64),
                                 np.ones(5, np.int64), 1, 2, 1.0, 1.0,
-                                np.empty((2, 4, 4)))
+                                np.empty(5 * 5 - 1))
 
     def test_step_allocates_less_than_one_square(self):
         B, m, L = 1024, 2, 64
@@ -174,13 +173,9 @@ class TestStepBuffers:
         X = rng.normal(size=(B, 8))
         kappa = rng.integers(0, L + 1, B)
         delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, B))
-        buffers = np.empty((2, B, B))
-        tracemalloc.start()
-        try:
-            total_loss_and_grad(params, X, kappa, delta, m, L, 1.0, 1.0, buffers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        buffer = np.empty(B * B)
+        _, peak = traced_peak(lambda: total_loss_and_grad(params, X, kappa, delta, m, L,
+                                                          1.0, 1.0, buffer))
         assert peak < B * B * 8
 
 
@@ -192,7 +187,8 @@ class TestValidationHazards:
         rng = np.random.default_rng(seed)
         E_ref = rng.normal(size=(X.shape[0], 2))
         E_query = rng.normal(size=(q, 2))
-        got = kernel_hazard_curves(E_query, E_ref, kappa, delta, m, L)
+        got = kernel_hazard_curves(E_query, E_ref, code_groups(kappa, delta, m), m, L,
+                                   np.empty(X.shape[0]))
         want = oracle.kernel_hazard_curves(E_query, E_ref, kappa, delta, m, L)
         for a, b in zip(got, want):
             assert_allclose(a, b, rtol=0, atol=1e-12)
@@ -206,19 +202,45 @@ class TestValidationHazards:
                         rtol=1e-12, atol=1e-12)
         assert_allclose(kernel_matrix(E1), oracle.kernel_matrix(E1), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("block", [1, 7, 256, 10**6])
-    def test_block_size_does_not_change_bits(self, monkeypatch, block):
+    @pytest.mark.parametrize("rows", [1, 7, 256, 10**6])
+    def test_block_size_does_not_change_bits(self, rows):
+        # blocks of buffer.size // n rows, one block from q rows up; the
+        # NaN-filled buffer, used twice and one element past whole rows,
+        # shows that no stale element is read
         rng = np.random.default_rng(4)
         q, n, m, L = 2 * 256 + 17, 200, 2, 16
         E_query, E_ref = rng.normal(size=(q, 8)), rng.normal(size=(n, 8))
         kappa = rng.integers(0, L + 1, n)
         delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
-        monkeypatch.setattr(training, "CRITERION_BLOCK_ROWS", q)
-        want = kernel_hazard_curves(E_query, E_ref, kappa, delta, m, L)
-        monkeypatch.setattr(training, "CRITERION_BLOCK_ROWS", block)
-        got = kernel_hazard_curves(E_query, E_ref, kappa, delta, m, L)
-        for a, b in zip(got, want):
-            assert_array_equal(a, b)
+        groups = code_groups(kappa, delta, m)
+        want = kernel_hazard_curves(E_query, E_ref, groups, m, L, np.empty(q * n))
+        buffer = np.full(min(rows, q) * n + 1, np.nan)
+        for _ in range(2):
+            got = kernel_hazard_curves(E_query, E_ref, groups, m, L, buffer)
+            for a, b in zip(got, want):
+                assert_array_equal(a, b)
+
+    def test_small_buffer_rejected(self):
+        rng = np.random.default_rng(5)
+        E_ref = rng.normal(size=(6, 2))
+        with pytest.raises(ShapeMismatch):
+            kernel_hazard_curves(rng.normal(size=(3, 2)), E_ref,
+                                 code_groups(np.ones(6, np.int64), np.ones(6, np.int64), 1),
+                                 1, 2, np.empty(5))
+
+    def test_memory_bounded_by_the_buffer(self):
+        # one 256-row block of the old criterion kernel alone took 41 MB here
+        q, n, m, L, d = 600, 20000, 2, 16, 8
+        rng = np.random.default_rng(6)
+        E_query, E_ref = rng.normal(size=(q, d)), rng.normal(size=(n, d))
+        kappa = rng.integers(0, L + 1, n)
+        delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
+        groups = code_groups(kappa, delta, m)
+        buffer = np.empty(1024 * 1024)
+        (psi, _, _), peak = traced_peak(
+            lambda: kernel_hazard_curves(E_query, E_ref, groups, m, L, buffer))
+        assert np.isfinite(psi).all()
+        assert peak < 8 * 2**20
 
     def test_two_set_kernel_matches_self_kernel(self):
         rng = np.random.default_rng(6)
@@ -280,13 +302,9 @@ class TestRankingForward:
         kappa = rng.integers(0, L + 1, n)
         delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
         F, _, _, _ = oracle._cif_from_psi(psi)
-        tracemalloc.start()
-        try:
-            ranking_value(F, kappa, delta, 0.5)
-            ranking_value_and_dpsi(psi, kappa, delta, 0.5, scale=0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: (ranking_value(F, kappa, delta, 0.5),
+                                       ranking_value_and_dpsi(psi, kappa, delta, 0.5,
+                                                              scale=0.5)))
         assert peak < n * n * 8
 
     def test_objective_criterion_has_no_square_buffer(self):
@@ -300,13 +318,11 @@ class TestRankingForward:
         tcfg = TrainConfig(alpha=0.5, sigma=0.5)
         params = small_params(0)
         valid_scorer = training.criterion_scorer("objective", train, valid, dtm)
-        tracemalloc.start()
-        try:
-            value = training._evaluate_criterion("objective", params, train, valid,
-                                                 dtm, tcfg, valid_scorer)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        groups = code_groups(dtm.apply(train)[1], train.event, train.m)
+        buffer = np.empty(n_train * n_train)     # train_embedding's at batch >= n_train
+        value, peak = traced_peak(lambda: training._evaluate_criterion(
+            "objective", params, train, valid, dtm, tcfg, valid_scorer, groups,
+            dtm.apply(valid)[1], buffer))
         assert np.isfinite(value)
         assert peak < q * q * 8
 
@@ -375,12 +391,8 @@ class TestBlockedConcordance:
         curves = np.cumsum(rng.uniform(0, 0.02, (n, L)), axis=1)
         cohort = Cohort(np.zeros((n, 1)), rng.uniform(0, knots[-1], n),
                         rng.integers(0, 3, n), 2)
-        tracemalloc.start()
-        try:
-            value = concordance_td_from_curves(curves, knots, cohort, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        value, peak = traced_peak(
+            lambda: concordance_td_from_curves(curves, knots, cohort, 1))
         assert 0.0 <= value <= 1.0
         assert peak < n * n * 8
 

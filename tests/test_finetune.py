@@ -1,8 +1,6 @@
 """Tests for summary-table fine-tuning: initialization consistency, the
 recurrence, exact gradients, and validation backtracking."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import dense_oracle as oracle
 from dense_oracle import sft_negative_log_likelihood
-from conftest import relative_error
+from conftest import relative_error, traced_peak
 
 from kernelaj import (
     Cohort,
@@ -272,13 +270,13 @@ class TestBuffers:
         kappa = rng.integers(0, L + 1, n)
         delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
         buffers = np.empty((3, m, n, L))
-        tracemalloc.start()
-        try:
+
+        def epoch():
             loss, grads = sft_loss_and_grad(params, W, kappa, delta, 1.0, 1.0, buffers)
             sft_counts(params.shifted(*grads, step=0.01))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return loss
+
+        loss, peak = traced_peak(epoch)
         assert np.isfinite(loss)
         assert peak < m * n * L * 8
 
