@@ -88,6 +88,23 @@ def _load_data(data_cfg: dict, key: str):
                           key=f"data.{key}") from None
 
 
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _indented_json(value, newline="\n"):
+    """``json.dumps(value, indent=2, sort_keys=True)``, lines joined by
+    ``newline``, for dicts of scalars, number lists and such dicts: the C
+    encoder writes each list compactly, then its commas become line breaks."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        return "{" + ",".join(f"{inner}{_COMPACT_JSON.encode(k)}: {_indented_json(v, inner)}"
+                              for k, v in sorted(value.items())) + newline + "}"
+    text = _COMPACT_JSON.encode(value)
+    if isinstance(value, list) and value:
+        return "[" + inner + text[1:-1].replace(",", "," + inner) + newline + "]"
+    return text
+
+
 def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -219,7 +236,7 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     train_pre, _ = dtm.apply(train_cohort)
     valid_pre, _ = dtm.apply(valid_cohort)
     if sft_tcfg is not None:
-        criterion_scorer(sft_tcfg.early_stop_criterion, train_pre, valid_pre, dtm)
+        sft_scorer = criterion_scorer(sft_tcfg.early_stop_criterion, train_pre, valid_pre, dtm)
 
     params, train_log = train_embedding(train_pre, valid_pre, ecfg, tcfg, dtm)
 
@@ -249,7 +266,7 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
 
     if sft_tcfg is not None:
         model, sft_result = fine_tune_summaries(model, train_pre, valid_pre,
-                                                sft_tcfg)
+                                                sft_tcfg, sft_scorer)
         logs["sft"] = sft_result.log
     return model, logs
 
@@ -322,26 +339,25 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
     os.makedirs(out_dir, exist_ok=True)
 
     if clusters_mode:
-        sizes = model.clusters.cluster_sizes()
-        ids = model.clusters.exemplar_ids
+        sizes = model.clusters.cluster_sizes().tolist()
+        ids = model.clusters.exemplar_ids.tolist()
         cif, surv, _, _ = cif_from_hazards(
             table_hazards(model.clusters.d_cluster, model.clusters.n_cluster))
-        order = sorted(range(ids.size), key=lambda qi: -cif[0, qi, -1])
+        order = sorted(range(len(ids)), key=lambda qi: -cif[0, qi, -1])
 
+        risks = cif[:, :, -1].T.tolist()
         lines = ["exemplar_id,size," +
                  ",".join(f"risk_event_{d}" for d in range(1, model.m + 1))]
         for qi in order:
-            lines.append(f"{int(ids[qi])},{int(sizes[qi])}," +
-                         ",".join(repr(float(r)) for r in cif[:, qi, -1]))
+            lines.append(f"{ids[qi]},{sizes[qi]}," + ",".join(map(repr, risks[qi])))
         _write_lines(os.path.join(out_dir, "cluster_summary.csv"), lines)
 
         lines = ["exemplar_id,time,survival," +
                  ",".join(f"cif_{d}" for d in range(1, model.m + 1))]
         for qi in order:
-            for k, t in enumerate(model.grid.times):
-                vals = [surv[qi, k], *cif[:, qi, k]]
-                lines.append(f"{int(ids[qi])},{float(t)!r}," +
-                             ",".join(repr(float(v)) for v in vals))
+            curves = np.vstack((surv[qi], cif[:, qi])).T.tolist()
+            lines.extend(f"{ids[qi]},{t!r}," + ",".join(map(repr, vals))
+                         for t, vals in zip(model.grid.times.tolist(), curves))
         _write_lines(os.path.join(out_dir, "cluster_cifs.csv"), lines)
 
         feat_rows = _original_scale_summary(model, schema)
@@ -354,10 +370,9 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                     for c in cols))
             _write_lines(os.path.join(out_dir, "cluster_features.csv"), lines)
 
-        K = exemplar_kernel_matrix(model)
-        lines = ["exemplar_id," + ",".join(str(int(i)) for i in ids)]
-        for qi, ex in enumerate(ids):
-            lines.append(f"{int(ex)}," + ",".join(repr(float(v)) for v in K[qi]))
+        lines = ["exemplar_id," + ",".join(map(str, ids))]
+        for ex, row in zip(ids, exemplar_kernel_matrix(model).tolist()):
+            lines.append(f"{ex}," + ",".join(map(repr, row)))
         _write_lines(os.path.join(out_dir, "kernel_matrix.csv"), lines)
         print(f"cluster reports written to {out_dir}")
         return 0
@@ -389,7 +404,7 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                 },
             }
             fh.write(",\n  " if i else "\n  ")
-            fh.write(json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n  "))
+            fh.write(_indented_json(record, "\n  "))
         fh.write("\n]\n")
     print(f"explanations written to {out_path}")
     return 0

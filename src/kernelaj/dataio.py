@@ -2,14 +2,21 @@
 synthetic competing-risks generator with a closed-form CIF oracle.
 
 CSV dialect: comma-separated, header row required, UTF-8, '.' decimal point;
-missing values are empty cells or the literal "NA". Preprocessing statistics
-(means, standard deviations, category sets, modes) are fitted on the training
-rows only and applied unchanged to held-out sets.
+missing values are empty cells or the literal "NA". Rows are read as
+``csv.DictReader`` reads them: blank lines are skipped, a short row's missing
+cells are None, extra cells are ignored and a repeated header name takes its
+last column. The writer writes each float as its ``repr`` (the shortest text
+that reads back to the same bits), with CRLF line ends. Both move
+``IO_BLOCK_ROWS`` rows at a time. Preprocessing statistics (means, standard
+deviations, category sets, modes) are fitted on the training rows only and
+applied unchanged to held-out sets.
 """
 
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -18,6 +25,7 @@ from .errors import MissingColumn, ParseError, SchemaMismatch, TooSmall
 
 _KINDS = ("continuous", "categorical", "binary")
 _MISSING = ("", "NA")
+IO_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -38,38 +46,94 @@ class RawTable:
 
 
 def load_cohort(path, schema_spec: dict, time_column: str, event_column: str) -> RawTable:
-    """Read and type-check a cohort CSV.
+    """Read and type-check a cohort CSV, ``IO_BLOCK_ROWS`` rows at a time.
 
     ``schema_spec`` maps feature column names to their kind. Raises
     MissingColumn when a declared column (or the time/event column) is
-    absent, and ParseError with row/column context on bad cells.
+    absent, and ParseError with row/column context on the first bad cell in
+    row-major order (time, event, then the schema's columns).
     """
     for kind in schema_spec.values():
         if kind not in _KINDS:
             raise SchemaMismatch(f"unknown column kind '{kind}'")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        index = {name: j for j, name in enumerate(next(reader, []))}
         for col in list(schema_spec) + [time_column, event_column]:
-            if col not in header:
+            if col not in index:
                 raise MissingColumn(f"column '{col}' not found in {path}")
         columns = {name: [] for name in schema_spec}
         times, events = [], []
-        for rownum, row in enumerate(reader, start=2):
-            times.append(_parse_float(row[time_column], rownum, time_column))
-            events.append(_parse_event(row[event_column], rownum, event_column))
-            for name, kind in schema_spec.items():
-                cell = row[name]
-                if cell is None or cell.strip() in _MISSING:
-                    columns[name].append(None)
-                elif kind == "continuous":
-                    columns[name].append(_parse_float(cell, rownum, name))
-                else:
-                    columns[name].append(cell.strip())
-    if not times:
+        fields = [(time_column, _floats, times.append), (event_column, _events, events.append),
+                  *((name, _PARSERS[kind], columns[name].extend)
+                    for name, kind in schema_spec.items())]
+        rownum = 2
+        for rows in _row_blocks(reader):
+            cells = list(zip_longest(*rows))
+            errors = []
+            for name, parse, store in fields:
+                j = index[name]
+                try:
+                    store(parse(cells[j] if j < len(cells) else (None,) * len(rows),
+                                rownum, name))
+                except ParseError as exc:
+                    errors.append(exc)
+            if errors:
+                raise min(errors, key=lambda exc: exc.row)
+            rownum += len(rows)
+    if rownum == 2:
         raise ParseError(f"no data rows in {path}")
-    return RawTable(columns, np.array(times, dtype=np.float64),
-                    np.array(events, dtype=np.int64))
+    return RawTable(columns, np.concatenate(times), np.concatenate(events))
+
+
+def _row_blocks(reader):
+    """Non-blank rows in blocks; a read error comes after the rows before it."""
+    block = []
+    try:
+        for row in filter(None, reader):
+            block.append(row)
+            if len(block) == IO_BLOCK_ROWS:
+                yield block
+                block = []
+    except (csv.Error, ValueError):     # a UnicodeDecodeError is a ValueError
+        yield block
+        raise
+    if block:
+        yield block
+
+
+def _is_missing(cell) -> bool:
+    return cell is None or cell.strip() in _MISSING
+
+
+def _floats(cells, rownum, colname, feature=False):
+    """``float`` of every cell in one pass, as an array; a feature column's
+    as a list, with None for its missing cells."""
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except (TypeError, ValueError):
+        return [None if feature and _is_missing(cell) else _parse_float(cell, r, colname)
+                for r, cell in enumerate(cells, start=rownum)]
+    return values.tolist() if feature else values
+
+
+def _events(cells, rownum, colname) -> np.ndarray:
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+        if ((values >= 0) & (values < 2.0 ** 63) & (values == np.trunc(values))).all():
+            return values.astype(np.int64)
+    except (TypeError, ValueError):
+        pass
+    return np.array([_parse_event(cell, r, colname)
+                     for r, cell in enumerate(cells, start=rownum)], dtype=np.int64)
+
+
+def _strings(cells, rownum, colname) -> list:
+    return [None if _is_missing(cell) else cell.strip() for cell in cells]
+
+
+_PARSERS = {"continuous": partial(_floats, feature=True), "categorical": _strings,
+            "binary": _strings}
 
 
 def _parse_float(cell, rownum, colname) -> float:
@@ -83,7 +147,7 @@ def _parse_float(cell, rownum, colname) -> float:
 
 def _parse_event(cell, rownum, colname) -> int:
     value = _parse_float(cell, rownum, colname)
-    if value != int(value) or value < 0:
+    if not 0 <= value < 2.0 ** 63 or value != int(value):
         raise ParseError(f"event indicator must be a nonnegative integer, got "
                          f"'{cell}' (row {rownum}, column '{colname}')",
                          row=rownum, column=colname)
@@ -305,8 +369,9 @@ def write_cohort_csv(cohort: Cohort, path, feature_names=None):
     """Write a cohort in the package's CSV dialect (x1..xp, time, event)."""
     names = feature_names or [f"x{j + 1}" for j in range(cohort.p)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + ["time", "event"])
-        for i in range(cohort.n):
-            row = [repr(float(v)) for v in cohort.features[i]]
-            writer.writerow(row + [repr(float(cohort.time[i])), int(cohort.event[i])])
+        csv.writer(fh).writerow(list(names) + ["time", "event"])
+        for start in range(0, cohort.n, IO_BLOCK_ROWS):
+            rows = slice(start, start + IO_BLOCK_ROWS)
+            cols = [map(repr, c) for c in cohort.features[rows].T.tolist()]
+            cols += [map(repr, cohort.time[rows].tolist()), map(str, cohort.event[rows].tolist())]
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")

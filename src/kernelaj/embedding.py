@@ -10,6 +10,7 @@ for testing.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,30 +187,46 @@ def embed(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return embed_batch(params, x[None, :])[0]
 
 
+class Reference(NamedTuple):
+    """Reference rows E2 as the two-set product's right factor, built once
+    for many query blocks: [2 e, -1, -|e|^2] transposed, (d + 2, n2)."""
+
+    factor: np.ndarray
+
+
+def _right_rows(E):
+    B = np.empty((E.shape[0], E.shape[1] + 2))
+    np.multiply(E, 2.0, out=B[:, :-2])
+    B[:, -2] = -1.0
+    B[:, -1] = -np.einsum("ij,ij->i", E, E)
+    return B
+
+
+def reference(E) -> Reference:
+    """The :class:`Reference` of embedding rows E."""
+    return Reference(np.ascontiguousarray(_right_rows(np.asarray(E, np.float64)).T))
+
+
 def _neg_sq_dists(E1, E2, out):
     """-(squared distances) before clipping, from one product of augmented
     rows [e1, |e1|^2, 1] . [2 e2, -1, -|e2|^2] = 2 e1.e2 - |e1|^2 - |e2|^2.
     Negating every input of a product negates its result exactly, so this is
-    -(|e1|^2 + |e2|^2 - 2 e1.e2) to the bit."""
-    self_form = E2 is None
+    -(|e1|^2 + |e2|^2 - 2 e1.e2) to the bit. E2 may be a :class:`Reference`."""
     E1 = np.asarray(E1, dtype=np.float64)
-    E2 = E1 if self_form else np.asarray(E2, dtype=np.float64)
-    if E1.shape[1] != E2.shape[1]:
-        raise ShapeMismatch("embedding dimensions differ")
     d = E1.shape[1]
     A = np.empty((E1.shape[0], d + 2))
     A[:, :d] = E1
     A[:, d] = np.einsum("ij,ij->i", E1, E1)
     A[:, d + 1] = 1.0
-    B = np.empty((E2.shape[0], d + 2))
-    np.multiply(E2, 2.0, out=B[:, :d])
-    B[:, d] = -1.0
-    B[:, d + 1] = -np.einsum("ij,ij->i", E2, E2)
-    if not self_form:
-        return rowwise_matmul(A, B.T, out)
-    N = np.matmul(A, B.T, out=out)
-    np.fill_diagonal(N, 0.0)        # rounding leaves ~1e-14 on the diagonal
-    return N
+    if E2 is None:
+        # a transposed view: GEMM's bits depend on the layout of its operands
+        N = np.matmul(A, _right_rows(E1).T, out=out)
+        np.fill_diagonal(N, 0.0)        # rounding leaves ~1e-14 on the diagonal
+        return N
+    M = (E2 if isinstance(E2, Reference) else reference(E2)).factor
+    if M.shape[0] != d + 2:
+        raise ShapeMismatch("embedding dimensions differ")
+    return rowwise_matmul(A, M, out)
 
 
 def pairwise_sq_dists(E1: np.ndarray, E2=None, out=None) -> np.ndarray:

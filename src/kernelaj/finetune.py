@@ -29,7 +29,7 @@ import numpy as np
 from .clustering import ClusterModel
 from .core import Cohort, safe_reciprocal
 from .errors import ShapeMismatch
-from .metrics import score_curves
+from .metrics import Scorer, score_curves
 from .model import _curves_from_weights, frozen_subject_weights
 from .training import (
     TrainConfig,
@@ -188,19 +188,22 @@ class SftResult:
     log: TrainingLog
 
 
-def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig):
+def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig,
+                        valid_scorer: Scorer = None):
     """Gradient descent on the summary tables with validation backtracking.
 
     Returns (model', SftResult). The tuned tables are installed only when the
     validation criterion strictly improves over the model before fine-tuning;
     ties or regressions return the original tables with ``sft_rejected``.
+    ``valid_scorer``, the criterion's :func:`training.criterion_scorer`, is
+    built here when not given.
     """
     criterion = config.early_stop_criterion
     W_train = frozen_subject_weights(model.params, model.clusters, train.features)
     W_valid = frozen_subject_weights(model.params, model.clusters, valid.features)
     _, kappa_tr = model.dtm.apply(train)
     _, kappa_va = model.dtm.apply(valid)
-    valid_scorer = criterion_scorer(criterion, train, valid, model.dtm)
+    valid_scorer = valid_scorer or criterion_scorer(criterion, train, valid, model.dtm)
     W_train, kappa_tr, event_tr = _active_rows(W_train, kappa_tr, train.event)
     buffers = np.empty((3, model.m, kappa_tr.size, len(model.grid)))
 

@@ -92,6 +92,7 @@ from .embedding import (
     init_mlp,
     kernel_matrix,
     kernel_matrix_backward,
+    reference,
     unflatten_params,
 )
 from .errors import NoEvents, ShapeMismatch
@@ -330,19 +331,36 @@ def _cumprod_backward(u, P, dP):
     """Exact gradient of a row-wise cumulative product.
 
     Given P = cumprod(u, axis=1) and upstream dLoss/dP, returns dLoss/du,
-    handling rows that contain zero factors (at most the first zero position
-    receives a nonzero gradient beyond the standard formula).
+    handling rows that contain zero factors (only the first zero position
+    receives a gradient, summed over the row's later terms). Each such row is
+    one ``np.add.reduceat`` segment led by a 0 slot: reduceat adds the
+    first element to the pairwise sum of the rest and ``.sum()`` adds 0 to
+    the pairwise sum of all, so the slot keeps the bits of ``.sum()``.
     """
-    rc = _reverse_cumsum(dP * P, axis=1)
-    safe_u = np.where(u != 0.0, u, 1.0)
-    du = rc / safe_u
-    zero_rows = np.flatnonzero((u == 0.0).any(axis=1))
-    for r in zero_rows:
-        z = int(np.argmax(u[r] == 0.0))
-        du[r, z + 1:] = 0.0
-        prefix = P[r, z - 1] if z > 0 else 1.0
-        tail = np.concatenate(([1.0], np.cumprod(u[r, z + 1:])))
-        du[r, z] = float((dP[r, z:] * prefix * tail).sum())
+    du = _reverse_cumsum(dP * P, axis=1)
+    du /= np.where(u != 0.0, u, 1.0)
+    zero = u == 0.0
+    rows = np.flatnonzero(zero.any(axis=1))
+    if rows.size:
+        k, L = rows.size, u.shape[1]
+        z = zero[rows].argmax(axis=1)
+        after = np.arange(L) > z[:, None]
+        terms = np.zeros((k, L + 1))
+        tail = terms[:, 1:]
+        tail[:] = u[rows]
+        tail[~after] = 1.0
+        np.cumprod(tail, axis=1, out=tail)
+        scaled = dP[rows]
+        scaled *= np.where(z > 0, P[rows, z - 1], 1.0)[:, None]
+        scaled *= tail
+        tail[:] = scaled                  # (dP * prefix) * tail, in the loop's order
+        terms[np.arange(k), z] = 0.0
+        starts = np.arange(k) * (L + 1) + z
+        sums = np.add.reduceat(terms.ravel(), np.column_stack(
+            (starts, starts - z + L + 1)).ravel()[:-1])[::2]
+        zero[rows] = after
+        du[zero] = 0.0
+        du[rows, z] = sums
     return du
 
 
@@ -441,23 +459,23 @@ def kernel_hazard_curves(E_query, E_ref, groups: CodeGroups, m, L, buffer):
     set (no leave-one-out; queries are assumed disjoint from the reference).
 
     ``groups`` is :func:`code_groups` of the reference labels; E_ref is in
-    the reference rows' own order. The query x reference kernel is built in
-    ``buffer``, a C-contiguous float64 array of at least n_ref elements,
-    ``buffer.size // n_ref`` query rows at a time, so it needs no memory
-    beyond the buffer that grows with q * n_ref. A two-set ``kernel_matrix``
-    computes each row on its own, so the result does not depend on the
-    buffer size.
+    the reference rows' own order (augmented once per call). The query x
+    reference kernel is built in ``buffer``, a C-contiguous float64 array
+    of at least n_ref elements, ``buffer.size // n_ref`` query rows at a
+    time, so it needs no memory beyond the buffer that grows with q * n_ref.
+    A two-set ``kernel_matrix`` computes each row on its own, so the result
+    does not depend on the buffer size.
 
     Returns (psi (m, q, L), F (m, q, L), S (q, L)).
     """
-    E_ref = np.asarray(E_ref, np.float64)[groups.order]
+    ref = reference(np.asarray(E_ref, np.float64)[groups.order])
     E_query = np.asarray(E_query, np.float64)
-    q, n_ref = E_query.shape[0], E_ref.shape[0]
+    q, n_ref = E_query.shape[0], ref.factor.shape[1]
     step = max(buffer.size // n_ref, 1)       # a smaller buffer fails in _block
     psi = np.empty((m, q, L))
     for start in range(0, q, step):
         Eq = E_query[start:start + step]
-        W = kernel_matrix(Eq, E_ref, out=_block(buffer, Eq.shape[0], n_ref))
+        W = kernel_matrix(Eq, ref, out=_block(buffer, Eq.shape[0], n_ref))
         psi[:, start:start + step], _ = _hazard_tables(W, groups, m, L)
     F, S, _, _ = cif_from_hazards(psi)
     return psi, F, S

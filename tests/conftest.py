@@ -1,14 +1,19 @@
 """Shared helpers: random labeled batches, finite-difference oracles and
-the traced memory peak of a call."""
+the traced memory peak of a call; the hypothesis profile of the suite."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kernelaj import EmbeddingConfig, init_mlp
 from kernelaj.embedding import embed_batch, flatten_params, unflatten_params
 from dense_oracle import batch_loss_from_params
+
+# every property test draws the same examples on every run, however long
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 
 def random_batch(rng, n=12, p=3, m=2, L=5, censor_frac=0.3):

@@ -1,33 +1,46 @@
 """The dense one-hot training step, validation hazards, scalar Brier
 score, CIF recursion, NLL, pairwise ranking loss, n x n concordance risk
 matrix, hand-derived fine-tuning objective, hand-written criterion checks,
-stopping rule and per-cluster loops that ``kernelaj`` replaced, plus the
-scalar kernel and the fine-tuning objective of parameters, which only tests
-use.
+stopping rule, per-cluster loops, row-loop cumulative-product backward and
+per-cell CSV reader and writer that ``kernelaj`` replaced, plus the scalar
+kernel and the fine-tuning objective of parameters, which only tests use.
 
 The functions below are kept verbatim as test oracles: the kernel comes
 from E @ E.T, the hazard tables from weight-matrix products with (n, L)
 one-hot label matrices, each Brier horizon is scored on its own, the CIF
 recursion leaves 1 - sum(h) unfloored, the NLL builds its own at-risk mask,
 the ranking loss and its backward pass read dense n x n matrices of
-pairwise CIF lookups, and the fine-tuning objective derives its likelihood
-and gradient by hand. Only the shared building blocks that did not change
-(the network, the floored CIF recursion, the cumulative-product backward,
-the at-risk mask, curve interpolation and the fine-tuning table
-parameterization) are imported from the package.
+pairwise CIF lookups, the fine-tuning objective derives its likelihood
+and gradient by hand, the cumulative-product backward loops over the rows
+with a zero factor, and the CSV reader and writer handle one cell at a
+time through ``csv.DictReader`` and ``csv.writer`` (the reader's event
+check also rejects nan, infinite and out-of-int64 cells, as the package
+does). Only the shared building blocks that did not change (the network,
+the floored CIF recursion, the at-risk mask, curve interpolation and the
+fine-tuning table parameterization) are imported from the package.
 """
+
+import csv
+import math
 
 import numpy as np
 
 from kernelaj.core import Cohort, StepCurve, cif_from_hazards, risk_event_counts
 from kernelaj.embedding import backward, forward_cached
-from kernelaj.errors import DegenerateGrid, NoComparablePairs, ShapeMismatch
+from kernelaj.dataio import RawTable
+from kernelaj.errors import (
+    DegenerateGrid,
+    MissingColumn,
+    NoComparablePairs,
+    ParseError,
+    SchemaMismatch,
+    ShapeMismatch,
+)
 from kernelaj.metrics import BrierResult, build_eval_grid, interpolate_curves
 from kernelaj.finetune import _active_rows, sft_counts, sft_objective_from_tables
 from kernelaj.training import (
     PSI_CLAMP,
     _at_risk,
-    _cumprod_backward,
     _reverse_cumsum,
     total_loss,
 )
@@ -135,7 +148,7 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     dpsi = dA * S_prev[None, :, :]
     dS_prev = (dA * psi).sum(axis=0)
     dS = np.concatenate((dS_prev[:, 1:], np.zeros((n, 1))), axis=1)
-    du = _cumprod_backward(u, S, dS)
+    du = cumprod_backward(u, S, dS)
     dpsi += (-du)[None, :, :]
     return float(rank), dpsi
 
@@ -474,3 +487,81 @@ def cluster_sizes(exemplar_ids, assignments):
 
 def cluster_feature_means(features, exemplar_ids, assignments):
     return np.vstack([features[assignments == q].mean(axis=0) for q in exemplar_ids])
+
+
+def cumprod_backward(u, P, dP):
+    """Exact gradient of a row-wise cumulative product, one loop iteration
+    per row with a zero factor: P = cumprod(u, axis=1), upstream dLoss/dP;
+    returns dLoss/du."""
+    rc = _reverse_cumsum(dP * P, axis=1)
+    safe_u = np.where(u != 0.0, u, 1.0)
+    du = rc / safe_u
+    zero_rows = np.flatnonzero((u == 0.0).any(axis=1))
+    for r in zero_rows:
+        z = int(np.argmax(u[r] == 0.0))
+        du[r, z + 1:] = 0.0
+        prefix = P[r, z - 1] if z > 0 else 1.0
+        tail = np.concatenate(([1.0], np.cumprod(u[r, z + 1:])))
+        du[r, z] = float((dP[r, z:] * prefix * tail).sum())
+    return du
+
+
+def load_cohort(path, schema_spec: dict, time_column: str, event_column: str) -> RawTable:
+    """The per-cell CSV reader: one ``csv.DictReader`` dict and one
+    ``float`` call per cell."""
+    for kind in schema_spec.values():
+        if kind not in ("continuous", "categorical", "binary"):
+            raise SchemaMismatch(f"unknown column kind '{kind}'")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in list(schema_spec) + [time_column, event_column]:
+            if col not in header:
+                raise MissingColumn(f"column '{col}' not found in {path}")
+        columns = {name: [] for name in schema_spec}
+        times, events = [], []
+        for rownum, row in enumerate(reader, start=2):
+            times.append(_parse_float(row[time_column], rownum, time_column))
+            events.append(_parse_event(row[event_column], rownum, event_column))
+            for name, kind in schema_spec.items():
+                cell = row[name]
+                if cell is None or cell.strip() in ("", "NA"):
+                    columns[name].append(None)
+                elif kind == "continuous":
+                    columns[name].append(_parse_float(cell, rownum, name))
+                else:
+                    columns[name].append(cell.strip())
+    if not times:
+        raise ParseError(f"no data rows in {path}")
+    return RawTable(columns, np.array(times, dtype=np.float64),
+                    np.array(events, dtype=np.int64))
+
+
+def _parse_float(cell, rownum, colname) -> float:
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        raise ParseError(f"cannot parse '{cell}' as a number "
+                         f"(row {rownum}, column '{colname}')",
+                         row=rownum, column=colname) from None
+
+
+def _parse_event(cell, rownum, colname) -> int:
+    value = _parse_float(cell, rownum, colname)
+    if not math.isfinite(value) or value != int(value) or value < 0 or value >= 2 ** 63:
+        raise ParseError(f"event indicator must be a nonnegative integer, got "
+                         f"'{cell}' (row {rownum}, column '{colname}')",
+                         row=rownum, column=colname)
+    return int(value)
+
+
+def write_cohort_csv(cohort: Cohort, path, feature_names=None):
+    """The per-row CSV writer: ``repr(float(v))`` per cell and one
+    ``csv.writer.writerow`` per row."""
+    names = feature_names or [f"x{j + 1}" for j in range(cohort.p)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(names) + ["time", "event"])
+        for i in range(cohort.n):
+            row = [repr(float(v)) for v in cohort.features[i]]
+            writer.writerow(row + [repr(float(cohort.time[i])), int(cohort.event[i])])

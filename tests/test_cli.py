@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import traced_peak
@@ -19,7 +21,7 @@ from kernelaj import (
     predict_curves,
     write_cohort_csv,
 )
-from kernelaj import cli
+from kernelaj import cli, finetune
 from kernelaj.cli import main
 from kernelaj.model import cluster_curves, predict_cif_grid
 
@@ -162,6 +164,28 @@ class TestFit:
         config_path, _ = write_config(tmp_path, train_csv)
         with pytest.raises(TypeError, match="unsupported operand"):
             main(["fit", "--config", str(config_path)])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_event_cell_exit_2(self, tmp_path, train_csv, capsys, cell):
+        lines = train_csv.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + cell
+        train_csv.write_text("\n".join(lines) + "\n")
+        config_path, _ = write_config(tmp_path, train_csv)
+        assert main(["fit", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: event indicator must be a nonnegative integer, got '{cell}' "
+            "(row 6, column 'event')\n")
+
+    def test_fine_tuning_reuses_the_pre_check_scorer(self, tmp_path, train_csv,
+                                                     monkeypatch):
+        def rebuilt(*args):
+            raise AssertionError("SFT rebuilt the validation scorer")
+
+        monkeypatch.setattr(finetune, "criterion_scorer", rebuilt)
+        config_path, _ = write_config(
+            tmp_path, train_csv,
+            sft={"enabled": True, "max_epochs": 2, "early_stop_criterion": "ibs"})
+        assert main(["fit", "--config", str(config_path)]) == 0
 
     def test_sft_flag_recorded(self, tmp_path, train_csv):
         config_path, _ = write_config(
@@ -338,6 +362,17 @@ class TestExplain:
         } for i, info in enumerate(infos)]
         want = json.dumps(records, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "rep" / "explanations.json").read_bytes() == want.encode()
+
+    @settings(max_examples=100)
+    @given(record=st.recursive(
+        st.lists(st.one_of(st.integers(), st.floats()), max_size=5) | st.none()
+        | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+        lambda inner: st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        max_leaves=12))
+    def test_indented_records_match_json_dumps(self, record):
+        want = json.dumps(record, indent=2, sort_keys=True)
+        assert cli._indented_json(record) == want
+        assert cli._indented_json(record, "\n  ") == want.replace("\n", "\n  ")
 
     def test_records_written_one_at_a_time(self, tmp_path, train_csv):
         # writing adds less than one float64 copy of the curves to the

@@ -144,7 +144,7 @@ def clustered_cohorts(draw):
 class TestBookkeeping:
     """One counting pass per table against the per-cluster loops."""
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(case=clustered_cohorts())
     def test_summaries_and_sizes_equal_the_loops(self, case):
         pre, grid, assignments, exemplar_ids = case

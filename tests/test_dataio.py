@@ -1,10 +1,23 @@
 """Tests for CSV ingestion, leakage-free preprocessing, splitting, and the
-synthetic generator with its closed-form oracle."""
+synthetic generator with its closed-form oracle. The whole-array CSV reader
+and writer are checked against the per-cell ones in ``dense_oracle``."""
+
+import csv
+import io
+import struct
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+import dense_oracle as oracle
+from conftest import traced_peak
+from kernelaj import dataio
 from kernelaj import (
     MissingColumn,
     ParseError,
@@ -65,6 +78,185 @@ class TestLoadCohort:
         assert table.columns["age"][0] is None
         assert table.columns["smoker"][0] is None
         assert table.columns["stage"][1] is None
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e19", "-1", "1.5"])
+    def test_event_cell_must_be_a_nonnegative_integer(self, tmp_path, cell):
+        path = write_csv(tmp_path, "age,stage,smoker,time,event\n"
+                                   "50,II,1,3.5,1\n"
+                                   f"61,III,0,2.0,{cell}\n")
+        with pytest.raises(ParseError) as err:
+            load_cohort(path, SCHEMA, "time", "event")
+        assert str(err.value) == (f"event indicator must be a nonnegative integer, "
+                                  f"got '{cell}' (row 3, column 'event')")
+        assert (err.value.row, err.value.column) == (3, "event")
+
+    def test_first_bad_cell_in_row_major_order(self, tmp_path):
+        # in one block, row 3's event comes before its age, and row 3 before
+        # row 4's time
+        path = write_csv(tmp_path, "age,stage,smoker,time,event\n"
+                                   "50,II,1,3.5,1\n"
+                                   "x,II,1,3.5,y\n"
+                                   "51,II,1,z,1\n")
+        with pytest.raises(ParseError) as err:
+            load_cohort(path, SCHEMA, "time", "event")
+        assert (err.value.row, err.value.column) == (3, "event")
+
+
+def _float_bits(values):
+    return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+            for v in values]
+
+
+def _read(load, path, schema, time_column, event_column):
+    """The table ``load`` returns, or the exception it raises."""
+    try:
+        return load(path, schema, time_column, event_column)
+    except Exception as exc:        # whatever it is, both readers must raise it alike
+        return exc
+
+
+def assert_same_outcome(got, want):
+    """Identical RawTables (list cells and float bits included), or
+    exceptions of one type with one message and location."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        assert getattr(got, "row", None) == getattr(want, "row", None)
+        assert getattr(got, "column", None) == getattr(want, "column", None)
+        return
+    for a, b in ((got.time, want.time), (got.event, want.event)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert list(got.columns) == list(want.columns)
+    for name in want.columns:
+        assert _float_bits(got.columns[name]) == _float_bits(want.columns[name]), name
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(0, 3).map(str),
+    st.sampled_from([" 1.5 ", "1_000", "4.9e-324", "-0.0", "1e308", "\uff11\uff12", "2.0"]))
+EVENTS = st.sampled_from(["0", "1", "2", " 1 ", "2.0", "-0.0", "1e0"])
+ODD_CELLS = st.one_of(
+    st.sampled_from(["", "NA", " NA ", "nan", "inf", "-inf", "Infinity", "1e400", "1e19",
+                     "-1", "1.5", "0x10", "abc", " y ", "a,b", '"', "\n"]),
+    st.text(alphabet='01.-eE NA,"\n', max_size=5))
+KINDS = st.sampled_from(["continuous", "categorical", "binary"])
+
+
+@st.composite
+def csv_files(draw):
+    """(text, schema, time column, event column, block size): a header that
+    holds the needed columns (one may be missing, others repeat) and rows
+    written by csv.writer: in some files short, long or blank rows, and
+    missing or bad cells, and raw text after the header."""
+    schema = draw(st.dictionaries(st.sampled_from(["a", "b", " a", "c,d", 'q"']), KINDS,
+                                  max_size=3))
+    time_column = draw(st.sampled_from(["time", "a"]))
+    event_column = draw(st.sampled_from(["event", "event", "time"]))
+    header = draw(st.permutations(list(schema) + [time_column, event_column] + draw(
+        st.lists(st.sampled_from(["a", "b", "time", "event", "x"]), max_size=3))))
+    if draw(st.integers(0, 9)) == 0:
+        header = header[1:]
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+                        lineterminator=draw(st.sampled_from(["\r\n", "\n"])))
+    writer.writerow(header)
+    if draw(st.integers(0, 4)) == 0:
+        out.write(draw(st.text(alphabet='ab01.,"\r\n NA', max_size=40)))
+    odd = draw(st.sampled_from([0, 0, 0.02, 0.2]))     # share of odd cells
+    ragged = draw(st.sampled_from([[0], [0, 0, 0, -1, 1, -len(header)]]))
+    for _ in range(draw(st.integers(0, 12))):
+        width = len(header) + draw(st.sampled_from(ragged))
+        writer.writerow([draw(ODD_CELLS if draw(st.floats(0, 1)) < odd else
+                              EVENTS if name == event_column else NUMBERS)
+                         for name in (header + ["x"])[:max(width, 0)]])
+    return out.getvalue(), schema, time_column, event_column, draw(
+        st.sampled_from([1, 2, 3, 256]))
+
+
+class _Rows(NamedTuple):
+    """A cohort without Cohort's finiteness checks."""
+
+    features: np.ndarray
+    time: np.ndarray
+    event: np.ndarray
+
+    @property
+    def n(self):
+        return self.time.size
+
+    @property
+    def p(self):
+        return self.features.shape[1]
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def cohorts(draw):
+    n, p = draw(st.integers(1, 12)), draw(st.integers(0, 4))
+    names = draw(st.none() | st.lists(st.text(alphabet='x1 ,"\n', min_size=1, max_size=3),
+                                      min_size=p, max_size=p))
+    return (_Rows(draw(arrays(np.float64, (n, p), elements=FLOATS)),
+                  draw(arrays(np.float64, n, elements=FLOATS)),
+                  draw(arrays(np.int64, n, elements=st.integers(-3, 2 ** 62)))),
+            names, draw(st.sampled_from([1, 2, 5, 256])))
+
+
+class TestWholeArrayIO:
+    """The block reader and writer against the per-cell oracles."""
+
+    @settings(max_examples=200)
+    @given(case=csv_files())
+    def test_reader_matches_per_cell_reader(self, tmp_path_factory, case):
+        text, schema, time_column, event_column, block = case
+        path = tmp_path_factory.getbasetemp() / "random.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        with mock.patch.object(dataio, "IO_BLOCK_ROWS", block):
+            got = _read(load_cohort, path, schema, time_column, event_column)
+        want = _read(oracle.load_cohort, path, schema, time_column, event_column)
+        assert_same_outcome(got, want)
+
+    @settings(max_examples=100)
+    @given(case=cohorts())
+    def test_writer_matches_per_row_writer(self, tmp_path_factory, case):
+        cohort, names, block = case
+        base = tmp_path_factory.getbasetemp()
+        with mock.patch.object(dataio, "IO_BLOCK_ROWS", block):
+            write_cohort_csv(cohort, base / "got.csv", names)
+        oracle.write_cohort_csv(cohort, base / "want.csv", names)
+        assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad_cell", ["x", "1.0"])
+    @pytest.mark.parametrize("tail", [
+        b"1.0,1\n" * 2000 + b"\xff,1\n",           # undecodable, past the first read
+        b'"' + b"1" * 140000 + b'",1\n',             # over csv's field size limit
+    ], ids=["undecodable", "field_limit"])
+    def test_read_error_after_a_bad_cell(self, tmp_path, bad_cell, tail):
+        # the bad cell is reported first, as row-by-row reading does
+        path = tmp_path / "broken.csv"
+        path.write_bytes(b"time,event\n1.0,1\n" + bad_cell.encode() + b",1\n" + tail)
+        want = _read(oracle.load_cohort, path, {}, "time", "event")
+        assert isinstance(want, ParseError) == (bad_cell == "x")
+        assert_same_outcome(_read(load_cohort, path, {}, "time", "event"), want)
+
+    def test_memory(self, tmp_path):
+        # the writer holds one block of rows, never the file's text; the
+        # reader holds one block beside the table it returns
+        cohort = generate_synthetic(SynthConfig(n=20000, p=8, w1=(0.5,) * 8,
+                                                w2=(0.2,) * 8, seed=3))
+        path = tmp_path / "cohort.csv"
+        _, write_peak = traced_peak(lambda: write_cohort_csv(cohort, path))
+        assert write_peak < path.stat().st_size / 2
+        schema = {f"x{j + 1}": "continuous" for j in range(8)}
+        table, peak = traced_peak(lambda: load_cohort(path, schema, "time", "event"))
+        want, oracle_peak = traced_peak(
+            lambda: oracle.load_cohort(path, schema, "time", "event"))
+        assert_same_outcome(table, want)
+        assert peak <= 1.1 * oracle_peak
 
 
 class TestPreprocessor:

@@ -4,14 +4,15 @@ against the dense oracles in ``dense_oracle``, the one scorer against the
 per-event composition it replaced, plus the memory bounds of the step and
 the concordance.
 
-Random cohorts come from hypothesis with ``derandomize=True`` so every run
-draws the same examples.
+Random cohorts come from hypothesis under the suite's derandomized profile
+(``conftest.py``), so every run draws the same examples.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import dense_oracle as oracle
@@ -33,6 +34,7 @@ from kernelaj.embedding import (
     flatten_grads,
     kernel_matrix,
     pairwise_sq_dists,
+    reference,
 )
 from kernelaj.errors import NoComparablePairs, ShapeMismatch
 from kernelaj.metrics import (
@@ -58,7 +60,7 @@ from kernelaj.training import (
     total_loss_and_grad,
 )
 
-REPRODUCIBLE = settings(derandomize=True, deadline=None, max_examples=40)
+REPRODUCIBLE = settings(max_examples=40)
 
 
 @st.composite
@@ -247,6 +249,38 @@ class TestValidationHazards:
         E1, E2 = rng.normal(size=(13, 5)), rng.normal(size=(29, 5))
         K = kernel_matrix(np.vstack((E1, E2)))
         assert_allclose(kernel_matrix(E1, E2), K[:13, 13:], rtol=1e-13, atol=1e-15)
+
+    def test_reference_built_once_keeps_the_bits(self):
+        rng = np.random.default_rng(7)
+        E1, E2 = rng.normal(size=(13, 5)), rng.normal(size=(29, 5))
+        ref = reference(E2)
+        assert kernel_matrix(E1, ref).tobytes() == kernel_matrix(E1, E2).tobytes()
+        assert pairwise_sq_dists(E1, ref).tobytes() == pairwise_sq_dists(E1, E2).tobytes()
+        with pytest.raises(ShapeMismatch):
+            kernel_matrix(E1[:, :4], ref)
+
+
+@st.composite
+def cumprod_cases(draw):
+    """(u, P, dP): factors with zeros of both signs in some rows, their
+    row-wise cumulative product and an upstream gradient with signed zeros;
+    rows long enough for each regime of numpy's pairwise sum (< 8, <= 128
+    and above)."""
+    n, L = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 7, 9, 40, 130, 200]))
+    u = draw(arrays(np.float64, (n, L), elements=st.one_of(
+        st.floats(-1.0, 2.0), st.sampled_from([0.0, -0.0, 1.0]))))
+    dP = draw(arrays(np.float64, (n, L), elements=st.one_of(
+        st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))))
+    return u, np.cumprod(u, axis=1), dP
+
+
+class TestCumprodBackward:
+    @settings(max_examples=100)
+    @given(case=cumprod_cases())
+    def test_matches_the_row_loop(self, case):
+        # tobytes, so that signed zeros and the summation order count
+        want = oracle.cumprod_backward(*case)
+        assert training._cumprod_backward(*case).tobytes() == want.tobytes()
 
 
 def _psi_batch(batch):

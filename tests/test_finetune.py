@@ -213,7 +213,7 @@ class TestOracle:
     objective, against the hand-derived objective they replaced."""
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(problem=sft_problems())
     def test_matches_hand_derived_objective(self, alpha, problem):
         params, W, kappa, delta = problem
@@ -225,7 +225,7 @@ class TestOracle:
             assert relative_error(got, want) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
-    @settings(derandomize=True, deadline=None, max_examples=20)
+    @settings(max_examples=20)
     @given(problem=sft_problems())
     def test_one_forward(self, alpha, problem):
         params, W, kappa, delta = problem
@@ -239,7 +239,7 @@ class TestBuffers:
     """Fine-tuning with the per-fit buffers of ``fine_tune_summaries``."""
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(problem=sft_problems())
     def test_bit_equal_without_buffers(self, alpha, problem):
         # NaN-filled buffers, used twice, show that no stale element is read

@@ -307,7 +307,7 @@ def curve_values(curves):
     return curves.survival.values, np.stack([c.values for c in curves.cifs])
 
 
-ONE_RULE = settings(derandomize=True, deadline=None, max_examples=60)
+ONE_RULE = settings(max_examples=60)
 
 
 class TestOneAalenJohansenRule:

@@ -475,7 +475,7 @@ def criterion_cohorts(draw):
 
 
 class TestCriterionScorer:
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(case=criterion_cohorts())
     def test_raises_exactly_when_the_hand_written_checks_did(self, case):
         train, valid, dtm = case
@@ -505,7 +505,7 @@ class TestCriterionScorer:
 
 
 class TestStoppingRule:
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(criterion=st.sampled_from(["objective", "ibs", "ctd"]),
            values=st.lists(st.sampled_from([np.nan, 0.25, 0.5, 0.75]), min_size=1,
                            max_size=12),
