@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .dataio import (
     generate_synthetic,
     load_cohort,
     write_cohort_csv,
+    write_csv,
 )
 from .embedding import EmbeddingConfig, embed_batch
 from .errors import ConfigError, KernelAJError, SchemaMismatch
@@ -103,11 +105,6 @@ def _indented_json(value, newline="\n"):
     if isinstance(value, list) and value:
         return "[" + inner + text[1:-1].replace(",", "," + inner) + newline + "]"
     return text
-
-
-def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _load_json(path):
@@ -209,11 +206,11 @@ def cmd_fit(config_path: str) -> int:
                                sft_config=doc.get("sft", {}),
                                config_snapshot=doc)
     save_model(model, os.path.join(out_dir, "model.json"), schema)
-    with open(os.path.join(out_dir, "training_log.csv"), "w", encoding="utf-8") as fh:
-        fh.write(logs["train"].to_csv())
-    if "sft" in logs:
-        with open(os.path.join(out_dir, "sft_log.csv"), "w", encoding="utf-8") as fh:
-            fh.write(logs["sft"].to_csv())
+    for key, log in logs.items():
+        epoch, loss, value, best = map(np.array, zip(*log.rows))
+        path = os.path.join(out_dir, "training_log.csv" if key == "train" else "sft_log.csv")
+        write_csv(path, ["epoch", "train_loss", "valid_criterion", "is_best"],
+                  [epoch, loss, value, best.astype(np.int64)])
     print(f"model written to {os.path.join(out_dir, 'model.json')}")
     return 0
 
@@ -226,8 +223,8 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
 
     Preprocess and discretize times, train the embedding, cluster, summarize,
     and optionally fine-tune the summary tables. Returns (model, logs dict).
-    An invalid ``sft_config``, or an SFT criterion that cannot be computed
-    on the validation cohort, raises before training starts.
+    An invalid ``sft_config``, or a criterion that cannot be computed on the
+    validation cohort, raises before training starts.
     """
     sft_config = sft_config or {}
     sft_tcfg = _sft_train_config(sft_config, tcfg) if sft_config.get("enabled") else None
@@ -235,10 +232,13 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     dtm = discretize_times(grid, tcfg.num_time_steps)
     train_pre, _ = dtm.apply(train_cohort)
     valid_pre, _ = dtm.apply(valid_cohort)
-    if sft_tcfg is not None:
-        sft_scorer = criterion_scorer(sft_tcfg.early_stop_criterion, train_pre, valid_pre, dtm)
+    # one validation scorer per criterion, SFT's checked first
+    criteria = [sft_tcfg.early_stop_criterion] if sft_tcfg else []
+    scorers = {c: criterion_scorer(c, train_pre, valid_pre, dtm)
+               for c in dict.fromkeys(criteria + [tcfg.early_stop_criterion])}
 
-    params, train_log = train_embedding(train_pre, valid_pre, ecfg, tcfg, dtm)
+    params, train_log = train_embedding(train_pre, valid_pre, ecfg, tcfg, dtm,
+                                        scorers[tcfg.early_stop_criterion])
 
     embeddings = embed_batch(params, train_pre.features)
     tau = tau_from_min_kernel_weight(min_kernel_weight)
@@ -265,8 +265,8 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     logs = {"train": train_log}
 
     if sft_tcfg is not None:
-        model, sft_result = fine_tune_summaries(model, train_pre, valid_pre,
-                                                sft_tcfg, sft_scorer)
+        model, sft_result = fine_tune_summaries(model, train_pre, valid_pre, sft_tcfg,
+                                                scorers[sft_tcfg.early_stop_criterion])
         logs["sft"] = sft_result.log
     return model, logs
 
@@ -298,38 +298,14 @@ def cmd_evaluate(model_path: str, data_path: str, out_dir: str,
                         for c in model.population_curves().cifs])
     pop_scores = metricsmod.score_curves(pop_cif, model.grid.times, scorer)
 
-    lines = ["event,metric,value"]
-    for d in range(1, model.m + 1):
-        lines.append(f"{d},ctd,{scores['ctd'][d - 1]!r}")
-        lines.append(f"{d},ibs,{scores['ibs'][d - 1]!r}")
-        lines.append(f"{d},ctd_population,{pop_scores['ctd'][d - 1]!r}")
-        lines.append(f"{d},ibs_population,{pop_scores['ibs'][d - 1]!r}")
+    values = np.stack([scores["ctd"], scores["ibs"], pop_scores["ctd"], pop_scores["ibs"]], 1)
     out_path = os.path.join(out_dir, "metrics.csv")
-    _write_lines(out_path, lines)
+    write_csv(out_path, ["event", "metric", "value"],
+              [np.repeat(np.arange(1, model.m + 1), 4),
+               np.tile(["ctd", "ibs", "ctd_population", "ibs_population"], model.m),
+               values.ravel()])
     print(f"metrics written to {out_path}")
     return 0
-
-
-def _original_scale_summary(model: KernelAJModel, schema) -> list:
-    """Per-cluster feature summaries: means for continuous columns (mapped
-    back to the original scale), frequencies for binary/one-hot columns."""
-    means = model.cluster_feature_means
-    if means is None:
-        return []
-    names = (schema.feature_names if schema is not None
-             else [f"f{j}" for j in range(means.shape[1])])
-    rows = []
-    for qi, ex in enumerate(model.clusters.exemplar_ids):
-        row = {"exemplar_id": int(ex)}
-        for j, name in enumerate(names):
-            value = float(means[qi, j])
-            base = name.split("=")[0]
-            if schema is not None and schema.kinds.get(base) == "continuous":
-                st = schema.stats[base]
-                value = value * st["std"] + st["mean"]
-            row[name] = value
-        rows.append(row)
-    return rows
 
 
 def cmd_explain(model_path: str, out_dir: str, data_path=None,
@@ -339,41 +315,27 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
     os.makedirs(out_dir, exist_ok=True)
 
     if clusters_mode:
-        sizes = model.clusters.cluster_sizes().tolist()
-        ids = model.clusters.exemplar_ids.tolist()
+        ids = model.clusters.exemplar_ids
         cif, surv, _, _ = cif_from_hazards(
             table_hazards(model.clusters.d_cluster, model.clusters.n_cluster))
-        order = sorted(range(len(ids)), key=lambda qi: -cif[0, qi, -1])
-
-        risks = cif[:, :, -1].T.tolist()
-        lines = ["exemplar_id,size," +
-                 ",".join(f"risk_event_{d}" for d in range(1, model.m + 1))]
-        for qi in order:
-            lines.append(f"{ids[qi]},{sizes[qi]}," + ",".join(map(repr, risks[qi])))
-        _write_lines(os.path.join(out_dir, "cluster_summary.csv"), lines)
-
-        lines = ["exemplar_id,time,survival," +
-                 ",".join(f"cif_{d}" for d in range(1, model.m + 1))]
-        for qi in order:
-            curves = np.vstack((surv[qi], cif[:, qi])).T.tolist()
-            lines.extend(f"{ids[qi]},{t!r}," + ",".join(map(repr, vals))
-                         for t, vals in zip(model.grid.times.tolist(), curves))
-        _write_lines(os.path.join(out_dir, "cluster_cifs.csv"), lines)
-
-        feat_rows = _original_scale_summary(model, schema)
-        if feat_rows:
-            cols = list(feat_rows[0].keys())
-            lines = [",".join(cols)]
-            for row in feat_rows:
-                lines.append(",".join(
-                    str(row[c]) if c == "exemplar_id" else repr(row[c])
-                    for c in cols))
-            _write_lines(os.path.join(out_dir, "cluster_features.csv"), lines)
-
-        lines = ["exemplar_id," + ",".join(map(str, ids))]
-        for ex, row in zip(ids, exemplar_kernel_matrix(model).tolist()):
-            lines.append(f"{ex}," + ",".join(map(repr, row)))
-        _write_lines(os.path.join(out_dir, "kernel_matrix.csv"), lines)
+        order = np.argsort(-cif[0, :, -1], kind="stable")
+        events = range(1, model.m + 1)
+        write_csv(os.path.join(out_dir, "cluster_summary.csv"),
+                  ["exemplar_id", "size", *(f"risk_event_{d}" for d in events)],
+                  [ids[order], model.clusters.cluster_sizes()[order], cif[:, order, -1].T])
+        write_csv(os.path.join(out_dir, "cluster_cifs.csv"),
+                  ["exemplar_id", "time", "survival", *(f"cif_{d}" for d in events)],
+                  [np.repeat(ids[order], len(model.grid)), np.tile(model.grid.times, ids.size),
+                   surv[order].ravel(), cif[:, order].reshape(model.m, -1).T])
+        means = model.cluster_feature_means
+        if means is not None:
+            names = [f"f{j}" for j in range(means.shape[1])]
+            if schema is not None:
+                names, means = schema.feature_names, schema.original_scale(means)
+            write_csv(os.path.join(out_dir, "cluster_features.csv"),
+                      ["exemplar_id", *names], [ids, means])
+        write_csv(os.path.join(out_dir, "kernel_matrix.csv"), ["exemplar_id", *ids.tolist()],
+                  [ids, exemplar_kernel_matrix(model)])
         print(f"cluster reports written to {out_dir}")
         return 0
 
@@ -425,10 +387,7 @@ def cmd_simulate(config_path: str, out_path: str) -> int:
     write_cohort_csv(cohort, out_path)
     sidecar = out_path + ".config.json"
     with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump({"n": cfg.n, "p": cfg.p, "w1": list(cfg.w1), "w2": list(cfg.w2),
-                   "censoring_rate": cfg.censoring_rate, "seed": cfg.seed},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n")
     print(f"cohort written to {out_path} (config sidecar {sidecar})")
     return 0
 

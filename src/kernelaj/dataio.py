@@ -5,11 +5,11 @@ CSV dialect: comma-separated, header row required, UTF-8, '.' decimal point;
 missing values are empty cells or the literal "NA". Rows are read as
 ``csv.DictReader`` reads them: blank lines are skipped, a short row's missing
 cells are None, extra cells are ignored and a repeated header name takes its
-last column. The writer writes each float as its ``repr`` (the shortest text
-that reads back to the same bits), with CRLF line ends. Both move
-``IO_BLOCK_ROWS`` rows at a time. Preprocessing statistics (means, standard
-deviations, category sets, modes) are fitted on the training rows only and
-applied unchanged to held-out sets.
+last column. :func:`write_csv` writes every table, each float as its ``repr``
+(the shortest text that reads back to the same bits), with CRLF line ends
+for cohorts and LF for reports; both move ``IO_BLOCK_ROWS`` rows at a time.
+Preprocessing statistics (means, standard deviations, category sets, modes)
+are fitted on the training rows only and applied unchanged to held-out sets.
 """
 
 import csv
@@ -194,14 +194,14 @@ class FeatureSchema:
                 else:
                     cats = sorted(set(present)) or [mode]
                     self.stats[name] = {"mode": mode, "categories": cats}
-        self.feature_names = []
-        for name, kind in self.kinds.items():
-            if kind == "categorical":
-                for cat in self.stats[name]["categories"]:
-                    self.feature_names.append(f"{name}={cat}")
-            else:
-                self.feature_names.append(name)
+        self.feature_names = [f for name in self.kinds for f in self._features(name)]
         return self
+
+    def _features(self, name) -> list:
+        """The feature names of input column ``name``."""
+        if self.kinds[name] == "categorical":
+            return [f"{name}={cat}" for cat in self.stats[name]["categories"]]
+        return [name]
 
     def transform(self, table: RawTable) -> np.ndarray:
         if not self.stats:
@@ -235,15 +235,29 @@ class FeatureSchema:
                 blocks.append(onehot)
         return np.hstack(blocks)
 
+    def original_scale(self, means: np.ndarray) -> np.ndarray:
+        """Rows of feature means with each continuous column mapped back to its
+        input scale; binary and one-hot columns (frequencies) stay as they are."""
+        out = np.array(means, dtype=np.float64)
+        j = 0
+        for name, kind in self.kinds.items():
+            if kind == "continuous":
+                st = self.stats[name]
+                out[:, j] = out[:, j] * st["std"] + st["mean"]
+            j += len(self._features(name))
+        return out
+
     def to_dict(self) -> dict:
         return {"kinds": dict(self.kinds), "stats": self.stats,
                 "feature_names": list(self.feature_names)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FeatureSchema":
-        schema = cls(kinds=dict(payload["kinds"]))
-        schema.stats = payload["stats"]
-        schema.feature_names = list(payload["feature_names"])
+        names, kinds = list(payload["feature_names"]), payload["kinds"]
+        schema = cls(kinds=dict(kinds), stats=payload["stats"], feature_names=names)
+        # a model file keeps the kinds with sorted keys: restore the fitted column order
+        first = {name: names.index(schema._features(name)[0]) for name in kinds}
+        schema.kinds = {name: kinds[name] for name in sorted(kinds, key=first.get)}
         return schema
 
 
@@ -365,13 +379,22 @@ def oracle_cif(cfg: SynthConfig, x: np.ndarray, delta: int, t: float) -> float:
     return (lam_d / lam) * (1.0 - np.exp(-lam * t))
 
 
-def write_cohort_csv(cohort: Cohort, path, feature_names=None):
-    """Write a cohort in the package's CSV dialect (x1..xp, time, event)."""
-    names = feature_names or [f"x{j + 1}" for j in range(cohort.p)]
+def write_csv(path, header, columns, newline="\n"):
+    """Write a table: the header through ``csv.writer`` (a name is quoted when
+    it needs to be), then ``IO_BLOCK_ROWS`` unquoted rows per ``write``, each
+    cell a string as it is or the ``repr`` of a ``tolist()`` number (the same
+    text as ``str``, but faster). A column is a 1-D array or a 2-D (n, k) block."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(list(names) + ["time", "event"])
-        for start in range(0, cohort.n, IO_BLOCK_ROWS):
-            rows = slice(start, start + IO_BLOCK_ROWS)
-            cols = [map(repr, c) for c in cohort.features[rows].T.tolist()]
-            cols += [map(repr, cohort.time[rows].tolist()), map(str, cohort.event[rows].tolist())]
-            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+        csv.writer(fh, lineterminator=newline).writerow(header)
+        for start in range(0, len(columns[0]), IO_BLOCK_ROWS):
+            blocks = (col[start:start + IO_BLOCK_ROWS] for col in columns)
+            cells = [map(str if block.dtype.kind == "U" else repr, values) for block in blocks
+                     for values in (block.T.tolist() if block.ndim == 2 else [block.tolist()])]
+            fh.write(newline.join(map(",".join, zip(*cells))) + newline)
+
+
+def write_cohort_csv(cohort: Cohort, path, feature_names=None):
+    """Write a cohort (x1..xp, time, event) with CRLF line ends."""
+    names = feature_names or [f"x{j + 1}" for j in range(cohort.p)]
+    write_csv(path, [*names, "time", "event"], [cohort.features, cohort.time, cohort.event],
+              newline="\r\n")

@@ -18,7 +18,8 @@ import numpy as np
 
 from .clustering import ClusterModel
 from .core import CifSet, cif_from_hazards, curves_from_counts, table_hazards
-from .embedding import MlpParams, forward_cached, pairwise_sq_dists, rowwise_matmul
+from .embedding import (MlpParams, forward_cached, kernel_matrix, pairwise_sq_dists,
+                        rowwise_matmul)
 from .errors import EmptyNeighborhood, NoRisk, NonFiniteFeatures, ShapeMismatch
 from .training import DiscreteTimeMap
 
@@ -280,6 +281,5 @@ def cluster_curves(model: KernelAJModel, position: int) -> CifSet:
 
 def exemplar_kernel_matrix(model: KernelAJModel) -> np.ndarray:
     """Pairwise kernel weights between exemplar embeddings."""
-    sq = pairwise_sq_dists(model.clusters.exemplar_embeddings)
-    return np.exp(-sq)
+    return kernel_matrix(model.clusters.exemplar_embeddings)
 

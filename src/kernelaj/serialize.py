@@ -13,6 +13,7 @@ import numpy as np
 
 from .clustering import ClusterModel
 from .core import EventTimeGrid
+from .dataio import FeatureSchema
 from .embedding import MlpParams
 from .errors import SchemaMismatch
 from .model import KernelAJModel
@@ -131,9 +132,5 @@ def load_model(path):
         sft_rejected=bool(doc["flags"]["sft_rejected"]),
         cluster_feature_means=_unpack(feature_means) if feature_means else None,
     )
-    schema = None
-    if doc.get("schema") is not None:
-        from .dataio import FeatureSchema
-
-        schema = FeatureSchema.from_dict(doc["schema"])
-    return model, schema
+    schema = doc.get("schema")
+    return model, None if schema is None else FeatureSchema.from_dict(schema)

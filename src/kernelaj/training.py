@@ -512,12 +512,6 @@ class TrainingLog:
         """No improvement in the last ``patience`` epochs up to ``epoch``."""
         return epoch - self.best_epoch >= patience
 
-    def to_csv(self) -> str:
-        lines = ["epoch,train_loss,valid_criterion,is_best"]
-        for epoch, tl, vc, best in self.rows:
-            lines.append(f"{epoch},{tl!r},{vc!r},{int(best)}")
-        return "\n".join(lines) + "\n"
-
 
 def criterion_scorer(criterion, train: Cohort, valid: Cohort,
                      dtm: DiscreteTimeMap) -> Scorer:
@@ -556,12 +550,12 @@ def _evaluate_criterion(criterion, params, train, valid, dtm, tcfg,
 
 
 def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
-                    tcfg: TrainConfig, dtm: DiscreteTimeMap):
+                    tcfg: TrainConfig, dtm: DiscreteTimeMap, valid_scorer: Scorer = None):
     """Minibatch gradient descent with patience-based early stopping.
 
-    Both cohorts must already be preprocessed on the shared time map. A
-    criterion that cannot be computed on them raises before the first epoch
-    (:func:`criterion_scorer`). After every epoch the configured validation
+    Both cohorts must already be preprocessed on the shared time map. The
+    criterion's :func:`criterion_scorer` is built when ``valid_scorer`` is not
+    given, before the first epoch. After every epoch the configured validation
     criterion is evaluated against the full training set embeddings; the
     log's best checkpoint is kept and training stops when the log has
     stalled for ``patience`` epochs.
@@ -574,7 +568,8 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
     _, kappa = dtm.apply(train)
     groups = code_groups(kappa, train.event, m)
     _, kappa_valid = dtm.apply(valid)
-    valid_scorer = criterion_scorer(tcfg.early_stop_criterion, train, valid, dtm)
+    valid_scorer = valid_scorer or criterion_scorer(
+        tcfg.early_stop_criterion, train, valid, dtm)
 
     params = init_mlp(ecfg)
     side = min(tcfg.batch_size, train.n)

@@ -565,3 +565,22 @@ def write_cohort_csv(cohort: Cohort, path, feature_names=None):
         for i in range(cohort.n):
             row = [repr(float(v)) for v in cohort.features[i]]
             writer.writerow(row + [repr(float(cohort.time[i])), int(cohort.event[i])])
+
+
+def write_csv(path, header, columns, newline="\n"):
+    """The per-cell table writer: the header through ``csv.writer``, then
+    one ``write`` per row of its cells joined by commas, each cell
+    ``repr(float(v))``, ``str(int(v))`` or ``str(v)`` by the column's type."""
+    columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator=newline).writerow(header)
+        for i in range(len(columns[0])):
+            fh.write(",".join(_cell(v) for c in columns for v in c[i]) + newline)
+
+
+def _cell(v) -> str:
+    if isinstance(v, np.floating):
+        return repr(float(v))
+    if isinstance(v, np.integer):
+        return str(int(v))
+    return str(v)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: fit/evaluate/explain/simulate, model file
 round-tripping, determinism, and error reporting."""
 
+import csv
 import json
 import os
 
@@ -21,7 +22,7 @@ from kernelaj import (
     predict_curves,
     write_cohort_csv,
 )
-from kernelaj import cli, finetune
+from kernelaj import cli, finetune, training
 from kernelaj.cli import main
 from kernelaj.model import cluster_curves, predict_cif_grid
 
@@ -187,6 +188,22 @@ class TestFit:
             sft={"enabled": True, "max_epochs": 2, "early_stop_criterion": "ibs"})
         assert main(["fit", "--config", str(config_path)]) == 0
 
+    def test_one_scorer_per_criterion(self, tmp_path, train_csv, monkeypatch):
+        # a ranking-sft-shaped fit: training and SFT both stop on the objective
+        built, build = [], training.criterion_scorer
+
+        def counting(*args):
+            built.append(args[0])
+            return build(*args)
+
+        for module in (cli, training, finetune):
+            monkeypatch.setattr(module, "criterion_scorer", counting)
+        config_path, _ = write_config(
+            tmp_path, train_csv, training={"alpha": 0.5, "early_stop_criterion": "objective"},
+            sft={"enabled": True, "max_epochs": 2})
+        assert main(["fit", "--config", str(config_path)]) == 0
+        assert built == ["objective"]
+
     def test_sft_flag_recorded(self, tmp_path, train_csv):
         config_path, _ = write_config(
             tmp_path, train_csv,
@@ -268,6 +285,50 @@ class TestExplain:
         assert (tmp_path / "rep" / "cluster_cifs.csv").exists()
         assert (tmp_path / "rep" / "cluster_features.csv").exists()
         assert (tmp_path / "rep" / "kernel_matrix.csv").exists()
+
+    @pytest.fixture(scope="class")
+    def feature_report(self, tmp_path_factory):
+        """cluster_features.csv, read by csv.reader, of a cohort whose column
+        names and category values collide with the report's own syntax."""
+        base = tmp_path_factory.mktemp("features")
+        rng = np.random.default_rng(5)
+        n = 300
+        with open(base / "train.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["exemplar_id", "dose=mg", "grp", "time", "event"])
+            writer.writerows(zip(rng.normal(50, 5, n).tolist(),
+                                 rng.normal(100, 10, n).tolist(),
+                                 rng.choice(["a,b", 'c"d', "e"], n).tolist(),
+                                 rng.exponential(1.0, n).tolist(),
+                                 rng.choice([0, 1, 2], n).tolist()))
+        schema = {"exemplar_id": "continuous", "dose=mg": "continuous", "grp": "categorical"}
+        config_path, _ = write_config(base, base / "train.csv",
+                                      data={"schema": schema}, clustering={"epsilon": 0.3})
+        assert main(["fit", "--config", str(config_path)]) == 0
+        assert main(["explain", "--model", str(base / "out" / "model.json"), "--clusters",
+                     "--out", str(base / "rep")]) == 0
+        with open(base / "rep" / "cluster_features.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        return rows, *load_model(base / "out" / "model.json")
+
+    def test_cluster_features_keep_the_ids(self, feature_report):
+        rows, model, _ = feature_report
+        assert rows[0][0] == "exemplar_id"
+        assert [int(row[0]) for row in rows[1:]] == model.clusters.exemplar_ids.tolist()
+
+    def test_cluster_features_rows_match_header(self, feature_report):
+        rows, _, _ = feature_report
+        assert rows[0] == ["exemplar_id", "exemplar_id", "dose=mg", "grp=a,b", 'grp=c"d',
+                           "grp=e"]
+        assert {len(row) for row in rows} == {6}
+
+    def test_cluster_features_on_input_scale(self, feature_report):
+        rows, model, schema = feature_report
+        for j, name in ((1, "exemplar_id"), (2, "dose=mg")):
+            stats = schema.stats[name]
+            want = model.cluster_feature_means[:, j - 1] * stats["std"] + stats["mean"]
+            assert [float(row[j]) for row in rows[1:]] == want.tolist()
+        assert all(float(row[2]) > 50 for row in rows[1:])
 
     def test_subject_records(self, tmp_path, train_csv, test_csv):
         config_path, _ = write_config(tmp_path, train_csv)

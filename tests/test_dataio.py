@@ -4,6 +4,7 @@ and writer are checked against the per-cell ones in ``dense_oracle``."""
 
 import csv
 import io
+import json
 import struct
 from typing import NamedTuple
 from unittest import mock
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import dense_oracle as oracle
 from conftest import traced_peak
@@ -31,7 +32,7 @@ from kernelaj import (
     split,
     write_cohort_csv,
 )
-from kernelaj.dataio import RawTable
+from kernelaj.dataio import FeatureSchema, RawTable
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -259,6 +260,41 @@ class TestWholeArrayIO:
         assert peak <= 1.1 * oracle_peak
 
 
+@st.composite
+def tables(draw):
+    """(header, columns, newline, block size) for :func:`dataio.write_csv`: a
+    1-D column first, then 1-D float, int or str columns and 2-D float
+    blocks (some of them transposed views), under header names that may
+    need quoting. Str cells hold no comma, quote or line break, because the
+    body is written unquoted."""
+    n = draw(st.integers(0, 12))
+    ints = arrays(np.int64, n, elements=st.integers(-2 ** 63, 2 ** 63 - 1))
+    strs = st.lists(st.text(alphabet="ab 1.-=\u00e9", max_size=4), min_size=n,
+                    max_size=n).map(lambda cells: np.array(cells, dtype=str))
+    one_d = st.one_of(arrays(np.float64, n, elements=FLOATS), ints, strs)
+    block = st.integers(0, 3).flatmap(lambda k: st.one_of(
+        arrays(np.float64, (n, k), elements=FLOATS),
+        arrays(np.float64, (k, n), elements=FLOATS).map(np.transpose)))
+    columns = [draw(one_d)] + draw(st.lists(st.one_of(one_d, block), max_size=3))
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    header = draw(st.lists(st.text(alphabet='x1 ,"\n=', max_size=3),
+                           min_size=width, max_size=width))
+    return header, columns, draw(st.sampled_from(["\n", "\r\n"])), draw(
+        st.sampled_from([1, 2, 256]))
+
+
+class TestWriteCsv:
+    @settings(max_examples=200)
+    @given(case=tables())
+    def test_matches_per_cell_writer(self, tmp_path_factory, case):
+        header, columns, newline, block = case
+        base = tmp_path_factory.getbasetemp()
+        with mock.patch.object(dataio, "IO_BLOCK_ROWS", block):
+            dataio.write_csv(base / "got.csv", header, columns, newline)
+        oracle.write_csv(base / "want.csv", header, columns, newline)
+        assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
+
+
 class TestPreprocessor:
     def make_table(self, ages, stages, smokers, times, events):
         return RawTable({"age": ages, "stage": stages, "smoker": smokers},
@@ -306,6 +342,20 @@ class TestPreprocessor:
         cohort, schema = fit_apply_preprocessor(train, schema_spec=SCHEMA)
         assert any("zero variance" in w for w in schema.warnings)
         assert_allclose(cohort.features[:, 0], 0.0)
+
+
+    def test_dict_round_trip_keeps_column_order(self):
+        # a model file stores the kinds with sorted keys; transform must
+        # still lay the columns out in the fitted order
+        train = RawTable({"smoker": ["1", "0", "1"], "stage": ["b", "a", "a"],
+                          "age": [1.0, 2.0, 4.0]},
+                         np.array([1.0, 2.0, 3.0]), np.array([1, 0, 2]))
+        schema = FeatureSchema({"smoker": "binary", "stage": "categorical",
+                                "age": "continuous"}).fit(train)
+        stored = json.dumps(schema.to_dict(), sort_keys=True)
+        loaded = FeatureSchema.from_dict(json.loads(stored))
+        assert list(loaded.kinds) == list(schema.kinds)
+        assert_array_equal(loaded.transform(train), schema.transform(train))
 
 
 class TestSplit:

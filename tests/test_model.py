@@ -1,10 +1,13 @@
 """Tests for kernel-weighted prediction: special-case equivalences against
 the population estimator, conservation, and interpretation quantities."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kernelaj import (
@@ -33,7 +36,7 @@ from kernelaj import (
 from kernelaj import model as model_module
 from kernelaj.clustering import ClusterModel
 from kernelaj.core import EventTimeGrid
-from kernelaj.embedding import MlpParams, embed_batch
+from kernelaj.embedding import MlpParams, embed_batch, pairwise_sq_dists
 from kernelaj.model import cluster_curves, exemplar_kernel_matrix
 from kernelaj.training import DiscreteTimeMap
 
@@ -456,6 +459,14 @@ class TestInterpretationQuantities:
         K = exemplar_kernel_matrix(model)
         assert_allclose(K, K.T)
         assert_allclose(np.diag(K), 1.0)
+
+    @given(E=st.integers(1, 12).flatmap(lambda q: arrays(
+        np.float64, (q, 3),
+        elements=st.floats(-30, 30) | st.sampled_from([0.0, -0.0, 1e-160]))))
+    def test_exemplar_kernel_matrix_is_exp_of_minus_distances(self, E):
+        # exp(min(N, 0)) of the GEMM product N is exp(-max(-N, 0)) to the bit
+        model = SimpleNamespace(clusters=SimpleNamespace(exemplar_embeddings=E))
+        assert_array_equal(exemplar_kernel_matrix(model), np.exp(-pairwise_sq_dists(E)))
 
 
 class TestNonFiniteFeatures:
