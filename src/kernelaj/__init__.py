@@ -98,7 +98,6 @@ from .model import (
 )
 from .serialize import load_model, save_model
 from .training import (
-    DiscreteTimeMap,
     TrainConfig,
     TrainingLog,
     discretize_times,

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -19,9 +19,10 @@ from . import metrics as metricsmod
 from .clustering import build_cluster_model, cluster_positions, tau_from_min_kernel_weight
 from .core import (
     Cohort,
+    breslow_preprocess,
     build_event_grid,
     cif_from_hazards,
-    risk_event_counts,
+    require_int,
     table_hazards,
 )
 from .dataio import (
@@ -44,16 +45,12 @@ _TOP_KEYS = {"seed", "output_dir", "data", "embedding", "training",
              "clustering", "sft"}
 _DATA_KEYS = {"train", "valid", "time_column", "event_column", "schema",
               "valid_fraction"}
-_EMBED_KEYS = {"num_layers", "hidden_units", "embed_dim", "activation",
-               "init_seed"}
-_TRAIN_KEYS = {"learning_rate", "batch_size", "max_epochs", "patience",
-               "alpha", "sigma", "momentum", "num_time_steps",
-               "early_stop_criterion", "seed"}
-_CLUSTER_KEYS = {"epsilon", "squared_radius", "min_kernel_weight",
-                 "shuffle_seed"}
+_EMBED_KEYS = {f.name for f in fields(EmbeddingConfig)} - {"input_dim"}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+_CLUSTER_KEYS = {"epsilon", "min_kernel_weight", "shuffle_seed"}
 _SFT_KEYS = {"enabled", "learning_rate", "max_epochs", "patience",
              "early_stop_criterion"}
-_SIM_KEYS = {"n", "p", "w1", "w2", "censoring_rate", "seed"}
+_SIM_KEYS = {f.name for f in fields(SynthConfig)}
 
 
 def _check_keys(section: dict, allowed: set, path: str):
@@ -127,12 +124,8 @@ def _parse_fit_config(doc: dict):
     _require(data, "schema", "data")
     _check_keys(doc.get("embedding", {}), _EMBED_KEYS, "embedding")
     _check_keys(doc.get("training", {}), _TRAIN_KEYS, "training")
-    cluster_cfg = doc.get("clustering", {})
-    _check_keys(cluster_cfg, _CLUSTER_KEYS, "clustering")
-    if cluster_cfg.get("epsilon") is None and cluster_cfg.get("squared_radius") is None:
-        raise ConfigError("missing required config key 'clustering.epsilon' "
-                          "(or 'clustering.squared_radius')",
-                          key="clustering.epsilon")
+    _check_keys(doc.get("clustering", {}), _CLUSTER_KEYS, "clustering")
+    _require(doc.get("clustering", {}), "epsilon", "clustering")
     _check_keys(doc.get("sft", {}), _SFT_KEYS, "sft")
     return doc
 
@@ -140,38 +133,55 @@ def _parse_fit_config(doc: dict):
 def _clustering_from_config(cluster_cfg: dict):
     """(epsilon, min_kernel_weight, shuffle_seed), checked before training."""
     def build():
-        if cluster_cfg.get("epsilon") is not None:
-            epsilon = float(cluster_cfg["epsilon"])
-        else:
-            epsilon = float(np.sqrt(float(cluster_cfg["squared_radius"])))
+        epsilon = float(cluster_cfg["epsilon"])
         if not epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         min_weight = float(cluster_cfg.get("min_kernel_weight", 0.01))
         tau_from_min_kernel_weight(min_weight)
-        return epsilon, min_weight, cluster_cfg.get("shuffle_seed")
+        shuffle_seed = cluster_cfg.get("shuffle_seed")
+        if shuffle_seed is not None:
+            require_int("shuffle_seed", shuffle_seed, 0)
+        return epsilon, min_weight, shuffle_seed
     return _checked("clustering", build)
 
 
-def _sft_train_config(sft_config: dict, tcfg: TrainConfig) -> TrainConfig:
-    """The fine-tuning TrainConfig of an ``sft`` config section."""
+def _sft_train_config(sft_config: dict, tcfg: TrainConfig):
+    """The fine-tuning TrainConfig of an ``sft`` config section, or None
+    when fine-tuning is not enabled."""
+    enabled = sft_config.get("enabled", False)
+    if not isinstance(enabled, bool):
+        raise ConfigError(f"invalid value in 'sft.enabled': must be true or false, "
+                          f"got {enabled!r}", key="sft.enabled")
     return _checked("sft", lambda: TrainConfig(
-        learning_rate=float(sft_config.get("learning_rate", 0.001)),
-        max_epochs=int(sft_config.get("max_epochs", 100)),
-        patience=int(sft_config.get("patience", tcfg.patience)),
+        learning_rate=sft_config.get("learning_rate", 0.001),
+        max_epochs=sft_config.get("max_epochs", 100),
+        patience=sft_config.get("patience", tcfg.patience),
         alpha=1.0,
         sigma=tcfg.sigma,
         num_time_steps=tcfg.num_time_steps,
         early_stop_criterion=sft_config.get("early_stop_criterion",
                                             tcfg.early_stop_criterion),
-    ))
+    )) if enabled else None
 
 
 def cmd_fit(config_path: str) -> int:
     doc = _parse_fit_config(_load_json(config_path))
-    seed = _checked("seed", lambda: int(doc.get("seed", 0)))
+    data_cfg = doc["data"]
+    # every setting is checked before the data is read; the embedding's
+    # input_dim is the feature count, filled in once the data is read
+    seed = _checked("seed", lambda: require_int("seed", doc.get("seed", 0), 0))
+    frac = _checked("data.valid_fraction",
+                    lambda: float(data_cfg.get("valid_fraction", 0.2)))
+    if not 0.0 <= frac < 1.0:
+        raise ConfigError("invalid value in 'data.valid_fraction': "
+                          "must lie in [0, 1)", key="data.valid_fraction")
+    ecfg = _checked("embedding", lambda: EmbeddingConfig(
+        input_dim=1, **doc.get("embedding", {})))
+    tcfg = _checked("training", lambda: TrainConfig(**doc.get("training", {})))
+    epsilon, min_weight, shuffle_seed = _clustering_from_config(doc["clustering"])
+    _sft_train_config(doc.get("sft", {}), tcfg)
     out_dir = doc.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    data_cfg = doc["data"]
 
     schema_spec = data_cfg["schema"]
     train_table = _load_data(data_cfg, "train")
@@ -185,21 +195,12 @@ def cmd_fit(config_path: str) -> int:
         full_cohort, schema = _checked(
             data_cfg["train"],
             lambda: fit_apply_preprocessor(train_table, schema_spec=schema_spec))
-        frac = _checked("data.valid_fraction",
-                        lambda: float(data_cfg.get("valid_fraction", 0.2)))
-        if not 0.0 <= frac < 1.0:
-            raise ConfigError("invalid value in 'data.valid_fraction': "
-                              "must lie in [0, 1)", key="data.valid_fraction")
         perm = np.random.default_rng(seed).permutation(full_cohort.n)
         n_valid = max(int(full_cohort.n * frac), 1)
         valid_cohort = full_cohort.subset(perm[:n_valid])
         train_cohort = full_cohort.subset(perm[n_valid:])
 
-    ecfg = _checked("embedding", lambda: EmbeddingConfig(
-        input_dim=train_cohort.p, **doc.get("embedding", {})))
-    tcfg = _checked("training", lambda: TrainConfig(**doc.get("training", {})))
-    epsilon, min_weight, shuffle_seed = _clustering_from_config(doc.get("clustering", {}))
-
+    ecfg = replace(ecfg, input_dim=train_cohort.p)
     model, logs = fit_pipeline(train_cohort, valid_cohort, ecfg, tcfg,
                                epsilon=epsilon, min_kernel_weight=min_weight,
                                shuffle_seed=shuffle_seed,
@@ -226,42 +227,31 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     An invalid ``sft_config``, or a criterion that cannot be computed on the
     validation cohort, raises before training starts.
     """
-    sft_config = sft_config or {}
-    sft_tcfg = _sft_train_config(sft_config, tcfg) if sft_config.get("enabled") else None
-    grid = build_event_grid(train_cohort)
-    dtm = discretize_times(grid, tcfg.num_time_steps)
-    train_pre, _ = dtm.apply(train_cohort)
-    valid_pre, _ = dtm.apply(valid_cohort)
+    sft_tcfg = _sft_train_config(sft_config or {}, tcfg)
+    grid = discretize_times(build_event_grid(train_cohort), tcfg.num_time_steps)
+    train_pre, _ = breslow_preprocess(train_cohort, grid)
+    valid_pre, _ = breslow_preprocess(valid_cohort, grid)
     # one validation scorer per criterion, SFT's checked first
     criteria = [sft_tcfg.early_stop_criterion] if sft_tcfg else []
-    scorers = {c: criterion_scorer(c, train_pre, valid_pre, dtm)
+    scorers = {c: criterion_scorer(c, train_pre, valid_pre, grid)
                for c in dict.fromkeys(criteria + [tcfg.early_stop_criterion])}
 
-    params, train_log = train_embedding(train_pre, valid_pre, ecfg, tcfg, dtm,
+    params, train_log = train_embedding(train_pre, valid_pre, ecfg, tcfg, grid,
                                         scorers[tcfg.early_stop_criterion])
 
     embeddings = embed_batch(params, train_pre.features)
     tau = tau_from_min_kernel_weight(min_kernel_weight)
-    clusters = build_cluster_model(embeddings, train_pre, dtm.grid, epsilon,
+    clusters = build_cluster_model(embeddings, train_pre, grid, epsilon,
                                    tau, shuffle_seed)
-    pop_d, pop_n = risk_event_counts(train_pre, dtm.grid)
 
     # each cluster's rows in input order, so every mean keeps its bits
     order = np.argsort(cluster_positions(clusters.exemplar_ids, clusters.assignments),
                        kind="stable")
     feature_means = np.vstack([rows.mean(axis=0) for rows in np.split(
         train_pre.features[order], np.cumsum(clusters.cluster_sizes())[:-1])])
-    model = KernelAJModel(
-        params=params,
-        clusters=clusters,
-        dtm=dtm,
-        population_d=pop_d,
-        population_n=pop_n,
-        d_tables=clusters.d_cluster.copy(),
-        n_tables=clusters.n_cluster.copy(),
-        config=config_snapshot or {},
-        cluster_feature_means=feature_means,
-    )
+    model = KernelAJModel(params=params, clusters=clusters, grid=grid,
+                          cluster_feature_means=feature_means,
+                          config=config_snapshot or {})
     logs = {"train": train_log}
 
     if sft_tcfg is not None:
@@ -328,12 +318,11 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                   [np.repeat(ids[order], len(model.grid)), np.tile(model.grid.times, ids.size),
                    surv[order].ravel(), cif[:, order].reshape(model.m, -1).T])
         means = model.cluster_feature_means
-        if means is not None:
-            names = [f"f{j}" for j in range(means.shape[1])]
-            if schema is not None:
-                names, means = schema.feature_names, schema.original_scale(means)
-            write_csv(os.path.join(out_dir, "cluster_features.csv"),
-                      ["exemplar_id", *names], [ids, means])
+        names = [f"f{j}" for j in range(means.shape[1])]
+        if schema is not None:
+            names, means = schema.feature_names, schema.original_scale(means)
+        write_csv(os.path.join(out_dir, "cluster_features.csv"),
+                  ["exemplar_id", *names], [ids, means])
         write_csv(os.path.join(out_dir, "kernel_matrix.csv"), ["exemplar_id", *ids.tolist()],
                   [ids, exemplar_kernel_matrix(model)])
         print(f"cluster reports written to {out_dir}")
@@ -375,14 +364,9 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
 def cmd_simulate(config_path: str, out_path: str) -> int:
     doc = _load_json(config_path)
     _check_keys(doc, _SIM_KEYS, "")
-    cfg = _checked(config_path, lambda: SynthConfig(
-        n=int(_require(doc, "n", "")),
-        p=int(_require(doc, "p", "")),
-        w1=tuple(_require(doc, "w1", "")),
-        w2=tuple(_require(doc, "w2", "")),
-        censoring_rate=float(doc.get("censoring_rate", 0.5)),
-        seed=int(doc.get("seed", 0)),
-    ))
+    for key in ("n", "p", "w1", "w2"):
+        _require(doc, key, "")
+    cfg = _checked(config_path, lambda: SynthConfig(**doc))
     cohort = generate_synthetic(cfg)
     write_cohort_csv(cohort, out_path)
     sidecar = out_path + ".config.json"

@@ -19,10 +19,22 @@ relies on exact floating-point equality of times snapped to grid values.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DegenerateRisk, EmptyCohort, NoEvents, ShapeMismatch
+
+
+def require_int(name: str, value, minimum: int):
+    """``value`` when it is an integer of at least ``minimum``; numpy
+    integers pass. A bool or a non-integral number raises TypeError, a
+    smaller integer ValueError, each naming the setting."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .core import Cohort
+from .core import Cohort, require_int
 from .errors import MissingColumn, ParseError, SchemaMismatch, TooSmall
 
 _KINDS = ("continuous", "categorical", "binary")
@@ -314,12 +314,14 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p < 1 or self.n < 1:
-            raise ValueError("n and p must be positive")
+        require_int("n", self.n, 1)
+        require_int("p", self.p, 1)
+        require_int("seed", self.seed, 0)
         if not 0.0 <= self.censoring_rate < 1.0:
             raise ValueError("censoring rate must lie in [0, 1)")
         if len(self.w1) != self.p or len(self.w2) != self.p:
             raise ValueError("weight vectors must have length p")
+        object.__setattr__(self, "censoring_rate", float(self.censoring_rate))
         object.__setattr__(self, "w1", tuple(float(v) for v in self.w1))
         object.__setattr__(self, "w2", tuple(float(v) for v in self.w2))
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import require_int
 from .errors import ShapeMismatch
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -35,8 +36,9 @@ class EmbeddingConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        if min(self.input_dim, self.num_layers, self.hidden_units, self.embed_dim) < 1:
-            raise ValueError("all architecture sizes must be positive")
+        for name in ("input_dim", "num_layers", "hidden_units", "embed_dim"):
+            require_int(name, getattr(self, name), 1)
+        require_int("init_seed", self.init_seed, 0)
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}")
 

@@ -17,17 +17,17 @@ step's num/den rule to D and N, then through W and the parameterization.
 Initialization reproduces the raw counts up to a 1e-12 floor that guards
 log(0). Candidates are scored with the training criterion's scorer
 (:func:`training.criterion_scorer`) and stopped by its
-:class:`training.TrainingLog`; the tuned tables are kept only when the
-validation criterion strictly improves, otherwise the original model is
-returned with ``sft_rejected`` set.
+:class:`training.TrainingLog`; the tuned tables become the model's
+``sft_tables`` only when the validation criterion strictly improves,
+otherwise the original model is returned unchanged.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .clustering import ClusterModel
-from .core import Cohort, safe_reciprocal
+from .core import Cohort, breslow_preprocess, safe_reciprocal
 from .errors import ShapeMismatch
 from .metrics import Scorer, score_curves
 from .model import _curves_from_weights, frozen_subject_weights
@@ -192,27 +192,26 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
                         valid_scorer: Scorer = None):
     """Gradient descent on the summary tables with validation backtracking.
 
-    Returns (model', SftResult). The tuned tables are installed only when the
-    validation criterion strictly improves over the model before fine-tuning;
-    ties or regressions return the original tables with ``sft_rejected``.
-    ``valid_scorer``, the criterion's :func:`training.criterion_scorer`, is
-    built here when not given.
+    Returns (model', SftResult). The tuned tables are installed as
+    ``sft_tables`` only when the validation criterion strictly improves over
+    the model before fine-tuning; ties or regressions return ``model``
+    itself. ``valid_scorer``, the criterion's
+    :func:`training.criterion_scorer`, is built here when not given.
     """
     criterion = config.early_stop_criterion
     W_train = frozen_subject_weights(model.params, model.clusters, train.features)
     W_valid = frozen_subject_weights(model.params, model.clusters, valid.features)
-    _, kappa_tr = model.dtm.apply(train)
-    _, kappa_va = model.dtm.apply(valid)
-    valid_scorer = valid_scorer or criterion_scorer(criterion, train, valid, model.dtm)
+    _, kappa_tr = breslow_preprocess(train, model.grid)
+    _, kappa_va = breslow_preprocess(valid, model.grid)
+    valid_scorer = valid_scorer or criterion_scorer(criterion, train, valid, model.grid)
     W_train, kappa_tr, event_tr = _active_rows(W_train, kappa_tr, train.event)
     buffers = np.empty((3, model.m, kappa_tr.size, len(model.grid)))
 
-    def evaluate(candidate_model):
+    def evaluate(tables):
         if criterion == "objective":
-            return sft_objective_from_tables(
-                candidate_model.d_tables, candidate_model.n_tables,
-                W_valid, kappa_va, valid.event, config.alpha, config.sigma)
-        cif, _, _ = _curves_from_weights(candidate_model, W_valid)
+            return sft_objective_from_tables(*tables, W_valid, kappa_va, valid.event,
+                                             config.alpha, config.sigma)
+        cif, _, _ = _curves_from_weights(replace(model, sft_tables=tables), W_valid)
         return float(np.mean(score_curves(cif, model.grid.times, valid_scorer,
                                           (criterion,))[criterion]))
 
@@ -221,9 +220,8 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     # moves the parameters then ties exactly and backtracks) and the raw
     # tables (which differ by the <= 1e-6 relative floor): the log starts
     # from the better of the two.
-    d0, n0 = sft_counts(params)
-    log = TrainingLog(criterion=criterion, best_value=evaluate(model.with_tables(d0, n0)))
-    raw_value = evaluate(model)
+    log = TrainingLog(criterion=criterion, best_value=evaluate(sft_counts(params)))
+    raw_value = evaluate(model.tables)
     if log.improves(raw_value):
         log.best_value = raw_value
 
@@ -232,9 +230,7 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
         loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, event_tr,
                                         config.alpha, config.sigma, buffers)
         params = params.shifted(*grads, step=config.learning_rate)
-        d_prime, n_prime = sft_counts(params)
-        if log.add(epoch, loss, evaluate(model.with_tables(d_prime, n_prime,
-                                                           sft_applied=True))):
+        if log.add(epoch, loss, evaluate(sft_counts(params))):
             best_params = params
         if log.stalled(epoch, config.patience):
             break
@@ -244,7 +240,5 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
                        best_criterion=float(log.best_value if accepted else raw_value),
                        log=log)
     if not accepted:
-        return model.with_tables(model.clusters.d_cluster, model.clusters.n_cluster,
-                                 sft_applied=False, sft_rejected=True), result
-    d_prime, n_prime = sft_counts(best_params)
-    return model.with_tables(d_prime, n_prime, sft_applied=True), result
+        return model, result
+    return replace(model, sft_tables=sft_counts(best_params)), result

@@ -12,62 +12,62 @@ A trained model is immutable; prediction and explanation are pure functions
 and safe for concurrent use.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clustering import ClusterModel
-from .core import CifSet, cif_from_hazards, curves_from_counts, table_hazards
+from .core import CifSet, EventTimeGrid, cif_from_hazards, curves_from_counts, table_hazards
 from .embedding import (MlpParams, forward_cached, kernel_matrix, pairwise_sq_dists,
                         rowwise_matmul)
 from .errors import EmptyNeighborhood, NoRisk, NonFiniteFeatures, ShapeMismatch
-from .training import DiscreteTimeMap
 
 PREDICT_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
 class KernelAJModel:
-    """Frozen embedding parameters, cluster summaries, the time grid, and the
-    population-level fallback estimate.
+    """Frozen embedding parameters, the clusters with their event and
+    at-risk tables, the time grid, and the clusters' mean features.
 
-    ``d_tables``/``n_tables`` are the per-cluster count tables actually used
-    at prediction time; they start as the raw cluster counts and are replaced
-    when summary fine-tuning is accepted.
+    ``sft_tables`` holds the (d (Q, L, m), n (Q, L)) tables that replace the
+    cluster tables at prediction time when summary fine-tuning was accepted,
+    and is None otherwise.
     """
 
     params: MlpParams
     clusters: ClusterModel
-    dtm: DiscreteTimeMap
-    population_d: np.ndarray
-    population_n: np.ndarray
-    d_tables: np.ndarray
-    n_tables: np.ndarray
+    grid: EventTimeGrid
+    cluster_feature_means: np.ndarray
     config: dict = field(default_factory=dict)
-    sft_applied: bool = False
-    sft_rejected: bool = False
-    cluster_feature_means: np.ndarray = None
+    sft_tables: tuple = None
 
-    @property
-    def grid(self):
-        return self.dtm.grid
+    def __post_init__(self):
+        Q, L = self.clusters.n_cluster.shape
+        if len(self.grid) != L or np.shape(self.cluster_feature_means)[:1] != (Q,):
+            raise ShapeMismatch("grid or cluster feature means disagree with the clusters")
+        if self.sft_tables is not None and tuple(map(np.shape, self.sft_tables)) != (
+                self.clusters.d_cluster.shape, self.clusters.n_cluster.shape):
+            raise ShapeMismatch("fine-tuned tables disagree with the cluster tables")
 
     @property
     def m(self) -> int:
-        return int(self.population_d.shape[1])
+        return int(self.clusters.d_cluster.shape[2])
 
     @property
     def t_max(self) -> float:
         return self.grid.t_max
 
-    def population_curves(self) -> CifSet:
-        return curves_from_counts(self.population_d, self.population_n, self.grid)
+    @property
+    def tables(self):
+        """The (d, n) tables used for prediction."""
+        return self.sft_tables or (self.clusters.d_cluster, self.clusters.n_cluster)
 
-    def with_tables(self, d_tables, n_tables, sft_applied=False,
-                    sft_rejected=False) -> "KernelAJModel":
-        return replace(self, d_tables=np.asarray(d_tables, np.float64),
-                       n_tables=np.asarray(n_tables, np.float64),
-                       sft_applied=sft_applied, sft_rejected=sft_rejected)
+    def population_curves(self) -> CifSet:
+        """Aalen-Johansen curves of the pooled cluster tables: integer
+        counts, so the sums equal the population's counts exactly."""
+        return curves_from_counts(self.clusters.d_cluster.sum(axis=0),
+                                  self.clusters.n_cluster.sum(axis=0), self.grid)
 
 
 _NOT_FINITE = "features are not finite or too large to embed"
@@ -116,9 +116,10 @@ def frozen_subject_weights(params_mlp: MlpParams, clusters: ClusterModel,
 
 def _weighted_tables(model: KernelAJModel, W):
     """Kernel-weighted event (n, L, m) and at-risk (n, L) tables, row by row."""
-    Q, L, m = model.d_tables.shape
-    d_w = rowwise_matmul(W, model.d_tables.reshape(Q, L * m)).reshape(-1, L, m)
-    return d_w, rowwise_matmul(W, model.n_tables)
+    d, n = model.tables
+    Q, L, m = d.shape
+    d_w = rowwise_matmul(W, d.reshape(Q, L * m)).reshape(-1, L, m)
+    return d_w, rowwise_matmul(W, n)
 
 
 def _curves_from_weights(model: KernelAJModel, W):

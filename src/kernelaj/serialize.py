@@ -15,11 +15,11 @@ from .clustering import ClusterModel
 from .core import EventTimeGrid
 from .dataio import FeatureSchema
 from .embedding import MlpParams
-from .errors import SchemaMismatch
+from .errors import SchemaMismatch, ShapeMismatch
 from .model import KernelAJModel
-from .training import DiscreteTimeMap
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_DTYPES = ("<i8", "<f8")
 
 
 def _pack(arr) -> dict:
@@ -35,13 +35,17 @@ def _pack(arr) -> dict:
 
 
 def _unpack(payload) -> np.ndarray:
+    if payload["dtype"] not in _DTYPES:
+        raise TypeError(f"unsupported array dtype {payload['dtype']!r}")
     raw = base64.b64decode(payload["data"])
     arr = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
     return arr.reshape(payload["shape"]).copy()
 
 
 def model_to_dict(model: KernelAJModel, schema=None) -> dict:
-    doc = {
+    """The format-2 document: each array of the model once, the fine-tuned
+    tables only when summary fine-tuning was accepted (null otherwise)."""
+    return {
         "format_version": FORMAT_VERSION,
         "schema": schema.to_dict() if schema is not None else None,
         "embedding": {
@@ -50,10 +54,7 @@ def model_to_dict(model: KernelAJModel, schema=None) -> dict:
             "weights": [_pack(w) for w in model.params.weights],
             "biases": [_pack(b) for b in model.params.biases],
         },
-        "time_map": {
-            "grid": _pack(model.dtm.grid.times),
-            "source_grid_size": model.dtm.source_grid_size,
-        },
+        "grid": _pack(model.grid.times),
         "clusters": {
             "exemplar_ids": _pack(model.clusters.exemplar_ids),
             "exemplar_embeddings": _pack(model.clusters.exemplar_embeddings),
@@ -63,24 +64,11 @@ def model_to_dict(model: KernelAJModel, schema=None) -> dict:
             "epsilon": model.clusters.epsilon,
             "tau": model.clusters.tau,
         },
-        "tables": {
-            "d": _pack(model.d_tables),
-            "n": _pack(model.n_tables),
-        },
-        "population": {
-            "d": _pack(model.population_d),
-            "n": _pack(model.population_n),
-        },
-        "flags": {
-            "sft_applied": model.sft_applied,
-            "sft_rejected": model.sft_rejected,
-        },
-        "cluster_feature_means": (
-            _pack(model.cluster_feature_means)
-            if model.cluster_feature_means is not None else None),
+        "cluster_feature_means": _pack(model.cluster_feature_means),
+        "sft_tables": None if model.sft_tables is None else {
+            "d": _pack(model.sft_tables[0]), "n": _pack(model.sft_tables[1])},
         "config": model.config,
     }
-    return doc
 
 
 def save_model(model: KernelAJModel, path, schema=None):
@@ -90,47 +78,50 @@ def save_model(model: KernelAJModel, path, schema=None):
         fh.write("\n")
 
 
+def _model_from_dict(doc):
+    """(model, schema_or_None) of a format-2 document."""
+    emb, cl, sft = doc["embedding"], doc["clusters"], doc["sft_tables"]
+    if not isinstance(doc["config"], dict):
+        raise TypeError("config must be an object")
+    model = KernelAJModel(
+        params=MlpParams(
+            layer_sizes=tuple(emb["layer_sizes"]),
+            weights=tuple(_unpack(w) for w in emb["weights"]),
+            biases=tuple(_unpack(b) for b in emb["biases"]),
+            activation=emb["activation"],
+        ),
+        clusters=ClusterModel(
+            exemplar_ids=_unpack(cl["exemplar_ids"]),
+            exemplar_embeddings=_unpack(cl["exemplar_embeddings"]),
+            assignments=_unpack(cl["assignments"]),
+            d_cluster=_unpack(cl["d_cluster"]),
+            n_cluster=_unpack(cl["n_cluster"]),
+            epsilon=float(cl["epsilon"]),
+            tau=float(cl["tau"]),
+        ),
+        grid=EventTimeGrid(_unpack(doc["grid"])),
+        cluster_feature_means=_unpack(doc["cluster_feature_means"]),
+        config=doc["config"],
+        sft_tables=None if sft is None else (_unpack(sft["d"]), _unpack(sft["n"])),
+    )
+    schema = doc["schema"]
+    return model, None if schema is None else FeatureSchema.from_dict(schema)
+
+
 def load_model(path):
-    """Returns (model, schema_or_None)."""
+    """Returns (model, schema_or_None). A file of another format version
+    raises SchemaMismatch; a missing key, a wrongly typed section or arrays
+    of inconsistent shapes raise ValueError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("model file must hold a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise SchemaMismatch(
             f"unsupported model format version {doc.get('format_version')}")
-    emb = doc["embedding"]
-    params = MlpParams(
-        layer_sizes=tuple(emb["layer_sizes"]),
-        weights=tuple(_unpack(w) for w in emb["weights"]),
-        biases=tuple(_unpack(b) for b in emb["biases"]),
-        activation=emb["activation"],
-    )
-    dtm = DiscreteTimeMap(
-        grid=EventTimeGrid(_unpack(doc["time_map"]["grid"])),
-        source_grid_size=int(doc["time_map"]["source_grid_size"]),
-    )
-    cl = doc["clusters"]
-    clusters = ClusterModel(
-        exemplar_ids=_unpack(cl["exemplar_ids"]),
-        exemplar_embeddings=_unpack(cl["exemplar_embeddings"]),
-        assignments=_unpack(cl["assignments"]),
-        d_cluster=_unpack(cl["d_cluster"]),
-        n_cluster=_unpack(cl["n_cluster"]),
-        epsilon=float(cl["epsilon"]),
-        tau=float(cl["tau"]),
-    )
-    feature_means = doc.get("cluster_feature_means")
-    model = KernelAJModel(
-        params=params,
-        clusters=clusters,
-        dtm=dtm,
-        population_d=_unpack(doc["population"]["d"]),
-        population_n=_unpack(doc["population"]["n"]),
-        d_tables=_unpack(doc["tables"]["d"]),
-        n_tables=_unpack(doc["tables"]["n"]),
-        config=doc.get("config", {}),
-        sft_applied=bool(doc["flags"]["sft_applied"]),
-        sft_rejected=bool(doc["flags"]["sft_rejected"]),
-        cluster_feature_means=_unpack(feature_means) if feature_means else None,
-    )
-    schema = doc.get("schema")
-    return model, None if schema is None else FeatureSchema.from_dict(schema)
+    try:
+        return _model_from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from None
+    except (TypeError, AttributeError, ShapeMismatch) as exc:
+        raise ValueError(str(exc)) from None

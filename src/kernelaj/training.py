@@ -80,6 +80,7 @@ from .core import (
     EventTimeGrid,
     breslow_preprocess,
     cif_from_hazards,
+    require_int,
     safe_reciprocal,
 )
 from .embedding import (
@@ -115,69 +116,43 @@ class TrainConfig:
     patience: int = 10
     alpha: float = 1.0
     sigma: float = 1.0
-    momentum: float = 0.0
     num_time_steps: int = 0
     early_stop_criterion: str = "objective"
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
+        for name, minimum in (("batch_size", 2), ("max_epochs", 1), ("patience", 1),
+                              ("num_time_steps", 0), ("seed", 0)):
+            require_int(name, getattr(self, name), minimum)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("max_epochs and patience must be >= 1")
-        if self.num_time_steps < 0:
-            raise ValueError("num_time_steps must be >= 0")
         if self.early_stop_criterion not in _CRITERIA:
             raise ValueError(f"early_stop_criterion must be one of {_CRITERIA}")
 
 
-@dataclass(frozen=True)
-class DiscreteTimeMap:
-    """Mapping from raw observed times to representative time bins.
-
-    ``grid`` holds the representative times r_1 < ... < r_k. ``apply`` snaps
-    a cohort with :func:`core.breslow_preprocess`: every time maps to the
-    largest representative <= it, and an event below r_1 to the first bin.
-    """
-
-    grid: EventTimeGrid
-    source_grid_size: int
-
-    def apply(self, cohort: Cohort):
-        """Snap a cohort's times onto the representative grid.
-
-        Returns the preprocessed cohort (times become grid values, or 0 for
-        censored records before r_1) and the kappa array.
-        """
-        return breslow_preprocess(cohort, self.grid)
-
-
-def discretize_times(grid: EventTimeGrid, k: int) -> DiscreteTimeMap:
+def discretize_times(grid: EventTimeGrid, k: int) -> EventTimeGrid:
     """Coarsen an event grid to at most k bins by evenly spaced quantiles.
 
     k = 0 keeps all observed event times, still capped at 512 bins by
     quantile coarsening. Representative times are actual grid values
     (lower-quantile rule), deduplicated, so coincident event times can yield
-    fewer bins than requested.
+    fewer bins than requested. :func:`core.breslow_preprocess` snaps a
+    cohort onto the result.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     L = len(grid)
     k_eff = min(k or L, MAX_TIME_STEPS)
     if k_eff >= L:
-        return DiscreteTimeMap(grid, L)
+        return grid
     levels = np.arange(1, k_eff + 1, dtype=np.float64) / k_eff
     reps = np.quantile(grid.times, levels, method="lower")
     reps = np.unique(reps)
-    return DiscreteTimeMap(EventTimeGrid(reps), L)
+    return EventTimeGrid(reps)
 
 
 def _at_risk(kappa, L):
@@ -514,7 +489,7 @@ class TrainingLog:
 
 
 def criterion_scorer(criterion, train: Cohort, valid: Cohort,
-                     dtm: DiscreteTimeMap) -> Scorer:
+                     grid: EventTimeGrid) -> Scorer:
     """The validation cohort's scorer for ``criterion``; IBS is scored on the
     grid of pooled training and validation event times.
 
@@ -529,31 +504,31 @@ def criterion_scorer(criterion, train: Cohort, valid: Cohort,
             (train.time[train.event != 0], valid.time[valid.event != 0])))
     valid_scorer = scorer(valid, eval_grid)
     if criterion != "objective":
-        zeros = np.broadcast_to(0.0, (train.m, valid.n, len(dtm.grid)))
-        score_curves(zeros, dtm.grid.times, valid_scorer, (criterion,))
+        zeros = np.broadcast_to(0.0, (train.m, valid.n, len(grid)))
+        score_curves(zeros, grid.times, valid_scorer, (criterion,))
     return valid_scorer
 
 
-def _evaluate_criterion(criterion, params, train, valid, dtm, tcfg,
+def _evaluate_criterion(criterion, params, train, valid, grid, tcfg,
                         valid_scorer: Scorer, groups: CodeGroups, kappa_valid, buffer):
     """Validation criterion with hazards against the full training set.
     ``groups`` holds the training rows' (bin, event) groups, ``kappa_valid``
     the validation bins, ``buffer`` the fit's buffer."""
-    m, L = train.m, len(dtm.grid)
+    m, L = train.m, len(grid)
     E_train = embed_batch(params, train.features)
     E_valid = embed_batch(params, valid.features)
     psi, F, _ = kernel_hazard_curves(E_valid, E_train, groups, m, L, buffer)
     if criterion == "objective":
         return objective_value(psi, kappa_valid, valid.event, tcfg.alpha, tcfg.sigma)
-    return float(np.mean(score_curves(F, dtm.grid.times, valid_scorer,
+    return float(np.mean(score_curves(F, grid.times, valid_scorer,
                                       (criterion,))[criterion]))
 
 
 def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
-                    tcfg: TrainConfig, dtm: DiscreteTimeMap, valid_scorer: Scorer = None):
+                    tcfg: TrainConfig, grid: EventTimeGrid, valid_scorer: Scorer = None):
     """Minibatch gradient descent with patience-based early stopping.
 
-    Both cohorts must already be preprocessed on the shared time map. The
+    Both cohorts must already be preprocessed on ``grid``. The
     criterion's :func:`criterion_scorer` is built when ``valid_scorer`` is not
     given, before the first epoch. After every epoch the configured validation
     criterion is evaluated against the full training set embeddings; the
@@ -564,18 +539,17 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
     """
     if (train.event != 0).sum() == 0:
         raise NoEvents("training cohort has no uncensored records")
-    m, L = train.m, len(dtm.grid)
-    _, kappa = dtm.apply(train)
+    m, L = train.m, len(grid)
+    _, kappa = breslow_preprocess(train, grid)
     groups = code_groups(kappa, train.event, m)
-    _, kappa_valid = dtm.apply(valid)
+    _, kappa_valid = breslow_preprocess(valid, grid)
     valid_scorer = valid_scorer or criterion_scorer(
-        tcfg.early_stop_criterion, train, valid, dtm)
+        tcfg.early_stop_criterion, train, valid, grid)
 
     params = init_mlp(ecfg)
     side = min(tcfg.batch_size, train.n)
     buffer = np.empty(max(side * side, train.n))
     flat = flatten_params(params)
-    velocity = np.zeros_like(flat)
     rng = np.random.default_rng(tcfg.seed)
     log = TrainingLog(criterion=tcfg.early_stop_criterion)
     best_params = params.copy()
@@ -592,15 +566,14 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
                 params, train.features[batch], kappa[batch], train.event[batch],
                 m, L, tcfg.alpha, tcfg.sigma, buffer)
             grad = flatten_grads(dw, db)
-            velocity = tcfg.momentum * velocity - tcfg.learning_rate * grad
-            flat = flat + velocity
+            flat = flat - tcfg.learning_rate * grad
             params = unflatten_params(params, flat)
             epoch_loss += loss * batch.size
             seen += batch.size
         epoch_loss = epoch_loss / max(seen, 1)
 
         value = _evaluate_criterion(
-            tcfg.early_stop_criterion, params, train, valid, dtm, tcfg, valid_scorer,
+            tcfg.early_stop_criterion, params, train, valid, grid, tcfg, valid_scorer,
             groups, kappa_valid, buffer)
         if log.add(epoch, epoch_loss, value):
             best_params = params.copy()

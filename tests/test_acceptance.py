@@ -9,6 +9,7 @@ competing-risks synthetic dataset.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from kernelaj import (
     init_mlp,
     init_sft_params,
     kaplan_meier,
+    population_aalen_johansen,
     predict_cif_grid,
     risk_event_counts,
     sft_counts,
@@ -108,7 +110,7 @@ class TestCriterion3SpecialCases:
             cohort = random_cohort(rng, n=int(rng.integers(8, 30)))
             params = random_params(rng, cohort.p, seed=trial)
             model = build_model(cohort, params, epsilon=np.inf, tau=np.inf)
-            pop = model.population_curves()
+            pop = population_aalen_johansen(cohort)
             x = rng.normal(size=cohort.p)
             cif, surv, _ = predict_cif_grid(model, x[None, :])
             worst = max(worst, float(np.abs(surv[0] - pop.survival.values).max()))
@@ -125,7 +127,7 @@ class TestCriterion3SpecialCases:
             cohort = random_cohort(rng, n=int(rng.integers(8, 30)))
             model = build_model(cohort, constant_params(cohort.p),
                                 epsilon=0.0, tau=np.inf)
-            pop = model.population_curves()
+            pop = population_aalen_johansen(cohort)
             x = rng.normal(size=cohort.p)
             cif, surv, _ = predict_cif_grid(model, x[None, :])
             worst = max(worst, float(np.abs(surv[0] - pop.survival.values).max()))
@@ -371,7 +373,7 @@ class TestCriterion8FineTuning:
         model, train, valid = toy_model(seed=8, epsilon=1.0)
         params = init_sft_params(model.clusters)
         d_prime, n_prime = sft_counts(params)
-        candidate = model.with_tables(d_prime, n_prime, sft_applied=True)
+        candidate = replace(model, sft_tables=(d_prime, n_prime))
         X = rng.normal(0, 1.5, size=(50, 2))
         cif_a, surv_a, _ = predict_cif_grid(model, X)
         cif_b, surv_b, _ = predict_cif_grid(candidate, X)
@@ -391,11 +393,11 @@ class TestCriterion8FineTuning:
             tuned, result = fine_tune_summaries(model, train, valid, cfg)
             W_valid = frozen_subject_weights(model.params, model.clusters,
                                              valid.features)
-            _, kappa_va = model.dtm.apply(valid)
-            before = sft_objective_from_tables(model.d_tables, model.n_tables,
-                                               W_valid, kappa_va, valid.event)
-            after = sft_objective_from_tables(tuned.d_tables, tuned.n_tables,
-                                              W_valid, kappa_va, valid.event)
+            _, kappa_va = breslow_preprocess(valid, model.grid)
+            before = sft_objective_from_tables(*model.tables, W_valid, kappa_va,
+                                               valid.event)
+            after = sft_objective_from_tables(*tuned.tables, W_valid, kappa_va,
+                                              valid.event)
             if after > before + 1e-12:
                 worsenings += 1
         assert worsenings == 0

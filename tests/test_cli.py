@@ -55,24 +55,21 @@ def write_config(tmp_path, train_csv, **overrides):
     return path, cfg
 
 
+def cohort_csv(path, n, seed):
+    write_cohort_csv(generate_synthetic(SynthConfig(
+        n=n, p=3, w1=(0.6, 0.0, 0.0), w2=(0.0, 0.6, 0.0),
+        censoring_rate=0.3, seed=seed)), path)
+    return path
+
+
 @pytest.fixture
 def train_csv(tmp_path):
-    cohort = generate_synthetic(SynthConfig(
-        n=120, p=3, w1=(0.6, 0.0, 0.0), w2=(0.0, 0.6, 0.0),
-        censoring_rate=0.3, seed=1))
-    path = tmp_path / "train.csv"
-    write_cohort_csv(cohort, path)
-    return path
+    return cohort_csv(tmp_path / "train.csv", 120, 1)
 
 
 @pytest.fixture
 def test_csv(tmp_path):
-    cohort = generate_synthetic(SynthConfig(
-        n=60, p=3, w1=(0.6, 0.0, 0.0), w2=(0.0, 0.6, 0.0),
-        censoring_rate=0.3, seed=2))
-    path = tmp_path / "test.csv"
-    write_cohort_csv(cohort, path)
-    return path
+    return cohort_csv(tmp_path / "test.csv", 60, 2)
 
 
 class TestFit:
@@ -211,10 +208,35 @@ class TestFit:
                  "patience": 2})
         main(["fit", "--config", str(config_path)])
         model, _ = load_model(tmp_path / "out" / "model.json")
-        # zero learning rate cannot improve validation: backtracked
-        assert model.sft_rejected
-        assert not model.sft_applied
-        assert (tmp_path / "out" / "sft_log.csv").exists()
+        # zero learning rate cannot improve validation: backtracked, so the
+        # model keeps its cluster tables and the log marks no epoch best
+        assert model.sft_tables is None
+        with open(tmp_path / "out" / "sft_log.csv", newline="") as fh:
+            assert [row["is_best"] for row in csv.DictReader(fh)] == ["0", "0"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"training": {"max_epochs": 2.5}},
+        {"training": {"batch_size": 256.5}},
+        {"training": {"patience": True}},
+        {"embedding": {"hidden_units": 8.5}},
+        {"clustering": {"shuffle_seed": "abc"}},
+        {"clustering": {"shuffle_seed": -1}},
+        {"sft": {"enabled": "false"}},
+        {"sft": {"enabled": True, "max_epochs": 2.5}},
+        {"seed": 1.5},
+    ], ids=lambda overrides: json.dumps(overrides))
+    def test_integers_and_booleans_checked_before_data(self, tmp_path, train_csv,
+                                                        capsys, monkeypatch, overrides):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "load_cohort", no_data)
+        config_path, _ = write_config(tmp_path, train_csv, **overrides)
+        assert main(["fit", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        (section, value), = overrides.items()
+        key = section if not isinstance(value, dict) else list(value)[-1]
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
 
 
 class TestEvaluate:
@@ -267,6 +289,57 @@ class TestEvaluate:
         rc = main(["evaluate", "--model", str(tmp_path / "nope.json"),
                    "--data", str(test_csv), "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+_MODEL_EDITS = {
+    "version 1": lambda doc: doc.update(format_version=1),
+    "no clusters": lambda doc: doc.pop("clusters"),
+    "no grid": lambda doc: doc.pop("grid"),
+    "no sft_tables": lambda doc: doc.pop("sft_tables"),
+    "no config": lambda doc: doc.pop("config"),
+    "no cluster table": lambda doc: doc["clusters"].pop("n_cluster"),
+    "clusters not an object": lambda doc: doc.update(clusters=[1, 2]),
+    "embedding a string": lambda doc: doc.update(embedding="weights"),
+    "object array": lambda doc: doc["grid"].update(dtype="|O"),
+    "sft tables of another shape": lambda doc: doc.update(sft_tables={
+        "d": doc["clusters"]["d_cluster"], "n": doc["clusters"]["d_cluster"]}),
+}
+
+
+class TestModelFile:
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        """A fitted model document and a CSV to evaluate it on."""
+        root = tmp_path_factory.mktemp("fitted")
+        config_path, _ = write_config(root, cohort_csv(root / "train.csv", 120, 1))
+        assert main(["fit", "--config", str(config_path)]) == 0
+        doc = json.loads((root / "out" / "model.json").read_text())
+        return doc, cohort_csv(root / "test.csv", 60, 2)
+
+    def test_format_2_stores_each_array_once(self, fitted):
+        doc, _ = fitted
+        assert doc["format_version"] == 2
+        assert set(doc) == {"format_version", "schema", "embedding", "grid", "clusters",
+                            "cluster_feature_means", "sft_tables", "config"}
+        assert doc["sft_tables"] is None
+
+    @pytest.mark.parametrize("edit", list(_MODEL_EDITS))
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_malformed_model_file_exit_2(self, fitted, tmp_path, capsys, command, edit):
+        doc, data = fitted
+        doc = json.loads(json.dumps(doc))
+        _MODEL_EDITS[edit](doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = {"evaluate": ["evaluate", "--data", str(data)],
+                "explain": ["explain", "--clusters"]}[command]
+        assert main(argv + ["--model", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if edit == "version 1":
+            assert err == "error: unsupported model format version 1\n"
+        else:
+            assert err.startswith(f"error: model file is not valid: {path}: ")
 
 
 class TestExplain:

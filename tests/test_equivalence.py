@@ -24,6 +24,7 @@ from kernelaj import (
     StepCurve,
     SynthConfig,
     TrainConfig,
+    breslow_preprocess,
     build_event_grid,
     discretize_times,
     generate_synthetic,
@@ -346,17 +347,18 @@ class TestRankingForward:
         cohort = generate_synthetic(SynthConfig(
             n=n_train + q, p=3, w1=(0.6, 0.0, 0.0), w2=(0.0, 0.6, 0.0),
             censoring_rate=0.3, seed=3))
-        dtm = discretize_times(build_event_grid(cohort), 64)
-        train, _ = dtm.apply(cohort.subset(np.arange(n_train)))
-        valid, _ = dtm.apply(cohort.subset(np.arange(n_train, n_train + q)))
+        grid = discretize_times(build_event_grid(cohort), 64)
+        train, kappa = breslow_preprocess(cohort.subset(np.arange(n_train)), grid)
+        valid, kappa_valid = breslow_preprocess(
+            cohort.subset(np.arange(n_train, n_train + q)), grid)
         tcfg = TrainConfig(alpha=0.5, sigma=0.5)
         params = small_params(0)
-        valid_scorer = training.criterion_scorer("objective", train, valid, dtm)
-        groups = code_groups(dtm.apply(train)[1], train.event, train.m)
+        valid_scorer = training.criterion_scorer("objective", train, valid, grid)
+        groups = code_groups(kappa, train.event, train.m)
         buffer = np.empty(n_train * n_train)     # train_embedding's at batch >= n_train
         value, peak = traced_peak(lambda: training._evaluate_criterion(
-            "objective", params, train, valid, dtm, tcfg, valid_scorer, groups,
-            dtm.apply(valid)[1], buffer))
+            "objective", params, train, valid, grid, tcfg, valid_scorer, groups,
+            kappa_valid, buffer))
         assert np.isfinite(value)
         assert peak < q * q * 8
 

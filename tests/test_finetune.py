@@ -1,6 +1,8 @@
 """Tests for summary-table fine-tuning: initialization consistency, the
 recurrence, exact gradients, and validation backtracking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,6 @@ from kernelaj import (
 from kernelaj import finetune
 from kernelaj.finetune import SftParams, frozen_subject_weights, sft_objective_from_tables
 from kernelaj.model import KernelAJModel
-from kernelaj.core import risk_event_counts
 from kernelaj.embedding import MlpParams, embed_batch
 from kernelaj.errors import ShapeMismatch
 
@@ -61,18 +62,14 @@ def toy_model(seed=0, epsilon=1.0, num_time_steps=0):
     idx = rng.permutation(n)
     train, valid = cohort.subset(idx[:60]), cohort.subset(idx[60:])
 
-    grid = build_event_grid(train)
-    dtm = discretize_times(grid, num_time_steps)
-    train_pre, _ = dtm.apply(train)
-    valid_pre, _ = dtm.apply(valid)
+    grid = discretize_times(build_event_grid(train), num_time_steps)
+    train_pre, _ = breslow_preprocess(train, grid)
+    valid_pre, _ = breslow_preprocess(valid, grid)
     params = MlpParams((2, 2), (np.eye(2),), (np.zeros(2),))
     E = embed_batch(params, train_pre.features)
-    clusters = build_cluster_model(E, train_pre, dtm.grid, epsilon, tau=np.inf)
-    pop_d, pop_n = risk_event_counts(train_pre, dtm.grid)
-    model = KernelAJModel(params=params, clusters=clusters, dtm=dtm,
-                          population_d=pop_d, population_n=pop_n,
-                          d_tables=clusters.d_cluster.copy(),
-                          n_tables=clusters.n_cluster.copy())
+    clusters = build_cluster_model(E, train_pre, grid, epsilon, tau=np.inf)
+    model = KernelAJModel(params=params, clusters=clusters, grid=grid,
+                          cluster_feature_means=np.zeros((clusters.num_clusters, 2)))
     return model, train_pre, valid_pre
 
 
@@ -133,11 +130,10 @@ class TestLoss:
     def test_init_matches_raw_table_objective(self):
         model, train, valid = toy_model(seed=1, epsilon=0.8)
         W = frozen_subject_weights(model.params, model.clusters, train.features)
-        _, kappa = model.dtm.apply(train)
+        _, kappa = breslow_preprocess(train, model.grid)
         params = init_sft_params(model.clusters)
         tuned = sft_negative_log_likelihood(params, W, kappa, train.event)
-        raw = sft_objective_from_tables(model.d_tables, model.n_tables, W,
-                                        kappa, train.event)
+        raw = sft_objective_from_tables(*model.tables, W, kappa, train.event)
         assert tuned == pytest.approx(raw, abs=1e-6)
 
     def test_single_subject_single_cluster_hand_case(self):
@@ -160,7 +156,7 @@ class TestLoss:
     def test_gradient_matches_finite_differences(self, alpha):
         model, train, _ = toy_model(seed=2, epsilon=0.8, num_time_steps=5)
         W = frozen_subject_weights(model.params, model.clusters, train.features)
-        _, kappa = model.dtm.apply(train)
+        _, kappa = breslow_preprocess(train, model.grid)
         params = init_sft_params(model.clusters)
         # move every parameter off the 1e-12 floor: down there the loss
         # changes by ~1e-17 per step and finite differences are pure noise
@@ -288,8 +284,7 @@ class TestFineTune:
                           patience=2, seed=0)
         tuned, result = fine_tune_summaries(model, train, valid, cfg)
         assert not result.accepted
-        assert tuned.sft_rejected
-        assert_allclose(tuned.d_tables, model.clusters.d_cluster)
+        assert tuned is model and tuned.sft_tables is None
 
     def test_improvement_accepted_on_toy(self):
         model, train, valid = toy_model(seed=5, epsilon=2.5)
@@ -297,7 +292,7 @@ class TestFineTune:
                           patience=10, seed=0)
         tuned, result = fine_tune_summaries(model, train, valid, cfg)
         assert result.accepted
-        assert tuned.sft_applied
+        assert tuned.sft_tables is not None
         assert result.best_criterion < result.baseline_criterion
 
     def test_backtracking_never_worsens_criterion(self):
@@ -327,7 +322,7 @@ class TestFineTune:
         cfg = TrainConfig(learning_rate=0.01, max_epochs=3, patience=3)
         tuned, result = fine_tune_summaries(model, train, valid, cfg)
         assert [row[3] for row in result.log.rows] == flags
-        assert result.accepted and tuned.sft_applied
+        assert result.accepted and tuned.sft_tables is not None
         assert result.best_criterion == 0.4
         assert result.baseline_criterion == raw or np.isnan(raw)
 
@@ -339,7 +334,7 @@ class TestFineTune:
                                 lambda *args, **kwargs: next(values))
             cfg = TrainConfig(learning_rate=0.01, max_epochs=2, patience=3)
             tuned, result = fine_tune_summaries(model, train, valid, cfg)
-            assert not result.accepted and tuned.sft_rejected
+            assert not result.accepted and tuned is model
             assert result.best_criterion == raw
 
     def test_same_seed_identical_outcome(self):
@@ -349,13 +344,13 @@ class TestFineTune:
         a, res_a = fine_tune_summaries(model, train, valid, cfg)
         b, res_b = fine_tune_summaries(model, train, valid, cfg)
         assert res_a.accepted == res_b.accepted
-        assert np.array_equal(a.d_tables, b.d_tables)
+        assert all(map(np.array_equal, a.tables, b.tables))
 
     def test_init_predictions_match_pre_sft(self):
         model, train, valid = toy_model(seed=7, epsilon=1.0)
         params = init_sft_params(model.clusters)
         d_prime, n_prime = sft_counts(params)
-        candidate = model.with_tables(d_prime, n_prime, sft_applied=True)
+        candidate = replace(model, sft_tables=(d_prime, n_prime))
         rng = np.random.default_rng(0)
         X = rng.normal(0, 1.5, size=(50, 2))
         cif_a, surv_a, _ = predict_cif_grid(model, X)

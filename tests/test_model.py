@@ -28,6 +28,7 @@ from kernelaj import (
     explain_subject,
     init_mlp,
     kaplan_meier,
+    population_aalen_johansen,
     predict_cif_grid,
     predict_curves,
     risk_event_counts,
@@ -38,7 +39,6 @@ from kernelaj.clustering import ClusterModel
 from kernelaj.core import EventTimeGrid
 from kernelaj.embedding import MlpParams, embed_batch, pairwise_sq_dists
 from kernelaj.model import cluster_curves, exemplar_kernel_matrix
-from kernelaj.training import DiscreteTimeMap
 
 
 def random_cohort(rng, n=25, p=3, m=2):
@@ -50,21 +50,12 @@ def random_cohort(rng, n=25, p=3, m=2):
 
 
 def build_model(cohort, params, epsilon, tau, num_time_steps=0):
-    grid = build_event_grid(cohort)
-    dtm = discretize_times(grid, num_time_steps)
-    pre, _ = dtm.apply(cohort)
+    grid = discretize_times(build_event_grid(cohort), num_time_steps)
+    pre, _ = breslow_preprocess(cohort, grid)
     E = embed_batch(params, pre.features)
-    clusters = build_cluster_model(E, pre, dtm.grid, epsilon, tau)
-    pop_d, pop_n = risk_event_counts(pre, dtm.grid)
-    return KernelAJModel(
-        params=params,
-        clusters=clusters,
-        dtm=dtm,
-        population_d=pop_d,
-        population_n=pop_n,
-        d_tables=clusters.d_cluster.copy(),
-        n_tables=clusters.n_cluster.copy(),
-    )
+    clusters = build_cluster_model(E, pre, grid, epsilon, tau)
+    return KernelAJModel(params=params, clusters=clusters, grid=grid,
+                         cluster_feature_means=np.zeros((clusters.num_clusters, cohort.p)))
 
 
 def random_params(rng, p, seed):
@@ -87,7 +78,7 @@ class TestSpecialCases:
         params = random_params(rng, cohort.p, seed=0)
         model = build_model(cohort, params, epsilon=np.inf, tau=np.inf)
         assert model.clusters.num_clusters == 1
-        pop = model.population_curves()
+        pop = population_aalen_johansen(cohort)
         for _ in range(10):
             x = rng.normal(size=cohort.p)
             pred = predict_curves(model, x)
@@ -103,7 +94,7 @@ class TestSpecialCases:
         params = constant_params(cohort.p)
         model = build_model(cohort, params, epsilon=0.0, tau=np.inf)
         assert model.clusters.num_clusters == 1
-        pop = model.population_curves()
+        pop = population_aalen_johansen(cohort)
         x = rng.normal(size=cohort.p)
         pred = predict_curves(model, x)
         assert_allclose(pred.survival.values, pop.survival.values, atol=1e-9)
@@ -131,6 +122,21 @@ class TestSpecialCases:
                 assert_allclose(pred.cif(d).values, restricted.cif(d).values,
                                 atol=1e-9)
         assert found > 0
+
+    @pytest.mark.parametrize("num_time_steps", [0, 4])
+    def test_population_curves_pool_the_cluster_tables(self, num_time_steps):
+        # the fallback is the population estimate itself, to the bit
+        rng = np.random.default_rng(6)
+        cohort = random_cohort(rng, n=40)
+        model = build_model(cohort, random_params(rng, cohort.p, seed=2),
+                            epsilon=0.2, tau=1.0, num_time_steps=num_time_steps)
+        assert model.clusters.num_clusters > 1
+        pre, _ = breslow_preprocess(cohort, model.grid)
+        want = aalen_johansen(*risk_event_counts(pre, model.grid), model.grid)
+        got = model.population_curves()
+        assert_array_equal(got.survival.values, want.survival.values)
+        for d in range(1, cohort.m + 1):
+            assert_array_equal(got.cif(d).values, want.cif(d).values)
 
     def test_fallback_to_population_when_no_neighbors(self):
         rng = np.random.default_rng(3)
@@ -218,10 +224,6 @@ class TestPredictionProperties:
     def test_hand_weighted_summary_sums(self):
         # query embeds at the origin; exemplars sit at squared distances
         # log 2 and log 4, so kernel weights are exactly 0.5 and 0.25
-        from kernelaj.clustering import ClusterModel
-        from kernelaj.training import DiscreteTimeMap
-        from kernelaj.core import EventTimeGrid
-
         d1 = np.array([[2.0, 0.0], [1.0, 1.0]])
         d2 = np.array([[0.0, 3.0], [2.0, 0.0]])
         n1 = np.array([5.0, 2.0])
@@ -234,14 +236,9 @@ class TestPredictionProperties:
             d_cluster=np.stack([d1, d2]),
             n_cluster=np.stack([n1, n2]),
             epsilon=1.0, tau=10.0)
-        model = KernelAJModel(
-            params=constant_params(3),
-            clusters=clusters,
-            dtm=DiscreteTimeMap(EventTimeGrid([1.0, 2.0]), 2),
-            population_d=d1 + d2,
-            population_n=n1 + n2,
-            d_tables=np.stack([d1, d2]),
-            n_tables=np.stack([n1, n2]))
+        model = KernelAJModel(params=constant_params(3), clusters=clusters,
+                              grid=EventTimeGrid([1.0, 2.0]),
+                              cluster_feature_means=np.zeros((2, 3)))
         d_w, n_w, hits = weighted_summaries(model, np.zeros(3))
         assert list(hits) == [0, 1]
         assert_allclose(d_w, 0.5 * d1 + 0.25 * d2, atol=1e-12)
@@ -290,9 +287,8 @@ def weighted_cluster_models(draw):
     model = KernelAJModel(
         params=MlpParams((2, 2), (np.eye(2),), (np.zeros(2),)),
         clusters=clusters,
-        dtm=DiscreteTimeMap(EventTimeGrid(np.arange(1.0, L + 1.0)), L),
-        population_d=d.sum(axis=0), population_n=n.sum(axis=0),
-        d_tables=d, n_tables=n)
+        grid=EventTimeGrid(np.arange(1.0, L + 1.0)),
+        cluster_feature_means=np.zeros((Q, 2)))
     X = centers[rng.integers(0, Q, 8)] + rng.normal(scale=0.7, size=(8, 2))
     return model, np.vstack((X, [[1e3, -1e3]]))
 

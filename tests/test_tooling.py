@@ -2,6 +2,7 @@
 kernelaj functions by name and fails on a name that is gone; a change that
 deletes or renames one must fail here first."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -16,3 +17,32 @@ def test_traced_targets_exist():
     missing = [name for name, (owner, attribute, _) in layers.TARGETS.items()
                if not callable(getattr(owner, attribute, None))]
     assert missing == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "kernelaj"
+
+
+def _package_imports(module):
+    """The kernelaj modules that ``module`` imports, directly or through
+    other kernelaj modules."""
+    seen, todo = set(), [module]
+    while todo:
+        tree = ast.parse((SRC / f"{todo.pop()}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                name = node.module
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kernelaj."):
+                name = node.module.split(".")[1]
+            else:
+                continue
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
+def test_model_layers_do_not_import_training():
+    # the fitted model, its file format and the estimators stand without the
+    # training code
+    for module in ("core", "model", "serialize"):
+        assert "training" not in _package_imports(module), module

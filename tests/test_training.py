@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 from conftest import finite_difference_grad, random_batch, relative_error
 from dense_oracle import (
@@ -41,7 +41,6 @@ from kernelaj import (
     train_embedding,
 )
 from kernelaj import cli, training
-from kernelaj.core import risk_event_counts
 from kernelaj.cli import fit_pipeline
 from kernelaj.embedding import flatten_grads, flatten_params
 
@@ -51,51 +50,50 @@ PSI_CLAMP = 1e-12
 class TestDiscretizeTimes:
     def test_identity_when_k_zero(self):
         grid = EventTimeGrid(np.arange(1.0, 11.0))
-        dtm = discretize_times(grid, 0)
-        assert_allclose(dtm.grid.times, grid.times)
+        assert_allclose(discretize_times(grid, 0).times, grid.times)
 
     def test_two_bins_at_median_and_max(self):
         # 50% and 100% lower quantiles of {1,2,3,4} are 2 and 4
-        dtm = discretize_times(EventTimeGrid([1.0, 2.0, 3.0, 4.0]), 2)
-        assert_allclose(dtm.grid.times, [2.0, 4.0])
+        grid = discretize_times(EventTimeGrid([1.0, 2.0, 3.0, 4.0]), 2)
+        assert_allclose(grid.times, [2.0, 4.0])
 
     def test_requesting_more_bins_than_times_dedupes(self):
         grid = EventTimeGrid(np.linspace(0.5, 29.5, 30))
-        dtm = discretize_times(grid, 64)
-        assert len(dtm.grid) == 30
+        assert len(discretize_times(grid, 64)) == 30
 
     def test_cap_at_512(self):
         grid = EventTimeGrid(np.arange(1.0, 1001.0))
-        dtm = discretize_times(grid, 0)
-        assert len(dtm.grid) == 512
+        assert len(discretize_times(grid, 0)) == 512
 
     def test_event_maps_to_floor_representative(self):
-        dtm = discretize_times(EventTimeGrid([1.0, 2.0, 3.0, 4.0]), 2)
+        grid = discretize_times(EventTimeGrid([1.0, 2.0, 3.0, 4.0]), 2)
         cohort = Cohort(np.zeros((3, 1)), [3.0, 1.0, 4.0], [1, 1, 2], m=2)
-        pre, kappa = dtm.apply(cohort)
+        pre, kappa = breslow_preprocess(cohort, grid)
         # 3 -> floor rep 2 (bin 1); 1 -> below first rep, clamps to bin 1; 4 -> bin 2
         assert_allclose(pre.time, [2.0, 2.0, 4.0])
         assert list(kappa) == [1, 1, 2]
 
     def test_breslow_preprocess_is_the_snapping_rule(self):
+        # on a coarsened grid every record takes the largest representative
+        # <= its time; an event below the first one takes the first, a
+        # censored record below it takes 0
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = 60
             cohort = Cohort(np.zeros((n, 1)), rng.exponential(2.0, n),
                             rng.integers(0, 3, n), m=2)
-            dtm = discretize_times(build_event_grid(cohort), 8)
-            snapped, kappa = breslow_preprocess(cohort, dtm.grid)
-            applied, kappa_applied = dtm.apply(cohort)
-            assert_array_equal(kappa, kappa_applied)
-            for a, b in zip(risk_event_counts(snapped, dtm.grid),
-                            risk_event_counts(applied, dtm.grid)):
-                assert_array_equal(a, b)
+            grid = discretize_times(build_event_grid(cohort), 8)
+            snapped, kappa = breslow_preprocess(cohort, grid)
+            for t, e, got, k in zip(cohort.time, cohort.event, snapped.time, kappa):
+                below = [r for r in grid.times if r <= t]
+                want = below[-1] if below else (grid.times[0] if e else 0.0)
+                assert got == want and k == max(len(below), int(e != 0))
 
     def test_censored_mapping_idempotent(self):
-        dtm = discretize_times(EventTimeGrid([1.0, 2.0, 3.0, 4.0]), 2)
+        grid = discretize_times(EventTimeGrid([1.0, 2.0, 3.0, 4.0]), 2)
         cohort = Cohort(np.zeros((3, 1)), [3.5, 1.5, 2.0], [0, 0, 0], m=1)
-        once, k1 = dtm.apply(cohort)
-        twice, k2 = dtm.apply(once)
+        once, k1 = breslow_preprocess(cohort, grid)
+        twice, k2 = breslow_preprocess(once, grid)
         assert_allclose(once.time, [2.0, 0.0, 2.0])
         assert_allclose(once.time, twice.time)
         assert np.array_equal(k1, k2)
@@ -281,15 +279,30 @@ def two_cluster_cohorts(n=60, seed=0):
     return cohort.subset(idx[: int(0.8 * n)]), cohort.subset(idx[int(0.8 * n):])
 
 
+class TestConfigIntegers:
+    def test_numpy_integers_pass(self):
+        tcfg = TrainConfig(batch_size=np.int64(16), max_epochs=np.int32(3), seed=np.uint8(1))
+        ecfg = EmbeddingConfig(input_dim=np.int64(2), hidden_units=np.int16(4))
+        assert (tcfg.batch_size, ecfg.hidden_units) == (16, 4)
+
+    @pytest.mark.parametrize("value, error", [(True, TypeError), (3.0, TypeError),
+                                              ("3", TypeError), (0, ValueError)])
+    def test_bools_fractions_and_small_values_rejected(self, value, error):
+        with pytest.raises(error, match="max_epochs"):
+            TrainConfig(max_epochs=value)
+        with pytest.raises(error, match="num_layers"):
+            EmbeddingConfig(input_dim=2, num_layers=value)
+
+
 class TestTrainingLoop:
     def setup_method(self):
         self.train, self.valid = two_cluster_cohorts()
         from kernelaj import build_event_grid
 
         grid = build_event_grid(self.train)
-        self.dtm = discretize_times(grid, 8)
-        self.train_pre, _ = self.dtm.apply(self.train)
-        self.valid_pre, _ = self.dtm.apply(self.valid)
+        self.grid = discretize_times(grid, 8)
+        self.train_pre, _ = breslow_preprocess(self.train, self.grid)
+        self.valid_pre, _ = breslow_preprocess(self.valid, self.grid)
         self.ecfg = EmbeddingConfig(input_dim=2, num_layers=1, hidden_units=8,
                                     embed_dim=2, init_seed=0)
 
@@ -297,7 +310,7 @@ class TestTrainingLoop:
         tcfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=3,
                            patience=2, seed=0)
         params, _ = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
-                                    tcfg, self.dtm)
+                                    tcfg, self.grid)
         init = init_mlp(self.ecfg)
         assert np.array_equal(flatten_params(params), flatten_params(init))
 
@@ -305,9 +318,9 @@ class TestTrainingLoop:
         tcfg = TrainConfig(learning_rate=0.05, batch_size=48, max_epochs=30,
                            patience=30, seed=1)
         params, log = train_embedding(self.train_pre, self.valid_pre,
-                                      self.ecfg, tcfg, self.dtm)
-        _, kappa = self.dtm.apply(self.train_pre)
-        m, L = 2, len(self.dtm.grid)
+                                      self.ecfg, tcfg, self.grid)
+        _, kappa = breslow_preprocess(self.train_pre, self.grid)
+        m, L = 2, len(self.grid)
         init = init_mlp(self.ecfg)
         loss_init = batch_loss_from_params(init, self.train_pre.features,
                                            kappa, self.train_pre.event, m, L,
@@ -321,9 +334,9 @@ class TestTrainingLoop:
         tcfg = TrainConfig(learning_rate=0.02, batch_size=32, max_epochs=5,
                            patience=5, seed=7)
         a, log_a = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
-                                   tcfg, self.dtm)
+                                   tcfg, self.grid)
         b, log_b = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
-                                   tcfg, self.dtm)
+                                   tcfg, self.grid)
         assert np.array_equal(flatten_params(a), flatten_params(b))
         assert log_a.rows == log_b.rows
 
@@ -331,7 +344,7 @@ class TestTrainingLoop:
         tcfg = TrainConfig(learning_rate=0.02, batch_size=32, max_epochs=40,
                            patience=3, seed=3)
         _, log = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
-                                 tcfg, self.dtm)
+                                 tcfg, self.grid)
         history = [row[2] for row in log.rows]
         best = np.inf
         stall = 0
@@ -351,14 +364,14 @@ class TestTrainingLoop:
         tcfg = TrainConfig(learning_rate=0.02, batch_size=32, max_epochs=3,
                            patience=3, seed=0, early_stop_criterion="ibs")
         _, log = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
-                                 tcfg, self.dtm)
+                                 tcfg, self.grid)
         assert len(log.rows) == 3
 
     def test_ctd_criterion_runs(self):
         tcfg = TrainConfig(learning_rate=0.02, batch_size=32, max_epochs=3,
                            patience=3, seed=0, early_stop_criterion="ctd")
         _, log = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
-                                 tcfg, self.dtm)
+                                 tcfg, self.grid)
         assert all(0.0 <= row[2] <= 1.0 for row in log.rows)
 
 
@@ -441,22 +454,22 @@ class TestCriterionFeasibility:
         times = np.where(np.arange(20) % 2 == 0, 1.0, rng.uniform(2.0, 5.0, 20))
         events = np.where(np.arange(20) % 2 == 0, 1, 0)
         cohort = Cohort(X, times, events, m=1)
-        dtm = discretize_times(build_event_grid(cohort), 0)
-        train, _ = dtm.apply(cohort.subset(np.arange(14)))
-        valid, _ = dtm.apply(cohort.subset(np.arange(14, 20)))
+        grid = discretize_times(build_event_grid(cohort), 0)
+        train, _ = breslow_preprocess(cohort.subset(np.arange(14)), grid)
+        valid, _ = breslow_preprocess(cohort.subset(np.arange(14, 20)), grid)
         ecfg = EmbeddingConfig(input_dim=2, num_layers=1, hidden_units=4,
                                embed_dim=2)
         tcfg = TrainConfig(batch_size=8, max_epochs=2, patience=2,
                            early_stop_criterion="ibs")
         calls = self.count_steps(monkeypatch)
         with pytest.raises(DegenerateGrid):
-            train_embedding(train, valid, ecfg, tcfg, dtm)
+            train_embedding(train, valid, ecfg, tcfg, grid)
         assert calls == []
 
 
 @st.composite
 def criterion_cohorts(draw):
-    """Preprocessed (train, valid, dtm): few distinct times, so the pooled
+    """Preprocessed (train, valid, grid): few distinct times, so the pooled
     event times may give one evaluation time, and validation cohorts that
     may lack an event type or have it only at their last time."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -470,38 +483,38 @@ def criterion_cohorts(draw):
 
     train, valid = cohort(draw(st.integers(1, 12))), cohort(draw(st.integers(1, 30)))
     train.event[0] = 1
-    dtm = discretize_times(build_event_grid(train), 0)
-    return dtm.apply(train)[0], dtm.apply(valid)[0], dtm
+    grid = build_event_grid(train)
+    return breslow_preprocess(train, grid)[0], breslow_preprocess(valid, grid)[0], grid
 
 
 class TestCriterionScorer:
     @settings(max_examples=150)
     @given(case=criterion_cohorts())
     def test_raises_exactly_when_the_hand_written_checks_did(self, case):
-        train, valid, dtm = case
+        train, valid, grid = case
         for criterion in ("objective", "ibs", "ctd"):
             try:
                 check_criterion(criterion, train, valid)
             except KernelAJError as exc:
                 with pytest.raises(type(exc)) as got:
-                    training.criterion_scorer(criterion, train, valid, dtm)
+                    training.criterion_scorer(criterion, train, valid, grid)
                 if isinstance(exc, NoComparablePairs):
                     assert str(exc).split()[-2:] == str(got.value).split()[-2:]
                 continue
-            scorer = training.criterion_scorer(criterion, train, valid, dtm)
+            scorer = training.criterion_scorer(criterion, train, valid, grid)
             assert scorer.cohort is valid
             assert (scorer.eval_grid is not None) == (criterion == "ibs")
 
     def test_both_checks_can_fire(self):
         # the strategy above reaches both failures, not only the happy path
         one_time = Cohort(np.zeros((3, 1)), [1.0, 1.0, 2.0], [1, 1, 0], 1)
-        dtm = discretize_times(build_event_grid(one_time), 0)
-        pre, _ = dtm.apply(one_time)
+        grid = build_event_grid(one_time)
+        pre, _ = breslow_preprocess(one_time, grid)
         for criterion in ("ibs", "ctd"):
             with pytest.raises(KernelAJError):
                 check_criterion(criterion, pre, pre)
             with pytest.raises(KernelAJError):
-                training.criterion_scorer(criterion, pre, pre, dtm)
+                training.criterion_scorer(criterion, pre, pre, grid)
 
 
 class TestStoppingRule:
