@@ -23,6 +23,7 @@ from .core import (
     build_event_grid,
     cif_from_hazards,
     require_int,
+    require_real,
     table_hazards,
 )
 from .dataio import (
@@ -133,10 +134,11 @@ def _parse_fit_config(doc: dict):
 def _clustering_from_config(cluster_cfg: dict):
     """(epsilon, min_kernel_weight, shuffle_seed), checked before training."""
     def build():
-        epsilon = float(cluster_cfg["epsilon"])
-        if not epsilon >= 0:
+        epsilon = float(require_real("epsilon", cluster_cfg["epsilon"]))
+        if epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        min_weight = float(cluster_cfg.get("min_kernel_weight", 0.01))
+        min_weight = float(require_real("min_kernel_weight",
+                                        cluster_cfg.get("min_kernel_weight", 0.01)))
         tau_from_min_kernel_weight(min_weight)
         shuffle_seed = cluster_cfg.get("shuffle_seed")
         if shuffle_seed is not None:
@@ -170,8 +172,8 @@ def cmd_fit(config_path: str) -> int:
     # every setting is checked before the data is read; the embedding's
     # input_dim is the feature count, filled in once the data is read
     seed = _checked("seed", lambda: require_int("seed", doc.get("seed", 0), 0))
-    frac = _checked("data.valid_fraction",
-                    lambda: float(data_cfg.get("valid_fraction", 0.2)))
+    frac = _checked("data.valid_fraction", lambda: float(
+        require_real("valid_fraction", data_cfg.get("valid_fraction", 0.2))))
     if not 0.0 <= frac < 1.0:
         raise ConfigError("invalid value in 'data.valid_fraction': "
                           "must lie in [0, 1)", key="data.valid_fraction")

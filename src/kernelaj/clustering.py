@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cohort, EventTimeGrid
+from .core import Cohort, EventTimeGrid, count_tables
+from .embedding import pairwise_sq_dists
 from .errors import ShapeMismatch
 
 
@@ -43,23 +44,21 @@ def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float, shuffle_seed=Non
         order = np.random.default_rng(shuffle_seed).permutation(n)
 
     eps_sq = epsilon * epsilon
-    exemplar_ids = [int(order[0])]
-    exemplar_rows = [E[order[0]]]
+    # rows 0..q-1 hold the exemplars in creation order
+    exemplars, exemplar_ids = np.empty((n, E.shape[1])), np.empty(n, dtype=np.int64)
     assignments = np.empty(n, dtype=np.int64)
-    assignments[order[0]] = order[0]
-    for pos in range(1, n):
-        i = int(order[pos])
-        ex = np.asarray(exemplar_rows)
-        diff = ex - E[i]
-        sq = np.einsum("qd,qd->q", diff, diff)
-        nearest = int(np.argmin(sq))           # argmin keeps the lowest index on ties
-        if sq[nearest] <= eps_sq:
-            assignments[i] = exemplar_ids[nearest]
-        else:
-            exemplar_ids.append(i)
-            exemplar_rows.append(E[i])
-            assignments[i] = i
-    return np.asarray(exemplar_ids, dtype=np.int64), assignments
+    q = 0
+    for i in order.tolist():
+        if q:
+            diff = exemplars[:q] - E[i]
+            sq = np.einsum("qd,qd->q", diff, diff)
+            nearest = int(np.argmin(sq))       # argmin keeps the lowest index on ties
+            if sq[nearest] <= eps_sq:
+                assignments[i] = exemplar_ids[nearest]
+                continue
+        exemplars[q], exemplar_ids[q], assignments[i] = E[i], i, i
+        q += 1
+    return exemplar_ids[:q].copy(), assignments
 
 
 def cluster_positions(exemplar_ids, assignments) -> np.ndarray:
@@ -76,22 +75,11 @@ def cluster_positions(exemplar_ids, assignments) -> np.ndarray:
 
 def summarize_clusters(cohort_pre: Cohort, grid: EventTimeGrid,
                        assignments: np.ndarray, exemplar_ids: np.ndarray):
-    """Per-cluster event counts (Q, L, m) and at-risk counts (Q, L).
-
-    The cohort must already be preprocessed on ``grid``, so an event lies
-    exactly on its bin's grid time. One pass counts the points of every
-    (cluster, bin, event) cell, with bin kappa = number of grid times <= the
-    point's time; at-risk counts are reverse cumulative sums over bins.
-    Summing the tables over clusters reproduces the population counts
-    exactly.
-    """
-    Q, L, m = np.size(exemplar_ids), len(grid), cohort_pre.m
-    kappa = np.searchsorted(grid.times, cohort_pre.time, side="right")
-    cells = np.zeros((Q, L + 1, m + 1))
-    np.add.at(cells, (cluster_positions(exemplar_ids, assignments), kappa,
-                      cohort_pre.event), 1.0)
-    n_cluster = np.cumsum(cells[:, :0:-1].sum(axis=2), axis=1)[:, ::-1]
-    return np.ascontiguousarray(cells[:, 1:, 1:]), np.ascontiguousarray(n_cluster)
+    """Per-cluster event counts (Q, L, m) and at-risk counts (Q, L): the
+    :func:`~kernelaj.core.count_tables` of the clusters. Summing the tables
+    over clusters reproduces the population counts exactly."""
+    return count_tables(cohort_pre, grid, cluster_positions(exemplar_ids, assignments),
+                        np.size(exemplar_ids))
 
 
 @dataclass(frozen=True)
@@ -160,12 +148,21 @@ def build_cluster_model(embeddings, cohort_pre, grid, epsilon, tau,
     )
 
 
+def exemplar_weights(clusters: ClusterModel, E: np.ndarray) -> np.ndarray:
+    """Kernel weights exp(-||e - e_q||^2) of embeddings E (n, d) to every
+    exemplar, zero beyond tau. The distances are row-wise products
+    (:func:`~kernelaj.embedding.pairwise_sq_dists`), so a row's weights do
+    not depend on the rows passed with it."""
+    sq = pairwise_sq_dists(E, clusters.exemplar_embeddings)
+    return np.where(sq <= clusters.tau ** 2, np.exp(-sq), 0.0)
+
+
 def neighbors_within_tau(query_embedding: np.ndarray, model: ClusterModel) -> np.ndarray:
     """Positions (into the exemplar list) of exemplars within tau of the query,
-    in exemplar-index order."""
+    in exemplar-index order: the exemplars :func:`exemplar_weights` weighs,
+    read from the same distances (a far weight may still underflow to 0)."""
     q = np.asarray(query_embedding, dtype=np.float64)
     if q.shape != (model.exemplar_embeddings.shape[1],):
         raise ShapeMismatch("query embedding dimension mismatch")
-    diff = model.exemplar_embeddings - q
-    sq = np.einsum("qd,qd->q", diff, diff)
-    return np.flatnonzero(sq <= model.tau * model.tau)
+    sq = pairwise_sq_dists(q[None, :], model.exemplar_embeddings)[0]
+    return np.flatnonzero(sq <= model.tau ** 2)

@@ -19,7 +19,7 @@ relies on exact floating-point equality of times snapped to grid values.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,6 +34,17 @@ def require_int(name: str, value, minimum: int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def require_real(name: str, value):
+    """``value`` when it is a real number other than NaN; infinities and
+    numpy floats pass. A bool or a non-real value raises TypeError, NaN
+    ValueError, each naming the setting."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if value != value:
+        raise ValueError(f"{name} must not be NaN")
     return value
 
 
@@ -117,10 +128,6 @@ class EventTimeGrid:
     def __len__(self) -> int:
         return self.times.size
 
-    @property
-    def t_max(self) -> float:
-        return float(self.times[-1])
-
     def with_leading_zero(self) -> np.ndarray:
         """Times [t_0=0, t_1, ..., t_L]."""
         return np.concatenate(([0.0], self.times))
@@ -172,17 +179,9 @@ class CifSet:
     survival: StepCurve
     cifs: tuple
 
-    @property
-    def m(self) -> int:
-        return len(self.cifs)
-
     def cif(self, delta: int) -> StepCurve:
         """CIF of event type delta in 1..m."""
         return self.cifs[delta - 1]
-
-    @property
-    def t_max(self) -> float:
-        return float(self.survival.knots[-1])
 
     @classmethod
     def from_values(cls, knots, survival, cifs) -> "CifSet":
@@ -212,7 +211,7 @@ class PiecewiseHazard:
     def __call__(self, t, delta: int):
         t = np.asarray(t, dtype=np.float64)
         idx = np.searchsorted(self.grid.times, t, side="left")
-        inside = (t > 0) & (t <= self.grid.t_max)
+        inside = (t > 0) & (t <= self.grid.times[-1])
         idx = np.clip(idx, 0, len(self.grid) - 1)
         out = np.where(inside, self.rates[idx, delta - 1], 0.0)
         return float(out) if out.ndim == 0 else out
@@ -247,22 +246,28 @@ def breslow_preprocess(cohort: Cohort, grid: EventTimeGrid):
     return cohort.replace_times(grid.with_leading_zero()[kappa]), kappa
 
 
-def risk_event_counts(cohort_pre: Cohort, grid: EventTimeGrid):
-    """Event counts d (L, m) and at-risk counts n (L,) on the grid.
+def count_tables(cohort_pre: Cohort, grid: EventTimeGrid, group, groups: int):
+    """Event counts (groups, L, m) and at-risk counts (groups, L) of the
+    records in each group 0..groups-1 (``group``, one per record).
 
-    d[l, delta-1] counts records with event type delta at exactly t_{l+1};
-    n[l] counts records with observed time >= t_{l+1}. The cohort must
-    already be Breslow-preprocessed on this grid.
-    """
-    L, m = len(grid), cohort_pre.m
-    d = np.zeros((L, m), dtype=np.float64)
-    uncensored = cohort_pre.event != 0
-    if uncensored.any():
-        ell = np.searchsorted(grid.times, cohort_pre.time[uncensored])
-        np.add.at(d, (ell, cohort_pre.event[uncensored] - 1), 1.0)
-    sorted_times = np.sort(cohort_pre.time)
-    n_at_risk = cohort_pre.n - np.searchsorted(sorted_times, grid.times, side="left")
-    return d, n_at_risk.astype(np.float64)
+    On a cohort preprocessed on ``grid`` every event lies on its bin's grid
+    time. One pass counts every (group, bin, event) cell, with bin kappa =
+    the number of grid times <= the record's time; at-risk counts are
+    reverse cumulative sums over bins. The counts are integers, so tables
+    summed over groups equal the one-group tables exactly."""
+    kappa = np.searchsorted(grid.times, cohort_pre.time, side="right")
+    cells = np.zeros((groups, len(grid) + 1, cohort_pre.m + 1))
+    np.add.at(cells, (group, kappa, cohort_pre.event), 1.0)
+    n = np.cumsum(cells[:, :0:-1].sum(axis=2), axis=1)[:, ::-1]
+    return np.ascontiguousarray(cells[:, 1:, 1:]), np.ascontiguousarray(n)
+
+
+def risk_event_counts(cohort_pre: Cohort, grid: EventTimeGrid):
+    """Event counts d (L, m) of each event type at exactly t_{l+1} and
+    at-risk counts n (L,) of records with time >= t_{l+1}, on a cohort
+    Breslow-preprocessed on ``grid``: the one-group :func:`count_tables`."""
+    d, n = count_tables(cohort_pre, grid, 0, 1)
+    return d[0], n[0]
 
 
 def safe_reciprocal(n, out=None):

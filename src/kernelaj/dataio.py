@@ -20,7 +20,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .core import Cohort, require_int
+from .core import Cohort, require_int, require_real
 from .errors import MissingColumn, ParseError, SchemaMismatch, TooSmall
 
 _KINDS = ("continuous", "categorical", "binary")
@@ -317,7 +317,7 @@ class SynthConfig:
         require_int("n", self.n, 1)
         require_int("p", self.p, 1)
         require_int("seed", self.seed, 0)
-        if not 0.0 <= self.censoring_rate < 1.0:
+        if not 0.0 <= require_real("censoring_rate", self.censoring_rate) < 1.0:
             raise ValueError("censoring rate must lie in [0, 1)")
         if len(self.w1) != self.p or len(self.w2) != self.p:
             raise ValueError("weight vectors must have length p")

@@ -77,10 +77,6 @@ class MlpParams:
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.layer_sizes[-1]
-
     def copy(self) -> "MlpParams":
         return replace(
             self,

@@ -76,21 +76,21 @@ class SftParams:
                          self.omega_baseline - step * dob)
 
 
-def init_sft_params(clusters: ClusterModel, floor: float = INIT_FLOOR) -> SftParams:
+def init_sft_params(clusters: ClusterModel) -> SftParams:
     """Log-initialize the tables so the derived counts match the raw ones.
 
-    Arguments of the logs are floored at ``floor`` so zero counts stay
-    defined; baselines start at log(floor). The censoring pseudo-count per
+    Arguments of the logs are floored at ``INIT_FLOOR`` so zero counts stay
+    defined; baselines start at log(INIT_FLOOR). The censoring pseudo-count per
     bin is n[l] - n[l+1] - sum_d d[l, d].
     """
     d = clusters.d_cluster
     n = clusters.n_cluster
     n_next = np.concatenate((n[:, 1:], np.zeros((n.shape[0], 1))), axis=1)
     censor = n - n_next - d.sum(axis=2)
-    gamma = np.log(np.maximum(d, floor))
-    omega = np.log(np.maximum(censor, floor))
-    gamma_baseline = np.full(d.shape[1:], np.log(floor))
-    omega_baseline = np.full(n.shape[1], np.log(floor))
+    gamma = np.log(np.maximum(d, INIT_FLOOR))
+    omega = np.log(np.maximum(censor, INIT_FLOOR))
+    gamma_baseline = np.full(d.shape[1:], np.log(INIT_FLOOR))
+    omega_baseline = np.full(n.shape[1], np.log(INIT_FLOOR))
     return SftParams(gamma, gamma_baseline, omega, omega_baseline)
 
 

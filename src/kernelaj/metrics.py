@@ -32,8 +32,6 @@ class EvalGrid:
     truncated at a percentile to avoid the unstable tail."""
 
     times: np.ndarray
-    quantile_count: int
-    truncate_pct: float
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -58,7 +56,7 @@ def build_eval_grid(event_times, k: int = 100, truncate_pct: float = 90) -> Eval
     top = truncate_pct / 100.0
     levels = np.array([top]) if k == 1 else np.linspace(0.0, top, k)
     grid = np.unique(np.quantile(times, levels))
-    return EvalGrid(grid, quantile_count=k, truncate_pct=float(truncate_pct))
+    return EvalGrid(grid)
 
 
 def censoring_survival(cohort: Cohort) -> StepCurve:
@@ -164,21 +162,28 @@ def concordance_td(risk_matrix, cohort: Cohort, delta: int) -> float:
     that time. Ties in predictions count one half.
     """
     R = np.asarray(risk_matrix, dtype=np.float64)
-    n = cohort.n
-    if R.shape != (n, n):
-        raise ShapeMismatch(f"risk matrix must be ({n}, {n}), got {R.shape}")
-    concordant = 0
-    ties = 0
-    comparable = 0
-    for i in np.flatnonzero(cohort.event == delta):
-        later = cohort.time > cohort.time[i]
-        if not later.any():
-            continue
-        r_i = R[i, i]
-        r_j = R[i, later]
-        concordant += int((r_i > r_j).sum())
-        ties += int((r_i == r_j).sum())
-        comparable += int(later.sum())
+    if R.shape != (cohort.n, cohort.n):
+        raise ShapeMismatch(f"risk matrix must be ({cohort.n}, {cohort.n}), got {R.shape}")
+    return _count_concordance(lambda rows: R[rows].T, cohort, delta)
+
+
+def _count_concordance(risk_block, cohort: Cohort, delta: int) -> float:
+    """The pair counter of both concordance forms. ``risk_block(rows)``
+    gives the (n, rows.size) risks F_delta(Y_i | X_j) at the times of
+    ``CONCORDANCE_BLOCK_ROWS`` anchor subjects i (event ``delta``) at a
+    time; the concordant, tied and comparable pairs are counted per block,
+    so memory is O(n * block) rather than n x n."""
+    time = cohort.time
+    anchors = np.flatnonzero(cohort.event == delta)
+    concordant = ties = comparable = 0
+    for start in range(0, anchors.size, CONCORDANCE_BLOCK_ROWS):
+        rows = anchors[start:start + CONCORDANCE_BLOCK_ROWS]
+        risk = risk_block(rows)
+        own = risk[rows, np.arange(rows.size)]
+        later = time[:, None] > time[rows]
+        concordant += int(np.count_nonzero((own > risk) & later))
+        ties += int(np.count_nonzero((own == risk) & later))
+        comparable += int(np.count_nonzero(later))
     if comparable == 0:
         raise NoComparablePairs(f"no comparable pairs for event {delta}")
     return (concordant + 0.5 * ties) / comparable
@@ -220,31 +225,15 @@ def concordance_td_from_curves(curve_values, knot_times, cohort: Cohort,
     """:func:`concordance_td` of linearly interpolated CIF curves, where
     F_delta(Y_i | X_j) is curve j at subject i's time.
 
-    The curves are interpolated at the times of ``CONCORDANCE_BLOCK_ROWS``
-    anchor subjects (event ``delta``) at a time, and the concordant, tied
-    and comparable pairs are counted per block, so memory is O(n * block)
-    rather than n x n. Interpolation is elementwise in the evaluation
-    times, so the counts, and the result, equal concordance_td's on the
-    full risk matrix.
+    The curves are interpolated at the anchor subjects' times one block at
+    a time. Interpolation is elementwise in the evaluation times, so the
+    counts, and the result, equal concordance_td's on the full risk matrix.
     """
     curves = np.atleast_2d(np.asarray(curve_values, dtype=np.float64))
-    n = cohort.n
-    if curves.shape[0] != n:
-        raise ShapeMismatch(f"expected {n} curves, got {curves.shape[0]}")
-    time = cohort.time
-    anchors = np.flatnonzero(cohort.event == delta)
-    concordant = ties = comparable = 0
-    for start in range(0, anchors.size, CONCORDANCE_BLOCK_ROWS):
-        rows = anchors[start:start + CONCORDANCE_BLOCK_ROWS]
-        risk = interpolate_curves(curves, knot_times, time[rows])   # (n, block)
-        own = risk[rows, np.arange(rows.size)]
-        later = time[:, None] > time[rows]
-        concordant += int(np.count_nonzero((own > risk) & later))
-        ties += int(np.count_nonzero((own == risk) & later))
-        comparable += int(np.count_nonzero(later))
-    if comparable == 0:
-        raise NoComparablePairs(f"no comparable pairs for event {delta}")
-    return (concordant + 0.5 * ties) / comparable
+    if curves.shape[0] != cohort.n:
+        raise ShapeMismatch(f"expected {cohort.n} curves, got {curves.shape[0]}")
+    return _count_concordance(
+        lambda rows: interpolate_curves(curves, knot_times, cohort.time[rows]), cohort, delta)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterModel
+from .clustering import ClusterModel, exemplar_weights
 from .core import CifSet, EventTimeGrid, cif_from_hazards, curves_from_counts, table_hazards
-from .embedding import (MlpParams, forward_cached, kernel_matrix, pairwise_sq_dists,
-                        rowwise_matmul)
+from .embedding import MlpParams, forward_cached, kernel_matrix, rowwise_matmul
 from .errors import EmptyNeighborhood, NoRisk, NonFiniteFeatures, ShapeMismatch
 
 PREDICT_BLOCK_ROWS = 1024
@@ -53,10 +52,6 @@ class KernelAJModel:
     @property
     def m(self) -> int:
         return int(self.clusters.d_cluster.shape[2])
-
-    @property
-    def t_max(self) -> float:
-        return self.grid.t_max
 
     @property
     def tables(self):
@@ -99,19 +94,13 @@ def _row(x) -> np.ndarray:
     return x[None, :]
 
 
-def _exemplar_weights(clusters: ClusterModel, E: np.ndarray) -> np.ndarray:
-    """Kernel weights of embeddings E (n, d) to every exemplar, zero beyond tau."""
-    sq = pairwise_sq_dists(E, clusters.exemplar_embeddings)
-    return np.where(sq <= clusters.tau ** 2, np.exp(-sq), 0.0)
-
-
 def frozen_subject_weights(params_mlp: MlpParams, clusters: ClusterModel,
                            features: np.ndarray) -> np.ndarray:
     """Kernel weights exp(-||e_i - e_q||^2) of every feature row to every
     exemplar, zero beyond tau: the (n, Q) weights behind every prediction and
     every fine-tuning step. A row whose features are not finite, or too large
     to embed, raises ValueError naming the first such row."""
-    return _exemplar_weights(clusters, _embed_rows(params_mlp, features))
+    return exemplar_weights(clusters, _embed_rows(params_mlp, features))
 
 
 def _weighted_tables(model: KernelAJModel, W):
@@ -155,7 +144,7 @@ def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
     for start in range(0, n, PREDICT_BLOCK_ROWS):
         rows = slice(start, start + PREDICT_BLOCK_ROWS)
         cif[:, rows], surv[rows], fallback[rows] = _curves_from_weights(
-            model, _exemplar_weights(model.clusters, E[rows]))
+            model, exemplar_weights(model.clusters, E[rows]))
     return cif, surv, fallback
 
 

@@ -81,6 +81,7 @@ from .core import (
     breslow_preprocess,
     cif_from_hazards,
     require_int,
+    require_real,
     safe_reciprocal,
 )
 from .embedding import (
@@ -124,6 +125,8 @@ class TrainConfig:
         for name, minimum in (("batch_size", 2), ("max_epochs", 1), ("patience", 1),
                               ("num_time_steps", 0), ("seed", 0)):
             require_int(name, getattr(self, name), minimum)
+        for name in ("learning_rate", "alpha", "sigma"):
+            require_real(name, getattr(self, name))
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.sigma <= 0:

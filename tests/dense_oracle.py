@@ -1,13 +1,19 @@
 """The dense one-hot training step, validation hazards, scalar Brier
 score, CIF recursion, NLL, pairwise ranking loss, n x n concordance risk
-matrix, hand-derived fine-tuning objective, hand-written criterion checks,
-stopping rule, per-cluster loops, row-loop cumulative-product backward and
-per-cell CSV reader and writer that ``kernelaj`` replaced, plus the scalar
-kernel and the fine-tuning objective of parameters, which only tests use.
+matrix, per-anchor concordance loop, hand-derived fine-tuning objective,
+hand-written criterion checks, stopping rule, list-stacking epsilon-net,
+sorted-time counts, per-cluster loops, difference-based neighbor search,
+row-loop cumulative-product backward and per-cell CSV reader and writer
+that ``kernelaj`` replaced, plus the scalar kernel and the fine-tuning
+objective of parameters, which only tests use.
 
 The functions below are kept verbatim as test oracles: the kernel comes
 from E @ E.T, the hazard tables from weight-matrix products with (n, L)
-one-hot label matrices, each Brier horizon is scored on its own, the CIF
+one-hot label matrices, each Brier horizon is scored on its own, each
+concordance anchor is counted on its own, the epsilon-net stacks its
+exemplar list into an array for every point, event and at-risk counts come
+from a scatter of events and a search of the sorted times, neighbors from
+explicit embedding differences, the CIF
 recursion leaves 1 - sum(h) unfloored, the NLL builds its own at-risk mask,
 the ranking loss and its backward pass read dense n x n matrices of
 pairwise CIF lookups, the fine-tuning objective derives its likelihood
@@ -25,7 +31,7 @@ import math
 
 import numpy as np
 
-from kernelaj.core import Cohort, StepCurve, cif_from_hazards, risk_event_counts
+from kernelaj.core import Cohort, StepCurve, cif_from_hazards
 from kernelaj.embedding import backward, forward_cached
 from kernelaj.dataio import RawTable
 from kernelaj.errors import (
@@ -464,6 +470,77 @@ def criterion_is_improvement(criterion, value, best):
     if criterion == "ctd":
         return value > best
     return value < best
+
+
+def risk_event_counts(cohort_pre, grid):
+    """Event counts d (L, m) scattered by each event's grid time, and
+    at-risk counts n (L,) from a search of the sorted observed times."""
+    L, m = len(grid), cohort_pre.m
+    d = np.zeros((L, m), dtype=np.float64)
+    uncensored = cohort_pre.event != 0
+    if uncensored.any():
+        ell = np.searchsorted(grid.times, cohort_pre.time[uncensored])
+        np.add.at(d, (ell, cohort_pre.event[uncensored] - 1), 1.0)
+    sorted_times = np.sort(cohort_pre.time)
+    n_at_risk = cohort_pre.n - np.searchsorted(sorted_times, grid.times, side="left")
+    return d, n_at_risk.astype(np.float64)
+
+
+def neighbors_within_tau(query_embedding, model):
+    """Positions of the exemplars within tau of the query, from explicit
+    differences to every exemplar."""
+    diff = model.exemplar_embeddings - np.asarray(query_embedding, dtype=np.float64)
+    sq = np.einsum("qd,qd->q", diff, diff)
+    return np.flatnonzero(sq <= model.tau * model.tau)
+
+
+def concordance_td(risk_matrix, cohort, delta):
+    """Concordant fraction over comparable pairs, one anchor subject at a
+    time: ``risk_matrix[i, j]`` holds F_delta(Y_i | X_j)."""
+    R = np.asarray(risk_matrix, dtype=np.float64)
+    concordant = 0
+    ties = 0
+    comparable = 0
+    for i in np.flatnonzero(cohort.event == delta):
+        later = cohort.time > cohort.time[i]
+        if not later.any():
+            continue
+        r_i = R[i, i]
+        r_j = R[i, later]
+        concordant += int((r_i > r_j).sum())
+        ties += int((r_i == r_j).sum())
+        comparable += int(later.sum())
+    if comparable == 0:
+        raise NoComparablePairs(f"no comparable pairs for event {delta}")
+    return (concordant + 0.5 * ties) / comparable
+
+
+def epsilon_net_cluster(embeddings, epsilon, shuffle_seed=None):
+    """The sequential greedy epsilon-net pass with its exemplars in a Python
+    list, stacked into an array again for every point."""
+    E = np.asarray(embeddings, dtype=np.float64)
+    n = E.shape[0]
+    order = np.arange(n)
+    if shuffle_seed is not None:
+        order = np.random.default_rng(shuffle_seed).permutation(n)
+    eps_sq = epsilon * epsilon
+    exemplar_ids = [int(order[0])]
+    exemplar_rows = [E[order[0]]]
+    assignments = np.empty(n, dtype=np.int64)
+    assignments[order[0]] = order[0]
+    for pos in range(1, n):
+        i = int(order[pos])
+        ex = np.asarray(exemplar_rows)
+        diff = ex - E[i]
+        sq = np.einsum("qd,qd->q", diff, diff)
+        nearest = int(np.argmin(sq))
+        if sq[nearest] <= eps_sq:
+            assignments[i] = exemplar_ids[nearest]
+        else:
+            exemplar_ids.append(i)
+            exemplar_rows.append(E[i])
+            assignments[i] = i
+    return np.asarray(exemplar_ids, dtype=np.int64), assignments
 
 
 def summarize_clusters(cohort_pre, grid, assignments, exemplar_ids):

@@ -13,9 +13,11 @@ from numpy.testing import assert_allclose
 
 from conftest import traced_peak
 from kernelaj import (
+    Cohort,
     SynthConfig,
     explain_rows,
     explain_subject,
+    fit_apply_preprocessor,
     generate_synthetic,
     load_cohort,
     load_model,
@@ -224,6 +226,17 @@ class TestFit:
         {"sft": {"enabled": "false"}},
         {"sft": {"enabled": True, "max_epochs": 2.5}},
         {"seed": 1.5},
+        {"training": {"learning_rate": True}},
+        {"training": {"alpha": True}},
+        {"training": {"sigma": True}},
+        {"training": {"learning_rate": float("nan")}},
+        {"training": {"sigma": float("nan")}},
+        {"clustering": {"epsilon": True}},
+        {"clustering": {"epsilon": "0.3"}},
+        {"clustering": {"min_kernel_weight": True}},
+        {"data": {"valid_fraction": False}},
+        {"data": {"valid_fraction": "0.5"}},
+        {"sft": {"enabled": True, "learning_rate": True}},
     ], ids=lambda overrides: json.dumps(overrides))
     def test_integers_and_booleans_checked_before_data(self, tmp_path, train_csv,
                                                         capsys, monkeypatch, overrides):
@@ -237,6 +250,81 @@ class TestFit:
         (section, value), = overrides.items()
         key = section if not isinstance(value, dict) else list(value)[-1]
         assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+
+    def test_valid_file_fixes_the_split(self, tmp_path, train_csv, test_csv):
+        # with data.valid the validation cohort is that file, whatever
+        # valid_fraction says, and the schema is fitted on the train file
+        logs = []
+        for frac in (0.1, 0.5):
+            config_path, cfg = write_config(tmp_path, train_csv, data={
+                "valid": str(test_csv), "valid_fraction": frac})
+            assert main(["fit", "--config", str(config_path)]) == 0
+            logs.append((tmp_path / "out" / "training_log.csv").read_bytes())
+        assert logs[0] == logs[1]
+        schema_of = lambda path: json.loads(json.dumps(fit_apply_preprocessor(
+            load_cohort(path, cfg["data"]["schema"], "time", "event"),
+            schema_spec=cfg["data"]["schema"])[-1].to_dict()))
+        doc = json.loads((tmp_path / "out" / "model.json").read_text())
+        assert doc["schema"] == schema_of(train_csv) != schema_of(test_csv)
+
+
+def _events_beyond_m(tmp_path):
+    cohort = generate_synthetic(SynthConfig(n=30, p=3, w1=(0.6, 0.0, 0.0),
+                                            w2=(0.0, 0.6, 0.0), seed=4))
+    event = cohort.event.copy()
+    event[0] = 3
+    path = tmp_path / "three_events.csv"
+    write_cohort_csv(Cohort(cohort.features, cohort.time, event, 3), path)
+    return path
+
+
+def _fit_argv(**overrides):
+    def argv(tmp_path, train_csv, model_path):
+        return ["fit", "--config", str(write_config(tmp_path, train_csv, **overrides)[0])]
+    return argv
+
+
+def _config_file(command, text):
+    def argv(tmp_path, train_csv, model_path):
+        (tmp_path / "config.json").write_text(text)
+        out = ["--out", str(tmp_path / "s.csv")] if command == "simulate" else []
+        return [command, "--config", str(tmp_path / "config.json"), *out]
+    return argv
+
+
+_ERROR_PATHS = {
+    "explain without --data or --clusters": lambda tmp_path, train_csv, model_path: [
+        "explain", "--model", str(model_path), "--out", str(tmp_path / "o")],
+    "evaluate events beyond m": lambda tmp_path, train_csv, model_path: [
+        "evaluate", "--model", str(model_path), "--data",
+        str(_events_beyond_m(tmp_path)), "--out", str(tmp_path / "o")],
+    "missing config file": lambda tmp_path, train_csv, model_path: [
+        "fit", "--config", str(tmp_path / "nope.json")],
+    "config not JSON": _config_file("fit", "{not json"),
+    "training a list": _fit_argv(training=[]),
+    "no data.train": _fit_argv(data={"train": None}),
+    "negative epsilon": _fit_argv(clustering={"epsilon": -0.1}),
+    "valid_fraction 1": _fit_argv(data={"valid_fraction": 1.0}),
+    "censoring_rate false": _config_file("simulate", json.dumps(
+        {"n": 10, "p": 1, "w1": [0.1], "w2": [0.1], "censoring_rate": False})),
+}
+
+
+class TestErrorPaths:
+    @pytest.fixture(scope="class")
+    def model_path(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fitted")
+        config_path, _ = write_config(root, cohort_csv(root / "train.csv", 120, 1))
+        assert main(["fit", "--config", str(config_path)]) == 0
+        return root / "out" / "model.json"
+
+    @pytest.mark.parametrize("case", list(_ERROR_PATHS))
+    def test_exit_2_with_one_error_line(self, tmp_path, train_csv, model_path, capsys,
+                                        case):
+        assert main(_ERROR_PATHS[case](tmp_path, train_csv, model_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEvaluate:

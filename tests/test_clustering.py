@@ -17,10 +17,10 @@ from kernelaj import (
     build_event_grid,
     epsilon_net_cluster,
     neighbors_within_tau,
-    risk_event_counts,
     summarize_clusters,
     tau_from_min_kernel_weight,
 )
+from kernelaj.clustering import exemplar_weights
 from kernelaj.cli import fit_pipeline
 
 
@@ -77,6 +77,36 @@ class TestEpsilonNet:
         assert list(ex_a) != list(ex_b)
 
 
+@st.composite
+def embeddings(draw):
+    """(E, epsilon, shuffle_seed): Gaussian or lattice points, the lattice
+    with repeated rows and equidistant exemplars."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 120)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        E = rng.normal(size=(n, d))
+    else:
+        E = rng.integers(-3, 4, size=(n, d)) * 0.5
+    epsilon = draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, np.inf]))
+    return E, epsilon, draw(st.one_of(st.none(), st.integers(0, 1000)))
+
+
+class TestEpsilonNetOracle:
+    @settings(max_examples=80)
+    @given(case=embeddings())
+    def test_equals_the_list_pass(self, case):
+        E, epsilon, shuffle_seed = case
+        ids, assignments = epsilon_net_cluster(E, epsilon, shuffle_seed)
+        want_ids, want_assignments = oracle.epsilon_net_cluster(E, epsilon, shuffle_seed)
+        assert ids.dtype == want_ids.dtype and assignments.dtype == want_assignments.dtype
+        assert_array_equal(ids, want_ids)
+        assert_array_equal(assignments, want_assignments)
+        # exemplars more than epsilon apart, every point within epsilon of its own
+        gaps = np.linalg.norm(E[ids][:, None] - E[ids][None], axis=2)
+        assert (gaps[~np.eye(ids.size, dtype=bool)] > epsilon).all()
+        assert (np.linalg.norm(E - E[assignments], axis=1) <= epsilon).all()
+
+
 class TestSummaries:
     def test_single_cluster_equals_population(self):
         cohort = toy_cohort()
@@ -84,7 +114,7 @@ class TestSummaries:
         pre, _ = breslow_preprocess(cohort, grid)
         assignments = np.zeros(3, dtype=np.int64)
         d_c, n_c = summarize_clusters(pre, grid, assignments, np.array([0]))
-        d, n = risk_event_counts(pre, grid)
+        d, n = oracle.risk_event_counts(pre, grid)
         assert_allclose(d_c[0], d)
         assert_allclose(n_c[0], n)
 
@@ -116,7 +146,7 @@ class TestSummaries:
         E = rng.normal(size=(40, 2))
         exemplars, assignments = epsilon_net_cluster(E, epsilon=1.0)
         d_c, n_c = summarize_clusters(pre, grid, assignments, exemplars)
-        d, n = risk_event_counts(pre, grid)
+        d, n = oracle.risk_event_counts(pre, grid)
         assert_allclose(d_c.sum(axis=0), d)
         assert_allclose(n_c.sum(axis=0), n)
 
@@ -195,6 +225,20 @@ class TestNeighbors:
         model = self.build(0.5)
         hits = neighbors_within_tau(np.array([5.0, 0.0]), model)
         assert list(hits) == [1]
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_neighbors_are_the_weighted_exemplars(self, seed):
+        # tau from a minimum weight of 0.01: no weight within tau underflows
+        rng = np.random.default_rng(seed)
+        cohort = Cohort(np.zeros((30, 1)), rng.uniform(0.5, 5.0, 30), rng.integers(0, 3, 30), 2)
+        grid = build_event_grid(cohort)
+        pre, _ = breslow_preprocess(cohort, grid)
+        model = build_cluster_model(rng.normal(size=(30, 2)) * 2, pre, grid, epsilon=0.5,
+                                    tau=tau_from_min_kernel_weight(0.01))
+        for q in rng.normal(size=(10, 2)) * 3:
+            weights = exemplar_weights(model, q[None, :])[0]
+            assert_array_equal(neighbors_within_tau(q, model), np.flatnonzero(weights))
 
     def test_empty_neighborhood(self):
         model = self.build(0.5)

@@ -413,12 +413,15 @@ class TestBlockedConcordance:
             mp.setattr(metrics, "CONCORDANCE_BLOCK_ROWS", block)
             for delta in range(1, cohort.m + 1):
                 try:
-                    want = concordance_td(R, cohort, delta)
+                    want = oracle.concordance_td(R, cohort, delta)
                 except NoComparablePairs:
                     with pytest.raises(NoComparablePairs):
                         concordance_td_from_curves(curves, knots, cohort, delta)
+                    with pytest.raises(NoComparablePairs):
+                        concordance_td(R, cohort, delta)
                     continue
                 assert concordance_td_from_curves(curves, knots, cohort, delta) == want
+                assert concordance_td(R, cohort, delta) == want
 
     def test_no_square_buffer(self):
         n, L = 4096, 64
@@ -503,7 +506,7 @@ def scoring_cases(draw):
         censor = censoring_survival(cohort)
     elif censor == "reaches zero":
         censor = StepCurve(np.sort(rng.uniform(0.5, 6.0, 3)), np.array([0.7, 0.3, 0.0]))
-    return curves, knots, cohort, EvalGrid(grid_times, 100, 90.0), censor
+    return curves, knots, cohort, EvalGrid(grid_times), censor
 
 
 class TestScoreCurves:
@@ -531,7 +534,7 @@ class TestScoreCurves:
     def test_scores_only_the_requested_criteria(self, monkeypatch):
         cohort = Cohort(np.zeros((4, 1)), [1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], 1)
         curves = np.linspace(0.1, 0.4, 4)[None, :, None] * np.ones((1, 4, 2))
-        grid = EvalGrid(np.array([1.0, 3.0]), 100, 90.0)
+        grid = EvalGrid(np.array([1.0, 3.0]))
 
         def fail(*args, **kwargs):
             raise AssertionError("not requested")

@@ -146,21 +146,21 @@ class TestBrierScore:
 
 class TestIntegratedBrier:
     def test_constant_curve(self):
-        grid = EvalGrid(np.array([1.0, 2.0, 4.0]), 3, 90.0)
+        grid = EvalGrid(np.array([1.0, 2.0, 4.0]))
         assert integrated_brier(np.full(3, 0.3), grid) == pytest.approx(0.3)
 
     def test_linear_curve_halves(self):
-        grid = EvalGrid(np.linspace(0, 1, 11), 11, 90.0)
+        grid = EvalGrid(np.linspace(0, 1, 11))
         assert integrated_brier(np.linspace(0, 1, 11), grid) == pytest.approx(0.5)
 
     def test_three_point_hand_value(self):
         # trapezoids: (0.2+0.4)/2 * 1 + (0.4+0.1)/2 * 2 = 0.8 over span 3
-        grid = EvalGrid(np.array([0.0, 1.0, 3.0]), 3, 90.0)
+        grid = EvalGrid(np.array([0.0, 1.0, 3.0]))
         bs = np.array([0.2, 0.4, 0.1])
         assert integrated_brier(bs, grid) == pytest.approx(0.8 / 3.0)
 
     def test_single_point_grid_raises(self):
-        grid = EvalGrid(np.array([1.0]), 1, 90.0)
+        grid = EvalGrid(np.array([1.0]))
         with pytest.raises(DegenerateGrid):
             integrated_brier(np.array([0.2]), grid)
 

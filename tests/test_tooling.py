@@ -46,3 +46,12 @@ def test_model_layers_do_not_import_training():
     # training code
     for module in ("core", "model", "serialize"):
         assert "training" not in _package_imports(module), module
+
+
+def test_estimators_stand_below_the_model():
+    # core holds the estimators and imports only the errors; clustering and
+    # metrics build on it and never reach up to the fitted model or the CLI
+    assert _package_imports("core") == {"errors"}
+    upper = {"model", "training", "finetune", "serialize", "cli"}
+    for module in ("clustering", "metrics"):
+        assert not _package_imports(module) & upper, module
