@@ -48,6 +48,7 @@ from .errors import (
     ConfigError,
     DegenerateGrid,
     DegenerateRisk,
+    Diverged,
     EmptyCohort,
     EmptyNeighborhood,
     KernelAJError,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cohort, EventTimeGrid, count_tables
+from .core import Cohort, EventTimeGrid, count_tables, require_real
 from .embedding import pairwise_sq_dists
 from .errors import ShapeMismatch
 
@@ -31,12 +31,12 @@ def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float, shuffle_seed=Non
     Returns (exemplar_ids, assignments): exemplar_ids are indices into the
     input rows in creation order; assignments[i] is the exemplar id owning
     point i. epsilon = 0 gives every distinct point its own cluster;
-    epsilon = inf gives a single cluster.
+    epsilon = inf gives a single cluster; NaN raises ValueError.
     """
     E = np.asarray(embeddings, dtype=np.float64)
     if E.ndim != 2 or E.shape[0] < 1:
         raise ShapeMismatch("embeddings must be a nonempty (n, d) array")
-    if epsilon < 0:
+    if require_real("epsilon", epsilon) < 0:
         raise ValueError("epsilon must be nonnegative")
     n = E.shape[0]
     order = np.arange(n)
@@ -88,7 +88,8 @@ class ClusterModel:
 
     ``exemplar_ids`` are training indices in creation order;
     ``assignments[i]`` is the exemplar id of training point i. ``tau`` is the
-    prediction-time neighborhood radius in embedding space.
+    prediction-time neighborhood radius in embedding space. A NaN ``tau`` or
+    ``epsilon`` raises ValueError; infinities are valid.
     """
 
     exemplar_ids: np.ndarray
@@ -110,9 +111,9 @@ class ClusterModel:
             raise ShapeMismatch("per-exemplar arrays disagree on cluster count")
         if d.shape[:2] != n.shape:
             raise ShapeMismatch("d_cluster and n_cluster disagree on (Q, L)")
-        if self.tau <= 0:
+        if require_real("tau", self.tau) <= 0:
             raise ValueError("tau must be positive")
-        if self.epsilon < 0:
+        if require_real("epsilon", self.epsilon) < 0:
             raise ValueError("epsilon must be nonnegative")
         if not set(np.unique(asg)).issubset(set(ids.tolist())):
             raise ValueError("every assignment must reference an exemplar")

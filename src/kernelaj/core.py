@@ -155,21 +155,16 @@ class StepCurve:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 
-    def __call__(self, t):
-        """Evaluate at scalar or array t (right-continuous)."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.knots, t, side="right") - 1
-        padded = np.concatenate(([self.initial_value], self.values))
-        out = padded[idx + 1]
+    def __call__(self, t, side="right"):
+        """Evaluate at scalar or array t (right-continuous); side="left"
+        gives the left limit."""
+        idx = np.searchsorted(self.knots, np.asarray(t, dtype=np.float64), side=side)
+        out = np.concatenate(([self.initial_value], self.values))[idx]
         return float(out) if out.ndim == 0 else out
 
     def eval_left(self, t):
         """Left limit: value just before t (sup over s < t)."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.knots, t, side="left") - 1
-        padded = np.concatenate(([self.initial_value], self.values))
-        out = padded[idx + 1]
-        return float(out) if out.ndim == 0 else out
+        return self(t, side="left")
 
 
 @dataclass(frozen=True)
@@ -246,27 +241,33 @@ def breslow_preprocess(cohort: Cohort, grid: EventTimeGrid):
     return cohort.replace_times(grid.with_leading_zero()[kappa]), kappa
 
 
-def count_tables(cohort_pre: Cohort, grid: EventTimeGrid, group, groups: int):
+def reverse_cumsum(x):
+    """Sums from the right along the last axis (bins), out[..., l] =
+    sum_{a >= l} x[..., a]: the at-risk count of per-bin counts."""
+    return np.flip(np.cumsum(np.flip(x, axis=-1), axis=-1), axis=-1)
+
+
+def count_tables(cohort: Cohort, grid: EventTimeGrid, group, groups: int):
     """Event counts (groups, L, m) and at-risk counts (groups, L) of the
     records in each group 0..groups-1 (``group``, one per record).
 
-    On a cohort preprocessed on ``grid`` every event lies on its bin's grid
-    time. One pass counts every (group, bin, event) cell, with bin kappa =
-    the number of grid times <= the record's time; at-risk counts are
-    reverse cumulative sums over bins. The counts are integers, so tables
-    summed over groups equal the one-group tables exactly."""
-    kappa = np.searchsorted(grid.times, cohort_pre.time, side="right")
-    cells = np.zeros((groups, len(grid) + 1, cohort_pre.m + 1))
-    np.add.at(cells, (group, kappa, cohort_pre.event), 1.0)
-    n = np.cumsum(cells[:, :0:-1].sum(axis=2), axis=1)[:, ::-1]
+    One pass counts every (group, bin, event) cell, each record in its
+    :func:`breslow_preprocess` bin, so a raw cohort and its preprocessed
+    copy give the same tables. At-risk counts are reverse cumulative sums
+    over bins. The counts are integers, so tables summed over groups equal
+    the one-group tables exactly."""
+    _, kappa = breslow_preprocess(cohort, grid)
+    cells = np.zeros((groups, len(grid) + 1, cohort.m + 1))
+    np.add.at(cells, (group, kappa, cohort.event), 1.0)
+    n = reverse_cumsum(cells[:, 1:].sum(axis=2))
     return np.ascontiguousarray(cells[:, 1:, 1:]), np.ascontiguousarray(n)
 
 
-def risk_event_counts(cohort_pre: Cohort, grid: EventTimeGrid):
-    """Event counts d (L, m) of each event type at exactly t_{l+1} and
-    at-risk counts n (L,) of records with time >= t_{l+1}, on a cohort
-    Breslow-preprocessed on ``grid``: the one-group :func:`count_tables`."""
-    d, n = count_tables(cohort_pre, grid, 0, 1)
+def risk_event_counts(cohort: Cohort, grid: EventTimeGrid):
+    """Event counts d (L, m) of each event type in bin l + 1 and at-risk
+    counts n (L,) of records in bin l + 1 or later: the one-group
+    :func:`count_tables`."""
+    d, n = count_tables(cohort, grid, 0, 1)
     return d[0], n[0]
 
 

@@ -291,10 +291,7 @@ def split(cohort: Cohort, seed: int, train_frac: float = 0.7,
     perm = np.random.default_rng(seed).permutation(cohort.n)
     n_build = int(cohort.n * train_frac)
     n_proper = int(n_build * proper_frac)
-    train_idx = perm[:n_proper]
-    valid_idx = perm[n_proper:n_build]
-    test_idx = perm[n_build:]
-    return cohort.subset(train_idx), cohort.subset(valid_idx), cohort.subset(test_idx)
+    return tuple(cohort.subset(idx) for idx in np.split(perm, [n_proper, n_build]))
 
 
 @dataclass(frozen=True)
@@ -361,10 +358,7 @@ def generate_synthetic(cfg: SynthConfig) -> Cohort:
     t_event = np.minimum(t1, t2)
     event_type = np.where(t1 <= t2, 1, 2)
     c_rate = _solve_censoring_rate(cfg.censoring_rate, lam1 + lam2)
-    if c_rate > 0.0:
-        c = rng.exponential(1.0 / c_rate, size=cfg.n)
-    else:
-        c = np.full(cfg.n, np.inf)
+    c = rng.exponential(1.0 / c_rate, size=cfg.n) if c_rate > 0.0 else np.full(cfg.n, np.inf)
     y = np.minimum(t_event, c)
     delta = np.where(t_event <= c, event_type, 0)
     return Cohort(X, y, delta.astype(np.int64), m=2)

@@ -268,11 +268,7 @@ def kernel_matrix_backward(E: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 def flatten_params(params: MlpParams) -> np.ndarray:
     """All parameters as one flat vector (weights then bias per layer)."""
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    return flatten_grads(params.weights, params.biases)
 
 
 def unflatten_params(params: MlpParams, flat: np.ndarray) -> MlpParams:
@@ -291,8 +287,6 @@ def unflatten_params(params: MlpParams, flat: np.ndarray) -> MlpParams:
 
 
 def flatten_grads(weight_grads, bias_grads) -> np.ndarray:
-    parts = []
-    for dw, db in zip(weight_grads, bias_grads):
-        parts.append(np.asarray(dw).ravel())
-        parts.append(np.asarray(db).ravel())
-    return np.concatenate(parts)
+    """Per-layer arrays as one flat vector, weights then bias per layer."""
+    return np.concatenate([np.ravel(a) for pair in zip(weight_grads, bias_grads)
+                           for a in pair])

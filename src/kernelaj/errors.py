@@ -41,6 +41,10 @@ class DegenerateGrid(KernelAJError):
     """The evaluation time grid is too short to integrate over."""
 
 
+class Diverged(KernelAJError):
+    """A gradient step overflowed: the learning rate is too large."""
+
+
 class TooSmall(KernelAJError):
     """The cohort is too small to split."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import ClusterModel
-from .core import Cohort, breslow_preprocess, safe_reciprocal
+from .core import Cohort, breslow_preprocess, reverse_cumsum, safe_reciprocal
 from .errors import ShapeMismatch
 from .metrics import Scorer, score_curves
 from .model import _curves_from_weights, frozen_subject_weights
@@ -35,8 +35,8 @@ from .training import (
     TrainConfig,
     TrainingLog,
     _ratio_backward,
-    _reverse_cumsum,
     criterion_scorer,
+    divergence_guard,
     objective_and_dpsi,
     objective_value,
 )
@@ -54,20 +54,15 @@ class SftParams:
     omega_baseline: np.ndarray   # (L,)
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.float64)
-        gb = np.asarray(self.gamma_baseline, dtype=np.float64)
-        o = np.asarray(self.omega, dtype=np.float64)
-        ob = np.asarray(self.omega_baseline, dtype=np.float64)
+        names = ("gamma", "gamma_baseline", "omega", "omega_baseline")
+        g, gb, o, ob = arrays = [np.asarray(getattr(self, k), np.float64) for k in names]
         if g.ndim != 3 or gb.shape != g.shape[1:] or o.shape != g.shape[:2] \
                 or ob.shape != (g.shape[1],):
             raise ShapeMismatch("inconsistent fine-tuning parameter shapes")
-        for arr in (g, gb, o, ob):
-            if not np.isfinite(arr).all():
-                raise ValueError("fine-tuning parameters must be finite")
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "gamma_baseline", gb)
-        object.__setattr__(self, "omega", o)
-        object.__setattr__(self, "omega_baseline", ob)
+        if not all(np.isfinite(arr).all() for arr in arrays):
+            raise ValueError("fine-tuning parameters must be finite")
+        for name, arr in zip(names, arrays):
+            object.__setattr__(self, name, arr)
 
     def shifted(self, dg, dgb, do, dob, step) -> "SftParams":
         return SftParams(self.gamma - step * dg,
@@ -99,7 +94,7 @@ def sft_counts(params: SftParams):
     d_prime = np.exp(params.gamma) + np.exp(params.gamma_baseline)[None, :, :]
     c_prime = np.exp(params.omega) + np.exp(params.omega_baseline)[None, :]
     shed = d_prime.sum(axis=2) + c_prime
-    return d_prime, _reverse_cumsum(shed, axis=1)
+    return d_prime, reverse_cumsum(shed)
 
 
 def _active_rows(weights, kappa, delta):
@@ -227,10 +222,12 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
 
     best_params = None
     for epoch in range(1, config.max_epochs + 1):
-        loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, event_tr,
-                                        config.alpha, config.sigma, buffers)
-        params = params.shifted(*grads, step=config.learning_rate)
-        if log.add(epoch, loss, evaluate(sft_counts(params))):
+        with divergence_guard("fine-tuning", epoch, config.learning_rate):
+            loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, event_tr,
+                                            config.alpha, config.sigma, buffers)
+            params = params.shifted(*grads, step=config.learning_rate)
+            value = evaluate(sft_counts(params))
+        if log.add(epoch, loss, value):
             best_params = params
         if log.stalled(epoch, config.patience):
             break

@@ -36,6 +36,16 @@ O(m n L) with no n x n array. The shift keeps A <= 1, and B_i equals row
 i's largest pairwise term, so nothing overflows that the pairwise sum would
 not.
 
+F comes from the Aalen-Johansen recursion of ``core.cif_from_hazards``,
+F[k, l] = sum_{a <= l} psi[k, a] S_prev[a] with S_prev[a] = prod_{b < a} u[b]
+and u = max(1 - sum_k psi[k], 0). Its backward is one pass over the bins
+a = L-1, ..., 0 carrying dA = sum_{l >= a} dF[:, l], shape (m, n), and
+g = sum_{l > a} dS_prev[l] prod_{a < b < l} u[b], shape (n,):
+
+    dpsi[:, a] = S_prev[a] (dA - g),   g <- sum_k dA[k] psi[k, a] + u[a] g.
+
+A zero factor u[a] just resets g: there is no division by u.
+
 Hazard tables
 -------------
 Both sums depend on j only through the pair (kappa_j, delta_j). The step
@@ -70,6 +80,7 @@ gradients are exact hand-derived reverse-mode; finite differences are used
 only as a test oracle.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -82,6 +93,7 @@ from .core import (
     cif_from_hazards,
     require_int,
     require_real,
+    reverse_cumsum,
     safe_reciprocal,
 )
 from .embedding import (
@@ -97,7 +109,7 @@ from .embedding import (
     reference,
     unflatten_params,
 )
-from .errors import NoEvents, ShapeMismatch
+from .errors import Diverged, NoEvents, ShapeMismatch
 from .metrics import Scorer, build_eval_grid, score_curves, scorer
 
 PSI_CLAMP = 1e-12
@@ -131,8 +143,8 @@ class TrainConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and nonnegative")
         if self.early_stop_criterion not in _CRITERIA:
             raise ValueError(f"early_stop_criterion must be one of {_CRITERIA}")
 
@@ -153,9 +165,7 @@ def discretize_times(grid: EventTimeGrid, k: int) -> EventTimeGrid:
     if k_eff >= L:
         return grid
     levels = np.arange(1, k_eff + 1, dtype=np.float64) / k_eff
-    reps = np.quantile(grid.times, levels, method="lower")
-    reps = np.unique(reps)
-    return EventTimeGrid(reps)
+    return EventTimeGrid(np.unique(np.quantile(grid.times, levels, method="lower")))
 
 
 def _at_risk(kappa, L):
@@ -199,7 +209,7 @@ def _hazard_tables(W, groups: CodeGroups, m, L):
     bins = np.flatnonzero(np.r_[True, gk[1:] != gk[:-1]])
     R = np.zeros((q, L + 1))
     R[:, gk[bins]] = np.add.reduceat(G, bins, axis=1)
-    den = _reverse_cumsum(R[:, 1:], axis=1)
+    den = reverse_cumsum(R[:, 1:])
     num = np.zeros((m, q, L))
     ev = gd > 0
     num[gd[ev] - 1, :, gk[ev] - 1] = G[:, ev].T
@@ -301,58 +311,18 @@ def _ratio_backward(dpsi, psi, inv_den, scratch=None):
     return dnum, np.negative(dden, out=dden)
 
 
-def _reverse_cumsum(x, axis=1):
-    return np.flip(np.cumsum(np.flip(x, axis=axis), axis=axis), axis=axis)
-
-
-def _cumprod_backward(u, P, dP):
-    """Exact gradient of a row-wise cumulative product.
-
-    Given P = cumprod(u, axis=1) and upstream dLoss/dP, returns dLoss/du,
-    handling rows that contain zero factors (only the first zero position
-    receives a gradient, summed over the row's later terms). Each such row is
-    one ``np.add.reduceat`` segment led by a 0 slot: reduceat adds the
-    first element to the pairwise sum of the rest and ``.sum()`` adds 0 to
-    the pairwise sum of all, so the slot keeps the bits of ``.sum()``.
-    """
-    du = _reverse_cumsum(dP * P, axis=1)
-    du /= np.where(u != 0.0, u, 1.0)
-    zero = u == 0.0
-    rows = np.flatnonzero(zero.any(axis=1))
-    if rows.size:
-        k, L = rows.size, u.shape[1]
-        z = zero[rows].argmax(axis=1)
-        after = np.arange(L) > z[:, None]
-        terms = np.zeros((k, L + 1))
-        tail = terms[:, 1:]
-        tail[:] = u[rows]
-        tail[~after] = 1.0
-        np.cumprod(tail, axis=1, out=tail)
-        scaled = dP[rows]
-        scaled *= np.where(z > 0, P[rows, z - 1], 1.0)[:, None]
-        scaled *= tail
-        tail[:] = scaled                  # (dP * prefix) * tail, in the loop's order
-        terms[np.arange(k), z] = 0.0
-        starts = np.arange(k) * (L + 1) + z
-        sums = np.add.reduceat(terms.ravel(), np.column_stack(
-            (starts, starts - z + L + 1)).ravel()[:-1])[::2]
-        zero[rows] = after
-        du[zero] = 0.0
-        du[rows, z] = sums
-    return du
-
-
 def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     """Ranking loss of a batch plus its gradient w.r.t. the hazard tensor.
 
     ``psi`` has shape (m, n, L). Returns (value, dpsi) where dpsi already
     carries the factor ``scale`` (the loss value does not). The backward pass
-    runs through the CIF cumulative sums and the survival cumulative product.
+    is one reverse pass over the bins (module docstring); dpsi takes dF's
+    array, a bin at a time, once the pass has read that bin.
     """
     m, n, L = psi.shape
     kappa = np.asarray(kappa, dtype=np.int64)
     delta = np.asarray(delta, dtype=np.int64)
-    F, S, S_prev, u = cif_from_hazards(psi)
+    F, _, S_prev, u = cif_from_hazards(psi)
     dF = np.zeros_like(F)
     rank = 0.0
     c = scale / (n * n * sigma)
@@ -361,13 +331,12 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
         rank += BT.sum() / (n * n)
         dF[d] = A * (c * np.bincount(bins, weights=B, minlength=L))
         dF[d, rows, bins] -= c * BT
-    dA = _reverse_cumsum(dF, axis=2)
-    dpsi = dA * S_prev[None, :, :]
-    dS_prev = (dA * psi).sum(axis=0)
-    dS = np.concatenate((dS_prev[:, 1:], np.zeros((n, 1))), axis=1)
-    du = _cumprod_backward(u, S, dS)
-    dpsi += (-du)[None, :, :]
-    return float(rank), dpsi
+    dA, g = np.zeros((m, n)), np.zeros(n)
+    for a in range(L - 1, -1, -1):
+        dA += dF[:, :, a]
+        dF[:, :, a] = S_prev[:, a] * (dA - g)
+        g = (dA * psi[:, :, a]).sum(axis=0) + u[:, a] * g
+    return float(rank), dF
 
 
 def _block(buf, rows, cols):
@@ -527,6 +496,19 @@ def _evaluate_criterion(criterion, params, train, valid, grid, tcfg,
                                       (criterion,))[criterion]))
 
 
+@contextmanager
+def divergence_guard(stage, epoch, learning_rate):
+    """An epoch's gradient steps and criterion: a floating-point overflow,
+    invalid value or division by zero in them (a learning rate too large)
+    raises Diverged naming the stage and the epoch."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise Diverged(f"{stage} epoch {epoch}: {exc} "
+                       f"(learning_rate {learning_rate})") from None
+
+
 def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
                     tcfg: TrainConfig, grid: EventTimeGrid, valid_scorer: Scorer = None):
     """Minibatch gradient descent with patience-based early stopping.
@@ -561,23 +543,22 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
         perm = rng.permutation(train.n)
         epoch_loss = 0.0
         seen = 0
-        for start in range(0, train.n, tcfg.batch_size):
-            batch = perm[start:start + tcfg.batch_size]
-            if batch.size < 2:
-                continue
-            loss, dw, db = total_loss_and_grad(
-                params, train.features[batch], kappa[batch], train.event[batch],
-                m, L, tcfg.alpha, tcfg.sigma, buffer)
-            grad = flatten_grads(dw, db)
-            flat = flat - tcfg.learning_rate * grad
-            params = unflatten_params(params, flat)
-            epoch_loss += loss * batch.size
-            seen += batch.size
+        with divergence_guard("training", epoch, tcfg.learning_rate):
+            for start in range(0, train.n, tcfg.batch_size):
+                batch = perm[start:start + tcfg.batch_size]
+                if batch.size < 2:
+                    continue
+                loss, dw, db = total_loss_and_grad(
+                    params, train.features[batch], kappa[batch], train.event[batch],
+                    m, L, tcfg.alpha, tcfg.sigma, buffer)
+                flat = flat - tcfg.learning_rate * flatten_grads(dw, db)
+                params = unflatten_params(params, flat)
+                epoch_loss += loss * batch.size
+                seen += batch.size
+            value = _evaluate_criterion(
+                tcfg.early_stop_criterion, params, train, valid, grid, tcfg, valid_scorer,
+                groups, kappa_valid, buffer)
         epoch_loss = epoch_loss / max(seen, 1)
-
-        value = _evaluate_criterion(
-            tcfg.early_stop_criterion, params, train, valid, grid, tcfg, valid_scorer,
-            groups, kappa_valid, buffer)
         if log.add(epoch, epoch_loss, value):
             best_params = params.copy()
         if log.stalled(epoch, tcfg.patience):

@@ -5,7 +5,11 @@ hand-written criterion checks, stopping rule, list-stacking epsilon-net,
 sorted-time counts, per-cluster loops, difference-based neighbor search,
 row-loop cumulative-product backward and per-cell CSV reader and writer
 that ``kernelaj`` replaced, plus the scalar kernel and the fine-tuning
-objective of parameters, which only tests use.
+objective of parameters, which only tests use. The cumulative-product
+backward is the oracle's own route through the survival product in its
+dense ranking backward (``ranking_value_and_dpsi``): a reverse cumulative
+sum divided by the factors, with a loop over the rows holding a zero
+factor, where ``kernelaj`` takes one reverse pass over the bins.
 
 The functions below are kept verbatim as test oracles: the kernel comes
 from E @ E.T, the hazard tables from weight-matrix products with (n, L)
@@ -22,8 +26,9 @@ with a zero factor, and the CSV reader and writer handle one cell at a
 time through ``csv.DictReader`` and ``csv.writer`` (the reader's event
 check also rejects nan, infinite and out-of-int64 cells, as the package
 does). Only the shared building blocks that did not change (the network,
-the floored CIF recursion, the at-risk mask, curve interpolation and the
-fine-tuning table parameterization) are imported from the package.
+the floored CIF recursion, the reverse cumulative sum, the at-risk mask,
+curve interpolation and the fine-tuning table parameterization) are
+imported from the package.
 """
 
 import csv
@@ -31,7 +36,7 @@ import math
 
 import numpy as np
 
-from kernelaj.core import Cohort, StepCurve, cif_from_hazards
+from kernelaj.core import Cohort, StepCurve, cif_from_hazards, reverse_cumsum
 from kernelaj.embedding import backward, forward_cached
 from kernelaj.dataio import RawTable
 from kernelaj.errors import (
@@ -47,7 +52,6 @@ from kernelaj.finetune import _active_rows, sft_counts, sft_objective_from_table
 from kernelaj.training import (
     PSI_CLAMP,
     _at_risk,
-    _reverse_cumsum,
     total_loss,
 )
 
@@ -150,7 +154,7 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
         Gp *= scale / (n * n * sigma)
         dF[d] += Gp.T @ onehot
         dF[d] -= onehot * Gp.sum(axis=1)[:, None]
-    dA = _reverse_cumsum(dF, axis=2)
+    dA = reverse_cumsum(dF)
     dpsi = dA * S_prev[None, :, :]
     dS_prev = (dA * psi).sum(axis=0)
     dS = np.concatenate((dS_prev[:, 1:], np.zeros((n, 1))), axis=1)
@@ -570,7 +574,7 @@ def cumprod_backward(u, P, dP):
     """Exact gradient of a row-wise cumulative product, one loop iteration
     per row with a zero factor: P = cumprod(u, axis=1), upstream dLoss/dP;
     returns dLoss/du."""
-    rc = _reverse_cumsum(dP * P, axis=1)
+    rc = reverse_cumsum(dP * P)
     safe_u = np.where(u != 0.0, u, 1.0)
     du = rc / safe_u
     zero_rows = np.flatnonzero((u == 0.0).any(axis=1))

@@ -237,6 +237,8 @@ class TestFit:
         {"data": {"valid_fraction": False}},
         {"data": {"valid_fraction": "0.5"}},
         {"sft": {"enabled": True, "learning_rate": True}},
+        {"training": {"learning_rate": float("inf")}},
+        {"sft": {"enabled": True, "learning_rate": float("inf")}},
     ], ids=lambda overrides: json.dumps(overrides))
     def test_integers_and_booleans_checked_before_data(self, tmp_path, train_csv,
                                                         capsys, monkeypatch, overrides):
@@ -250,6 +252,18 @@ class TestFit:
         (section, value), = overrides.items()
         key = section if not isinstance(value, dict) else list(value)[-1]
         assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("section", ["training", "sft"])
+    def test_diverging_step_exits_2_naming_the_epoch(self, tmp_path, train_csv, capsys,
+                                                     section):
+        # a finite learning rate whose first step overflows the parameters
+        overrides = {"training": {"learning_rate": 1e308}} if section == "training" \
+            else {"sft": {"enabled": True, "learning_rate": 1e308}}
+        config_path, _ = write_config(tmp_path, train_csv, **overrides)
+        assert main(["fit", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        stage = "training" if section == "training" else "fine-tuning"
+        assert err.startswith(f"error: {stage} epoch 1: ") and err.count("\n") == 1
 
 
     def test_valid_file_fixes_the_split(self, tmp_path, train_csv, test_csv):
@@ -391,6 +405,8 @@ _MODEL_EDITS = {
     "object array": lambda doc: doc["grid"].update(dtype="|O"),
     "sft tables of another shape": lambda doc: doc.update(sft_tables={
         "d": doc["clusters"]["d_cluster"], "n": doc["clusters"]["d_cluster"]}),
+    "tau NaN": lambda doc: doc["clusters"].update(tau=float("nan")),
+    "epsilon NaN": lambda doc: doc["clusters"].update(epsilon=float("nan")),
 }
 
 

@@ -69,6 +69,20 @@ class TestEpsilonNet:
         assert list(exemplars) == [0, 1]
         assert assignments[2] == 0
 
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon must not be NaN"):
+            epsilon_net_cluster(np.random.default_rng(0).normal(size=(50, 2)), np.nan)
+
+    @pytest.mark.parametrize("setting", ["epsilon", "tau"])
+    def test_cluster_model_rejects_nan(self, setting):
+        d, n = np.zeros((1, 2, 1)), np.ones((1, 2))
+        values = {"epsilon": 0.5, "tau": 1.0, setting: float("nan")}
+        with pytest.raises(ValueError, match=f"{setting} must not be NaN"):
+            ClusterModel([0], np.zeros((1, 2)), [0], d, n, **values)
+        values[setting] = np.inf
+        assert getattr(ClusterModel([0], np.zeros((1, 2)), [0], d, n, **values),
+                       setting) == np.inf
+
     def test_shuffle_seed_changes_order(self):
         rng = np.random.default_rng(2)
         E = rng.normal(size=(50, 2))

@@ -6,16 +6,18 @@ incidence formulas on tiny cohorts.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kernelaj import (
     Cohort,
     DegenerateRisk,
+    EventTimeGrid,
     NoEvents,
     StepCurve,
     aalen_johansen,
     breslow_preprocess,
     build_event_grid,
+    discretize_times,
     hazard_mle,
     kaplan_meier,
     risk_event_counts,
@@ -128,6 +130,26 @@ class TestCounts:
             d, n = risk_event_counts(pre, grid)
             assert (np.diff(n) <= 0).all()
             assert (n >= d.sum(axis=1)).all()
+
+    def test_raw_cohort_counts_as_preprocessed(self):
+        # events before t_1 go in bin 1, as breslow_preprocess puts them
+        cohort = make_cohort([0.5, 1.5, 2.5, 3.5, 5.5, 4.0], [1, 1, 1, 2, 1, 0])
+        grid = EventTimeGrid([2.5, 5.5])
+        pre, _ = breslow_preprocess(cohort, grid)
+        for table in (cohort, pre):
+            d, n = risk_event_counts(table, grid)
+            assert_array_equal(d, [[3, 1], [1, 0]])
+            assert_array_equal(n, [6, 1])
+
+    def test_raw_and_preprocessed_tables_agree(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            cohort = random_cohort(rng)
+            grid = discretize_times(build_event_grid(cohort), int(rng.integers(1, 6)))
+            pre, _ = breslow_preprocess(cohort, grid)
+            raw, snapped = risk_event_counts(cohort, grid), risk_event_counts(pre, grid)
+            for a, b in zip(raw, snapped):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestKaplanMeier:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import dense_oracle as oracle
@@ -261,32 +260,9 @@ class TestValidationHazards:
             kernel_matrix(E1[:, :4], ref)
 
 
-@st.composite
-def cumprod_cases(draw):
-    """(u, P, dP): factors with zeros of both signs in some rows, their
-    row-wise cumulative product and an upstream gradient with signed zeros;
-    rows long enough for each regime of numpy's pairwise sum (< 8, <= 128
-    and above)."""
-    n, L = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 7, 9, 40, 130, 200]))
-    u = draw(arrays(np.float64, (n, L), elements=st.one_of(
-        st.floats(-1.0, 2.0), st.sampled_from([0.0, -0.0, 1.0]))))
-    dP = draw(arrays(np.float64, (n, L), elements=st.one_of(
-        st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))))
-    return u, np.cumprod(u, axis=1), dP
-
-
-class TestCumprodBackward:
-    @settings(max_examples=100)
-    @given(case=cumprod_cases())
-    def test_matches_the_row_loop(self, case):
-        # tobytes, so that signed zeros and the summation order count
-        want = oracle.cumprod_backward(*case)
-        assert training._cumprod_backward(*case).tobytes() == want.tobytes()
-
-
-def _psi_batch(batch):
+def _psi_batch(batch, high=0.3):
     _, kappa, delta, m, L, seed = batch
-    psi = np.random.default_rng(seed).uniform(0, 0.3, (m, kappa.size, L))
+    psi = np.random.default_rng(seed).uniform(0, high, (m, kappa.size, L))
     return psi, kappa, delta
 
 
@@ -307,9 +283,14 @@ class TestRankingForward:
 
     @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 2.5])
     @REPRODUCIBLE
-    @given(batch=labelled_batches())
-    def test_dpsi_matches_dense_backward(self, sigma, batch):
-        psi, kappa, delta = _psi_batch(batch)
+    @given(batch=labelled_batches(), floored=st.booleans())
+    def test_dpsi_matches_dense_backward(self, sigma, batch, floored):
+        # floored batches: hazards up to 0.9 per event, and one row whose
+        # hazards sum to exactly 1 at its first bin, so some factors
+        # 1 - sum(h) are 0 or floored at 0
+        psi, kappa, delta = _psi_batch(batch, 0.9 if floored else 0.3)
+        if floored:
+            psi[:, 0, 0] = 1.0 / psi.shape[0]
         value, dpsi = ranking_value_and_dpsi(psi, kappa, delta, sigma, scale=0.4)
         want_value, want_dpsi = oracle.ranking_value_and_dpsi(psi, kappa, delta, sigma,
                                                               scale=0.4)
@@ -330,17 +311,29 @@ class TestRankingForward:
         assert value == 0.0
         assert not dpsi.any()
 
-    def test_no_square_buffer(self):
-        n, m, L = 4096, 2, 64
+    @staticmethod
+    def large_batch(n=4096, m=2, L=64):
         rng = np.random.default_rng(8)
         psi = rng.uniform(0, 0.02, (m, n, L))
         kappa = rng.integers(0, L + 1, n)
-        delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
+        return psi, kappa, np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
+
+    def test_no_square_buffer(self):
+        psi, kappa, delta = self.large_batch()
+        n = kappa.size
         F, _, _, _ = oracle._cif_from_psi(psi)
         _, peak = traced_peak(lambda: (ranking_value(F, kappa, delta, 0.5),
                                        ranking_value_and_dpsi(psi, kappa, delta, 0.5,
                                                               scale=0.5)))
         assert peak < n * n * 8
+
+    def test_backward_peak_below_six_hazard_tensors(self):
+        # the reverse pass carries two (m, n) and (n,) values instead of
+        # (m, n, L) cumulative sums and cumulative-product arrays
+        psi, kappa, delta = self.large_batch()
+        _, peak = traced_peak(lambda: ranking_value_and_dpsi(psi, kappa, delta, 0.5,
+                                                             scale=0.5))
+        assert peak < 6 * psi.nbytes
 
     def test_objective_criterion_has_no_square_buffer(self):
         n_train, q = 300, 4096
