@@ -149,7 +149,8 @@ def _clustering_from_config(cluster_cfg: dict):
 
 def _sft_train_config(sft_config: dict, tcfg: TrainConfig):
     """The fine-tuning TrainConfig of an ``sft`` config section, or None
-    when fine-tuning is not enabled."""
+    when fine-tuning is not enabled. Alpha is 1 whatever ``training.alpha``
+    is: ``fit`` fine-tunes the NLL alone, alpha < 1 only the library."""
     enabled = sft_config.get("enabled", False)
     if not isinstance(enabled, bool):
         raise ConfigError(f"invalid value in 'sft.enabled': must be true or false, "

@@ -151,7 +151,7 @@ def build_cluster_model(embeddings, cohort_pre, grid, epsilon, tau,
 
 def exemplar_weights(clusters: ClusterModel, E: np.ndarray) -> np.ndarray:
     """Kernel weights exp(-||e - e_q||^2) of embeddings E (n, d) to every
-    exemplar, zero beyond tau. The distances are row-wise products
+    exemplar, zero beyond tau. The distances are one fixed-block product
     (:func:`~kernelaj.embedding.pairwise_sq_dists`), so a row's weights do
     not depend on the rows passed with it."""
     sq = pairwise_sq_dists(E, clusters.exemplar_embeddings)

@@ -18,6 +18,7 @@ from .core import require_int
 from .errors import ShapeMismatch
 
 _ACTIVATIONS = ("relu", "tanh")
+PRODUCT_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -112,28 +113,33 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - a * a
 
 
-def rowwise_matmul(A: np.ndarray, M: np.ndarray, out=None) -> np.ndarray:
-    """A @ M with every row from its own vector-matrix product.
-
-    A GEMM's rounding depends on its shape, so a row of ``A @ M`` changes in
-    the last bits with the rows passed alongside it. Here every row is the
-    same product (a matmul stacked over the rows of A), so a caller may split
-    A into blocks of any size, single rows included, and get the same bits.
-    The product is written into ``out``, a C-contiguous array, when given.
-    """
-    A = np.ascontiguousarray(A, dtype=np.float64)[:, None, :]
+def blocked_matmul(A: np.ndarray, M: np.ndarray, out=None) -> np.ndarray:
+    """A @ M as GEMMs of a fixed ``PRODUCT_BLOCK_ROWS`` rows of A (one
+    stacked matmul over views of A), the last block zero-padded. BLAS picks
+    its kernel, and so its rounding, by shape; with one shape a row has the
+    same bits whichever rows are passed with it. The product is written into
+    ``out``, a C-contiguous (n, k) array, when given."""
+    A = np.ascontiguousarray(A, dtype=np.float64)
     M = np.ascontiguousarray(M, dtype=np.float64)
-    if out is not None:
-        out = out.reshape(A.shape[0], 1, M.shape[1])
-    return np.matmul(A, M, out=out)[:, 0, :]
+    (n, p), b = A.shape, PRODUCT_BLOCK_ROWS
+    out = np.empty((n, M.shape[1])) if out is None else out
+    full = n - n % b
+    np.matmul(A[:full].reshape(-1, b, p), M,
+              out=np.reshape(out[:full], (-1, b, M.shape[1]), copy=False))
+    if full < n:
+        last = np.zeros((b, p))
+        last[:n - full] = A[full:]
+        out[full:] = np.matmul(last, M)[:n - full]
+    return out
 
 
-def forward_cached(params: MlpParams, X: np.ndarray, product=np.matmul):
+def forward_cached(params: MlpParams, X: np.ndarray):
     """Batch forward pass returning embeddings and layer caches.
 
     The cache holds per-layer pre-activations and activations, consumed by
-    :func:`backward` to produce exact parameter gradients. ``product(a, w.T)``
-    is each layer's matrix product.
+    :func:`backward` to produce exact parameter gradients. Each layer's
+    product is a :func:`blocked_matmul`, so training and prediction embed a
+    row alike.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
@@ -144,7 +150,7 @@ def forward_cached(params: MlpParams, X: np.ndarray, product=np.matmul):
     zs, activations = [], [X]
     n_layers = len(params.weights)
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = product(a, w.T) + b
+        z = blocked_matmul(a, w.T) + b
         zs.append(z)
         a = z if k == n_layers - 1 else _activate(z, params.activation)
         activations.append(a)
@@ -192,50 +198,46 @@ class Reference(NamedTuple):
     factor: np.ndarray
 
 
-def _right_rows(E):
-    B = np.empty((E.shape[0], E.shape[1] + 2))
-    np.multiply(E, 2.0, out=B[:, :-2])
-    B[:, -2] = -1.0
-    B[:, -1] = -np.einsum("ij,ij->i", E, E)
-    return B
-
-
 def reference(E) -> Reference:
     """The :class:`Reference` of embedding rows E."""
-    return Reference(np.ascontiguousarray(_right_rows(np.asarray(E, np.float64)).T))
+    E = np.asarray(E, np.float64)
+    factor = np.empty((E.shape[1] + 2, E.shape[0]))
+    np.multiply(E.T, 2.0, out=factor[:-2])
+    factor[-2] = -1.0
+    factor[-1] = -np.einsum("ij,ij->i", E, E)
+    return Reference(factor)
 
 
 def _neg_sq_dists(E1, E2, out):
     """-(squared distances) before clipping, from one product of augmented
     rows [e1, |e1|^2, 1] . [2 e2, -1, -|e2|^2] = 2 e1.e2 - |e1|^2 - |e2|^2.
     Negating every input of a product negates its result exactly, so this is
-    -(|e1|^2 + |e2|^2 - 2 e1.e2) to the bit. E2 may be a :class:`Reference`."""
+    -(|e1|^2 + |e2|^2 - 2 e1.e2) to the bit. E2 may be a :class:`Reference`;
+    E2 None is E1 itself, with the diagonal set to exactly 0."""
     E1 = np.asarray(E1, dtype=np.float64)
     d = E1.shape[1]
     A = np.empty((E1.shape[0], d + 2))
     A[:, :d] = E1
     A[:, d] = np.einsum("ij,ij->i", E1, E1)
     A[:, d + 1] = 1.0
-    if E2 is None:
-        # a transposed view: GEMM's bits depend on the layout of its operands
-        N = np.matmul(A, _right_rows(E1).T, out=out)
-        np.fill_diagonal(N, 0.0)        # rounding leaves ~1e-14 on the diagonal
-        return N
-    M = (E2 if isinstance(E2, Reference) else reference(E2)).factor
-    if M.shape[0] != d + 2:
+    ref = E2 if isinstance(E2, Reference) else reference(E1 if E2 is None else E2)
+    if ref.factor.shape[0] != d + 2:
         raise ShapeMismatch("embedding dimensions differ")
-    return rowwise_matmul(A, M, out)
+    N = blocked_matmul(A, ref.factor, out)
+    if E2 is None:
+        np.fill_diagonal(N, 0.0)        # rounding leaves ~1e-14 on the diagonal
+    return N
 
 
 def pairwise_sq_dists(E1: np.ndarray, E2=None, out=None) -> np.ndarray:
     """Squared Euclidean distances between embedding rows, clipped at 0.
 
-    One product of augmented rows writes |e1|^2 + |e2|^2 - 2 e1.e2, negated,
-    into a single buffer (``out``, a C-contiguous array, when given) that is
-    negated back and clipped in place. The self form ``pairwise_sq_dists(E)``
-    is one GEMM with an exact 0 diagonal. The two-set form is a
-    :func:`rowwise_matmul`, so a row's distances do not depend on the rows of
-    E1 passed with it.
+    One :func:`blocked_matmul` of augmented rows writes |e1|^2 + |e2|^2 -
+    2 e1.e2, negated, into a single buffer (``out``, an (n1, n2) array, when
+    given) that is negated back and clipped in place. A row's distances do
+    not depend on the rows of E1 passed with it. The self form
+    ``pairwise_sq_dists(E)`` is the two-set form against E itself with an
+    exact 0 diagonal.
     """
     D2 = _neg_sq_dists(E1, E2, out)
     np.negative(D2, out=D2)

@@ -10,7 +10,8 @@ positive quantities,
 
 and subject i's hazards are psi[d, i, l] = D[d, i, l] * (1/N)[i, l] with
 D = W d' and N = W n', where W holds the frozen kernel weights of the
-subjects to the exemplars. SFT minimizes the training step's objective
+subjects to the exemplars: the weighted tables of prediction, from the same
+:func:`model.weighted_hazards`. SFT minimizes the training step's objective
 (:func:`training.objective_and_dpsi`) on these table hazards, without
 leave-one-out, by gradient descent: dLoss/dpsi is chained through the
 step's num/den rule to D and N, then through W and the parameterization.
@@ -27,10 +28,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import ClusterModel
-from .core import Cohort, breslow_preprocess, reverse_cumsum, safe_reciprocal
+from .core import Cohort, breslow_preprocess, reverse_cumsum
 from .errors import ShapeMismatch
 from .metrics import Scorer, score_curves
-from .model import _curves_from_weights, frozen_subject_weights
+from .model import _curves_from_weights, frozen_subject_weights, weighted_hazards
 from .training import (
     TrainConfig,
     TrainingLog,
@@ -111,18 +112,6 @@ def _active_rows(weights, kappa, delta):
     return weights[active], kappa[active], delta[active]
 
 
-def _sft_hazards(d_tables, n_tables, W, psi_out=None, inv_out=None):
-    """Hazards psi (m, n, L) = D * (1/N) of event tables (Q, L, m) and
-    at-risk tables (Q, L) under weights W (n, Q), with D = W d built in
-    (m, n, L) layout and psi formed in D's array; also returns 1/N (n, L).
-    ``psi_out`` and ``inv_out`` are optional arrays for psi and 1/N."""
-    psi = np.matmul(W, np.asarray(d_tables, np.float64).transpose(2, 0, 1), out=psi_out)
-    inv_N = np.matmul(W, np.asarray(n_tables, np.float64), out=inv_out)
-    safe_reciprocal(inv_N, out=inv_N)
-    psi *= inv_N[None, :, :]
-    return psi, inv_N
-
-
 def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
                               alpha: float = 1.0, sigma: float = 1.0) -> float:
     """The training objective of given count tables (no leave-one-out).
@@ -132,7 +121,7 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
     retained subjects. With alpha < 1 the ranking penalty is blended in.
     """
     W, kap, dl = _active_rows(weights, kappa, delta)
-    psi, _ = _sft_hazards(d_tables, n_tables, W)
+    _, _, psi, _ = weighted_hazards((d_tables, n_tables), W)
     return objective_value(psi, kap, dl, alpha, sigma)
 
 
@@ -159,7 +148,7 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
         raise ShapeMismatch(f"fine-tuning buffers must have shape {(3, m, kap.size, L)}")
     psi_buf, dpsi_buf, scratch = buffers
     # 1/N lives in scratch until dD is formed, the last read before scratch is reused
-    psi, inv_N = _sft_hazards(d_prime, n_prime, W, psi_buf, scratch[0])
+    _, _, psi, inv_N = weighted_hazards((d_prime, n_prime), W, psi_buf, scratch[0])
     loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma, out=dpsi_buf)
     dD, dN = _ratio_backward(dpsi, psi, inv_N, scratch)
 

@@ -2,9 +2,9 @@
 exemplar-weighted summary tables, survival/CIF curves with a population
 fallback, and the individual-level interpretation quantities.
 
-Every prediction goes through one path: frozen_subject_weights, the
-weighted tables, and the Aalen-Johansen recursion in ``core``. Their matrix
-products are taken row by row (``embedding.rowwise_matmul``), so a row's
+Every prediction goes through one path: frozen_subject_weights,
+:func:`weighted_hazards` and the Aalen-Johansen recursion in ``core``. All
+its products are fixed-shape ``embedding.blocked_matmul`` calls, so a row's
 prediction has the same bits whichever rows are passed with it, and the
 per-row entry points are one-row views of the batch functions.
 
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusterModel, exemplar_weights
-from .core import CifSet, EventTimeGrid, cif_from_hazards, curves_from_counts, table_hazards
-from .embedding import MlpParams, forward_cached, kernel_matrix, rowwise_matmul
+from .core import CifSet, EventTimeGrid, cif_from_hazards, curves_from_counts, safe_reciprocal
+from .embedding import MlpParams, blocked_matmul, embed_batch, kernel_matrix
 from .errors import EmptyNeighborhood, NoRisk, NonFiniteFeatures, ShapeMismatch
 
 PREDICT_BLOCK_ROWS = 1024
@@ -69,9 +69,8 @@ _NOT_FINITE = "features are not finite or too large to embed"
 
 
 def _embed_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    """Embeddings of a feature matrix, each layer's product taken row by row
-    so a row's embedding does not depend on the rows passed with it. Rejects
-    the first row whose features are not finite or whose embedding
+    """Embeddings of a feature matrix (:func:`~kernelaj.embedding.embed_batch`).
+    Rejects the first row whose features are not finite or whose embedding
     overflows, instead of letting it fall back silently to the population
     estimate."""
     X = np.asarray(X, dtype=np.float64)
@@ -79,7 +78,7 @@ def _embed_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
         raise ShapeMismatch("expected a feature matrix (n, p)")
     bad = ~np.isfinite(X).all(axis=1)
     if not bad.any():
-        E, _ = forward_cached(params, X, rowwise_matmul)
+        E = embed_batch(params, X)
         bad = ~np.isfinite(np.einsum("ij,ij->i", E, E))
     if bad.any():
         raise NonFiniteFeatures(f"row {int(np.argmax(bad))}: {_NOT_FINITE}")
@@ -103,19 +102,27 @@ def frozen_subject_weights(params_mlp: MlpParams, clusters: ClusterModel,
     return exemplar_weights(clusters, _embed_rows(params_mlp, features))
 
 
-def _weighted_tables(model: KernelAJModel, W):
-    """Kernel-weighted event (n, L, m) and at-risk (n, L) tables, row by row."""
-    d, n = model.tables
-    Q, L, m = d.shape
-    d_w = rowwise_matmul(W, d.reshape(Q, L * m)).reshape(-1, L, m)
-    return d_w, rowwise_matmul(W, n)
+def weighted_hazards(tables, W, psi_out=None, inv_out=None):
+    """Kernel-weighted tables D[k] = W d[:, :, k] (m, q, L) and N = W n
+    (q, L) of tables (d (Q, L, m), n (Q, L)) under exemplar weights W (q, Q),
+    each a batch-invariant ``blocked_matmul``, and their hazards psi =
+    D * (1/N) (m, q, L), 0 where N == 0: the one path of prediction and
+    fine-tuning. Returns (D, N, psi, 1/N); ``psi_out`` and ``inv_out``, when
+    given, receive D and N and then psi and 1/N in their place."""
+    d, n = (np.asarray(t, np.float64) for t in tables)
+    D = np.empty((d.shape[2], W.shape[0], n.shape[1])) if psi_out is None else psi_out
+    for k in range(d.shape[2]):
+        blocked_matmul(W, d[:, :, k], out=D[k])
+    N = blocked_matmul(W, n, out=inv_out)
+    inv_N = safe_reciprocal(N, out=inv_out)
+    return D, N, np.multiply(D, inv_N[None, :, :], out=psi_out), inv_N
 
 
 def _curves_from_weights(model: KernelAJModel, W):
     """CIF (m, n, L), survival (n, L) and the fallback mask for exemplar
     weights W (n, Q); a row with no positive weight gets the population
     estimate."""
-    cif, surv, _, _ = cif_from_hazards(table_hazards(*_weighted_tables(model, W)))
+    cif, surv, _, _ = cif_from_hazards(weighted_hazards(model.tables, W)[2])
     fallback = ~W.any(axis=1)
     if fallback.any():
         pop = model.population_curves()
@@ -157,8 +164,8 @@ def weighted_summaries(model: KernelAJModel, x: np.ndarray):
     population estimate.
     """
     W = frozen_subject_weights(model.params, model.clusters, _row(x))
-    d_w, n_w = _weighted_tables(model, W)
-    return d_w[0], n_w[0], np.flatnonzero(W[0])
+    D, N, _, _ = weighted_hazards(model.tables, W)
+    return D[:, 0].T, N[0], np.flatnonzero(W[0])
 
 
 def predict_curves(model: KernelAJModel, x: np.ndarray) -> CifSet:

@@ -410,8 +410,8 @@ def kernel_hazard_curves(E_query, E_ref, groups: CodeGroups, m, L, buffer):
     reference kernel is built in ``buffer``, a C-contiguous float64 array
     of at least n_ref elements, ``buffer.size // n_ref`` query rows at a
     time, so it needs no memory beyond the buffer that grows with q * n_ref.
-    A two-set ``kernel_matrix`` computes each row on its own, so the result
-    does not depend on the buffer size.
+    A ``kernel_matrix`` row does not depend on the rows computed with it,
+    so the result does not depend on the buffer size.
 
     Returns (psi (m, q, L), F (m, q, L), S (q, L)).
     """

@@ -1,14 +1,16 @@
-"""Tests for the embedding network and similarity kernel."""
+"""Tests for the embedding network, the similarity kernel and the
+fixed-block product behind both."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dense_oracle import kernel
 from kernelaj import EmbeddingConfig, ShapeMismatch, embed, embed_batch, init_mlp
 from kernelaj.embedding import (
     MlpParams,
     backward,
+    blocked_matmul,
     flatten_grads,
     flatten_params,
     forward_cached,
@@ -17,6 +19,7 @@ from kernelaj.embedding import (
     pairwise_sq_dists,
     unflatten_params,
 )
+from kernelaj.model import _embed_rows
 
 
 class TestInit:
@@ -182,3 +185,36 @@ class TestFlattening:
             for j in range(8):
                 diff = E[i] - E[j]
                 assert D2[i, j] == pytest.approx(diff @ diff, abs=1e-10)
+
+
+class TestOneProduct:
+    """Every batch-invariant product is one ``blocked_matmul``: a row's bits
+    do not depend on the rows passed with it, so training and prediction
+    embed alike and both kernel forms agree."""
+
+    @pytest.mark.parametrize("shape", [(8, 32), (2904, 192)],
+                             ids=["embedding-layer", "prediction-table"])
+    def test_product_pins_rows(self, shape):
+        rng = np.random.default_rng(11)
+        A, M = rng.uniform(0.0, 1.0, (1024, shape[0])), rng.normal(size=shape)
+        whole = blocked_matmul(A, M)
+        assert_allclose(whole, A @ M, rtol=1e-12, atol=1e-12)
+        for rows in (1, 15, 16, 17, 33):
+            start = 1024 - rows - 5
+            out = np.full((rows, shape[1]), np.nan)
+            assert blocked_matmul(A[start:start + rows], M, out=out) is out
+            assert_array_equal(out, whole[start:start + rows])
+
+    def test_training_and_prediction_embed_alike(self):
+        params = init_mlp(EmbeddingConfig(input_dim=8, num_layers=2, hidden_units=32,
+                                          embed_dim=8, init_seed=3))
+        X = np.random.default_rng(13).normal(size=(4800, 8))
+        E = embed_batch(params, X)
+        assert_array_equal(E, _embed_rows(params, X))
+        assert_array_equal(E[100:107], _embed_rows(params, X[100:107]))
+
+    def test_self_kernel_is_the_two_set_kernel(self):
+        E = np.random.default_rng(14).normal(size=(300, 8))
+        off = ~np.eye(300, dtype=bool)
+        assert_array_equal(kernel_matrix(E)[off], kernel_matrix(E, E)[off])
+        assert_array_equal(np.diag(kernel_matrix(E)), 1.0)

@@ -55,3 +55,16 @@ def test_estimators_stand_below_the_model():
     upper = {"model", "training", "finetune", "serialize", "cli"}
     for module in ("clustering", "metrics"):
         assert not _package_imports(module) & upper, module
+
+
+def test_prediction_has_one_product():
+    # model and clustering take every matrix product through
+    # embedding.blocked_matmul, whose row bits do not depend on the batch; a
+    # second product path here would let prediction drift from it
+    for module in ("model", "clustering"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        found = [node.lineno for node in ast.walk(tree)
+                 if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                     and isinstance(node.op, ast.MatMult))
+                 or (isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot"))]
+        assert found == [], (module, found)
