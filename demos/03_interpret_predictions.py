@@ -15,11 +15,8 @@ from kernelaj import (
     SynthConfig,
     TrainConfig,
     cluster_weight_decomposition,
-    conditional_median,
-    event_probability,
     explain_subject,
     generate_synthetic,
-    predict_curves,
     split,
 )
 from kernelaj.cli import fit_pipeline
@@ -44,22 +41,19 @@ print(f"{model.clusters.num_clusters} clusters "
 
 # Pick one held-out subject and unpack its prediction.
 x = test.features[0]
-curves = predict_curves(model, x)
 ids, weights = cluster_weight_decomposition(model, x)
 order = np.argsort(weights)[::-1]
 print("\ntop contributing clusters for one test subject:")
 for k in order[:5]:
     print(f"  exemplar {ids[k]:5d}  weight {weights[k]:.3f}")
 
-probs = event_probability(curves)
+info = explain_subject(model, x)
+probs = info.event_probabilities
 print(f"\nprobability each event happens earliest: "
       f"event 1 = {probs[0]:.1%}, event 2 = {probs[1]:.1%}")
-for d in (1, 2):
-    med = conditional_median(curves, d)
+for d, med in enumerate(info.conditional_medians, start=1):
     print(f"median time to event {d} (given it is earliest): {med:.3f}")
-
-info = explain_subject(model, x)
-print(f"\nexplain_subject record: {len(info.exemplar_ids)} contributing "
+print(f"explain_subject record: {len(info.exemplar_ids)} contributing "
       f"clusters, fallback={info.used_fallback}")
 
 # Cluster-level reading: the largest clusters as restricted estimates.

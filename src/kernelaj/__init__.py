@@ -89,8 +89,6 @@ from .model import (
     KernelAJModel,
     cluster_curves,
     cluster_weight_decomposition,
-    conditional_median,
-    event_probability,
     explain_rows,
     explain_subject,
     predict_cif_grid,

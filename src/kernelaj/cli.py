@@ -335,31 +335,39 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
         raise ConfigError("explain needs --data <csv> or --clusters")
     cohort = _load_compatible_cohort(data_path, schema, model,
                                      time_column, event_column)
-    infos, cif, surv = explain_rows(model, cohort.features)
     times = model.grid.times.tolist()
     out_path = os.path.join(out_dir, "explanations.json")
-    # one record at a time, in the bytes json.dump(records, indent=2,
-    # sort_keys=True) would write for the whole list (never empty: a Cohort
-    # has at least one row)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("[")
-        for i, info in enumerate(infos):
-            record = {
-                "row": i,
-                "exemplar_ids": info.exemplar_ids.tolist(),
-                "weights": info.weights.tolist(),
-                "event_probabilities": info.event_probabilities.tolist(),
-                "conditional_medians": list(info.conditional_medians),
-                "used_fallback": bool(info.used_fallback),
-                "cif": {
-                    "times": times,
-                    "survival": surv[i].tolist(),
-                    **{f"event_{d}": cif[d - 1, i].tolist() for d in range(1, model.m + 1)},
-                },
-            }
-            fh.write(",\n  " if i else "\n  ")
-            fh.write(_indented_json(record, "\n  "))
-        fh.write("\n]\n")
+    # one block of records at a time, in the bytes json.dump(records, indent=2,
+    # sort_keys=True) would write for the whole list (never empty: a Cohort has
+    # at least one row); a block that fails leaves no explanations.json behind
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write("[")
+            row = 0
+            for infos, cif, surv in explain_rows(model, cohort.features):
+                for i, info in enumerate(infos):
+                    record = {
+                        "row": row,
+                        "exemplar_ids": info.exemplar_ids.tolist(),
+                        "weights": info.weights.tolist(),
+                        "event_probabilities": info.event_probabilities.tolist(),
+                        "conditional_medians": list(info.conditional_medians),
+                        "used_fallback": bool(info.used_fallback),
+                        "cif": {
+                            "times": times,
+                            "survival": surv[i].tolist(),
+                            **{f"event_{d}": cif[d - 1, i].tolist()
+                               for d in range(1, model.m + 1)},
+                        },
+                    }
+                    fh.write(",\n  " if row else "\n  ")
+                    fh.write(_indented_json(record, "\n  "))
+                    row += 1
+                del infos, cif, surv     # free the block before the next is formed
+            fh.write("\n]\n")
+    except KernelAJError:
+        os.remove(out_path)
+        raise
     print(f"explanations written to {out_path}")
     return 0
 

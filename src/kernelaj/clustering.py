@@ -20,9 +20,16 @@ from .errors import ShapeMismatch
 def tau_from_min_kernel_weight(min_weight: float) -> float:
     """Neighborhood radius such that kernel weights below ``min_weight`` are
     dropped: tau = sqrt(-log(min_weight))."""
-    if not 0.0 < min_weight <= 1.0:
-        raise ValueError("min kernel weight must lie in (0, 1]")
+    if not 0.0 < min_weight < 1.0:
+        raise ValueError("min_kernel_weight must lie in (0, 1)")
     return float(np.sqrt(-np.log(min_weight)))
+
+
+def require_counts(name: str, *tables):
+    """ValueError naming ``name`` unless every table is finite and >= 0."""
+    for t in map(np.asarray, tables):
+        if not ((t >= 0) & (t < np.inf)).all():
+            raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float, shuffle_seed=None):
@@ -107,10 +114,13 @@ class ClusterModel:
         d = np.asarray(self.d_cluster, dtype=np.float64)
         n = np.asarray(self.n_cluster, dtype=np.float64)
         Q = ids.size
-        if emb.shape[0] != Q or d.shape[0] != Q or n.shape[0] != Q:
+        if emb.ndim != 2 or emb.shape[0] != Q or d.shape[0] != Q or n.shape[0] != Q:
             raise ShapeMismatch("per-exemplar arrays disagree on cluster count")
         if d.shape[:2] != n.shape:
             raise ShapeMismatch("d_cluster and n_cluster disagree on (Q, L)")
+        if not np.isfinite(emb).all():
+            raise ValueError("exemplar embeddings must be finite")
+        require_counts("cluster tables", d, n)
         if require_real("tau", self.tau) <= 0:
             raise ValueError("tau must be positive")
         if require_real("epsilon", self.epsilon) < 0:

@@ -10,7 +10,6 @@ for testing.
 """
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -191,39 +190,19 @@ def embed(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return embed_batch(params, x[None, :])[0]
 
 
-class Reference(NamedTuple):
-    """Reference rows E2 as the two-set product's right factor, built once
-    for many query blocks: [2 e, -1, -|e|^2] transposed, (d + 2, n2)."""
-
-    factor: np.ndarray
-
-
-def reference(E) -> Reference:
-    """The :class:`Reference` of embedding rows E."""
-    E = np.asarray(E, np.float64)
-    factor = np.empty((E.shape[1] + 2, E.shape[0]))
-    np.multiply(E.T, 2.0, out=factor[:-2])
-    factor[-2] = -1.0
-    factor[-1] = -np.einsum("ij,ij->i", E, E)
-    return Reference(factor)
-
-
 def _neg_sq_dists(E1, E2, out):
     """-(squared distances) before clipping, from one product of augmented
     rows [e1, |e1|^2, 1] . [2 e2, -1, -|e2|^2] = 2 e1.e2 - |e1|^2 - |e2|^2.
     Negating every input of a product negates its result exactly, so this is
-    -(|e1|^2 + |e2|^2 - 2 e1.e2) to the bit. E2 may be a :class:`Reference`;
-    E2 None is E1 itself, with the diagonal set to exactly 0."""
+    -(|e1|^2 + |e2|^2 - 2 e1.e2) to the bit. E2 None is E1 itself, with the
+    diagonal set to exactly 0."""
     E1 = np.asarray(E1, dtype=np.float64)
-    d = E1.shape[1]
-    A = np.empty((E1.shape[0], d + 2))
-    A[:, :d] = E1
-    A[:, d] = np.einsum("ij,ij->i", E1, E1)
-    A[:, d + 1] = 1.0
-    ref = E2 if isinstance(E2, Reference) else reference(E1 if E2 is None else E2)
-    if ref.factor.shape[0] != d + 2:
+    R = E1 if E2 is None else np.asarray(E2, dtype=np.float64)
+    if R.shape[1] != E1.shape[1]:
         raise ShapeMismatch("embedding dimensions differ")
-    N = blocked_matmul(A, ref.factor, out)
+    A = np.column_stack((E1, np.einsum("ij,ij->i", E1, E1), np.ones(E1.shape[0])))
+    B = np.vstack((2.0 * R.T, -np.ones(R.shape[0]), -np.einsum("ij,ij->i", R, R)))
+    N = blocked_matmul(A, B, out)
     if E2 is None:
         np.fill_diagonal(N, 0.0)        # rounding leaves ~1e-14 on the diagonal
     return N

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cohort, StepCurve
+from .core import Cohort, StepCurve, reverse_cumsum
 from .errors import DegenerateGrid, NoComparablePairs, NoEvents, ShapeMismatch
 
 INTERP_BLOCK_ROWS = 256
@@ -69,8 +69,9 @@ def censoring_survival(cohort: Cohort) -> StepCurve:
     if not censored.any():
         return StepCurve(np.empty(0), np.empty(0), initial_value=1.0)
     knots, d = np.unique(cohort.time[censored], return_counts=True)
-    sorted_times = np.sort(cohort.time)
-    n = cohort.n - np.searchsorted(sorted_times, knots, side="left")
+    # a record is at risk at knots[:k], k its count of knots at or before its time
+    k = np.searchsorted(knots, cohort.time, side="right")
+    n = reverse_cumsum(np.bincount(k, minlength=knots.size + 1)[1:])
     surv = np.cumprod(1.0 - d.astype(np.float64) / n)
     return StepCurve(knots, surv, initial_value=1.0)
 

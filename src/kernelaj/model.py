@@ -1,12 +1,14 @@
 """Test-time prediction for the kernel-weighted Aalen-Johansen model:
 exemplar-weighted summary tables, survival/CIF curves with a population
-fallback, and the individual-level interpretation quantities.
+fallback, and the individual-level interpretation records.
 
-Every prediction goes through one path: frozen_subject_weights,
+Every prediction goes through one path: exemplar weights,
 :func:`weighted_hazards` and the Aalen-Johansen recursion in ``core``. All
 its products are fixed-shape ``embedding.blocked_matmul`` calls, so a row's
-prediction has the same bits whichever rows are passed with it, and the
-per-row entry points are one-row views of the batch functions.
+prediction has the same bits whichever rows are passed with it. One
+row-blocked loop, :func:`_row_blocks`, feeds both batch functions,
+:func:`predict_cif_grid` and :func:`explain_rows`; the per-row entry points
+are one-row views of these.
 
 A trained model is immutable; prediction and explanation are pure functions
 and safe for concurrent use.
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterModel, exemplar_weights
+from .clustering import ClusterModel, exemplar_weights, require_counts
 from .core import CifSet, EventTimeGrid, cif_from_hazards, curves_from_counts, safe_reciprocal
 from .embedding import MlpParams, blocked_matmul, embed_batch, kernel_matrix
 from .errors import EmptyNeighborhood, NoRisk, NonFiniteFeatures, ShapeMismatch
@@ -43,11 +45,17 @@ class KernelAJModel:
 
     def __post_init__(self):
         Q, L = self.clusters.n_cluster.shape
-        if len(self.grid) != L or np.shape(self.cluster_feature_means)[:1] != (Q,):
-            raise ShapeMismatch("grid or cluster feature means disagree with the clusters")
-        if self.sft_tables is not None and tuple(map(np.shape, self.sft_tables)) != (
-                self.clusters.d_cluster.shape, self.clusters.n_cluster.shape):
-            raise ShapeMismatch("fine-tuned tables disagree with the cluster tables")
+        if len(self.grid) != L or np.shape(self.cluster_feature_means) != (
+                Q, self.params.input_dim):
+            raise ShapeMismatch("grid or cluster feature means disagree with the "
+                                "clusters or the network input")
+        if self.clusters.exemplar_embeddings.shape[1] != self.params.layer_sizes[-1]:
+            raise ShapeMismatch("exemplar embeddings are not as wide as the network output")
+        if self.sft_tables is not None:
+            if tuple(map(np.shape, self.sft_tables)) != (
+                    self.clusters.d_cluster.shape, self.clusters.n_cluster.shape):
+                raise ShapeMismatch("fine-tuned tables disagree with the cluster tables")
+            require_counts("fine-tuned tables", *self.sft_tables)
 
     @property
     def m(self) -> int:
@@ -131,6 +139,17 @@ def _curves_from_weights(model: KernelAJModel, W):
     return cif, surv, fallback
 
 
+def _row_blocks(model: KernelAJModel, E: np.ndarray, read):
+    """The one prediction loop: for each ``PREDICT_BLOCK_ROWS`` block of
+    embeddings E (n, d), yields read(rows, W) of the block's slice of the
+    rows and its exemplar weights W (b, Q). W lives only while ``read``
+    runs, so the weights of one block exist at a time; rows are
+    batch-invariant, so the block size does not change the bits."""
+    for start in range(0, E.shape[0], PREDICT_BLOCK_ROWS):
+        rows = slice(start, min(start + PREDICT_BLOCK_ROWS, E.shape[0]))
+        yield read(rows, exemplar_weights(model.clusters, E[rows]))
+
+
 def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
     """Batch prediction at the model's grid times.
 
@@ -139,19 +158,19 @@ def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
     positive kernel weight).
     A row whose features are not finite, or too large to embed, raises
     ValueError naming the first such row.
-    Rows are embedded together, then weighted and predicted
-    ``PREDICT_BLOCK_ROWS`` at a time into the outputs, so the (n, Q) weights
-    and the weighted tables never exist whole; rows are batch-invariant, so
-    the block size does not change the bits.
+    The outputs are filled block by block (:func:`_row_blocks`), so the
+    (n, Q) weights and the weighted tables never exist whole.
     """
     E = _embed_rows(model.params, X)
     n, L = E.shape[0], len(model.grid)
     cif, surv = np.empty((model.m, n, L)), np.empty((n, L))
     fallback = np.empty(n, dtype=bool)
-    for start in range(0, n, PREDICT_BLOCK_ROWS):
-        rows = slice(start, start + PREDICT_BLOCK_ROWS)
-        cif[:, rows], surv[rows], fallback[rows] = _curves_from_weights(
-            model, exemplar_weights(model.clusters, E[rows]))
+
+    def fill(rows, W):
+        cif[:, rows], surv[rows], fallback[rows] = _curves_from_weights(model, W)
+
+    for _ in _row_blocks(model, E, fill):
+        pass
     return cif, surv, fallback
 
 
@@ -194,13 +213,14 @@ def cluster_weight_decomposition(model: KernelAJModel, x: np.ndarray):
     return ids, weights
 
 
-def _event_probabilities(cif):
-    """(n, m) earliest-event probabilities from CIF values (m, n, L)."""
+def _event_probabilities(cif, first_row=0):
+    """(n, m) earliest-event probabilities from CIF values (m, n, L), the
+    horizon CIFs renormalized; NoRisk names a zero row as first_row + i."""
     tail = cif[:, :, -1].T
     total = tail.sum(axis=1)
     if (total <= 0).any():
-        raise NoRisk(f"row {int(np.argmax(total <= 0))}: all cumulative incidence "
-                     "values are zero at the horizon")
+        raise NoRisk(f"row {first_row + int(np.argmax(total <= 0))}: all cumulative "
+                     "incidence values are zero at the horizon")
     return tail / total[:, None]
 
 
@@ -215,25 +235,6 @@ def _conditional_medians(cif, knots):
             for i in range(cif.shape[1])]
 
 
-def event_probability(cifset: CifSet) -> np.ndarray:
-    """Probability of each event type happening earliest.
-
-    Approximates F_delta(infinity) by the CIF at the last grid time and
-    renormalizes the values to sum to 1.
-    """
-    return _event_probabilities(np.stack([c.values for c in cifset.cifs])[:, None])[0]
-
-
-def conditional_median(cifset: CifSet, delta: int):
-    """Median time to event ``delta`` given it happens earliest.
-
-    Smallest grid time where the renormalized CIF reaches one half; None when
-    the event has zero mass at the horizon.
-    """
-    cif = np.stack([c.values for c in cifset.cifs])[:, None]
-    return _conditional_medians(cif, cifset.survival.knots)[0][delta - 1]
-
-
 @dataclass(frozen=True)
 class Explanation:
     """Which exemplars drive a prediction, and the headline quantities."""
@@ -246,26 +247,29 @@ class Explanation:
 
 
 def explain_rows(model: KernelAJModel, X: np.ndarray):
-    """Interpretation records for every row of a feature matrix.
+    """Interpretation records for the rows of a feature matrix, one
+    ``PREDICT_BLOCK_ROWS`` block at a time (:func:`_row_blocks`).
 
-    Returns (explanations, cif (m, n, L), survival (n, L)): the records and
-    the curves they were read from. Each row is embedded once.
+    A generator: yields (explanations, cif (m, b, L), survival (b, L)) for
+    each block of b rows, the records and the curves they were read from.
+    Every row is embedded before the first block, so a row whose features
+    are not finite raises before any record; a row whose CIFs are all zero
+    at the horizon raises NoRisk naming its index in X.
     """
-    W = frozen_subject_weights(model.params, model.clusters, X)
-    cif, surv, fallback = _curves_from_weights(model, W)
-    probs = _event_probabilities(cif)
-    medians = _conditional_medians(cif, model.grid.times)
-    records = []
-    for i in range(W.shape[0]):
-        ids, weights = _normalized_weights(model, W[i])
-        records.append(Explanation(ids, weights, probs[i], medians[i], bool(fallback[i])))
-    return records, cif, surv
+    def explain(rows, W):
+        cif, surv, fallback = _curves_from_weights(model, W)
+        probs = _event_probabilities(cif, rows.start)
+        medians = _conditional_medians(cif, model.grid.times)
+        return [Explanation(*_normalized_weights(model, w), p, med, bool(f))
+                for w, p, med, f in zip(W, probs, medians, fallback)], cif, surv
+
+    yield from _row_blocks(model, _embed_rows(model.params, X), explain)
 
 
 def explain_subject(model: KernelAJModel, x: np.ndarray) -> Explanation:
     """Per-subject interpretation record: the one-row view of
     :func:`explain_rows`."""
-    records, _, _ = explain_rows(model, _row(x))
+    records, _, _ = next(explain_rows(model, _row(x)))
     return records[0]
 
 

@@ -106,7 +106,6 @@ from .embedding import (
     init_mlp,
     kernel_matrix,
     kernel_matrix_backward,
-    reference,
     unflatten_params,
 )
 from .errors import Diverged, NoEvents, ShapeMismatch
@@ -406,23 +405,23 @@ def kernel_hazard_curves(E_query, E_ref, groups: CodeGroups, m, L, buffer):
     set (no leave-one-out; queries are assumed disjoint from the reference).
 
     ``groups`` is :func:`code_groups` of the reference labels; E_ref is in
-    the reference rows' own order (augmented once per call). The query x
-    reference kernel is built in ``buffer``, a C-contiguous float64 array
-    of at least n_ref elements, ``buffer.size // n_ref`` query rows at a
-    time, so it needs no memory beyond the buffer that grows with q * n_ref.
+    the reference rows' own order. The query x reference kernel is built in
+    ``buffer``, a C-contiguous float64 array of at least n_ref elements,
+    ``buffer.size // n_ref`` query rows at a time, so it needs no memory
+    beyond the buffer that grows with q * n_ref.
     A ``kernel_matrix`` row does not depend on the rows computed with it,
     so the result does not depend on the buffer size.
 
     Returns (psi (m, q, L), F (m, q, L), S (q, L)).
     """
-    ref = reference(np.asarray(E_ref, np.float64)[groups.order])
+    E_ref = np.asarray(E_ref, np.float64)[groups.order]
     E_query = np.asarray(E_query, np.float64)
-    q, n_ref = E_query.shape[0], ref.factor.shape[1]
+    q, n_ref = E_query.shape[0], E_ref.shape[0]
     step = max(buffer.size // n_ref, 1)       # a smaller buffer fails in _block
     psi = np.empty((m, q, L))
     for start in range(0, q, step):
         Eq = E_query[start:start + step]
-        W = kernel_matrix(Eq, ref, out=_block(buffer, Eq.shape[0], n_ref))
+        W = kernel_matrix(Eq, E_ref, out=_block(buffer, Eq.shape[0], n_ref))
         psi[:, start:start + step], _ = _hazard_tables(W, groups, m, L)
     F, S, _, _ = cif_from_hazards(psi)
     return psi, F, S

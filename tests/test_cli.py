@@ -14,6 +14,10 @@ from numpy.testing import assert_allclose
 from conftest import traced_peak
 from kernelaj import (
     Cohort,
+    EventTimeGrid,
+    FeatureSchema,
+    KernelAJModel,
+    MlpParams,
     SynthConfig,
     explain_rows,
     explain_subject,
@@ -22,10 +26,14 @@ from kernelaj import (
     load_cohort,
     load_model,
     predict_curves,
+    save_model,
     write_cohort_csv,
 )
-from kernelaj import cli, finetune, training
+from kernelaj import cli, finetune, serialize, training
+from kernelaj import model as model_module
 from kernelaj.cli import main
+from kernelaj.clustering import ClusterModel
+from kernelaj.core import reverse_cumsum
 from kernelaj.model import cluster_curves, predict_cif_grid
 
 
@@ -234,6 +242,7 @@ class TestFit:
         {"clustering": {"epsilon": True}},
         {"clustering": {"epsilon": "0.3"}},
         {"clustering": {"min_kernel_weight": True}},
+        {"clustering": {"min_kernel_weight": 1.0}},
         {"data": {"valid_fraction": False}},
         {"data": {"valid_fraction": "0.5"}},
         {"sft": {"enabled": True, "learning_rate": True}},
@@ -393,6 +402,37 @@ class TestEvaluate:
         assert rc == 2
 
 
+def _edit_array(*path, value=None, narrow=False):
+    """An edit of the packed array at ``path`` in a model document: its
+    first cell set to ``value``, or its last column dropped (``narrow``)."""
+    def edit(doc):
+        *parents, key = path
+        for k in parents:
+            doc = doc[k]
+        a = serialize._unpack(doc[key])
+        if narrow:
+            a = a[:, :-1]
+        else:
+            a.flat[0] = value
+        doc[key] = serialize._pack(a)
+    return edit
+
+
+def save_identity_model(path, centers, d, n, tau):
+    """Save a hand-built model whose network and feature schema are the
+    identity, so a query row's embedding is its own features x1..xp."""
+    (Q, p), L = centers.shape, n.shape[1]
+    names = [f"x{j + 1}" for j in range(p)]
+    save_model(KernelAJModel(
+        params=MlpParams((p, p), (np.eye(p),), (np.zeros(p),)),
+        clusters=ClusterModel(np.arange(Q), centers, np.arange(Q), d, n,
+                              epsilon=0.5, tau=tau),
+        grid=EventTimeGrid(np.arange(1.0, L + 1.0)),
+        cluster_feature_means=np.zeros((Q, p))), path, FeatureSchema(
+            kinds=dict.fromkeys(names, "continuous"), feature_names=names,
+            stats={name: {"mean": 0.0, "std": 1.0} for name in names}))
+
+
 _MODEL_EDITS = {
     "version 1": lambda doc: doc.update(format_version=1),
     "no clusters": lambda doc: doc.pop("clusters"),
@@ -407,6 +447,11 @@ _MODEL_EDITS = {
         "d": doc["clusters"]["d_cluster"], "n": doc["clusters"]["d_cluster"]}),
     "tau NaN": lambda doc: doc["clusters"].update(tau=float("nan")),
     "epsilon NaN": lambda doc: doc["clusters"].update(epsilon=float("nan")),
+    "feature means too narrow": _edit_array("cluster_feature_means", narrow=True),
+    "exemplar embedding NaN": _edit_array("clusters", "exemplar_embeddings", value=np.nan),
+    "negative d_cluster cell": _edit_array("clusters", "d_cluster", value=-1.0),
+    "exemplar embeddings too narrow": _edit_array("clusters", "exemplar_embeddings",
+                                                  narrow=True),
 }
 
 
@@ -582,7 +627,8 @@ class TestExplain:
                      "--out", str(tmp_path / "rep")]) == 0
         model, schema = load_model(model_path)
         X = schema.transform(load_cohort(test_csv, schema.kinds, "time", "event"))
-        infos, cif, surv = explain_rows(model, X)
+        blocks = [(info, cif[:, i], surv[i]) for infos, cif, surv in explain_rows(model, X)
+                  for i, info in enumerate(infos)]
         records = [{
             "row": i,
             "exemplar_ids": [int(v) for v in info.exemplar_ids],
@@ -593,11 +639,11 @@ class TestExplain:
             "used_fallback": bool(info.used_fallback),
             "cif": {
                 "times": [float(t) for t in model.grid.times],
-                "survival": [float(v) for v in surv[i]],
-                **{f"event_{d}": [float(v) for v in cif[d - 1, i]]
+                "survival": [float(v) for v in surv],
+                **{f"event_{d}": [float(v) for v in cif[d - 1]]
                    for d in range(1, model.m + 1)},
             },
-        } for i, info in enumerate(infos)]
+        } for i, (info, cif, surv) in enumerate(blocks)]
         want = json.dumps(records, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "rep" / "explanations.json").read_bytes() == want.encode()
 
@@ -613,8 +659,9 @@ class TestExplain:
         assert cli._indented_json(record, "\n  ") == want.replace("\n", "\n  ")
 
     def test_records_written_one_at_a_time(self, tmp_path, train_csv):
-        # writing adds less than one float64 copy of the curves to the
-        # prediction's own peak; records held as Python floats take 4x that
+        # writing adds less than one float64 copy of a block's curves to the
+        # peak of the explain loop itself; records held as Python floats take
+        # 4x that
         config_path, _ = write_config(tmp_path, train_csv, training={"num_time_steps": 64})
         main(["fit", "--config", str(config_path)])
         model_path = tmp_path / "out" / "model.json"
@@ -624,12 +671,58 @@ class TestExplain:
             censoring_rate=0.3, seed=3)), query)
         model, schema = load_model(model_path)
         X = schema.transform(load_cohort(query, schema.kinds, "time", "event"))
-        (_, cif, surv), predict_peak = traced_peak(lambda: explain_rows(model, X))
+        _, cif, surv = next(explain_rows(model, X))
+
+        def explain_loop():
+            for block in explain_rows(model, X):
+                del block
+
+        _, loop_peak = traced_peak(explain_loop)
         rc, peak = traced_peak(lambda: main([
             "explain", "--model", str(model_path), "--data", str(query),
             "--out", str(tmp_path / "rep")]))
         assert rc == 0
-        assert peak - predict_peak < cif.nbytes + surv.nbytes
+        assert peak - loop_peak < cif.nbytes + surv.nbytes
+
+    def test_explain_peak_does_not_grow_with_blocks(self, tmp_path):
+        # a hand-built model with Q = 2048 exemplars: one block's (1024, Q)
+        # weights are 16 MiB, so a loop that kept the weights or records of
+        # more than one block would grow with the rows
+        rng = np.random.default_rng(0)
+        Q, L = 2048, 8
+        centers = rng.uniform(-100.0, 100.0, (Q, 2))
+        d = rng.integers(1, 3, (Q, L, 2)).astype(np.float64)
+        save_identity_model(tmp_path / "model.json", centers, d,
+                            reverse_cumsum(d.sum(axis=2) + 1.0), tau=1.0)
+        peaks = []
+        for blocks in (2, 4):
+            rows = blocks * model_module.PREDICT_BLOCK_ROWS
+            X = centers[rng.integers(0, Q, rows)] + rng.normal(scale=0.3, size=(rows, 2))
+            write_cohort_csv(Cohort(X, np.ones(rows), np.zeros(rows, dtype=np.int64), 2),
+                             tmp_path / "query.csv")
+            rc, peak = traced_peak(lambda: main([
+                "explain", "--model", str(tmp_path / "model.json"),
+                "--data", str(tmp_path / "query.csv"), "--out", str(tmp_path / "rep")]))
+            assert rc == 0
+            peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_no_risk_in_a_later_block_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # query row 9 sits on exemplar 1, whose cluster has no events, and tau
+        # keeps exemplar 0 away: its CIFs are zero at the horizon
+        save_identity_model(tmp_path / "model.json", np.array([[0.0, 0.0], [9.0, 0.0]]),
+                            np.array([[[1.0], [1.0]], [[0.0], [0.0]]]),
+                            np.array([[3.0, 1.0], [2.0, 1.0]]), tau=1.0)
+        X = np.zeros((12, 2))
+        X[9] = [9.0, 0.0]
+        write_cohort_csv(Cohort(X, np.ones(12), np.zeros(12, dtype=np.int64), 1),
+                         tmp_path / "query.csv")
+        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 4)
+        assert main(["explain", "--model", str(tmp_path / "model.json"),
+                     "--data", str(tmp_path / "query.csv"),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert "row 9:" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "explanations.json").exists()
 
     def test_single_cluster_model_reproduces_population(self, tmp_path,
                                                         train_csv):

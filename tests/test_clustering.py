@@ -83,6 +83,16 @@ class TestEpsilonNet:
         assert getattr(ClusterModel([0], np.zeros((1, 2)), [0], d, n, **values),
                        setting) == np.inf
 
+    @pytest.mark.parametrize("array, cell, value", [
+        ("emb", (0, 1), np.nan), ("emb", (0, 0), np.inf), ("d", (0, 1, 0), -1.0),
+        ("d", (0, 0, 0), np.inf), ("n", (0, 0), np.nan)])
+    def test_cluster_model_rejects_bad_arrays(self, array, cell, value):
+        arrays = {"emb": np.zeros((1, 2)), "d": np.zeros((1, 2, 1)), "n": np.ones((1, 2))}
+        arrays[array][cell] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            ClusterModel([0], arrays["emb"], [0], arrays["d"], arrays["n"],
+                         epsilon=0.5, tau=1.0)
+
     def test_shuffle_seed_changes_order(self):
         rng = np.random.default_rng(2)
         E = rng.normal(size=(50, 2))
@@ -222,6 +232,12 @@ class TestNeighbors:
     def test_tau_from_min_weight(self):
         # sqrt(-log 0.01) ~= 2.14597
         assert tau_from_min_kernel_weight(0.01) == pytest.approx(2.1459660262893476)
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0, 1.5, -0.1])
+    def test_tau_from_min_weight_outside_open_interval_rejected(self, weight):
+        # a weight of 1 would give tau = -0.0, which no kernel weight passes
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            tau_from_min_kernel_weight(weight)
 
     def build(self, tau):
         cohort = toy_cohort()

@@ -1,6 +1,7 @@
 """Tests for kernel-weighted prediction: special-case equivalences against
 the population estimator, conservation, and interpretation quantities."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,10 +23,9 @@ from kernelaj import (
     build_cluster_model,
     build_event_grid,
     cluster_weight_decomposition,
-    conditional_median,
     curves_from_counts,
     discretize_times,
-    event_probability,
+    explain_rows,
     explain_subject,
     init_mlp,
     kaplan_meier,
@@ -38,7 +38,7 @@ from kernelaj import model as model_module
 from kernelaj.clustering import ClusterModel
 from kernelaj.core import EventTimeGrid
 from kernelaj.embedding import MlpParams, embed_batch, pairwise_sq_dists
-from kernelaj.model import cluster_curves, exemplar_kernel_matrix
+from kernelaj.model import Explanation, cluster_curves, exemplar_kernel_matrix
 
 
 def random_cohort(rng, n=25, p=3, m=2):
@@ -56,6 +56,28 @@ def build_model(cohort, params, epsilon, tau, num_time_steps=0):
     clusters = build_cluster_model(E, pre, grid, epsilon, tau)
     return KernelAJModel(params=params, clusters=clusters, grid=grid,
                          cluster_feature_means=np.zeros((clusters.num_clusters, cohort.p)))
+
+
+BLOCKS = (1, 7, model_module.PREDICT_BLOCK_ROWS, 5000)
+
+
+def joined_explanations(model, X):
+    """The blocks of :func:`explain_rows` joined: (records, cif, survival)."""
+    blocks = list(explain_rows(model, X))
+    return ([r for records, _, _ in blocks for r in records],
+            np.concatenate([cif for _, cif, _ in blocks], axis=1),
+            np.concatenate([surv for _, _, surv in blocks]))
+
+
+def assert_same_values(got, want):
+    """Equal arrays, or equal lists of Explanation records field by field."""
+    if isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for f in fields(Explanation):
+                assert_array_equal(getattr(g, f.name), getattr(w, f.name))
+    else:
+        assert_array_equal(got, want)
 
 
 def random_params(rng, p, seed):
@@ -205,8 +227,10 @@ class TestPredictionProperties:
             assert_array_equal(one_surv[0], surv[i])
             assert one_fallback[0] == fallback[i]
 
-    @pytest.mark.parametrize("block", [1, 7, model_module.PREDICT_BLOCK_ROWS, 5000])
-    def test_row_blocks_do_not_change_bits(self, monkeypatch, block):
+    @pytest.mark.parametrize("entry, block", [
+        *((predict_cif_grid, b) for b in BLOCKS), *((joined_explanations, b) for b in BLOCKS)],
+        ids=[*map(str, BLOCKS), *(f"explain_rows-{b}" for b in BLOCKS)])
+    def test_row_blocks_do_not_change_bits(self, monkeypatch, entry, block):
         rng = np.random.default_rng(10)
         cohort = random_cohort(rng, n=300, p=8)
         params = init_mlp(EmbeddingConfig(input_dim=8, num_layers=2, hidden_units=32,
@@ -214,12 +238,13 @@ class TestPredictionProperties:
         model = build_model(cohort, params, epsilon=1.0, tau=3.0, num_time_steps=32)
         X = rng.normal(size=(2100, 8)) * 10.0    # some rows fall back
         monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 1 << 20)
-        whole = predict_cif_grid(model, X)
+        whole = entry(model, X)
         monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", block)
-        blocked = predict_cif_grid(model, X)
-        assert whole[2].any() and not whole[2].all()
+        blocked = entry(model, X)
+        fallback = predict_cif_grid(model, X)[2]
+        assert fallback.any() and not fallback.all()
         for got, want in zip(blocked, whole):
-            assert_array_equal(got, want)
+            assert_same_values(got, want)
 
     def test_hand_weighted_summary_sums(self):
         # query embeds at the origin; exemplars sit at squared distances
@@ -330,6 +355,10 @@ class TestOneAalenJohansenRule:
     @given(case=weighted_cluster_models())
     def test_per_row_entry_points_are_batch_views(self, case):
         model, X = case
+        records, *curves = joined_explanations(model, X)
+        assert_same_values(records, [explain_subject(model, x) for x in X])
+        for got, want in zip(curves, predict_cif_grid(model, X)):
+            assert_array_equal(got, want)
         for x in X:
             cif, surv, fallback = predict_cif_grid(model, x[None])
             single = predict_curves(model, x)
@@ -338,9 +367,10 @@ class TestOneAalenJohansenRule:
                 assert_array_equal(single.cif(d).values, cif[d - 1, 0])
             info = explain_subject(model, x)
             assert info.used_fallback == fallback[0]
-            assert_array_equal(info.event_probabilities, event_probability(single))
-            assert info.conditional_medians == tuple(
-                conditional_median(single, d) for d in range(1, model.m + 1))
+            assert_array_equal(info.event_probabilities,
+                               model_module._event_probabilities(cif)[0])
+            assert info.conditional_medians == model_module._conditional_medians(
+                cif, model.grid.times)[0]
             if fallback[0]:
                 with pytest.raises(EmptyNeighborhood):
                     cluster_weight_decomposition(model, x)
@@ -388,53 +418,69 @@ class TestWeightDecomposition:
 
 
 class TestInterpretationQuantities:
-    def curves_with_mass(self, f1, f2, knots=(1.0, 3.0)):
-        from kernelaj.core import CifSet, StepCurve
+    """Earliest-event probabilities and conditional medians, read by
+    :func:`explain_rows` from CIF values (m, n, L) through the batch
+    helpers."""
 
-        knots = np.asarray(knots)
-        surv = 1.0 - (np.asarray(f1) + np.asarray(f2))
-        return CifSet(StepCurve(knots, surv, 1.0),
-                      (StepCurve(knots, np.asarray(f1), 0.0),
-                       StepCurve(knots, np.asarray(f2), 0.0)))
+    def cif_with_mass(self, *cifs):
+        return np.asarray(cifs, dtype=np.float64)[:, None, :]
 
     def test_event_probability_renormalizes(self):
         # reported pair of horizon CIFs 0.0611 / 0.0808 renormalizes to about
         # 43.04% / 56.96%
-        cifs = self.curves_with_mass([0.03, 0.0611], [0.05, 0.0808])
-        probs = event_probability(cifs)
+        probs = model_module._event_probabilities(
+            self.cif_with_mass([0.03, 0.0611], [0.05, 0.0808]))[0]
         assert probs[0] == pytest.approx(0.4304, abs=5e-4)
         assert probs[1] == pytest.approx(0.5696, abs=5e-4)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_single_event_type_probability_one(self):
-        from kernelaj.core import CifSet, StepCurve
-
-        knots = np.array([2.0])
-        cifs = CifSet(StepCurve(knots, np.array([0.6]), 1.0),
-                      (StepCurve(knots, np.array([0.4]), 0.0),))
-        assert_allclose(event_probability(cifs), [1.0])
+        assert_allclose(model_module._event_probabilities(self.cif_with_mass([0.4])), [[1.0]])
 
     def test_equal_masses_uniform(self):
-        cifs = self.curves_with_mass([0.1, 0.25], [0.2, 0.25])
-        assert_allclose(event_probability(cifs), [0.5, 0.5])
+        assert_allclose(model_module._event_probabilities(
+            self.cif_with_mass([0.1, 0.25], [0.2, 0.25])), [[0.5, 0.5]])
 
     def test_no_risk_raises(self):
-        cifs = self.curves_with_mass([0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(NoRisk):
-            event_probability(cifs)
+        cif = np.concatenate([self.cif_with_mass([0.1, 0.2], [0.0, 0.3]),
+                              self.cif_with_mass([0.0, 0.0], [0.0, 0.0])], axis=1)
+        with pytest.raises(NoRisk, match="row 1:"):
+            model_module._event_probabilities(cif)
+        with pytest.raises(NoRisk, match="row 8:"):
+            model_module._event_probabilities(cif, first_row=7)
+
+    def median(self, cif, knots, delta):
+        return model_module._conditional_medians(cif, np.asarray(knots))[0][delta - 1]
 
     def test_median_single_jump(self):
-        cifs = self.curves_with_mass([0.0, 0.5], [0.0, 0.0], knots=(1.0, 5.0))
-        assert conditional_median(cifs, 1) == 5.0
+        assert self.median(self.cif_with_mass([0.0, 0.5], [0.0, 0.0]), (1.0, 5.0), 1) == 5.0
 
     def test_median_two_equal_jumps_crosses_at_first(self):
         # renormalized CIF reaches exactly 1/2 at the first jump
-        cifs = self.curves_with_mass([0.25, 0.5], [0.0, 0.0], knots=(1.0, 3.0))
-        assert conditional_median(cifs, 1) == 1.0
+        assert self.median(self.cif_with_mass([0.25, 0.5], [0.0, 0.0]), (1.0, 3.0), 1) == 1.0
 
     def test_median_undefined_for_zero_mass(self):
-        cifs = self.curves_with_mass([0.1, 0.2], [0.0, 0.0])
-        assert conditional_median(cifs, 2) is None
+        assert self.median(self.cif_with_mass([0.1, 0.2], [0.0, 0.0]), (1.0, 3.0), 2) is None
+
+    def test_no_risk_in_a_later_block_named_by_global_index(self, monkeypatch):
+        # the network is the identity and tau small, so a query at exemplar 1
+        # weighs only its cluster, which has no events: zero CIFs at the horizon
+        clusters = ClusterModel(
+            exemplar_ids=np.array([0, 1]), exemplar_embeddings=np.array([[0.0, 0.0],
+                                                                        [9.0, 0.0]]),
+            assignments=np.array([0, 1]),
+            d_cluster=np.array([[[1.0], [1.0]], [[0.0], [0.0]]]),
+            n_cluster=np.array([[3.0, 1.0], [2.0, 1.0]]), epsilon=0.5, tau=1.0)
+        model = KernelAJModel(params=MlpParams((2, 2), (np.eye(2),), (np.zeros(2),)),
+                              clusters=clusters, grid=EventTimeGrid([1.0, 2.0]),
+                              cluster_feature_means=np.zeros((2, 2)))
+        X = np.zeros((12, 2))
+        X[9] = [9.0, 0.0]
+        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 4)
+        blocks = explain_rows(model, X)
+        assert len(next(blocks)[0]) == 4 and len(next(blocks)[0]) == 4
+        with pytest.raises(NoRisk, match="row 9:"):
+            next(blocks)
 
     def test_explain_subject_record(self):
         rng = np.random.default_rng(10)
@@ -491,6 +537,8 @@ class TestNonFiniteFeatures:
         X[9, 0] = np.nan
         with pytest.raises(ValueError, match="row 9:"):
             predict_cif_grid(self.model, X)
+        with pytest.raises(ValueError, match="row 9:"):
+            next(explain_rows(self.model, X))
 
     @pytest.mark.parametrize("fn", [weighted_summaries, predict_curves,
                                     cluster_weight_decomposition, explain_subject])
