@@ -25,11 +25,14 @@ def tau_from_min_kernel_weight(min_weight: float) -> float:
     return float(np.sqrt(-np.log(min_weight)))
 
 
-def require_counts(name: str, *tables):
-    """ValueError naming ``name`` unless every table is finite and >= 0."""
-    for t in map(np.asarray, tables):
-        if not ((t >= 0) & (t < np.inf)).all():
-            raise ValueError(f"{name} must be finite and nonnegative")
+def require_counts(name: str, d, n):
+    """ValueError naming ``name`` unless the event tables d (Q, L, m) and the
+    at-risk tables n (Q, L) are finite and >= 0, with n >= sum_k d in every bin."""
+    d, n = np.asarray(d), np.asarray(n)
+    if not (((d >= 0) & (d < np.inf)).all() and ((n >= 0) & (n < np.inf)).all()
+            and (n >= d.sum(axis=2)).all()):
+        raise ValueError(f"{name} must be finite and nonnegative, with no more "
+                         "events than at risk in a bin")
 
 
 def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float, shuffle_seed=None):
@@ -116,7 +119,7 @@ class ClusterModel:
         Q = ids.size
         if emb.ndim != 2 or emb.shape[0] != Q or d.shape[0] != Q or n.shape[0] != Q:
             raise ShapeMismatch("per-exemplar arrays disagree on cluster count")
-        if d.shape[:2] != n.shape:
+        if d.ndim != 3 or d.shape[:2] != n.shape:
             raise ShapeMismatch("d_cluster and n_cluster disagree on (Q, L)")
         if not np.isfinite(emb).all():
             raise ValueError("exemplar embeddings must be finite")
@@ -161,11 +164,15 @@ def build_cluster_model(embeddings, cohort_pre, grid, epsilon, tau,
 
 def exemplar_weights(clusters: ClusterModel, E: np.ndarray) -> np.ndarray:
     """Kernel weights exp(-||e - e_q||^2) of embeddings E (n, d) to every
-    exemplar, zero beyond tau. The distances are one fixed-block product
-    (:func:`~kernelaj.embedding.pairwise_sq_dists`), so a row's weights do
-    not depend on the rows passed with it."""
+    exemplar, zero beyond tau, built in place in the buffer of the distances,
+    one fixed-block product (:func:`~kernelaj.embedding.pairwise_sq_dists`):
+    a row's weights do not depend on the rows passed with it."""
     sq = pairwise_sq_dists(E, clusters.exemplar_embeddings)
-    return np.where(sq <= clusters.tau ** 2, np.exp(-sq), 0.0)
+    far = sq <= clusters.tau ** 2
+    np.logical_not(far, out=far)            # a NaN distance is far, too
+    np.exp(np.negative(sq, out=sq), out=sq)
+    sq[far] = 0.0
+    return sq
 
 
 def neighbors_within_tau(query_embedding: np.ndarray, model: ClusterModel) -> np.ndarray:

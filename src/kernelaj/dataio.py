@@ -7,7 +7,8 @@ missing values are empty cells or the literal "NA". Rows are read as
 cells are None, extra cells are ignored and a repeated header name takes its
 last column. :func:`write_csv` writes every table, each float as its ``repr``
 (the shortest text that reads back to the same bits), with CRLF line ends
-for cohorts and LF for reports; both move ``IO_BLOCK_ROWS`` rows at a time.
+for cohorts and LF for reports, ``IO_BLOCK_ROWS`` rows per write; the reader
+takes one row at a time, with one ``float`` call per numeric cell.
 Preprocessing statistics (means, standard deviations, category sets, modes)
 are fitted on the training rows only and applied unchanged to held-out sets.
 """
@@ -15,8 +16,6 @@ are fitted on the training rows only and applied unchanged to held-out sets.
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import zip_longest
 
 import numpy as np
 
@@ -46,7 +45,7 @@ class RawTable:
 
 
 def load_cohort(path, schema_spec: dict, time_column: str, event_column: str) -> RawTable:
-    """Read and type-check a cohort CSV, ``IO_BLOCK_ROWS`` rows at a time.
+    """Read and type-check a cohort CSV, one row at a time.
 
     ``schema_spec`` maps feature column names to their kind. Raises
     MissingColumn when a declared column (or the time/event column) is
@@ -58,82 +57,28 @@ def load_cohort(path, schema_spec: dict, time_column: str, event_column: str) ->
             raise SchemaMismatch(f"unknown column kind '{kind}'")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        index = {name: j for j, name in enumerate(next(reader, []))}
+        header = next(reader, [])
+        index = {name: j for j, name in enumerate(header)}
         for col in list(schema_spec) + [time_column, event_column]:
             if col not in index:
                 raise MissingColumn(f"column '{col}' not found in {path}")
         columns = {name: [] for name in schema_spec}
+        fields = [(name, index[name], kind == "continuous", columns[name].append)
+                  for name, kind in schema_spec.items()]
         times, events = [], []
-        fields = [(time_column, _floats, times.append), (event_column, _events, events.append),
-                  *((name, _PARSERS[kind], columns[name].extend)
-                    for name, kind in schema_spec.items())]
-        rownum = 2
-        for rows in _row_blocks(reader):
-            cells = list(zip_longest(*rows))
-            errors = []
-            for name, parse, store in fields:
-                j = index[name]
-                try:
-                    store(parse(cells[j] if j < len(cells) else (None,) * len(rows),
-                                rownum, name))
-                except ParseError as exc:
-                    errors.append(exc)
-            if errors:
-                raise min(errors, key=lambda exc: exc.row)
-            rownum += len(rows)
-    if rownum == 2:
+        t, e = index[time_column], index[event_column]
+        for rownum, row in enumerate(filter(None, reader), start=2):
+            row += [None] * (len(header) - len(row))
+            times.append(_parse_float(row[t], rownum, time_column))
+            events.append(_parse_event(row[e], rownum, event_column))
+            for name, j, numeric, store in fields:
+                cell = row[j]
+                store(None if cell is None or cell.strip() in _MISSING else
+                      _parse_float(cell, rownum, name) if numeric else cell.strip())
+    if not times:
         raise ParseError(f"no data rows in {path}")
-    return RawTable(columns, np.concatenate(times), np.concatenate(events))
-
-
-def _row_blocks(reader):
-    """Non-blank rows in blocks; a read error comes after the rows before it."""
-    block = []
-    try:
-        for row in filter(None, reader):
-            block.append(row)
-            if len(block) == IO_BLOCK_ROWS:
-                yield block
-                block = []
-    except (csv.Error, ValueError):     # a UnicodeDecodeError is a ValueError
-        yield block
-        raise
-    if block:
-        yield block
-
-
-def _is_missing(cell) -> bool:
-    return cell is None or cell.strip() in _MISSING
-
-
-def _floats(cells, rownum, colname, feature=False):
-    """``float`` of every cell in one pass, as an array; a feature column's
-    as a list, with None for its missing cells."""
-    try:
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
-    except (TypeError, ValueError):
-        return [None if feature and _is_missing(cell) else _parse_float(cell, r, colname)
-                for r, cell in enumerate(cells, start=rownum)]
-    return values.tolist() if feature else values
-
-
-def _events(cells, rownum, colname) -> np.ndarray:
-    try:
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
-        if ((values >= 0) & (values < 2.0 ** 63) & (values == np.trunc(values))).all():
-            return values.astype(np.int64)
-    except (TypeError, ValueError):
-        pass
-    return np.array([_parse_event(cell, r, colname)
-                     for r, cell in enumerate(cells, start=rownum)], dtype=np.int64)
-
-
-def _strings(cells, rownum, colname) -> list:
-    return [None if _is_missing(cell) else cell.strip() for cell in cells]
-
-
-_PARSERS = {"continuous": partial(_floats, feature=True), "categorical": _strings,
-            "binary": _strings}
+    return RawTable(columns, np.array(times, dtype=np.float64),
+                    np.array(events, dtype=np.int64))
 
 
 def _parse_float(cell, rownum, colname) -> float:

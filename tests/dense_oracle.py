@@ -3,13 +3,14 @@ score, CIF recursion, NLL, pairwise ranking loss, n x n concordance risk
 matrix, per-anchor concordance loop, hand-derived fine-tuning objective,
 hand-written criterion checks, stopping rule, list-stacking epsilon-net,
 sorted-time counts, per-cluster loops, difference-based neighbor search,
-row-loop cumulative-product backward and per-cell CSV reader and writer
-that ``kernelaj`` replaced, plus the scalar kernel and the fine-tuning
-objective of parameters, which only tests use. The cumulative-product
-backward is the oracle's own route through the survival product in its
-dense ranking backward (``ranking_value_and_dpsi``): a reverse cumulative
-sum divided by the factors, with a loop over the rows holding a zero
-factor, where ``kernelaj`` takes one reverse pass over the bins.
+``np.where`` exemplar weights, row-loop cumulative-product backward and
+per-cell CSV reader and writer that ``kernelaj`` replaced, plus the scalar
+kernel and the fine-tuning objective of parameters, which only tests use.
+The cumulative-product backward is the oracle's own route through the
+survival product in its dense ranking backward (``ranking_value_and_dpsi``):
+a reverse cumulative sum divided by the factors, with a loop over the rows
+holding a zero factor, where ``kernelaj`` takes one reverse pass over the
+bins.
 
 The functions below are kept verbatim as test oracles: the kernel comes
 from E @ E.T, the hazard tables from weight-matrix products with (n, L)
@@ -17,7 +18,8 @@ one-hot label matrices, each Brier horizon is scored on its own, each
 concordance anchor is counted on its own, the epsilon-net stacks its
 exemplar list into an array for every point, event and at-risk counts come
 from a scatter of events and a search of the sorted times, neighbors from
-explicit embedding differences, the CIF
+explicit embedding differences, the exemplar weights from one ``np.where``
+over fresh arrays of the distances, their negation and their exp, the CIF
 recursion leaves 1 - sum(h) unfloored, the NLL builds its own at-risk mask,
 the ranking loss and its backward pass read dense n x n matrices of
 pairwise CIF lookups, the fine-tuning objective derives its likelihood
@@ -27,8 +29,8 @@ time through ``csv.DictReader`` and ``csv.writer`` (the reader's event
 check also rejects nan, infinite and out-of-int64 cells, as the package
 does). Only the shared building blocks that did not change (the network,
 the floored CIF recursion, the reverse cumulative sum, the at-risk mask,
-curve interpolation and the fine-tuning table parameterization) are
-imported from the package.
+the fixed-block distances, curve interpolation and the fine-tuning table
+parameterization) are imported from the package.
 """
 
 import csv
@@ -38,6 +40,7 @@ import numpy as np
 
 from kernelaj.core import Cohort, StepCurve, cif_from_hazards, reverse_cumsum
 from kernelaj.embedding import backward, forward_cached
+from kernelaj.embedding import pairwise_sq_dists as blocked_sq_dists
 from kernelaj.dataio import RawTable
 from kernelaj.errors import (
     DegenerateGrid,
@@ -496,6 +499,12 @@ def neighbors_within_tau(query_embedding, model):
     diff = model.exemplar_embeddings - np.asarray(query_embedding, dtype=np.float64)
     sq = np.einsum("qd,qd->q", diff, diff)
     return np.flatnonzero(sq <= model.tau * model.tau)
+
+
+def exemplar_weights(clusters, E):
+    """Kernel weights of embeddings E to every exemplar, zero beyond tau."""
+    sq = blocked_sq_dists(E, clusters.exemplar_embeddings)
+    return np.where(sq <= clusters.tau ** 2, np.exp(-sq), 0.0)
 
 
 def concordance_td(risk_matrix, cohort, delta):

@@ -418,6 +418,16 @@ def _edit_array(*path, value=None, narrow=False):
     return edit
 
 
+def _fewer_at_risk_than_events(doc):
+    """An edit that sets one at-risk cell to a quarter of its bin's events."""
+    clusters = doc["clusters"]
+    events = serialize._unpack(clusters["d_cluster"]).sum(axis=2)
+    n = serialize._unpack(clusters["n_cluster"])
+    q, l = np.argwhere(events > 0)[0]
+    n[q, l] = events[q, l] / 4
+    clusters["n_cluster"] = serialize._pack(n)
+
+
 def save_identity_model(path, centers, d, n, tau):
     """Save a hand-built model whose network and feature schema are the
     identity, so a query row's embedding is its own features x1..xp."""
@@ -450,6 +460,7 @@ _MODEL_EDITS = {
     "feature means too narrow": _edit_array("cluster_feature_means", narrow=True),
     "exemplar embedding NaN": _edit_array("clusters", "exemplar_embeddings", value=np.nan),
     "negative d_cluster cell": _edit_array("clusters", "d_cluster", value=-1.0),
+    "fewer at risk than events": _fewer_at_risk_than_events,
     "exemplar embeddings too narrow": _edit_array("clusters", "exemplar_embeddings",
                                                   narrow=True),
 }

@@ -22,6 +22,7 @@ from kernelaj import (
 )
 from kernelaj.clustering import exemplar_weights
 from kernelaj.cli import fit_pipeline
+from conftest import traced_peak
 
 
 def toy_cohort():
@@ -85,9 +86,12 @@ class TestEpsilonNet:
 
     @pytest.mark.parametrize("array, cell, value", [
         ("emb", (0, 1), np.nan), ("emb", (0, 0), np.inf), ("d", (0, 1, 0), -1.0),
-        ("d", (0, 0, 0), np.inf), ("n", (0, 0), np.nan)])
+        ("d", (0, 0, 0), np.inf), ("n", (0, 0), np.nan), ("d", (0, 1, 0), 1.25)])
     def test_cluster_model_rejects_bad_arrays(self, array, cell, value):
+        # the last case holds more events than subjects at risk in a bin
         arrays = {"emb": np.zeros((1, 2)), "d": np.zeros((1, 2, 1)), "n": np.ones((1, 2))}
+        ClusterModel([0], arrays["emb"], [0], arrays["d"] + 1.0, arrays["n"],
+                     epsilon=0.5, tau=1.0)
         arrays[array][cell] = value
         with pytest.raises(ValueError, match="must be finite"):
             ClusterModel([0], arrays["emb"], [0], arrays["d"], arrays["n"],
@@ -269,6 +273,30 @@ class TestNeighbors:
         for q in rng.normal(size=(10, 2)) * 3:
             weights = exemplar_weights(model, q[None, :])[0]
             assert_array_equal(neighbors_within_tau(q, model), np.flatnonzero(weights))
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), tau=st.sampled_from([0.5, 1.5, np.inf]))
+    def test_weights_match_where_expression(self, seed, tau):
+        # bit-equal to the np.where form, far rows and overflowing distances included
+        rng = np.random.default_rng(seed)
+        clusters = ClusterModel(np.arange(20), rng.normal(size=(20, 3)), np.arange(20),
+                                np.zeros((20, 2, 1)), np.ones((20, 2)), epsilon=0.5, tau=tau)
+        E = rng.normal(size=(15, 3)) * 3
+        E[:5] = clusters.exemplar_embeddings[:5] + rng.normal(scale=0.1, size=(5, 3))
+        E[-2:] = [[1e300] * 3, [np.inf] * 3]        # inf and NaN distances
+        with np.errstate(all="ignore"):
+            got, want = exemplar_weights(clusters, E), oracle.exemplar_weights(clusters, E)
+        assert got.tobytes() == want.tobytes()
+        assert (got[-2:] == 0).all() and (got[:5] > 0).any()
+
+    def test_weights_in_one_buffer(self):
+        rng = np.random.default_rng(0)
+        clusters = ClusterModel(np.arange(2048), rng.normal(size=(2048, 8)), np.arange(2048),
+                                np.zeros((2048, 1, 1)), np.ones((2048, 1)), epsilon=0.5,
+                                tau=1.5)
+        E = rng.normal(size=(1024, 8))
+        W, peak = traced_peak(lambda: exemplar_weights(clusters, E))
+        assert peak < 1.5 * W.nbytes
 
     def test_empty_neighborhood(self):
         model = self.build(0.5)

@@ -92,8 +92,7 @@ class TestLoadCohort:
         assert (err.value.row, err.value.column) == (3, "event")
 
     def test_first_bad_cell_in_row_major_order(self, tmp_path):
-        # in one block, row 3's event comes before its age, and row 3 before
-        # row 4's time
+        # row 3's event comes before its age, and row 3 before row 4's time
         path = write_csv(tmp_path, "age,stage,smoker,time,event\n"
                                    "50,II,1,3.5,1\n"
                                    "x,II,1,3.5,y\n"
@@ -146,7 +145,7 @@ KINDS = st.sampled_from(["continuous", "categorical", "binary"])
 
 @st.composite
 def csv_files(draw):
-    """(text, schema, time column, event column, block size): a header that
+    """(text, schema, time column, event column): a header that
     holds the needed columns (one may be missing, others repeat) and rows
     written by csv.writer: in some files short, long or blank rows, and
     missing or bad cells, and raw text after the header."""
@@ -171,8 +170,7 @@ def csv_files(draw):
         writer.writerow([draw(ODD_CELLS if draw(st.floats(0, 1)) < odd else
                               EVENTS if name == event_column else NUMBERS)
                          for name in (header + ["x"])[:max(width, 0)]])
-    return out.getvalue(), schema, time_column, event_column, draw(
-        st.sampled_from([1, 2, 3, 256]))
+    return out.getvalue(), schema, time_column, event_column
 
 
 class _Rows(NamedTuple):
@@ -207,17 +205,16 @@ def cohorts(draw):
 
 
 class TestWholeArrayIO:
-    """The block reader and writer against the per-cell oracles."""
+    """The row reader and the block writer against the per-cell oracles."""
 
     @settings(max_examples=200)
     @given(case=csv_files())
     def test_reader_matches_per_cell_reader(self, tmp_path_factory, case):
-        text, schema, time_column, event_column, block = case
+        text, schema, time_column, event_column = case
         path = tmp_path_factory.getbasetemp() / "random.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
-        with mock.patch.object(dataio, "IO_BLOCK_ROWS", block):
-            got = _read(load_cohort, path, schema, time_column, event_column)
+        got = _read(load_cohort, path, schema, time_column, event_column)
         want = _read(oracle.load_cohort, path, schema, time_column, event_column)
         assert_same_outcome(got, want)
 
@@ -246,7 +243,7 @@ class TestWholeArrayIO:
 
     def test_memory(self, tmp_path):
         # the writer holds one block of rows, never the file's text; the
-        # reader holds one block beside the table it returns
+        # reader holds one row beside the table it returns
         cohort = generate_synthetic(SynthConfig(n=20000, p=8, w1=(0.5,) * 8,
                                                 w2=(0.2,) * 8, seed=3))
         path = tmp_path / "cohort.csv"

@@ -226,7 +226,9 @@ class TestOracle:
     def test_one_forward(self, alpha, problem):
         params, W, kappa, delta = problem
         value = sft_negative_log_likelihood(params, W, kappa, delta, alpha, sigma=0.7)
-        assert value == sft_objective_from_tables(*sft_counts(params), W, kappa, delta,
+        d_prime, n_prime = sft_counts(params)
+        assert (n_prime >= d_prime.sum(axis=2)).all()
+        assert value == sft_objective_from_tables(d_prime, n_prime, W, kappa, delta,
                                                   alpha, sigma=0.7)
         assert value == sft_loss_and_grad(params, W, kappa, delta, alpha, sigma=0.7)[0]
 

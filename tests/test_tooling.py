@@ -68,3 +68,28 @@ def test_prediction_has_one_product():
                      and isinstance(node.op, ast.MatMult))
                  or (isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot"))]
         assert found == [], (module, found)
+
+
+def test_no_unused_private_names():
+    # every module-level private function, class or constant is used
+    # somewhere in the package, so a deleted path cannot leave its helpers
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in used]
+    assert unused == []
