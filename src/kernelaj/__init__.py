@@ -100,7 +100,6 @@ from .training import (
     TrainConfig,
     TrainingLog,
     discretize_times,
-    total_loss,
     total_loss_and_grad,
     train_embedding,
 )

@@ -269,7 +269,7 @@ def _load_compatible_cohort(path, schema: FeatureSchema, model: KernelAJModel,
     if schema is None:
         raise SchemaMismatch("model file carries no feature schema")
     table = load_cohort(path, schema.kinds, time_column, event_column)
-    features = schema.transform(table)
+    features = _checked(str(path), lambda: schema.transform(table))
     if int(table.event.max(initial=0)) > model.m:
         raise SchemaMismatch(
             f"event indicator exceeds model's {model.m} event types")

@@ -96,8 +96,9 @@ def summarize_clusters(cohort_pre: Cohort, grid: EventTimeGrid,
 class ClusterModel:
     """Exemplar embeddings plus per-cluster summary tables.
 
-    ``exemplar_ids`` are training indices in creation order;
-    ``assignments[i]`` is the exemplar id of training point i. ``tau`` is the
+    ``exemplar_ids`` are distinct training indices in creation order;
+    ``assignments[i]`` is the exemplar id of training point i, and each
+    exemplar is assigned to itself. ``tau`` is the
     prediction-time neighborhood radius in embedding space. A NaN ``tau`` or
     ``epsilon`` raises ValueError; infinities are valid.
     """
@@ -128,8 +129,11 @@ class ClusterModel:
             raise ValueError("tau must be positive")
         if require_real("epsilon", self.epsilon) < 0:
             raise ValueError("epsilon must be nonnegative")
-        if not set(np.unique(asg)).issubset(set(ids.tolist())):
-            raise ValueError("every assignment must reference an exemplar")
+        if (ids.min(initial=0) < 0 or ids.max(initial=-1) >= asg.size
+                or np.unique(ids).size != Q or (asg[ids] != ids).any()
+                or not np.isin(asg, ids).all()):
+            raise ValueError("exemplar ids must be distinct training rows, each assigned "
+                             "to itself, and every assignment must reference an exemplar")
         object.__setattr__(self, "exemplar_ids", ids)
         object.__setattr__(self, "exemplar_embeddings", emb)
         object.__setattr__(self, "assignments", asg)

@@ -39,7 +39,6 @@ from .training import (
     criterion_scorer,
     divergence_guard,
     objective_and_dpsi,
-    objective_value,
 )
 
 INIT_FLOOR = 1e-12
@@ -114,15 +113,17 @@ def _active_rows(weights, kappa, delta):
 
 def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
                               alpha: float = 1.0, sigma: float = 1.0) -> float:
-    """The training objective of given count tables (no leave-one-out).
+    """The training objective of given count tables (no leave-one-out): the
+    value of :func:`training.objective_and_dpsi`, whose gradient goes to the
+    buffer of D and is discarded.
 
     ``weights[i, q]`` is the frozen kernel weight of subject i to exemplar q.
     Subjects with an all-zero weight row are dropped; the mean runs over the
     retained subjects. With alpha < 1 the ranking penalty is blended in.
     """
     W, kap, dl = _active_rows(weights, kappa, delta)
-    _, _, psi, _ = weighted_hazards((d_tables, n_tables), W)
-    return objective_value(psi, kap, dl, alpha, sigma)
+    D, _, psi, _ = weighted_hazards((d_tables, n_tables), W)
+    return objective_and_dpsi(psi, kap, dl, alpha, sigma, out=D)[0]
 
 
 def sft_loss_and_grad(params: SftParams, weights, kappa, delta,

@@ -18,9 +18,10 @@ summed over event types d. The ranking loss compares, for every ordered pair
 with delta_i = d and kappa_i < kappa_j, the within-batch CIF estimates at
 subject i's bin via exp((F_d(kappa_i | x_j) - F_d(kappa_i | x_i)) / sigma),
 normalized by n^2. The total loss is alpha * NLL + (1 - alpha) * ranking.
-``objective_and_dpsi`` maps a hazard tensor psi to this loss and dLoss/dpsi;
-the minibatch step and summary fine-tuning call it, and the objective
-criterion and the fine-tuning criterion call its forward, ``objective_value``.
+``objective_and_dpsi`` maps a hazard tensor psi to this loss and dLoss/dpsi,
+and is the package's only loss: the minibatch step and summary fine-tuning
+use both, and the objective criterion and the fine-tuning criterion take its
+value and discard the gradient.
 
 A pair's term depends on i only through its bin l = kappa_i - 1 and its own
 value F_d(l | x_i), so the ranking loss factors per bin. With M_l the largest
@@ -216,75 +217,19 @@ def _hazard_tables(W, groups: CodeGroups, m, L):
     return num * inv_den[None, :, :], inv_den
 
 
-def _nll(psi, kappa, delta, at_risk, scratch=None):
-    """NLL of a hazard tensor psi (m, n, L), plus the uncensored rows and
-    their own-event hazards, which the backward pass reuses. ``scratch``, an
-    optional array shaped like psi, receives the at-risk hazards."""
+def objective_and_dpsi(psi, kappa, delta, alpha, sigma, out=None):
+    """The training objective alpha * NLL + (1 - alpha) * ranking of a hazard
+    tensor psi (m, n, L) and its gradient dLoss/dpsi. An own-event hazard at
+    or below ``PSI_CLAMP`` enters the NLL clamped and gets no gradient from
+    its log. ``out``, an optional array shaped like psi, serves as the NLL's
+    scratch and then receives dLoss/dpsi."""
+    m, n, L = psi.shape
+    at_risk = _at_risk(kappa, L)
     unc = np.flatnonzero(delta != 0)
     own = psi[delta[unc] - 1, unc, kappa[unc] - 1]
     log_total = np.log(np.clip(own, PSI_CLAMP, 1.0)).sum()
-    hazard_total = np.multiply(psi, at_risk[None, :, :], out=scratch).sum()
-    return float(-(log_total - hazard_total) / kappa.size), unc, own
-
-
-def _ranking_terms(F, kappa, delta, sigma):
-    """The ranking loss, one event type at a time, factored per time bin.
-
-    ``F`` (m, n, L) holds within-batch CIF values at the grid bins. For each
-    event type d with an event in the batch, yields (d, rows, bins, B, A, T):
-    the rows with delta = d + 1, their bins kappa - 1, B per row, and A
-    (n, L) and T (L,) as in the module docstring. Event d contributes
-    sum(B * T[bins]) / n^2.
-    """
-    m, n, L = F.shape
-    later = kappa[:, None] > np.arange(1, L + 1)[None, :]   # kappa_j > l + 1
-    for d in range(m):
-        rows = np.flatnonzero(delta == d + 1)
-        if rows.size == 0:
-            continue
-        bins = kappa[rows] - 1
-        masked = np.where(later, F[d], -np.inf)
-        shift = masked.max(axis=0)
-        shift[shift == -np.inf] = 0.0                      # bins nobody outlives
-        masked -= shift
-        masked /= sigma
-        A = np.exp(masked, out=masked)
-        B = np.exp((shift[bins] - F[d][rows, bins]) / sigma)
-        yield d, rows, bins, B, A, A.sum(axis=0)
-
-
-def ranking_value(F, kappa, delta, sigma):
-    """Pairwise exponential ranking penalty of CIF values F (m, n, L),
-    normalized by n squared."""
-    n = F.shape[1]
-    return float(sum((B * T[bins]).sum() / (n * n)
-                     for _, _, bins, B, _, T in _ranking_terms(F, kappa, delta, sigma)))
-
-
-def total_loss(nll_value, ranking_value, alpha):
-    """Convex combination alpha * NLL + (1 - alpha) * ranking."""
-    return alpha * nll_value + (1.0 - alpha) * ranking_value
-
-
-def objective_value(psi, kappa, delta, alpha, sigma):
-    """The training objective alpha * NLL + (1 - alpha) * ranking of a
-    hazard tensor psi (m, n, L); the forward of :func:`objective_and_dpsi`."""
-    nll, _, _ = _nll(psi, kappa, delta, _at_risk(kappa, psi.shape[2]))
-    rank = 0.0
-    if alpha < 1.0:
-        rank = ranking_value(cif_from_hazards(psi)[0], kappa, delta, sigma)
-    return total_loss(nll, rank, alpha)
-
-
-def objective_and_dpsi(psi, kappa, delta, alpha, sigma, out=None):
-    """The training objective of a hazard tensor psi (m, n, L) and its
-    gradient dLoss/dpsi. An own-event hazard at or below ``PSI_CLAMP`` enters
-    the NLL clamped and gets no gradient from its log. ``out``, an optional
-    array shaped like psi, serves as the NLL's scratch and then receives
-    dLoss/dpsi."""
-    m, n, L = psi.shape
-    at_risk = _at_risk(kappa, L)
-    nll, unc, own = _nll(psi, kappa, delta, at_risk, out)
+    hazard_total = np.multiply(psi, at_risk[None, :, :], out=out).sum()
+    nll = float(-(log_total - hazard_total) / n)
     dpsi = np.divide(at_risk[None, :, :], n,
                      out=np.empty_like(psi) if out is None else out)
     live = own > PSI_CLAMP
@@ -297,7 +242,7 @@ def objective_and_dpsi(psi, kappa, delta, alpha, sigma, out=None):
         rank, dpsi_rank = ranking_value_and_dpsi(psi, kappa, delta, sigma,
                                                  scale=1.0 - alpha)
         dpsi += dpsi_rank
-    return total_loss(nll, rank, alpha), dpsi
+    return alpha * nll + (1.0 - alpha) * rank, dpsi
 
 
 def _ratio_backward(dpsi, psi, inv_den, scratch=None):
@@ -314,9 +259,11 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     """Ranking loss of a batch plus its gradient w.r.t. the hazard tensor.
 
     ``psi`` has shape (m, n, L). Returns (value, dpsi) where dpsi already
-    carries the factor ``scale`` (the loss value does not). The backward pass
-    is one reverse pass over the bins (module docstring); dpsi takes dF's
-    array, a bin at a time, once the pass has read that bin.
+    carries the factor ``scale`` (the loss value does not). Each event type
+    with an event in the batch adds sum(B * T[bins]) / n^2, from A, B and T
+    of the module docstring; the backward pass is one reverse pass over the
+    bins, and dpsi takes dF's array, a bin at a time, once the pass has read
+    that bin.
     """
     m, n, L = psi.shape
     kappa = np.asarray(kappa, dtype=np.int64)
@@ -325,8 +272,20 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     dF = np.zeros_like(F)
     rank = 0.0
     c = scale / (n * n * sigma)
-    for d, rows, bins, B, A, T in _ranking_terms(F, kappa, delta, sigma):
-        BT = B * T[bins]
+    later = kappa[:, None] > np.arange(1, L + 1)[None, :]   # kappa_j > l + 1
+    for d in range(m):
+        rows = np.flatnonzero(delta == d + 1)
+        if rows.size == 0:
+            continue
+        bins = kappa[rows] - 1
+        A = np.where(later, F[d], -np.inf)
+        shift = A.max(axis=0)
+        shift[shift == -np.inf] = 0.0                      # bins nobody outlives
+        A -= shift
+        A /= sigma
+        np.exp(A, out=A)
+        B = np.exp((shift[bins] - F[d][rows, bins]) / sigma)
+        BT = B * A.sum(axis=0)[bins]
         rank += BT.sum() / (n * n)
         dF[d] = A * (c * np.bincount(bins, weights=B, minlength=L))
         dF[d, rows, bins] -= c * BT
@@ -484,13 +443,16 @@ def _evaluate_criterion(criterion, params, train, valid, grid, tcfg,
                         valid_scorer: Scorer, groups: CodeGroups, kappa_valid, buffer):
     """Validation criterion with hazards against the full training set.
     ``groups`` holds the training rows' (bin, event) groups, ``kappa_valid``
-    the validation bins, ``buffer`` the fit's buffer."""
+    the validation bins, ``buffer`` the fit's buffer. The objective criterion
+    is the value of :func:`objective_and_dpsi` on the validation hazards; its
+    gradient goes to the buffer of F and is discarded."""
     m, L = train.m, len(grid)
     E_train = embed_batch(params, train.features)
     E_valid = embed_batch(params, valid.features)
     psi, F, _ = kernel_hazard_curves(E_valid, E_train, groups, m, L, buffer)
     if criterion == "objective":
-        return objective_value(psi, kappa_valid, valid.event, tcfg.alpha, tcfg.sigma)
+        return objective_and_dpsi(psi, kappa_valid, valid.event, tcfg.alpha,
+                                  tcfg.sigma, out=F)[0]
     return float(np.mean(score_curves(F, grid.times, valid_scorer,
                                       (criterion,))[criterion]))
 

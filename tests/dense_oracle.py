@@ -52,11 +52,7 @@ from kernelaj.errors import (
 )
 from kernelaj.metrics import BrierResult, build_eval_grid, interpolate_curves
 from kernelaj.finetune import _active_rows, sft_counts, sft_objective_from_tables
-from kernelaj.training import (
-    PSI_CLAMP,
-    _at_risk,
-    total_loss,
-)
+from kernelaj.training import PSI_CLAMP, _at_risk
 
 
 def _cif_from_psi(psi):
@@ -273,7 +269,7 @@ def batch_loss_from_params(params, X, kappa, delta, m, L, alpha, sigma):
     if alpha < 1.0:
         F, _, _, _ = _cif_from_psi(psi)
         rank = loss_ranking(cif_pair_matrix(F, kappa), kappa, delta, sigma)
-    return total_loss(nll, rank, alpha)
+    return alpha * nll + (1.0 - alpha) * rank
 
 
 def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
@@ -329,8 +325,7 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
     np.fill_diagonal(M, 0.0)
     dE = -2.0 * (M.sum(axis=1)[:, None] * E - M @ E)
     dw, db = backward(params, cache, dE)
-    loss = total_loss(nll, rank, alpha)
-    return loss, dw, db
+    return alpha * nll + (1.0 - alpha) * rank, dw, db
 
 
 def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):

@@ -428,6 +428,18 @@ def _fewer_at_risk_than_events(doc):
     clusters["n_cluster"] = serialize._pack(n)
 
 
+def _duplicate_exemplar_id(doc):
+    """An edit that gives the second exemplar, and the points assigned to
+    it, the first exemplar's id: every assignment still names an exemplar."""
+    clusters = doc["clusters"]
+    ids, assignments = (serialize._unpack(clusters[key])
+                        for key in ("exemplar_ids", "assignments"))
+    assignments[assignments == ids[1]] = ids[0]
+    ids[1] = ids[0]
+    clusters["exemplar_ids"] = serialize._pack(ids)
+    clusters["assignments"] = serialize._pack(assignments)
+
+
 def save_identity_model(path, centers, d, n, tau):
     """Save a hand-built model whose network and feature schema are the
     identity, so a query row's embedding is its own features x1..xp."""
@@ -461,9 +473,36 @@ _MODEL_EDITS = {
     "exemplar embedding NaN": _edit_array("clusters", "exemplar_embeddings", value=np.nan),
     "negative d_cluster cell": _edit_array("clusters", "d_cluster", value=-1.0),
     "fewer at risk than events": _fewer_at_risk_than_events,
+    "duplicate exemplar id": _duplicate_exemplar_id,
     "exemplar embeddings too narrow": _edit_array("clusters", "exemplar_embeddings",
                                                   narrow=True),
 }
+
+
+class TestNonNumericBinaryCell:
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        """A model fitted with a binary column b, and a CSV whose b cell in
+        row 3 reads "yes"."""
+        root = tmp_path_factory.mktemp("binary")
+        header, *rows = cohort_csv(root / "base.csv", 300, 1).read_text().splitlines()
+        (root / "train.csv").write_text("\n".join(
+            [header + ",b"] + [f"{row},{i % 2}" for i, row in enumerate(rows)]) + "\n")
+        config_path, _ = write_config(root, root / "train.csv", data={"schema": {
+            "x1": "continuous", "x2": "continuous", "b": "binary"}})
+        assert main(["fit", "--config", str(config_path)]) == 0
+        rows = [f"{row},{'yes' if i == 1 else 1}" for i, row in enumerate(rows[:60])]
+        (root / "test.csv").write_text("\n".join([header + ",b"] + rows) + "\n")
+        return root / "out" / "model.json", root / "test.csv"
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_exit_2_with_one_error_line(self, fitted, tmp_path, capsys, command):
+        model_path, data = fitted
+        assert main([command, "--model", str(model_path), "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid value in '{data}': ")
+        assert err.count("\n") == 1
 
 
 class TestModelFile:

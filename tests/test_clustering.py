@@ -85,17 +85,26 @@ class TestEpsilonNet:
                        setting) == np.inf
 
     @pytest.mark.parametrize("array, cell, value", [
-        ("emb", (0, 1), np.nan), ("emb", (0, 0), np.inf), ("d", (0, 1, 0), -1.0),
-        ("d", (0, 0, 0), np.inf), ("n", (0, 0), np.nan), ("d", (0, 1, 0), 1.25)])
+        ("emb", (0, 1), np.nan), ("emb", (0, 0), np.inf), ("d", (1, 1, 0), -1.0),
+        ("d", (0, 0, 0), np.inf), ("n", (0, 0), np.nan), ("d", (1, 1, 0), 1.25),
+        ("ids", 0, -1), ("ids", 0, 2), ("ids", 1, 3), ("ids", 0, 1)])
     def test_cluster_model_rejects_bad_arrays(self, array, cell, value):
-        # the last case holds more events than subjects at risk in a bin
-        arrays = {"emb": np.zeros((1, 2)), "d": np.zeros((1, 2, 1)), "n": np.ones((1, 2))}
-        ClusterModel([0], arrays["emb"], [0], arrays["d"] + 1.0, arrays["n"],
-                     epsilon=0.5, tau=1.0)
+        # d 1.25 holds more events than subjects at risk in a bin. Points 1
+        # and 2 join the second exemplar, so ids -1 and 2 name one row (it
+        # used to give sizes [0, 3]), 2 and 2 repeat, 3 is past the rows, and
+        # 1 and 2 leave exemplar 1 assigned to exemplar 2.
+        arrays = {"ids": np.array([0, 2]), "emb": np.zeros((2, 2)),
+                  "d": np.zeros((2, 2, 1)), "n": np.ones((2, 2))}
+
+        def build(d):
+            return ClusterModel(arrays["ids"], arrays["emb"], arrays["ids"][[0, 1, 1]],
+                                d, arrays["n"], epsilon=0.5, tau=1.0)
+
+        assert build(arrays["d"] + 1.0).cluster_sizes().tolist() == [1, 2]
         arrays[array][cell] = value
-        with pytest.raises(ValueError, match="must be finite"):
-            ClusterModel([0], arrays["emb"], [0], arrays["d"], arrays["n"],
-                         epsilon=0.5, tau=1.0)
+        message = "exemplar ids must be distinct" if array == "ids" else "must be finite"
+        with pytest.raises(ValueError, match=message):
+            build(arrays["d"])
 
     def test_shuffle_seed_changes_order(self):
         rng = np.random.default_rng(2)

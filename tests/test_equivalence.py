@@ -31,6 +31,7 @@ from kernelaj import (
 )
 from kernelaj import metrics, training
 from kernelaj.embedding import (
+    embed_batch,
     flatten_grads,
     kernel_matrix,
     pairwise_sq_dists,
@@ -54,7 +55,6 @@ from kernelaj.metrics import (
 from kernelaj.training import (
     code_groups,
     kernel_hazard_curves,
-    ranking_value,
     ranking_value_and_dpsi,
     total_loss_and_grad,
 )
@@ -274,9 +274,8 @@ class TestRankingForward:
         psi, kappa, delta = _psi_batch(batch)
         F, _, _, _ = oracle._cif_from_psi(psi)
         want = oracle.loss_ranking(oracle.cif_pair_matrix(F, kappa), kappa, delta, sigma)
-        got = ranking_value(F, kappa, delta, sigma)
+        got, _ = ranking_value_and_dpsi(psi, kappa, delta, sigma, scale=1.0)
         assert abs(got - want) <= 1e-12 * abs(want)
-        assert ranking_value_and_dpsi(psi, kappa, delta, sigma, scale=1.0)[0] == got
 
     @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 2.5])
     @REPRODUCIBLE
@@ -302,8 +301,6 @@ class TestRankingForward:
             delta = np.zeros_like(delta)
         else:                                   # every event in the last bin
             kappa = np.where(delta > 0, psi.shape[2], kappa)
-        F, _, _, _ = oracle._cif_from_psi(psi)
-        assert ranking_value(F, kappa, delta, 0.3) == 0.0
         value, dpsi = ranking_value_and_dpsi(psi, kappa, delta, 0.3, scale=1.0)
         assert value == 0.0
         assert not dpsi.any()
@@ -318,10 +315,8 @@ class TestRankingForward:
     def test_no_square_buffer(self):
         psi, kappa, delta = self.large_batch()
         n = kappa.size
-        F, _, _, _ = oracle._cif_from_psi(psi)
-        _, peak = traced_peak(lambda: (ranking_value(F, kappa, delta, 0.5),
-                                       ranking_value_and_dpsi(psi, kappa, delta, 0.5,
-                                                              scale=0.5)))
+        _, peak = traced_peak(lambda: ranking_value_and_dpsi(psi, kappa, delta, 0.5,
+                                                             scale=0.5))
         assert peak < n * n * 8
 
     def test_backward_peak_below_six_hazard_tensors(self):
@@ -332,8 +327,10 @@ class TestRankingForward:
                                                              scale=0.5))
         assert peak < 6 * psi.nbytes
 
-    def test_objective_criterion_has_no_square_buffer(self):
-        n_train, q = 300, 4096
+    @staticmethod
+    def criterion_problem(n_train, q, alpha):
+        """The objective criterion's arguments on a synthetic cohort of
+        n_train training and q validation rows, 64 bins and sigma 0.5."""
         cohort = generate_synthetic(SynthConfig(
             n=n_train + q, p=3, w1=(0.6, 0.0, 0.0), w2=(0.0, 0.6, 0.0),
             censoring_rate=0.3, seed=3))
@@ -341,14 +338,31 @@ class TestRankingForward:
         train, kappa = breslow_preprocess(cohort.subset(np.arange(n_train)), grid)
         valid, kappa_valid = breslow_preprocess(
             cohort.subset(np.arange(n_train, n_train + q)), grid)
-        tcfg = TrainConfig(alpha=0.5, sigma=0.5)
-        params = small_params(0)
         valid_scorer = training.criterion_scorer("objective", train, valid, grid)
         groups = code_groups(kappa, train.event, train.m)
         buffer = np.empty(n_train * n_train)     # train_embedding's at batch >= n_train
-        value, peak = traced_peak(lambda: training._evaluate_criterion(
-            "objective", params, train, valid, grid, tcfg, valid_scorer, groups,
-            kappa_valid, buffer))
+        return ("objective", small_params(0), train, valid, grid,
+                TrainConfig(alpha=alpha, sigma=0.5), valid_scorer, groups,
+                kappa_valid, buffer), kappa
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_objective_criterion_matches_dense_oracle(self, alpha):
+        args, kappa = self.criterion_problem(300, 200, alpha)
+        _, params, train, valid, grid, _, _, _, kappa_valid, _ = args
+        psi, F, _ = oracle.kernel_hazard_curves(
+            embed_batch(params, valid.features), embed_batch(params, train.features),
+            kappa, train.event, train.m, len(grid))
+        nll = oracle.loss_nll(np.transpose(psi, (1, 0, 2)), kappa_valid, valid.event)
+        rank = oracle.loss_ranking(oracle.cif_pair_matrix(F, kappa_valid), kappa_valid,
+                                   valid.event, 0.5)
+        want = alpha * nll + (1.0 - alpha) * rank
+        got = training._evaluate_criterion(*args)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_objective_criterion_has_no_square_buffer(self):
+        q = 4096
+        args, _ = self.criterion_problem(300, q, 0.5)
+        value, peak = traced_peak(lambda: training._evaluate_criterion(*args))
         assert np.isfinite(value)
         assert peak < q * q * 8
 

@@ -70,6 +70,31 @@ def test_prediction_has_one_product():
         assert found == [], (module, found)
 
 
+def _calls(module):
+    """(enclosing module-level name, called name) of every call in
+    ``module``; the first is None for a call at module level."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                yield (getattr(top, "name", None),
+                       func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+
+
+def test_one_objective():
+    # every loss value, the step's, fine-tuning's and both criteria's, comes
+    # from training.objective_and_dpsi: it alone calls the ranking loss and
+    # holds training's only log (the NLL's), so no forward-only copy of the
+    # loss can drift from the gradient path
+    owners = {path.stem: list(_calls(path.stem)) for path in sorted(SRC.glob("*.py"))}
+    ranking = [(module, owner) for module, calls in owners.items()
+               for owner, name in calls if name == "ranking_value_and_dpsi"]
+    logs = [owner for owner, name in owners["training"] if name == "log"]
+    assert ranking == [("training", "objective_and_dpsi")]
+    assert logs == ["objective_and_dpsi"]
+
+
 def test_no_unused_private_names():
     # every module-level private function, class or constant is used
     # somewhere in the package, so a deleted path cannot leave its helpers

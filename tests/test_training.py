@@ -36,7 +36,6 @@ from kernelaj import (
     discretize_times,
     generate_synthetic,
     init_mlp,
-    total_loss,
     total_loss_and_grad,
     train_embedding,
 )
@@ -204,11 +203,6 @@ class TestLossRanking:
             pairs[0, 0, 1] = 0.5 - gap
             losses.append(loss_ranking(pairs, kappa, delta, sigma=1.0))
         assert losses[0] > losses[1] > losses[2]
-
-    def test_total_loss_combination(self):
-        assert total_loss(2.0, 4.0, 1.0) == 2.0
-        assert total_loss(2.0, 4.0, 0.0) == 4.0
-        assert total_loss(2.0, 4.0, 0.5) == 3.0
 
 
 class TestGradients:
