@@ -4,6 +4,9 @@ round-tripping, determinism, and error reporting."""
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,8 @@ from kernelaj.cli import main
 from kernelaj.clustering import ClusterModel
 from kernelaj.core import reverse_cumsum
 from kernelaj.model import cluster_curves, predict_cif_grid
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, train_csv, **overrides):
@@ -119,6 +124,28 @@ class TestFit:
         main(["fit", "--config", str(config_path)])
         second = (tmp_path / "out" / "model.json").read_bytes()
         assert first == second
+
+    def test_fit_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the step, the criterion and the clusters' tables run through BLAS
+        # products whose bits must not depend on how many threads share
+        # them; 512-row batches put the kernel backward's GEMMs past
+        # OpenBLAS's single-thread size
+        config_path, _ = write_config(
+            tmp_path, cohort_csv(tmp_path / "train.csv", 900, 1),
+            training={"batch_size": 512, "max_epochs": 2, "patience": 2,
+                      "num_time_steps": 32})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        models = []
+        for threads in ("1", "2"):
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from kernelaj.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "fit", "--config", str(config_path)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr[-2000:]
+            models.append((tmp_path / "out" / "model.json").read_bytes())
+        assert models[0] == models[1]
 
     def test_missing_train_path_exit_2(self, tmp_path, train_csv, capsys):
         config_path, _ = write_config(
@@ -262,17 +289,22 @@ class TestFit:
         key = section if not isinstance(value, dict) else list(value)[-1]
         assert err.startswith("error:") and err.count("\n") == 1 and key in err
 
-    @pytest.mark.parametrize("section", ["training", "sft"])
+    @pytest.mark.parametrize("section, rate", [
+        ("training", 1e308), ("sft", 1e308), ("training", 1e6),
+    ], ids=["training", "sft", "collapsed-kernel"])
     def test_diverging_step_exits_2_naming_the_epoch(self, tmp_path, train_csv, capsys,
-                                                     section):
+                                                     section, rate):
         # a finite learning rate whose first step overflows the parameters
-        overrides = {"training": {"learning_rate": 1e308}} if section == "training" \
-            else {"sft": {"enabled": True, "learning_rate": 1e308}}
+        # (1e308), or whose steps stay finite but spread the embeddings until
+        # every validation kernel weight underflows to 0 (1e6)
+        overrides = {"training": {"learning_rate": rate}} if section == "training" \
+            else {"sft": {"enabled": True, "learning_rate": rate}}
         config_path, _ = write_config(tmp_path, train_csv, **overrides)
         assert main(["fit", "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         stage = "training" if section == "training" else "fine-tuning"
         assert err.startswith(f"error: {stage} epoch 1: ") and err.count("\n") == 1
+        assert f"(learning_rate {rate})" in err
 
 
     def test_valid_file_fixes_the_split(self, tmp_path, train_csv, test_csv):

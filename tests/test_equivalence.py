@@ -312,20 +312,16 @@ class TestRankingForward:
         kappa = rng.integers(0, L + 1, n)
         return psi, kappa, np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
 
-    def test_no_square_buffer(self):
+    def test_backward_peak_below_six_hazard_tensors(self):
+        # the reverse pass carries two (m, n) and (n,) values instead of
+        # (m, n, L) cumulative sums and cumulative-product arrays; six hazard
+        # tensors are also well below one n x n float64 array, so no
+        # pairwise buffer is formed either
         psi, kappa, delta = self.large_batch()
         n = kappa.size
         _, peak = traced_peak(lambda: ranking_value_and_dpsi(psi, kappa, delta, 0.5,
                                                              scale=0.5))
-        assert peak < n * n * 8
-
-    def test_backward_peak_below_six_hazard_tensors(self):
-        # the reverse pass carries two (m, n) and (n,) values instead of
-        # (m, n, L) cumulative sums and cumulative-product arrays
-        psi, kappa, delta = self.large_batch()
-        _, peak = traced_peak(lambda: ranking_value_and_dpsi(psi, kappa, delta, 0.5,
-                                                             scale=0.5))
-        assert peak < 6 * psi.nbytes
+        assert peak < 6 * psi.nbytes < n * n * 8
 
     @staticmethod
     def criterion_problem(n_train, q, alpha):

@@ -95,6 +95,16 @@ def test_one_objective():
     assert logs == ["objective_and_dpsi"]
 
 
+def test_one_hazard_ratio():
+    # every hazard is d * safe_reciprocal(n) in one of two places: the
+    # classical tables' core.table_hazards and model.weighted_hazards, which
+    # the training step, the criterion, prediction and fine-tuning share, so
+    # no second kernel-weighted hazard path can drift from prediction's
+    callers = [(module, owner) for module in sorted(p.stem for p in SRC.glob("*.py"))
+               for owner, name in _calls(module) if name == "safe_reciprocal"]
+    assert callers == [("core", "table_hazards"), ("model", "weighted_hazards")]
+
+
 def test_no_unused_private_names():
     # every module-level private function, class or constant is used
     # somewhere in the package, so a deleted path cannot leave its helpers

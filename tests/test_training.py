@@ -24,6 +24,7 @@ from dense_oracle import (
 from kernelaj import (
     Cohort,
     DegenerateGrid,
+    Diverged,
     EmbeddingConfig,
     EventTimeGrid,
     KernelAJError,
@@ -367,6 +368,25 @@ class TestTrainingLoop:
         _, log = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
                                  tcfg, self.grid)
         assert all(0.0 <= row[2] <= 1.0 for row in log.rows)
+
+    @pytest.mark.parametrize("criterion", ["objective", "ibs", "ctd"])
+    def test_collapsed_kernel_raises_diverged(self, criterion):
+        # learning rate 1e6 keeps every step finite but spreads the
+        # embeddings so far apart that every off-diagonal kernel weight
+        # underflows to 0: the criterion would read a constant and the
+        # ε-net would put each row in its own cluster
+        cohort = generate_synthetic(SynthConfig(n=1000, p=3, w1=(0.6, 0.0, 0.0),
+                                                w2=(0.0, 0.6, 0.0), censoring_rate=0.3,
+                                                seed=3))
+        grid = discretize_times(build_event_grid(cohort), 32)
+        train, _ = breslow_preprocess(cohort.subset(np.arange(800)), grid)
+        valid, _ = breslow_preprocess(cohort.subset(np.arange(800, 1000)), grid)
+        ecfg = EmbeddingConfig(input_dim=3, num_layers=1, hidden_units=8, embed_dim=2)
+        tcfg = TrainConfig(learning_rate=1e6, batch_size=64, max_epochs=5, patience=5,
+                           early_stop_criterion=criterion)
+        with pytest.raises(Diverged, match=r"^training epoch 1: .*kernel weights "
+                                           r"collapsed \(learning_rate 1000000.0\)$"):
+            train_embedding(train, valid, ecfg, tcfg, grid)
 
 
 class TestBatchCif:
