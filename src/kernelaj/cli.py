@@ -148,14 +148,14 @@ def _clustering_from_config(cluster_cfg: dict):
 
 
 def _sft_train_config(sft_config: dict, tcfg: TrainConfig):
-    """The fine-tuning TrainConfig of an ``sft`` config section, or None
-    when fine-tuning is not enabled. Alpha is 1 whatever ``training.alpha``
+    """The fine-tuning TrainConfig of an ``sft`` config section, checked even
+    when fine-tuning is disabled (None then). Alpha is 1 whatever ``training.alpha``
     is: ``fit`` fine-tunes the NLL alone, alpha < 1 only the library."""
     enabled = sft_config.get("enabled", False)
     if not isinstance(enabled, bool):
         raise ConfigError(f"invalid value in 'sft.enabled': must be true or false, "
                           f"got {enabled!r}", key="sft.enabled")
-    return _checked("sft", lambda: TrainConfig(
+    sft_tcfg = _checked("sft", lambda: TrainConfig(
         learning_rate=sft_config.get("learning_rate", 0.001),
         max_epochs=sft_config.get("max_epochs", 100),
         patience=sft_config.get("patience", tcfg.patience),
@@ -164,7 +164,8 @@ def _sft_train_config(sft_config: dict, tcfg: TrainConfig):
         num_time_steps=tcfg.num_time_steps,
         early_stop_criterion=sft_config.get("early_stop_criterion",
                                             tcfg.early_stop_criterion),
-    )) if enabled else None
+    ))
+    return sft_tcfg if enabled else None
 
 
 def cmd_fit(config_path: str) -> int:

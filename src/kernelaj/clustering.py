@@ -8,11 +8,11 @@ pass is order-dependent; input order is used unless a shuffle seed is given,
 and nearest-exemplar ties break toward the lowest exemplar index.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Cohort, EventTimeGrid, count_tables, require_real
+from .core import Cohort, EventTimeGrid, count_tables, label_codes, require_int, require_real
 from .embedding import pairwise_sq_dists
 from .errors import ShapeMismatch
 
@@ -23,16 +23,6 @@ def tau_from_min_kernel_weight(min_weight: float) -> float:
     if not 0.0 < min_weight < 1.0:
         raise ValueError("min_kernel_weight must lie in (0, 1)")
     return float(np.sqrt(-np.log(min_weight)))
-
-
-def require_counts(name: str, d, n):
-    """ValueError naming ``name`` unless the event tables d (Q, L, m) and the
-    at-risk tables n (Q, L) are finite and >= 0, with n >= sum_k d in every bin."""
-    d, n = np.asarray(d), np.asarray(n)
-    if not (((d >= 0) & (d < np.inf)).all() and ((n >= 0) & (n < np.inf)).all()
-            and (n >= d.sum(axis=2)).all()):
-        raise ValueError(f"{name} must be finite and nonnegative, with no more "
-                         "events than at risk in a bin")
 
 
 def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float, shuffle_seed=None):
@@ -77,8 +67,7 @@ def cluster_positions(exemplar_ids, assignments) -> np.ndarray:
     assignments = np.asarray(assignments, dtype=np.int64)
     position = np.full(max(exemplar_ids.max(), assignments.max()) + 1, -1)
     position[exemplar_ids] = np.arange(exemplar_ids.size)
-    pos = position[assignments]
-    if (pos < 0).any():
+    if (assignments < 0).any() or ((pos := position[assignments]) < 0).any():
         raise ValueError("every assignment must reference an exemplar")
     return pos
 
@@ -88,8 +77,8 @@ def summarize_clusters(cohort_pre: Cohort, grid: EventTimeGrid,
     """Per-cluster event counts (Q, L, m) and at-risk counts (Q, L): the
     :func:`~kernelaj.core.count_tables` of the clusters. Summing the tables
     over clusters reproduces the population counts exactly."""
-    return count_tables(cohort_pre, grid, cluster_positions(exemplar_ids, assignments),
-                        np.size(exemplar_ids))
+    return count_tables(label_codes(cohort_pre, grid), (len(grid), cohort_pre.m),
+                        cluster_positions(exemplar_ids, assignments), np.size(exemplar_ids))
 
 
 @dataclass(frozen=True)
@@ -98,7 +87,10 @@ class ClusterModel:
 
     ``exemplar_ids`` are distinct training indices in creation order;
     ``assignments[i]`` is the exemplar id of training point i, and each
-    exemplar is assigned to itself. ``tau`` is the
+    exemplar is assigned to itself. ``codes[i]`` is point i's
+    :func:`~kernelaj.core.label_codes` code on tables of ``table_shape`` (L, m),
+    with no event in bin 0; the tables ``d_cluster`` (Q, L, m) and
+    ``n_cluster`` (Q, L) are counted from the codes here. ``tau`` is the
     prediction-time neighborhood radius in embedding space. A NaN ``tau`` or
     ``epsilon`` raises ValueError; infinities are valid.
     """
@@ -106,39 +98,41 @@ class ClusterModel:
     exemplar_ids: np.ndarray
     exemplar_embeddings: np.ndarray
     assignments: np.ndarray
-    d_cluster: np.ndarray
-    n_cluster: np.ndarray
+    codes: np.ndarray
+    table_shape: tuple
     epsilon: float
     tau: float
+    d_cluster: np.ndarray = field(init=False, repr=False)
+    n_cluster: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = np.asarray(self.exemplar_ids, dtype=np.int64)
         emb = np.asarray(self.exemplar_embeddings, dtype=np.float64)
         asg = np.asarray(self.assignments, dtype=np.int64)
-        d = np.asarray(self.d_cluster, dtype=np.float64)
-        n = np.asarray(self.n_cluster, dtype=np.float64)
+        codes = np.asarray(self.codes, dtype=np.int64)
+        L, m = int(self.table_shape[0]), int(require_int("m", self.table_shape[1], 1))
         Q = ids.size
-        if emb.ndim != 2 or emb.shape[0] != Q or d.shape[0] != Q or n.shape[0] != Q:
+        if emb.ndim != 2 or emb.shape[0] != Q:
             raise ShapeMismatch("per-exemplar arrays disagree on cluster count")
-        if d.ndim != 3 or d.shape[:2] != n.shape:
-            raise ShapeMismatch("d_cluster and n_cluster disagree on (Q, L)")
+        if codes.shape != asg.shape:
+            raise ShapeMismatch("codes must hold one code per assigned training row")
         if not np.isfinite(emb).all():
             raise ValueError("exemplar embeddings must be finite")
-        require_counts("cluster tables", d, n)
         if require_real("tau", self.tau) <= 0:
             raise ValueError("tau must be positive")
         if require_real("epsilon", self.epsilon) < 0:
             raise ValueError("epsilon must be nonnegative")
         if (ids.min(initial=0) < 0 or ids.max(initial=-1) >= asg.size
-                or np.unique(ids).size != Q or (asg[ids] != ids).any()
-                or not np.isin(asg, ids).all()):
-            raise ValueError("exemplar ids must be distinct training rows, each assigned "
-                             "to itself, and every assignment must reference an exemplar")
-        object.__setattr__(self, "exemplar_ids", ids)
-        object.__setattr__(self, "exemplar_embeddings", emb)
-        object.__setattr__(self, "assignments", asg)
-        object.__setattr__(self, "d_cluster", d)
-        object.__setattr__(self, "n_cluster", n)
+                or np.unique(ids).size != Q or (asg[ids] != ids).any()):
+            raise ValueError("exemplar ids must be distinct training rows assigned to themselves")
+        if not ((codes == 0) | ((codes > m) & (codes < (L + 1) * (m + 1)))).all():
+            raise ValueError(f"codes must be 0 or lie in {m + 1}..{(L + 1) * (m + 1) - 1}")
+        # cluster_positions rejects an assignment that names no exemplar
+        d, n = count_tables(codes, (L, m), cluster_positions(ids, asg), Q)
+        for name, value in (("exemplar_ids", ids), ("exemplar_embeddings", emb),
+                            ("assignments", asg), ("codes", codes), ("table_shape", (L, m)),
+                            ("d_cluster", d), ("n_cluster", n)):
+            object.__setattr__(self, name, value)
 
     @property
     def num_clusters(self) -> int:
@@ -151,16 +145,15 @@ class ClusterModel:
 
 def build_cluster_model(embeddings, cohort_pre, grid, epsilon, tau,
                         shuffle_seed=None) -> ClusterModel:
-    """Cluster training embeddings and attach their summary tables."""
+    """Cluster training embeddings and attach their rows' label codes."""
     exemplar_ids, assignments = epsilon_net_cluster(embeddings, epsilon, shuffle_seed)
-    d_cluster, n_cluster = summarize_clusters(cohort_pre, grid, assignments, exemplar_ids)
     E = np.asarray(embeddings, dtype=np.float64)
     return ClusterModel(
         exemplar_ids=exemplar_ids,
         exemplar_embeddings=E[exemplar_ids],
         assignments=assignments,
-        d_cluster=d_cluster,
-        n_cluster=n_cluster,
+        codes=label_codes(cohort_pre, grid),
+        table_shape=(len(grid), cohort_pre.m),
         epsilon=float(epsilon),
         tau=float(tau),
     )

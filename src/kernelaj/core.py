@@ -247,18 +247,24 @@ def reverse_cumsum(x):
     return np.flip(np.cumsum(np.flip(x, axis=-1), axis=-1), axis=-1)
 
 
-def count_tables(cohort: Cohort, grid: EventTimeGrid, group, groups: int):
-    """Event counts (groups, L, m) and at-risk counts (groups, L) of the
-    records in each group 0..groups-1 (``group``, one per record).
-
-    One pass counts every (group, bin, event) cell, each record in its
-    :func:`breslow_preprocess` bin, so a raw cohort and its preprocessed
-    copy give the same tables. At-risk counts are reverse cumulative sums
-    over bins. The counts are integers, so tables summed over groups equal
-    the one-group tables exactly."""
+def label_codes(cohort: Cohort, grid: EventTimeGrid):
+    """Each record's code kappa * (m + 1) + delta, kappa its
+    :func:`breslow_preprocess` bin: its flat cell in an (L + 1, m + 1) table."""
     _, kappa = breslow_preprocess(cohort, grid)
-    cells = np.zeros((groups, len(grid) + 1, cohort.m + 1))
-    np.add.at(cells, (group, kappa, cohort.event), 1.0)
+    return kappa * (cohort.m + 1) + cohort.event
+
+
+def count_tables(codes, shape, group, groups: int):
+    """Event counts (groups, L, m) and at-risk counts (groups, L) of the
+    records in each group 0..groups-1 (``group``, one per record), from the
+    records' :func:`label_codes` on tables of ``shape`` (L, m).
+
+    A code is its record's flat cell in the (L + 1, m + 1) table, so one
+    count fills every (group, bin, event) cell. At-risk counts are reverse
+    cumulative sums over bins. The counts are integers, so tables summed
+    over groups equal the one-group tables exactly."""
+    cells = np.zeros((groups, shape[0] + 1, shape[1] + 1))
+    np.add.at(cells.reshape(groups, -1), (group, codes), 1.0)   # a view of cells
     n = reverse_cumsum(cells[:, 1:].sum(axis=2))
     return np.ascontiguousarray(cells[:, 1:, 1:]), np.ascontiguousarray(n)
 
@@ -267,7 +273,7 @@ def risk_event_counts(cohort: Cohort, grid: EventTimeGrid):
     """Event counts d (L, m) of each event type in bin l + 1 and at-risk
     counts n (L,) of records in bin l + 1 or later: the one-group
     :func:`count_tables`."""
-    d, n = count_tables(cohort, grid, 0, 1)
+    d, n = count_tables(label_codes(cohort, grid), (len(grid), cohort.m), 0, 1)
     return d[0], n[0]
 
 

@@ -193,17 +193,14 @@ class FeatureSchema:
         return out
 
     def to_dict(self) -> dict:
-        return {"kinds": dict(self.kinds), "stats": self.stats,
+        """JSON values; ``kinds`` as [name, kind] pairs keeps the column order."""
+        return {"kinds": [list(item) for item in self.kinds.items()], "stats": self.stats,
                 "feature_names": list(self.feature_names)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FeatureSchema":
-        names, kinds = list(payload["feature_names"]), payload["kinds"]
-        schema = cls(kinds=dict(kinds), stats=payload["stats"], feature_names=names)
-        # a model file keeps the kinds with sorted keys: restore the fitted column order
-        first = {name: names.index(schema._features(name)[0]) for name in kinds}
-        schema.kinds = {name: kinds[name] for name in sorted(kinds, key=first.get)}
-        return schema
+        return cls(kinds=dict(payload["kinds"]), stats=payload["stats"],
+                   feature_names=list(payload["feature_names"]))
 
 
 def fit_apply_preprocessor(train_table: RawTable, *other_tables, schema_spec: dict):

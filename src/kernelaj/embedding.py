@@ -62,6 +62,8 @@ class MlpParams:
         bs = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
         if len(ws) != len(sizes) - 1 or len(bs) != len(ws):
             raise ShapeMismatch("one weight matrix and bias per layer transition")
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
         for k, (w, b) in enumerate(zip(ws, bs)):
             if w.shape != (sizes[k + 1], sizes[k]) or b.shape != (sizes[k + 1],):
                 raise ShapeMismatch(

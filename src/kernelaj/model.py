@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterModel, exemplar_weights, require_counts
+from .clustering import ClusterModel, exemplar_weights
 from .core import CifSet, EventTimeGrid, cif_from_hazards, curves_from_counts, safe_reciprocal
 from .embedding import MlpParams, blocked_matmul, embed_batch, kernel_matrix
 from .errors import EmptyNeighborhood, NoRisk, NonFiniteFeatures, ShapeMismatch
@@ -52,10 +52,13 @@ class KernelAJModel:
         if self.clusters.exemplar_embeddings.shape[1] != self.params.layer_sizes[-1]:
             raise ShapeMismatch("exemplar embeddings are not as wide as the network output")
         if self.sft_tables is not None:
-            if tuple(map(np.shape, self.sft_tables)) != (
-                    self.clusters.d_cluster.shape, self.clusters.n_cluster.shape):
+            d, n = map(np.asarray, self.sft_tables)
+            if (d.shape, n.shape) != ((Q, L, self.m), (Q, L)):
                 raise ShapeMismatch("fine-tuned tables disagree with the cluster tables")
-            require_counts("fine-tuned tables", *self.sft_tables)
+            # n >= sum_k d >= 0 and n < inf: every cell finite and nonnegative
+            if not ((d >= 0).all() and (n >= d.sum(axis=2)).all() and (n < np.inf).all()):
+                raise ValueError("fine-tuned tables must be finite and nonnegative, with "
+                                 "no more events than at risk in a bin")
 
     @property
     def m(self) -> int:

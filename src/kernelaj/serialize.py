@@ -18,18 +18,14 @@ from .embedding import MlpParams
 from .errors import SchemaMismatch, ShapeMismatch
 from .model import KernelAJModel
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _DTYPES = ("<i8", "<f8")
 
 
 def _pack(arr) -> dict:
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype == np.int64:
-        dtype = "<i8"
-    else:
-        arr = arr.astype(np.float64)
-        dtype = "<f8"
-    data = arr.astype(np.dtype(dtype)).tobytes()
+    arr = np.asarray(arr)
+    dtype = "<i8" if arr.dtype == np.int64 else "<f8"
+    data = arr.astype(dtype).tobytes()
     return {"dtype": dtype, "shape": list(arr.shape),
             "data": base64.b64encode(data).decode("ascii")}
 
@@ -43,8 +39,9 @@ def _unpack(payload) -> np.ndarray:
 
 
 def model_to_dict(model: KernelAJModel, schema=None) -> dict:
-    """The format-2 document: each array of the model once, the fine-tuned
-    tables only when summary fine-tuning was accepted (null otherwise)."""
+    """The format-3 document: each array of the model once, the training rows'
+    (bin, event) codes and m, not the cluster tables counted from them, and
+    the fine-tuned tables only when summary fine-tuning was accepted (else null)."""
     return {
         "format_version": FORMAT_VERSION,
         "schema": schema.to_dict() if schema is not None else None,
@@ -59,8 +56,8 @@ def model_to_dict(model: KernelAJModel, schema=None) -> dict:
             "exemplar_ids": _pack(model.clusters.exemplar_ids),
             "exemplar_embeddings": _pack(model.clusters.exemplar_embeddings),
             "assignments": _pack(model.clusters.assignments),
-            "d_cluster": _pack(model.clusters.d_cluster),
-            "n_cluster": _pack(model.clusters.n_cluster),
+            "codes": _pack(model.clusters.codes),
+            "m": model.clusters.table_shape[1],
             "epsilon": model.clusters.epsilon,
             "tau": model.clusters.tau,
         },
@@ -79,10 +76,11 @@ def save_model(model: KernelAJModel, path, schema=None):
 
 
 def _model_from_dict(doc):
-    """(model, schema_or_None) of a format-2 document."""
+    """(model, schema_or_None) of a format-3 document."""
     emb, cl, sft = doc["embedding"], doc["clusters"], doc["sft_tables"]
     if not isinstance(doc["config"], dict):
         raise TypeError("config must be an object")
+    grid = EventTimeGrid(_unpack(doc["grid"]))
     model = KernelAJModel(
         params=MlpParams(
             layer_sizes=tuple(emb["layer_sizes"]),
@@ -94,12 +92,12 @@ def _model_from_dict(doc):
             exemplar_ids=_unpack(cl["exemplar_ids"]),
             exemplar_embeddings=_unpack(cl["exemplar_embeddings"]),
             assignments=_unpack(cl["assignments"]),
-            d_cluster=_unpack(cl["d_cluster"]),
-            n_cluster=_unpack(cl["n_cluster"]),
+            codes=_unpack(cl["codes"]),
+            table_shape=(len(grid), cl["m"]),
             epsilon=float(cl["epsilon"]),
             tau=float(cl["tau"]),
         ),
-        grid=EventTimeGrid(_unpack(doc["grid"])),
+        grid=grid,
         cluster_feature_means=_unpack(doc["cluster_feature_means"]),
         config=doc["config"],
         sft_tables=None if sft is None else (_unpack(sft["d"]), _unpack(sft["n"])),

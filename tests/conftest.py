@@ -1,5 +1,6 @@
-"""Shared helpers: random labeled batches, finite-difference oracles and
-the traced memory peak of a call; the hypothesis profile of the suite."""
+"""Shared helpers: random labeled batches, cluster models of hand-made
+tables, finite-difference oracles and the traced memory peak of a call; the
+hypothesis profile of the suite."""
 
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kernelaj import EmbeddingConfig, init_mlp
+from kernelaj import ClusterModel, EmbeddingConfig, init_mlp
 from kernelaj.embedding import embed_batch, flatten_params, unflatten_params
 from dense_oracle import batch_loss_from_params
 
@@ -30,6 +31,32 @@ def random_batch(rng, n=12, p=3, m=2, L=5, censor_frac=0.3):
     delta[0], kappa[0] = 1, 1
     delta[1], kappa[1] = min(m, 2), min(2, L)
     return X, kappa.astype(np.int64), delta.astype(np.int64)
+
+
+def clusters_from_tables(d, n, embeddings, epsilon=0.5, tau=1.0) -> ClusterModel:
+    """A ClusterModel whose cluster tables are the integer tables d (Q, L, m)
+    and n (Q, L), built from training rows: row q is exemplar q, bin l holds
+    n[l] - n[l + 1] - sum_k d[l, k] censored rows of a cluster, and a
+    cluster with no row at risk holds one row censored before t_1."""
+    tables = np.asarray(d), np.asarray(n)
+    d, n = (t.astype(np.int64) for t in tables)
+    Q, L, m = d.shape
+    cells = np.zeros((Q, L + 1, m + 1), dtype=np.int64)
+    cells[:, 1:, 1:] = d
+    n_next = np.append(n[:, 1:], np.zeros((Q, 1), np.int64), axis=1)
+    cells[:, 1:, 0] = n - n_next - d.sum(axis=2)
+    cells[:, 0, 0] = cells.sum(axis=(1, 2)) == 0
+    counts = cells.reshape(Q, -1)
+    assert (counts >= 0).all(), "n must be a reverse cumulative count of d and the censored"
+    cluster = np.repeat(np.arange(Q), counts.sum(axis=1))
+    codes = np.concatenate([np.repeat(np.arange(counts.shape[1]), row) for row in counts])
+    first = np.searchsorted(cluster, np.arange(Q))
+    order = np.r_[first, np.setdiff1d(np.arange(cluster.size), first)]
+    clusters = ClusterModel(np.arange(Q), embeddings, cluster[order], codes[order], (L, m),
+                            epsilon=epsilon, tau=tau)
+    assert all((got == want).all() for got, want in
+               zip((clusters.d_cluster, clusters.n_cluster), tables))
+    return clusters
 
 
 def finite_difference_grad(params, X, kappa, delta, m, L, alpha, sigma, step=1e-5):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import traced_peak
+from conftest import clusters_from_tables, traced_peak
 from kernelaj import (
     Cohort,
     EventTimeGrid,
@@ -35,7 +35,6 @@ from kernelaj import (
 from kernelaj import cli, finetune, serialize, training
 from kernelaj import model as model_module
 from kernelaj.cli import main
-from kernelaj.clustering import ClusterModel
 from kernelaj.core import reverse_cumsum
 from kernelaj.model import cluster_curves, predict_cif_grid
 
@@ -275,6 +274,8 @@ class TestFit:
         {"sft": {"enabled": True, "learning_rate": True}},
         {"training": {"learning_rate": float("inf")}},
         {"sft": {"enabled": True, "learning_rate": float("inf")}},
+        {"sft": {"enabled": False, "learning_rate": True}},
+        {"sft": {"max_epochs": 2.5}},
     ], ids=lambda overrides: json.dumps(overrides))
     def test_integers_and_booleans_checked_before_data(self, tmp_path, train_csv,
                                                         capsys, monkeypatch, overrides):
@@ -450,14 +451,15 @@ def _edit_array(*path, value=None, narrow=False):
     return edit
 
 
-def _fewer_at_risk_than_events(doc):
-    """An edit that sets one at-risk cell to a quarter of its bin's events."""
-    clusters = doc["clusters"]
-    events = serialize._unpack(clusters["d_cluster"]).sum(axis=2)
-    n = serialize._unpack(clusters["n_cluster"])
-    q, l = np.argwhere(events > 0)[0]
-    n[q, l] = events[q, l] / 4
-    clusters["n_cluster"] = serialize._pack(n)
+def _with_sft_tables(change):
+    """An edit that stores fine-tuned tables of the model's shape, d 0 and
+    n 1 in every cell, after ``change`` has edited the dict {"d": d, "n": n}."""
+    def edit(doc):
+        Q, L = doc["clusters"]["exemplar_ids"]["shape"][0], doc["grid"]["shape"][0]
+        tables = {"d": np.zeros((Q, L, doc["clusters"]["m"])), "n": np.ones((Q, L))}
+        change(tables)
+        doc["sft_tables"] = {key: serialize._pack(a) for key, a in tables.items()}
+    return edit
 
 
 def _duplicate_exemplar_id(doc):
@@ -479,8 +481,7 @@ def save_identity_model(path, centers, d, n, tau):
     names = [f"x{j + 1}" for j in range(p)]
     save_model(KernelAJModel(
         params=MlpParams((p, p), (np.eye(p),), (np.zeros(p),)),
-        clusters=ClusterModel(np.arange(Q), centers, np.arange(Q), d, n,
-                              epsilon=0.5, tau=tau),
+        clusters=clusters_from_tables(d, n, centers, epsilon=0.5, tau=tau),
         grid=EventTimeGrid(np.arange(1.0, L + 1.0)),
         cluster_feature_means=np.zeros((Q, p))), path, FeatureSchema(
             kinds=dict.fromkeys(names, "continuous"), feature_names=names,
@@ -489,22 +490,30 @@ def save_identity_model(path, centers, d, n, tau):
 
 _MODEL_EDITS = {
     "version 1": lambda doc: doc.update(format_version=1),
+    "version 2": lambda doc: doc.update(format_version=2),
     "no clusters": lambda doc: doc.pop("clusters"),
     "no grid": lambda doc: doc.pop("grid"),
     "no sft_tables": lambda doc: doc.pop("sft_tables"),
     "no config": lambda doc: doc.pop("config"),
-    "no cluster table": lambda doc: doc["clusters"].pop("n_cluster"),
+    "no cluster table": _with_sft_tables(lambda tables: tables.pop("n")),
+    "no m": lambda doc: doc["clusters"].pop("m"),
     "clusters not an object": lambda doc: doc.update(clusters=[1, 2]),
     "embedding a string": lambda doc: doc.update(embedding="weights"),
     "object array": lambda doc: doc["grid"].update(dtype="|O"),
-    "sft tables of another shape": lambda doc: doc.update(sft_tables={
-        "d": doc["clusters"]["d_cluster"], "n": doc["clusters"]["d_cluster"]}),
+    "sft tables of another shape": _with_sft_tables(
+        lambda tables: tables.update(n=tables["d"])),
     "tau NaN": lambda doc: doc["clusters"].update(tau=float("nan")),
     "epsilon NaN": lambda doc: doc["clusters"].update(epsilon=float("nan")),
     "feature means too narrow": _edit_array("cluster_feature_means", narrow=True),
     "exemplar embedding NaN": _edit_array("clusters", "exemplar_embeddings", value=np.nan),
-    "negative d_cluster cell": _edit_array("clusters", "d_cluster", value=-1.0),
-    "fewer at risk than events": _fewer_at_risk_than_events,
+    "negative sft_tables cell": _with_sft_tables(
+        lambda tables: tables.update(d=tables["d"] - 1.0)),
+    "fewer at risk than events": _with_sft_tables(
+        lambda tables: tables.update(d=tables["d"] + 1.0)),
+    "code out of range": _edit_array("clusters", "codes", value=1 << 40),
+    "codes not as long as assignments": lambda doc: doc["clusters"].update(
+        codes=serialize._pack(serialize._unpack(doc["clusters"]["codes"])[:-1])),
+    "unknown activation": lambda doc: doc["embedding"].update(activation="gelu"),
     "duplicate exemplar id": _duplicate_exemplar_id,
     "exemplar embeddings too narrow": _edit_array("clusters", "exemplar_embeddings",
                                                   narrow=True),
@@ -547,12 +556,24 @@ class TestModelFile:
         doc = json.loads((root / "out" / "model.json").read_text())
         return doc, cohort_csv(root / "test.csv", 60, 2)
 
-    def test_format_2_stores_each_array_once(self, fitted):
+    def test_format_3_stores_each_array_once(self, fitted):
         doc, _ = fitted
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
         assert set(doc) == {"format_version", "schema", "embedding", "grid", "clusters",
                             "cluster_feature_means", "sft_tables", "config"}
+        assert set(doc["clusters"]) == {"exemplar_ids", "exemplar_embeddings", "assignments",
+                                        "codes", "m", "epsilon", "tau"}
         assert doc["sft_tables"] is None
+
+    def test_sft_tables_edit_alone_loads(self, fitted, tmp_path):
+        # the sft_tables edits fail on their one change, not on the tables they start from
+        doc, data = fitted
+        doc = json.loads(json.dumps(doc))
+        _with_sft_tables(lambda tables: None)(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--data", str(data), "--model", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("edit", list(_MODEL_EDITS))
     @pytest.mark.parametrize("command", ["evaluate", "explain"])
@@ -567,8 +588,8 @@ class TestModelFile:
         assert main(argv + ["--model", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        if edit == "version 1":
-            assert err == "error: unsupported model format version 1\n"
+        if edit.startswith("version"):
+            assert err == f"error: unsupported model format version {edit[-1]}\n"
         else:
             assert err.startswith(f"error: model file is not valid: {path}: ")
 

@@ -20,9 +20,11 @@ from kernelaj import (
     summarize_clusters,
     tau_from_min_kernel_weight,
 )
-from kernelaj.clustering import exemplar_weights
+from kernelaj.clustering import cluster_positions, exemplar_weights
 from kernelaj.cli import fit_pipeline
-from conftest import traced_peak
+from kernelaj.core import label_codes
+from kernelaj.errors import ShapeMismatch
+from conftest import clusters_from_tables, traced_peak
 
 
 def toy_cohort():
@@ -79,32 +81,43 @@ class TestEpsilonNet:
         d, n = np.zeros((1, 2, 1)), np.ones((1, 2))
         values = {"epsilon": 0.5, "tau": 1.0, setting: float("nan")}
         with pytest.raises(ValueError, match=f"{setting} must not be NaN"):
-            ClusterModel([0], np.zeros((1, 2)), [0], d, n, **values)
+            clusters_from_tables(d, n, np.zeros((1, 2)), **values)
         values[setting] = np.inf
-        assert getattr(ClusterModel([0], np.zeros((1, 2)), [0], d, n, **values),
+        assert getattr(clusters_from_tables(d, n, np.zeros((1, 2)), **values),
                        setting) == np.inf
 
     @pytest.mark.parametrize("array, cell, value", [
-        ("emb", (0, 1), np.nan), ("emb", (0, 0), np.inf), ("d", (1, 1, 0), -1.0),
-        ("d", (0, 0, 0), np.inf), ("n", (0, 0), np.nan), ("d", (1, 1, 0), 1.25),
+        ("emb", (0, 1), np.nan), ("emb", (0, 0), np.inf), ("codes", 0, -1),
+        ("codes", 1, 6), ("codes", 2, 1), ("asg", 1, -1),
         ("ids", 0, -1), ("ids", 0, 2), ("ids", 1, 3), ("ids", 0, 1)])
     def test_cluster_model_rejects_bad_arrays(self, array, cell, value):
-        # d 1.25 holds more events than subjects at risk in a bin. Points 1
-        # and 2 join the second exemplar, so ids -1 and 2 name one row (it
-        # used to give sizes [0, 3]), 2 and 2 repeat, 3 is past the rows, and
-        # 1 and 2 leave exemplar 1 assigned to exemplar 2.
+        # Tables of 2 bins and 1 event type have codes 0..5, and code 1 is an
+        # event in bin 0. Points 1 and 2 join the second exemplar, so
+        # assignment -1 would read the last exemplar, ids -1 and 2 name one
+        # row (it used to give sizes [0, 3]), 2 and 2 repeat, 3 is past the
+        # rows, and 1 and 2 leave exemplar 1 assigned to exemplar 2.
         arrays = {"ids": np.array([0, 2]), "emb": np.zeros((2, 2)),
-                  "d": np.zeros((2, 2, 1)), "n": np.ones((2, 2))}
+                  "codes": np.array([0, 3, 4]), "asg": np.array([0, 2, 2])}
 
-        def build(d):
-            return ClusterModel(arrays["ids"], arrays["emb"], arrays["ids"][[0, 1, 1]],
-                                d, arrays["n"], epsilon=0.5, tau=1.0)
+        def build():
+            asg = arrays["ids"][[0, 1, 1]] if array == "ids" else arrays["asg"]
+            return ClusterModel(arrays["ids"], arrays["emb"], asg, arrays["codes"], (2, 1),
+                                epsilon=0.5, tau=1.0)
 
-        assert build(arrays["d"] + 1.0).cluster_sizes().tolist() == [1, 2]
+        assert build().cluster_sizes().tolist() == [1, 2]
         arrays[array][cell] = value
-        message = "exemplar ids must be distinct" if array == "ids" else "must be finite"
+        message = {"ids": "exemplar ids must be distinct", "emb": "must be finite",
+                   "codes": "codes must be 0 or lie in 2..5",
+                   "asg": "every assignment must reference an exemplar"}[array]
         with pytest.raises(ValueError, match=message):
-            build(arrays["d"])
+            build()
+        if array == "asg":      # the position map alone rejects it, too
+            with pytest.raises(ValueError, match=message):
+                cluster_positions(arrays["ids"], arrays["asg"])
+
+    def test_cluster_model_rejects_codes_of_other_rows(self):
+        with pytest.raises(ShapeMismatch, match="one code per assigned training row"):
+            ClusterModel([0], np.zeros((1, 2)), [0, 0], [0], (2, 1), epsilon=0.5, tau=1.0)
 
     def test_shuffle_seed_changes_order(self):
         rng = np.random.default_rng(2)
@@ -220,7 +233,9 @@ class TestBookkeeping:
         assert_array_equal(d_c, want_d)
         assert_array_equal(n_c, want_n)
         model = ClusterModel(exemplar_ids, np.zeros((exemplar_ids.size, 1)), assignments,
-                             d_c, n_c, epsilon=0.0, tau=1.0)
+                             label_codes(pre, grid), (len(grid), pre.m), epsilon=0.0, tau=1.0)
+        assert_array_equal(model.d_cluster, want_d)
+        assert_array_equal(model.n_cluster, want_n)
         assert_array_equal(model.cluster_sizes(),
                            oracle.cluster_sizes(exemplar_ids, assignments))
 
@@ -288,8 +303,8 @@ class TestNeighbors:
     def test_weights_match_where_expression(self, seed, tau):
         # bit-equal to the np.where form, far rows and overflowing distances included
         rng = np.random.default_rng(seed)
-        clusters = ClusterModel(np.arange(20), rng.normal(size=(20, 3)), np.arange(20),
-                                np.zeros((20, 2, 1)), np.ones((20, 2)), epsilon=0.5, tau=tau)
+        clusters = clusters_from_tables(np.zeros((20, 2, 1)), np.ones((20, 2)),
+                                        rng.normal(size=(20, 3)), epsilon=0.5, tau=tau)
         E = rng.normal(size=(15, 3)) * 3
         E[:5] = clusters.exemplar_embeddings[:5] + rng.normal(scale=0.1, size=(5, 3))
         E[-2:] = [[1e300] * 3, [np.inf] * 3]        # inf and NaN distances
@@ -300,9 +315,8 @@ class TestNeighbors:
 
     def test_weights_in_one_buffer(self):
         rng = np.random.default_rng(0)
-        clusters = ClusterModel(np.arange(2048), rng.normal(size=(2048, 8)), np.arange(2048),
-                                np.zeros((2048, 1, 1)), np.ones((2048, 1)), epsilon=0.5,
-                                tau=1.5)
+        clusters = clusters_from_tables(np.zeros((2048, 1, 1)), np.ones((2048, 1)),
+                                        rng.normal(size=(2048, 8)), epsilon=0.5, tau=1.5)
         E = rng.normal(size=(1024, 8))
         W, peak = traced_peak(lambda: exemplar_weights(clusters, E))
         assert peak < 1.5 * W.nbytes

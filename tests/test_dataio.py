@@ -342,8 +342,8 @@ class TestPreprocessor:
 
 
     def test_dict_round_trip_keeps_column_order(self):
-        # a model file stores the kinds with sorted keys; transform must
-        # still lay the columns out in the fitted order
+        # a model file is written with sorted keys; transform must still
+        # lay the columns out in the fitted order
         train = RawTable({"smoker": ["1", "0", "1"], "stage": ["b", "a", "a"],
                           "age": [1.0, 2.0, 4.0]},
                          np.array([1.0, 2.0, 3.0]), np.array([1, 0, 2]))

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import dense_oracle as oracle
 from dense_oracle import sft_negative_log_likelihood
-from conftest import relative_error, traced_peak
+from conftest import clusters_from_tables, relative_error, traced_peak
 
 from kernelaj import (
     Cohort,
@@ -84,11 +84,11 @@ class TestInit:
 
     def test_explicit_count_three(self):
         clusters, _, _, _ = d0_single_cluster()
-        boosted = clusters.d_cluster.copy()
+        boosted, at_risk = clusters.d_cluster.copy(), clusters.n_cluster.copy()
         boosted[0, 0, 0] = 3.0
-        from dataclasses import replace
-
-        clusters3 = replace(clusters, d_cluster=boosted)
+        at_risk[0, 0] += 2.0        # the two added events are two more rows at risk
+        clusters3 = clusters_from_tables(boosted, at_risk, clusters.exemplar_embeddings,
+                                         epsilon=clusters.epsilon, tau=clusters.tau)
         params = init_sft_params(clusters3)
         assert params.gamma[0, 0, 0] == pytest.approx(np.log(3.0))
         d_prime, _ = sft_counts(params)

@@ -35,7 +35,7 @@ from kernelaj import (
     weighted_summaries,
 )
 from kernelaj import model as model_module
-from kernelaj.clustering import ClusterModel
+from conftest import clusters_from_tables
 from kernelaj.core import EventTimeGrid
 from kernelaj.embedding import MlpParams, embed_batch, pairwise_sq_dists
 from kernelaj.model import Explanation, cluster_curves, exemplar_kernel_matrix
@@ -253,13 +253,9 @@ class TestPredictionProperties:
         d2 = np.array([[0.0, 3.0], [2.0, 0.0]])
         n1 = np.array([5.0, 2.0])
         n2 = np.array([6.0, 3.0])
-        clusters = ClusterModel(
-            exemplar_ids=np.array([0, 1]),
-            exemplar_embeddings=np.array([[np.sqrt(np.log(2.0)), 0.0],
-                                          [np.sqrt(np.log(4.0)), 0.0]]),
-            assignments=np.array([0, 1]),
-            d_cluster=np.stack([d1, d2]),
-            n_cluster=np.stack([n1, n2]),
+        clusters = clusters_from_tables(
+            np.stack([d1, d2]), np.stack([n1, n2]),
+            np.array([[np.sqrt(np.log(2.0)), 0.0], [np.sqrt(np.log(4.0)), 0.0]]),
             epsilon=1.0, tau=10.0)
         model = KernelAJModel(params=constant_params(3), clusters=clusters,
                               grid=EventTimeGrid([1.0, 2.0]),
@@ -306,9 +302,7 @@ def weighted_cluster_models(draw):
     n = np.flip(np.cumsum(np.flip(d.sum(axis=2) + censored, axis=1), axis=1), axis=1)
     centers = rng.normal(size=(Q, 2))
     tau = draw(st.sampled_from([0.8, 2.0, np.inf]))
-    clusters = ClusterModel(exemplar_ids=np.arange(Q), exemplar_embeddings=centers,
-                            assignments=np.arange(Q), d_cluster=d, n_cluster=n,
-                            epsilon=0.5, tau=tau)
+    clusters = clusters_from_tables(d, n, centers, epsilon=0.5, tau=tau)
     model = KernelAJModel(
         params=MlpParams((2, 2), (np.eye(2),), (np.zeros(2),)),
         clusters=clusters,
@@ -465,12 +459,9 @@ class TestInterpretationQuantities:
     def test_no_risk_in_a_later_block_named_by_global_index(self, monkeypatch):
         # the network is the identity and tau small, so a query at exemplar 1
         # weighs only its cluster, which has no events: zero CIFs at the horizon
-        clusters = ClusterModel(
-            exemplar_ids=np.array([0, 1]), exemplar_embeddings=np.array([[0.0, 0.0],
-                                                                        [9.0, 0.0]]),
-            assignments=np.array([0, 1]),
-            d_cluster=np.array([[[1.0], [1.0]], [[0.0], [0.0]]]),
-            n_cluster=np.array([[3.0, 1.0], [2.0, 1.0]]), epsilon=0.5, tau=1.0)
+        clusters = clusters_from_tables(
+            np.array([[[1.0], [1.0]], [[0.0], [0.0]]]), np.array([[3.0, 1.0], [2.0, 1.0]]),
+            np.array([[0.0, 0.0], [9.0, 0.0]]), epsilon=0.5, tau=1.0)
         model = KernelAJModel(params=MlpParams((2, 2), (np.eye(2),), (np.zeros(2),)),
                               clusters=clusters, grid=EventTimeGrid([1.0, 2.0]),
                               cluster_feature_means=np.zeros((2, 2)))
