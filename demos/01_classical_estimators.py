@@ -2,8 +2,8 @@
 
 Three subjects: an event of type 1 at t=1, a censoring at t=2, and an event
 of type 2 at t=3. The script walks through the full population-level
-pipeline: event grid, censoring preprocessing, count tables, Kaplan-Meier,
-Aalen-Johansen, and the piecewise-constant hazard estimate.
+pipeline: event grid, censoring preprocessing, count tables, Kaplan-Meier
+and Aalen-Johansen.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from kernelaj import (
     aalen_johansen,
     breslow_preprocess,
     build_event_grid,
-    hazard_mle,
     kaplan_meier,
     risk_event_counts,
 )
@@ -47,7 +46,3 @@ print("\ncumulative incidence (event 1 jumps to 1/3 at t=1, event 2 to 2/3 at t=
 for t in [0.5, 1.0, 3.0]:
     f1, f2 = cifs.cif(1)(t), cifs.cif(2)(t)
     print(f"  t={t:4.1f}  F1={f1:.6f}  F2={f2:.6f}  S+F1+F2={km(t) + f1 + f2:.6f}")
-
-haz = hazard_mle(d, n, grid)
-print("\npiecewise-constant hazards:")
-print(f"  event 1 on (0,1]: {haz(0.5, 1):.6f}   event 2 on (1,3]: {haz(2.0, 2):.6f}")

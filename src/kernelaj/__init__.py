@@ -14,13 +14,11 @@ from .core import (
     CifSet,
     Cohort,
     EventTimeGrid,
-    PiecewiseHazard,
     StepCurve,
     aalen_johansen,
     breslow_preprocess,
     build_event_grid,
     curves_from_counts,
-    hazard_mle,
     kaplan_meier,
     population_aalen_johansen,
     risk_event_counts,
@@ -32,7 +30,6 @@ from .dataio import (
     fit_apply_preprocessor,
     generate_synthetic,
     load_cohort,
-    oracle_cif,
     split,
     write_cohort_csv,
 )

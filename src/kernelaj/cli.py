@@ -119,10 +119,8 @@ def _parse_fit_config(doc: dict):
     _check_keys(doc, _TOP_KEYS, "")
     data = _require(doc, "data", "")
     _check_keys(data, _DATA_KEYS, "data")
-    _require(data, "train", "data")
-    _require(data, "time_column", "data")
-    _require(data, "event_column", "data")
-    _require(data, "schema", "data")
+    for key in ("train", "time_column", "event_column", "schema"):
+        _require(data, key, "data")
     _check_keys(doc.get("embedding", {}), _EMBED_KEYS, "embedding")
     _check_keys(doc.get("training", {}), _TRAIN_KEYS, "training")
     _check_keys(doc.get("clustering", {}), _CLUSTER_KEYS, "clustering")
@@ -204,6 +202,8 @@ def cmd_fit(config_path: str) -> int:
         valid_cohort = full_cohort.subset(perm[:n_valid])
         train_cohort = full_cohort.subset(perm[n_valid:])
 
+    for warning in schema.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     ecfg = replace(ecfg, input_dim=train_cohort.p)
     model, logs = fit_pipeline(train_cohort, valid_cohort, ecfg, tcfg,
                                epsilon=epsilon, min_kernel_weight=min_weight,
@@ -441,9 +441,7 @@ def main(argv=None) -> int:
                                clusters_mode=args.clusters,
                                time_column=args.time_column,
                                event_column=args.event_column)
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out)
-        raise ConfigError(f"unknown command {args.command}")
+        return cmd_simulate(args.config, args.out)     # argparse admits no other command
     except KernelAJError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

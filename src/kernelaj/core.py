@@ -1,14 +1,13 @@
 """Data model for right-censored competing-risks cohorts and the classical
-population-level estimators (Kaplan-Meier, Aalen-Johansen, piecewise-constant
-hazard MLE).
+population-level estimators (Kaplan-Meier, Aalen-Johansen).
 
 Conventions used throughout the package:
 
 - A cohort of n subjects carries a feature matrix (n, p), observed times
   (n,), and event indicators (n,) taking values in {0, 1, ..., m} where 0
   means censored and 1..m are the competing event types.
-- The event time grid t_1 < t_2 < ... < t_L collects the unique times at
-  which any critical event occurs; t_0 = 0 is implicit.
+- The event time grid t_1 < t_2 < ... < t_L holds the unique positive event
+  times; t_0 = 0 is implicit, and an event at time 0 counts in bin 1.
 - Event counts d have shape (L, m); at-risk counts n have shape (L,). Counts
   are stored as float64 so the same code paths serve kernel-weighted
   (fractional) counts.
@@ -105,9 +104,6 @@ class Cohort:
         idx = np.asarray(idx)
         return Cohort(self.features[idx], self.time[idx], self.event[idx], self.m)
 
-    def replace_times(self, time: np.ndarray) -> "Cohort":
-        return Cohort(self.features, time, self.event, self.m)
-
 
 @dataclass(frozen=True)
 class EventTimeGrid:
@@ -127,10 +123,6 @@ class EventTimeGrid:
 
     def __len__(self) -> int:
         return self.times.size
-
-    def with_leading_zero(self) -> np.ndarray:
-        """Times [t_0=0, t_1, ..., t_L]."""
-        return np.concatenate(([0.0], self.times))
 
 
 @dataclass(frozen=True)
@@ -185,39 +177,12 @@ class CifSet:
                    tuple(StepCurve(knots, c, initial_value=0.0) for c in cifs))
 
 
-@dataclass(frozen=True)
-class PiecewiseHazard:
-    """Event-specific hazard, constant on each interval (t_{l-1}, t_l].
-
-    ``rates`` has shape (L, m); the hazard is zero outside (0, t_L].
-    """
-
-    grid: EventTimeGrid
-    rates: np.ndarray
-
-    def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=np.float64)
-        if rates.ndim != 2 or rates.shape[0] != len(self.grid):
-            raise ShapeMismatch("rates must have shape (L, m)")
-        if (rates < 0).any():
-            raise ValueError("hazard rates must be nonnegative")
-        object.__setattr__(self, "rates", rates)
-
-    def __call__(self, t, delta: int):
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.grid.times, t, side="left")
-        inside = (t > 0) & (t <= self.grid.times[-1])
-        idx = np.clip(idx, 0, len(self.grid) - 1)
-        out = np.where(inside, self.rates[idx, delta - 1], 0.0)
-        return float(out) if out.ndim == 0 else out
-
-
 def build_event_grid(cohort: Cohort) -> EventTimeGrid:
-    """Unique times at which any critical event occurs, sorted ascending."""
-    uncensored = cohort.time[cohort.event != 0]
-    if uncensored.size == 0:
-        raise NoEvents("every record is censored; no event grid exists")
-    return EventTimeGrid(np.unique(uncensored))
+    """Sorted unique positive event times; an event at time 0 joins bin 1."""
+    times = cohort.time[(cohort.event != 0) & (cohort.time > 0)]
+    if times.size == 0:
+        raise NoEvents("no event at a positive time; no event grid exists")
+    return EventTimeGrid(np.unique(times))
 
 
 def breslow_preprocess(cohort: Cohort, grid: EventTimeGrid):
@@ -238,7 +203,8 @@ def breslow_preprocess(cohort: Cohort, grid: EventTimeGrid):
     kappa = np.searchsorted(grid.times, cohort.time, side="right").astype(np.int64)
     uncensored = cohort.event != 0
     kappa[uncensored] = np.maximum(kappa[uncensored], 1)
-    return cohort.replace_times(grid.with_leading_zero()[kappa]), kappa
+    time = np.concatenate(([0.0], grid.times))[kappa]
+    return Cohort(cohort.features, time, cohort.event, cohort.m), kappa
 
 
 def reverse_cumsum(x):
@@ -340,19 +306,6 @@ def kaplan_meier(d: np.ndarray, n: np.ndarray, grid: EventTimeGrid) -> StepCurve
 def aalen_johansen(d: np.ndarray, n: np.ndarray, grid: EventTimeGrid) -> CifSet:
     """Cumulative incidence estimates for all event types, plus survival."""
     return curves_from_counts(d, n, grid)
-
-
-def hazard_mle(d: np.ndarray, n: np.ndarray, grid: EventTimeGrid) -> PiecewiseHazard:
-    """Maximum-likelihood piecewise-constant event-specific hazard.
-
-    rate[l, delta] = d[l, delta] / ((t_l - t_{l-1}) * n[l])
-    """
-    d = np.asarray(d, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    if (n <= 0).any():
-        raise DegenerateRisk("empty risk set at a grid time")
-    widths = np.diff(grid.with_leading_zero())
-    return PiecewiseHazard(grid, d / (widths[:, None] * n[:, None]))
 
 
 def population_aalen_johansen(cohort: Cohort) -> CifSet:

@@ -1,5 +1,5 @@
 """CSV cohort ingestion, train-fitted preprocessing, dataset splitting, and a
-synthetic competing-risks generator with a closed-form CIF oracle.
+synthetic competing-risks generator (its closed-form CIF is a test oracle).
 
 CSV dialect: comma-separated, header row required, UTF-8, '.' decimal point;
 missing values are empty cells or the literal "NA". Rows are read as
@@ -104,10 +104,11 @@ class FeatureSchema:
     """Per-column preprocessing rules fitted on training rows only.
 
     Continuous columns: mean imputation then standardization (population
-    std convention; zero-variance columns fall back to std 1). Binary and
-    categorical columns: mode imputation; categorical columns are one-hot
-    encoded over the training category set, with unseen categories mapping to
-    the all-zero vector.
+    std convention; a zero-variance column falls back to std 1 and adds a
+    line to ``warnings``). Binary and categorical columns: mode imputation;
+    a present binary cell other than 0 or 1 raises ValueError. Categorical
+    columns are one-hot encoded over the training category set, with unseen
+    categories mapping to the all-zero vector.
     """
 
     kinds: dict
@@ -135,6 +136,8 @@ class FeatureSchema:
                 else:
                     mode = "0"
                 if kind == "binary":
+                    for v in present:
+                        _binary_value(name, v)
                     self.stats[name] = {"mode": mode}
                 else:
                     cats = sorted(set(present)) or [mode]
@@ -164,8 +167,8 @@ class FeatureSchema:
                 blocks.append(((col - st["mean"]) / st["std"])[:, None])
             elif kind == "binary":
                 mode = self.stats[name]["mode"]
-                col = np.array(
-                    [float(mode if v is None else v) for v in values], dtype=np.float64)
+                col = np.array([_binary_value(name, mode if v is None else v)
+                                for v in values], dtype=np.float64)
                 blocks.append(col[:, None])
             else:
                 st = self.stats[name]
@@ -201,6 +204,15 @@ class FeatureSchema:
     def from_dict(cls, payload: dict) -> "FeatureSchema":
         return cls(kinds=dict(payload["kinds"]), stats=payload["stats"],
                    feature_names=list(payload["feature_names"]))
+
+
+def _binary_value(name, cell) -> float:
+    """A binary column's cell (digits with at most one '.') as 0.0 or 1.0;
+    any other cell raises ValueError naming the column and the cell."""
+    value = float(cell) if str(cell).replace(".", "", 1).isdecimal() else None
+    if value not in (0.0, 1.0):
+        raise ValueError(f"binary column '{name}' must hold 0 or 1, got '{cell}'")
+    return value
 
 
 def fit_apply_preprocessor(train_table: RawTable, *other_tables, schema_spec: dict):
@@ -304,17 +316,6 @@ def generate_synthetic(cfg: SynthConfig) -> Cohort:
     y = np.minimum(t_event, c)
     delta = np.where(t_event <= c, event_type, 0)
     return Cohort(X, y, delta.astype(np.int64), m=2)
-
-
-def oracle_cif(cfg: SynthConfig, x: np.ndarray, delta: int, t: float) -> float:
-    """Closed-form CIF of the generator:
-    F_delta(t | x) = (lam_delta / lam) * (1 - exp(-lam * t))."""
-    x = np.asarray(x, dtype=np.float64)
-    lam1 = np.exp(float(x @ np.asarray(cfg.w1)))
-    lam2 = np.exp(float(x @ np.asarray(cfg.w2)))
-    lam = lam1 + lam2
-    lam_d = lam1 if delta == 1 else lam2
-    return (lam_d / lam) * (1.0 - np.exp(-lam * t))
 
 
 def write_csv(path, header, columns, newline="\n"):

@@ -6,7 +6,7 @@ class KernelAJError(Exception):
 
 
 class NoEvents(KernelAJError):
-    """Every record in the cohort is censored; no event grid can be built."""
+    """The cohort has no event to build a time grid from."""
 
 
 class DegenerateRisk(KernelAJError):

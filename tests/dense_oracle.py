@@ -5,7 +5,8 @@ hand-written criterion checks, stopping rule, list-stacking epsilon-net,
 sorted-time counts, per-cluster loops, difference-based neighbor search,
 ``np.where`` exemplar weights, row-loop cumulative-product backward and
 per-cell CSV reader and writer that ``kernelaj`` replaced, plus the scalar
-kernel and the fine-tuning objective of parameters, which only tests use.
+kernel, the fine-tuning objective of parameters and the synthetic
+generator's closed-form CIF (:func:`oracle_cif`), which only tests use.
 The cumulative-product backward is the oracle's own route through the
 survival product in its dense ranking backward (``ranking_value_and_dpsi``):
 a reverse cumulative sum divided by the factors, with a loop over the rows
@@ -669,3 +670,17 @@ def _cell(v) -> str:
     if isinstance(v, np.integer):
         return str(int(v))
     return str(v)
+
+
+def oracle_cif(cfg, x, delta, t):
+    """Closed-form CIF of ``dataio.generate_synthetic`` for its config cfg:
+    F_delta(t | x) = (lam_delta / lam) * (1 - exp(-lam * t)), with
+    lam_k = exp(w_k . x) and lam = lam_1 + lam_2. Rows x (n, p) at times
+    t (T,) give an (n, T) array; one row (p,) at one time gives a float."""
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    lam1 = np.exp(X @ np.asarray(cfg.w1))[:, None]
+    lam2 = np.exp(X @ np.asarray(cfg.w2))[:, None]
+    lam = lam1 + lam2
+    lam_d = lam1 if delta == 1 else lam2
+    F = (lam_d / lam) * (1.0 - np.exp(-lam * np.atleast_1d(t)[None, :]))
+    return float(F[0, 0]) if np.ndim(x) == 1 and np.ndim(t) == 0 else F

@@ -69,10 +69,17 @@ def write_config(tmp_path, train_csv, **overrides):
     return path, cfg
 
 
-def cohort_csv(path, n, seed):
-    write_cohort_csv(generate_synthetic(SynthConfig(
+def cohort_csv(path, n, seed, edit=None):
+    """A synthetic cohort CSV; ``edit(features, time, event)``, when given,
+    first changes copies of the cohort's arrays in place."""
+    cohort = generate_synthetic(SynthConfig(
         n=n, p=3, w1=(0.6, 0.0, 0.0), w2=(0.0, 0.6, 0.0),
-        censoring_rate=0.3, seed=seed)), path)
+        censoring_rate=0.3, seed=seed))
+    if edit is not None:
+        arrays = cohort.features.copy(), cohort.time.copy(), cohort.event.copy()
+        edit(*arrays)
+        cohort = Cohort(*arrays, cohort.m)
+    write_cohort_csv(cohort, path)
     return path
 
 
@@ -307,6 +314,23 @@ class TestFit:
         assert err.startswith(f"error: {stage} epoch 1: ") and err.count("\n") == 1
         assert f"(learning_rate {rate})" in err
 
+    def test_event_at_time_zero_joins_the_first_bin(self, tmp_path, test_csv):
+        # the grid is built from the positive event times, so a training row
+        # with an event at time 0 trains and is counted in bin 1
+        def at_time_zero(features, time, event):
+            time[0], event[0] = 0.0, 1
+        train = cohort_csv(tmp_path / "train.csv", 120, 1, at_time_zero)
+        config_path, _ = write_config(tmp_path, train, data={"valid": str(test_csv)})
+        assert main(["fit", "--config", str(config_path)]) == 0
+        model, _ = load_model(tmp_path / "out" / "model.json")
+        assert model.clusters.codes[0] == 1 * (model.m + 1) + 1     # bin 1, event 1
+
+    def test_zero_variance_column_warns(self, tmp_path, capsys):
+        def constant_x3(features, time, event):
+            features[:, 2] = 1.5
+        train = cohort_csv(tmp_path / "train.csv", 120, 1, constant_x3)
+        assert main(["fit", "--config", str(write_config(tmp_path, train)[0])]) == 0
+        assert capsys.readouterr().err == "warning: column 'x3' has zero variance\n"
 
     def test_valid_file_fixes_the_split(self, tmp_path, train_csv, test_csv):
         # with data.valid the validation cohort is that file, whatever
@@ -335,6 +359,10 @@ def _events_beyond_m(tmp_path):
     return path
 
 
+def _events_at_time_zero(features, time, event):
+    time[event != 0] = 0.0
+
+
 def _fit_argv(**overrides):
     def argv(tmp_path, train_csv, model_path):
         return ["fit", "--config", str(write_config(tmp_path, train_csv, **overrides)[0])]
@@ -352,6 +380,9 @@ def _config_file(command, text):
 _ERROR_PATHS = {
     "explain without --data or --clusters": lambda tmp_path, train_csv, model_path: [
         "explain", "--model", str(model_path), "--out", str(tmp_path / "o")],
+    "every event at time 0": lambda tmp_path, train_csv, model_path: _fit_argv()(
+        tmp_path, cohort_csv(tmp_path / "zero.csv", 120, 1, _events_at_time_zero),
+        model_path),
     "evaluate events beyond m": lambda tmp_path, train_csv, model_path: [
         "evaluate", "--model", str(model_path), "--data",
         str(_events_beyond_m(tmp_path)), "--out", str(tmp_path / "o")],
@@ -520,21 +551,37 @@ _MODEL_EDITS = {
 }
 
 
+_BINARY_SCHEMA = {"x1": "continuous", "x2": "continuous", "b": "binary"}
+
+
+def _with_cell_in_row_3(source, path, cell, rows=None):
+    """The first ``rows`` data rows of CSV ``source``, written to ``path``
+    with the last cell of row 3 (the second data row) replaced by ``cell``."""
+    header, *lines = source.read_text().splitlines()
+    lines = lines[:rows]
+    lines[1] = f"{lines[1].rsplit(',', 1)[0]},{cell}"
+    path.write_text("\n".join([header, *lines]) + "\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def binary_fit(tmp_path_factory):
+    """A model fitted with a binary column b, and its 300-row training CSV."""
+    root = tmp_path_factory.mktemp("binary")
+    header, *rows = cohort_csv(root / "base.csv", 300, 1).read_text().splitlines()
+    (root / "train.csv").write_text("\n".join(
+        [header + ",b"] + [f"{row},{i % 2}" for i, row in enumerate(rows)]) + "\n")
+    config_path, _ = write_config(root, root / "train.csv", data={"schema": _BINARY_SCHEMA})
+    assert main(["fit", "--config", str(config_path)]) == 0
+    return root / "out" / "model.json", root / "train.csv"
+
+
 class TestNonNumericBinaryCell:
     @pytest.fixture(scope="class")
-    def fitted(self, tmp_path_factory):
-        """A model fitted with a binary column b, and a CSV whose b cell in
-        row 3 reads "yes"."""
-        root = tmp_path_factory.mktemp("binary")
-        header, *rows = cohort_csv(root / "base.csv", 300, 1).read_text().splitlines()
-        (root / "train.csv").write_text("\n".join(
-            [header + ",b"] + [f"{row},{i % 2}" for i, row in enumerate(rows)]) + "\n")
-        config_path, _ = write_config(root, root / "train.csv", data={"schema": {
-            "x1": "continuous", "x2": "continuous", "b": "binary"}})
-        assert main(["fit", "--config", str(config_path)]) == 0
-        rows = [f"{row},{'yes' if i == 1 else 1}" for i, row in enumerate(rows[:60])]
-        (root / "test.csv").write_text("\n".join([header + ",b"] + rows) + "\n")
-        return root / "out" / "model.json", root / "test.csv"
+    def fitted(self, binary_fit):
+        """The fitted model, and a CSV whose b cell in row 3 reads "yes"."""
+        model_path, train = binary_fit
+        return model_path, _with_cell_in_row_3(train, train.with_name("test.csv"), "yes", 60)
 
     @pytest.mark.parametrize("command", ["evaluate", "explain"])
     def test_exit_2_with_one_error_line(self, fitted, tmp_path, capsys, command):
@@ -544,6 +591,26 @@ class TestNonNumericBinaryCell:
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid value in '{data}': ")
         assert err.count("\n") == 1
+
+
+class TestBinaryCellOtherThan0Or1:
+    @pytest.mark.parametrize("command, cell", [("fit", "7"), ("evaluate", "2"),
+                                               ("explain", "0.5")])
+    def test_exit_2_naming_file_column_and_cell(self, binary_fit, tmp_path, capsys,
+                                                command, cell):
+        # a number in a binary column was read as that number; the training
+        # file (fit) or the scored file (evaluate, explain) is now rejected
+        model_path, train = binary_fit
+        data = _with_cell_in_row_3(train, tmp_path / "data.csv", cell)
+        if command == "fit":
+            argv = ["fit", "--config", str(write_config(
+                tmp_path, data, data={"schema": _BINARY_SCHEMA})[0])]
+        else:
+            argv = [command, "--model", str(model_path), "--data", str(data),
+                    "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: invalid value in '{data}': binary "
+                                           f"column 'b' must hold 0 or 1, got '{cell}'\n")
 
 
 class TestModelFile:

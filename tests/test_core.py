@@ -18,7 +18,6 @@ from kernelaj import (
     breslow_preprocess,
     build_event_grid,
     discretize_times,
-    hazard_mle,
     kaplan_meier,
     risk_event_counts,
 )
@@ -61,6 +60,22 @@ class TestEventGrid:
     def test_duplicates_collapse(self):
         grid = build_event_grid(make_cohort([2.0, 2.0, 1.0], [1, 2, 1]))
         assert_allclose(grid.times, [1.0, 2.0])
+
+    def test_event_at_time_zero_joins_the_first_bin(self):
+        # the grid holds the positive event times; the time-0 event counts
+        # at t_1 with the event there
+        cohort = make_cohort([0.0, 1.0, 2.0, 3.0], [2, 1, 0, 2])
+        grid = build_event_grid(cohort)
+        assert_allclose(grid.times, [1.0, 3.0])
+        pre, kappa = breslow_preprocess(cohort, grid)
+        assert_array_equal(kappa, [1, 1, 1, 2])
+        d, n = risk_event_counts(pre, grid)
+        assert_allclose(d, [[1, 1], [0, 1]])
+        assert_allclose(n, [4, 1])
+
+    def test_events_only_at_time_zero_raise(self):
+        with pytest.raises(NoEvents):
+            build_event_grid(make_cohort([0.0, 0.0, 2.0], [1, 2, 0]))
 
 
 class TestBreslowPreprocess:
@@ -235,35 +250,6 @@ class TestAalenJohansen:
             for c in cifs.cifs:
                 assert (np.diff(c.values) >= -1e-12).all()
                 assert ((c.values >= -1e-12) & (c.values <= 1 + 1e-12)).all()
-
-
-class TestHazardMle:
-    def test_d0_oracle(self):
-        # lambda_1 = 1 / ((1-0) * 3) on (0,1]; lambda_2 = 1 / ((3-1) * 1) on (1,3]
-        grid = build_event_grid(D0)
-        pre, _ = breslow_preprocess(D0, grid)
-        d, n = risk_event_counts(pre, grid)
-        haz = hazard_mle(d, n, grid)
-        assert haz(0.5, 1) == pytest.approx(1.0 / 3.0)
-        assert haz(2.0, 2) == pytest.approx(0.5)
-        assert haz(2.0, 1) == 0.0
-        assert haz(5.0, 2) == 0.0
-
-    def test_zero_counts_zero_rates(self):
-        grid = build_event_grid(D0)
-        pre, _ = breslow_preprocess(D0, grid)
-        d, n = risk_event_counts(pre, grid)
-        d[:, 0] = 0.0
-        haz = hazard_mle(d, n, grid)
-        assert_allclose(haz.rates[:, 0], 0.0)
-
-    def test_integrating_rates_recovers_ratios(self):
-        grid = build_event_grid(D0)
-        pre, _ = breslow_preprocess(D0, grid)
-        d, n = risk_event_counts(pre, grid)
-        haz = hazard_mle(d, n, grid)
-        widths = np.diff(np.concatenate(([0.0], grid.times)))
-        assert_allclose(haz.rates * widths[:, None], d / n[:, None])
 
 
 class TestStepCurve:

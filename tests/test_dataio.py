@@ -27,7 +27,6 @@ from kernelaj import (
     fit_apply_preprocessor,
     generate_synthetic,
     load_cohort,
-    oracle_cif,
     population_aalen_johansen,
     split,
     write_cohort_csv,
@@ -340,6 +339,23 @@ class TestPreprocessor:
         assert any("zero variance" in w for w in schema.warnings)
         assert_allclose(cohort.features[:, 0], 0.0)
 
+    @pytest.mark.parametrize("cell", ["7", "2", "0.5", "-1", "nan", "1e0", "yes"])
+    def test_binary_cell_other_than_0_or_1_rejected(self, cell):
+        # fit rejects it in the training rows, transform in held-out rows
+        train = self.make_table([1.0, 2.0], ["a", "a"], ["1", cell], [1, 2], [1, 1])
+        message = f"binary column 'smoker' must hold 0 or 1, got '{cell}'"
+        with pytest.raises(ValueError, match=message):
+            FeatureSchema(SCHEMA).fit(train)
+        schema = FeatureSchema(SCHEMA).fit(
+            self.make_table([1.0, 2.0], ["a", "a"], ["1", "0"], [1, 2], [1, 1]))
+        with pytest.raises(ValueError, match=message):
+            schema.transform(train)
+
+    def test_binary_cells_read_as_numbers(self):
+        train = self.make_table([1.0, 2.0, 3.0, 4.0], ["a"] * 4, ["1", "0.0", "1.", None],
+                                [1, 2, 3, 4], [1, 1, 0, 2])
+        cohort, schema = fit_apply_preprocessor(train, schema_spec=SCHEMA)
+        assert_array_equal(cohort.features[:, -1], [1.0, 0.0, 1.0, 0.0])
 
     def test_dict_round_trip_keeps_column_order(self):
         # a model file is written with sorted keys; transform must still
@@ -420,13 +436,13 @@ class TestOracleCif:
                       censoring_rate=0.0, seed=0)
 
     def test_zero_at_time_zero(self):
-        assert oracle_cif(self.CFG, np.array([0.3, -0.8]), 1, 0.0) == 0.0
+        assert oracle.oracle_cif(self.CFG, np.array([0.3, -0.8]), 1, 0.0) == 0.0
 
     def test_symmetric_rates_split_mass(self):
         cfg = SynthConfig(n=10, p=2, w1=(0.5, 0.0), w2=(0.5, 0.0),
                           censoring_rate=0.0, seed=0)
         x = np.array([1.0, 3.0])
-        assert oracle_cif(cfg, x, 1, 1e9) == pytest.approx(0.5)
+        assert oracle.oracle_cif(cfg, x, 1, 1e9) == pytest.approx(0.5)
 
     def test_monte_carlo_agreement(self):
         # empirical frequency of {event 1 by t} over 10^6 draws vs formula
@@ -439,7 +455,7 @@ class TestOracleCif:
         t2 = rng.exponential(1 / lam2, n)
         t = 1.3
         emp = float(((t1 <= t2) & (t1 <= t)).mean())
-        expected = oracle_cif(self.CFG, x, 1, t)
+        expected = oracle.oracle_cif(self.CFG, x, 1, t)
         assert abs(emp - expected) < 3 * np.sqrt(expected * (1 - expected) / n)
 
     def test_population_aj_converges_to_oracle_marginal(self):
@@ -450,15 +466,9 @@ class TestOracleCif:
         cohort = generate_synthetic(cfg)
         cifs = population_aalen_johansen(cohort)
         grid = np.quantile(cohort.time, np.linspace(0.05, 0.9, 20))
-        rng = np.random.default_rng(0)
-        Xref = rng.standard_normal((4000, 2))
-        lam1 = np.exp(Xref @ np.array(cfg.w1))
-        lam2 = np.exp(Xref @ np.array(cfg.w2))
-        lam = lam1 + lam2
-        for delta, lam_d in ((1, lam1), (2, lam2)):
-            marginal = np.array([
-                np.mean((lam_d / lam) * (1.0 - np.exp(-lam * t))) for t in grid
-            ])
+        Xref = np.random.default_rng(0).standard_normal((4000, 2))
+        for delta in (1, 2):
+            marginal = oracle.oracle_cif(cfg, Xref, delta, grid).mean(axis=0)
             estimate = cifs.cif(delta)(grid)
             assert np.abs(estimate - marginal).max() <= 0.02
 

@@ -128,3 +128,37 @@ def test_no_unused_private_names():
                        if name.startswith("_") and not name.startswith("__")
                        and name not in used]
     assert unused == []
+
+
+def _uses(path, strings=False):
+    """Names that ``path`` loads or reads as attributes (and, with
+    ``strings``, its string constants), outside the definition of each name."""
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                yield name
+
+
+def test_every_export_has_a_caller():
+    # every name the package exports is used by the package itself, the
+    # acceptance suite or the benchmark (which names its traced functions in
+    # strings); a name only unit tests or demos call does not belong in src/,
+    # and an independent version of one belongs in tests/dense_oracle.py
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exports = {alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    package = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    used = {name for path in package + [Path(__file__).with_name("test_acceptance.py")]
+            for name in _uses(path)}
+    used |= {name for path in sorted(LAYERS.parent.glob("*.py"))
+             for name in _uses(path, strings=True)}
+    assert sorted(exports - used) == []
