@@ -3,11 +3,13 @@
 Configuration files are JSON with strictly validated keys and values; an
 unknown key or a rejected value is reported before work starts. Commands exit
 0 on success and 2 with a single-line ``error: ...`` message on stderr for
-configuration or data problems. Any other exception is a bug and propagates
-with its traceback.
+configuration or data problems, and for a file that cannot be read or
+written (an OSError). Any other exception is a bug and propagates with its
+traceback.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -36,7 +38,7 @@ from .dataio import (
     write_csv,
 )
 from .embedding import EmbeddingConfig, embed_batch
-from .errors import ConfigError, KernelAJError, SchemaMismatch
+from .errors import ConfigError, KernelAJError, ParseError, SchemaMismatch
 from .finetune import fine_tune_summaries
 from .model import KernelAJModel, exemplar_kernel_matrix, explain_rows, predict_cif_grid
 from .serialize import load_model, save_model
@@ -78,14 +80,14 @@ def _checked(path: str, build):
         raise ConfigError(f"invalid value in '{path}': {exc}", key=path) from None
 
 
-def _load_data(data_cfg: dict, key: str):
-    """The ``data.<key>`` table of a fit config."""
+def _read_cohort(path, kinds, time_column, event_column, key=None):
+    """``load_cohort`` of a data file; a file, an encoding or a cell it cannot
+    read becomes a ConfigError naming the file (and ``key``, its config key)."""
     try:
-        return load_cohort(data_cfg[key], data_cfg["schema"], data_cfg["time_column"],
-                           data_cfg["event_column"])
-    except FileNotFoundError:
-        raise ConfigError(f"missing data path 'data.{key}': {data_cfg[key]}",
-                          key=f"data.{key}") from None
+        return load_cohort(path, kinds, time_column, event_column)
+    except (OSError, UnicodeDecodeError, csv.Error, ParseError) as exc:
+        where = f"'{key}' ({path})" if key else str(path)
+        raise ConfigError(f"cannot read data file {where}: {exc}", key=key) from None
 
 
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
@@ -109,9 +111,7 @@ def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:           # bad JSON, or bytes that are not UTF-8
         raise ConfigError(f"config file is not valid JSON: {path}: {exc}") from None
 
 
@@ -186,9 +186,10 @@ def cmd_fit(config_path: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     schema_spec = data_cfg["schema"]
-    train_table = _load_data(data_cfg, "train")
+    columns = schema_spec, data_cfg["time_column"], data_cfg["event_column"]
+    train_table = _read_cohort(data_cfg["train"], *columns, "data.train")
     if data_cfg.get("valid"):
-        valid_table = _load_data(data_cfg, "valid")
+        valid_table = _read_cohort(data_cfg["valid"], *columns, "data.valid")
         train_cohort, valid_cohort, schema = _checked(
             f"{data_cfg['train']}, {data_cfg['valid']}",
             lambda: fit_apply_preprocessor(train_table, valid_table,
@@ -269,7 +270,7 @@ def _load_compatible_cohort(path, schema: FeatureSchema, model: KernelAJModel,
                             time_column: str, event_column: str) -> Cohort:
     if schema is None:
         raise SchemaMismatch("model file carries no feature schema")
-    table = load_cohort(path, schema.kinds, time_column, event_column)
+    table = _read_cohort(path, schema.kinds, time_column, event_column)
     features = _checked(str(path), lambda: schema.transform(table))
     if int(table.event.max(initial=0)) > model.m:
         raise SchemaMismatch(
@@ -341,8 +342,9 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
     # one block of records at a time, in the bytes json.dump(records, indent=2,
     # sort_keys=True) would write for the whole list (never empty: a Cohort has
     # at least one row); a block that fails leaves no explanations.json behind
+    fh = open(out_path, "w", encoding="utf-8")
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write("[")
             row = 0
             for infos, cif, surv in explain_rows(model, cohort.features):
@@ -366,7 +368,7 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                     row += 1
                 del infos, cif, surv     # free the block before the next is formed
             fh.write("\n]\n")
-    except KernelAJError:
+    except (KernelAJError, OSError):
         os.remove(out_path)
         raise
     print(f"explanations written to {out_path}")
@@ -391,8 +393,6 @@ def cmd_simulate(config_path: str, out_path: str) -> int:
 def _load_model_checked(path):
     try:
         return load_model(path)
-    except FileNotFoundError:
-        raise ConfigError(f"model file not found: {path}") from None
     except ValueError as exc:
         raise ConfigError(f"model file is not valid: {path}: {exc}") from None
 
@@ -442,7 +442,7 @@ def main(argv=None) -> int:
                                time_column=args.time_column,
                                event_column=args.event_column)
         return cmd_simulate(args.config, args.out)     # argparse admits no other command
-    except KernelAJError as exc:
+    except (KernelAJError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -105,8 +105,9 @@ class FeatureSchema:
 
     Continuous columns: mean imputation then standardization (population
     std convention; a zero-variance column falls back to std 1 and adds a
-    line to ``warnings``). Binary and categorical columns: mode imputation;
-    a present binary cell other than 0 or 1 raises ValueError. Categorical
+    line to ``warnings``). Binary and categorical columns: mode imputation, a
+    binary mode counting values ("1" and "1.0" agree; a tie gives 0); a
+    present binary cell other than 0 or 1 raises ValueError. Categorical
     columns are one-hot encoded over the training category set, with unseen
     categories mapping to the all-zero vector.
     """
@@ -128,20 +129,14 @@ class FeatureSchema:
                     self.warnings.append(f"column '{name}' has zero variance")
                     std = 1.0
                 self.stats[name] = {"mean": mean, "std": std}
+            elif kind == "binary":
+                ones = sum(_binary_value(name, v) for v in present)
+                self.stats[name] = {"mode": "1" if 2 * ones > len(present) else "0"}
             else:
-                if present:
-                    counts = Counter(present)
-                    top = max(counts.values())
-                    mode = sorted(v for v, c in counts.items() if c == top)[0]
-                else:
-                    mode = "0"
-                if kind == "binary":
-                    for v in present:
-                        _binary_value(name, v)
-                    self.stats[name] = {"mode": mode}
-                else:
-                    cats = sorted(set(present)) or [mode]
-                    self.stats[name] = {"mode": mode, "categories": cats}
+                counts = Counter(present)
+                top = max(counts.values(), default=0)
+                mode = min((v for v, c in counts.items() if c == top), default="0")
+                self.stats[name] = {"mode": mode, "categories": sorted(counts) or [mode]}
         self.feature_names = [f for name in self.kinds for f in self._features(name)]
         return self
 

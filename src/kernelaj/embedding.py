@@ -9,7 +9,7 @@ hand-derived backward pass (reverse mode), with finite differences reserved
 for testing.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,13 +78,6 @@ class MlpParams:
     @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
-
-    def copy(self) -> "MlpParams":
-        return replace(
-            self,
-            weights=tuple(w.copy() for w in self.weights),
-            biases=tuple(b.copy() for b in self.biases),
-        )
 
 
 def init_mlp(config: EmbeddingConfig, seed=None) -> MlpParams:

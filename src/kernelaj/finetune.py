@@ -16,11 +16,12 @@ subjects to the exemplars: the weighted tables of prediction, from the same
 leave-one-out, by gradient descent: dLoss/dpsi is chained through the
 step's num/den rule to D and N, then through W and the parameterization.
 Initialization reproduces the raw counts up to a 1e-12 floor that guards
-log(0). Candidates are scored with the training criterion's scorer
-(:func:`training.criterion_scorer`) and stopped by its
-:class:`training.TrainingLog`; the tuned tables become the model's
-``sft_tables`` only when the validation criterion strictly improves,
-otherwise the original model is returned unchanged.
+log(0). The epochs run through training's loop, :func:`training.descend`:
+each is one full-batch gradient step, then the validation criterion, scored
+with the training criterion's scorer (:func:`training.criterion_scorer`)
+and stopped by its :class:`training.TrainingLog`. The tuned tables become
+the model's ``sft_tables`` only when the validation criterion strictly
+improves, otherwise the original model is returned unchanged.
 """
 
 from dataclasses import dataclass, replace
@@ -37,7 +38,7 @@ from .training import (
     TrainingLog,
     _ratio_backward,
     criterion_scorer,
-    divergence_guard,
+    descend,
     objective_and_dpsi,
 )
 
@@ -63,12 +64,6 @@ class SftParams:
             raise ValueError("fine-tuning parameters must be finite")
         for name, arr in zip(names, arrays):
             object.__setattr__(self, name, arr)
-
-    def shifted(self, dg, dgb, do, dob, step) -> "SftParams":
-        return SftParams(self.gamma - step * dg,
-                         self.gamma_baseline - step * dgb,
-                         self.omega - step * do,
-                         self.omega_baseline - step * dob)
 
 
 def init_sft_params(clusters: ClusterModel) -> SftParams:
@@ -210,18 +205,14 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     if log.improves(raw_value):
         log.best_value = raw_value
 
-    best_params = None
-    for epoch in range(1, config.max_epochs + 1):
-        with divergence_guard("fine-tuning", epoch, config.learning_rate):
-            loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, event_tr,
-                                            config.alpha, config.sigma, buffers)
-            params = params.shifted(*grads, step=config.learning_rate)
-            value = evaluate(sft_counts(params))
-        if log.add(epoch, loss, value):
-            best_params = params
-        if log.stalled(epoch, config.patience):
-            break
+    def epoch(params):
+        loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, event_tr,
+                                        config.alpha, config.sigma, buffers)
+        arrays = (params.gamma, params.gamma_baseline, params.omega, params.omega_baseline)
+        return SftParams(*(a - config.learning_rate * g for a, g in zip(arrays, grads))), loss
 
+    best_params = descend("fine-tuning", config, log, params, epoch,
+                          lambda params: evaluate(sft_counts(params)))
     accepted = best_params is not None
     result = SftResult(accepted=accepted, baseline_criterion=float(raw_value),
                        best_criterion=float(log.best_value if accepted else raw_value),

@@ -1,5 +1,5 @@
 """Time discretization, kernel-weighted leave-one-out hazards, the training
-losses, and the minibatch gradient-descent loop for the embedding network.
+losses, the embedding's minibatch step, and ``descend``, the one epoch loop.
 
 Loss layout
 -----------
@@ -84,7 +84,6 @@ gradients are exact hand-derived reverse-mode; finite differences are used
 only as a test oracle.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -437,7 +436,7 @@ def _evaluate_criterion(criterion, params, train, valid, grid, tcfg,
     is the value of :func:`objective_and_dpsi` on the validation hazards; its
     gradient goes to the buffer of F and is discarded. Validation hazards
     that are all 0 (every kernel weight underflowed) raise
-    FloatingPointError, which :func:`divergence_guard` reports."""
+    FloatingPointError, which :func:`descend` reports."""
     m, L = train.m, len(grid)
     E_train = embed_batch(params, train.features)
     E_valid = embed_batch(params, valid.features)
@@ -452,18 +451,30 @@ def _evaluate_criterion(criterion, params, train, valid, grid, tcfg,
                                       (criterion,))[criterion]))
 
 
-@contextmanager
-def divergence_guard(stage, epoch, learning_rate):
-    """An epoch's gradient steps and criterion: a floating-point overflow,
-    invalid value or division by zero in them, or a training criterion whose
-    kernel weights all underflow (a learning rate too large), raises
-    Diverged naming the stage and the epoch."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise Diverged(f"{stage} epoch {epoch}: {exc} "
-                       f"(learning_rate {learning_rate})") from None
+def descend(stage, tcfg: TrainConfig, log: TrainingLog, params, epoch, value):
+    """The package's one epoch loop, of embedding training and fine-tuning.
+    Epoch n = 1..``tcfg.max_epochs`` runs ``params, loss = epoch(params)``,
+    then ``value(params)``; a floating-point overflow, invalid value or
+    division by zero in them (a learning rate too large) raises Diverged
+    naming ``stage`` and n. ``log.add`` records the epoch, and descent stops
+    once the log has stalled for ``tcfg.patience`` epochs. Returns the best
+    epoch's params, or None when no epoch beat the log's starting value.
+    The best params are kept, not copied, so updates must stay out of place:
+    ``epoch`` returns new arrays and never writes into those it was given."""
+    best = None
+    for n in range(1, tcfg.max_epochs + 1):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                params, loss = epoch(params)
+                current = value(params)
+        except FloatingPointError as exc:
+            raise Diverged(f"{stage} epoch {n}: {exc} "
+                           f"(learning_rate {tcfg.learning_rate})") from None
+        if log.add(n, loss, current):
+            best = params
+        if log.stalled(n, tcfg.patience):
+            break
+    return best
 
 
 def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
@@ -472,10 +483,10 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
 
     Both cohorts must already be preprocessed on ``grid``. The
     criterion's :func:`criterion_scorer` is built when ``valid_scorer`` is not
-    given, before the first epoch. After every epoch the configured validation
-    criterion is evaluated against the full training set embeddings; the
-    log's best checkpoint is kept and training stops when the log has
-    stalled for ``patience`` epochs.
+    given, before the first epoch. The epochs run through :func:`descend`:
+    each is one pass of minibatch steps over the shuffled training rows,
+    then the configured validation criterion against the full training set
+    embeddings.
 
     Returns (best_params, TrainingLog).
     """
@@ -488,37 +499,30 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
     valid_scorer = valid_scorer or criterion_scorer(
         tcfg.early_stop_criterion, train, valid, grid)
 
-    params = init_mlp(ecfg)
     side = min(tcfg.batch_size, train.n)
     buffer = np.empty(max(side * side, train.n))
-    flat = flatten_params(params)
     rng = np.random.default_rng(tcfg.seed)
-    log = TrainingLog(criterion=tcfg.early_stop_criterion)
-    best_params = params.copy()
 
-    for epoch in range(1, tcfg.max_epochs + 1):
+    def epoch(params):
+        flat = flatten_params(params)
         perm = rng.permutation(train.n)
-        epoch_loss = 0.0
-        seen = 0
-        with divergence_guard("training", epoch, tcfg.learning_rate):
-            for start in range(0, train.n, tcfg.batch_size):
-                batch = perm[start:start + tcfg.batch_size]
-                if batch.size < 2:
-                    continue
-                loss, dw, db = total_loss_and_grad(
-                    params, train.features[batch], kappa[batch], train.event[batch],
-                    m, L, tcfg.alpha, tcfg.sigma, buffer)
-                flat = flat - tcfg.learning_rate * flatten_grads(dw, db)
-                params = unflatten_params(params, flat)
-                epoch_loss += loss * batch.size
-                seen += batch.size
-            value = _evaluate_criterion(
-                tcfg.early_stop_criterion, params, train, valid, grid, tcfg, valid_scorer,
-                groups, kappa_valid, buffer)
-        epoch_loss = epoch_loss / max(seen, 1)
-        if log.add(epoch, epoch_loss, value):
-            best_params = params.copy()
-        if log.stalled(epoch, tcfg.patience):
-            break
+        epoch_loss, seen = 0.0, 0
+        for start in range(0, train.n, tcfg.batch_size):
+            batch = perm[start:start + tcfg.batch_size]
+            if batch.size < 2:
+                continue
+            loss, dw, db = total_loss_and_grad(
+                params, train.features[batch], kappa[batch], train.event[batch],
+                m, L, tcfg.alpha, tcfg.sigma, buffer)
+            flat = flat - tcfg.learning_rate * flatten_grads(dw, db)
+            params = unflatten_params(params, flat)
+            epoch_loss += loss * batch.size
+            seen += batch.size
+        return params, epoch_loss / max(seen, 1)
 
-    return best_params, log
+    def value(params):
+        return _evaluate_criterion(tcfg.early_stop_criterion, params, train, valid, grid,
+                                   tcfg, valid_scorer, groups, kappa_valid, buffer)
+
+    log = TrainingLog(criterion=tcfg.early_stop_criterion)
+    return descend("training", tcfg, log, init_mlp(ecfg), epoch, value), log

@@ -214,8 +214,8 @@ class TestFit:
         config_path, _ = write_config(tmp_path, train_csv)
         assert main(["fit", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: event indicator must be a nonnegative integer, got '{cell}' "
-            "(row 6, column 'event')\n")
+            f"error: cannot read data file 'data.train' ({train_csv}): event indicator "
+            f"must be a nonnegative integer, got '{cell}' (row 6, column 'event')\n")
 
     def test_fine_tuning_reuses_the_pre_check_scorer(self, tmp_path, train_csv,
                                                      monkeypatch):
@@ -369,11 +369,30 @@ def _fit_argv(**overrides):
     return argv
 
 
-def _config_file(command, text):
+def _config_file(command, text, out="s.csv"):
     def argv(tmp_path, train_csv, model_path):
-        (tmp_path / "config.json").write_text(text)
-        out = ["--out", str(tmp_path / "s.csv")] if command == "simulate" else []
-        return [command, "--config", str(tmp_path / "config.json"), *out]
+        (tmp_path / "config.json").write_bytes(text.encode() if isinstance(text, str) else text)
+        out_args = ["--out", str(tmp_path / out)] if command == "simulate" else []
+        return [command, "--config", str(tmp_path / "config.json"), *out_args]
+    return argv
+
+
+def _csv_with_cell(cell: bytes):
+    """A copy of the train CSV whose first data cell is ``cell``."""
+    def path(tmp_path, train_csv):
+        lines = train_csv.read_bytes().split(b"\n")
+        lines[1] = cell + lines[1][lines[1].index(b","):]
+        (tmp_path / "cell.csv").write_bytes(b"\n".join(lines))
+        return tmp_path / "cell.csv"
+    return path
+
+
+def _data_argv(command, data):
+    """``command`` (evaluate or explain) of the fitted model on the CSV that
+    ``data(tmp_path, train_csv)`` names."""
+    def argv(tmp_path, train_csv, model_path):
+        return [command, "--model", str(model_path), "--data",
+                str(data(tmp_path, train_csv)), "--out", str(tmp_path / "o")]
     return argv
 
 
@@ -395,6 +414,21 @@ _ERROR_PATHS = {
     "valid_fraction 1": _fit_argv(data={"valid_fraction": 1.0}),
     "censoring_rate false": _config_file("simulate", json.dumps(
         {"n": 10, "p": 1, "w1": [0.1], "w2": [0.1], "censoring_rate": False})),
+    "evaluate a missing data file": _data_argv(
+        "evaluate", lambda tmp_path, train_csv: tmp_path / "missing.csv"),
+    "explain a missing data file": _data_argv(
+        "explain", lambda tmp_path, train_csv: tmp_path / "missing.csv"),
+    "fit a non-UTF-8 cell": lambda tmp_path, train_csv, model_path: _fit_argv()(
+        tmp_path, _csv_with_cell(b"\xff")(tmp_path, train_csv), model_path),
+    "evaluate a non-UTF-8 cell": _data_argv("evaluate", _csv_with_cell(b"\xff")),
+    "explain a non-UTF-8 cell": _data_argv("explain", _csv_with_cell(b"\xff")),
+    "evaluate a cell over the csv field limit": _data_argv(
+        "evaluate", _csv_with_cell(b"1" * 131_073)),
+    "a directory as fit config": lambda tmp_path, train_csv, model_path: [
+        "fit", "--config", str(tmp_path)],
+    "config not UTF-8": _config_file("fit", b'{"seed": "\xff"}'),
+    "simulate into a missing directory": _config_file("simulate", json.dumps(
+        {"n": 10, "p": 1, "w1": [0.1], "w2": [0.1]}), "nodir/c.csv"),
 }
 
 
@@ -412,6 +446,26 @@ class TestErrorPaths:
         assert main(_ERROR_PATHS[case](tmp_path, train_csv, model_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["train", "valid"])
+    def test_bad_cell_names_the_data_key(self, tmp_path, train_csv, capsys, key):
+        bad = _csv_with_cell(b"abc")(tmp_path, train_csv)
+        data = {"valid": str(bad if key == "valid" else train_csv), key: str(bad)}
+        assert main(["fit", "--config", str(write_config(tmp_path, train_csv,
+                                                         data=data)[0])]) == 2
+        err = capsys.readouterr().err
+        assert f"'data.{key}' ({bad}): cannot parse 'abc' as a number (row 2" in err
+
+    def test_a_write_error_leaves_no_explanations(self, tmp_path, train_csv, model_path,
+                                                  monkeypatch, capsys):
+        def full_disk(model, X):
+            raise OSError(28, "No space left on device")
+            yield
+        monkeypatch.setattr(cli, "explain_rows", full_disk)
+        assert main(["explain", "--model", str(model_path), "--data", str(train_csv),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert not (tmp_path / "rep" / "explanations.json").exists()
 
 
 class TestEvaluate:

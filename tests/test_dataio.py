@@ -352,10 +352,24 @@ class TestPreprocessor:
             schema.transform(train)
 
     def test_binary_cells_read_as_numbers(self):
+        # the missing cell takes the mode of the values 1, 0, 1
         train = self.make_table([1.0, 2.0, 3.0, 4.0], ["a"] * 4, ["1", "0.0", "1.", None],
                                 [1, 2, 3, 4], [1, 1, 0, 2])
         cohort, schema = fit_apply_preprocessor(train, schema_spec=SCHEMA)
-        assert_array_equal(cohort.features[:, -1], [1.0, 0.0, 1.0, 0.0])
+        assert_array_equal(cohort.features[:, -1], [1.0, 0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("cells, mode", [
+        (["1", "1.0", "0", None], "1"),       # "1" and "1.0" are one value
+        (["0", "0.0", "1", None], "0"),
+        (["1", "0.", None], "0"),             # a tie gives 0
+        ([None, None], "0"),
+    ])
+    def test_binary_mode_counts_values(self, cells, mode):
+        n = len(cells)
+        train = self.make_table([1.0] * n, ["a"] * n, cells, list(range(1, n + 1)), [1] * n)
+        cohort, schema = fit_apply_preprocessor(train, schema_spec=SCHEMA)
+        assert schema.stats["smoker"] == {"mode": mode}
+        assert cohort.features[-1, -1] == float(mode)
 
     def test_dict_round_trip_keeps_column_order(self):
         # a model file is written with sorted keys; transform must still

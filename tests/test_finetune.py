@@ -271,7 +271,8 @@ class TestBuffers:
 
         def epoch():
             loss, grads = sft_loss_and_grad(params, W, kappa, delta, 1.0, 1.0, buffers)
-            sft_counts(params.shifted(*grads, step=0.01))
+            arrays = (params.gamma, params.gamma_baseline, params.omega, params.omega_baseline)
+            sft_counts(SftParams(*(a - 0.01 * g for a, g in zip(arrays, grads))))
             return loss
 
         loss, peak = traced_peak(epoch)

@@ -95,6 +95,30 @@ def test_one_objective():
     assert logs == ["objective_and_dpsi"]
 
 
+def _raising_errstates(module):
+    """The enclosing module-level name of every ``np.errstate(...)`` call in
+    ``module`` that sets some floating-point error to "raise"."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "errstate"
+                    and any(getattr(k.value, "value", None) == "raise" for k in node.keywords)):
+                yield getattr(top, "name", None)
+
+
+def test_one_descent_loop():
+    # embedding training and summary fine-tuning run their epochs through
+    # training.descend: it alone applies the stopping rule and turns
+    # floating-point errors into Diverged, so the divergence guard, the
+    # patience check and the best checkpoint cannot drift between the stages
+    modules = sorted(path.stem for path in SRC.glob("*.py"))
+    stalled = [(module, owner) for module in modules
+               for owner, name in _calls(module) if name == "stalled"]
+    raising = [(module, owner) for module in modules for owner in _raising_errstates(module)]
+    assert stalled == [("training", "descend")]
+    assert raising == [("training", "descend")]
+
+
 def test_one_hazard_ratio():
     # every hazard is d * safe_reciprocal(n) in one of two places: the
     # classical tables' core.table_hazards and model.weighted_hazards, which

@@ -560,3 +560,53 @@ class TestStoppingRule:
                         True, True, False, False, True]
             assert (log.best_epoch, log.best_value) == (5, better)
             assert not log.stalled(6, 2) and log.stalled(7, 2)
+
+
+class TestDescend:
+    """``training.descend``, the epoch loop of training and fine-tuning, on
+    scripted epochs: epoch n returns a fresh params object, and the value
+    of epoch n is ``values[n - 1]``; None stands for a log of 0."""
+
+    def run(self, values, patience=2, max_epochs=10, best_value=np.nan):
+        made = []
+
+        def epoch(params):
+            made.append([len(made) + 1])
+            return made[-1], 0.0
+
+        def value(params):
+            v = values[params[0] - 1]
+            return float(np.log(np.array(0.0))) if v is None else v
+
+        log = TrainingLog(criterion="objective", best_value=best_value)
+        tcfg = TrainConfig(max_epochs=max_epochs, patience=patience, learning_rate=0.5)
+        return training.descend("stage", tcfg, log, [0], epoch, value), log, made
+
+    def test_overflow_in_epoch_raises_diverged(self):
+        tcfg = TrainConfig(max_epochs=3, learning_rate=0.5)
+        with pytest.raises(Diverged, match=r"^stage epoch 1: overflow .*\(learning_rate 0.5\)$"):
+            training.descend("stage", tcfg, TrainingLog("objective"), None,
+                             lambda p: (np.exp(np.array([1e4])), 0.0), lambda p: 1.0)
+
+    def test_overflow_in_value_raises_diverged(self):
+        with pytest.raises(Diverged, match=r"^fine-tuning epoch 1: overflow"):
+            training.descend("fine-tuning", TrainConfig(max_epochs=3),
+                             TrainingLog("objective"), None, lambda p: (p, 0.0),
+                             lambda p: float(np.exp(np.array(1e4))))
+
+    def test_diverged_names_the_failing_epoch(self):
+        with pytest.raises(Diverged, match=r"^stage epoch 3: divide by zero"):
+            self.run([1.0, 0.5, None, 0.1])
+
+    def test_stops_after_patience_epochs_without_improvement(self):
+        _, log, made = self.run([3.0, 2.0, 2.5, 2.0, 1.0, 0.5], patience=2)
+        assert len(made) == 4 and [row[0] for row in log.rows] == [1, 2, 3, 4]
+        assert log.best_epoch == 2
+
+    def test_returns_the_best_epochs_params(self):
+        best, log, made = self.run([3.0, 1.0, 2.0, 2.0], patience=5, max_epochs=4)
+        assert len(made) == 4 and best is made[1] and log.best_epoch == 2
+
+    def test_none_when_the_start_value_is_never_beaten(self):
+        best, log, _ = self.run([1.0, 2.0, 1.0], patience=5, max_epochs=3, best_value=1.0)
+        assert best is None and len(log.rows) == 3
