@@ -129,41 +129,35 @@ def _parse_fit_config(doc: dict):
     return doc
 
 
-def _clustering_from_config(cluster_cfg: dict):
-    """(epsilon, min_kernel_weight, shuffle_seed), checked before training."""
-    def build():
-        epsilon = float(require_real("epsilon", cluster_cfg["epsilon"]))
-        if epsilon < 0:
+def _fit_settings(tcfg: TrainConfig, epsilon, min_kernel_weight=0.01, shuffle_seed=None,
+                  sft=None):
+    """(tau, the fine-tuning TrainConfig or None) of a fit's clustering
+    settings and ``sft`` config section, checked before any data is read or
+    any training runs (the ``sft`` section even when fine-tuning is
+    disabled); a rejected value raises ConfigError naming its section.
+    Alpha is 1 whatever ``training.alpha`` is: ``fit`` fine-tunes the NLL
+    alone, alpha < 1 only the library."""
+    def clustering():
+        if require_real("epsilon", epsilon) < 0:
             raise ValueError("epsilon must be nonnegative")
-        min_weight = float(require_real("min_kernel_weight",
-                                        cluster_cfg.get("min_kernel_weight", 0.01)))
-        tau_from_min_kernel_weight(min_weight)
-        shuffle_seed = cluster_cfg.get("shuffle_seed")
+        tau = tau_from_min_kernel_weight(require_real("min_kernel_weight", min_kernel_weight))
         if shuffle_seed is not None:
             require_int("shuffle_seed", shuffle_seed, 0)
-        return epsilon, min_weight, shuffle_seed
-    return _checked("clustering", build)
-
-
-def _sft_train_config(sft_config: dict, tcfg: TrainConfig):
-    """The fine-tuning TrainConfig of an ``sft`` config section, checked even
-    when fine-tuning is disabled (None then). Alpha is 1 whatever ``training.alpha``
-    is: ``fit`` fine-tunes the NLL alone, alpha < 1 only the library."""
-    enabled = sft_config.get("enabled", False)
+        return tau
+    tau = _checked("clustering", clustering)
+    sft = sft or {}
+    enabled = sft.get("enabled", False)
     if not isinstance(enabled, bool):
         raise ConfigError(f"invalid value in 'sft.enabled': must be true or false, "
                           f"got {enabled!r}", key="sft.enabled")
     sft_tcfg = _checked("sft", lambda: TrainConfig(
-        learning_rate=sft_config.get("learning_rate", 0.001),
-        max_epochs=sft_config.get("max_epochs", 100),
-        patience=sft_config.get("patience", tcfg.patience),
+        learning_rate=sft.get("learning_rate", 0.001),
+        max_epochs=sft.get("max_epochs", 100),
+        patience=sft.get("patience", tcfg.patience),
         alpha=1.0,
-        sigma=tcfg.sigma,
-        num_time_steps=tcfg.num_time_steps,
-        early_stop_criterion=sft_config.get("early_stop_criterion",
-                                            tcfg.early_stop_criterion),
+        early_stop_criterion=sft.get("early_stop_criterion", tcfg.early_stop_criterion),
     ))
-    return sft_tcfg if enabled else None
+    return tau, sft_tcfg if enabled else None
 
 
 def cmd_fit(config_path: str) -> int:
@@ -180,10 +174,7 @@ def cmd_fit(config_path: str) -> int:
     ecfg = _checked("embedding", lambda: EmbeddingConfig(
         input_dim=1, **doc.get("embedding", {})))
     tcfg = _checked("training", lambda: TrainConfig(**doc.get("training", {})))
-    epsilon, min_weight, shuffle_seed = _clustering_from_config(doc["clustering"])
-    _sft_train_config(doc.get("sft", {}), tcfg)
-    out_dir = doc.get("output_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
+    _fit_settings(tcfg, **doc["clustering"], sft=doc.get("sft"))
 
     schema_spec = data_cfg["schema"]
     columns = schema_spec, data_cfg["time_column"], data_cfg["event_column"]
@@ -206,11 +197,10 @@ def cmd_fit(config_path: str) -> int:
     for warning in schema.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     ecfg = replace(ecfg, input_dim=train_cohort.p)
-    model, logs = fit_pipeline(train_cohort, valid_cohort, ecfg, tcfg,
-                               epsilon=epsilon, min_kernel_weight=min_weight,
-                               shuffle_seed=shuffle_seed,
-                               sft_config=doc.get("sft", {}),
-                               config_snapshot=doc)
+    out_dir = doc.get("output_dir", ".")
+    os.makedirs(out_dir, exist_ok=True)     # once every input is read, before training
+    model, logs = fit_pipeline(train_cohort, valid_cohort, ecfg, tcfg, **doc["clustering"],
+                               sft_config=doc.get("sft"), config_snapshot=doc)
     save_model(model, os.path.join(out_dir, "model.json"), schema)
     for key, log in logs.items():
         epoch, loss, value, best = map(np.array, zip(*log.rows))
@@ -229,10 +219,12 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
 
     Preprocess and discretize times, train the embedding, cluster, summarize,
     and optionally fine-tune the summary tables. Returns (model, logs dict).
-    An invalid ``sft_config``, or a criterion that cannot be computed on the
-    validation cohort, raises before training starts.
+    A rejected clustering setting (``epsilon``, ``min_kernel_weight``,
+    ``shuffle_seed``) or ``sft_config`` value raises ConfigError, and a
+    criterion that cannot be computed on the validation cohort raises, before
+    training starts.
     """
-    sft_tcfg = _sft_train_config(sft_config or {}, tcfg)
+    tau, sft_tcfg = _fit_settings(tcfg, epsilon, min_kernel_weight, shuffle_seed, sft_config)
     grid = discretize_times(build_event_grid(train_cohort), tcfg.num_time_steps)
     train_pre, _ = breslow_preprocess(train_cohort, grid)
     valid_pre, _ = breslow_preprocess(valid_cohort, grid)
@@ -244,10 +236,8 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     params, train_log = train_embedding(train_pre, valid_pre, ecfg, tcfg, grid,
                                         scorers[tcfg.early_stop_criterion])
 
-    embeddings = embed_batch(params, train_pre.features)
-    tau = tau_from_min_kernel_weight(min_kernel_weight)
-    clusters = build_cluster_model(embeddings, train_pre, grid, epsilon,
-                                   tau, shuffle_seed)
+    clusters = build_cluster_model(embed_batch(params, train_pre.features), train_pre,
+                                   grid, epsilon, tau, shuffle_seed)
 
     # each cluster's rows in input order, so every mean keeps its bits
     order = np.argsort(cluster_positions(clusters.exemplar_ids, clusters.assignments),
@@ -306,7 +296,12 @@ def cmd_evaluate(model_path: str, data_path: str, out_dir: str,
 def cmd_explain(model_path: str, out_dir: str, data_path=None,
                 clusters_mode=False, time_column: str = "time",
                 event_column: str = "event") -> int:
+    if clusters_mode == (data_path is not None):
+        raise ConfigError("explain takes exactly one of --data <csv> or --clusters")
     model, schema = _load_model_checked(model_path)
+    if not clusters_mode:
+        cohort = _load_compatible_cohort(data_path, schema, model,
+                                         time_column, event_column)
     os.makedirs(out_dir, exist_ok=True)
 
     if clusters_mode:
@@ -333,10 +328,6 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
         print(f"cluster reports written to {out_dir}")
         return 0
 
-    if data_path is None:
-        raise ConfigError("explain needs --data <csv> or --clusters")
-    cohort = _load_compatible_cohort(data_path, schema, model,
-                                     time_column, event_column)
     times = model.grid.times.tolist()
     out_path = os.path.join(out_dir, "explanations.json")
     # one block of records at a time, in the bytes json.dump(records, indent=2,

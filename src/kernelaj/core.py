@@ -263,18 +263,18 @@ def cif_from_hazards(h):
 
     u[q, l] = max(1 - sum_k h[k, q, l], 0)
     S[q, l] = prod_{a <= l} u[q, a]
-    F[k, q, l] = sum_{a <= l} h[k, q, a] * S[q, a - 1]    (S[q, -1] = 1)
+    F[k, q, l] = min(sum_{a <= l} h[k, q, a] * S[q, a - 1], 1)    (S[q, -1] = 1)
 
-    The floor at 0 binds only where rounding takes the summed hazard past 1,
-    which happens at a subject's last bin with anyone at risk; later hazards
-    are 0 there, so F is the same with or without it. Returns
-    (F, S, S_prev, u); the training backward pass reuses S_prev and u.
+    The floor at 0 and the cap at 1 bind only where rounding takes the summed
+    hazard or the sum of F past 1, which happens from a subject's last bin
+    with anyone at risk. Returns (F, S, S_prev, u); the training backward
+    pass reuses S_prev and u.
     """
     u = np.maximum(1.0 - h.sum(axis=0), 0.0)
     S = np.cumprod(u, axis=1)
     S_prev = np.concatenate((np.ones((S.shape[0], 1)), S[:, :-1]), axis=1)
     F = np.cumsum(h * S_prev[None, :, :], axis=2)
-    return F, S, S_prev, u
+    return np.minimum(F, 1.0, out=F), S, S_prev, u
 
 
 def curves_from_counts(d: np.ndarray, n: np.ndarray, grid: EventTimeGrid,

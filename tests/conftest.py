@@ -1,15 +1,16 @@
 """Shared helpers: random labeled batches, cluster models of hand-made
-tables, finite-difference oracles and the traced memory peak of a call; the
-hypothesis profile of the suite."""
+tables, small fits through ``fit_pipeline``, finite-difference oracles and
+the traced memory peak of a call; the hypothesis profile of the suite."""
 
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from kernelaj import ClusterModel, EmbeddingConfig, init_mlp
-from kernelaj.embedding import embed_batch, flatten_params, unflatten_params
+from kernelaj import ClusterModel, EmbeddingConfig, RawTable, TrainConfig, fit_apply_preprocessor
+from kernelaj.cli import fit_pipeline
+from kernelaj.embedding import flatten_params, unflatten_params
 from dense_oracle import batch_loss_from_params
 
 # every property test draws the same examples on every run, however long
@@ -90,8 +91,41 @@ def relative_error(analytic, reference):
     return np.linalg.norm(analytic - reference) / denom
 
 
-@pytest.fixture
-def small_net():
-    cfg = EmbeddingConfig(input_dim=3, num_layers=1, hidden_units=6,
-                          embed_dim=2, activation="tanh")
-    return init_mlp(cfg, seed=0)
+# column names and categorical levels that CSV quoting, the model file's
+# JSON and the one-hot "name=level" feature names must all survive
+NAMES = ["z", "a", "x,1", 'q"r', "k=v"]
+LEVELS = ["lo", "b,c", 'd"e', "f=g", "="]
+
+
+@st.composite
+def fits(draw):
+    """A small fit through ``fit_pipeline`` on a random schema: shuffled
+    column order, continuous and categorical columns, one or two event
+    types, with or without summary fine-tuning."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = draw(st.permutations(NAMES))[:draw(st.integers(1, len(NAMES)))]
+    kinds = {name: draw(st.sampled_from(["continuous", "categorical"])) for name in names}
+    n, m = 40, draw(st.integers(1, 2))
+    columns = {}
+    for name, kind in kinds.items():
+        if kind == "continuous":
+            columns[name] = list(rng.normal(size=n))
+        else:
+            levels = draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=3,
+                                   unique=True))
+            columns[name] = [levels[k] for k in rng.integers(0, len(levels), n)]
+    event = rng.integers(0, m + 1, n)
+    event[:m] = np.arange(1, m + 1)
+    table = RawTable(columns, rng.exponential(2.0, n), event)
+    cohort, schema = fit_apply_preprocessor(table, schema_spec=kinds)
+    tcfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=2, patience=2,
+                       num_time_steps=draw(st.sampled_from([0, 4])))
+    sft = {"enabled": True, "max_epochs": 3, "learning_rate": 0.05} \
+        if draw(st.booleans()) else {}
+    model, logs = fit_pipeline(
+        cohort.subset(np.arange(30)), cohort.subset(np.arange(30, n)),
+        EmbeddingConfig(input_dim=cohort.p, num_layers=1, hidden_units=4, embed_dim=2),
+        tcfg, epsilon=draw(st.sampled_from([0.1, 1.0])), sft_config=sft,
+        config_snapshot={"names": names})
+    accepted = "sft" in logs and any(row[3] for row in logs["sft"].rows)
+    return model, schema, table, accepted

@@ -399,6 +399,9 @@ def _data_argv(command, data):
 _ERROR_PATHS = {
     "explain without --data or --clusters": lambda tmp_path, train_csv, model_path: [
         "explain", "--model", str(model_path), "--out", str(tmp_path / "o")],
+    "explain with both --data and --clusters": lambda tmp_path, train_csv, model_path: [
+        "explain", "--model", str(model_path), "--clusters", "--data", str(train_csv),
+        "--out", str(tmp_path / "o")],
     "every event at time 0": lambda tmp_path, train_csv, model_path: _fit_argv()(
         tmp_path, cohort_csv(tmp_path / "zero.csv", 120, 1, _events_at_time_zero),
         model_path),
@@ -414,6 +417,8 @@ _ERROR_PATHS = {
     "valid_fraction 1": _fit_argv(data={"valid_fraction": 1.0}),
     "censoring_rate false": _config_file("simulate", json.dumps(
         {"n": 10, "p": 1, "w1": [0.1], "w2": [0.1], "censoring_rate": False})),
+    "fit a missing data file": lambda tmp_path, train_csv, model_path: _fit_argv()(
+        tmp_path, tmp_path / "missing.csv", model_path),
     "evaluate a missing data file": _data_argv(
         "evaluate", lambda tmp_path, train_csv: tmp_path / "missing.csv"),
     "explain a missing data file": _data_argv(
@@ -446,6 +451,22 @@ class TestErrorPaths:
         assert main(_ERROR_PATHS[case](tmp_path, train_csv, model_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case, out", [
+        ("fit a missing data file", "out"), ("explain a missing data file", "o"),
+        ("explain with both --data and --clusters", "o"),
+    ])
+    def test_a_failed_command_makes_no_output_directory(self, tmp_path, train_csv,
+                                                         model_path, case, out):
+        # the output directory is made only once every input is read
+        assert main(_ERROR_PATHS[case](tmp_path, train_csv, model_path)) == 2
+        assert not (tmp_path / out).exists()
+
+    def test_explain_mode_checked_before_the_model_is_read(self, tmp_path, capsys):
+        assert main(["explain", "--model", str(tmp_path / "none.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: explain takes exactly one of --data <csv> or --clusters\n")
 
     @pytest.mark.parametrize("key", ["train", "valid"])
     def test_bad_cell_names_the_data_key(self, tmp_path, train_csv, capsys, key):

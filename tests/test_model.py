@@ -35,7 +35,7 @@ from kernelaj import (
     weighted_summaries,
 )
 from kernelaj import model as model_module
-from conftest import clusters_from_tables
+from conftest import clusters_from_tables, fits
 from kernelaj.core import EventTimeGrid
 from kernelaj.embedding import MlpParams, embed_batch, pairwise_sq_dists
 from kernelaj.model import Explanation, cluster_curves, exemplar_kernel_matrix
@@ -190,6 +190,27 @@ class TestPredictionProperties:
             assert (np.diff(surv, axis=1) <= 1e-12).all()
             assert (np.diff(cif, axis=2) >= -1e-12).all()
             assert cif.min() >= -1e-12 and cif.max() <= 1 + 1e-12
+
+    @settings(max_examples=25)
+    @given(fit=fits())
+    def test_trained_fits_conserve_and_fall_back(self, fit):
+        # the invariants on real fits, fine-tuned tables included, over the
+        # training rows and +-40 times the largest of them: a ReLU network
+        # can map one sign of a direction onto its dead side, so only one of
+        # the two far rows must fall back
+        model, schema, table, _ = fit
+        X = schema.transform(table)
+        far = X[np.argmax(np.linalg.norm(X, axis=1))] * 40.0
+        cif, surv, fallback = predict_cif_grid(model, np.vstack((X, far, -far)))
+        assert np.abs(surv + cif.sum(axis=0) - 1.0).max() <= 1e-12
+        assert (np.diff(surv, axis=1) <= 0).all() and (np.diff(cif, axis=2) >= 0).all()
+        assert 0 <= min(cif.min(), surv.min()) and max(cif.max(), surv.max()) <= 1
+        assert fallback[-2:].any()
+        pop = model.population_curves()
+        for i in np.flatnonzero(fallback):
+            assert_array_equal(surv[i], pop.survival.values)
+            for d in range(model.m):
+                assert_array_equal(cif[d, i], pop.cifs[d].values)
 
     def test_single_event_type_reduces_to_kernel_km(self):
         rng = np.random.default_rng(5)

@@ -8,25 +8,16 @@ import tempfile
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import fits
 from kernelaj import (
-    EmbeddingConfig,
-    RawTable,
     TrainConfig,
     fine_tune_summaries,
-    fit_apply_preprocessor,
     load_model,
     predict_cif_grid,
     save_model,
 )
-from kernelaj.cli import fit_pipeline
 from test_finetune import toy_model
-
-# column names and categorical levels that CSV quoting, the model file's
-# JSON and the one-hot "name=level" feature names must all survive
-NAMES = ["z", "a", "x,1", 'q"r', "k=v"]
-LEVELS = ["lo", "b,c", 'd"e', "f=g", "="]
 
 
 def round_trip(model, schema, X):
@@ -41,40 +32,6 @@ def round_trip(model, schema, X):
         with open(first, "rb") as fa, open(second, "rb") as fb:
             a, b = fa.read(), fb.read()
     return json.loads(a), predict_cif_grid(loaded, X(loaded_schema)), a == b
-
-
-@st.composite
-def fits(draw):
-    """A small fit through ``fit_pipeline`` on a random schema: shuffled
-    column order, continuous and categorical columns, one or two event
-    types, with or without summary fine-tuning."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    names = draw(st.permutations(NAMES))[:draw(st.integers(1, len(NAMES)))]
-    kinds = {name: draw(st.sampled_from(["continuous", "categorical"])) for name in names}
-    n, m = 40, draw(st.integers(1, 2))
-    columns = {}
-    for name, kind in kinds.items():
-        if kind == "continuous":
-            columns[name] = list(rng.normal(size=n))
-        else:
-            levels = draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=3,
-                                   unique=True))
-            columns[name] = [levels[k] for k in rng.integers(0, len(levels), n)]
-    event = rng.integers(0, m + 1, n)
-    event[:m] = np.arange(1, m + 1)
-    table = RawTable(columns, rng.exponential(2.0, n), event)
-    cohort, schema = fit_apply_preprocessor(table, schema_spec=kinds)
-    tcfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=2, patience=2,
-                       num_time_steps=draw(st.sampled_from([0, 4])))
-    sft = {"enabled": True, "max_epochs": 3, "learning_rate": 0.05} \
-        if draw(st.booleans()) else {}
-    model, logs = fit_pipeline(
-        cohort.subset(np.arange(30)), cohort.subset(np.arange(30, n)),
-        EmbeddingConfig(input_dim=cohort.p, num_layers=1, hidden_units=4, embed_dim=2),
-        tcfg, epsilon=draw(st.sampled_from([0.1, 1.0])), sft_config=sft,
-        config_snapshot={"names": names})
-    accepted = "sft" in logs and any(row[3] for row in logs["sft"].rows)
-    return model, schema, table, accepted
 
 
 class TestRoundTrip:

@@ -186,3 +186,24 @@ def test_every_export_has_a_caller():
     used |= {name for path in sorted(LAYERS.parent.glob("*.py"))
              for name in _uses(path, strings=True)}
     assert sorted(exports - used) == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _is_fixture(decorator):
+    """Whether ``decorator`` is ``pytest.fixture`` or a call of it."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Attribute) and target.attr == "fixture"
+
+
+def test_every_fixture_is_used():
+    # every fixture that conftest.py shares is a parameter of some test or
+    # fixture, so a fixture whose last user went does not stay behind
+    conftest = ast.parse((TESTS / "conftest.py").read_text(encoding="utf-8"))
+    fixtures = {node.name for node in conftest.body if isinstance(node, ast.FunctionDef)
+                and any(map(_is_fixture, node.decorator_list))}
+    params = {arg.arg for path in sorted(TESTS.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.FunctionDef) for arg in node.args.args}
+    assert sorted(fixtures - params) == []

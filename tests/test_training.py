@@ -23,6 +23,7 @@ from dense_oracle import (
 )
 from kernelaj import (
     Cohort,
+    ConfigError,
     DegenerateGrid,
     Diverged,
     EmbeddingConfig,
@@ -500,6 +501,24 @@ def criterion_cohorts(draw):
     grid = build_event_grid(train)
     return breslow_preprocess(train, grid)[0], breslow_preprocess(valid, grid)[0], grid
 
+
+class TestFitSettings:
+    @pytest.mark.parametrize("setting", [
+        {"epsilon": -1.0}, {"epsilon": float("nan")}, {"min_kernel_weight": 1.0},
+        {"shuffle_seed": -1},
+    ], ids=lambda setting: f"{setting}")
+    def test_bad_clustering_setting_raises_before_training(self, monkeypatch, setting):
+        # fit_pipeline checks its clustering settings as kernelaj fit does,
+        # before the embedding trains, not when the clustering rejects them
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train_embedding", no_training)
+        train, valid, ecfg = TestCriterionFeasibility.no_event_two_pairs()
+        tcfg = TrainConfig(batch_size=128, max_epochs=2, patience=2, num_time_steps=8)
+        with pytest.raises(ConfigError, match="^invalid value in 'clustering': ") as info:
+            fit_pipeline(train, valid, ecfg, tcfg, **{"epsilon": 0.5, **setting})
+        assert info.value.key == "clustering"
 
 class TestCriterionScorer:
     @settings(max_examples=150)
