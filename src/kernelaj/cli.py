@@ -198,9 +198,15 @@ def cmd_fit(config_path: str) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     ecfg = replace(ecfg, input_dim=train_cohort.p)
     out_dir = doc.get("output_dir", ".")
+    made = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)     # once every input is read, before training
-    model, logs = fit_pipeline(train_cohort, valid_cohort, ecfg, tcfg, **doc["clustering"],
-                               sft_config=doc.get("sft"), config_snapshot=doc)
+    try:
+        model, logs = fit_pipeline(train_cohort, valid_cohort, ecfg, tcfg, **doc["clustering"],
+                                   sft_config=doc.get("sft"), config_snapshot=doc)
+    except BaseException:
+        if made:        # nothing is written before fit_pipeline returns
+            os.rmdir(out_dir)
+        raise
     save_model(model, os.path.join(out_dir, "model.json"), schema)
     for key, log in logs.items():
         epoch, loss, value, best = map(np.array, zip(*log.rows))
@@ -281,9 +287,10 @@ def cmd_evaluate(model_path: str, data_path: str, out_dir: str,
     scores = metricsmod.score_curves(cif, model.grid.times, scorer)
     pop_cif = np.stack([np.tile(c.values, (cohort.n, 1))
                         for c in model.population_curves().cifs])
-    pop_scores = metricsmod.score_curves(pop_cif, model.grid.times, scorer)
+    # every pair of population curves ties, so their concordance is 0.5
+    pop_ibs = metricsmod.score_curves(pop_cif, model.grid.times, scorer, ("ibs",))["ibs"]
 
-    values = np.stack([scores["ctd"], scores["ibs"], pop_scores["ctd"], pop_scores["ibs"]], 1)
+    values = np.stack([scores["ctd"], scores["ibs"], [0.5] * model.m, pop_ibs], 1)
     out_path = os.path.join(out_dir, "metrics.csv")
     write_csv(out_path, ["event", "metric", "value"],
               [np.repeat(np.arange(1, model.m + 1), 4),

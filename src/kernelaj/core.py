@@ -231,7 +231,7 @@ def count_tables(codes, shape, group, groups: int):
     over groups equal the one-group tables exactly."""
     cells = np.zeros((groups, shape[0] + 1, shape[1] + 1))
     np.add.at(cells.reshape(groups, -1), (group, codes), 1.0)   # a view of cells
-    n = reverse_cumsum(cells[:, 1:].sum(axis=2))
+    n = reverse_cumsum(np.einsum("glk->gl", cells[:, 1:]))  # faster than .sum(axis=2)
     return np.ascontiguousarray(cells[:, 1:, 1:]), np.ascontiguousarray(n)
 
 

@@ -327,8 +327,7 @@ def write_csv(path, header, columns, newline="\n"):
             fh.write(newline.join(map(",".join, zip(*cells))) + newline)
 
 
-def write_cohort_csv(cohort: Cohort, path, feature_names=None):
+def write_cohort_csv(cohort: Cohort, path):
     """Write a cohort (x1..xp, time, event) with CRLF line ends."""
-    names = feature_names or [f"x{j + 1}" for j in range(cohort.p)]
-    write_csv(path, [*names, "time", "event"], [cohort.features, cohort.time, cohort.event],
-              newline="\r\n")
+    write_csv(path, [*(f"x{j + 1}" for j in range(cohort.p)), "time", "event"],
+              [cohort.features, cohort.time, cohort.event], newline="\r\n")

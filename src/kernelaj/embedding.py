@@ -203,25 +203,24 @@ def _neg_sq_dists(E1, E2, out):
     return N
 
 
-def pairwise_sq_dists(E1: np.ndarray, E2=None, out=None) -> np.ndarray:
+def pairwise_sq_dists(E1: np.ndarray, E2=None) -> np.ndarray:
     """Squared Euclidean distances between embedding rows, clipped at 0.
 
     One :func:`blocked_matmul` of augmented rows writes |e1|^2 + |e2|^2 -
-    2 e1.e2, negated, into a single buffer (``out``, an (n1, n2) array, when
-    given) that is negated back and clipped in place. A row's distances do
-    not depend on the rows of E1 passed with it. The self form
-    ``pairwise_sq_dists(E)`` is the two-set form against E itself with an
-    exact 0 diagonal.
+    2 e1.e2, negated, into a single (n1, n2) buffer that is negated back and
+    clipped in place. A row's distances do not depend on the rows of E1
+    passed with it. The self form ``pairwise_sq_dists(E)`` is the two-set
+    form against E itself with an exact 0 diagonal.
     """
-    D2 = _neg_sq_dists(E1, E2, out)
+    D2 = _neg_sq_dists(E1, E2, None)
     np.negative(D2, out=D2)
     return np.maximum(D2, 0.0, out=D2)
 
 
 def kernel_matrix(E1: np.ndarray, E2=None, out=None) -> np.ndarray:
-    """exp(-||e_i - e_j||^2) for all row pairs, computed in one buffer
-    (``out`` when given, see :func:`pairwise_sq_dists`): the product yields
-    -D^2 directly, so one clip and one exp finish it."""
+    """exp(-||e_i - e_j||^2) for all row pairs, computed in one (n1, n2)
+    buffer (``out`` when given): the product of :func:`pairwise_sq_dists`
+    yields -D^2 directly, so one clip and one exp finish it."""
     N = _neg_sq_dists(E1, E2, out)
     np.minimum(N, 0.0, out=N)
     return np.exp(N, out=N)

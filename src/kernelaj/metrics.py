@@ -45,18 +45,13 @@ class EvalGrid:
         return self.times.size
 
 
-def build_eval_grid(event_times, k: int = 100, truncate_pct: float = 90) -> EvalGrid:
-    """k evenly spaced quantiles of the uncensored times, from the minimum up
-    to the truncation percentile, deduplicated."""
+def build_eval_grid(event_times) -> EvalGrid:
+    """100 evenly spaced quantiles of the uncensored times, from the minimum
+    up to their 90th percentile, deduplicated."""
     times = np.asarray(event_times, dtype=np.float64)
     if times.size == 0:
         raise NoEvents("no uncensored times to build an evaluation grid from")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    top = truncate_pct / 100.0
-    levels = np.array([top]) if k == 1 else np.linspace(0.0, top, k)
-    grid = np.unique(np.quantile(times, levels))
-    return EvalGrid(grid)
+    return EvalGrid(np.unique(np.quantile(times, np.linspace(0.0, 0.9, 100))))
 
 
 def censoring_survival(cohort: Cohort) -> StepCurve:
@@ -247,15 +242,14 @@ class Scorer:
     weights: tuple = None
 
 
-def scorer(cohort: Cohort, eval_grid: EvalGrid = None, censor_curve=None) -> Scorer:
+def scorer(cohort: Cohort, eval_grid: EvalGrid = None) -> Scorer:
     """A :class:`Scorer` of ``cohort``. IBS needs ``eval_grid``; its IPCW
-    weights come from ``censor_curve`` (the cohort's own censoring
-    Kaplan-Meier curve by default) and are computed here, once."""
+    weights come from the cohort's own censoring Kaplan-Meier curve
+    (:func:`censoring_survival`) and are computed here, once."""
     if eval_grid is None:
         return Scorer(cohort)
-    if censor_curve is None:
-        censor_curve = censoring_survival(cohort)
-    return Scorer(cohort, eval_grid, ipcw_weights(cohort, eval_grid.times, censor_curve))
+    return Scorer(cohort, eval_grid,
+                  ipcw_weights(cohort, eval_grid.times, censoring_survival(cohort)))
 
 
 def score_curves(curves, knot_times, scorer: Scorer, criteria=("ctd", "ibs")) -> dict:
@@ -280,8 +274,7 @@ def score_curves(curves, knot_times, scorer: Scorer, criteria=("ctd", "ibs")) ->
 
 
 def evaluate_cif_predictions(curves_per_event, knot_times, cohort: Cohort,
-                             eval_grid: EvalGrid, censor_curve=None) -> dict:
+                             eval_grid: EvalGrid) -> dict:
     """Per-event concordance and integrated Brier score for a prediction set:
     {"ctd": [...], "ibs": [...]} from :func:`score_curves`."""
-    return score_curves(curves_per_event, knot_times,
-                        scorer(cohort, eval_grid, censor_curve))
+    return score_curves(curves_per_event, knot_times, scorer(cohort, eval_grid))

@@ -94,6 +94,7 @@ from .core import (
     EventTimeGrid,
     breslow_preprocess,
     cif_from_hazards,
+    count_tables,
     require_int,
     require_real,
 )
@@ -188,13 +189,11 @@ class CodeGroups(NamedTuple):
     delta: np.ndarray
 
     def tables(self, m, L):
-        """The groups as one-row tables (d (U, L, m), n (U, L)): d is 1 at
-        (kappa - 1, delta - 1) of an event group, n is 1 on the bins
-        l < kappa."""
-        ev = np.flatnonzero(self.delta > 0)
-        d = np.zeros((self.kappa.size, L, m))
-        d[ev, self.kappa[ev] - 1, self.delta[ev] - 1] = 1.0
-        return d, _at_risk(self.kappa, L)
+        """The groups as one-row tables (d (U, L, m), n (U, L)) counted by
+        :func:`~kernelaj.core.count_tables`: d is 1 at (kappa - 1, delta - 1)
+        of an event group, n is 1 on the bins l < kappa."""
+        U = self.kappa.size
+        return count_tables(self.kappa * (m + 1) + self.delta, (L, m), np.arange(U), U)
 
 
 def code_groups(kappa, delta, m) -> CodeGroups:

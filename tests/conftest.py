@@ -97,15 +97,19 @@ NAMES = ["z", "a", "x,1", 'q"r', "k=v"]
 LEVELS = ["lo", "b,c", 'd"e', "f=g", "="]
 
 
+FIT_TRAIN_ROWS = 30
+
+
 @st.composite
-def fits(draw):
+def fits(draw, max_events=2):
     """A small fit through ``fit_pipeline`` on a random schema: shuffled
-    column order, continuous and categorical columns, one or two event
-    types, with or without summary fine-tuning."""
+    column order, continuous and categorical columns, one to ``max_events``
+    event types, with or without summary fine-tuning. The table's first
+    ``FIT_TRAIN_ROWS`` rows train the model and the rest validate it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     names = draw(st.permutations(NAMES))[:draw(st.integers(1, len(NAMES)))]
     kinds = {name: draw(st.sampled_from(["continuous", "categorical"])) for name in names}
-    n, m = 40, draw(st.integers(1, 2))
+    n, m = 40, draw(st.integers(1, max_events))
     columns = {}
     for name, kind in kinds.items():
         if kind == "continuous":
@@ -123,7 +127,7 @@ def fits(draw):
     sft = {"enabled": True, "max_epochs": 3, "learning_rate": 0.05} \
         if draw(st.booleans()) else {}
     model, logs = fit_pipeline(
-        cohort.subset(np.arange(30)), cohort.subset(np.arange(30, n)),
+        cohort.subset(np.arange(FIT_TRAIN_ROWS)), cohort.subset(np.arange(FIT_TRAIN_ROWS, n)),
         EmbeddingConfig(input_dim=cohort.p, num_layers=1, hidden_units=4, embed_dim=2),
         tcfg, epsilon=draw(st.sampled_from([0.1, 1.0])), sft_config=sft,
         config_snapshot={"names": names})

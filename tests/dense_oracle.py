@@ -641,13 +641,12 @@ def _parse_event(cell, rownum, colname) -> int:
     return int(value)
 
 
-def write_cohort_csv(cohort: Cohort, path, feature_names=None):
+def write_cohort_csv(cohort: Cohort, path):
     """The per-row CSV writer: ``repr(float(v))`` per cell and one
     ``csv.writer.writerow`` per row."""
-    names = feature_names or [f"x{j + 1}" for j in range(cohort.p)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(names) + ["time", "event"])
+        writer.writerow([f"x{j + 1}" for j in range(cohort.p)] + ["time", "event"])
         for i in range(cohort.n):
             row = [repr(float(v)) for v in cohort.features[i]]
             writer.writerow(row + [repr(float(cohort.time[i])), int(cohort.event[i])])

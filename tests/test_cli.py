@@ -33,6 +33,7 @@ from kernelaj import (
     write_cohort_csv,
 )
 from kernelaj import cli, finetune, serialize, training
+from kernelaj import metrics as metricsmod
 from kernelaj import model as model_module
 from kernelaj.cli import main
 from kernelaj.core import reverse_cumsum
@@ -454,11 +455,12 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("case, out", [
         ("fit a missing data file", "out"), ("explain a missing data file", "o"),
-        ("explain with both --data and --clusters", "o"),
+        ("explain with both --data and --clusters", "o"), ("every event at time 0", "out"),
     ])
     def test_a_failed_command_makes_no_output_directory(self, tmp_path, train_csv,
                                                          model_path, case, out):
-        # the output directory is made only once every input is read
+        # the output directory is made only once every input is read, and a
+        # fit that fails removes the directory it made
         assert main(_ERROR_PATHS[case](tmp_path, train_csv, model_path)) == 2
         assert not (tmp_path / out).exists()
 
@@ -508,6 +510,20 @@ class TestEvaluate:
         # a constant-risk predictor ties every comparable pair
         assert metrics[("1", "ctd_population")] == 0.5
         assert metrics[("2", "ctd_population")] == 0.5
+
+    def test_population_pairs_are_not_counted(self, tmp_path, train_csv, test_csv,
+                                              monkeypatch):
+        # every pair of population curves ties, so their concordance is
+        # written as 0.5 and pairs are counted for the model's curves only
+        config_path, _ = write_config(tmp_path, train_csv)
+        main(["fit", "--config", str(config_path)])
+        calls, count = [], metricsmod.concordance_td_from_curves
+        monkeypatch.setattr(metricsmod, "concordance_td_from_curves",
+                            lambda *args: calls.append(args) or count(*args))
+        assert main(["evaluate", "--model", str(tmp_path / "out" / "model.json"), "--data",
+                     str(test_csv), "--out", str(tmp_path / "eval")]) == 0
+        m = load_model(tmp_path / "out" / "model.json")[0].m
+        assert len(calls) == m
 
     def test_evaluate_deterministic(self, tmp_path, train_csv, test_csv):
         config_path, _ = write_config(tmp_path, train_csv)

@@ -485,10 +485,9 @@ class TestBrier:
 
 @st.composite
 def scoring_cases(draw):
-    """(curves (m, n, L), knots, cohort, eval grid, censoring curve or None):
-    tied observed times, censoring, competing events and lattice curve
-    values; every event type has a comparable pair. The censoring curve may
-    reach 0, which excludes subjects from the Brier score."""
+    """(curves (m, n, L), knots, cohort, eval grid): tied observed times,
+    censoring, competing events and lattice curve values; every event type
+    has a comparable pair."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 3))
     n = draw(st.integers(m + 1, 40))
@@ -501,12 +500,7 @@ def scoring_cases(draw):
     grid_times = np.unique(rng.integers(1, 14, draw(st.integers(2, 12))) * 0.5)
     if grid_times.size < 2:
         grid_times = np.array([1.0, 5.5])
-    censor = draw(st.sampled_from([None, "own", "reaches zero"]))
-    if censor == "own":
-        censor = censoring_survival(cohort)
-    elif censor == "reaches zero":
-        censor = StepCurve(np.sort(rng.uniform(0.5, 6.0, 3)), np.array([0.7, 0.3, 0.0]))
-    return curves, knots, cohort, EvalGrid(grid_times), censor
+    return curves, knots, cohort, EvalGrid(grid_times)
 
 
 class TestScoreCurves:
@@ -516,20 +510,19 @@ class TestScoreCurves:
     @REPRODUCIBLE
     @given(case=scoring_cases())
     def test_bit_equal_to_per_event_composition(self, case):
-        curves, knots, cohort, grid, censor = case
-        weights = ipcw_weights(cohort, grid.times,
-                               censor if censor is not None else censoring_survival(cohort))
+        curves, knots, cohort, grid = case
+        weights = ipcw_weights(cohort, grid.times, censoring_survival(cohort))
         want = {"ctd": [], "ibs": []}
         for d in range(1, cohort.m + 1):
             pred = interpolate_curves(curves[d - 1], knots, grid.times)
             bs, _ = brier_scores(pred, cohort, d, grid.times, weights)
             want["ibs"].append(integrated_brier(bs, grid))
             want["ctd"].append(concordance_td_from_curves(curves[d - 1], knots, cohort, d))
-        one = scorer(cohort, grid, censor)
+        one = scorer(cohort, grid)
         assert score_curves(curves, knots, one) == want
         assert score_curves(curves, knots, one, ("ibs",)) == {"ibs": want["ibs"]}
         assert score_curves(curves, knots, one, ("ctd",)) == {"ctd": want["ctd"]}
-        assert evaluate_cif_predictions(curves, knots, cohort, grid, censor) == want
+        assert evaluate_cif_predictions(curves, knots, cohort, grid) == want
 
     def test_scores_only_the_requested_criteria(self, monkeypatch):
         cohort = Cohort(np.zeros((4, 1)), [1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], 1)

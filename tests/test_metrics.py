@@ -46,20 +46,14 @@ def brute_force_ctd(risk_matrix, cohort, delta):
 class TestEvalGrid:
     def test_range_respects_truncation(self):
         times = np.arange(1.0, 101.0)
-        grid = build_eval_grid(times, k=100, truncate_pct=90)
+        grid = build_eval_grid(times)
         assert grid.times[0] == 1.0
         assert grid.times[-1] <= np.quantile(times, 0.9) + 1e-12
         assert len(grid) <= 100
 
-    def test_k_one_gives_truncation_quantile(self):
-        times = np.arange(1.0, 101.0)
-        grid = build_eval_grid(times, k=1, truncate_pct=90)
-        assert len(grid) == 1
-        assert grid.times[0] == pytest.approx(np.quantile(times, 0.9))
-
     def test_duplicate_heavy_times_dedupe(self):
         times = np.array([1.0] * 50 + [2.0] * 50)
-        grid = build_eval_grid(times, k=100)
+        grid = build_eval_grid(times)
         assert len(grid) < 100
 
 

@@ -1,7 +1,7 @@
 """Tests for kernel-weighted prediction: special-case equivalences against
 the population estimator, conservation, and interpretation quantities."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,8 +35,8 @@ from kernelaj import (
     weighted_summaries,
 )
 from kernelaj import model as model_module
-from conftest import clusters_from_tables, fits
-from kernelaj.core import EventTimeGrid
+from conftest import FIT_TRAIN_ROWS, clusters_from_tables, fits
+from kernelaj.core import EventTimeGrid, label_codes, risk_event_counts
 from kernelaj.embedding import MlpParams, embed_batch, pairwise_sq_dists
 from kernelaj.model import Explanation, cluster_curves, exemplar_kernel_matrix
 
@@ -91,7 +91,91 @@ def constant_params(p, d=2):
     return MlpParams((p, d), (np.zeros((d, p)),), (np.zeros(d),))
 
 
+def training_rows(fit):
+    """The training rows of a :func:`conftest.fits` fit, preprocessed on the
+    model's grid and checked against the label codes the model stores, and
+    all of the fit's rows as features."""
+    model, schema, table, _ = fit
+    X, rows = schema.transform(table), np.arange(FIT_TRAIN_ROWS)
+    pre, _ = breslow_preprocess(
+        Cohort(X[rows], table.time[rows], table.event[rows], model.m), model.grid)
+    assert_array_equal(label_codes(pre, model.grid), model.clusters.codes)
+    return pre, X
+
+
+def reclustered(model, pre, epsilon, tau):
+    """``model`` with its clusters rebuilt from the training rows ``pre`` at
+    (epsilon, tau), and no fine-tuned tables."""
+    clusters = build_cluster_model(embed_batch(model.params, pre.features), pre, model.grid,
+                                   epsilon, tau)
+    return replace(model, clusters=clusters, sft_tables=None,
+                   cluster_feature_means=np.zeros((clusters.num_clusters, pre.p)))
+
+
+def assert_curves(cif, surv, want):
+    """Predicted CIFs (m, L) and survival (L,) of one row within 1e-12 of the
+    CifSet ``want``."""
+    assert_allclose(surv, want.survival.values, rtol=0, atol=1e-12)
+    for d, curve in enumerate(want.cifs):
+        assert_allclose(cif[d], curve.values, rtol=0, atol=1e-12)
+
+
 class TestSpecialCases:
+    @settings(max_examples=25)
+    @given(fit=fits())
+    def test_trained_fit_at_epsilon_infinity_is_the_population(self, fit):
+        # one cluster holds every training row, so its kernel weight cancels
+        # in every ratio: any row, near or far, gets the Aalen-Johansen
+        # curves of the training rows
+        model = fit[0]
+        pre, X = training_rows(fit)
+        one = reclustered(model, pre, np.inf, model.clusters.tau)
+        far = 40.0 * X[np.argmax(np.linalg.norm(X, axis=1))]
+        cif, surv, _ = predict_cif_grid(one, np.vstack((X, far, -far)))
+        want = curves_from_counts(*risk_event_counts(pre, model.grid), model.grid)
+        for i in range(surv.shape[0]):
+            assert_curves(cif[:, i], surv[i], want)
+
+    @settings(max_examples=25)
+    @given(fit=fits())
+    def test_trained_exemplar_with_tau_below_epsilon_is_its_cluster(self, fit):
+        # exemplars lie more than epsilon apart, so with tau below epsilon an
+        # exemplar's own row weights its own cluster only and gets the
+        # Aalen-Johansen curves of that cluster's member rows
+        model = fit[0]
+        pre, _ = training_rows(fit)
+        net = reclustered(model, pre, model.clusters.epsilon, model.clusters.epsilon / 2)
+        ids = net.clusters.exemplar_ids
+        E = net.clusters.exemplar_embeddings
+        diff = E[:, None, :] - E[None, :, :]
+        gaps = np.einsum("qrd,qrd->qr", diff, diff) > net.clusters.tau ** 2
+        assert_array_equal(gaps, ~np.eye(ids.size, dtype=bool))
+        cif, surv, _ = predict_cif_grid(net, pre.features[ids])
+        for q, i in enumerate(ids):
+            members = pre.subset(np.flatnonzero(net.clusters.assignments == i))
+            assert_curves(cif[:, q], surv[q], curves_from_counts(
+                *risk_event_counts(members, model.grid), model.grid, allow_zero_risk=True))
+
+    @settings(max_examples=25)
+    @given(fit=fits(max_events=1))
+    def test_trained_single_event_fit_is_the_kernel_kaplan_meier(self, fit):
+        # with one event type the survival is the product-limit estimate of
+        # the kernel-weighted tables, fine-tuned or not, with hazard 0 where
+        # nobody is at risk, and the CIF is its complement
+        model = fit[0]
+        _, X = training_rows(fit)
+        cif, surv, fallback = predict_cif_grid(model, X)
+        assert_allclose(surv + cif[0], 1.0, rtol=0, atol=1e-12)
+        diff = embed_batch(model.params, X)[:, None, :] - model.clusters.exemplar_embeddings
+        sq = np.einsum("iqd,iqd->iq", diff, diff)
+        W = np.where(sq <= model.clusters.tau ** 2, np.exp(-sq), 0.0)
+        assert_array_equal(fallback, ~W.any(axis=1))
+        d, n = model.tables
+        for i in np.flatnonzero(~fallback):
+            km = curves_from_counts(np.einsum("q,qlk->lk", W[i], d), W[i] @ n, model.grid,
+                                    allow_zero_risk=True).survival
+            assert_allclose(surv[i], km.values, rtol=0, atol=1e-12)
+
     def test_epsilon_infinity_equals_population(self):
         # single cluster holding everyone: kernel weight cancels in the
         # ratios, so every query reproduces the population estimate

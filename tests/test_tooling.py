@@ -207,3 +207,44 @@ def test_every_fixture_is_used():
               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
               if isinstance(node, ast.FunctionDef) for arg in node.args.args}
     assert sorted(fixtures - params) == []
+
+
+def _defaulted_params(function):
+    """(position or None, name) of every parameter of ``function`` that has a
+    default; keyword-only parameters have no position."""
+    positional = function.args.posonlyargs + function.args.args
+    first = len(positional) - len(function.args.defaults)
+    yield from ((i, arg.arg) for i, arg in enumerate(positional) if i >= first)
+    yield from ((None, arg.arg) for arg, default in
+                zip(function.args.kwonlyargs, function.args.kw_defaults) if default is not None)
+
+
+def test_every_parameter_has_a_caller():
+    # every defaulted parameter of a module-level function is passed by some
+    # call of that name in the package, the acceptance suite or the
+    # benchmark; an option only unit tests set is a code path nothing uses
+    callers = [*sorted(SRC.glob("*.py")), TESTS / "test_acceptance.py",
+               *sorted(LAYERS.parent.glob("*.py"))]
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        for function in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            passed = set()
+            for call in calls.get(function.name, []):
+                keywords = {k.arg for k in call.keywords}
+                if None in keywords or any(isinstance(a, ast.Starred) for a in call.args):
+                    passed = None
+                    break
+                passed |= keywords | set(range(len(call.args)))
+            if passed is not None:
+                unpassed += [f"{function.name}.{name}"
+                             for i, name in _defaulted_params(function)
+                             if name not in passed and i not in passed]
+    assert sorted(unpassed) == []
