@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -50,7 +51,7 @@ _DATA_KEYS = {"train", "valid", "time_column", "event_column", "schema",
               "valid_fraction"}
 _EMBED_KEYS = {f.name for f in fields(EmbeddingConfig)} - {"input_dim"}
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_CLUSTER_KEYS = {"epsilon", "min_kernel_weight", "shuffle_seed"}
+_CLUSTER_KEYS = {"epsilon", "min_kernel_weight"}
 _SFT_KEYS = {"enabled", "learning_rate", "max_epochs", "patience",
              "early_stop_criterion"}
 _SIM_KEYS = {f.name for f in fields(SynthConfig)}
@@ -88,6 +89,20 @@ def _read_cohort(path, kinds, time_column, event_column, key=None):
     except (OSError, UnicodeDecodeError, csv.Error, ParseError) as exc:
         where = f"'{key}' ({path})" if key else str(path)
         raise ConfigError(f"cannot read data file {where}: {exc}", key=key) from None
+
+
+@contextmanager
+def _output_dir(path):
+    """Make ``path`` for a command's outputs; if the command fails, remove it
+    again when it was made here and is still empty."""
+    made = not os.path.isdir(path)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield path
+    except BaseException:
+        if made and not os.listdir(path):
+            os.rmdir(path)
+        raise
 
 
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
@@ -129,8 +144,7 @@ def _parse_fit_config(doc: dict):
     return doc
 
 
-def _fit_settings(tcfg: TrainConfig, epsilon, min_kernel_weight=0.01, shuffle_seed=None,
-                  sft=None):
+def _fit_settings(tcfg: TrainConfig, epsilon, min_kernel_weight=0.01, sft=None):
     """(tau, the fine-tuning TrainConfig or None) of a fit's clustering
     settings and ``sft`` config section, checked before any data is read or
     any training runs (the ``sft`` section even when fine-tuning is
@@ -140,10 +154,7 @@ def _fit_settings(tcfg: TrainConfig, epsilon, min_kernel_weight=0.01, shuffle_se
     def clustering():
         if require_real("epsilon", epsilon) < 0:
             raise ValueError("epsilon must be nonnegative")
-        tau = tau_from_min_kernel_weight(require_real("min_kernel_weight", min_kernel_weight))
-        if shuffle_seed is not None:
-            require_int("shuffle_seed", shuffle_seed, 0)
-        return tau
+        return tau_from_min_kernel_weight(require_real("min_kernel_weight", min_kernel_weight))
     tau = _checked("clustering", clustering)
     sft = sft or {}
     enabled = sft.get("enabled", False)
@@ -197,40 +208,32 @@ def cmd_fit(config_path: str) -> int:
     for warning in schema.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     ecfg = replace(ecfg, input_dim=train_cohort.p)
-    out_dir = doc.get("output_dir", ".")
-    made = not os.path.isdir(out_dir)
-    os.makedirs(out_dir, exist_ok=True)     # once every input is read, before training
-    try:
+    with _output_dir(doc.get("output_dir", ".")) as out_dir:
         model, logs = fit_pipeline(train_cohort, valid_cohort, ecfg, tcfg, **doc["clustering"],
-                                   sft_config=doc.get("sft"), config_snapshot=doc)
-    except BaseException:
-        if made:        # nothing is written before fit_pipeline returns
-            os.rmdir(out_dir)
-        raise
-    save_model(model, os.path.join(out_dir, "model.json"), schema)
-    for key, log in logs.items():
-        epoch, loss, value, best = map(np.array, zip(*log.rows))
-        path = os.path.join(out_dir, "training_log.csv" if key == "train" else "sft_log.csv")
-        write_csv(path, ["epoch", "train_loss", "valid_criterion", "is_best"],
-                  [epoch, loss, value, best.astype(np.int64)])
+                                   sft_config=doc.get("sft"))
+        save_model(model, os.path.join(out_dir, "model.json"), schema)
+        for key, log in logs.items():
+            epoch, loss, value, best = map(np.array, zip(*log.rows))
+            path = os.path.join(out_dir, "training_log.csv" if key == "train" else "sft_log.csv")
+            write_csv(path, ["epoch", "train_loss", "valid_criterion", "is_best"],
+                      [epoch, loss, value, best.astype(np.int64)])
     print(f"model written to {os.path.join(out_dir, 'model.json')}")
     return 0
 
 
 def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
                  ecfg: EmbeddingConfig, tcfg: TrainConfig, epsilon: float,
-                 min_kernel_weight: float = 0.01, shuffle_seed=None,
-                 sft_config=None, config_snapshot=None):
+                 min_kernel_weight: float = 0.01, sft_config=None):
     """Full training pipeline shared by the CLI and library callers.
 
-    Preprocess and discretize times, train the embedding, cluster, summarize,
-    and optionally fine-tune the summary tables. Returns (model, logs dict).
-    A rejected clustering setting (``epsilon``, ``min_kernel_weight``,
-    ``shuffle_seed``) or ``sft_config`` value raises ConfigError, and a
+    Preprocess and discretize times, train the embedding, cluster in input
+    order, summarize, and optionally fine-tune the summary tables. Returns
+    (model, logs dict). A rejected clustering setting (``epsilon``,
+    ``min_kernel_weight``) or ``sft_config`` value raises ConfigError, and a
     criterion that cannot be computed on the validation cohort raises, before
     training starts.
     """
-    tau, sft_tcfg = _fit_settings(tcfg, epsilon, min_kernel_weight, shuffle_seed, sft_config)
+    tau, sft_tcfg = _fit_settings(tcfg, epsilon, min_kernel_weight, sft_config)
     grid = discretize_times(build_event_grid(train_cohort), tcfg.num_time_steps)
     train_pre, _ = breslow_preprocess(train_cohort, grid)
     valid_pre, _ = breslow_preprocess(valid_cohort, grid)
@@ -243,7 +246,7 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
                                         scorers[tcfg.early_stop_criterion])
 
     clusters = build_cluster_model(embed_batch(params, train_pre.features), train_pre,
-                                   grid, epsilon, tau, shuffle_seed)
+                                   grid, epsilon, tau)
 
     # each cluster's rows in input order, so every mean keeps its bits
     order = np.argsort(cluster_positions(clusters.exemplar_ids, clusters.assignments),
@@ -251,8 +254,7 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     feature_means = np.vstack([rows.mean(axis=0) for rows in np.split(
         train_pre.features[order], np.cumsum(clusters.cluster_sizes())[:-1])])
     model = KernelAJModel(params=params, clusters=clusters, grid=grid,
-                          cluster_feature_means=feature_means,
-                          config=config_snapshot or {})
+                          cluster_feature_means=feature_means)
     logs = {"train": train_log}
 
     if sft_tcfg is not None:
@@ -279,23 +281,22 @@ def cmd_evaluate(model_path: str, data_path: str, out_dir: str,
     model, schema = _load_model_checked(model_path)
     cohort = _load_compatible_cohort(data_path, schema, model,
                                      time_column, event_column)
-    os.makedirs(out_dir, exist_ok=True)
+    with _output_dir(out_dir):
+        cif, _, _ = predict_cif_grid(model, cohort.features)
+        scorer = metricsmod.scorer(
+            cohort, metricsmod.build_eval_grid(cohort.time[cohort.event != 0]))
+        scores = metricsmod.score_curves(cif, model.grid.times, scorer)
+        pop_cif = np.stack([np.tile(c.values, (cohort.n, 1))
+                            for c in model.population_curves().cifs])
+        # every pair of population curves ties, so their concordance is 0.5
+        pop_ibs = metricsmod.score_curves(pop_cif, model.grid.times, scorer, ("ibs",))["ibs"]
 
-    cif, _, _ = predict_cif_grid(model, cohort.features)
-    scorer = metricsmod.scorer(
-        cohort, metricsmod.build_eval_grid(cohort.time[cohort.event != 0]))
-    scores = metricsmod.score_curves(cif, model.grid.times, scorer)
-    pop_cif = np.stack([np.tile(c.values, (cohort.n, 1))
-                        for c in model.population_curves().cifs])
-    # every pair of population curves ties, so their concordance is 0.5
-    pop_ibs = metricsmod.score_curves(pop_cif, model.grid.times, scorer, ("ibs",))["ibs"]
-
-    values = np.stack([scores["ctd"], scores["ibs"], [0.5] * model.m, pop_ibs], 1)
-    out_path = os.path.join(out_dir, "metrics.csv")
-    write_csv(out_path, ["event", "metric", "value"],
-              [np.repeat(np.arange(1, model.m + 1), 4),
-               np.tile(["ctd", "ibs", "ctd_population", "ibs_population"], model.m),
-               values.ravel()])
+        values = np.stack([scores["ctd"], scores["ibs"], [0.5] * model.m, pop_ibs], 1)
+        out_path = os.path.join(out_dir, "metrics.csv")
+        write_csv(out_path, ["event", "metric", "value"],
+                  [np.repeat(np.arange(1, model.m + 1), 4),
+                   np.tile(["ctd", "ibs", "ctd_population", "ibs_population"], model.m),
+                   values.ravel()])
     print(f"metrics written to {out_path}")
     return 0
 
@@ -309,68 +310,67 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
     if not clusters_mode:
         cohort = _load_compatible_cohort(data_path, schema, model,
                                          time_column, event_column)
-    os.makedirs(out_dir, exist_ok=True)
+    with _output_dir(out_dir):
+        if clusters_mode:
+            ids = model.clusters.exemplar_ids
+            cif, surv, _, _ = cif_from_hazards(
+                table_hazards(model.clusters.d_cluster, model.clusters.n_cluster))
+            order = np.argsort(-cif[0, :, -1], kind="stable")
+            events = range(1, model.m + 1)
+            write_csv(os.path.join(out_dir, "cluster_summary.csv"),
+                      ["exemplar_id", "size", *(f"risk_event_{d}" for d in events)],
+                      [ids[order], model.clusters.cluster_sizes()[order], cif[:, order, -1].T])
+            write_csv(os.path.join(out_dir, "cluster_cifs.csv"),
+                      ["exemplar_id", "time", "survival", *(f"cif_{d}" for d in events)],
+                      [np.repeat(ids[order], len(model.grid)), np.tile(model.grid.times, ids.size),
+                       surv[order].ravel(), cif[:, order].reshape(model.m, -1).T])
+            means = model.cluster_feature_means
+            names = [f"f{j}" for j in range(means.shape[1])]
+            if schema is not None:
+                names, means = schema.feature_names, schema.original_scale(means)
+            write_csv(os.path.join(out_dir, "cluster_features.csv"),
+                      ["exemplar_id", *names], [ids, means])
+            write_csv(os.path.join(out_dir, "kernel_matrix.csv"), ["exemplar_id", *ids.tolist()],
+                      [ids, exemplar_kernel_matrix(model)])
+            print(f"cluster reports written to {out_dir}")
+            return 0
 
-    if clusters_mode:
-        ids = model.clusters.exemplar_ids
-        cif, surv, _, _ = cif_from_hazards(
-            table_hazards(model.clusters.d_cluster, model.clusters.n_cluster))
-        order = np.argsort(-cif[0, :, -1], kind="stable")
-        events = range(1, model.m + 1)
-        write_csv(os.path.join(out_dir, "cluster_summary.csv"),
-                  ["exemplar_id", "size", *(f"risk_event_{d}" for d in events)],
-                  [ids[order], model.clusters.cluster_sizes()[order], cif[:, order, -1].T])
-        write_csv(os.path.join(out_dir, "cluster_cifs.csv"),
-                  ["exemplar_id", "time", "survival", *(f"cif_{d}" for d in events)],
-                  [np.repeat(ids[order], len(model.grid)), np.tile(model.grid.times, ids.size),
-                   surv[order].ravel(), cif[:, order].reshape(model.m, -1).T])
-        means = model.cluster_feature_means
-        names = [f"f{j}" for j in range(means.shape[1])]
-        if schema is not None:
-            names, means = schema.feature_names, schema.original_scale(means)
-        write_csv(os.path.join(out_dir, "cluster_features.csv"),
-                  ["exemplar_id", *names], [ids, means])
-        write_csv(os.path.join(out_dir, "kernel_matrix.csv"), ["exemplar_id", *ids.tolist()],
-                  [ids, exemplar_kernel_matrix(model)])
-        print(f"cluster reports written to {out_dir}")
+        times = model.grid.times.tolist()
+        out_path = os.path.join(out_dir, "explanations.json")
+        # one block of records at a time, in the bytes json.dump(records, indent=2,
+        # sort_keys=True) would write for the whole list (never empty: a Cohort has
+        # at least one row); a block that fails leaves no explanations.json behind
+        fh = open(out_path, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.write("[")
+                row = 0
+                for infos, cif, surv in explain_rows(model, cohort.features):
+                    for i, info in enumerate(infos):
+                        record = {
+                            "row": row,
+                            "exemplar_ids": info.exemplar_ids.tolist(),
+                            "weights": info.weights.tolist(),
+                            "event_probabilities": info.event_probabilities.tolist(),
+                            "conditional_medians": list(info.conditional_medians),
+                            "used_fallback": bool(info.used_fallback),
+                            "cif": {
+                                "times": times,
+                                "survival": surv[i].tolist(),
+                                **{f"event_{d}": cif[d - 1, i].tolist()
+                                   for d in range(1, model.m + 1)},
+                            },
+                        }
+                        fh.write(",\n  " if row else "\n  ")
+                        fh.write(_indented_json(record, "\n  "))
+                        row += 1
+                    del infos, cif, surv     # free the block before the next is formed
+                fh.write("\n]\n")
+        except (KernelAJError, OSError):
+            os.remove(out_path)
+            raise
+        print(f"explanations written to {out_path}")
         return 0
-
-    times = model.grid.times.tolist()
-    out_path = os.path.join(out_dir, "explanations.json")
-    # one block of records at a time, in the bytes json.dump(records, indent=2,
-    # sort_keys=True) would write for the whole list (never empty: a Cohort has
-    # at least one row); a block that fails leaves no explanations.json behind
-    fh = open(out_path, "w", encoding="utf-8")
-    try:
-        with fh:
-            fh.write("[")
-            row = 0
-            for infos, cif, surv in explain_rows(model, cohort.features):
-                for i, info in enumerate(infos):
-                    record = {
-                        "row": row,
-                        "exemplar_ids": info.exemplar_ids.tolist(),
-                        "weights": info.weights.tolist(),
-                        "event_probabilities": info.event_probabilities.tolist(),
-                        "conditional_medians": list(info.conditional_medians),
-                        "used_fallback": bool(info.used_fallback),
-                        "cif": {
-                            "times": times,
-                            "survival": surv[i].tolist(),
-                            **{f"event_{d}": cif[d - 1, i].tolist()
-                               for d in range(1, model.m + 1)},
-                        },
-                    }
-                    fh.write(",\n  " if row else "\n  ")
-                    fh.write(_indented_json(record, "\n  "))
-                    row += 1
-                del infos, cif, surv     # free the block before the next is formed
-            fh.write("\n]\n")
-    except (KernelAJError, OSError):
-        os.remove(out_path)
-        raise
-    print(f"explanations written to {out_path}")
-    return 0
 
 
 def cmd_simulate(config_path: str, out_path: str) -> int:

@@ -4,8 +4,8 @@ tables of event and at-risk counts.
 The clustering is a single sequential pass: the first point becomes an
 exemplar; each later point joins its nearest exemplar when the Euclidean
 distance is within epsilon, otherwise it becomes a new exemplar itself. The
-pass is order-dependent; input order is used unless a shuffle seed is given,
-and nearest-exemplar ties break toward the lowest exemplar index.
+pass is order-dependent: it visits the rows in input order, and
+nearest-exemplar ties break toward the lowest exemplar index.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +25,7 @@ def tau_from_min_kernel_weight(min_weight: float) -> float:
     return float(np.sqrt(-np.log(min_weight)))
 
 
-def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float, shuffle_seed=None):
+def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float):
     """Sequential greedy epsilon-net pass.
 
     Returns (exemplar_ids, assignments): exemplar_ids are indices into the
@@ -39,16 +39,12 @@ def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float, shuffle_seed=Non
     if require_real("epsilon", epsilon) < 0:
         raise ValueError("epsilon must be nonnegative")
     n = E.shape[0]
-    order = np.arange(n)
-    if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(n)
-
     eps_sq = epsilon * epsilon
     # rows 0..q-1 hold the exemplars in creation order
     exemplars, exemplar_ids = np.empty((n, E.shape[1])), np.empty(n, dtype=np.int64)
     assignments = np.empty(n, dtype=np.int64)
     q = 0
-    for i in order.tolist():
+    for i in range(n):
         if q:
             diff = exemplars[:q] - E[i]
             sq = np.einsum("qd,qd->q", diff, diff)
@@ -143,10 +139,9 @@ class ClusterModel:
                            minlength=self.num_clusters)
 
 
-def build_cluster_model(embeddings, cohort_pre, grid, epsilon, tau,
-                        shuffle_seed=None) -> ClusterModel:
+def build_cluster_model(embeddings, cohort_pre, grid, epsilon, tau) -> ClusterModel:
     """Cluster training embeddings and attach their rows' label codes."""
-    exemplar_ids, assignments = epsilon_net_cluster(embeddings, epsilon, shuffle_seed)
+    exemplar_ids, assignments = epsilon_net_cluster(embeddings, epsilon)
     E = np.asarray(embeddings, dtype=np.float64)
     return ClusterModel(
         exemplar_ids=exemplar_ids,

@@ -14,7 +14,7 @@ A trained model is immutable; prediction and explanation are pure functions
 and safe for concurrent use.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class KernelAJModel:
     clusters: ClusterModel
     grid: EventTimeGrid
     cluster_feature_means: np.ndarray
-    config: dict = field(default_factory=dict)
     sft_tables: tuple = None
 
     def __post_init__(self):

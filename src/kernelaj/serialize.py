@@ -18,7 +18,7 @@ from .embedding import MlpParams
 from .errors import SchemaMismatch, ShapeMismatch
 from .model import KernelAJModel
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _DTYPES = ("<i8", "<f8")
 
 
@@ -39,9 +39,9 @@ def _unpack(payload) -> np.ndarray:
 
 
 def model_to_dict(model: KernelAJModel, schema=None) -> dict:
-    """The format-3 document: each array of the model once, the training rows'
-    (bin, event) codes and m, not the cluster tables counted from them, and
-    the fine-tuned tables only when summary fine-tuning was accepted (else null)."""
+    """The format-4 document: each array of the model once (the training rows'
+    (bin, event) codes and m, not the cluster tables counted from them), the
+    fine-tuned tables only if accepted (else null), and no fit config or path."""
     return {
         "format_version": FORMAT_VERSION,
         "schema": schema.to_dict() if schema is not None else None,
@@ -64,7 +64,6 @@ def model_to_dict(model: KernelAJModel, schema=None) -> dict:
         "cluster_feature_means": _pack(model.cluster_feature_means),
         "sft_tables": None if model.sft_tables is None else {
             "d": _pack(model.sft_tables[0]), "n": _pack(model.sft_tables[1])},
-        "config": model.config,
     }
 
 
@@ -76,10 +75,8 @@ def save_model(model: KernelAJModel, path, schema=None):
 
 
 def _model_from_dict(doc):
-    """(model, schema_or_None) of a format-3 document."""
+    """(model, schema_or_None) of a format-4 document."""
     emb, cl, sft = doc["embedding"], doc["clusters"], doc["sft_tables"]
-    if not isinstance(doc["config"], dict):
-        raise TypeError("config must be an object")
     grid = EventTimeGrid(_unpack(doc["grid"]))
     model = KernelAJModel(
         params=MlpParams(
@@ -99,7 +96,6 @@ def _model_from_dict(doc):
         ),
         grid=grid,
         cluster_feature_means=_unpack(doc["cluster_feature_means"]),
-        config=doc["config"],
         sft_tables=None if sft is None else (_unpack(sft["d"]), _unpack(sft["n"])),
     )
     schema = doc["schema"]

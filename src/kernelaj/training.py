@@ -85,6 +85,7 @@ only as a test oracle.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -189,11 +190,19 @@ class CodeGroups(NamedTuple):
     delta: np.ndarray
 
     def tables(self, m, L):
-        """The groups as one-row tables (d (U, L, m), n (U, L)) counted by
-        :func:`~kernelaj.core.count_tables`: d is 1 at (kappa - 1, delta - 1)
-        of an event group, n is 1 on the bins l < kappa."""
-        U = self.kappa.size
-        return count_tables(self.kappa * (m + 1) + self.delta, (L, m), np.arange(U), U)
+        """The groups' one-row tables (d (U, L, m), n (U, L)), rows of
+        :func:`_code_tables`: d is 1 at (kappa - 1, delta - 1), n on bins l < kappa."""
+        code = self.kappa * (m + 1) + self.delta
+        return tuple(table[code] for table in _code_tables(L, m))
+
+
+@lru_cache(maxsize=1)
+def _code_tables(L, m):
+    """Read-only one-row tables of every code, counted once per (L, m)."""
+    codes = np.arange((L + 1) * (m + 1))
+    d, n = count_tables(codes, (L, m), codes, codes.size)
+    d.flags.writeable = n.flags.writeable = False
+    return d, n
 
 
 def code_groups(kappa, delta, m) -> CodeGroups:

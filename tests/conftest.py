@@ -129,7 +129,6 @@ def fits(draw, max_events=2):
     model, logs = fit_pipeline(
         cohort.subset(np.arange(FIT_TRAIN_ROWS)), cohort.subset(np.arange(FIT_TRAIN_ROWS, n)),
         EmbeddingConfig(input_dim=cohort.p, num_layers=1, hidden_units=4, embed_dim=2),
-        tcfg, epsilon=draw(st.sampled_from([0.1, 1.0])), sft_config=sft,
-        config_snapshot={"names": names})
+        tcfg, epsilon=draw(st.sampled_from([0.1, 1.0])), sft_config=sft)
     accepted = "sft" in logs and any(row[3] for row in logs["sft"].rows)
     return model, schema, table, accepted

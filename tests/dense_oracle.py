@@ -524,21 +524,17 @@ def concordance_td(risk_matrix, cohort, delta):
     return (concordant + 0.5 * ties) / comparable
 
 
-def epsilon_net_cluster(embeddings, epsilon, shuffle_seed=None):
+def epsilon_net_cluster(embeddings, epsilon):
     """The sequential greedy epsilon-net pass with its exemplars in a Python
     list, stacked into an array again for every point."""
     E = np.asarray(embeddings, dtype=np.float64)
     n = E.shape[0]
-    order = np.arange(n)
-    if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(n)
     eps_sq = epsilon * epsilon
-    exemplar_ids = [int(order[0])]
-    exemplar_rows = [E[order[0]]]
+    exemplar_ids = [0]
+    exemplar_rows = [E[0]]
     assignments = np.empty(n, dtype=np.int64)
-    assignments[order[0]] = order[0]
-    for pos in range(1, n):
-        i = int(order[pos])
+    assignments[0] = 0
+    for i in range(1, n):
         ex = np.asarray(exemplar_rows)
         diff = ex - E[i]
         sq = np.einsum("qd,qd->q", diff, diff)

@@ -123,6 +123,20 @@ class TestFit:
         assert np.array_equal(surv_a, surv_b)
         assert (tmp_path / "out" / "model.json").read_bytes() == second.read_bytes()
 
+    def test_model_bytes_do_not_depend_on_paths(self, tmp_path, train_csv, monkeypatch):
+        # the same fit from two working directories, into two output
+        # directories: the model file records no config and no path
+        models = []
+        for name in ("a", "b"):
+            work = tmp_path / name
+            work.mkdir()
+            (work / "train.csv").write_bytes(train_csv.read_bytes())
+            write_config(work, "train.csv", output_dir=f"out_{name}")
+            monkeypatch.chdir(work)
+            assert main(["fit", "--config", "config.json"]) == 0
+            models.append((work / f"out_{name}" / "model.json").read_bytes())
+        assert models[0] == models[1]
+
     def test_fit_deterministic_bytes(self, tmp_path, train_csv):
         # identical config + seed, run twice; first artifact copied aside
         config_path, _ = write_config(tmp_path, train_csv)
@@ -263,8 +277,7 @@ class TestFit:
         {"training": {"batch_size": 256.5}},
         {"training": {"patience": True}},
         {"embedding": {"hidden_units": 8.5}},
-        {"clustering": {"shuffle_seed": "abc"}},
-        {"clustering": {"shuffle_seed": -1}},
+        {"clustering": {"shuffle_seed": 0}},
         {"sft": {"enabled": "false"}},
         {"sft": {"enabled": True, "max_epochs": 2.5}},
         {"seed": 1.5},
@@ -364,6 +377,10 @@ def _events_at_time_zero(features, time, event):
     time[event != 0] = 0.0
 
 
+def _no_event_two(features, time, event):
+    event[event == 2] = 0
+
+
 def _fit_argv(**overrides):
     def argv(tmp_path, train_csv, model_path):
         return ["fit", "--config", str(write_config(tmp_path, train_csv, **overrides)[0])]
@@ -430,6 +447,8 @@ _ERROR_PATHS = {
     "explain a non-UTF-8 cell": _data_argv("explain", _csv_with_cell(b"\xff")),
     "evaluate a cell over the csv field limit": _data_argv(
         "evaluate", _csv_with_cell(b"1" * 131_073)),
+    "evaluate no event-2 rows": _data_argv("evaluate", lambda tmp_path, train_csv: cohort_csv(
+        tmp_path / "no_event_two.csv", 60, 2, _no_event_two)),
     "a directory as fit config": lambda tmp_path, train_csv, model_path: [
         "fit", "--config", str(tmp_path)],
     "config not UTF-8": _config_file("fit", b'{"seed": "\xff"}'),
@@ -456,11 +475,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize("case, out", [
         ("fit a missing data file", "out"), ("explain a missing data file", "o"),
         ("explain with both --data and --clusters", "o"), ("every event at time 0", "out"),
+        ("evaluate no event-2 rows", "o"),
     ])
     def test_a_failed_command_makes_no_output_directory(self, tmp_path, train_csv,
                                                          model_path, case, out):
         # the output directory is made only once every input is read, and a
-        # fit that fails removes the directory it made
+        # command that fails removes the empty directory it made
         assert main(_ERROR_PATHS[case](tmp_path, train_csv, model_path)) == 2
         assert not (tmp_path / out).exists()
 
@@ -613,10 +633,10 @@ def save_identity_model(path, centers, d, n, tau):
 _MODEL_EDITS = {
     "version 1": lambda doc: doc.update(format_version=1),
     "version 2": lambda doc: doc.update(format_version=2),
+    "version 3": lambda doc: doc.update(format_version=3),
     "no clusters": lambda doc: doc.pop("clusters"),
     "no grid": lambda doc: doc.pop("grid"),
     "no sft_tables": lambda doc: doc.pop("sft_tables"),
-    "no config": lambda doc: doc.pop("config"),
     "no cluster table": _with_sft_tables(lambda tables: tables.pop("n")),
     "no m": lambda doc: doc["clusters"].pop("m"),
     "clusters not an object": lambda doc: doc.update(clusters=[1, 2]),
@@ -714,11 +734,11 @@ class TestModelFile:
         doc = json.loads((root / "out" / "model.json").read_text())
         return doc, cohort_csv(root / "test.csv", 60, 2)
 
-    def test_format_3_stores_each_array_once(self, fitted):
+    def test_format_4_stores_each_array_once(self, fitted):
         doc, _ = fitted
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
         assert set(doc) == {"format_version", "schema", "embedding", "grid", "clusters",
-                            "cluster_feature_means", "sft_tables", "config"}
+                            "cluster_feature_means", "sft_tables"}
         assert set(doc["clusters"]) == {"exemplar_ids", "exemplar_embeddings", "assignments",
                                         "codes", "m", "epsilon", "tau"}
         assert doc["sft_tables"] is None

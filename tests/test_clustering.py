@@ -119,18 +119,11 @@ class TestEpsilonNet:
         with pytest.raises(ShapeMismatch, match="one code per assigned training row"):
             ClusterModel([0], np.zeros((1, 2)), [0, 0], [0], (2, 1), epsilon=0.5, tau=1.0)
 
-    def test_shuffle_seed_changes_order(self):
-        rng = np.random.default_rng(2)
-        E = rng.normal(size=(50, 2))
-        ex_a, _ = epsilon_net_cluster(E, epsilon=0.5)
-        ex_b, _ = epsilon_net_cluster(E, epsilon=0.5, shuffle_seed=3)
-        assert list(ex_a) != list(ex_b)
-
 
 @st.composite
 def embeddings(draw):
-    """(E, epsilon, shuffle_seed): Gaussian or lattice points, the lattice
-    with repeated rows and equidistant exemplars."""
+    """(E, epsilon): Gaussian or lattice points, the lattice with repeated
+    rows and equidistant exemplars."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, d = draw(st.integers(1, 120)), draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -138,16 +131,16 @@ def embeddings(draw):
     else:
         E = rng.integers(-3, 4, size=(n, d)) * 0.5
     epsilon = draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, np.inf]))
-    return E, epsilon, draw(st.one_of(st.none(), st.integers(0, 1000)))
+    return E, epsilon
 
 
 class TestEpsilonNetOracle:
     @settings(max_examples=80)
     @given(case=embeddings())
     def test_equals_the_list_pass(self, case):
-        E, epsilon, shuffle_seed = case
-        ids, assignments = epsilon_net_cluster(E, epsilon, shuffle_seed)
-        want_ids, want_assignments = oracle.epsilon_net_cluster(E, epsilon, shuffle_seed)
+        E, epsilon = case
+        ids, assignments = epsilon_net_cluster(E, epsilon)
+        want_ids, want_assignments = oracle.epsilon_net_cluster(E, epsilon)
         assert ids.dtype == want_ids.dtype and assignments.dtype == want_assignments.dtype
         assert_array_equal(ids, want_ids)
         assert_array_equal(assignments, want_assignments)
@@ -250,7 +243,7 @@ class TestBookkeeping:
         train, valid = cohort.subset(np.arange(500)), cohort.subset(np.arange(500, n))
         ecfg = EmbeddingConfig(input_dim=p, num_layers=1, hidden_units=4, embed_dim=2)
         tcfg = TrainConfig(batch_size=128, max_epochs=1, patience=1, num_time_steps=8)
-        model, _ = fit_pipeline(train, valid, ecfg, tcfg, epsilon=0.3, shuffle_seed=1)
+        model, _ = fit_pipeline(train, valid, ecfg, tcfg, epsilon=0.3)
         assert (model.clusters.cluster_sizes() > 8).any()
         assert_array_equal(model.cluster_feature_means, oracle.cluster_feature_means(
             X[:500], model.clusters.exemplar_ids, model.clusters.assignments))

@@ -248,3 +248,24 @@ def test_every_parameter_has_a_caller():
                              for i, name in _defaulted_params(function)
                              if name not in passed and i not in passed]
     assert sorted(unpassed) == []
+
+
+def test_every_config_key_has_a_setter():
+    # every key a fit config takes is set, as a string or a keyword argument,
+    # by the acceptance suite or the benchmark; a key nothing sets is a
+    # setting, and a code path, that nothing uses
+    from kernelaj import cli
+
+    sections = {"": cli._TOP_KEYS, "data": cli._DATA_KEYS, "embedding": cli._EMBED_KEYS,
+                "training": cli._TRAIN_KEYS, "clustering": cli._CLUSTER_KEYS,
+                "sft": cli._SFT_KEYS}
+    setters = set()
+    for path in [TESTS / "test_acceptance.py", *sorted(LAYERS.parent.glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                setters.add(node.value)
+            elif isinstance(node, ast.keyword):
+                setters.add(node.arg)
+    unset = [f"{section}.{key}".lstrip(".") for section, keys in sections.items()
+             for key in sorted(keys) if key not in setters]
+    assert unset == []

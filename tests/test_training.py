@@ -505,7 +505,6 @@ def criterion_cohorts(draw):
 class TestFitSettings:
     @pytest.mark.parametrize("setting", [
         {"epsilon": -1.0}, {"epsilon": float("nan")}, {"min_kernel_weight": 1.0},
-        {"shuffle_seed": -1},
     ], ids=lambda setting: f"{setting}")
     def test_bad_clustering_setting_raises_before_training(self, monkeypatch, setting):
         # fit_pipeline checks its clustering settings as kernelaj fit does,
