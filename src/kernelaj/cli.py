@@ -243,7 +243,7 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
                for c in dict.fromkeys(criteria + [tcfg.early_stop_criterion])}
 
     params, train_log = train_embedding(train_pre, valid_pre, ecfg, tcfg, grid,
-                                        scorers[tcfg.early_stop_criterion])
+                                        scorers[tcfg.early_stop_criterion], epsilon, tau)
 
     clusters = build_cluster_model(embed_batch(params, train_pre.features), train_pre,
                                    grid, epsilon, tau)

@@ -1,11 +1,13 @@
 """Greedy exemplar clustering in embedding space and per-cluster summary
 tables of event and at-risk counts.
 
-The clustering is a single sequential pass: the first point becomes an
-exemplar; each later point joins its nearest exemplar when the Euclidean
-distance is within epsilon, otherwise it becomes a new exemplar itself. The
-pass is order-dependent: it visits the rows in input order, and
-nearest-exemplar ties break toward the lowest exemplar index.
+The clustering is defined as a single sequential pass: the first point
+becomes an exemplar; each later point joins its nearest exemplar when the
+Euclidean distance is within epsilon, otherwise it becomes a new exemplar
+itself. The pass is order-dependent: it visits the rows in input order, and
+nearest-exemplar ties break toward the lowest exemplar index. It runs a
+block of rows at a time, bounded by one product per block, with the same
+bits. Training clusters every epoch, to score the model that it ships.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +18,8 @@ from .core import Cohort, EventTimeGrid, count_tables, label_codes, require_int,
 from .embedding import pairwise_sq_dists
 from .errors import ShapeMismatch
 
+EPSNET_BLOCK_ROWS = 512
+
 
 def tau_from_min_kernel_weight(min_weight: float) -> float:
     """Neighborhood radius such that kernel weights below ``min_weight`` are
@@ -25,35 +29,77 @@ def tau_from_min_kernel_weight(min_weight: float) -> float:
     return float(np.sqrt(-np.log(min_weight)))
 
 
-def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float):
-    """Sequential greedy epsilon-net pass.
+def _sq_dists(A, B):
+    """The pass's reference distances einsum("qd,qd->q", a - b, a - b)."""
+    diff = A - B
+    return np.einsum("qd,qd->q", diff, diff)
 
-    Returns (exemplar_ids, assignments): exemplar_ids are indices into the
-    input rows in creation order; assignments[i] is the exemplar id owning
-    point i. epsilon = 0 gives every distinct point its own cluster;
-    epsilon = inf gives a single cluster; NaN raises ValueError.
+
+def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float):
+    """Greedy epsilon-net pass in input order: row i joins the earlier
+    exemplar e with the least s = einsum("qd,qd->q", e - x, e - x), the
+    lowest id on ties, when s <= epsilon^2, and becomes one otherwise.
+    Returns (exemplar_ids in creation order, every row's exemplar id).
+    epsilon = 0 gives every distinct point its own cluster, inf one cluster;
+    a NaN epsilon or embeddings that are not finite raise ValueError.
+
+    Per block of ``EPSNET_BLOCK_ROWS`` rows, one product of augmented rows
+    (:func:`~kernelaj.embedding.pairwise_sq_dists`) gives distances a to the
+    earlier exemplars, and s is computed where a is within 2 tol of the row's
+    least a; then, in row order, a row that no exemplar covers becomes one and
+    updates the later rows. tol bounds |a - s|: with gamma_k = k u / (1 - k u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1) and
+    r = (|x| + max|e|)^2 >= t, the exact squared distance, a is a dot product
+    of d + 2 terms, two of them sums of d squares, so |a - t| <= gamma_{2d+2} r,
+    and |s - t| <= gamma_{d+2} t. The nearest j then has a_j <= s_j + tol <=
+    s_k + tol <= a_k + 2 tol for every k. tol = 4 gamma_{2d+2} r^ doubles the
+    bound 2 gamma_{2d+2} r to cover the rounding of the computed r^ and of the
+    window, so the result is the one-row pass's, bit for bit.
     """
     E = np.asarray(embeddings, dtype=np.float64)
     if E.ndim != 2 or E.shape[0] < 1:
         raise ShapeMismatch("embeddings must be a nonempty (n, d) array")
     if require_real("epsilon", epsilon) < 0:
         raise ValueError("epsilon must be nonnegative")
-    n = E.shape[0]
-    eps_sq = epsilon * epsilon
+    if not np.isfinite(E).all():
+        raise ValueError("embeddings must be finite")
+    (n, d), eps_sq = E.shape, epsilon * epsilon
+    k_u = (2 * d + 2) * np.finfo(np.float64).eps / 2
+    norms = np.sqrt(np.einsum("ij,ij->i", E, E))
+    reach = np.maximum.accumulate(norms)        # bounds |e| of every earlier row
     # rows 0..q-1 hold the exemplars in creation order
-    exemplars, exemplar_ids = np.empty((n, E.shape[1])), np.empty(n, dtype=np.int64)
+    exemplars, exemplar_ids = np.empty((n, d)), np.empty(n, dtype=np.int64)
     assignments = np.empty(n, dtype=np.int64)
     q = 0
-    for i in range(n):
+    for start in range(0, n, EPSNET_BLOCK_ROWS):
+        X = E[start:start + EPSNET_BLOCK_ROWS]
+        b = X.shape[0]
+        nearest, owner = np.full(b, np.inf), np.empty(b, dtype=np.int64)
+        covered = np.zeros(b, dtype=bool)
         if q:
-            diff = exemplars[:q] - E[i]
-            sq = np.einsum("qd,qd->q", diff, diff)
-            nearest = int(np.argmin(sq))       # argmin keeps the lowest index on ties
-            if sq[nearest] <= eps_sq:
-                assignments[i] = exemplar_ids[nearest]
-                continue
-        exemplars[q], exemplar_ids[q], assignments[i] = E[i], i, i
-        q += 1
+            tol = 4 * k_u / (1 - k_u) * (norms[start:start + b] + reach[start + b - 1]) ** 2
+            approx = pairwise_sq_dists(X, exemplars[:q])
+            rows, cols = np.arange(b), approx.argmin(axis=1)
+            window = approx[rows, cols] + 2 * tol
+            approx[rows, cols] = np.inf             # the other candidates, of few rows
+            tied = np.flatnonzero(approx.min(axis=1) <= window)
+            more_rows, more = np.nonzero(approx[tied] <= window[tied, None])
+            rows, cols = np.r_[rows, tied[more_rows]], np.r_[cols, more]
+            exact = _sq_dists(exemplars[cols], X[rows])
+            order = np.lexsort((cols, exact, rows))  # least s per row, lowest id on ties
+            first = order[np.diff(rows[order], prepend=-1) != 0]
+            nearest, owner = exact[first], exemplar_ids[cols[first]]
+            covered = nearest <= eps_sq
+        r = -1
+        while (rest := np.flatnonzero(~covered[r + 1:])).size:
+            r += 1 + int(rest[0])
+            exemplars[q], exemplar_ids[q], owner[r] = X[r], start + r, start + r
+            q += 1
+            sq = _sq_dists(X[r], X[r + 1:])
+            nearer = sq < nearest[r + 1:]           # strict: the earlier exemplar wins ties
+            nearest[r + 1:][nearer], owner[r + 1:][nearer] = sq[nearer], start + r
+            covered[r + 1:] |= sq <= eps_sq
+        assignments[start:start + b] = owner
     return exemplar_ids[:q].copy(), assignments
 
 

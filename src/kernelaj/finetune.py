@@ -17,11 +17,12 @@ leave-one-out, by gradient descent: dLoss/dpsi is chained through the
 step's num/den rule to D and N, then through W and the parameterization.
 Initialization reproduces the raw counts up to a 1e-12 floor that guards
 log(0). The epochs run through training's loop, :func:`training.descend`:
-each is one full-batch gradient step, then the validation criterion, scored
-with the training criterion's scorer (:func:`training.criterion_scorer`)
-and stopped by its :class:`training.TrainingLog`. The tuned tables become
-the model's ``sft_tables`` only when the validation criterion strictly
-improves, otherwise the original model is returned unchanged.
+each is one full-batch gradient step, then training's validation criterion
+(:func:`training.table_criterion`, so with the same criterion and alpha the
+raw tables score training's best value), stopped by its
+:class:`training.TrainingLog`. The tuned tables become the model's
+``sft_tables`` only when the validation criterion strictly improves,
+otherwise the original model is returned unchanged.
 """
 
 from dataclasses import dataclass, replace
@@ -31,15 +32,18 @@ import numpy as np
 from .clustering import ClusterModel
 from .core import Cohort, breslow_preprocess, reverse_cumsum
 from .errors import ShapeMismatch
-from .metrics import Scorer, score_curves
-from .model import _curves_from_weights, frozen_subject_weights, weighted_hazards
-from .training import (
+from .metrics import Scorer
+from .model import frozen_subject_weights, weighted_hazards
+from .training import (  # noqa: F401 (sft_objective_from_tables is named here too)
     TrainConfig,
     TrainingLog,
+    _active_rows,
     _ratio_backward,
     criterion_scorer,
     descend,
     objective_and_dpsi,
+    sft_objective_from_tables,
+    table_criterion,
 )
 
 INIT_FLOOR = 1e-12
@@ -90,35 +94,6 @@ def sft_counts(params: SftParams):
     c_prime = np.exp(params.omega) + np.exp(params.omega_baseline)[None, :]
     shed = d_prime.sum(axis=2) + c_prime
     return d_prime, reverse_cumsum(shed)
-
-
-def _active_rows(weights, kappa, delta):
-    """Weights and labels of the subjects with a nonempty frozen neighborhood
-    (the inputs themselves when every subject has one)."""
-    weights = np.asarray(weights, dtype=np.float64)
-    kappa = np.asarray(kappa, dtype=np.int64)
-    delta = np.asarray(delta, dtype=np.int64)
-    active = weights.sum(axis=1) > 0
-    if not active.any():
-        raise ShapeMismatch("no subject has a nonempty frozen neighborhood")
-    if active.all():
-        return weights, kappa, delta
-    return weights[active], kappa[active], delta[active]
-
-
-def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
-                              alpha: float = 1.0, sigma: float = 1.0) -> float:
-    """The training objective of given count tables (no leave-one-out): the
-    value of :func:`training.objective_and_dpsi`, whose gradient goes to the
-    buffer of D and is discarded.
-
-    ``weights[i, q]`` is the frozen kernel weight of subject i to exemplar q.
-    Subjects with an all-zero weight row are dropped; the mean runs over the
-    retained subjects. With alpha < 1 the ranking penalty is blended in.
-    """
-    W, kap, dl = _active_rows(weights, kappa, delta)
-    D, _, psi, _ = weighted_hazards((d_tables, n_tables), W)
-    return objective_and_dpsi(psi, kap, dl, alpha, sigma, out=D)[0]
 
 
 def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
@@ -182,18 +157,14 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     W_train = frozen_subject_weights(model.params, model.clusters, train.features)
     W_valid = frozen_subject_weights(model.params, model.clusters, valid.features)
     _, kappa_tr = breslow_preprocess(train, model.grid)
-    _, kappa_va = breslow_preprocess(valid, model.grid)
     valid_scorer = valid_scorer or criterion_scorer(criterion, train, valid, model.grid)
     W_train, kappa_tr, event_tr = _active_rows(W_train, kappa_tr, train.event)
     buffers = np.empty((3, model.m, kappa_tr.size, len(model.grid)))
+    value = table_criterion(criterion, valid, model.grid, valid_scorer,
+                            config.alpha, config.sigma)
 
     def evaluate(tables):
-        if criterion == "objective":
-            return sft_objective_from_tables(*tables, W_valid, kappa_va, valid.event,
-                                             config.alpha, config.sigma)
-        cif, _, _ = _curves_from_weights(replace(model, sft_tables=tables), W_valid)
-        return float(np.mean(score_curves(cif, model.grid.times, valid_scorer,
-                                          (criterion,))[criterion]))
+        return value(tables, model.clusters, W_valid)
 
     params = init_sft_params(model.clusters)
     # A candidate must beat both the init-parameter tables (a run that never

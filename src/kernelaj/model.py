@@ -69,10 +69,15 @@ class KernelAJModel:
         return self.sft_tables or (self.clusters.d_cluster, self.clusters.n_cluster)
 
     def population_curves(self) -> CifSet:
-        """Aalen-Johansen curves of the pooled cluster tables: integer
-        counts, so the sums equal the population's counts exactly."""
-        return curves_from_counts(self.clusters.d_cluster.sum(axis=0),
-                                  self.clusters.n_cluster.sum(axis=0), self.grid)
+        """The population estimate of the clusters (:func:`_population_curves`)."""
+        return _population_curves(self.clusters, self.grid)
+
+
+def _population_curves(clusters: ClusterModel, grid: EventTimeGrid) -> CifSet:
+    """Aalen-Johansen curves of the pooled cluster tables: integer counts, so
+    the sums equal the population's counts exactly."""
+    return curves_from_counts(clusters.d_cluster.sum(axis=0),
+                              clusters.n_cluster.sum(axis=0), grid)
 
 
 _NOT_FINITE = "features are not finite or too large to embed"
@@ -128,14 +133,14 @@ def weighted_hazards(tables, W, psi_out=None, inv_out=None):
     return D, N, np.multiply(D, inv_N[None, :, :], out=psi_out), inv_N
 
 
-def _curves_from_weights(model: KernelAJModel, W):
-    """CIF (m, n, L), survival (n, L) and the fallback mask for exemplar
-    weights W (n, Q); a row with no positive weight gets the population
-    estimate."""
-    cif, surv, _, _ = cif_from_hazards(weighted_hazards(model.tables, W)[2])
+def _curves_from_weights(tables, clusters: ClusterModel, grid: EventTimeGrid, W):
+    """CIF (m, n, L), survival (n, L) and the fallback mask of count tables
+    (d, n) for exemplar weights W (n, Q) of ``clusters``; a row with no
+    positive weight gets the population estimate of the clusters."""
+    cif, surv, _, _ = cif_from_hazards(weighted_hazards(tables, W)[2])
     fallback = ~W.any(axis=1)
     if fallback.any():
-        pop = model.population_curves()
+        pop = _population_curves(clusters, grid)
         surv[fallback] = pop.survival.values
         cif[:, fallback] = np.stack([c.values for c in pop.cifs])[:, None, :]
     return cif, surv, fallback
@@ -169,7 +174,8 @@ def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
     fallback = np.empty(n, dtype=bool)
 
     def fill(rows, W):
-        cif[:, rows], surv[rows], fallback[rows] = _curves_from_weights(model, W)
+        cif[:, rows], surv[rows], fallback[rows] = _curves_from_weights(
+            model.tables, model.clusters, model.grid, W)
 
     for _ in _row_blocks(model, E, fill):
         pass
@@ -259,7 +265,8 @@ def explain_rows(model: KernelAJModel, X: np.ndarray):
     at the horizon raises NoRisk naming its index in X.
     """
     def explain(rows, W):
-        cif, surv, fallback = _curves_from_weights(model, W)
+        cif, surv, fallback = _curves_from_weights(model.tables, model.clusters,
+                                                   model.grid, W)
         probs = _event_probabilities(cif, rows.start)
         medians = _conditional_medians(cif, model.grid.times)
         return [Explanation(*_normalized_weights(model, w), p, med, bool(f))

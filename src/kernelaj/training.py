@@ -57,8 +57,7 @@ gives G[i, u], the weight of row i on group u. A group is a one-row table:
 d_u is 1 at (kappa_u - 1, delta_u - 1) for an event group and n_u is 1 on
 the bins l < kappa_u, so the hazards are ``model.weighted_hazards`` of these
 tables under G, the same products as prediction and fine-tuning. The
-validation criterion does the same against the training set, with the
-training rows sorted before the kernel is built.
+validation criterion scores the clustered model (:func:`_evaluate_criterion`).
 
 In the backward pass dLoss/dW[i, j] is dG[i, u] for j in group u, and dG is
 the transposed products, dG = dden n_u^T + sum_k dnum_k d_u[:, :, k]^T.
@@ -71,12 +70,11 @@ are sums over rows, so the sort changes only rounding.
 
 Memory
 ------
-W, later P, is the step's only n x n array, and the criterion's
-validation x training kernel is built in blocks of query rows. Both live in
-one buffer of max(B^2, n_train) float64 that ``train_embedding`` allocates
-once per fit, so the epoch loop reuses resident pages instead of taking
-fresh ones from the allocator, and holds no other array that grows with
-B^2 or with n_valid * n_train.
+W, later P, is the step's only n x n array. It lives in one buffer of B^2
+float64 that ``train_embedding`` allocates once per fit, so the epoch loop
+reuses resident pages instead of taking fresh ones from the allocator, and
+holds no other array that grows with B^2. The criterion's arrays grow with
+n_valid * Q, not with n_valid * n_train.
 
 Leave-one-out sums run over the current minibatch only, so batch composition
 affects the loss; shuffling is seeded and the loop is deterministic. All
@@ -90,6 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .clustering import build_cluster_model, exemplar_weights
 from .core import (
     Cohort,
     EventTimeGrid,
@@ -114,7 +113,7 @@ from .embedding import (
 )
 from .errors import Diverged, NoEvents, ShapeMismatch
 from .metrics import Scorer, build_eval_grid, score_curves, scorer
-from .model import weighted_hazards
+from .model import _curves_from_weights, weighted_hazards
 
 PSI_CLAMP = 1e-12
 MAX_TIME_STEPS = 512
@@ -436,27 +435,65 @@ def criterion_scorer(criterion, train: Cohort, valid: Cohort,
     return valid_scorer
 
 
-def _evaluate_criterion(criterion, params, train, valid, grid, tcfg,
-                        valid_scorer: Scorer, groups: CodeGroups, kappa_valid, buffer):
-    """Validation criterion with hazards against the full training set.
-    ``groups`` holds the training rows' (bin, event) groups, ``kappa_valid``
-    the validation bins, ``buffer`` the fit's buffer. The objective criterion
-    is the value of :func:`objective_and_dpsi` on the validation hazards; its
-    gradient goes to the buffer of F and is discarded. Validation hazards
-    that are all 0 (every kernel weight underflowed) raise
-    FloatingPointError, which :func:`descend` reports."""
-    m, L = train.m, len(grid)
-    E_train = embed_batch(params, train.features)
-    E_valid = embed_batch(params, valid.features)
-    psi, F, _ = kernel_hazard_curves(E_valid, E_train, groups, m, L, buffer)
-    if not psi.any():
-        raise FloatingPointError("underflow: every validation hazard is 0, "
+def _active_rows(weights, kappa, delta):
+    """Weights and labels of the subjects with a nonempty frozen neighborhood
+    (the inputs themselves when every subject has one)."""
+    weights = np.asarray(weights, dtype=np.float64)
+    kappa = np.asarray(kappa, dtype=np.int64)
+    delta = np.asarray(delta, dtype=np.int64)
+    active = weights.sum(axis=1) > 0
+    if not active.any():
+        raise ShapeMismatch("no subject has a nonempty frozen neighborhood")
+    if active.all():
+        return weights, kappa, delta
+    return weights[active], kappa[active], delta[active]
+
+
+def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
+                              alpha: float = 1.0, sigma: float = 1.0) -> float:
+    """The training objective of given count tables (no leave-one-out): the
+    value of :func:`objective_and_dpsi`, whose gradient goes to the buffer
+    of D and is discarded. It is the objective criterion of training and of
+    summary fine-tuning.
+
+    ``weights[i, q]`` is the frozen kernel weight of subject i to exemplar q.
+    Subjects with an all-zero weight row are dropped; the mean runs over the
+    retained subjects. With alpha < 1 the ranking penalty is blended in.
+    """
+    W, kap, dl = _active_rows(weights, kappa, delta)
+    D, _, psi, _ = weighted_hazards((d_tables, n_tables), W)
+    return objective_and_dpsi(psi, kap, dl, alpha, sigma, out=D)[0]
+
+
+def table_criterion(criterion, valid: Cohort, grid: EventTimeGrid, valid_scorer: Scorer,
+                    alpha, sigma):
+    """The validation criterion of training and fine-tuning as ``value(tables,
+    clusters, W)``: tables (d, n) under the validation rows' exemplar weights W
+    on the prediction path, :func:`model._curves_from_weights` scored with
+    ``valid_scorer``, or :func:`sft_objective_from_tables` for the objective."""
+    _, kappa = breslow_preprocess(valid, grid)
+
+    def value(tables, clusters, W):
+        if criterion == "objective":
+            return sft_objective_from_tables(*tables, W, kappa, valid.event, alpha, sigma)
+        cif, _, _ = _curves_from_weights(tables, clusters, grid, W)
+        return float(np.mean(score_curves(cif, grid.times, valid_scorer,
+                                          (criterion,))[criterion]))
+    return value
+
+
+def _evaluate_criterion(value, params, train, valid, grid, epsilon, tau):
+    """``value`` (:func:`table_criterion`) of the model that ``fit`` would ship
+    with ``params``: the training embeddings clustered with ``epsilon``, weighed
+    within ``tau``. No positive validation weight (every kernel weight
+    underflowed) raises FloatingPointError, which :func:`descend` reports."""
+    clusters = build_cluster_model(embed_batch(params, train.features), train, grid,
+                                   epsilon, tau)
+    W = exemplar_weights(clusters, embed_batch(params, valid.features))
+    if not W.any():
+        raise FloatingPointError("underflow: no validation row has a positive weight, "
                                  "the kernel weights collapsed")
-    if criterion == "objective":
-        return objective_and_dpsi(psi, kappa_valid, valid.event, tcfg.alpha,
-                                  tcfg.sigma, out=F)[0]
-    return float(np.mean(score_curves(F, grid.times, valid_scorer,
-                                      (criterion,))[criterion]))
+    return value((clusters.d_cluster, clusters.n_cluster), clusters, W)
 
 
 def descend(stage, tcfg: TrainConfig, log: TrainingLog, params, epoch, value):
@@ -486,15 +523,17 @@ def descend(stage, tcfg: TrainConfig, log: TrainingLog, params, epoch, value):
 
 
 def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
-                    tcfg: TrainConfig, grid: EventTimeGrid, valid_scorer: Scorer = None):
+                    tcfg: TrainConfig, grid: EventTimeGrid, valid_scorer: Scorer = None,
+                    epsilon: float = 0.0, tau: float = np.inf):
     """Minibatch gradient descent with patience-based early stopping.
 
     Both cohorts must already be preprocessed on ``grid``. The
     criterion's :func:`criterion_scorer` is built when ``valid_scorer`` is not
     given, before the first epoch. The epochs run through :func:`descend`:
     each is one pass of minibatch steps over the shuffled training rows,
-    then the configured validation criterion against the full training set
-    embeddings.
+    then the validation criterion of the model clustered with ``epsilon``
+    and ``tau`` (:func:`_evaluate_criterion`); the defaults, epsilon 0 and
+    tau inf, weigh every distinct training row.
 
     Returns (best_params, TrainingLog).
     """
@@ -502,13 +541,13 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
         raise NoEvents("training cohort has no uncensored records")
     m, L = train.m, len(grid)
     _, kappa = breslow_preprocess(train, grid)
-    groups = code_groups(kappa, train.event, m)
-    _, kappa_valid = breslow_preprocess(valid, grid)
     valid_scorer = valid_scorer or criterion_scorer(
         tcfg.early_stop_criterion, train, valid, grid)
+    criterion = table_criterion(tcfg.early_stop_criterion, valid, grid, valid_scorer,
+                                tcfg.alpha, tcfg.sigma)
 
     side = min(tcfg.batch_size, train.n)
-    buffer = np.empty(max(side * side, train.n))
+    buffer = np.empty(side * side)
     rng = np.random.default_rng(tcfg.seed)
 
     def epoch(params):
@@ -529,8 +568,7 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
         return params, epoch_loss / max(seen, 1)
 
     def value(params):
-        return _evaluate_criterion(tcfg.early_stop_criterion, params, train, valid, grid,
-                                   tcfg, valid_scorer, groups, kappa_valid, buffer)
+        return _evaluate_criterion(criterion, params, train, valid, grid, epsilon, tau)
 
     log = TrainingLog(criterion=tcfg.early_stop_criterion)
     return descend("training", tcfg, log, init_mlp(ecfg), epoch, value), log

@@ -342,6 +342,25 @@ def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):
     return psi, F, S
 
 
+def clustered_hazard_curves(E_query, E_train, kappa, delta, m, L, epsilon, tau):
+    """Hazards and CIF curves of query points under the clustered model: each
+    training row weighted by its exemplar's kernel weight, zero beyond tau,
+    so that a cluster's weight multiplies its member rows' labels.
+
+    Returns (psi (m, a, L), F (m, a, L), active (q,)) for the a query rows
+    with some weight, ``active`` marking them.
+    """
+    _, assignments = epsilon_net_cluster(E_train, epsilon)
+    E_owner = np.asarray(E_train, np.float64)[assignments]
+    W = np.where(pairwise_sq_dists(E_query, E_owner) <= tau * tau,
+                 kernel_matrix(E_query, E_owner), 0.0)
+    active = W.any(axis=1)
+    evt, at_risk = _label_matrices(kappa, delta, m, L)
+    psi, _, _, _, _ = _psi_from_weights(W[active], evt, at_risk)
+    F, _, _, _ = _cif_from_psi(psi)
+    return psi, F, active
+
+
 def brier_score(cif_values, cohort: Cohort, delta: int, t: float,
                 censor_curve: StepCurve) -> BrierResult:
     """Censoring-weighted Brier score for event ``delta`` at horizon ``t``.

@@ -20,6 +20,7 @@ from kernelaj import (
     summarize_clusters,
     tau_from_min_kernel_weight,
 )
+from kernelaj import clustering
 from kernelaj.clustering import cluster_positions, exemplar_weights
 from kernelaj.cli import fit_pipeline
 from kernelaj.core import label_codes
@@ -122,24 +123,36 @@ class TestEpsilonNet:
 
 @st.composite
 def embeddings(draw):
-    """(E, epsilon): Gaussian or lattice points, the lattice with repeated
-    rows and equidistant exemplars."""
+    """(E, epsilon, block): up to 600 rows of up to 8 dimensions, so a case
+    crosses several blocks of the pass; Gaussian points, lattice points with
+    repeated rows and equidistant exemplars, or a lattice spaced exactly
+    epsilon apart. Some cases are offset by 1e3 to 1e6, where the product
+    form of the distances cancels; a lattice jittered by 1e-7 is always
+    offset by 1e6, so that form cannot order its near-ties."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, d = draw(st.integers(1, 120)), draw(st.integers(1, 4))
-    if draw(st.booleans()):
+    n, d = draw(st.integers(1, 600)), draw(st.integers(1, 8))
+    epsilon = draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, np.inf]))
+    kind = draw(st.sampled_from(["gaussian", "lattice", "epsilon lattice", "jittered"]))
+    if kind == "gaussian":
         E = rng.normal(size=(n, d))
     else:
-        E = rng.integers(-3, 4, size=(n, d)) * 0.5
-    epsilon = draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, np.inf]))
-    return E, epsilon
+        spacing = epsilon if kind == "epsilon lattice" and 0 < epsilon < np.inf else 0.5
+        E = rng.integers(-3, 4, size=(n, d)) * spacing
+        if kind == "jittered":
+            E += rng.normal(scale=1e-7, size=(n, d))
+    offset = 1e6 if kind == "jittered" else draw(st.sampled_from([0.0, 0.0, 1e3, 1e6]))
+    block = draw(st.sampled_from([1, 7, 64, clustering.EPSNET_BLOCK_ROWS]))
+    return E + offset, epsilon, block
 
 
 class TestEpsilonNetOracle:
     @settings(max_examples=80)
     @given(case=embeddings())
     def test_equals_the_list_pass(self, case):
-        E, epsilon = case
-        ids, assignments = epsilon_net_cluster(E, epsilon)
+        E, epsilon, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "EPSNET_BLOCK_ROWS", block)
+            ids, assignments = epsilon_net_cluster(E, epsilon)
         want_ids, want_assignments = oracle.epsilon_net_cluster(E, epsilon)
         assert ids.dtype == want_ids.dtype and assignments.dtype == want_assignments.dtype
         assert_array_equal(ids, want_ids)
@@ -148,6 +161,24 @@ class TestEpsilonNetOracle:
         gaps = np.linalg.norm(E[ids][:, None] - E[ids][None], axis=2)
         assert (gaps[~np.eye(ids.size, dtype=bool)] > epsilon).all()
         assert (np.linalg.norm(E - E[assignments], axis=1) <= epsilon).all()
+
+    @pytest.mark.parametrize("points, ids, assignments", [
+        # row 2 opens block 1 as an exemplar, and row 3 joins it
+        ([0.0, 0.1, 5.0, 5.1], [0, 2], [0, 0, 2, 2]),
+        # exemplar 1 covers row 3 (0.8 away), but row 2, made in its block
+        # before it, is nearer (0.3 away)
+        ([0.0, 3.0, 1.9, 2.2], [0, 1, 2], [0, 1, 2, 2]),
+        # row 3 is 0.75 from exemplar 1 and from row 2, made in its block:
+        # the lower id wins
+        ([0.0, 3.0, 1.5, 2.25], [0, 1, 2], [0, 1, 2, 1]),
+    ])
+    def test_block_edges(self, points, ids, assignments):
+        E = np.array(points)[:, None]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "EPSNET_BLOCK_ROWS", 2)
+            got = epsilon_net_cluster(E, 1.0)
+        for result in (got, oracle.epsilon_net_cluster(E, 1.0)):
+            assert result[0].tolist() == ids and result[1].tolist() == assignments
 
 
 class TestSummaries:

@@ -22,7 +22,6 @@ from kernelaj import (
     EvalGrid,
     StepCurve,
     SynthConfig,
-    TrainConfig,
     breslow_preprocess,
     build_event_grid,
     discretize_times,
@@ -30,6 +29,7 @@ from kernelaj import (
     init_mlp,
 )
 from kernelaj import metrics, training
+from kernelaj.clustering import build_cluster_model
 from kernelaj.embedding import (
     embed_batch,
     flatten_grads,
@@ -37,6 +37,7 @@ from kernelaj.embedding import (
     pairwise_sq_dists,
 )
 from kernelaj.errors import NoComparablePairs, ShapeMismatch
+from kernelaj.model import KernelAJModel, predict_cif_grid
 from kernelaj.metrics import (
     CONCORDANCE_BLOCK_ROWS,
     INTERP_BLOCK_ROWS,
@@ -324,40 +325,58 @@ class TestRankingForward:
         assert peak < 6 * psi.nbytes < n * n * 8
 
     @staticmethod
-    def criterion_problem(n_train, q, alpha):
-        """The objective criterion's arguments on a synthetic cohort of
-        n_train training and q validation rows, 64 bins and sigma 0.5."""
+    def criterion_problem(criterion, n_train, q, alpha):
+        """The arguments of ``criterion``'s ``_evaluate_criterion`` on a
+        synthetic cohort of n_train training and q validation rows, 64 bins,
+        sigma 0.5 and epsilon = tau = 0.05, at which a few validation rows
+        have no exemplar within tau; and the training rows' bins."""
         cohort = generate_synthetic(SynthConfig(
             n=n_train + q, p=3, w1=(0.6, 0.0, 0.0), w2=(0.0, 0.6, 0.0),
             censoring_rate=0.3, seed=3))
         grid = discretize_times(build_event_grid(cohort), 64)
         train, kappa = breslow_preprocess(cohort.subset(np.arange(n_train)), grid)
-        valid, kappa_valid = breslow_preprocess(
-            cohort.subset(np.arange(n_train, n_train + q)), grid)
-        valid_scorer = training.criterion_scorer("objective", train, valid, grid)
-        groups = code_groups(kappa, train.event, train.m)
-        buffer = np.empty(n_train * n_train)     # train_embedding's at batch >= n_train
-        return ("objective", small_params(0), train, valid, grid,
-                TrainConfig(alpha=alpha, sigma=0.5), valid_scorer, groups,
-                kappa_valid, buffer), kappa
+        valid, _ = breslow_preprocess(cohort.subset(np.arange(n_train, n_train + q)), grid)
+        value = training.table_criterion(
+            criterion, valid, grid, training.criterion_scorer(criterion, train, valid, grid),
+            alpha, 0.5)
+        return (value, small_params(0), train, valid, grid, 0.05, 0.05), kappa
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_objective_criterion_matches_dense_oracle(self, alpha):
-        args, kappa = self.criterion_problem(300, 200, alpha)
-        _, params, train, valid, grid, _, _, _, kappa_valid, _ = args
-        psi, F, _ = oracle.kernel_hazard_curves(
+        args, kappa = self.criterion_problem("objective", 300, 200, alpha)
+        _, params, train, valid, grid, epsilon, tau = args
+        psi, F, active = oracle.clustered_hazard_curves(
             embed_batch(params, valid.features), embed_batch(params, train.features),
-            kappa, train.event, train.m, len(grid))
-        nll = oracle.loss_nll(np.transpose(psi, (1, 0, 2)), kappa_valid, valid.event)
+            kappa, train.event, train.m, len(grid), epsilon, tau)
+        assert 0 < active.sum() < valid.n       # rows with no exemplar within tau drop out
+        _, kappa_valid = breslow_preprocess(valid, grid)
+        kappa_valid, event = kappa_valid[active], valid.event[active]
+        nll = oracle.loss_nll(np.transpose(psi, (1, 0, 2)), kappa_valid, event)
         rank = oracle.loss_ranking(oracle.cif_pair_matrix(F, kappa_valid), kappa_valid,
-                                   valid.event, 0.5)
+                                   event, 0.5)
         want = alpha * nll + (1.0 - alpha) * rank
         got = training._evaluate_criterion(*args)
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("criterion", ["ibs", "ctd"])
+    def test_criterion_scores_the_shipped_model(self, criterion):
+        # the clustered model that fit would ship with these parameters,
+        # predicted through predict_cif_grid (population curves included)
+        args, _ = self.criterion_problem(criterion, 300, 200, 1.0)
+        _, params, train, valid, grid, epsilon, tau = args
+        clusters = build_cluster_model(embed_batch(params, train.features), train, grid,
+                                       epsilon, tau)
+        model = KernelAJModel(params, clusters, grid,
+                              np.zeros((clusters.num_clusters, train.features.shape[1])))
+        cif, _, fallback = predict_cif_grid(model, valid.features)
+        assert fallback.any()
+        want = score_curves(cif, grid.times, training.criterion_scorer(
+            criterion, train, valid, grid), (criterion,))[criterion]
+        assert training._evaluate_criterion(*args) == float(np.mean(want))
+
     def test_objective_criterion_has_no_square_buffer(self):
         q = 4096
-        args, _ = self.criterion_problem(300, q, 0.5)
+        args, _ = self.criterion_problem("objective", 300, q, 0.5)
         value, peak = traced_peak(lambda: training._evaluate_criterion(*args))
         assert np.isfinite(value)
         assert peak < q * q * 8

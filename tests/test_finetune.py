@@ -15,18 +15,21 @@ from conftest import clusters_from_tables, relative_error, traced_peak
 
 from kernelaj import (
     Cohort,
+    EmbeddingConfig,
+    SynthConfig,
     TrainConfig,
     breslow_preprocess,
     build_cluster_model,
     build_event_grid,
     discretize_times,
     fine_tune_summaries,
+    generate_synthetic,
     init_sft_params,
     predict_cif_grid,
     sft_counts,
     sft_loss_and_grad,
 )
-from kernelaj import finetune
+from kernelaj import cli, training
 from kernelaj.finetune import SftParams, frozen_subject_weights, sft_objective_from_tables
 from kernelaj.model import KernelAJModel
 from kernelaj.embedding import MlpParams, embed_batch
@@ -281,6 +284,28 @@ class TestBuffers:
 
 
 class TestFineTune:
+    def test_baseline_is_the_training_criterion(self, monkeypatch):
+        # training scores each epoch on the clustered model that fit ships,
+        # with fine-tuning's criterion, so SFT starts from training's best value
+        results = []
+
+        def spy(*args):
+            tuned, result = fine_tune_summaries(*args)
+            results.append(result)
+            return tuned, result
+
+        monkeypatch.setattr(cli, "fine_tune_summaries", spy)
+        cohort = generate_synthetic(SynthConfig(n=500, p=3, w1=(0.6, 0.0, 0.0),
+                                                w2=(0.0, 0.6, 0.0), censoring_rate=0.3,
+                                                seed=5))
+        tcfg = TrainConfig(learning_rate=0.05, batch_size=64, max_epochs=4, patience=4,
+                           num_time_steps=16, early_stop_criterion="ibs")
+        _, logs = cli.fit_pipeline(
+            cohort.subset(np.arange(400)), cohort.subset(np.arange(400, 500)),
+            EmbeddingConfig(input_dim=3, num_layers=1, hidden_units=8, embed_dim=2), tcfg,
+            epsilon=0.1, sft_config={"enabled": True, "max_epochs": 2})
+        assert [result.baseline_criterion for result in results] == [logs["train"].best_value]
+
     def test_zero_learning_rate_backtracks(self):
         model, train, valid = toy_model(seed=4, epsilon=0.8)
         cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=5,
@@ -320,7 +345,7 @@ class TestFineTune:
                                                          raw, flags):
         model, train, valid = toy_model(seed=4, epsilon=0.8)
         values = iter([baseline, raw, 0.7, 0.6, 0.4])
-        monkeypatch.setattr(finetune, "sft_objective_from_tables",
+        monkeypatch.setattr(training, "sft_objective_from_tables",
                             lambda *args, **kwargs: next(values))
         cfg = TrainConfig(learning_rate=0.01, max_epochs=3, patience=3)
         tuned, result = fine_tune_summaries(model, train, valid, cfg)
@@ -333,7 +358,7 @@ class TestFineTune:
         model, train, valid = toy_model(seed=4, epsilon=0.8)
         for baseline, raw in ((1.0, 0.5), (0.5, 1.0)):
             values = iter([baseline, raw, 0.7, 0.6])
-            monkeypatch.setattr(finetune, "sft_objective_from_tables",
+            monkeypatch.setattr(training, "sft_objective_from_tables",
                                 lambda *args, **kwargs: next(values))
             cfg = TrainConfig(learning_rate=0.01, max_epochs=2, patience=3)
             tuned, result = fine_tune_summaries(model, train, valid, cfg)
