@@ -19,7 +19,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import metrics as metricsmod
-from .clustering import build_cluster_model, cluster_positions, tau_from_min_kernel_weight
+from .clustering import cluster_positions, tau_from_min_kernel_weight
 from .core import (
     Cohort,
     breslow_preprocess,
@@ -38,7 +38,7 @@ from .dataio import (
     write_cohort_csv,
     write_csv,
 )
-from .embedding import EmbeddingConfig, embed_batch
+from .embedding import EmbeddingConfig
 from .errors import ConfigError, KernelAJError, ParseError, SchemaMismatch
 from .finetune import fine_tune_summaries
 from .model import KernelAJModel, exemplar_kernel_matrix, explain_rows, predict_cif_grid
@@ -226,8 +226,9 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
                  min_kernel_weight: float = 0.01, sft_config=None):
     """Full training pipeline shared by the CLI and library callers.
 
-    Preprocess and discretize times, train the embedding, cluster in input
-    order, summarize, and optionally fine-tune the summary tables. Returns
+    Preprocess and discretize times, train the embedding, take the clusters
+    of its best epoch (the model its criterion scored), average each
+    cluster's features, and optionally fine-tune the summary tables. Returns
     (model, logs dict). A rejected clustering setting (``epsilon``,
     ``min_kernel_weight``) or ``sft_config`` value raises ConfigError, and a
     criterion that cannot be computed on the validation cohort raises, before
@@ -242,11 +243,9 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     scorers = {c: criterion_scorer(c, train_pre, valid_pre, grid)
                for c in dict.fromkeys(criteria + [tcfg.early_stop_criterion])}
 
-    params, train_log = train_embedding(train_pre, valid_pre, ecfg, tcfg, grid,
-                                        scorers[tcfg.early_stop_criterion], epsilon, tau)
-
-    clusters = build_cluster_model(embed_batch(params, train_pre.features), train_pre,
-                                   grid, epsilon, tau)
+    (params, clusters), train_log = train_embedding(
+        train_pre, valid_pre, ecfg, tcfg, grid, scorers[tcfg.early_stop_criterion],
+        epsilon, tau)
 
     # each cluster's rows in input order, so every mean keeps its bits
     order = np.argsort(cluster_positions(clusters.exemplar_ids, clusters.assignments),

@@ -7,7 +7,8 @@ Euclidean distance is within epsilon, otherwise it becomes a new exemplar
 itself. The pass is order-dependent: it visits the rows in input order, and
 nearest-exemplar ties break toward the lowest exemplar index. It runs a
 block of rows at a time, bounded by one product per block, with the same
-bits. Training clusters every epoch, to score the model that it ships.
+bits. Only training clusters: every epoch, to score the model that it
+ships, and it ships the best epoch's clusters.
 """
 
 from dataclasses import dataclass, field
@@ -133,8 +134,8 @@ class ClusterModel:
     :func:`~kernelaj.core.label_codes` code on tables of ``table_shape`` (L, m),
     with no event in bin 0; the tables ``d_cluster`` (Q, L, m) and
     ``n_cluster`` (Q, L) are counted from the codes here. ``tau`` is the
-    prediction-time neighborhood radius in embedding space. A NaN ``tau`` or
-    ``epsilon`` raises ValueError; infinities are valid.
+    prediction-time neighborhood radius in embedding space (not epsilon,
+    which prediction never reads); NaN raises ValueError, inf is valid.
     """
 
     exemplar_ids: np.ndarray
@@ -142,7 +143,6 @@ class ClusterModel:
     assignments: np.ndarray
     codes: np.ndarray
     table_shape: tuple
-    epsilon: float
     tau: float
     d_cluster: np.ndarray = field(init=False, repr=False)
     n_cluster: np.ndarray = field(init=False, repr=False)
@@ -162,8 +162,6 @@ class ClusterModel:
             raise ValueError("exemplar embeddings must be finite")
         if require_real("tau", self.tau) <= 0:
             raise ValueError("tau must be positive")
-        if require_real("epsilon", self.epsilon) < 0:
-            raise ValueError("epsilon must be nonnegative")
         if (ids.min(initial=0) < 0 or ids.max(initial=-1) >= asg.size
                 or np.unique(ids).size != Q or (asg[ids] != ids).any()):
             raise ValueError("exemplar ids must be distinct training rows assigned to themselves")
@@ -185,19 +183,14 @@ class ClusterModel:
                            minlength=self.num_clusters)
 
 
-def build_cluster_model(embeddings, cohort_pre, grid, epsilon, tau) -> ClusterModel:
-    """Cluster training embeddings and attach their rows' label codes."""
+def build_cluster_model(embeddings, codes, table_shape, epsilon, tau) -> ClusterModel:
+    """The ClusterModel of the epsilon-net of training embeddings whose rows
+    carry :func:`~kernelaj.core.label_codes` ``codes`` on tables of
+    ``table_shape`` (L, m)."""
     exemplar_ids, assignments = epsilon_net_cluster(embeddings, epsilon)
     E = np.asarray(embeddings, dtype=np.float64)
-    return ClusterModel(
-        exemplar_ids=exemplar_ids,
-        exemplar_embeddings=E[exemplar_ids],
-        assignments=assignments,
-        codes=label_codes(cohort_pre, grid),
-        table_shape=(len(grid), cohort_pre.m),
-        epsilon=float(epsilon),
-        tau=float(tau),
-    )
+    return ClusterModel(exemplar_ids, E[exemplar_ids], assignments, codes, table_shape,
+                        float(tau))
 
 
 def exemplar_weights(clusters: ClusterModel, E: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ each is one full-batch gradient step, then training's validation criterion
 raw tables score training's best value), stopped by its
 :class:`training.TrainingLog`. The tuned tables become the model's
 ``sft_tables`` only when the validation criterion strictly improves,
-otherwise the original model is returned unchanged.
+otherwise the original model is returned unchanged; the tables installed
+are the ones the best epoch's criterion scored.
 """
 
 from dataclasses import dataclass, replace
@@ -164,15 +165,15 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
                             config.alpha, config.sigma)
 
     def evaluate(tables):
-        return value(tables, model.clusters, W_valid)
+        return value(tables, model.clusters, W_valid), tables
 
     params = init_sft_params(model.clusters)
     # A candidate must beat both the init-parameter tables (a run that never
     # moves the parameters then ties exactly and backtracks) and the raw
     # tables (which differ by the <= 1e-6 relative floor): the log starts
     # from the better of the two.
-    log = TrainingLog(criterion=criterion, best_value=evaluate(sft_counts(params)))
-    raw_value = evaluate(model.tables)
+    log = TrainingLog(criterion=criterion, best_value=evaluate(sft_counts(params))[0])
+    raw_value, _ = evaluate(model.tables)
     if log.improves(raw_value):
         log.best_value = raw_value
 
@@ -182,12 +183,12 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
         arrays = (params.gamma, params.gamma_baseline, params.omega, params.omega_baseline)
         return SftParams(*(a - config.learning_rate * g for a, g in zip(arrays, grads))), loss
 
-    best_params = descend("fine-tuning", config, log, params, epoch,
-                          lambda params: evaluate(sft_counts(params)))
-    accepted = best_params is not None
+    best = descend("fine-tuning", config, log, params, epoch,
+                   lambda params: evaluate(sft_counts(params)))
+    accepted = best is not None
     result = SftResult(accepted=accepted, baseline_criterion=float(raw_value),
                        best_criterion=float(log.best_value if accepted else raw_value),
                        log=log)
     if not accepted:
         return model, result
-    return replace(model, sft_tables=sft_counts(best_params)), result
+    return replace(model, sft_tables=best[1]), result

@@ -18,7 +18,7 @@ from .embedding import MlpParams
 from .errors import SchemaMismatch, ShapeMismatch
 from .model import KernelAJModel
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _DTYPES = ("<i8", "<f8")
 
 
@@ -39,9 +39,10 @@ def _unpack(payload) -> np.ndarray:
 
 
 def model_to_dict(model: KernelAJModel, schema=None) -> dict:
-    """The format-4 document: each array of the model once (the training rows'
+    """The format-5 document: each array of the model once (the training rows'
     (bin, event) codes and m, not the cluster tables counted from them), the
-    fine-tuned tables only if accepted (else null), and no fit config or path."""
+    fine-tuned tables only if accepted (else null), and no fit config, path
+    or epsilon (prediction reads tau alone)."""
     return {
         "format_version": FORMAT_VERSION,
         "schema": schema.to_dict() if schema is not None else None,
@@ -58,7 +59,6 @@ def model_to_dict(model: KernelAJModel, schema=None) -> dict:
             "assignments": _pack(model.clusters.assignments),
             "codes": _pack(model.clusters.codes),
             "m": model.clusters.table_shape[1],
-            "epsilon": model.clusters.epsilon,
             "tau": model.clusters.tau,
         },
         "cluster_feature_means": _pack(model.cluster_feature_means),
@@ -75,7 +75,7 @@ def save_model(model: KernelAJModel, path, schema=None):
 
 
 def _model_from_dict(doc):
-    """(model, schema_or_None) of a format-4 document."""
+    """(model, schema_or_None) of a format-5 document."""
     emb, cl, sft = doc["embedding"], doc["clusters"], doc["sft_tables"]
     grid = EventTimeGrid(_unpack(doc["grid"]))
     model = KernelAJModel(
@@ -91,7 +91,6 @@ def _model_from_dict(doc):
             assignments=_unpack(cl["assignments"]),
             codes=_unpack(cl["codes"]),
             table_shape=(len(grid), cl["m"]),
-            epsilon=float(cl["epsilon"]),
             tau=float(cl["tau"]),
         ),
         grid=grid,

@@ -57,7 +57,8 @@ gives G[i, u], the weight of row i on group u. A group is a one-row table:
 d_u is 1 at (kappa_u - 1, delta_u - 1) for an event group and n_u is 1 on
 the bins l < kappa_u, so the hazards are ``model.weighted_hazards`` of these
 tables under G, the same products as prediction and fine-tuning. The
-validation criterion scores the clustered model (:func:`_evaluate_criterion`).
+validation criterion scores the clustered model (:func:`_evaluate_criterion`);
+training returns the best epoch's, so ``fit`` ships the model it scored.
 
 In the backward pass dLoss/dW[i, j] is dG[i, u] for j in group u, and dG is
 the transposed products, dG = dden n_u^T + sum_k dnum_k d_u[:, :, k]^T.
@@ -95,6 +96,7 @@ from .core import (
     breslow_preprocess,
     cif_from_hazards,
     count_tables,
+    label_codes,
     require_int,
     require_real,
 )
@@ -482,41 +484,43 @@ def table_criterion(criterion, valid: Cohort, grid: EventTimeGrid, valid_scorer:
     return value
 
 
-def _evaluate_criterion(value, params, train, valid, grid, epsilon, tau):
-    """``value`` (:func:`table_criterion`) of the model that ``fit`` would ship
-    with ``params``: the training embeddings clustered with ``epsilon``, weighed
-    within ``tau``. No positive validation weight (every kernel weight
-    underflowed) raises FloatingPointError, which :func:`descend` reports."""
-    clusters = build_cluster_model(embed_batch(params, train.features), train, grid,
+def _evaluate_criterion(value, params, train, valid, codes, table_shape, epsilon, tau):
+    """(``value`` (:func:`table_criterion`), clusters) of the model ``fit`` ships
+    with ``params``: the training embeddings, coded ``codes`` on tables of
+    ``table_shape``, clustered with ``epsilon`` and weighed within ``tau``. No
+    positive validation weight (every kernel weight underflowed) raises
+    FloatingPointError, which :func:`descend` reports."""
+    clusters = build_cluster_model(embed_batch(params, train.features), codes, table_shape,
                                    epsilon, tau)
     W = exemplar_weights(clusters, embed_batch(params, valid.features))
     if not W.any():
         raise FloatingPointError("underflow: no validation row has a positive weight, "
                                  "the kernel weights collapsed")
-    return value((clusters.d_cluster, clusters.n_cluster), clusters, W)
+    return value((clusters.d_cluster, clusters.n_cluster), clusters, W), clusters
 
 
 def descend(stage, tcfg: TrainConfig, log: TrainingLog, params, epoch, value):
     """The package's one epoch loop, of embedding training and fine-tuning.
     Epoch n = 1..``tcfg.max_epochs`` runs ``params, loss = epoch(params)``,
-    then ``value(params)``; a floating-point overflow, invalid value or
-    division by zero in them (a learning rate too large) raises Diverged
-    naming ``stage`` and n. ``log.add`` records the epoch, and descent stops
-    once the log has stalled for ``tcfg.patience`` epochs. Returns the best
-    epoch's params, or None when no epoch beat the log's starting value.
-    The best params are kept, not copied, so updates must stay out of place:
-    ``epoch`` returns new arrays and never writes into those it was given."""
+    then ``current, scored = value(params)``: the criterion and what it
+    scored; a floating-point overflow, invalid value or division by zero in
+    them (a learning rate too large) raises Diverged naming ``stage`` and n.
+    ``log.add`` records the epoch, and descent stops once the log has
+    stalled for ``tcfg.patience`` epochs. Returns the best epoch's (params,
+    scored), or None when no epoch beat the log's starting value. Both are
+    kept, not copied, so updates must stay out of place: ``epoch`` returns
+    new arrays and never writes into those it was given."""
     best = None
     for n in range(1, tcfg.max_epochs + 1):
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 params, loss = epoch(params)
-                current = value(params)
+                current, scored = value(params)
         except FloatingPointError as exc:
             raise Diverged(f"{stage} epoch {n}: {exc} "
                            f"(learning_rate {tcfg.learning_rate})") from None
         if log.add(n, loss, current):
-            best = params
+            best = params, scored
         if log.stalled(n, tcfg.patience):
             break
     return best
@@ -535,12 +539,13 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
     and ``tau`` (:func:`_evaluate_criterion`); the defaults, epsilon 0 and
     tau inf, weigh every distinct training row.
 
-    Returns (best_params, TrainingLog).
+    Returns ((best params, the ClusterModel their criterion scored), TrainingLog).
     """
     if (train.event != 0).sum() == 0:
         raise NoEvents("training cohort has no uncensored records")
     m, L = train.m, len(grid)
-    _, kappa = breslow_preprocess(train, grid)
+    codes = label_codes(train, grid)
+    kappa = codes // (m + 1)                # a code is kappa * (m + 1) + delta
     valid_scorer = valid_scorer or criterion_scorer(
         tcfg.early_stop_criterion, train, valid, grid)
     criterion = table_criterion(tcfg.early_stop_criterion, valid, grid, valid_scorer,
@@ -568,7 +573,7 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
         return params, epoch_loss / max(seen, 1)
 
     def value(params):
-        return _evaluate_criterion(criterion, params, train, valid, grid, epsilon, tau)
+        return _evaluate_criterion(criterion, params, train, valid, codes, (L, m), epsilon, tau)
 
     log = TrainingLog(criterion=tcfg.early_stop_criterion)
     return descend("training", tcfg, log, init_mlp(ecfg), epoch, value), log

@@ -34,7 +34,7 @@ def random_batch(rng, n=12, p=3, m=2, L=5, censor_frac=0.3):
     return X, kappa.astype(np.int64), delta.astype(np.int64)
 
 
-def clusters_from_tables(d, n, embeddings, epsilon=0.5, tau=1.0) -> ClusterModel:
+def clusters_from_tables(d, n, embeddings, tau=1.0) -> ClusterModel:
     """A ClusterModel whose cluster tables are the integer tables d (Q, L, m)
     and n (Q, L), built from training rows: row q is exemplar q, bin l holds
     n[l] - n[l + 1] - sum_k d[l, k] censored rows of a cluster, and a
@@ -54,7 +54,7 @@ def clusters_from_tables(d, n, embeddings, epsilon=0.5, tau=1.0) -> ClusterModel
     first = np.searchsorted(cluster, np.arange(Q))
     order = np.r_[first, np.setdiff1d(np.arange(cluster.size), first)]
     clusters = ClusterModel(np.arange(Q), embeddings, cluster[order], codes[order], (L, m),
-                            epsilon=epsilon, tau=tau)
+                            tau=tau)
     assert all((got == want).all() for got, want in
                zip((clusters.d_cluster, clusters.n_cluster), tables))
     return clusters

@@ -216,7 +216,7 @@ class TestFit:
         def broken(*args, **kwargs):
             raise TypeError("unsupported operand")
 
-        monkeypatch.setattr(cli, "build_cluster_model", broken)
+        monkeypatch.setattr(cli, "train_embedding", broken)
         config_path, _ = write_config(tmp_path, train_csv)
         with pytest.raises(TypeError, match="unsupported operand"):
             main(["fit", "--config", str(config_path)])
@@ -623,7 +623,7 @@ def save_identity_model(path, centers, d, n, tau):
     names = [f"x{j + 1}" for j in range(p)]
     save_model(KernelAJModel(
         params=MlpParams((p, p), (np.eye(p),), (np.zeros(p),)),
-        clusters=clusters_from_tables(d, n, centers, epsilon=0.5, tau=tau),
+        clusters=clusters_from_tables(d, n, centers, tau=tau),
         grid=EventTimeGrid(np.arange(1.0, L + 1.0)),
         cluster_feature_means=np.zeros((Q, p))), path, FeatureSchema(
             kinds=dict.fromkeys(names, "continuous"), feature_names=names,
@@ -634,6 +634,7 @@ _MODEL_EDITS = {
     "version 1": lambda doc: doc.update(format_version=1),
     "version 2": lambda doc: doc.update(format_version=2),
     "version 3": lambda doc: doc.update(format_version=3),
+    "version 4": lambda doc: doc.update(format_version=4),
     "no clusters": lambda doc: doc.pop("clusters"),
     "no grid": lambda doc: doc.pop("grid"),
     "no sft_tables": lambda doc: doc.pop("sft_tables"),
@@ -645,7 +646,6 @@ _MODEL_EDITS = {
     "sft tables of another shape": _with_sft_tables(
         lambda tables: tables.update(n=tables["d"])),
     "tau NaN": lambda doc: doc["clusters"].update(tau=float("nan")),
-    "epsilon NaN": lambda doc: doc["clusters"].update(epsilon=float("nan")),
     "feature means too narrow": _edit_array("cluster_feature_means", narrow=True),
     "exemplar embedding NaN": _edit_array("clusters", "exemplar_embeddings", value=np.nan),
     "negative sft_tables cell": _with_sft_tables(
@@ -734,13 +734,13 @@ class TestModelFile:
         doc = json.loads((root / "out" / "model.json").read_text())
         return doc, cohort_csv(root / "test.csv", 60, 2)
 
-    def test_format_4_stores_each_array_once(self, fitted):
+    def test_model_file_stores_each_array_once(self, fitted):
         doc, _ = fitted
-        assert doc["format_version"] == 4
+        assert doc["format_version"] == 5
         assert set(doc) == {"format_version", "schema", "embedding", "grid", "clusters",
                             "cluster_feature_means", "sft_tables"}
         assert set(doc["clusters"]) == {"exemplar_ids", "exemplar_embeddings", "assignments",
-                                        "codes", "m", "epsilon", "tau"}
+                                        "codes", "m", "tau"}
         assert doc["sft_tables"] is None
 
     def test_sft_tables_edit_alone_loads(self, fitted, tmp_path):

@@ -77,14 +77,12 @@ class TestEpsilonNet:
         with pytest.raises(ValueError, match="epsilon must not be NaN"):
             epsilon_net_cluster(np.random.default_rng(0).normal(size=(50, 2)), np.nan)
 
-    @pytest.mark.parametrize("setting", ["epsilon", "tau"])
+    @pytest.mark.parametrize("setting", ["tau"])
     def test_cluster_model_rejects_nan(self, setting):
         d, n = np.zeros((1, 2, 1)), np.ones((1, 2))
-        values = {"epsilon": 0.5, "tau": 1.0, setting: float("nan")}
         with pytest.raises(ValueError, match=f"{setting} must not be NaN"):
-            clusters_from_tables(d, n, np.zeros((1, 2)), **values)
-        values[setting] = np.inf
-        assert getattr(clusters_from_tables(d, n, np.zeros((1, 2)), **values),
+            clusters_from_tables(d, n, np.zeros((1, 2)), **{setting: float("nan")})
+        assert getattr(clusters_from_tables(d, n, np.zeros((1, 2)), **{setting: np.inf}),
                        setting) == np.inf
 
     @pytest.mark.parametrize("array, cell, value", [
@@ -103,7 +101,7 @@ class TestEpsilonNet:
         def build():
             asg = arrays["ids"][[0, 1, 1]] if array == "ids" else arrays["asg"]
             return ClusterModel(arrays["ids"], arrays["emb"], asg, arrays["codes"], (2, 1),
-                                epsilon=0.5, tau=1.0)
+                                tau=1.0)
 
         assert build().cluster_sizes().tolist() == [1, 2]
         arrays[array][cell] = value
@@ -118,7 +116,7 @@ class TestEpsilonNet:
 
     def test_cluster_model_rejects_codes_of_other_rows(self):
         with pytest.raises(ShapeMismatch, match="one code per assigned training row"):
-            ClusterModel([0], np.zeros((1, 2)), [0, 0], [0], (2, 1), epsilon=0.5, tau=1.0)
+            ClusterModel([0], np.zeros((1, 2)), [0, 0], [0], (2, 1), tau=1.0)
 
 
 @st.composite
@@ -257,7 +255,7 @@ class TestBookkeeping:
         assert_array_equal(d_c, want_d)
         assert_array_equal(n_c, want_n)
         model = ClusterModel(exemplar_ids, np.zeros((exemplar_ids.size, 1)), assignments,
-                             label_codes(pre, grid), (len(grid), pre.m), epsilon=0.0, tau=1.0)
+                             label_codes(pre, grid), (len(grid), pre.m), tau=1.0)
         assert_array_equal(model.d_cluster, want_d)
         assert_array_equal(model.n_cluster, want_n)
         assert_array_equal(model.cluster_sizes(),
@@ -296,7 +294,8 @@ class TestNeighbors:
         grid = build_event_grid(cohort)
         pre, _ = breslow_preprocess(cohort, grid)
         E = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
-        return build_cluster_model(E, pre, grid, epsilon=0.5, tau=tau)
+        return build_cluster_model(E, label_codes(pre, grid), (len(grid), pre.m),
+                                   epsilon=0.5, tau=tau)
 
     def test_tau_infinite_returns_all(self):
         model = self.build(np.inf)
@@ -316,7 +315,8 @@ class TestNeighbors:
         cohort = Cohort(np.zeros((30, 1)), rng.uniform(0.5, 5.0, 30), rng.integers(0, 3, 30), 2)
         grid = build_event_grid(cohort)
         pre, _ = breslow_preprocess(cohort, grid)
-        model = build_cluster_model(rng.normal(size=(30, 2)) * 2, pre, grid, epsilon=0.5,
+        model = build_cluster_model(rng.normal(size=(30, 2)) * 2, label_codes(pre, grid),
+                                    (len(grid), pre.m), epsilon=0.5,
                                     tau=tau_from_min_kernel_weight(0.01))
         for q in rng.normal(size=(10, 2)) * 3:
             weights = exemplar_weights(model, q[None, :])[0]
@@ -328,7 +328,7 @@ class TestNeighbors:
         # bit-equal to the np.where form, far rows and overflowing distances included
         rng = np.random.default_rng(seed)
         clusters = clusters_from_tables(np.zeros((20, 2, 1)), np.ones((20, 2)),
-                                        rng.normal(size=(20, 3)), epsilon=0.5, tau=tau)
+                                        rng.normal(size=(20, 3)), tau=tau)
         E = rng.normal(size=(15, 3)) * 3
         E[:5] = clusters.exemplar_embeddings[:5] + rng.normal(scale=0.1, size=(5, 3))
         E[-2:] = [[1e300] * 3, [np.inf] * 3]        # inf and NaN distances
@@ -340,7 +340,7 @@ class TestNeighbors:
     def test_weights_in_one_buffer(self):
         rng = np.random.default_rng(0)
         clusters = clusters_from_tables(np.zeros((2048, 1, 1)), np.ones((2048, 1)),
-                                        rng.normal(size=(2048, 8)), epsilon=0.5, tau=1.5)
+                                        rng.normal(size=(2048, 8)), tau=1.5)
         E = rng.normal(size=(1024, 8))
         W, peak = traced_peak(lambda: exemplar_weights(clusters, E))
         assert peak < 1.5 * W.nbytes

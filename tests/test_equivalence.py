@@ -30,6 +30,7 @@ from kernelaj import (
 )
 from kernelaj import metrics, training
 from kernelaj.clustering import build_cluster_model
+from kernelaj.core import label_codes
 from kernelaj.embedding import (
     embed_batch,
     flatten_grads,
@@ -329,7 +330,7 @@ class TestRankingForward:
         """The arguments of ``criterion``'s ``_evaluate_criterion`` on a
         synthetic cohort of n_train training and q validation rows, 64 bins,
         sigma 0.5 and epsilon = tau = 0.05, at which a few validation rows
-        have no exemplar within tau; and the training rows' bins."""
+        have no exemplar within tau; the training rows' bins; and the grid."""
         cohort = generate_synthetic(SynthConfig(
             n=n_train + q, p=3, w1=(0.6, 0.0, 0.0), w2=(0.0, 0.6, 0.0),
             censoring_rate=0.3, seed=3))
@@ -339,12 +340,13 @@ class TestRankingForward:
         value = training.table_criterion(
             criterion, valid, grid, training.criterion_scorer(criterion, train, valid, grid),
             alpha, 0.5)
-        return (value, small_params(0), train, valid, grid, 0.05, 0.05), kappa
+        return (value, small_params(0), train, valid, label_codes(train, grid),
+                (len(grid), train.m), 0.05, 0.05), kappa, grid
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_objective_criterion_matches_dense_oracle(self, alpha):
-        args, kappa = self.criterion_problem("objective", 300, 200, alpha)
-        _, params, train, valid, grid, epsilon, tau = args
+        args, kappa, grid = self.criterion_problem("objective", 300, 200, alpha)
+        _, params, train, valid, _, _, epsilon, tau = args
         psi, F, active = oracle.clustered_hazard_curves(
             embed_batch(params, valid.features), embed_batch(params, train.features),
             kappa, train.event, train.m, len(grid), epsilon, tau)
@@ -355,16 +357,17 @@ class TestRankingForward:
         rank = oracle.loss_ranking(oracle.cif_pair_matrix(F, kappa_valid), kappa_valid,
                                    event, 0.5)
         want = alpha * nll + (1.0 - alpha) * rank
-        got = training._evaluate_criterion(*args)
+        got, _ = training._evaluate_criterion(*args)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("criterion", ["ibs", "ctd"])
     def test_criterion_scores_the_shipped_model(self, criterion):
-        # the clustered model that fit would ship with these parameters,
-        # predicted through predict_cif_grid (population curves included)
-        args, _ = self.criterion_problem(criterion, 300, 200, 1.0)
-        _, params, train, valid, grid, epsilon, tau = args
-        clusters = build_cluster_model(embed_batch(params, train.features), train, grid,
+        # the clustered model that fit ships with these parameters, predicted
+        # through predict_cif_grid (population curves included); the clusters
+        # the criterion returns are that model's
+        args, _, grid = self.criterion_problem(criterion, 300, 200, 1.0)
+        _, params, train, valid, codes, shape, epsilon, tau = args
+        clusters = build_cluster_model(embed_batch(params, train.features), codes, shape,
                                        epsilon, tau)
         model = KernelAJModel(params, clusters, grid,
                               np.zeros((clusters.num_clusters, train.features.shape[1])))
@@ -372,12 +375,17 @@ class TestRankingForward:
         assert fallback.any()
         want = score_curves(cif, grid.times, training.criterion_scorer(
             criterion, train, valid, grid), (criterion,))[criterion]
-        assert training._evaluate_criterion(*args) == float(np.mean(want))
+        got, scored = training._evaluate_criterion(*args)
+        assert got == float(np.mean(want))
+        for name in ("exemplar_ids", "exemplar_embeddings", "assignments", "codes",
+                     "d_cluster", "n_cluster"):
+            assert_array_equal(getattr(scored, name), getattr(clusters, name))
+        assert (scored.table_shape, scored.tau) == (clusters.table_shape, clusters.tau)
 
     def test_objective_criterion_has_no_square_buffer(self):
         q = 4096
-        args, _ = self.criterion_problem("objective", 300, q, 0.5)
-        value, peak = traced_peak(lambda: training._evaluate_criterion(*args))
+        args, _, _ = self.criterion_problem("objective", 300, q, 0.5)
+        (value, _), peak = traced_peak(lambda: training._evaluate_criterion(*args))
         assert np.isfinite(value)
         assert peak < q * q * 8
 

@@ -30,6 +30,7 @@ from kernelaj import (
     sft_loss_and_grad,
 )
 from kernelaj import cli, training
+from kernelaj.core import label_codes
 from kernelaj.finetune import SftParams, frozen_subject_weights, sft_objective_from_tables
 from kernelaj.model import KernelAJModel
 from kernelaj.embedding import MlpParams, embed_batch
@@ -45,7 +46,8 @@ def d0_single_cluster():
     pre, _ = breslow_preprocess(cohort, grid)
     params = MlpParams((1, 1), (np.zeros((1, 1)),), (np.zeros(1),))
     E = embed_batch(params, pre.features)
-    clusters = build_cluster_model(E, pre, grid, epsilon=np.inf, tau=np.inf)
+    clusters = build_cluster_model(E, label_codes(pre, grid), (len(grid), pre.m),
+                                   epsilon=np.inf, tau=np.inf)
     return clusters, pre, grid, params
 
 
@@ -70,7 +72,8 @@ def toy_model(seed=0, epsilon=1.0, num_time_steps=0):
     valid_pre, _ = breslow_preprocess(valid, grid)
     params = MlpParams((2, 2), (np.eye(2),), (np.zeros(2),))
     E = embed_batch(params, train_pre.features)
-    clusters = build_cluster_model(E, train_pre, grid, epsilon, tau=np.inf)
+    clusters = build_cluster_model(E, label_codes(train_pre, grid), (len(grid), train_pre.m),
+                                   epsilon, tau=np.inf)
     model = KernelAJModel(params=params, clusters=clusters, grid=grid,
                           cluster_feature_means=np.zeros((clusters.num_clusters, 2)))
     return model, train_pre, valid_pre
@@ -91,7 +94,7 @@ class TestInit:
         boosted[0, 0, 0] = 3.0
         at_risk[0, 0] += 2.0        # the two added events are two more rows at risk
         clusters3 = clusters_from_tables(boosted, at_risk, clusters.exemplar_embeddings,
-                                         epsilon=clusters.epsilon, tau=clusters.tau)
+                                         tau=clusters.tau)
         params = init_sft_params(clusters3)
         assert params.gamma[0, 0, 0] == pytest.approx(np.log(3.0))
         d_prime, _ = sft_counts(params)

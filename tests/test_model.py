@@ -53,7 +53,7 @@ def build_model(cohort, params, epsilon, tau, num_time_steps=0):
     grid = discretize_times(build_event_grid(cohort), num_time_steps)
     pre, _ = breslow_preprocess(cohort, grid)
     E = embed_batch(params, pre.features)
-    clusters = build_cluster_model(E, pre, grid, epsilon, tau)
+    clusters = build_cluster_model(E, label_codes(pre, grid), (len(grid), pre.m), epsilon, tau)
     return KernelAJModel(params=params, clusters=clusters, grid=grid,
                          cluster_feature_means=np.zeros((clusters.num_clusters, cohort.p)))
 
@@ -106,8 +106,8 @@ def training_rows(fit):
 def reclustered(model, pre, epsilon, tau):
     """``model`` with its clusters rebuilt from the training rows ``pre`` at
     (epsilon, tau), and no fine-tuned tables."""
-    clusters = build_cluster_model(embed_batch(model.params, pre.features), pre, model.grid,
-                                   epsilon, tau)
+    clusters = build_cluster_model(embed_batch(model.params, pre.features),
+                                   model.clusters.codes, model.clusters.table_shape, epsilon, tau)
     return replace(model, clusters=clusters, sft_tables=None,
                    cluster_feature_means=np.zeros((clusters.num_clusters, pre.p)))
 
@@ -137,14 +137,14 @@ class TestSpecialCases:
             assert_curves(cif[:, i], surv[i], want)
 
     @settings(max_examples=25)
-    @given(fit=fits())
-    def test_trained_exemplar_with_tau_below_epsilon_is_its_cluster(self, fit):
+    @given(fit=fits(), epsilon=st.sampled_from([0.1, 1.0]))
+    def test_trained_exemplar_with_tau_below_epsilon_is_its_cluster(self, fit, epsilon):
         # exemplars lie more than epsilon apart, so with tau below epsilon an
         # exemplar's own row weights its own cluster only and gets the
         # Aalen-Johansen curves of that cluster's member rows
         model = fit[0]
         pre, _ = training_rows(fit)
-        net = reclustered(model, pre, model.clusters.epsilon, model.clusters.epsilon / 2)
+        net = reclustered(model, pre, epsilon, epsilon / 2)
         ids = net.clusters.exemplar_ids
         E = net.clusters.exemplar_embeddings
         diff = E[:, None, :] - E[None, :, :]
@@ -361,7 +361,7 @@ class TestPredictionProperties:
         clusters = clusters_from_tables(
             np.stack([d1, d2]), np.stack([n1, n2]),
             np.array([[np.sqrt(np.log(2.0)), 0.0], [np.sqrt(np.log(4.0)), 0.0]]),
-            epsilon=1.0, tau=10.0)
+            tau=10.0)
         model = KernelAJModel(params=constant_params(3), clusters=clusters,
                               grid=EventTimeGrid([1.0, 2.0]),
                               cluster_feature_means=np.zeros((2, 3)))
@@ -407,7 +407,7 @@ def weighted_cluster_models(draw):
     n = np.flip(np.cumsum(np.flip(d.sum(axis=2) + censored, axis=1), axis=1), axis=1)
     centers = rng.normal(size=(Q, 2))
     tau = draw(st.sampled_from([0.8, 2.0, np.inf]))
-    clusters = clusters_from_tables(d, n, centers, epsilon=0.5, tau=tau)
+    clusters = clusters_from_tables(d, n, centers, tau=tau)
     model = KernelAJModel(
         params=MlpParams((2, 2), (np.eye(2),), (np.zeros(2),)),
         clusters=clusters,
@@ -566,7 +566,7 @@ class TestInterpretationQuantities:
         # weighs only its cluster, which has no events: zero CIFs at the horizon
         clusters = clusters_from_tables(
             np.array([[[1.0], [1.0]], [[0.0], [0.0]]]), np.array([[3.0, 1.0], [2.0, 1.0]]),
-            np.array([[0.0, 0.0], [9.0, 0.0]]), epsilon=0.5, tau=1.0)
+            np.array([[0.0, 0.0], [9.0, 0.0]]), tau=1.0)
         model = KernelAJModel(params=MlpParams((2, 2), (np.eye(2),), (np.zeros(2),)),
                               clusters=clusters, grid=EventTimeGrid([1.0, 2.0]),
                               cluster_feature_means=np.zeros((2, 2)))

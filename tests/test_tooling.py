@@ -119,6 +119,18 @@ def test_one_descent_loop():
     assert raising == [("training", "descend")]
 
 
+def test_only_training_clusters():
+    # the ε-net runs only inside the training criterion, and fit ships the
+    # clusters of the criterion's best epoch, so no second clustering of the
+    # training rows can drift from the model that was scored
+    modules = sorted(path.stem for path in SRC.glob("*.py"))
+    callers = {name: [(module, owner) for module in modules
+                      for owner, called in _calls(module) if called == name]
+               for name in ("build_cluster_model", "epsilon_net_cluster")}
+    assert callers == {"build_cluster_model": [("training", "_evaluate_criterion")],
+                       "epsilon_net_cluster": [("clustering", "build_cluster_model")]}
+
+
 def test_one_hazard_ratio():
     # every hazard is d * safe_reciprocal(n) in one of two places: the
     # classical tables' core.table_hazards and model.weighted_hazards, which

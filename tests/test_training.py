@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import finite_difference_grad, random_batch, relative_error
 from dense_oracle import (
@@ -41,9 +41,10 @@ from kernelaj import (
     total_loss_and_grad,
     train_embedding,
 )
-from kernelaj import cli, training
+from kernelaj import cli, clustering, core, training
 from kernelaj.cli import fit_pipeline
-from kernelaj.embedding import flatten_grads, flatten_params
+from kernelaj.clustering import exemplar_weights
+from kernelaj.embedding import embed_batch, flatten_grads, flatten_params
 
 PSI_CLAMP = 1e-12
 
@@ -305,16 +306,16 @@ class TestTrainingLoop:
     def test_zero_learning_rate_returns_init(self):
         tcfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=3,
                            patience=2, seed=0)
-        params, _ = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
-                                    tcfg, self.grid)
+        (params, _), _ = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
+                                         tcfg, self.grid)
         init = init_mlp(self.ecfg)
         assert np.array_equal(flatten_params(params), flatten_params(init))
 
     def test_training_reduces_nll(self):
         tcfg = TrainConfig(learning_rate=0.05, batch_size=48, max_epochs=30,
                            patience=30, seed=1)
-        params, log = train_embedding(self.train_pre, self.valid_pre,
-                                      self.ecfg, tcfg, self.grid)
+        (params, _), log = train_embedding(self.train_pre, self.valid_pre,
+                                           self.ecfg, tcfg, self.grid)
         _, kappa = breslow_preprocess(self.train_pre, self.grid)
         m, L = 2, len(self.grid)
         init = init_mlp(self.ecfg)
@@ -329,10 +330,10 @@ class TestTrainingLoop:
     def test_same_seed_same_parameters(self):
         tcfg = TrainConfig(learning_rate=0.02, batch_size=32, max_epochs=5,
                            patience=5, seed=7)
-        a, log_a = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
-                                   tcfg, self.grid)
-        b, log_b = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
-                                   tcfg, self.grid)
+        (a, _), log_a = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
+                                        tcfg, self.grid)
+        (b, _), log_b = train_embedding(self.train_pre, self.valid_pre, self.ecfg,
+                                        tcfg, self.grid)
         assert np.array_equal(flatten_params(a), flatten_params(b))
         assert log_a.rows == log_b.rows
 
@@ -390,6 +391,64 @@ class TestTrainingLoop:
             train_embedding(train, valid, ecfg, tcfg, grid)
 
 
+def counted(monkeypatch, name, *modules):
+    """The list that gets one entry per call of ``name`` made through any of
+    ``modules``, each of which holds the function under that name."""
+    calls, real = [], getattr(modules[0], name)
+    for module in modules:
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+class TestShippedClusters:
+    """Training returns the clusters that its best epoch's criterion scored,
+    and ``fit_pipeline`` ships them without clustering again."""
+
+    def setup_method(self):
+        self.train, self.valid = two_cluster_cohorts()
+        self.ecfg = EmbeddingConfig(input_dim=2, num_layers=1, hidden_units=8,
+                                    embed_dim=2, init_seed=0)
+        self.tcfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=4,
+                                patience=4, num_time_steps=8)
+
+    def test_clusters_come_from_the_best_epoch(self, monkeypatch):
+        # the criterion reads the objective plus 2000, 0, 1000 and 3000 (the
+        # values 3, 1, 2, 4), so the second of four epochs is the best
+        real_criterion, offsets = training.table_criterion, iter([2e3, 0.0, 1e3, 3e3])
+
+        def scripted(*args):
+            value = real_criterion(*args)
+            return lambda *a: value(*a) + next(offsets)
+
+        built, real_build = [], training.build_cluster_model
+        monkeypatch.setattr(training, "table_criterion", scripted)
+        monkeypatch.setattr(training, "build_cluster_model",
+                            lambda *a, **k: built.append(real_build(*a, **k)) or built[-1])
+        model, logs = fit_pipeline(self.train, self.valid, self.ecfg, self.tcfg, epsilon=0.05)
+        log = logs["train"]
+        assert (log.best_epoch, len(log.rows), len(built)) == (2, 4, 4)
+        best = built[1]
+        assert not np.array_equal(built[-1].exemplar_ids, best.exemplar_ids)   # 15 and 14
+        assert_array_equal(model.clusters.exemplar_ids, best.exemplar_ids)
+        assert_array_equal(model.clusters.assignments, best.assignments)
+        # the shipped model, under the unscripted criterion, scores the best value
+        valid, _ = breslow_preprocess(self.valid, model.grid)
+        train, _ = breslow_preprocess(self.train, model.grid)
+        value = real_criterion("objective", valid, model.grid, training.criterion_scorer(
+            "objective", train, valid, model.grid), self.tcfg.alpha, self.tcfg.sigma)
+        W = exemplar_weights(model.clusters, embed_batch(model.params, valid.features))
+        assert value(model.tables, model.clusters, W) == log.best_value
+
+    def test_codes_counted_once_and_one_epsilon_net_per_epoch(self, monkeypatch):
+        grid = discretize_times(build_event_grid(self.train), 8)
+        train, _ = breslow_preprocess(self.train, grid)
+        valid, _ = breslow_preprocess(self.valid, grid)
+        codes = counted(monkeypatch, "label_codes", core, clustering, training)
+        nets = counted(monkeypatch, "epsilon_net_cluster", clustering)
+        _, log = train_embedding(train, valid, self.ecfg, self.tcfg, grid, epsilon=0.3)
+        assert (len(codes), len(nets), len(log.rows)) == (1, 4, 4)
+
+
 class TestBatchCif:
     def test_cif_pairs_match_curves(self):
         rng = np.random.default_rng(6)
@@ -411,14 +470,6 @@ class TestCriterionFeasibility:
     cohort fails before the first training step."""
 
     @staticmethod
-    def count_steps(monkeypatch):
-        calls = []
-        real = training.total_loss_and_grad
-        monkeypatch.setattr(training, "total_loss_and_grad",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
-        return calls
-
-    @staticmethod
     def no_event_two_pairs():
         """Train/valid cohorts whose validation set has no event-2 record, so
         ctd has no comparable event-2 pair while IBS is well defined."""
@@ -436,7 +487,7 @@ class TestCriterionFeasibility:
         train, valid, ecfg = self.no_event_two_pairs()
         tcfg = TrainConfig(batch_size=128, max_epochs=2, patience=2,
                            num_time_steps=8, early_stop_criterion="ctd")
-        calls = self.count_steps(monkeypatch)
+        calls = counted(monkeypatch, "total_loss_and_grad", training)
         with pytest.raises(NoComparablePairs, match="event 2"):
             fit_pipeline(train, valid, ecfg, tcfg, epsilon=0.5)
         assert calls == []
@@ -476,7 +527,7 @@ class TestCriterionFeasibility:
                                embed_dim=2)
         tcfg = TrainConfig(batch_size=8, max_epochs=2, patience=2,
                            early_stop_criterion="ibs")
-        calls = self.count_steps(monkeypatch)
+        calls = counted(monkeypatch, "total_loss_and_grad", training)
         with pytest.raises(DegenerateGrid):
             train_embedding(train, valid, ecfg, tcfg, grid)
         assert calls == []
@@ -594,7 +645,7 @@ class TestDescend:
 
         def value(params):
             v = values[params[0] - 1]
-            return float(np.log(np.array(0.0))) if v is None else v
+            return (float(np.log(np.array(0.0))) if v is None else v), ("scored", params)
 
         log = TrainingLog(criterion="objective", best_value=best_value)
         tcfg = TrainConfig(max_epochs=max_epochs, patience=patience, learning_rate=0.5)
@@ -604,7 +655,7 @@ class TestDescend:
         tcfg = TrainConfig(max_epochs=3, learning_rate=0.5)
         with pytest.raises(Diverged, match=r"^stage epoch 1: overflow .*\(learning_rate 0.5\)$"):
             training.descend("stage", tcfg, TrainingLog("objective"), None,
-                             lambda p: (np.exp(np.array([1e4])), 0.0), lambda p: 1.0)
+                             lambda p: (np.exp(np.array([1e4])), 0.0), lambda p: (1.0, p))
 
     def test_overflow_in_value_raises_diverged(self):
         with pytest.raises(Diverged, match=r"^fine-tuning epoch 1: overflow"):
@@ -623,7 +674,9 @@ class TestDescend:
 
     def test_returns_the_best_epochs_params(self):
         best, log, made = self.run([3.0, 1.0, 2.0, 2.0], patience=5, max_epochs=4)
-        assert len(made) == 4 and best is made[1] and log.best_epoch == 2
+        assert len(made) == 4 and log.best_epoch == 2
+        # with what its value scored, kept as that epoch returned it
+        assert best[0] is made[1] and best[1] == ("scored", made[1])
 
     def test_none_when_the_start_value_is_never_beaten(self):
         best, log, _ = self.run([1.0, 2.0, 1.0], patience=5, max_epochs=3, best_value=1.0)
