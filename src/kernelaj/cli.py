@@ -285,8 +285,8 @@ def cmd_evaluate(model_path: str, data_path: str, out_dir: str,
         scorer = metricsmod.scorer(
             cohort, metricsmod.build_eval_grid(cohort.time[cohort.event != 0]))
         scores = metricsmod.score_curves(cif, model.grid.times, scorer)
-        pop_cif = np.stack([np.tile(c.values, (cohort.n, 1))
-                            for c in model.population_curves().cifs])
+        pop = np.stack([c.values for c in model.population_curves().cifs])
+        pop_cif = np.broadcast_to(pop[:, None, :], (model.m, cohort.n, pop.shape[1]))
         # every pair of population curves ties, so their concordance is 0.5
         pop_ibs = metricsmod.score_curves(pop_cif, model.grid.times, scorer, ("ibs",))["ibs"]
 

@@ -106,23 +106,23 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
     parameterization. Returns (loss, (dgamma, dgamma_baseline, domega,
     domega_baseline)).
 
-    ``buffers`` is an optional (3, m, n, L) array for psi, dLoss/dpsi and
-    scratch, n counting the subjects with a nonempty neighborhood
-    (``fine_tune_summaries`` allocates it once); the results do not depend
-    on it.
+    ``buffers`` is an optional (2m + 1, n, L) array for psi (m planes),
+    dLoss/dpsi (m planes) and 1/N, n counting the subjects with a nonempty
+    neighborhood (``fine_tune_summaries`` allocates it once); the results
+    do not depend on it.
     """
     W, kap, dl = _active_rows(weights, kappa, delta)
     d_prime, n_prime = sft_counts(params)
     _, L, m = d_prime.shape
+    shape = (2 * m + 1, kap.size, L)
     if buffers is None:
-        buffers = np.empty((3, m, kap.size, L))
-    if buffers.shape != (3, m, kap.size, L):
-        raise ShapeMismatch(f"fine-tuning buffers must have shape {(3, m, kap.size, L)}")
-    psi_buf, dpsi_buf, scratch = buffers
-    # 1/N lives in scratch until dD is formed, the last read before scratch is reused
-    _, _, psi, inv_N = weighted_hazards((d_prime, n_prime), W, psi_buf, scratch[0])
-    loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma, out=dpsi_buf)
-    dD, dN = _ratio_backward(dpsi, psi, inv_N, scratch)
+        buffers = np.empty(shape)
+    if buffers.shape != shape:
+        raise ShapeMismatch(f"fine-tuning buffers must have shape {shape}")
+    _, _, psi, inv_N = weighted_hazards((d_prime, n_prime), W, buffers[:m], buffers[2 * m])
+    loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma, out=buffers[m:2 * m])
+    # psi is read for the last time here, so dnum * psi overwrites it
+    dD, dN = _ratio_backward(dpsi, psi, inv_N, scratch=psi)
 
     dd_prime = (W.T @ dD).transpose(1, 2, 0)         # (Q, L, m)
     dc_prime = np.cumsum(W.T @ dN, axis=1)           # n' is a reversed cumsum
@@ -160,7 +160,7 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     _, kappa_tr = breslow_preprocess(train, model.grid)
     valid_scorer = valid_scorer or criterion_scorer(criterion, train, valid, model.grid)
     W_train, kappa_tr, event_tr = _active_rows(W_train, kappa_tr, train.event)
-    buffers = np.empty((3, model.m, kappa_tr.size, len(model.grid)))
+    buffers = np.empty((2 * model.m + 1, kappa_tr.size, len(model.grid)))
     value = table_criterion(criterion, valid, model.grid, valid_scorer,
                             config.alpha, config.sigma)
 

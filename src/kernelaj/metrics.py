@@ -24,6 +24,8 @@ from .errors import DegenerateGrid, NoComparablePairs, NoEvents, ShapeMismatch
 
 INTERP_BLOCK_ROWS = 256
 CONCORDANCE_BLOCK_ROWS = 256
+CONCORDANCE_BLOCK_SUBJECTS = 256
+BRIER_BLOCK_HORIZONS = 16
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,8 @@ def brier_scores(cif_values, cohort: Cohort, delta: int, times, weights):
     ``weights`` comes from :func:`ipcw_weights` for the same cohort and
     times. Returns (values (k,), n_excluded (k,)): subjects whose required
     weight is zero are dropped from the sum (not from the denominator n)
-    and counted.
+    and counted. Horizons are scored ``BRIER_BLOCK_HORIZONS`` at a time, so
+    the working arrays are (block, n), not (k, n).
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     F = np.asarray(cif_values, dtype=np.float64)
@@ -101,26 +104,29 @@ def brier_scores(cif_values, cohort: Cohort, delta: int, times, weights):
                             f"got {F.shape}")
     w_past, w_now = weights
     y, ev = cohort.time, cohort.event
-    # subjects on the contiguous axis, so a horizon's sum is the same pairwise
-    # sum whether it is scored alone (brier_score) or on a grid
-    F = np.ascontiguousarray(F.T)
-    past = y[None, :] <= times[:, None]
     past_ok = w_past > 0
-    now_ok = w_now > 0
     hit = (ev == delta) & past_ok
     other = (ev != delta) & (ev != 0) & past_ok
-
-    sq = np.square(F)
-    terms = np.zeros_like(sq)
-    # still at risk at t: F^2 / S_censor(t)
-    np.divide(sq, w_now[:, None], out=terms, where=~past & now_ok[:, None])
-    # event of interest by t: (1 - F)^2, competing event by t: F^2, over S_censor(Y^-)
-    np.divide(np.square(1.0 - F), w_past, out=terms, where=past & hit)
-    np.divide(sq, w_past, out=terms, where=past & other)
-
     lost = (ev != 0) & ~past_ok
-    excluded = (past & lost).sum(axis=1) + np.where(now_ok, 0, (~past).sum(axis=1))
-    return terms.sum(axis=1) / n, excluded.astype(np.int64)
+    values = np.empty(times.size)
+    excluded = np.empty(times.size, dtype=np.int64)
+    for h0 in range(0, times.size, BRIER_BLOCK_HORIZONS):
+        h = slice(h0, h0 + BRIER_BLOCK_HORIZONS)
+        # subjects on the contiguous axis, so a horizon's sum is the same
+        # pairwise sum whether it is scored alone (brier_score) or in a block
+        Fh = np.ascontiguousarray(F[:, h].T)
+        past = y[None, :] <= times[h, None]
+        now_ok = w_now[h] > 0
+        sq = np.square(Fh)
+        terms = np.zeros_like(sq)
+        # still at risk at t: F^2 / S_censor(t)
+        np.divide(sq, w_now[h, None], out=terms, where=~past & now_ok[:, None])
+        # event of interest by t: (1 - F)^2, competing event by t: F^2, over S_censor(Y^-)
+        np.divide(np.square(1.0 - Fh), w_past, out=terms, where=past & hit)
+        np.divide(sq, w_past, out=terms, where=past & other)
+        values[h] = terms.sum(axis=1) / n
+        excluded[h] = (past & lost).sum(axis=1) + np.where(now_ok, 0, (~past).sum(axis=1))
+    return values, excluded
 
 
 def brier_score(cif_values, cohort: Cohort, delta: int, t: float,
@@ -160,26 +166,30 @@ def concordance_td(risk_matrix, cohort: Cohort, delta: int) -> float:
     R = np.asarray(risk_matrix, dtype=np.float64)
     if R.shape != (cohort.n, cohort.n):
         raise ShapeMismatch(f"risk matrix must be ({cohort.n}, {cohort.n}), got {R.shape}")
-    return _count_concordance(lambda rows: R[rows].T, cohort, delta)
+    return _count_concordance(lambda subjects, rows: R.T[subjects][:, rows], cohort, delta)
 
 
 def _count_concordance(risk_block, cohort: Cohort, delta: int) -> float:
-    """The pair counter of both concordance forms. ``risk_block(rows)``
-    gives the (n, rows.size) risks F_delta(Y_i | X_j) at the times of
-    ``CONCORDANCE_BLOCK_ROWS`` anchor subjects i (event ``delta``) at a
-    time; the concordant, tied and comparable pairs are counted per block,
-    so memory is O(n * block) rather than n x n."""
+    """The pair counter of both concordance forms. ``risk_block(subjects,
+    rows)`` gives F_delta(Y_i | X_j), one row per subject j that
+    ``subjects`` (a slice or index array) selects, at the times of anchor
+    subjects i = ``rows`` (event ``delta``). Anchors come
+    ``CONCORDANCE_BLOCK_ROWS`` and subjects ``CONCORDANCE_BLOCK_SUBJECTS``
+    at a time; the pair counts are integers, so memory is O(block²), not
+    n², and the result does not depend on the block sizes."""
     time = cohort.time
     anchors = np.flatnonzero(cohort.event == delta)
     concordant = ties = comparable = 0
     for start in range(0, anchors.size, CONCORDANCE_BLOCK_ROWS):
         rows = anchors[start:start + CONCORDANCE_BLOCK_ROWS]
-        risk = risk_block(rows)
-        own = risk[rows, np.arange(rows.size)]
-        later = time[:, None] > time[rows]
-        concordant += int(np.count_nonzero((own > risk) & later))
-        ties += int(np.count_nonzero((own == risk) & later))
-        comparable += int(np.count_nonzero(later))
+        own = risk_block(rows, rows).diagonal().copy()     # contiguous: faster compares
+        for s0 in range(0, cohort.n, CONCORDANCE_BLOCK_SUBJECTS):
+            subjects = slice(s0, s0 + CONCORDANCE_BLOCK_SUBJECTS)
+            risk = risk_block(subjects, rows)
+            later = time[subjects, None] > time[rows]
+            concordant += int(np.count_nonzero((own > risk) & later))
+            ties += int(np.count_nonzero((own == risk) & later))
+            comparable += int(np.count_nonzero(later))
     if comparable == 0:
         raise NoComparablePairs(f"no comparable pairs for event {delta}")
     return (concordant + 0.5 * ties) / comparable
@@ -221,15 +231,18 @@ def concordance_td_from_curves(curve_values, knot_times, cohort: Cohort,
     """:func:`concordance_td` of linearly interpolated CIF curves, where
     F_delta(Y_i | X_j) is curve j at subject i's time.
 
-    The curves are interpolated at the anchor subjects' times one block at
-    a time. Interpolation is elementwise in the evaluation times, so the
-    counts, and the result, equal concordance_td's on the full risk matrix.
+    The curves are interpolated at the anchor subjects' times one block of
+    curves and anchors at a time. Interpolation is elementwise in the rows
+    and the evaluation times, so the counts, and the result, equal
+    concordance_td's on the full risk matrix.
     """
     curves = np.atleast_2d(np.asarray(curve_values, dtype=np.float64))
     if curves.shape[0] != cohort.n:
         raise ShapeMismatch(f"expected {cohort.n} curves, got {curves.shape[0]}")
     return _count_concordance(
-        lambda rows: interpolate_curves(curves, knot_times, cohort.time[rows]), cohort, delta)
+        lambda subjects, rows: interpolate_curves(curves[subjects], knot_times,
+                                                  cohort.time[rows]),
+        cohort, delta)
 
 
 @dataclass(frozen=True)
@@ -258,10 +271,17 @@ def score_curves(curves, knot_times, scorer: Scorer, criteria=("ctd", "ibs")) ->
     Returns {criterion: [score of event 1, ..., event m]} for each of the
     requested ``criteria``, "ctd" (:func:`concordance_td_from_curves`)
     and "ibs" (the curves interpolated onto the scorer's grid, Brier-scored
-    with its weights and integrated); nothing else is computed.
+    with its weights and integrated); nothing else is computed. An unknown
+    criterion, or "ibs" from a scorer without an evaluation grid, raises
+    ValueError before any work.
     """
-    curves = np.asarray(curves, dtype=np.float64)
+    unknown = [c for c in criteria if c not in ("ctd", "ibs")]
+    if unknown:
+        raise ValueError(f"unknown scoring criteria {unknown}; expected 'ctd' or 'ibs'")
     cohort, grid = scorer.cohort, scorer.eval_grid
+    if "ibs" in criteria and grid is None:
+        raise ValueError("'ibs' needs a scorer built with an evaluation grid")
+    curves = np.asarray(curves, dtype=np.float64)
     out = {criterion: [] for criterion in criteria}
     for d in range(1, curves.shape[0] + 1):
         if "ctd" in out:

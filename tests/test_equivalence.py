@@ -1,8 +1,8 @@
 """The segment-sum training step, validation hazards, per-bin ranking loss,
-blocked interpolation, blocked concordance and vectorised Brier score
+blocked interpolation, blocked concordance and blocked Brier score
 against the dense oracles in ``dense_oracle``, the one scorer against the
-per-event composition it replaced, plus the memory bounds of the step and
-the concordance.
+per-event composition it replaced, plus the memory bounds of the step, the
+concordance and the scorer.
 
 Random cohorts come from hypothesis under the suite's derandomized profile
 (``conftest.py``), so every run draws the same examples.
@@ -40,7 +40,9 @@ from kernelaj.embedding import (
 from kernelaj.errors import NoComparablePairs, ShapeMismatch
 from kernelaj.model import KernelAJModel, predict_cif_grid
 from kernelaj.metrics import (
+    BRIER_BLOCK_HORIZONS,
     CONCORDANCE_BLOCK_ROWS,
+    CONCORDANCE_BLOCK_SUBJECTS,
     INTERP_BLOCK_ROWS,
     brier_score,
     brier_scores,
@@ -417,27 +419,29 @@ class TestInterpolation:
 
 @st.composite
 def scored_cohorts(draw):
-    """(cohort, curves, knots, block): tied observed times, competing events,
+    """(cohort, curves, knots, blocks): tied observed times, competing events,
     censoring, and curve values on a coarse lattice, so that interpolated
-    risks tie at knot times."""
+    risks tie at knot times; blocks are the (anchor, subject) block sizes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m = draw(st.integers(1, 50)), draw(st.integers(1, 3))
     times = rng.integers(1, 12, n) * 0.5
     events = rng.integers(0, m + 1, n)
     knots = np.unique(rng.integers(1, 12, draw(st.integers(1, 8))) * 0.5)
     curves = np.round(rng.uniform(0, 1, (n, knots.size)), 1)
-    block = draw(st.sampled_from([1, 3, CONCORDANCE_BLOCK_ROWS]))
-    return Cohort(np.zeros((n, 1)), times, events, m), curves, knots, block
+    blocks = (draw(st.sampled_from([1, 3, CONCORDANCE_BLOCK_ROWS])),
+              draw(st.sampled_from([1, 3, CONCORDANCE_BLOCK_SUBJECTS])))
+    return Cohort(np.zeros((n, 1)), times, events, m), curves, knots, blocks
 
 
 class TestBlockedConcordance:
     @REPRODUCIBLE
     @given(case=scored_cohorts())
     def test_equals_dense_risk_matrix(self, case):
-        cohort, curves, knots, block = case
+        cohort, curves, knots, (anchors, subjects) = case
         R = oracle.risk_matrix_from_curves(curves, knots, cohort.time)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics, "CONCORDANCE_BLOCK_ROWS", block)
+            mp.setattr(metrics, "CONCORDANCE_BLOCK_ROWS", anchors)
+            mp.setattr(metrics, "CONCORDANCE_BLOCK_SUBJECTS", subjects)
             for delta in range(1, cohort.m + 1):
                 try:
                     want = oracle.concordance_td(R, cohort, delta)
@@ -449,6 +453,23 @@ class TestBlockedConcordance:
                     continue
                 assert concordance_td_from_curves(curves, knots, cohort, delta) == want
                 assert concordance_td(R, cohort, delta) == want
+
+    def test_default_blocks_with_partial_edges(self):
+        # more anchors than one anchor block and more subjects than one
+        # subject block, neither a multiple of its block
+        n = 2 * max(CONCORDANCE_BLOCK_SUBJECTS, CONCORDANCE_BLOCK_ROWS) + 5
+        rng = np.random.default_rng(4)
+        times = rng.integers(1, 40, n) * 0.25
+        events = np.where(np.arange(n) < CONCORDANCE_BLOCK_ROWS + 7, 1, rng.integers(0, 3, n))
+        rng.shuffle(events)
+        cohort = Cohort(np.zeros((n, 1)), times, events, 2)
+        knots = np.unique(rng.integers(1, 40, 12) * 0.25)
+        curves = np.round(np.cumsum(rng.uniform(0, 0.1, (n, knots.size)), axis=1), 1)
+        R = oracle.risk_matrix_from_curves(curves, knots, cohort.time)
+        for delta in (1, 2):
+            want = oracle.concordance_td(R, cohort, delta)
+            assert concordance_td_from_curves(curves, knots, cohort, delta) == want
+            assert concordance_td(R, cohort, delta) == want
 
     def test_no_square_buffer(self):
         n, L = 4096, 64
@@ -465,6 +486,11 @@ class TestBlockedConcordance:
 
 @st.composite
 def brier_cases(draw):
+    """(cohort, censoring curve, horizons, F, delta, block): the horizon
+    count is 1, block - 1, block, block + 1 or 100 for a Brier block of 1,
+    3 or ``BRIER_BLOCK_HORIZONS`` horizons."""
+    block = draw(st.sampled_from([1, 3, BRIER_BLOCK_HORIZONS]))
+    k = draw(st.sampled_from(sorted({1, max(block - 1, 1), block, block + 1, 100})))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n = draw(st.integers(1, 30))
@@ -477,18 +503,22 @@ def brier_cases(draw):
     else:                                                 # reaches 0: exclusions
         knots = np.sort(rng.uniform(0.5, 6.0, 3))
         censor = StepCurve(knots, np.array([0.7, 0.3, 0.0]))
-    horizons = np.unique(np.round(rng.uniform(0.3, 6.5, 12), 1))
-    F = rng.uniform(0, 1, (n, horizons.size))
-    return cohort, censor, horizons, F, int(rng.integers(1, m + 1))
+    horizons = np.round(rng.uniform(0.3, 6.5, k), 1)     # ties with observed times
+    F = rng.uniform(0, 1, (n, k))
+    return cohort, censor, horizons, F, int(rng.integers(1, m + 1)), block
 
 
 class TestBrier:
     @REPRODUCIBLE
     @given(case=brier_cases())
     def test_grid_matches_scalar_oracle(self, case):
-        cohort, censor, horizons, F, delta = case
-        values, excluded = brier_scores(F, cohort, delta, horizons,
-                                        ipcw_weights(cohort, horizons, censor))
+        # each horizon's value equals its one-horizon score bit for bit,
+        # whatever block of horizons it was scored in
+        cohort, censor, horizons, F, delta, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "BRIER_BLOCK_HORIZONS", block)
+            values, excluded = brier_scores(F, cohort, delta, horizons,
+                                            ipcw_weights(cohort, horizons, censor))
         for k, t in enumerate(horizons):
             want = oracle.brier_score(F[:, k], cohort, delta, t, censor)
             assert values[k] == pytest.approx(want.value, rel=1e-12, abs=1e-15)
@@ -563,3 +593,29 @@ class TestScoreCurves:
         assert list(score_curves(curves, [1.0, 3.0], scorer(cohort, grid), ("ibs",))) == ["ibs"]
         monkeypatch.setattr(metrics, "brier_scores", fail)
         assert list(score_curves(curves, [1.0, 3.0], scorer(cohort), ())) == []
+
+    def test_unknown_criterion_rejected(self):
+        cohort = Cohort(np.zeros((2, 1)), [1.0, 2.0], [1, 0], 1)
+        with pytest.raises(ValueError, match="bogus"):
+            score_curves(np.full((1, 2, 1), 0.5), [1.0], scorer(cohort), ("ctd", "bogus"))
+
+    def test_ibs_without_a_grid_rejected(self):
+        cohort = Cohort(np.zeros((2, 1)), [1.0, 2.0], [1, 0], 1)
+        with pytest.raises(ValueError, match="evaluation grid"):
+            score_curves(np.full((1, 2, 1), 0.5), [1.0], scorer(cohort), ("ibs",))
+
+    @pytest.mark.parametrize("criterion", ["ibs", "ctd"])
+    def test_peak_below_two_and_a_half_curve_sets(self, criterion):
+        # Brier by horizon blocks and concordance by anchor and subject
+        # blocks: the working memory is a few blocks beside the curves
+        m, n, L = 2, 4000, 64
+        rng = np.random.default_rng(11)
+        knots = np.cumsum(rng.uniform(0.1, 1.0, L))
+        curves = np.cumsum(rng.uniform(0, 0.01, (m, n, L)), axis=2)
+        cohort = Cohort(np.zeros((n, 1)), rng.uniform(0, knots[-1], n),
+                        rng.integers(0, m + 1, n), m)
+        one = scorer(cohort, metrics.build_eval_grid(cohort.time[cohort.event != 0]))
+        assert len(one.eval_grid) == 100
+        scores, peak = traced_peak(lambda: score_curves(curves, knots, one, (criterion,)))
+        assert np.isfinite(scores[criterion]).all()
+        assert peak < 2.5 * curves.nbytes

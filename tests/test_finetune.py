@@ -249,7 +249,7 @@ class TestBuffers:
         # NaN-filled buffers, used twice, show that no stale element is read
         params, W, kappa, delta = problem
         Q, L, m = params.gamma.shape
-        buffers = np.full((3, m, int((W.sum(axis=1) > 0).sum()), L), np.nan)
+        buffers = np.full((2 * m + 1, int((W.sum(axis=1) > 0).sum()), L), np.nan)
         want_loss, want_grads = sft_loss_and_grad(params, W, kappa, delta, alpha, 0.7)
         for _ in range(2):
             loss, grads = sft_loss_and_grad(params, W, kappa, delta, alpha, 0.7, buffers)
@@ -273,7 +273,7 @@ class TestBuffers:
         W = rng.uniform(0.0, 1.0, (n, Q))
         kappa = rng.integers(0, L + 1, n)
         delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
-        buffers = np.empty((3, m, n, L))
+        buffers = np.empty((2 * m + 1, n, L))
 
         def epoch():
             loss, grads = sft_loss_and_grad(params, W, kappa, delta, 1.0, 1.0, buffers)
