@@ -14,8 +14,7 @@ from kernelaj import (
     EmbeddingConfig,
     SynthConfig,
     TrainConfig,
-    cluster_weight_decomposition,
-    explain_subject,
+    explain_rows,
     generate_synthetic,
     split,
 )
@@ -39,21 +38,20 @@ model, _ = fit_pipeline(
 print(f"{model.clusters.num_clusters} clusters "
       f"(largest five sizes: {sorted(int(s) for s in model.clusters.cluster_sizes())[-5:]})")
 
-# Pick one held-out subject and unpack its prediction.
-x = test.features[0]
-ids, weights = cluster_weight_decomposition(model, x)
-order = np.argsort(weights)[::-1]
+# Pick one held-out subject and unpack its prediction: one explain_rows
+# record holds its clusters, event probabilities and conditional medians.
+(info,), _, _ = next(explain_rows(model, test.features[:1]))
+order = np.argsort(info.weights)[::-1]
 print("\ntop contributing clusters for one test subject:")
 for k in order[:5]:
-    print(f"  exemplar {ids[k]:5d}  weight {weights[k]:.3f}")
+    print(f"  exemplar {info.exemplar_ids[k]:5d}  weight {info.weights[k]:.3f}")
 
-info = explain_subject(model, x)
 probs = info.event_probabilities
 print(f"\nprobability each event happens earliest: "
       f"event 1 = {probs[0]:.1%}, event 2 = {probs[1]:.1%}")
 for d, med in enumerate(info.conditional_medians, start=1):
     print(f"median time to event {d} (given it is earliest): {med:.3f}")
-print(f"explain_subject record: {len(info.exemplar_ids)} contributing "
+print(f"explanation record: {len(info.exemplar_ids)} contributing "
       f"clusters, fallback={info.used_fallback}")
 
 # Cluster-level reading: the largest clusters as restricted estimates.

@@ -190,20 +190,18 @@ def cmd_fit(config_path: str) -> int:
     schema_spec = data_cfg["schema"]
     columns = schema_spec, data_cfg["time_column"], data_cfg["event_column"]
     train_table = _read_cohort(data_cfg["train"], *columns, "data.train")
+    files = data_cfg["train"]
     if data_cfg.get("valid"):
         valid_table = _read_cohort(data_cfg["valid"], *columns, "data.valid")
-        train_cohort, valid_cohort, schema = _checked(
-            f"{data_cfg['train']}, {data_cfg['valid']}",
-            lambda: fit_apply_preprocessor(train_table, valid_table,
-                                           schema_spec=schema_spec))
+        files += f", {data_cfg['valid']}"
     else:
-        full_cohort, schema = _checked(
-            data_cfg["train"],
-            lambda: fit_apply_preprocessor(train_table, schema_spec=schema_spec))
-        perm = np.random.default_rng(seed).permutation(full_cohort.n)
-        n_valid = max(int(full_cohort.n * frac), 1)
-        valid_cohort = full_cohort.subset(perm[:n_valid])
-        train_cohort = full_cohort.subset(perm[n_valid:])
+        # split the rows before preprocessing, so the schema sees training rows only
+        perm = np.random.default_rng(seed).permutation(train_table.n)
+        n_valid = max(int(train_table.n * frac), 1)
+        valid_table = train_table.subset(perm[:n_valid])
+        train_table = train_table.subset(perm[n_valid:])
+    train_cohort, valid_cohort, schema = _checked(files, lambda: fit_apply_preprocessor(
+        train_table, valid_table, schema_spec=schema_spec))
 
     for warning in schema.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -43,6 +43,11 @@ class RawTable:
     def n(self) -> int:
         return self.time.size
 
+    def subset(self, idx) -> "RawTable":
+        """The rows ``idx`` (an integer array), in that order."""
+        return RawTable({name: [values[i] for i in idx] for name, values in self.columns.items()},
+                        self.time[idx], self.event[idx])
+
 
 def load_cohort(path, schema_spec: dict, time_column: str, event_column: str) -> RawTable:
     """Read and type-check a cohort CSV, one row at a time.
@@ -219,8 +224,7 @@ def fit_apply_preprocessor(train_table: RawTable, *other_tables, schema_spec: di
     """
     schema = FeatureSchema(kinds=dict(schema_spec)).fit(train_table)
     tables = (train_table,) + other_tables
-    m = max(int(t.event.max()) for t in tables)
-    m = max(m, 1)
+    m = max(1, *(int(t.event.max(initial=0)) for t in tables))
     cohorts = tuple(
         Cohort(schema.transform(t), t.time, t.event, m) for t in tables
     )

@@ -241,26 +241,6 @@ def kernel_matrix_backward(E: np.ndarray, P: np.ndarray) -> np.ndarray:
     return -2.0 * (S[:, -1:] * E - S[:, :-1])
 
 
-def flatten_params(params: MlpParams) -> np.ndarray:
-    """All parameters as one flat vector (weights then bias per layer)."""
-    return flatten_grads(params.weights, params.biases)
-
-
-def unflatten_params(params: MlpParams, flat: np.ndarray) -> MlpParams:
-    """Rebuild an MlpParams with the same shapes from a flat vector."""
-    flat = np.asarray(flat, dtype=np.float64)
-    weights, biases = [], []
-    pos = 0
-    for w, b in zip(params.weights, params.biases):
-        weights.append(flat[pos:pos + w.size].reshape(w.shape))
-        pos += w.size
-        biases.append(flat[pos:pos + b.size].reshape(b.shape))
-        pos += b.size
-    if pos != flat.size:
-        raise ShapeMismatch("flat vector length does not match parameter count")
-    return MlpParams(params.layer_sizes, tuple(weights), tuple(biases), params.activation)
-
-
 def flatten_grads(weight_grads, bias_grads) -> np.ndarray:
     """Per-layer arrays as one flat vector, weights then bias per layer."""
     return np.concatenate([np.ravel(a) for pair in zip(weight_grads, bias_grads)

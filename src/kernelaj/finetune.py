@@ -13,17 +13,17 @@ D = W d' and N = W n', where W holds the frozen kernel weights of the
 subjects to the exemplars: the weighted tables of prediction, from the same
 :func:`model.weighted_hazards`. SFT minimizes the training step's objective
 (:func:`training.objective_and_dpsi`) on these table hazards, without
-leave-one-out, by gradient descent: dLoss/dpsi is chained through the
+leave-one-out, by plain gradient descent: dLoss/dpsi is chained through the
 step's num/den rule to D and N, then through W and the parameterization.
 Initialization reproduces the raw counts up to a 1e-12 floor that guards
-log(0). The epochs run through training's loop, :func:`training.descend`:
-each is one full-batch gradient step, then training's validation criterion
-(:func:`training.table_criterion`, so with the same criterion and alpha the
-raw tables score training's best value), stopped by its
-:class:`training.TrainingLog`. The tuned tables become the model's
+log(0). The epochs run through training's loop and update,
+:func:`training.descend`: each is one full-batch step, then training's
+validation criterion (:func:`training.table_criterion`, so with the same
+criterion and alpha the raw tables score training's best value), stopped by
+its :class:`training.TrainingLog`. The tuned tables become the model's
 ``sft_tables`` only when the validation criterion strictly improves,
-otherwise the original model is returned unchanged; the tables installed
-are the ones the best epoch's criterion scored.
+otherwise the original model is returned unchanged; the tables installed are
+the ones the best epoch's criterion scored.
 """
 
 from dataclasses import dataclass, replace
@@ -146,7 +146,8 @@ class SftResult:
 
 def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig,
                         valid_scorer: Scorer = None):
-    """Gradient descent on the summary tables with validation backtracking.
+    """Gradient descent on the summary tables with validation backtracking;
+    each epoch is one step of :func:`training.descend`'s update.
 
     Returns (model', SftResult). The tuned tables are installed as
     ``sft_tables`` only when the validation criterion strictly improves over
@@ -177,11 +178,11 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     if log.improves(raw_value):
         log.best_value = raw_value
 
-    def epoch(params):
+    def epoch(params, step):
         loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, event_tr,
                                         config.alpha, config.sigma, buffers)
         arrays = (params.gamma, params.gamma_baseline, params.omega, params.omega_baseline)
-        return SftParams(*(a - config.learning_rate * g for a, g in zip(arrays, grads))), loss
+        return SftParams(*step(arrays, grads)), loss
 
     best = descend("fine-tuning", config, log, params, epoch,
                    lambda params: evaluate(sft_counts(params)))

@@ -1,5 +1,5 @@
 """Time discretization, kernel-weighted leave-one-out hazards, the training
-losses, the embedding's minibatch step, and ``descend``, the one epoch loop.
+losses and their minibatch gradient, and ``descend``: one epoch loop and update.
 
 Loss layout
 -----------
@@ -83,7 +83,7 @@ gradients are exact hand-derived reverse-mode; finite differences are used
 only as a test oracle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -105,13 +105,10 @@ from .embedding import (
     backward,
     blocked_matmul,
     embed_batch,
-    flatten_grads,
-    flatten_params,
     forward_cached,
     init_mlp,
     kernel_matrix,
     kernel_matrix_backward,
-    unflatten_params,
 )
 from .errors import Diverged, NoEvents, ShapeMismatch
 from .metrics import Scorer, build_eval_grid, score_curves, scorer
@@ -500,21 +497,25 @@ def _evaluate_criterion(value, params, train, valid, codes, table_shape, epsilon
 
 
 def descend(stage, tcfg: TrainConfig, log: TrainingLog, params, epoch, value):
-    """The package's one epoch loop, of embedding training and fine-tuning.
-    Epoch n = 1..``tcfg.max_epochs`` runs ``params, loss = epoch(params)``,
-    then ``current, scored = value(params)``: the criterion and what it
-    scored; a floating-point overflow, invalid value or division by zero in
-    them (a learning rate too large) raises Diverged naming ``stage`` and n.
-    ``log.add`` records the epoch, and descent stops once the log has
-    stalled for ``tcfg.patience`` epochs. Returns the best epoch's (params,
-    scored), or None when no epoch beat the log's starting value. Both are
-    kept, not copied, so updates must stay out of place: ``epoch`` returns
-    new arrays and never writes into those it was given."""
+    """The package's one epoch loop and one update, of embedding training
+    and fine-tuning. Epoch n = 1..``tcfg.max_epochs`` runs ``params, loss =
+    epoch(params, step)``, then ``current, scored = value(params)``: the
+    criterion and what it scored; a floating-point overflow, invalid value or
+    division by zero in them (a learning rate too large) raises Diverged
+    naming ``stage`` and n. ``log.add`` records the epoch, and descent stops
+    once the log has stalled for ``tcfg.patience`` epochs. Returns the best
+    epoch's (params, scored), or None when no epoch beat the log's starting
+    value. Both are kept, not copied: ``step(arrays, grads)``, the plain
+    gradient step a - ``tcfg.learning_rate`` * g of each array, returns new
+    arrays, and ``epoch`` moves the parameters only through it."""
+    def step(arrays, grads):
+        return tuple(a - tcfg.learning_rate * g for a, g in zip(arrays, grads, strict=True))
+
     best = None
     for n in range(1, tcfg.max_epochs + 1):
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                params, loss = epoch(params)
+                params, loss = epoch(params, step)
                 current, scored = value(params)
         except FloatingPointError as exc:
             raise Diverged(f"{stage} epoch {n}: {exc} "
@@ -531,13 +532,14 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
                     epsilon: float = 0.0, tau: float = np.inf):
     """Minibatch gradient descent with patience-based early stopping.
 
-    Both cohorts must already be preprocessed on ``grid``. The
-    criterion's :func:`criterion_scorer` is built when ``valid_scorer`` is not
-    given, before the first epoch. The epochs run through :func:`descend`:
-    each is one pass of minibatch steps over the shuffled training rows,
-    then the validation criterion of the model clustered with ``epsilon``
-    and ``tau`` (:func:`_evaluate_criterion`); the defaults, epsilon 0 and
-    tau inf, weigh every distinct training row.
+    Both cohorts must already be preprocessed on ``grid``. The criterion's
+    :func:`criterion_scorer` is built when ``valid_scorer`` is not given,
+    before the first epoch. The epochs run through :func:`descend`: each is
+    one pass over the shuffled training rows, a plain gradient step of every
+    weight and bias per minibatch (``descend``'s update), then the
+    validation criterion of the model clustered with ``epsilon`` and ``tau``
+    (:func:`_evaluate_criterion`); the defaults, epsilon 0 and tau inf, weigh
+    every distinct training row.
 
     Returns ((best params, the ClusterModel their criterion scored), TrainingLog).
     """
@@ -555,8 +557,7 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
     buffer = np.empty(side * side)
     rng = np.random.default_rng(tcfg.seed)
 
-    def epoch(params):
-        flat = flatten_params(params)
+    def epoch(params, step):
         perm = rng.permutation(train.n)
         epoch_loss, seen = 0.0, 0
         for start in range(0, train.n, tcfg.batch_size):
@@ -566,8 +567,8 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
             loss, dw, db = total_loss_and_grad(
                 params, train.features[batch], kappa[batch], train.event[batch],
                 m, L, tcfg.alpha, tcfg.sigma, buffer)
-            flat = flat - tcfg.learning_rate * flatten_grads(dw, db)
-            params = unflatten_params(params, flat)
+            arrays = step(params.weights + params.biases, (*dw, *db))
+            params = replace(params, weights=arrays[:len(dw)], biases=arrays[len(dw):])
             epoch_loss += loss * batch.size
             seen += batch.size
         return params, epoch_loss / max(seen, 1)

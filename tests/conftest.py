@@ -1,6 +1,7 @@
 """Shared helpers: random labeled batches, cluster models of hand-made
-tables, small fits through ``fit_pipeline``, finite-difference oracles and
-the traced memory peak of a call; the hypothesis profile of the suite."""
+tables, small fits through ``fit_pipeline``, the network's parameters as one
+flat vector and the finite-difference oracles that perturb it, and the traced
+memory peak of a call; the hypothesis profile of the suite."""
 
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from kernelaj import ClusterModel, EmbeddingConfig, RawTable, TrainConfig, fit_apply_preprocessor
 from kernelaj.cli import fit_pipeline
-from kernelaj.embedding import flatten_params, unflatten_params
+from kernelaj.embedding import MlpParams, flatten_grads
 from dense_oracle import batch_loss_from_params
 
 # every property test draws the same examples on every run, however long
@@ -58,6 +59,22 @@ def clusters_from_tables(d, n, embeddings, tau=1.0) -> ClusterModel:
     assert all((got == want).all() for got, want in
                zip((clusters.d_cluster, clusters.n_cluster), tables))
     return clusters
+
+
+def flatten_params(params: MlpParams) -> np.ndarray:
+    """All parameters as one flat vector (weights then bias per layer)."""
+    return flatten_grads(params.weights, params.biases)
+
+
+def unflatten_params(params: MlpParams, flat) -> MlpParams:
+    """An MlpParams shaped like ``params`` from a flat vector in the order of
+    :func:`flatten_params`."""
+    arrays = [a for pair in zip(params.weights, params.biases) for a in pair]
+    assert np.size(flat) == sum(a.size for a in arrays)
+    cuts = np.cumsum([a.size for a in arrays])[:-1]
+    arrays = [part.reshape(a.shape) for a, part in zip(arrays, np.split(flat, cuts))]
+    return MlpParams(params.layer_sizes, tuple(arrays[0::2]), tuple(arrays[1::2]),
+                     params.activation)
 
 
 def finite_difference_grad(params, X, kappa, delta, m, L, alpha, sigma, step=1e-5):

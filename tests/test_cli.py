@@ -362,6 +362,23 @@ class TestFit:
         doc = json.loads((tmp_path / "out" / "model.json").read_text())
         assert doc["schema"] == schema_of(train_csv) != schema_of(test_csv)
 
+    def test_valid_fraction_fits_the_schema_on_the_training_rows(self, tmp_path, train_csv):
+        # without data.valid the rows are split, by a permutation seeded with
+        # seed, before the schema is fitted: the validation rows never reach it
+        config_path, cfg = write_config(tmp_path, train_csv)
+        assert main(["fit", "--config", str(config_path)]) == 0
+        lines = train_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        perm = np.random.default_rng(cfg["seed"]).permutation(len(lines) - 1)
+        part = tmp_path / "train_part.csv"
+        n_valid = int(perm.size * cfg["data"]["valid_fraction"])
+        part.write_text("".join([lines[0], *(lines[1 + i] for i in perm[n_valid:])]),
+                        encoding="utf-8")
+        schema_of = lambda path: json.loads(json.dumps(fit_apply_preprocessor(
+            load_cohort(path, cfg["data"]["schema"], "time", "event"),
+            schema_spec=cfg["data"]["schema"])[-1].to_dict()))
+        doc = json.loads((tmp_path / "out" / "model.json").read_text())
+        assert doc["schema"] == schema_of(part) != schema_of(train_csv)
+
 
 def _events_beyond_m(tmp_path):
     cohort = generate_synthetic(SynthConfig(n=30, p=3, w1=(0.6, 0.0, 0.0),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import flatten_params, unflatten_params
 from dense_oracle import kernel
 from kernelaj import EmbeddingConfig, ShapeMismatch, embed, embed_batch, init_mlp
 from kernelaj.embedding import (
@@ -12,12 +13,10 @@ from kernelaj.embedding import (
     backward,
     blocked_matmul,
     flatten_grads,
-    flatten_params,
     forward_cached,
     kernel_matrix,
     kernel_matrix_backward,
     pairwise_sq_dists,
-    unflatten_params,
 )
 from kernelaj.model import _embed_rows
 
@@ -170,13 +169,6 @@ class TestBackward:
 
 
 class TestFlattening:
-    def test_round_trip(self):
-        cfg = EmbeddingConfig(input_dim=3, num_layers=2, hidden_units=4, embed_dim=2)
-        params = init_mlp(cfg, seed=1)
-        rebuilt = unflatten_params(params, flatten_params(params))
-        for a, b in zip(params.weights, rebuilt.weights):
-            assert np.array_equal(a, b)
-
     def test_pairwise_distances_match_direct(self):
         rng = np.random.default_rng(2)
         E = rng.normal(size=(8, 3))

@@ -119,6 +119,17 @@ def test_one_descent_loop():
     assert raising == [("training", "descend")]
 
 
+def test_one_update():
+    # embedding training and summary fine-tuning step their parameters
+    # through training.descend's one update: outside TrainConfig only descend
+    # reads a learning rate, so a change of optimizer reaches both stages
+    readers = {(path.stem, getattr(top, "name", None)) for path in sorted(SRC.glob("*.py"))
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "learning_rate"}
+    assert sorted(readers - {("training", "TrainConfig")}) == [("training", "descend")]
+
+
 def test_only_training_clusters():
     # the ε-net runs only inside the training criterion, and fit ships the
     # clusters of the criterion's best epoch, so no second clustering of the

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import finite_difference_grad, random_batch, relative_error
+from conftest import finite_difference_grad, flatten_params, random_batch, relative_error
 from dense_oracle import (
     _cif_from_psi,
     _label_matrices,
@@ -44,7 +44,7 @@ from kernelaj import (
 from kernelaj import cli, clustering, core, training
 from kernelaj.cli import fit_pipeline
 from kernelaj.clustering import exemplar_weights
-from kernelaj.embedding import embed_batch, flatten_grads, flatten_params
+from kernelaj.embedding import embed_batch, flatten_grads
 
 PSI_CLAMP = 1e-12
 
@@ -639,7 +639,7 @@ class TestDescend:
     def run(self, values, patience=2, max_epochs=10, best_value=np.nan):
         made = []
 
-        def epoch(params):
+        def epoch(params, step):
             made.append([len(made) + 1])
             return made[-1], 0.0
 
@@ -652,16 +652,42 @@ class TestDescend:
         return training.descend("stage", tcfg, log, [0], epoch, value), log, made
 
     def test_overflow_in_epoch_raises_diverged(self):
+        # here in the update itself: a - 0.5 * g leaves the float range
         tcfg = TrainConfig(max_epochs=3, learning_rate=0.5)
+        huge = (np.array([1.5e308]),)
         with pytest.raises(Diverged, match=r"^stage epoch 1: overflow .*\(learning_rate 0.5\)$"):
-            training.descend("stage", tcfg, TrainingLog("objective"), None,
-                             lambda p: (np.exp(np.array([1e4])), 0.0), lambda p: (1.0, p))
+            training.descend("stage", tcfg, TrainingLog("objective"), huge,
+                             lambda p, step: (step(p, (-p[0],)), 0.0), lambda p: (1.0, p))
 
     def test_overflow_in_value_raises_diverged(self):
         with pytest.raises(Diverged, match=r"^fine-tuning epoch 1: overflow"):
             training.descend("fine-tuning", TrainConfig(max_epochs=3),
-                             TrainingLog("objective"), None, lambda p: (p, 0.0),
+                             TrainingLog("objective"), None, lambda p, step: (p, 0.0),
                              lambda p: float(np.exp(np.array(1e4))))
+
+    def test_step_leaves_its_inputs_and_the_best_epoch(self):
+        # descend keeps the best epoch's arrays without a copy, so its update
+        # must build new arrays: neither the arrays nor the gradients it was
+        # given change, and epoch 1's arrays survive three later steps
+        stepped = []
+
+        def epoch(params, step):
+            grads = (np.ones(3), np.full(2, 2.0))
+            before = [a.copy() for a in params + grads]
+            stepped.append(step(params, grads))
+            for a, b in zip(params + grads, before):
+                assert_array_equal(a, b)
+            return stepped[-1], 0.0
+
+        values = iter([1.0, 2.0, 3.0, 4.0])
+        tcfg = TrainConfig(max_epochs=4, patience=5, learning_rate=0.5)
+        kept, _ = training.descend("stage", tcfg, TrainingLog("objective"),
+                                   (np.zeros(3), np.zeros(2)), epoch,
+                                   lambda p: (next(values), None))
+        assert len(stepped) == 4 and kept is stepped[0]
+        assert_array_equal(kept[0], np.full(3, -0.5))
+        assert_array_equal(kept[1], np.full(2, -1.0))
+        assert_array_equal(stepped[-1][0], np.full(3, -2.0))
 
     def test_diverged_names_the_failing_epoch(self):
         with pytest.raises(Diverged, match=r"^stage epoch 3: divide by zero"):
