@@ -41,7 +41,7 @@ from .dataio import (
 from .embedding import EmbeddingConfig
 from .errors import ConfigError, KernelAJError, ParseError, SchemaMismatch
 from .finetune import fine_tune_summaries
-from .model import KernelAJModel, exemplar_kernel_matrix, explain_rows, predict_cif_grid
+from .model import KernelAJModel, explain_rows, predict_cif_grid
 from .serialize import load_model, save_model
 from .training import TrainConfig, criterion_scorer, discretize_times, train_embedding
 
@@ -105,21 +105,8 @@ def _output_dir(path):
         raise
 
 
-_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
-
-
-def _indented_json(value, newline="\n"):
-    """``json.dumps(value, indent=2, sort_keys=True)``, lines joined by
-    ``newline``, for dicts of scalars, number lists and such dicts: the C
-    encoder writes each list compactly, then its commas become line breaks."""
-    inner = newline + "  "
-    if isinstance(value, dict) and value:
-        return "{" + ",".join(f"{inner}{_COMPACT_JSON.encode(k)}: {_indented_json(v, inner)}"
-                              for k, v in sorted(value.items())) + newline + "}"
-    text = _COMPACT_JSON.encode(value)
-    if isinstance(value, list) and value:
-        return "[" + inner + text[1:-1].replace(",", "," + inner) + newline + "]"
-    return text
+# explanations.json: one compact record per line, from json's C encoder
+_RECORD_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 
 def _load_json(path):
@@ -136,6 +123,16 @@ def _parse_fit_config(doc: dict):
     _check_keys(data, _DATA_KEYS, "data")
     for key in ("train", "time_column", "event_column", "schema"):
         _require(data, key, "data")
+    # an integer path would open that file descriptor (0 reads stdin); data.valid
+    # and output_dir may be absent or null
+    typed = [(f"data.{key}", data.get(key), str)
+             for key in ("train", "valid", "time_column", "event_column")]
+    for name, value, kind in typed + [("data.schema", data["schema"], dict),
+                                      ("output_dir", doc.get("output_dir"), str)]:
+        if value is not None and not isinstance(value, kind):
+            raise ConfigError(f"invalid value in '{name}': must be "
+                              f"{'a string' if kind is str else 'an object'}, got {value!r}",
+                              key=name)
     _check_keys(doc.get("embedding", {}), _EMBED_KEYS, "embedding")
     _check_keys(doc.get("training", {}), _TRAIN_KEYS, "training")
     _check_keys(doc.get("clustering", {}), _CLUSTER_KEYS, "clustering")
@@ -206,7 +203,7 @@ def cmd_fit(config_path: str) -> int:
     for warning in schema.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     ecfg = replace(ecfg, input_dim=train_cohort.p)
-    with _output_dir(doc.get("output_dir", ".")) as out_dir:
+    with _output_dir(doc.get("output_dir") or ".") as out_dir:
         model, logs = fit_pipeline(train_cohort, valid_cohort, ecfg, tcfg, **doc["clustering"],
                                    sft_config=doc.get("sft"))
         save_model(model, os.path.join(out_dir, "model.json"), schema)
@@ -327,16 +324,14 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                 names, means = schema.feature_names, schema.original_scale(means)
             write_csv(os.path.join(out_dir, "cluster_features.csv"),
                       ["exemplar_id", *names], [ids, means])
-            write_csv(os.path.join(out_dir, "kernel_matrix.csv"), ["exemplar_id", *ids.tolist()],
-                      [ids, exemplar_kernel_matrix(model)])
             print(f"cluster reports written to {out_dir}")
             return 0
 
         times = model.grid.times.tolist()
         out_path = os.path.join(out_dir, "explanations.json")
-        # one block of records at a time, in the bytes json.dump(records, indent=2,
-        # sort_keys=True) would write for the whole list (never empty: a Cohort has
-        # at least one row); a block that fails leaves no explanations.json behind
+        # one block of records at a time, one record per line of a JSON array (never
+        # empty: a Cohort has at least one row); a block that fails leaves no
+        # explanations.json behind
         fh = open(out_path, "w", encoding="utf-8")
         try:
             with fh:
@@ -358,8 +353,8 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                                    for d in range(1, model.m + 1)},
                             },
                         }
-                        fh.write(",\n  " if row else "\n  ")
-                        fh.write(_indented_json(record, "\n  "))
+                        fh.write(",\n" if row else "\n")
+                        fh.write(_RECORD_JSON.encode(record))
                         row += 1
                     del infos, cif, surv     # free the block before the next is formed
                 fh.write("\n]\n")

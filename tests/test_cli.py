@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import clusters_from_tables, traced_peak
@@ -82,6 +80,13 @@ def cohort_csv(path, n, seed, edit=None):
         cohort = Cohort(*arrays, cohort.m)
     write_cohort_csv(cohort, path)
     return path
+
+
+def compact_records(records):
+    """The bytes explain --data writes for ``records``: a JSON array with one
+    compact, key-sorted record per line."""
+    return "[\n" + ",\n".join(json.dumps(record, separators=(",", ":"), sort_keys=True)
+                               for record in records) + "\n]\n"
 
 
 @pytest.fixture
@@ -310,6 +315,37 @@ class TestFit:
         (section, value), = overrides.items()
         key = section if not isinstance(value, dict) else list(value)[-1]
         assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("overrides, key, kind", [
+        ({"output_dir": 7}, "output_dir", "a string"),
+        ({"data": {"schema": "x1"}}, "data.schema", "an object"),
+        ({"data": {"schema": ["x1"]}}, "data.schema", "an object"),
+        ({"data": {"train": 3}}, "data.train", "a string"),
+        ({"data": {"train": 0}}, "data.train", "a string"),
+        ({"data": {"valid": 3}}, "data.valid", "a string"),
+        ({"data": {"time_column": 1}}, "data.time_column", "a string"),
+        ({"data": {"event_column": ["event"]}}, "data.event_column", "a string"),
+    ], ids=lambda value: json.dumps(value) if isinstance(value, dict) else None)
+    def test_paths_columns_and_schema_of_another_type_exit_2(self, tmp_path, train_csv,
+                                                             capsys, monkeypatch, overrides,
+                                                             key, kind):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "load_cohort", no_data)
+        config_path, _ = write_config(tmp_path, train_csv, **overrides)
+        assert main(["fit", "--config", str(config_path)]) == 2
+        (section, value), = overrides.items()
+        value = value if key == section else value[key.split(".")[1]]
+        assert capsys.readouterr().err == (
+            f"error: invalid value in '{key}': must be {kind}, got {value!r}\n")
+
+    def test_null_output_dir_and_valid_are_absent(self, tmp_path, train_csv, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config_path, _ = write_config(tmp_path, train_csv, output_dir=None,
+                                      data={"valid": None})
+        assert main(["fit", "--config", str(config_path)]) == 0
+        assert (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("section, rate", [
         ("training", 1e308), ("sft", 1e308), ("training", 1e6),
@@ -804,7 +840,7 @@ class TestExplain:
         assert risks == sorted(risks, reverse=True)
         assert (tmp_path / "rep" / "cluster_cifs.csv").exists()
         assert (tmp_path / "rep" / "cluster_features.csv").exists()
-        assert (tmp_path / "rep" / "kernel_matrix.csv").exists()
+        assert not (tmp_path / "rep" / "kernel_matrix.csv").exists()
 
     @pytest.fixture(scope="class")
     def feature_report(self, tmp_path_factory):
@@ -859,7 +895,7 @@ class TestExplain:
         assert rc == 0
         text = (tmp_path / "rep" / "explanations.json").read_text()
         records = json.loads(text)
-        assert text == json.dumps(records, indent=2, sort_keys=True) + "\n"
+        assert text == compact_records(records)
         assert len(records) == 60
         rec = records[0]
         assert set(rec) >= {"exemplar_ids", "weights", "event_probabilities",
@@ -942,19 +978,8 @@ class TestExplain:
                    for d in range(1, model.m + 1)},
             },
         } for i, (info, cif, surv) in enumerate(blocks)]
-        want = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        want = compact_records(records)
         assert (tmp_path / "rep" / "explanations.json").read_bytes() == want.encode()
-
-    @settings(max_examples=100)
-    @given(record=st.recursive(
-        st.lists(st.one_of(st.integers(), st.floats()), max_size=5) | st.none()
-        | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-        lambda inner: st.dictionaries(st.text(max_size=3), inner, max_size=4),
-        max_leaves=12))
-    def test_indented_records_match_json_dumps(self, record):
-        want = json.dumps(record, indent=2, sort_keys=True)
-        assert cli._indented_json(record) == want
-        assert cli._indented_json(record, "\n  ") == want.replace("\n", "\n  ")
 
     def test_records_written_one_at_a_time(self, tmp_path, train_csv):
         # writing adds less than one float64 copy of a block's curves to the
@@ -1004,6 +1029,22 @@ class TestExplain:
             assert rc == 0
             peaks.append(peak)
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_cluster_reports_grow_linearly_in_q(self, tmp_path):
+        # each cluster adds its curves, size, risks and feature means: the
+        # bytes per cluster do not grow with Q, as a Q x Q matrix's would
+        rng = np.random.default_rng(0)
+        L = 8
+        per_cluster = {}
+        for Q in (64, 512):
+            d = rng.integers(1, 3, (Q, L, 2)).astype(np.float64)
+            save_identity_model(tmp_path / "model.json", rng.normal(size=(Q, 2)), d,
+                                reverse_cumsum(d.sum(axis=2) + 1.0), tau=1.0)
+            out = tmp_path / f"rep{Q}"
+            assert main(["explain", "--model", str(tmp_path / "model.json"), "--clusters",
+                         "--out", str(out)]) == 0
+            per_cluster[Q] = sum(path.stat().st_size for path in out.iterdir()) / Q
+        assert per_cluster[512] <= 1.5 * per_cluster[64]
 
     def test_no_risk_in_a_later_block_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # query row 9 sits on exemplar 1, whose cluster has no events, and tau

@@ -203,12 +203,29 @@ def test_every_export_has_a_caller():
     init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     exports = {alias.asname or alias.name for node in init.body
                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(exports - _called_names()) == []
+
+
+def _called_names():
+    """Names that the package (outside its __init__) or the acceptance suite
+    uses, and names that the benchmark uses or spells in a string."""
     package = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     used = {name for path in package + [Path(__file__).with_name("test_acceptance.py")]
             for name in _uses(path)}
-    used |= {name for path in sorted(LAYERS.parent.glob("*.py"))
-             for name in _uses(path, strings=True)}
-    assert sorted(exports - used) == []
+    return used | {name for path in sorted(LAYERS.parent.glob("*.py"))
+                   for name in _uses(path, strings=True)}
+
+
+def test_every_public_function_has_a_caller():
+    # test_every_export_has_a_caller's rule for every module-level public
+    # function and class, exported or not: one whose last caller in the
+    # package, the acceptance suite and the benchmark went is dead code
+    public = {f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    used = _called_names()
+    assert sorted(name for name in public if name.rsplit(".", 1)[1] not in used) == []
 
 
 TESTS = Path(__file__).resolve().parent
