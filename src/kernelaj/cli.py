@@ -133,6 +133,9 @@ def _parse_fit_config(doc: dict):
             raise ConfigError(f"invalid value in '{name}': must be "
                               f"{'a string' if kind is str else 'an object'}, got {value!r}",
                               key=name)
+    if not data["schema"]:
+        raise ConfigError("invalid value in 'data.schema': must name at least one "
+                          "feature column", key="data.schema")
     _check_keys(doc.get("embedding", {}), _EMBED_KEYS, "embedding")
     _check_keys(doc.get("training", {}), _TRAIN_KEYS, "training")
     _check_keys(doc.get("clustering", {}), _CLUSTER_KEYS, "clustering")

@@ -34,11 +34,10 @@ from .clustering import ClusterModel
 from .core import Cohort, breslow_preprocess, reverse_cumsum
 from .errors import ShapeMismatch
 from .metrics import Scorer
-from .model import frozen_subject_weights, weighted_hazards
+from .model import fallback_weights, frozen_subject_weights, weighted_hazards
 from .training import (  # noqa: F401 (sft_objective_from_tables is named here too)
     TrainConfig,
     TrainingLog,
-    _active_rows,
     _ratio_backward,
     criterion_scorer,
     descend,
@@ -106,12 +105,14 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
     parameterization. Returns (loss, (dgamma, dgamma_baseline, domega,
     domega_baseline)).
 
-    ``buffers`` is an optional (2m + 1, n, L) array for psi (m planes),
-    dLoss/dpsi (m planes) and 1/N, n counting the subjects with a nonempty
-    neighborhood (``fine_tune_summaries`` allocates it once); the results
+    A subject with an all-zero weight row is fitted on the pooled tables
+    (:func:`model.fallback_weights`). ``buffers`` is an optional (2m + 1, n,
+    L) array for psi (m planes), dLoss/dpsi (m planes) and 1/N, n counting
+    every subject (``fine_tune_summaries`` allocates it once); the results
     do not depend on it.
     """
-    W, kap, dl = _active_rows(weights, kappa, delta)
+    W, _ = fallback_weights(weights)
+    kap, dl = np.asarray(kappa, np.int64), np.asarray(delta, np.int64)
     d_prime, n_prime = sft_counts(params)
     _, L, m = d_prime.shape
     shape = (2 * m + 1, kap.size, L)
@@ -152,21 +153,22 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     Returns (model', SftResult). The tuned tables are installed as
     ``sft_tables`` only when the validation criterion strictly improves over
     the model before fine-tuning; ties or regressions return ``model``
-    itself. ``valid_scorer``, the criterion's
-    :func:`training.criterion_scorer`, is built here when not given.
+    itself. Every training and validation row counts, one with no exemplar
+    within tau on the pooled tables (:func:`model.fallback_weights`).
+    ``valid_scorer``, the criterion's :func:`training.criterion_scorer`, is
+    built here when not given.
     """
     criterion = config.early_stop_criterion
     W_train = frozen_subject_weights(model.params, model.clusters, train.features)
     W_valid = frozen_subject_weights(model.params, model.clusters, valid.features)
     _, kappa_tr = breslow_preprocess(train, model.grid)
     valid_scorer = valid_scorer or criterion_scorer(criterion, train, valid, model.grid)
-    W_train, kappa_tr, event_tr = _active_rows(W_train, kappa_tr, train.event)
-    buffers = np.empty((2 * model.m + 1, kappa_tr.size, len(model.grid)))
+    buffers = np.empty((2 * model.m + 1, train.n, len(model.grid)))
     value = table_criterion(criterion, valid, model.grid, valid_scorer,
                             config.alpha, config.sigma)
 
     def evaluate(tables):
-        return value(tables, model.clusters, W_valid), tables
+        return value(tables, W_valid), tables
 
     params = init_sft_params(model.clusters)
     # A candidate must beat both the init-parameter tables (a run that never
@@ -179,7 +181,7 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
         log.best_value = raw_value
 
     def epoch(params, step):
-        loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, event_tr,
+        loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, train.event,
                                         config.alpha, config.sigma, buffers)
         arrays = (params.gamma, params.gamma_baseline, params.omega, params.omega_baseline)
         return SftParams(*step(arrays, grads)), loss

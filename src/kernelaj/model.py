@@ -1,5 +1,5 @@
 """Test-time prediction for the kernel-weighted Aalen-Johansen model:
-exemplar-weighted summary tables, survival/CIF curves with a population
+exemplar-weighted summary tables, survival/CIF curves with a pooled-table
 fallback, and the individual-level interpretation records.
 
 Every prediction goes through one path: exemplar weights,
@@ -69,15 +69,10 @@ class KernelAJModel:
         return self.sft_tables or (self.clusters.d_cluster, self.clusters.n_cluster)
 
     def population_curves(self) -> CifSet:
-        """The population estimate of the clusters (:func:`_population_curves`)."""
-        return _population_curves(self.clusters, self.grid)
-
-
-def _population_curves(clusters: ClusterModel, grid: EventTimeGrid) -> CifSet:
-    """Aalen-Johansen curves of the pooled cluster tables: integer counts, so
-    the sums equal the population's counts exactly."""
-    return curves_from_counts(clusters.d_cluster.sum(axis=0),
-                              clusters.n_cluster.sum(axis=0), grid)
+        """Aalen-Johansen curves of the pooled raw cluster tables: integer
+        counts, so the sums equal the population's counts exactly."""
+        return curves_from_counts(self.clusters.d_cluster.sum(axis=0),
+                                  self.clusters.n_cluster.sum(axis=0), self.grid)
 
 
 _NOT_FINITE = "features are not finite or too large to embed"
@@ -133,16 +128,24 @@ def weighted_hazards(tables, W, psi_out=None, inv_out=None):
     return D, N, np.multiply(D, inv_N[None, :, :], out=psi_out), inv_N
 
 
-def _curves_from_weights(tables, clusters: ClusterModel, grid: EventTimeGrid, W):
-    """CIF (m, n, L), survival (n, L) and the fallback mask of count tables
-    (d, n) for exemplar weights W (n, Q) of ``clusters``; a row with no
-    positive weight gets the population estimate of the clusters."""
-    cif, surv, _, _ = cif_from_hazards(weighted_hazards(tables, W)[2])
+def fallback_weights(W):
+    """The one rule for a row with no exemplar within tau: (W', fallback (n,)),
+    W' a copy of the exemplar weights W (n, Q) in which each row with no
+    positive weight weighs every exemplar 1, so it reads the pooled tables."""
+    W = np.asarray(W, dtype=np.float64)
     fallback = ~W.any(axis=1)
     if fallback.any():
-        pop = _population_curves(clusters, grid)
-        surv[fallback] = pop.survival.values
-        cif[:, fallback] = np.stack([c.values for c in pop.cifs])[:, None, :]
+        W = W.copy()
+        W[fallback] = 1.0
+    return W, fallback
+
+
+def _curves_from_weights(tables, W):
+    """CIF (m, n, L), survival (n, L) and the fallback mask of count tables
+    (d, n) under exemplar weights W (n, Q); a row with no positive weight
+    gets the curves of the pooled tables (:func:`fallback_weights`)."""
+    W, fallback = fallback_weights(W)
+    cif, surv, _, _ = cif_from_hazards(weighted_hazards(tables, W)[2])
     return cif, surv, fallback
 
 
@@ -161,7 +164,7 @@ def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
     """Batch prediction at the model's grid times.
 
     Returns (cif (m, n, L), survival (n, L), fallback (n,) bool mask of rows
-    that used the population estimate because no exemplar within tau has a
+    that used the pooled tables because no exemplar within tau has a
     positive kernel weight).
     A row whose features are not finite, or too large to embed, raises
     ValueError naming the first such row.
@@ -174,8 +177,7 @@ def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
     fallback = np.empty(n, dtype=bool)
 
     def fill(rows, W):
-        cif[:, rows], surv[rows], fallback[rows] = _curves_from_weights(
-            model.tables, model.clusters, model.grid, W)
+        cif[:, rows], surv[rows], fallback[rows] = _curves_from_weights(model.tables, W)
 
     for _ in _row_blocks(model, E, fill):
         pass
@@ -188,7 +190,7 @@ def weighted_summaries(model: KernelAJModel, x: np.ndarray):
     Returns (d_w (L, m), n_w (L,), neighbor_positions). The neighbor set
     holds the exemplars within tau (those with positive kernel weight); when
     it is empty the tables are zero and the prediction falls back to the
-    population estimate.
+    pooled tables.
     """
     W = frozen_subject_weights(model.params, model.clusters, _row(x))
     D, N, _, _ = weighted_hazards(model.tables, W)
@@ -197,7 +199,7 @@ def weighted_summaries(model: KernelAJModel, x: np.ndarray):
 
 def predict_curves(model: KernelAJModel, x: np.ndarray) -> CifSet:
     """Survival and CIF step curves for one feature vector: the one-row view
-    of :func:`predict_cif_grid`, population fallback included."""
+    of :func:`predict_cif_grid`, pooled-table fallback included."""
     cif, surv, _ = predict_cif_grid(model, _row(x))
     return CifSet.from_values(model.grid.times, surv[0], cif[:, 0])
 
@@ -265,8 +267,7 @@ def explain_rows(model: KernelAJModel, X: np.ndarray):
     at the horizon raises NoRisk naming its index in X.
     """
     def explain(rows, W):
-        cif, surv, fallback = _curves_from_weights(model.tables, model.clusters,
-                                                   model.grid, W)
+        cif, surv, fallback = _curves_from_weights(model.tables, W)
         probs = _event_probabilities(cif, rows.start)
         medians = _conditional_medians(cif, model.grid.times)
         return [Explanation(*_normalized_weights(model, w), p, med, bool(f))

@@ -112,7 +112,7 @@ from .embedding import (
 )
 from .errors import Diverged, NoEvents, ShapeMismatch
 from .metrics import Scorer, build_eval_grid, score_curves, scorer
-from .model import _curves_from_weights, weighted_hazards
+from .model import _curves_from_weights, fallback_weights, weighted_hazards
 
 PSI_CLAMP = 1e-12
 MAX_TIME_STEPS = 512
@@ -434,20 +434,6 @@ def criterion_scorer(criterion, train: Cohort, valid: Cohort,
     return valid_scorer
 
 
-def _active_rows(weights, kappa, delta):
-    """Weights and labels of the subjects with a nonempty frozen neighborhood
-    (the inputs themselves when every subject has one)."""
-    weights = np.asarray(weights, dtype=np.float64)
-    kappa = np.asarray(kappa, dtype=np.int64)
-    delta = np.asarray(delta, dtype=np.int64)
-    active = weights.sum(axis=1) > 0
-    if not active.any():
-        raise ShapeMismatch("no subject has a nonempty frozen neighborhood")
-    if active.all():
-        return weights, kappa, delta
-    return weights[active], kappa[active], delta[active]
-
-
 def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
                               alpha: float = 1.0, sigma: float = 1.0) -> float:
     """The training objective of given count tables (no leave-one-out): the
@@ -456,26 +442,29 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
     summary fine-tuning.
 
     ``weights[i, q]`` is the frozen kernel weight of subject i to exemplar q.
-    Subjects with an all-zero weight row are dropped; the mean runs over the
-    retained subjects. With alpha < 1 the ranking penalty is blended in.
+    The mean runs over every subject; one with an all-zero weight row is
+    scored on the pooled tables (:func:`model.fallback_weights`), as
+    prediction scores it. With alpha < 1 the ranking penalty is blended in.
     """
-    W, kap, dl = _active_rows(weights, kappa, delta)
+    W, _ = fallback_weights(weights)
     D, _, psi, _ = weighted_hazards((d_tables, n_tables), W)
-    return objective_and_dpsi(psi, kap, dl, alpha, sigma, out=D)[0]
+    return objective_and_dpsi(psi, np.asarray(kappa, np.int64), np.asarray(delta, np.int64),
+                              alpha, sigma, out=D)[0]
 
 
 def table_criterion(criterion, valid: Cohort, grid: EventTimeGrid, valid_scorer: Scorer,
                     alpha, sigma):
     """The validation criterion of training and fine-tuning as ``value(tables,
-    clusters, W)``: tables (d, n) under the validation rows' exemplar weights W
-    on the prediction path, :func:`model._curves_from_weights` scored with
-    ``valid_scorer``, or :func:`sft_objective_from_tables` for the objective."""
+    W)``: tables (d, n) under the validation rows' exemplar weights W on the
+    prediction path, :func:`model._curves_from_weights` scored with
+    ``valid_scorer``, or :func:`sft_objective_from_tables` for the objective;
+    a row with no exemplar within tau is scored on the pooled tables."""
     _, kappa = breslow_preprocess(valid, grid)
 
-    def value(tables, clusters, W):
+    def value(tables, W):
         if criterion == "objective":
             return sft_objective_from_tables(*tables, W, kappa, valid.event, alpha, sigma)
-        cif, _, _ = _curves_from_weights(tables, clusters, grid, W)
+        cif, _, _ = _curves_from_weights(tables, W)
         return float(np.mean(score_curves(cif, grid.times, valid_scorer,
                                           (criterion,))[criterion]))
     return value
@@ -493,7 +482,7 @@ def _evaluate_criterion(value, params, train, valid, codes, table_shape, epsilon
     if not W.any():
         raise FloatingPointError("underflow: no validation row has a positive weight, "
                                  "the kernel weights collapsed")
-    return value((clusters.d_cluster, clusters.n_cluster), clusters, W), clusters
+    return value((clusters.d_cluster, clusters.n_cluster), W), clusters
 
 
 def descend(stage, tcfg: TrainConfig, log: TrainingLog, params, epoch, value):

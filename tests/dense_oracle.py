@@ -52,7 +52,7 @@ from kernelaj.errors import (
     ShapeMismatch,
 )
 from kernelaj.metrics import BrierResult, build_eval_grid, interpolate_curves
-from kernelaj.finetune import _active_rows, sft_counts, sft_objective_from_tables
+from kernelaj.finetune import sft_counts, sft_objective_from_tables
 from kernelaj.training import PSI_CLAMP, _at_risk
 
 
@@ -342,23 +342,47 @@ def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):
     return psi, F, S
 
 
+def _pooled_fallback(weights):
+    """A copy of ``weights`` in which every row with no positive weight weighs
+    every column 1, so that it reads the pooled tables: the rule for a row
+    with no exemplar within tau, stated here apart from the package's."""
+    W = np.array(weights, dtype=np.float64)
+    W[~(W > 0).any(axis=1)] = 1.0
+    return W
+
+
 def clustered_hazard_curves(E_query, E_train, kappa, delta, m, L, epsilon, tau):
     """Hazards and CIF curves of query points under the clustered model: each
     training row weighted by its exemplar's kernel weight, zero beyond tau,
-    so that a cluster's weight multiplies its member rows' labels.
+    so that a cluster's weight multiplies its member rows' labels; a query
+    row with no weight weighs every training row 1 (the pooled labels).
 
-    Returns (psi (m, a, L), F (m, a, L), active (q,)) for the a query rows
-    with some weight, ``active`` marking them.
+    Returns (psi (m, q, L), F (m, q, L), fallback (q,)), ``fallback`` marking
+    the query rows with no weight.
     """
     _, assignments = epsilon_net_cluster(E_train, epsilon)
     E_owner = np.asarray(E_train, np.float64)[assignments]
     W = np.where(pairwise_sq_dists(E_query, E_owner) <= tau * tau,
                  kernel_matrix(E_query, E_owner), 0.0)
-    active = W.any(axis=1)
     evt, at_risk = _label_matrices(kappa, delta, m, L)
-    psi, _, _, _, _ = _psi_from_weights(W[active], evt, at_risk)
+    psi, _, _, _, _ = _psi_from_weights(_pooled_fallback(W), evt, at_risk)
     F, _, _, _ = _cif_from_psi(psi)
-    return psi, F, active
+    return psi, F, ~W.any(axis=1)
+
+
+def table_objective(d, n, weights, kappa, delta, alpha, sigma):
+    """alpha * NLL + (1 - alpha) * ranking of count tables d (Q, L, m) and
+    n (Q, L) under exemplar weights (q, Q), over every row; a row with no
+    positive weight takes the hazards of the summed tables."""
+    W = np.asarray(weights, dtype=np.float64)
+    D, N = np.tensordot(W, d, axes=(1, 0)), W @ n        # (q, L, m), (q, L)
+    empty = ~(W > 0).any(axis=1)
+    D[empty], N[empty] = d.sum(axis=0), n.sum(axis=0)
+    pos = N > 0
+    hazards = np.where(pos[:, :, None], D / np.where(pos, N, 1.0)[:, :, None], 0.0)
+    F, _, _, _ = _cif_from_psi(np.transpose(hazards, (2, 0, 1)))
+    return (alpha * loss_nll(np.transpose(hazards, (0, 2, 1)), kappa, delta)
+            + (1.0 - alpha) * loss_ranking(cif_pair_matrix(F, kappa), kappa, delta, sigma))
 
 
 def brier_score(cif_values, cohort: Cohort, delta: int, t: float,
@@ -397,7 +421,8 @@ def brier_score(cif_values, cohort: Cohort, delta: int, t: float,
 
 
 def _sft_objective(params, weights, kappa, delta, alpha, sigma, want_grad):
-    W, kap, dl = _active_rows(weights, kappa, delta)
+    W = _pooled_fallback(weights)
+    kap, dl = np.asarray(kappa, dtype=np.int64), np.asarray(delta, dtype=np.int64)
     n = kap.size
     d_prime, n_prime = sft_counts(params)
     Q, L, m = d_prime.shape

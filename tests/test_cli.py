@@ -340,6 +340,17 @@ class TestFit:
         assert capsys.readouterr().err == (
             f"error: invalid value in '{key}': must be {kind}, got {value!r}\n")
 
+    def test_empty_schema_exits_2_before_reading_data(self, tmp_path, train_csv, capsys,
+                                                      monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "load_cohort", no_data)
+        config_path, _ = write_config(tmp_path, train_csv, data={"schema": {}})
+        assert main(["fit", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == ("error: invalid value in 'data.schema': must "
+                                           "name at least one feature column\n")
+
     def test_null_output_dir_and_valid_are_absent(self, tmp_path, train_csv, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config_path, _ = write_config(tmp_path, train_csv, output_dir=None,

@@ -349,23 +349,39 @@ class TestRankingForward:
     def test_objective_criterion_matches_dense_oracle(self, alpha):
         args, kappa, grid = self.criterion_problem("objective", 300, 200, alpha)
         _, params, train, valid, _, _, epsilon, tau = args
-        psi, F, active = oracle.clustered_hazard_curves(
+        psi, F, fallback = oracle.clustered_hazard_curves(
             embed_batch(params, valid.features), embed_batch(params, train.features),
             kappa, train.event, train.m, len(grid), epsilon, tau)
-        assert 0 < active.sum() < valid.n       # rows with no exemplar within tau drop out
+        assert 0 < fallback.sum() < valid.n     # rows with no exemplar within tau are pooled
         _, kappa_valid = breslow_preprocess(valid, grid)
-        kappa_valid, event = kappa_valid[active], valid.event[active]
-        nll = oracle.loss_nll(np.transpose(psi, (1, 0, 2)), kappa_valid, event)
+        nll = oracle.loss_nll(np.transpose(psi, (1, 0, 2)), kappa_valid, valid.event)
         rank = oracle.loss_ranking(oracle.cif_pair_matrix(F, kappa_valid), kappa_valid,
-                                   event, 0.5)
+                                   valid.event, 0.5)
         want = alpha * nll + (1.0 - alpha) * rank
         got, _ = training._evaluate_criterion(*args)
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @REPRODUCIBLE
+    @given(batch=labelled_batches(), Q=st.integers(1, 5))
+    def test_objective_criterion_scores_empty_rows_on_pooled_tables(self, alpha, batch, Q):
+        # a row with no positive weight is scored, not dropped: on the hazards
+        # of the pooled tables, as prediction scores it
+        _, kappa, delta, m, L, seed = batch
+        rng = np.random.default_rng(seed)
+        d = rng.integers(0, 4, (Q, L, m)).astype(np.float64)
+        shed = d.sum(axis=2) + rng.integers(0, 3, (Q, L))
+        n = np.flip(np.cumsum(np.flip(shed, axis=1), axis=1), axis=1)
+        W = rng.uniform(0.0, 1.0, (kappa.size, Q)) * (rng.random((kappa.size, 1)) < 0.6)
+        W[0] = 0.0
+        got = training.sft_objective_from_tables(d, n, W, kappa, delta, alpha, 0.7)
+        want = oracle.table_objective(d, n, W, kappa, delta, alpha, 0.7)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1e-12)
+
     @pytest.mark.parametrize("criterion", ["ibs", "ctd"])
     def test_criterion_scores_the_shipped_model(self, criterion):
         # the clustered model that fit ships with these parameters, predicted
-        # through predict_cif_grid (population curves included); the clusters
+        # through predict_cif_grid (pooled-table fallback included); the clusters
         # the criterion returns are that model's
         args, _, grid = self.criterion_problem(criterion, 300, 200, 1.0)
         _, params, train, valid, codes, shape, epsilon, tau = args

@@ -197,7 +197,7 @@ class TestLoss:
 @st.composite
 def sft_problems(draw):
     """(params, weights, kappa, delta): random tables and frozen weights, with
-    some all-zero weight rows and at least one subject kept."""
+    some all-zero weight rows and at least one row with a positive weight."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, Q = draw(st.integers(2, 30)), draw(st.integers(1, 6))
     L, m = draw(st.integers(1, 8)), draw(st.integers(1, 3))
@@ -238,6 +238,33 @@ class TestOracle:
                                                   alpha, sigma=0.7)
         assert value == sft_loss_and_grad(params, W, kappa, delta, alpha, sigma=0.7)[0]
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @settings(max_examples=8)
+    @given(problem=sft_problems())
+    def test_row_with_no_exemplar_is_fitted_on_pooled_tables(self, alpha, problem):
+        # a training row with no exemplar within tau is fitted, not dropped:
+        # the loss is the oracle's over every row and the gradient matches
+        # the oracle's finite differences
+        params, W, kappa, delta = problem
+        W[-1] = 0.0
+        loss, grads = sft_loss_and_grad(params, W, kappa, delta, alpha, sigma=0.7)
+
+        def oracle_loss(*arrays):
+            return oracle._sft_objective(SftParams(*arrays), W, kappa, delta, alpha, 0.7,
+                                         want_grad=False)[0]
+
+        arrays = [params.gamma, params.gamma_baseline, params.omega, params.omega_baseline]
+        assert abs(loss - oracle_loss(*arrays)) <= 1e-12 * abs(loss)
+        step = 1e-6
+        for k, grad in enumerate(grads):
+            fd = np.zeros_like(grad)
+            for idx in np.ndindex(grad.shape):
+                for sign in (1, -1):
+                    shifted = [a.copy() for a in arrays]
+                    shifted[k][idx] += sign * step
+                    fd[idx] += sign * oracle_loss(*shifted) / (2 * step)
+            assert relative_error(grad, fd) <= 1e-5, k
+
 
 class TestBuffers:
     """Fine-tuning with the per-fit buffers of ``fine_tune_summaries``."""
@@ -249,7 +276,7 @@ class TestBuffers:
         # NaN-filled buffers, used twice, show that no stale element is read
         params, W, kappa, delta = problem
         Q, L, m = params.gamma.shape
-        buffers = np.full((2 * m + 1, int((W.sum(axis=1) > 0).sum()), L), np.nan)
+        buffers = np.full((2 * m + 1, kappa.size, L), np.nan)
         want_loss, want_grads = sft_loss_and_grad(params, W, kappa, delta, alpha, 0.7)
         for _ in range(2):
             loss, grads = sft_loss_and_grad(params, W, kappa, delta, alpha, 0.7, buffers)

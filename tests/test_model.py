@@ -38,6 +38,7 @@ from kernelaj import model as model_module
 from conftest import FIT_TRAIN_ROWS, clusters_from_tables, fits
 from kernelaj.core import EventTimeGrid, label_codes, risk_event_counts
 from kernelaj.embedding import MlpParams, embed_batch, pairwise_sq_dists
+from kernelaj.finetune import SftParams, sft_counts
 from kernelaj.model import Explanation, cluster_curves, exemplar_kernel_matrix
 
 
@@ -110,6 +111,20 @@ def reclustered(model, pre, epsilon, tau):
                                    model.clusters.codes, model.clusters.table_shape, epsilon, tau)
     return replace(model, clusters=clusters, sft_tables=None,
                    cluster_feature_means=np.zeros((clusters.num_clusters, pre.p)))
+
+
+def assert_pooled_curves(model, cif, surv):
+    """A fallback row's CIFs (m, L) and survival (L,) are the Aalen-Johansen
+    curves of the model's pooled tables: the population estimate to the bit
+    when the tables are the raw counts, within 1e-12 when fine-tuned."""
+    if model.sft_tables is None:
+        want = model.population_curves()
+        assert_array_equal(surv, want.survival.values)
+        assert_array_equal(cif, np.stack([c.values for c in want.cifs]))
+    else:
+        d, n = model.sft_tables
+        assert_curves(cif, surv, curves_from_counts(d.sum(axis=0), n.sum(axis=0),
+                                                    model.grid))
 
 
 def assert_curves(cif, surv, want):
@@ -290,11 +305,8 @@ class TestPredictionProperties:
         assert (np.diff(surv, axis=1) <= 0).all() and (np.diff(cif, axis=2) >= 0).all()
         assert 0 <= min(cif.min(), surv.min()) and max(cif.max(), surv.max()) <= 1
         assert fallback[-2:].any()
-        pop = model.population_curves()
         for i in np.flatnonzero(fallback):
-            assert_array_equal(surv[i], pop.survival.values)
-            for d in range(model.m):
-                assert_array_equal(cif[d, i], pop.cifs[d].values)
+            assert_pooled_curves(model, cif[:, i], surv[i])
 
     def test_single_event_type_reduces_to_kernel_km(self):
         rng = np.random.default_rng(5)
@@ -431,6 +443,32 @@ def curve_values(curves):
 
 
 ONE_RULE = settings(max_examples=60)
+
+
+class TestFallbackRule:
+    """A row with no exemplar within tau weighs every cluster equally, so its
+    curves are those of the pooled tables the model predicts with, and its
+    record lists no exemplar."""
+
+    @ONE_RULE
+    @given(case=weighted_cluster_models(), tuned=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fallback_rows_read_the_pooled_tables(self, case, tuned, seed):
+        model, X = case
+        if tuned:
+            rng = np.random.default_rng(seed)
+            Q, L, m = model.clusters.d_cluster.shape
+            model = replace(model, sft_tables=sft_counts(SftParams(
+                rng.normal(0.0, 1.0, (Q, L, m)), rng.normal(-1.0, 1.0, (L, m)),
+                rng.normal(0.0, 1.0, (Q, L)), rng.normal(-1.0, 1.0, L))))
+        cif, surv, fallback = predict_cif_grid(model, X)
+        records, record_cif, record_surv = joined_explanations(model, X)
+        assert fallback[-1]
+        for i in np.flatnonzero(fallback):
+            assert_pooled_curves(model, cif[:, i], surv[i])
+            assert_pooled_curves(model, record_cif[:, i], record_surv[i])
+            assert records[i].used_fallback
+            assert records[i].exemplar_ids.size == records[i].weights.size == 0
 
 
 class TestOneAalenJohansenRule:

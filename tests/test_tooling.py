@@ -152,6 +152,17 @@ def test_one_hazard_ratio():
     assert callers == [("core", "table_hazards"), ("model", "weighted_hazards")]
 
 
+def test_one_fallback_rule():
+    # a row with no exemplar within tau weighs every cluster equally in one
+    # place, model.fallback_weights, which prediction, explanation, every
+    # criterion and fine-tuning read their weights through, so no module can
+    # drop such rows or overwrite their curves by a second rule
+    callers = [(module, owner) for module in sorted(p.stem for p in SRC.glob("*.py"))
+               for owner, name in _calls(module) if name == "fallback_weights"]
+    assert callers == [("finetune", "sft_loss_and_grad"), ("model", "_curves_from_weights"),
+                       ("training", "sft_objective_from_tables")]
+
+
 def test_no_unused_private_names():
     # every module-level private function, class or constant is used
     # somewhere in the package, so a deleted path cannot leave its helpers

@@ -437,7 +437,7 @@ class TestShippedClusters:
         value = real_criterion("objective", valid, model.grid, training.criterion_scorer(
             "objective", train, valid, model.grid), self.tcfg.alpha, self.tcfg.sigma)
         W = exemplar_weights(model.clusters, embed_batch(model.params, valid.features))
-        assert value(model.tables, model.clusters, W) == log.best_value
+        assert value(model.tables, W) == log.best_value
 
     def test_codes_counted_once_and_one_epsilon_net_per_epoch(self, monkeypatch):
         grid = discretize_times(build_event_grid(self.train), 8)
