@@ -115,8 +115,8 @@ class EventTimeGrid:
         times = np.asarray(self.times, dtype=np.float64)
         if times.ndim != 1 or times.size == 0:
             raise ShapeMismatch("grid must be a nonempty 1-D array")
-        if (times <= 0).any():
-            raise ValueError("grid times must be strictly positive")
+        if not (np.isfinite(times).all() and (times > 0).all()):
+            raise ValueError("grid times must be finite and strictly positive")
         if (np.diff(times) <= 0).any():
             raise ValueError("grid times must be strictly increasing")
         object.__setattr__(self, "times", times)

@@ -202,8 +202,17 @@ class FeatureSchema:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FeatureSchema":
-        return cls(kinds=dict(payload["kinds"]), stats=payload["stats"],
-                   feature_names=list(payload["feature_names"]))
+        schema = cls(kinds=dict(payload["kinds"]), stats=payload["stats"],
+                     feature_names=list(payload["feature_names"]))
+        for name, kind in schema.kinds.items():
+            st = schema.stats.get(name, {})
+            modes = {"binary": ("0", "1"), "categorical": st.get("categories", ())}
+            if not (st.get("mode") in modes.get(kind, ()) or (kind == "continuous" and
+                    np.isfinite(st.get("mean", np.nan)) and 0 < st.get("std", 0) < np.inf)):
+                raise ValueError(f"column '{name}' has no valid stats of kind '{kind}'")
+        if schema.feature_names != [f for name in schema.kinds for f in schema._features(name)]:
+            raise ValueError("feature_names disagree with the column stats")
+        return schema
 
 
 def _binary_value(name, cell) -> float:

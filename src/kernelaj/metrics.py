@@ -39,8 +39,8 @@ class EvalGrid:
         times = np.asarray(self.times, dtype=np.float64)
         if times.ndim != 1 or times.size == 0:
             raise ShapeMismatch("evaluation grid must be nonempty")
-        if times.size > 1 and (np.diff(times) <= 0).any():
-            raise ValueError("evaluation times must be strictly increasing")
+        if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+            raise ValueError("evaluation times must be finite and strictly increasing")
         object.__setattr__(self, "times", times)
 
     def __len__(self):

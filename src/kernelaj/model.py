@@ -45,9 +45,9 @@ class KernelAJModel:
     def __post_init__(self):
         Q, L = self.clusters.n_cluster.shape
         if len(self.grid) != L or np.shape(self.cluster_feature_means) != (
-                Q, self.params.input_dim):
+                Q, self.params.input_dim) or not np.isfinite(self.cluster_feature_means).all():
             raise ShapeMismatch("grid or cluster feature means disagree with the "
-                                "clusters or the network input")
+                                "clusters or the network input, or are not finite")
         if self.clusters.exemplar_embeddings.shape[1] != self.params.layer_sizes[-1]:
             raise ShapeMismatch("exemplar embeddings are not as wide as the network output")
         if self.sft_tables is not None:
@@ -185,15 +185,15 @@ def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
 
 
 def weighted_summaries(model: KernelAJModel, x: np.ndarray):
-    """Kernel-weighted event and at-risk tables for one query point.
+    """Kernel-weighted event and at-risk tables for one query point, the
+    ones :func:`predict_curves` predicts from.
 
     Returns (d_w (L, m), n_w (L,), neighbor_positions). The neighbor set
     holds the exemplars within tau (those with positive kernel weight); when
-    it is empty the tables are zero and the prediction falls back to the
-    pooled tables.
+    it is empty the tables are the pooled ones (:func:`fallback_weights`).
     """
     W = frozen_subject_weights(model.params, model.clusters, _row(x))
-    D, N, _, _ = weighted_hazards(model.tables, W)
+    D, N, _, _ = weighted_hazards(model.tables, fallback_weights(W)[0])
     return D[:, 0].T, N[0], np.flatnonzero(W[0])
 
 

@@ -71,11 +71,11 @@ are sums over rows, so the sort changes only rounding.
 
 Memory
 ------
-W, later P, is the step's only n x n array. It lives in one buffer of B^2
-float64 that ``train_embedding`` allocates once per fit, so the epoch loop
-reuses resident pages instead of taking fresh ones from the allocator, and
-holds no other array that grows with B^2. The criterion's arrays grow with
-n_valid * Q, not with n_valid * n_train.
+W, later P, is the step's only n x n array. It lives in the one buffer of
+B^2 float64 that ``train_embedding`` allocates per fit and only the step
+reads, so the epoch loop reuses resident pages instead of fresh ones from
+the allocator, and holds no other array that grows with B^2. The
+criterion's arrays grow with n_valid * Q, not with n_valid * n_train.
 
 Leave-one-out sums run over the current minibatch only, so batch composition
 affects the loss; shuffling is seeded and the loop is deterministic. All
@@ -352,33 +352,18 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None
     return loss, dw, db
 
 
-def kernel_hazard_curves(E_query, E_ref, groups: CodeGroups, m, L, buffer):
+def kernel_hazard_curves(E_query, E_ref, groups: CodeGroups, m, L):
     """Kernel-weighted hazards and CIF curves of query points vs a reference
-    set (no leave-one-out; queries are assumed disjoint from the reference).
-
+    set (no leave-one-out; queries are assumed disjoint from the reference),
+    through the step's ``weighted_hazards`` and ``cif_from_hazards``.
     ``groups`` is :func:`code_groups` of the reference labels; E_ref is in
-    the reference rows' own order. The query x reference kernel is built in
-    ``buffer``, a C-contiguous float64 array of at least n_ref elements,
-    ``buffer.size // n_ref`` query rows at a time, so it needs no memory
-    beyond the buffer that grows with q * n_ref.
-    A ``kernel_matrix`` row does not depend on the rows computed with it,
-    so the result does not depend on the buffer size.
+    the reference rows' own order.
 
     Returns (psi (m, q, L), F (m, q, L), S (q, L)).
     """
-    E_ref = np.asarray(E_ref, np.float64)[groups.order]
-    E_query = np.asarray(E_query, np.float64)
-    q, n_ref = E_query.shape[0], E_ref.shape[0]
-    step = max(buffer.size // n_ref, 1)       # a smaller buffer fails in _block
-    tables = groups.tables(m, L)
-    psi = np.empty((m, q, L))
-    for start in range(0, q, step):
-        Eq = E_query[start:start + step]
-        W = kernel_matrix(Eq, E_ref, out=_block(buffer, Eq.shape[0], n_ref))
-        weighted_hazards(tables, np.add.reduceat(W, groups.starts, axis=1),
-                         psi_out=psi[:, start:start + step])
-    F, S, _, _ = cif_from_hazards(psi)
-    return psi, F, S
+    W = kernel_matrix(E_query, np.asarray(E_ref, np.float64)[groups.order])
+    psi = weighted_hazards(groups.tables(m, L), np.add.reduceat(W, groups.starts, axis=1))[2]
+    return (psi, *cif_from_hazards(psi)[:2])
 
 
 @dataclass

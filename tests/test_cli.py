@@ -723,6 +723,10 @@ _MODEL_EDITS = {
     "duplicate exemplar id": _duplicate_exemplar_id,
     "exemplar embeddings too narrow": _edit_array("clusters", "exemplar_embeddings",
                                                   narrow=True),
+    "grid time NaN": _edit_array("grid", value=np.nan),
+    "feature mean NaN": _edit_array("cluster_feature_means", value=np.nan),
+    "no stats for a column": lambda doc: doc["schema"]["stats"].popitem(),
+    "std 0": lambda doc: next(iter(doc["schema"]["stats"].values())).update(std=0.0),
 }
 
 

@@ -382,6 +382,29 @@ class TestPreprocessor:
         assert list(loaded.kinds) == list(schema.kinds)
         assert_array_equal(loaded.transform(train), schema.transform(train))
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["kinds"].append(["weight", "ordinal"]),
+        lambda d: d["stats"].pop("age"),
+        lambda d: d["stats"]["age"].update(mean=float("nan")),
+        lambda d: d["stats"]["age"].update(std=0.0),
+        lambda d: d["stats"]["age"].update(std=float("inf")),
+        lambda d: d["stats"]["smoker"].update(mode="yes"),
+        lambda d: d["stats"]["stage"].update(mode="c"),
+        lambda d: d["stats"]["stage"].update(categories=[], mode="a"),
+        lambda d: d["feature_names"].pop(),
+    ], ids=["unknown kind", "no stats", "mean NaN", "std 0", "std inf", "binary mode",
+            "mode not a category", "no categories", "feature names"])
+    def test_from_dict_rejects_stats_that_do_not_cover_the_columns(self, edit):
+        train = RawTable({"smoker": ["1", "0", "1"], "stage": ["b", "a", "a"],
+                          "age": [1.0, 2.0, 4.0]},
+                         np.array([1.0, 2.0, 3.0]), np.array([1, 0, 2]))
+        payload = FeatureSchema({"smoker": "binary", "stage": "categorical",
+                                 "age": "continuous"}).fit(train).to_dict()
+        FeatureSchema.from_dict(payload)
+        edit(payload)
+        with pytest.raises(ValueError):
+            FeatureSchema.from_dict(payload)
+
 
 class TestSplit:
     def make_cohort(self, n):

@@ -192,8 +192,7 @@ class TestValidationHazards:
         rng = np.random.default_rng(seed)
         E_ref = rng.normal(size=(X.shape[0], 2))
         E_query = rng.normal(size=(q, 2))
-        got = kernel_hazard_curves(E_query, E_ref, code_groups(kappa, delta, m), m, L,
-                                   np.empty(X.shape[0]))
+        got = kernel_hazard_curves(E_query, E_ref, code_groups(kappa, delta, m), m, L)
         want = oracle.kernel_hazard_curves(E_query, E_ref, kappa, delta, m, L)
         for a, b in zip(got, want):
             assert_allclose(a, b, rtol=0, atol=1e-12)
@@ -206,46 +205,6 @@ class TestValidationHazards:
         assert_allclose(pairwise_sq_dists(E1, E2), oracle.pairwise_sq_dists(E1, E2),
                         rtol=1e-12, atol=1e-12)
         assert_allclose(kernel_matrix(E1), oracle.kernel_matrix(E1), rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("rows", [1, 7, 256, 10**6])
-    def test_block_size_does_not_change_bits(self, rows):
-        # blocks of buffer.size // n rows, one block from q rows up; the
-        # NaN-filled buffer, used twice and one element past whole rows,
-        # shows that no stale element is read
-        rng = np.random.default_rng(4)
-        q, n, m, L = 2 * 256 + 17, 200, 2, 16
-        E_query, E_ref = rng.normal(size=(q, 8)), rng.normal(size=(n, 8))
-        kappa = rng.integers(0, L + 1, n)
-        delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
-        groups = code_groups(kappa, delta, m)
-        want = kernel_hazard_curves(E_query, E_ref, groups, m, L, np.empty(q * n))
-        buffer = np.full(min(rows, q) * n + 1, np.nan)
-        for _ in range(2):
-            got = kernel_hazard_curves(E_query, E_ref, groups, m, L, buffer)
-            for a, b in zip(got, want):
-                assert_array_equal(a, b)
-
-    def test_small_buffer_rejected(self):
-        rng = np.random.default_rng(5)
-        E_ref = rng.normal(size=(6, 2))
-        with pytest.raises(ShapeMismatch):
-            kernel_hazard_curves(rng.normal(size=(3, 2)), E_ref,
-                                 code_groups(np.ones(6, np.int64), np.ones(6, np.int64), 1),
-                                 1, 2, np.empty(5))
-
-    def test_memory_bounded_by_the_buffer(self):
-        # one 256-row block of the old criterion kernel alone took 41 MB here
-        q, n, m, L, d = 600, 20000, 2, 16, 8
-        rng = np.random.default_rng(6)
-        E_query, E_ref = rng.normal(size=(q, d)), rng.normal(size=(n, d))
-        kappa = rng.integers(0, L + 1, n)
-        delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
-        groups = code_groups(kappa, delta, m)
-        buffer = np.empty(1024 * 1024)
-        (psi, _, _), peak = traced_peak(
-            lambda: kernel_hazard_curves(E_query, E_ref, groups, m, L, buffer))
-        assert np.isfinite(psi).all()
-        assert peak < 8 * 2**20
 
     def test_two_set_kernel_matches_self_kernel(self):
         rng = np.random.default_rng(6)

@@ -266,10 +266,13 @@ class TestSpecialCases:
         model = build_model(cohort, params, epsilon=0.5, tau=1e-6)
         x = rng.normal(size=cohort.p) * 50.0
         d_w, n_w, hits = weighted_summaries(model, x)
-        if hits.size == 0:
-            pred = predict_curves(model, x)
-            pop = model.population_curves()
-            assert_allclose(pred.survival.values, pop.survival.values)
+        assert hits.size == 0
+        # raw tables hold integer counts, so the pooled sums are exact
+        assert_array_equal(d_w, model.tables[0].sum(axis=0))
+        assert_array_equal(n_w, model.tables[1].sum(axis=0))
+        pred = predict_curves(model, x)
+        pop = model.population_curves()
+        assert_allclose(pred.survival.values, pop.survival.values)
 
 
 class TestPredictionProperties:
@@ -508,6 +511,13 @@ class TestOneAalenJohansenRule:
                                model_module._event_probabilities(cif)[0])
             assert info.conditional_medians == model_module._conditional_medians(
                 cif, model.grid.times)[0]
+            # a fallback row's tables are the pooled ones it is predicted from
+            d_w, n_w, hits = weighted_summaries(model, x)
+            assert (hits.size == 0) == fallback[0]
+            from_tables = curves_from_counts(d_w, n_w, model.grid, allow_zero_risk=True)
+            assert_array_equal(from_tables.survival.values, surv[0])
+            for d in range(1, model.m + 1):
+                assert_array_equal(from_tables.cif(d).values, cif[d - 1, 0])
             if fallback[0]:
                 with pytest.raises(EmptyNeighborhood):
                     cluster_weight_decomposition(model, x)
@@ -515,11 +525,6 @@ class TestOneAalenJohansenRule:
             ids, weights = cluster_weight_decomposition(model, x)
             assert_array_equal(ids, info.exemplar_ids)
             assert_array_equal(weights, info.weights)
-            d_w, n_w, _ = weighted_summaries(model, x)
-            from_tables = curves_from_counts(d_w, n_w, model.grid, allow_zero_risk=True)
-            assert_array_equal(from_tables.survival.values, surv[0])
-            for d in range(1, model.m + 1):
-                assert_array_equal(from_tables.cif(d).values, cif[d - 1, 0])
 
 
 class TestWeightDecomposition:

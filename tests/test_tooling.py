@@ -154,13 +154,23 @@ def test_one_hazard_ratio():
 
 def test_one_fallback_rule():
     # a row with no exemplar within tau weighs every cluster equally in one
-    # place, model.fallback_weights, which prediction, explanation, every
-    # criterion and fine-tuning read their weights through, so no module can
-    # drop such rows or overwrite their curves by a second rule
+    # place, model.fallback_weights, which prediction, explanation, the
+    # one-row weighted tables, every criterion and fine-tuning read their
+    # weights through, so no module can drop such rows or overwrite their
+    # curves by a second rule
     callers = [(module, owner) for module in sorted(p.stem for p in SRC.glob("*.py"))
                for owner, name in _calls(module) if name == "fallback_weights"]
     assert callers == [("finetune", "sft_loss_and_grad"), ("model", "_curves_from_weights"),
-                       ("training", "sft_objective_from_tables")]
+                       ("model", "weighted_summaries"), ("training", "sft_objective_from_tables")]
+
+
+def test_one_batch_buffer():
+    # the fit's one B x B buffer belongs to the training step: only
+    # training.total_loss_and_grad views it through _block, so no second
+    # buffered kernel path can drift from the step's
+    callers = [(module, owner) for module in sorted(p.stem for p in SRC.glob("*.py"))
+               for owner, name in _calls(module) if name == "_block"]
+    assert callers == [("training", "total_loss_and_grad")]
 
 
 def test_no_unused_private_names():
