@@ -97,14 +97,18 @@ def _model_from_dict(doc):
         cluster_feature_means=_unpack(doc["cluster_feature_means"]),
         sft_tables=None if sft is None else (_unpack(sft["d"]), _unpack(sft["n"])),
     )
-    schema = doc["schema"]
-    return model, None if schema is None else FeatureSchema.from_dict(schema)
+    schema = None if doc["schema"] is None else FeatureSchema.from_dict(doc["schema"])
+    if schema is not None and len(schema.feature_names) != model.params.input_dim:
+        raise ValueError(f"schema has {len(schema.feature_names)} features, the network "
+                         f"takes {model.params.input_dim}")
+    return model, schema
 
 
 def load_model(path):
     """Returns (model, schema_or_None). A file of another format version
-    raises SchemaMismatch; a missing key, a wrongly typed section or arrays
-    of inconsistent shapes raise ValueError."""
+    raises SchemaMismatch; a missing key, a wrongly typed section, arrays
+    of inconsistent shapes or a schema whose feature count is not the
+    network's input width raise ValueError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

@@ -74,8 +74,13 @@ Memory
 W, later P, is the step's only n x n array. It lives in the one buffer of
 B^2 float64 that ``train_embedding`` allocates per fit and only the step
 reads, so the epoch loop reuses resident pages instead of fresh ones from
-the allocator, and holds no other array that grows with B^2. The
-criterion's arrays grow with n_valid * Q, not with n_valid * n_train.
+the allocator, and holds no other array that grows with B^2. No matrix
+product takes W or P whole: the kernel is a ``blocked_matmul`` of 16 rows,
+and ``embedding.kernel_matrix_backward`` multiplies P by blocks of 16 and
+256 rows, because OpenBLAS keeps the pages it packs an operand into
+resident, and a GEMM over all of P raised the fit's peak RSS by about 3 MB
+more at B = 1024. The criterion's arrays grow with n_valid * Q, not with
+n_valid * n_train.
 
 Leave-one-out sums run over the current minibatch only, so batch composition
 affects the loss; shuffling is seeded and the loop is deterministic. All

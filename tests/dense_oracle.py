@@ -1,17 +1,17 @@
-"""The dense one-hot training step, validation hazards, scalar Brier
-score, CIF recursion, NLL, pairwise ranking loss, n x n concordance risk
-matrix, per-anchor concordance loop, hand-derived fine-tuning objective,
-hand-written criterion checks, stopping rule, list-stacking epsilon-net,
-sorted-time counts, per-cluster loops, difference-based neighbor search,
-``np.where`` exemplar weights, row-loop cumulative-product backward and
-per-cell CSV reader and writer that ``kernelaj`` replaced, plus the scalar
-kernel, the fine-tuning objective of parameters and the synthetic
-generator's closed-form CIF (:func:`oracle_cif`), which only tests use.
-The cumulative-product backward is the oracle's own route through the
-survival product in its dense ranking backward (``ranking_value_and_dpsi``):
-a reverse cumulative sum divided by the factors, with a loop over the rows
-holding a zero factor, where ``kernelaj`` takes one reverse pass over the
-bins.
+"""The dense one-hot training step, two-GEMM kernel backward, validation
+hazards, scalar Brier score, CIF recursion, NLL, pairwise ranking loss,
+n x n concordance risk matrix, per-anchor concordance loop, hand-derived
+fine-tuning objective, hand-written criterion checks, stopping rule,
+list-stacking epsilon-net, sorted-time counts, per-cluster loops,
+difference-based neighbor search, ``np.where`` exemplar weights, row-loop
+cumulative-product backward and per-cell CSV reader and writer that
+``kernelaj`` replaced, plus the scalar kernel, the fine-tuning objective of
+parameters and the synthetic generator's closed-form CIF
+(:func:`oracle_cif`), which only tests use. The cumulative-product backward
+is the oracle's own route through the survival product in its dense ranking
+backward (``ranking_value_and_dpsi``): a reverse cumulative sum divided by
+the factors, with a loop over the rows holding a zero factor, where
+``kernelaj`` takes one reverse pass over the bins.
 
 The functions below are kept verbatim as test oracles: the kernel comes
 from E @ E.T, the hazard tables from weight-matrix products with (n, L)
@@ -23,15 +23,16 @@ explicit embedding differences, the exemplar weights from one ``np.where``
 over fresh arrays of the distances, their negation and their exp, the CIF
 recursion leaves 1 - sum(h) unfloored, the NLL builds its own at-risk mask,
 the ranking loss and its backward pass read dense n x n matrices of
-pairwise CIF lookups, the fine-tuning objective derives its likelihood
-and gradient by hand, the cumulative-product backward loops over the rows
-with a zero factor, and the CSV reader and writer handle one cell at a
-time through ``csv.DictReader`` and ``csv.writer`` (the reader's event
-check also rejects nan, infinite and out-of-int64 cells, as the package
-does). Only the shared building blocks that did not change (the network,
-the floored CIF recursion, the reverse cumulative sum, the at-risk mask,
-the fixed-block distances, curve interpolation and the fine-tuning table
-parameterization) are imported from the package.
+pairwise CIF lookups, the kernel backward multiplies the whole n x n P by
+the augmented embeddings in two GEMMs, the fine-tuning objective derives
+its likelihood and gradient by hand, the cumulative-product backward loops
+over the rows with a zero factor, and the CSV reader and writer handle one
+cell at a time through ``csv.DictReader`` and ``csv.writer`` (the reader's
+event check also rejects nan, infinite and out-of-int64 cells, as the
+package does). Only the shared building blocks that did not change (the
+network, the floored CIF recursion, the reverse cumulative sum, the at-risk
+mask, the fixed-block distances, curve interpolation and the fine-tuning
+table parameterization) are imported from the package.
 """
 
 import csv
@@ -327,6 +328,16 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
     dE = -2.0 * (M.sum(axis=1)[:, None] * E - M @ E)
     dw, db = backward(params, cache, dE)
     return alpha * nll + (1.0 - alpha) * rank, dw, db
+
+
+def kernel_matrix_backward(E, P):
+    """dLoss/dE given P = dLoss/dK * K, from two GEMMs over the whole of P:
+    P [E, 1] and [E, 1]^T P. P's diagonal is set to 0 in place."""
+    np.fill_diagonal(P, 0.0)
+    Ea = np.hstack((E, np.ones((E.shape[0], 1))))
+    S = P @ Ea
+    S += (Ea.T @ P).T
+    return -2.0 * (S[:, -1:] * E - S[:, :-1])
 
 
 def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):

@@ -668,6 +668,16 @@ def _with_sft_tables(change):
     return edit
 
 
+def _schema_one_column_short(doc):
+    """An edit that drops the last input column from the schema, its kind,
+    stats and feature names together, so the schema alone still loads."""
+    schema = doc["schema"]
+    name, _ = schema["kinds"].pop()
+    del schema["stats"][name]
+    schema["feature_names"] = [f for f in schema["feature_names"]
+                               if f != name and not f.startswith(f"{name}=")]
+
+
 def _duplicate_exemplar_id(doc):
     """An edit that gives the second exemplar, and the points assigned to
     it, the first exemplar's id: every assignment still names an exemplar."""
@@ -727,6 +737,7 @@ _MODEL_EDITS = {
     "feature mean NaN": _edit_array("cluster_feature_means", value=np.nan),
     "no stats for a column": lambda doc: doc["schema"]["stats"].popitem(),
     "std 0": lambda doc: next(iter(doc["schema"]["stats"].values())).update(std=0.0),
+    "schema one column short": _schema_one_column_short,
 }
 
 

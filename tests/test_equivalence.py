@@ -1,12 +1,17 @@
-"""The segment-sum training step, validation hazards, per-bin ranking loss,
-blocked interpolation, blocked concordance and blocked Brier score
-against the dense oracles in ``dense_oracle``, the one scorer against the
-per-event composition it replaced, plus the memory bounds of the step, the
-concordance and the scorer.
+"""The segment-sum training step, blocked kernel backward, validation
+hazards, per-bin ranking loss, blocked interpolation, blocked concordance
+and blocked Brier score against the dense oracles in ``dense_oracle``, the
+one scorer against the per-event composition it replaced, plus the memory
+bounds of the step, the kernel backward, the concordance and the scorer.
 
 Random cohorts come from hypothesis under the suite's derandomized profile
 (``conftest.py``), so every run draws the same examples.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +40,7 @@ from kernelaj.embedding import (
     embed_batch,
     flatten_grads,
     kernel_matrix,
+    kernel_matrix_backward,
     pairwise_sq_dists,
 )
 from kernelaj.errors import NoComparablePairs, ShapeMismatch
@@ -182,6 +188,62 @@ class TestStepBuffers:
         _, peak = traced_peak(lambda: total_loss_and_grad(params, X, kappa, delta, m, L,
                                                           1.0, 1.0, buffer))
         assert peak < B * B * 8
+
+
+# Growth, in KiB, of the peak RSS (ru_maxrss) of one kernel backward of a
+# 1024 x 1024 P, in a fresh process whose one large array is P. Linux carries
+# a parent's peak into ru_maxrss across exec, so a child of the test process
+# reads its own pages' peak, VmHWM, instead.
+_BACKWARD_RSS_PROBE = """
+import numpy as np
+from kernelaj.embedding import kernel_matrix_backward
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+rng = np.random.default_rng(0)
+E = rng.normal(size=(1024, 16))
+P = rng.normal(size=(1024, 1024))
+kernel_matrix_backward(E[:64], P[:64, :64].copy())      # BLAS threads started
+before = peak_kib()
+kernel_matrix_backward(E, P)
+print(peak_kib() - before)
+"""
+
+
+def _numpy_blas():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return "unknown"
+
+
+class TestKernelBackward:
+    """The kernel backward's fixed-shape products against the two GEMMs over
+    the whole of P that they replaced."""
+
+    @pytest.mark.parametrize("n", [2, 15, 16, 17, 255, 256, 257, 1024])
+    def test_matches_two_gemm_oracle(self, n):
+        rng = np.random.default_rng(n)
+        E = rng.normal(size=(n, 8))
+        P = rng.normal(size=(n, n)) * kernel_matrix(E)
+        got = kernel_matrix_backward(E, P.copy())
+        assert relative_error(got, oracle.kernel_matrix_backward(E, P.copy())) < 1e-12
+        assert_array_equal(kernel_matrix_backward(E, P.copy()), got)
+
+    @pytest.mark.skipif("openblas" not in _numpy_blas() or sys.platform != "linux",
+                        reason="needs numpy on OpenBLAS, and Linux's /proc")
+    def test_leaves_no_packing_buffers_that_grow_with_p(self):
+        # two GEMMs over all of P raised the peak by 4.5-4.7 MB, mostly
+        # OpenBLAS packing buffers (OpenBLAS 0.3.31, 2 threads); the blocked
+        # products raise it by 1.3-1.4 MB
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", _BACKWARD_RSS_PROBE], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert int(out.stdout) < 2 * 1024
 
 
 class TestValidationHazards:
