@@ -17,7 +17,8 @@ leave-one-out, by plain gradient descent: dLoss/dpsi is chained through the
 step's num/den rule to D and N, then through W and the parameterization.
 Initialization reproduces the raw counts up to a 1e-12 floor that guards
 log(0). The epochs run through training's loop and update,
-:func:`training.descend`: each is one full-batch step, then training's
+:func:`training.descend`: each is one step on every training row's gradient
+(in row blocks at alpha = 1, :func:`sft_loss_and_grad`), then training's
 validation criterion (:func:`training.table_criterion`, so with the same
 criterion and alpha the raw tables score training's best value), stopped by
 its :class:`training.TrainingLog`. The tuned tables become the model's
@@ -47,6 +48,7 @@ from .training import (  # noqa: F401 (sft_objective_from_tables is named here t
 )
 
 INIT_FLOOR = 1e-12
+SFT_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def sft_counts(params: SftParams):
 
 
 def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
-                      alpha: float = 1.0, sigma: float = 1.0, buffers=None):
+                      alpha: float = 1.0, sigma: float = 1.0):
     """Loss plus exact gradients w.r.t. every fine-tuning parameter.
 
     The loss and dLoss/dpsi come from the training step's objective; the
@@ -106,27 +108,43 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
     domega_baseline)).
 
     A subject with an all-zero weight row is fitted on the pooled tables
-    (:func:`model.fallback_weights`). ``buffers`` is an optional (2m + 1, n,
-    L) array for psi (m planes), dLoss/dpsi (m planes) and 1/N, n counting
-    every subject (``fine_tune_summaries`` allocates it once); the results
-    do not depend on it.
+    (:func:`model.fallback_weights`). At alpha = 1, a mean over rows, the
+    rows run in blocks of ``SFT_BLOCK_ROWS``, each weighted by its share of
+    the rows, so the working planes are (2m + 1, SFT_BLOCK_ROWS, L); the
+    ranking term couples every pair of rows, so at alpha < 1 the one block
+    is the cohort. A label outside 0 <= delta <= m, 0 <= kappa <= L, or an
+    event at kappa 0, raises ValueError naming its row.
     """
-    W, _ = fallback_weights(weights)
+    weights = np.asarray(weights, np.float64)
     kap, dl = np.asarray(kappa, np.int64), np.asarray(delta, np.int64)
     d_prime, n_prime = sft_counts(params)
     _, L, m = d_prime.shape
-    shape = (2 * m + 1, kap.size, L)
-    if buffers is None:
-        buffers = np.empty(shape)
-    if buffers.shape != shape:
-        raise ShapeMismatch(f"fine-tuning buffers must have shape {shape}")
-    _, _, psi, inv_N = weighted_hazards((d_prime, n_prime), W, buffers[:m], buffers[2 * m])
-    loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma, out=buffers[m:2 * m])
-    # psi is read for the last time here, so dnum * psi overwrites it
-    dD, dN = _ratio_backward(dpsi, psi, inv_N, scratch=psi)
+    n = weights.shape[0]
+    if kap.shape != (n,) or dl.shape != (n,):
+        raise ValueError(f"kappa and delta must have shape ({n},)")
+    loss, dD_total, dN_total = 0.0, np.zeros((m, *n_prime.shape)), np.zeros(n_prime.shape)
+    size = SFT_BLOCK_ROWS if alpha == 1.0 else n
+    planes = np.empty((2 * m + 1, min(size, n), L))  # psi, dLoss/dpsi and 1/N
+    for start in range(0, n, size):
+        rows = slice(start, start + size)
+        k, d = kap[rows], dl[rows]
+        bad = np.flatnonzero((d < 0) | (d > m) | (k < 0) | (k > L) | ((k < 1) & (d != 0)))
+        if bad.size:
+            raise ValueError(f"row {start + bad[0]}: kappa {k[bad[0]]} and delta {d[bad[0]]} "
+                             f"are not a label on {L} bins and {m} event types")
+        W, _ = fallback_weights(weights[rows])
+        block = planes[:, :W.shape[0]]
+        _, _, psi, inv_N = weighted_hazards((d_prime, n_prime), W, block[:m], block[2 * m])
+        value, dpsi = objective_and_dpsi(psi, k, d, alpha, sigma, out=block[m:2 * m])
+        loss += value * (W.shape[0] / n)
+        dpsi *= W.shape[0] / n
+        # psi is read for the last time here, so dnum * psi overwrites it
+        dD, dN = _ratio_backward(dpsi, psi, inv_N, scratch=psi)
+        dD_total += W.T @ dD
+        dN_total += W.T @ dN
 
-    dd_prime = (W.T @ dD).transpose(1, 2, 0)         # (Q, L, m)
-    dc_prime = np.cumsum(W.T @ dN, axis=1)           # n' is a reversed cumsum
+    dd_prime = dD_total.transpose(1, 2, 0)           # (Q, L, m)
+    dc_prime = np.cumsum(dN_total, axis=1)           # n' is a reversed cumsum
     dd_prime += dc_prime[:, :, None]
     grads = (
         dd_prime * np.exp(params.gamma),
@@ -148,7 +166,8 @@ class SftResult:
 def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig,
                         valid_scorer: Scorer = None):
     """Gradient descent on the summary tables with validation backtracking;
-    each epoch is one step of :func:`training.descend`'s update.
+    each epoch is one step of :func:`training.descend`'s update on the
+    gradient of :func:`sft_loss_and_grad`, in row blocks at alpha = 1.
 
     Returns (model', SftResult). The tuned tables are installed as
     ``sft_tables`` only when the validation criterion strictly improves over
@@ -163,7 +182,6 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     W_valid = frozen_subject_weights(model.params, model.clusters, valid.features)
     _, kappa_tr = breslow_preprocess(train, model.grid)
     valid_scorer = valid_scorer or criterion_scorer(criterion, train, valid, model.grid)
-    buffers = np.empty((2 * model.m + 1, train.n, len(model.grid)))
     value = table_criterion(criterion, valid, model.grid, valid_scorer,
                             config.alpha, config.sigma)
 
@@ -182,7 +200,7 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
 
     def epoch(params, step):
         loss, grads = sft_loss_and_grad(params, W_train, kappa_tr, train.event,
-                                        config.alpha, config.sigma, buffers)
+                                        config.alpha, config.sigma)
         arrays = (params.gamma, params.gamma_baseline, params.omega, params.omega_baseline)
         return SftParams(*step(arrays, grads)), loss
 

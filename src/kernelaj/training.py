@@ -82,6 +82,10 @@ resident, and a GEMM over all of P raised the fit's peak RSS by about 3 MB
 more at B = 1024. The criterion's arrays grow with n_valid * Q, not with
 n_valid * n_train.
 
+At alpha < 1 the ranking keeps F, whose array becomes dF and then its dpsi,
+S_prev, u and one (n, L) plane A; S is dropped at once, so its peak is that
+of ``core.cif_from_hazards``: 3.5 (m, n, L) planes at m = 2.
+
 Leave-one-out sums run over the current minibatch only, so batch composition
 affects the loss; shuffling is seeded and the loop is deterministic. All
 gradients are exact hand-derived reverse-mode; finite differences are used
@@ -90,6 +94,7 @@ only as a test oracle.
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -261,20 +266,22 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     carries the factor ``scale`` (the loss value does not). Each event type
     with an event in the batch adds sum(B * T[bins]) / n^2, from A, B and T
     of the module docstring; the backward pass is one reverse pass over the
-    bins, and dpsi takes dF's array, a bin at a time, once the pass has read
-    that bin.
+    bins. dF takes F's array, since event d's plane of F is last read by its
+    own terms (an event type with no rows zeroes its plane), and dpsi takes
+    dF's array, a bin at a time, once the pass has read that bin.
     """
     m, n, L = psi.shape
     kappa = np.asarray(kappa, dtype=np.int64)
     delta = np.asarray(delta, dtype=np.int64)
-    F, _, S_prev, u = cif_from_hazards(psi)
-    dF = np.zeros_like(F)
+    F, S_prev, u = itemgetter(0, 2, 3)(cif_from_hazards(psi))
+    dF = F
     rank = 0.0
     c = scale / (n * n * sigma)
     later = kappa[:, None] > np.arange(1, L + 1)[None, :]   # kappa_j > l + 1
     for d in range(m):
         rows = np.flatnonzero(delta == d + 1)
         if rows.size == 0:
+            dF[d] = 0.0
             continue
         bins = kappa[rows] - 1
         A = np.where(later, F[d], -np.inf)
@@ -286,7 +293,7 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
         B = np.exp((shift[bins] - F[d][rows, bins]) / sigma)
         BT = B * A.sum(axis=0)[bins]
         rank += BT.sum() / (n * n)
-        dF[d] = A * (c * np.bincount(bins, weights=B, minlength=L))
+        np.multiply(A, c * np.bincount(bins, weights=B, minlength=L), out=dF[d])
         dF[d, rows, bins] -= c * BT
     dA, g = np.zeros((m, n)), np.zeros(n)
     for a in range(L - 1, -1, -1):

@@ -1,13 +1,13 @@
 """The dense one-hot training step, two-GEMM kernel backward, validation
 hazards, scalar Brier score, CIF recursion, NLL, pairwise ranking loss,
 n x n concordance risk matrix, per-anchor concordance loop, hand-derived
-fine-tuning objective, hand-written criterion checks, stopping rule,
-list-stacking epsilon-net, sorted-time counts, per-cluster loops,
-difference-based neighbor search, ``np.where`` exemplar weights, row-loop
-cumulative-product backward and per-cell CSV reader and writer that
-``kernelaj`` replaced, plus the scalar kernel, the fine-tuning objective of
-parameters and the synthetic generator's closed-form CIF
-(:func:`oracle_cif`), which only tests use. The cumulative-product backward
+fine-tuning objective, whole-cohort fine-tuning gradient, hand-written
+criterion checks, stopping rule, list-stacking epsilon-net, sorted-time
+counts, per-cluster loops, difference-based neighbor search, ``np.where``
+exemplar weights, row-loop cumulative-product backward and per-cell CSV
+reader and writer that ``kernelaj`` replaced, plus the scalar kernel, the
+fine-tuning objective of parameters and the synthetic generator's
+closed-form CIF (:func:`oracle_cif`), which only tests use. The cumulative-product backward
 is the oracle's own route through the survival product in its dense ranking
 backward (``ranking_value_and_dpsi``): a reverse cumulative sum divided by
 the factors, with a loop over the rows holding a zero factor, where
@@ -25,14 +25,17 @@ recursion leaves 1 - sum(h) unfloored, the NLL builds its own at-risk mask,
 the ranking loss and its backward pass read dense n x n matrices of
 pairwise CIF lookups, the kernel backward multiplies the whole n x n P by
 the augmented embeddings in two GEMMs, the fine-tuning objective derives
-its likelihood and gradient by hand, the cumulative-product backward loops
+its likelihood and gradient by hand, the fine-tuning gradient holds the
+hazards of every training row at once, the cumulative-product backward loops
 over the rows with a zero factor, and the CSV reader and writer handle one
 cell at a time through ``csv.DictReader`` and ``csv.writer`` (the reader's
 event check also rejects nan, infinite and out-of-int64 cells, as the
 package does). Only the shared building blocks that did not change (the
 network, the floored CIF recursion, the reverse cumulative sum, the at-risk
-mask, the fixed-block distances, curve interpolation and the fine-tuning
-table parameterization) are imported from the package.
+mask, the fixed-block distances, curve interpolation, the fine-tuning
+table parameterization, and the objective, weighted hazards and ratio
+backward that the whole-cohort fine-tuning gradient chains) are imported
+from the package.
 """
 
 import csv
@@ -54,7 +57,8 @@ from kernelaj.errors import (
 )
 from kernelaj.metrics import BrierResult, build_eval_grid, interpolate_curves
 from kernelaj.finetune import sft_counts, sft_objective_from_tables
-from kernelaj.training import PSI_CLAMP, _at_risk
+from kernelaj.model import fallback_weights, weighted_hazards
+from kernelaj.training import PSI_CLAMP, _at_risk, _ratio_backward, objective_and_dpsi
 
 
 def _cif_from_psi(psi):
@@ -484,6 +488,29 @@ def _sft_objective(params, weights, kappa, delta, alpha, sigma, want_grad):
         (dc_prime * np.exp(params.omega_baseline)[None, :]).sum(axis=0),
     )
     return loss, grads
+
+
+def sft_loss_and_grad(params, weights, kappa, delta, alpha=1.0, sigma=1.0):
+    """``finetune.sft_loss_and_grad`` over the whole cohort at once: one
+    (2m + 1, n, L) array holds psi, dLoss/dpsi and 1/N of every row, and the
+    loss and dLoss/dpsi are the objective's mean over all n rows."""
+    W, _ = fallback_weights(weights)
+    kap, dl = np.asarray(kappa, np.int64), np.asarray(delta, np.int64)
+    d_prime, n_prime = sft_counts(params)
+    _, L, m = d_prime.shape
+    planes = np.empty((2 * m + 1, kap.size, L))
+    _, _, psi, inv_N = weighted_hazards((d_prime, n_prime), W, planes[:m], planes[2 * m])
+    loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma, out=planes[m:2 * m])
+    dD, dN = _ratio_backward(dpsi, psi, inv_N, scratch=psi)
+    dd_prime = (W.T @ dD).transpose(1, 2, 0)         # (Q, L, m)
+    dc_prime = np.cumsum(W.T @ dN, axis=1)           # n' is a reversed cumsum
+    dd_prime += dc_prime[:, :, None]
+    return loss, (
+        dd_prime * np.exp(params.gamma),
+        (dd_prime * np.exp(params.gamma_baseline)[None, :, :]).sum(axis=0),
+        dc_prime * np.exp(params.omega),
+        (dc_prime * np.exp(params.omega_baseline)[None, :]).sum(axis=0),
+    )
 
 
 def kernel(e1, e2) -> float:

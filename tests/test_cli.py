@@ -2,6 +2,7 @@
 round-tripping, determinism, and error reporting."""
 
 import csv
+import ctypes
 import json
 import os
 import subprocess
@@ -82,6 +83,33 @@ def cohort_csv(path, n, seed, edit=None):
     return path
 
 
+def openblas_core():
+    """The CPU kernel of numpy's OpenBLAS, read through ctypes, or None
+    unless numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return None
+    try:
+        corename = ctypes.CDLL(np._core._multiarray_umath.__file__) \
+            .scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def fit_in_subprocess(config_path, **env):
+    """Run ``kernelaj fit --config config_path`` in a fresh interpreter, with
+    ``env`` added to the environment, and require exit 0."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from kernelaj.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "fit", "--config", str(config_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
 def compact_records(records):
     """The bytes explain --data writes for ``records``: a JSON array with one
     compact, key-sorted record per line."""
@@ -160,18 +188,36 @@ class TestFit:
             tmp_path, cohort_csv(tmp_path / "train.csv", 900, 1),
             training={"batch_size": 512, "max_epochs": 2, "patience": 2,
                       "num_time_steps": 32})
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
         models = []
         for threads in ("1", "2"):
-            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            done = subprocess.run(
-                [sys.executable, "-c", "import sys; from kernelaj.cli import main; "
-                 "sys.exit(main(sys.argv[1:]))", "fit", "--config", str(config_path)],
-                env=env, capture_output=True, text=True, timeout=300)
-            assert done.returncode == 0, done.stderr[-2000:]
+            fit_in_subprocess(config_path, OPENBLAS_NUM_THREADS=threads,
+                              OMP_NUM_THREADS=threads)
             models.append((tmp_path / "out" / "model.json").read_bytes())
         assert models[0] == models[1]
+
+    def test_fit_holds_on_another_blas_kernel(self, tmp_path):
+        # OpenBLAS picks its CPU kernel at run time, and kernels round
+        # differently: the bytes may differ, the clusters and predictions not
+        core = openblas_core()
+        if core in (None, "Haswell"):
+            pytest.skip(f"needs a DYNAMIC_ARCH OpenBLAS not on Haswell (core: {core})")
+        config_path, _ = write_config(
+            tmp_path, cohort_csv(tmp_path / "train.csv", 400, 1),
+            training={"batch_size": 128, "max_epochs": 2, "patience": 2,
+                      "num_time_steps": 16})
+        models = []
+        for name, coretype in (("default", core), ("haswell", "Haswell")):
+            fit_in_subprocess(config_path, OPENBLAS_CORETYPE=coretype)
+            models.append(load_model((tmp_path / "out" / "model.json").rename(
+                tmp_path / f"{name}.json"))[0])
+        a, b = (model.clusters for model in models)
+        assert a.num_clusters == b.num_clusters
+        assert np.array_equal(a.exemplar_ids, b.exemplar_ids)
+        assert np.array_equal(a.assignments, b.assignments)
+        probe = np.random.default_rng(0).normal(size=(200, 3))
+        for got, want in zip(predict_cif_grid(models[1], probe)[:2],
+                             predict_cif_grid(models[0], probe)[:2]):
+            assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_missing_train_path_exit_2(self, tmp_path, train_csv, capsys):
         config_path, _ = write_config(

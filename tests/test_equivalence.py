@@ -348,6 +348,14 @@ class TestRankingForward:
                                                              scale=0.5))
         assert peak < 6 * psi.nbytes < n * n * 8
 
+    def test_backward_peak_below_four_hazard_tensors(self):
+        # dF takes F's array and S is dropped, so the peak is the CIF
+        # recursion's own: 3.5 hazard tensors at m = 2
+        psi, kappa, delta = self.large_batch(n=1024)
+        _, peak = traced_peak(lambda: ranking_value_and_dpsi(psi, kappa, delta, 0.5,
+                                                             scale=0.5))
+        assert peak < 4 * psi.nbytes
+
     @staticmethod
     def criterion_problem(criterion, n_train, q, alpha):
         """The arguments of ``criterion``'s ``_evaluate_criterion`` on a

@@ -31,10 +31,14 @@ from kernelaj import (
 )
 from kernelaj import cli, training
 from kernelaj.core import label_codes
-from kernelaj.finetune import SftParams, frozen_subject_weights, sft_objective_from_tables
+from kernelaj.finetune import (
+    SFT_BLOCK_ROWS,
+    SftParams,
+    frozen_subject_weights,
+    sft_objective_from_tables,
+)
 from kernelaj.model import KernelAJModel
 from kernelaj.embedding import MlpParams, embed_batch
-from kernelaj.errors import ShapeMismatch
 
 FLOOR = 1e-12
 
@@ -266,44 +270,106 @@ class TestOracle:
             assert relative_error(grad, fd) <= 1e-5, k
 
 
+def random_sft_problem(n, Q=4, L=5, m=2, seed=0):
+    """(params, weights, kappa, delta): random tables, and n rows of
+    positive weights and valid labels."""
+    rng = np.random.default_rng(seed)
+    params = SftParams(rng.normal(0.0, 1.0, (Q, L, m)), rng.normal(-1.0, 1.0, (L, m)),
+                       rng.normal(0.0, 1.0, (Q, L)), rng.normal(-1.0, 1.0, L))
+    W = rng.uniform(0.0, 1.0, (n, Q))
+    kappa = rng.integers(0, L + 1, n)
+    return params, W, kappa, np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
+
+
+def blocked_problem(n):
+    """:func:`random_sft_problem` of n rows in which row 0 has no exemplar
+    within tau and the second block, rows 256-511, is all censored."""
+    params, W, kappa, delta = random_sft_problem(n)
+    W[0] = 0.0
+    delta[SFT_BLOCK_ROWS:2 * SFT_BLOCK_ROWS] = 0
+    return params, W, kappa, delta
+
+
+class TestRowBlocks:
+    """Fine-tuning in row blocks of ``SFT_BLOCK_ROWS`` against the
+    whole-cohort oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 529])
+    def test_matches_whole_cohort_oracle(self, n):
+        problem = blocked_problem(n)
+        loss, grads = sft_loss_and_grad(*problem, 1.0, 0.7)
+        want_loss, want_grads = oracle.sft_loss_and_grad(*problem, 1.0, 0.7)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for got, want in zip(grads, want_grads):
+            assert relative_error(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 257, 529])
+    def test_bit_equal_to_oracle_below_alpha_one(self, n):
+        # the ranking term couples every pair of rows: one block, the cohort
+        problem = blocked_problem(n)
+        loss, grads = sft_loss_and_grad(*problem, 0.5, 0.7)
+        want_loss, want_grads = oracle.sft_loss_and_grad(*problem, 0.5, 0.7)
+        assert loss == want_loss
+        for got, want in zip(grads, want_grads):
+            assert_array_equal(got, want)
+
+
+class TestLabels:
+    """Labels that the objective cannot score are rejected, naming the row."""
+
+    @pytest.mark.parametrize("kappa, delta", [(0, 1), (6, 0), (3, -1), (3, 3), (-1, 0)])
+    def test_bad_label_names_its_row(self, kappa, delta):
+        params, W, kap, dl = blocked_problem(6)
+        kap[3], dl[3] = kappa, delta
+        with pytest.raises(ValueError, match=r"^row 3: "):
+            sft_loss_and_grad(params, W, kap, dl)
+
+    def test_first_bad_row_in_a_later_block(self):
+        params, W, kap, dl = blocked_problem(600)
+        kap[[300, 520]], dl[[300, 520]] = 0, 2
+        with pytest.raises(ValueError, match=r"^row 300: "):
+            sft_loss_and_grad(params, W, kap, dl)
+
+    def test_label_shapes_must_match_the_weights(self):
+        params, W, kap, dl = blocked_problem(6)
+        for bad in ((kap[:5], dl), (kap, dl[:, None])):
+            with pytest.raises(ValueError, match=r"must have shape \(6,\)"):
+                sft_loss_and_grad(params, W, *bad)
+
+    def test_edge_labels_accepted(self):
+        # kappa 0 censored, kappa L, delta 0 and delta m are all labels
+        params, W, kap, dl = blocked_problem(6)
+        kap[:4], dl[:4] = (0, 5, 5, 1), (0, 2, 0, 2)
+        loss, _ = sft_loss_and_grad(params, W, kap, dl)
+        assert np.isfinite(loss)
+
+
 class TestBuffers:
-    """Fine-tuning with the per-fit buffers of ``fine_tune_summaries``."""
+    """The working planes of fine-tuning: fresh per call, none read stale,
+    and none that grows with the rows at alpha = 1."""
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     @settings(max_examples=40)
     @given(problem=sft_problems())
-    def test_bit_equal_without_buffers(self, alpha, problem):
-        # NaN-filled buffers, used twice, show that no stale element is read
+    def test_bit_equal_from_call_to_call(self, alpha, problem):
+        # NaN-filled planes freed before each call show that no stale
+        # element is read
         params, W, kappa, delta = problem
         Q, L, m = params.gamma.shape
-        buffers = np.full((2 * m + 1, kappa.size, L), np.nan)
         want_loss, want_grads = sft_loss_and_grad(params, W, kappa, delta, alpha, 0.7)
         for _ in range(2):
-            loss, grads = sft_loss_and_grad(params, W, kappa, delta, alpha, 0.7, buffers)
+            np.full((2 * m + 1, kappa.size, L), np.nan)     # freed at once
+            loss, grads = sft_loss_and_grad(params, W, kappa, delta, alpha, 0.7)
             assert loss == want_loss
             for got, want in zip(grads, want_grads):
                 assert_array_equal(got, want)
 
-    def test_wrong_buffer_shape_rejected(self):
-        clusters, pre, grid, _ = d0_single_cluster()
-        _, kappa = breslow_preprocess(pre, grid)
-        W = np.ones((pre.n, 1))
-        with pytest.raises(ShapeMismatch):
-            sft_loss_and_grad(init_sft_params(clusters), W, kappa, pre.event,
-                              buffers=np.empty((3, pre.m, pre.n + 1, len(grid))))
-
     def test_epoch_allocates_less_than_one_table(self):
         n, Q, L, m = 4800, 38, 64, 2
-        rng = np.random.default_rng(3)
-        params = SftParams(rng.normal(0.0, 1.0, (Q, L, m)), rng.normal(-1.0, 1.0, (L, m)),
-                           rng.normal(0.0, 1.0, (Q, L)), rng.normal(-1.0, 1.0, L))
-        W = rng.uniform(0.0, 1.0, (n, Q))
-        kappa = rng.integers(0, L + 1, n)
-        delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
-        buffers = np.empty((2 * m + 1, n, L))
+        params, W, kappa, delta = random_sft_problem(n, Q, L, m, seed=3)
 
         def epoch():
-            loss, grads = sft_loss_and_grad(params, W, kappa, delta, 1.0, 1.0, buffers)
+            loss, grads = sft_loss_and_grad(params, W, kappa, delta, 1.0, 1.0)
             arrays = (params.gamma, params.gamma_baseline, params.omega, params.omega_baseline)
             sft_counts(SftParams(*(a - 0.01 * g for a, g in zip(arrays, grads))))
             return loss
@@ -311,6 +377,15 @@ class TestBuffers:
         loss, peak = traced_peak(epoch)
         assert np.isfinite(loss)
         assert peak < m * n * L * 8
+
+    def test_peak_does_not_grow_with_rows(self):
+        # at alpha = 1 every array but the inputs has at most SFT_BLOCK_ROWS
+        # rows; the whole-cohort planes grew by 9 MiB from 512 to 4,096 rows
+        peaks = []
+        for n in (512, 4096):
+            problem = random_sft_problem(n, Q=40, L=64, m=2)
+            peaks.append(traced_peak(lambda: sft_loss_and_grad(*problem, 1.0, 1.0))[1])
+        assert peaks[1] - peaks[0] < 0.25 * 2**20
 
 
 class TestFineTune:
