@@ -40,6 +40,7 @@ from .training import (  # noqa: F401 (sft_objective_from_tables is named here t
     TrainConfig,
     TrainingLog,
     _ratio_backward,
+    check_labels,
     criterion_scorer,
     descend,
     objective_and_dpsi,
@@ -112,26 +113,20 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
     rows run in blocks of ``SFT_BLOCK_ROWS``, each weighted by its share of
     the rows, so the working planes are (2m + 1, SFT_BLOCK_ROWS, L); the
     ranking term couples every pair of rows, so at alpha < 1 the one block
-    is the cohort. A label outside 0 <= delta <= m, 0 <= kappa <= L, or an
-    event at kappa 0, raises ValueError naming its row.
+    is the cohort. A bad label raises ValueError naming its row
+    (:func:`training.check_labels`).
     """
     weights = np.asarray(weights, np.float64)
-    kap, dl = np.asarray(kappa, np.int64), np.asarray(delta, np.int64)
     d_prime, n_prime = sft_counts(params)
     _, L, m = d_prime.shape
     n = weights.shape[0]
-    if kap.shape != (n,) or dl.shape != (n,):
-        raise ValueError(f"kappa and delta must have shape ({n},)")
+    kap, dl = check_labels(kappa, delta, n, m, L)
     loss, dD_total, dN_total = 0.0, np.zeros((m, *n_prime.shape)), np.zeros(n_prime.shape)
     size = SFT_BLOCK_ROWS if alpha == 1.0 else n
     planes = np.empty((2 * m + 1, min(size, n), L))  # psi, dLoss/dpsi and 1/N
     for start in range(0, n, size):
         rows = slice(start, start + size)
         k, d = kap[rows], dl[rows]
-        bad = np.flatnonzero((d < 0) | (d > m) | (k < 0) | (k > L) | ((k < 1) & (d != 0)))
-        if bad.size:
-            raise ValueError(f"row {start + bad[0]}: kappa {k[bad[0]]} and delta {d[bad[0]]} "
-                             f"are not a label on {L} bins and {m} event types")
         W, _ = fallback_weights(weights[rows])
         block = planes[:, :W.shape[0]]
         _, _, psi, inv_N = weighted_hazards((d_prime, n_prime), W, block[:m], block[2 * m])

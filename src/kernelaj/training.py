@@ -82,9 +82,9 @@ resident, and a GEMM over all of P raised the fit's peak RSS by about 3 MB
 more at B = 1024. The criterion's arrays grow with n_valid * Q, not with
 n_valid * n_train.
 
-At alpha < 1 the ranking keeps F, whose array becomes dF and then its dpsi,
-S_prev, u and one (n, L) plane A; S is dropped at once, so its peak is that
-of ``core.cif_from_hazards``: 3.5 (m, n, L) planes at m = 2.
+At alpha < 1 the objective holds F (m, n, L), S_prev and u (n, L), filled
+``RANK_BLOCK_ROWS`` rows at a time: 2.3 (m, n, L) planes above its inputs at
+m = 2, where separate NLL, A and ranking planes over one recursion held 5.0.
 
 Leave-one-out sums run over the current minibatch only, so batch composition
 affects the loss; shuffling is seeded and the loop is deterministic. All
@@ -94,7 +94,6 @@ only as a test oracle.
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -127,6 +126,7 @@ from .model import _curves_from_weights, fallback_weights, weighted_hazards
 PSI_CLAMP = 1e-12
 MAX_TIME_STEPS = 512
 GATHER_BLOCK_ROWS = 64
+RANK_BLOCK_ROWS = 64
 
 _CRITERIA = ("objective", "ibs", "ctd")
 
@@ -221,12 +221,27 @@ def code_groups(kappa, delta, m) -> CodeGroups:
     return CodeGroups(order, starts, code[starts] // (m + 1), code[starts] % (m + 1))
 
 
+def check_labels(kappa, delta, n, m, L):
+    """(kappa, delta) of n rows as int64 arrays; a label outside 0 <= delta <= m,
+    0 <= kappa <= L, or an event at kappa 0, raises ValueError naming its row."""
+    kappa, delta = np.asarray(kappa, np.int64), np.asarray(delta, np.int64)
+    if kappa.shape != (n,) or delta.shape != (n,):
+        raise ValueError(f"kappa and delta must have shape ({n},)")
+    bad = np.flatnonzero((delta < 0) | (delta > m) | (kappa < (delta != 0)) | (kappa > L))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: kappa {kappa[bad[0]]} and delta {delta[bad[0]]} "
+                         f"are not a label on {L} bins and {m} event types")
+    return kappa, delta
+
+
 def objective_and_dpsi(psi, kappa, delta, alpha, sigma, out=None):
     """The training objective alpha * NLL + (1 - alpha) * ranking of a hazard
     tensor psi (m, n, L) and its gradient dLoss/dpsi. An own-event hazard at
     or below ``PSI_CLAMP`` enters the NLL clamped and gets no gradient from
     its log. ``out``, an optional array shaped like psi, serves as the NLL's
-    scratch and then receives dLoss/dpsi."""
+    scratch and, at alpha = 1, then receives dLoss/dpsi. At alpha < 1 the
+    NLL's gradient is added into the ranking's, own-event cells last, so each
+    cell is the sum nll + ranking of two separate planes (module docstring)."""
     m, n, L = psi.shape
     at_risk = _at_risk(kappa, L)
     unc = np.flatnonzero(delta != 0)
@@ -234,18 +249,22 @@ def objective_and_dpsi(psi, kappa, delta, alpha, sigma, out=None):
     log_total = np.log(np.clip(own, PSI_CLAMP, 1.0)).sum()
     hazard_total = np.multiply(psi, at_risk[None, :, :], out=out).sum()
     nll = float(-(log_total - hazard_total) / n)
-    dpsi = np.divide(at_risk[None, :, :], n,
-                     out=np.empty_like(psi) if out is None else out)
     live = own > PSI_CLAMP
     idx = unc[live]
-    dpsi[delta[idx] - 1, idx, kappa[idx] - 1] -= 1.0 / (n * own[live])
-    dpsi *= alpha
+    cells = delta[idx] - 1, idx, kappa[idx] - 1
 
     rank = 0.0
-    if alpha < 1.0:
-        rank, dpsi_rank = ranking_value_and_dpsi(psi, kappa, delta, sigma,
-                                                 scale=1.0 - alpha)
-        dpsi += dpsi_rank
+    if alpha == 1.0:
+        dpsi = np.divide(at_risk[None, :, :], n,
+                         out=np.empty_like(psi) if out is None else out)
+        dpsi[cells] -= 1.0 / (n * own[live])
+        dpsi *= alpha
+    else:
+        del at_risk                     # rebuilt below: the ranking sets the peak
+        rank, dpsi = ranking_value_and_dpsi(psi, kappa, delta, sigma, scale=1.0 - alpha)
+        saved = dpsi[cells]
+        dpsi += _at_risk(kappa, L) / n * alpha
+        dpsi[cells] = (1.0 / n - 1.0 / (n * own[live])) * alpha + saved
     return alpha * nll + (1.0 - alpha) * rank, dpsi
 
 
@@ -266,34 +285,38 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     carries the factor ``scale`` (the loss value does not). Each event type
     with an event in the batch adds sum(B * T[bins]) / n^2, from A, B and T
     of the module docstring; the backward pass is one reverse pass over the
-    bins. dF takes F's array, since event d's plane of F is last read by its
-    own terms (an event type with no rows zeroes its plane), and dpsi takes
-    dF's array, a bin at a time, once the pass has read that bin.
+    bins. The recursion runs in ``RANK_BLOCK_ROWS``-row blocks. Event d's plane
+    of F holds its A, then its dF (an event type with no rows zeroes its
+    plane), and dpsi takes dF's array, a bin at a time, once the pass has read it.
     """
     m, n, L = psi.shape
     kappa = np.asarray(kappa, dtype=np.int64)
     delta = np.asarray(delta, dtype=np.int64)
-    F, S_prev, u = itemgetter(0, 2, 3)(cif_from_hazards(psi))
+    F, S_prev, u = np.empty_like(psi), np.empty((n, L)), np.empty((n, L))
+    for rows in (slice(s, s + RANK_BLOCK_ROWS) for s in range(0, n, RANK_BLOCK_ROWS)):
+        F[:, rows], _, S_prev[rows], u[rows] = cif_from_hazards(psi[:, rows])
     dF = F
     rank = 0.0
     c = scale / (n * n * sigma)
-    later = kappa[:, None] > np.arange(1, L + 1)[None, :]   # kappa_j > l + 1
+    gone = kappa[:, None] <= np.arange(1, L + 1)[None, :]   # not kappa_j > l + 1
     for d in range(m):
         rows = np.flatnonzero(delta == d + 1)
         if rows.size == 0:
             dF[d] = 0.0
             continue
         bins = kappa[rows] - 1
-        A = np.where(later, F[d], -np.inf)
+        own = F[d][rows, bins]                             # B reads these; A masks them
+        A = F[d]
+        A[gone] = -np.inf
         shift = A.max(axis=0)
         shift[shift == -np.inf] = 0.0                      # bins nobody outlives
         A -= shift
         A /= sigma
         np.exp(A, out=A)
-        B = np.exp((shift[bins] - F[d][rows, bins]) / sigma)
+        B = np.exp((shift[bins] - own) / sigma)
         BT = B * A.sum(axis=0)[bins]
         rank += BT.sum() / (n * n)
-        np.multiply(A, c * np.bincount(bins, weights=B, minlength=L), out=dF[d])
+        A *= c * np.bincount(bins, weights=B, minlength=L)
         dF[d, rows, bins] -= c * BT
     dA, g = np.zeros((m, n)), np.zeros(n)
     for a in range(L - 1, -1, -1):
@@ -314,11 +337,11 @@ def _block(buf, rows, cols):
 def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None):
     """Total loss of a minibatch and exact gradients for every parameter.
 
-    Returns (loss, weight_grads, bias_grads). The batch is processed in
-    (bin, event) order; loss and gradients are sums over rows, so the order
-    changes only rounding. The backward pass runs through the leave-one-out
-    hazard ratios, the survival cumulative product, the per-bin ranking
-    terms, the kernel matrix, and the network.
+    Returns (loss, weight_grads, bias_grads); a bad label raises ValueError
+    (:func:`check_labels`). The batch is processed in (bin, event) order;
+    loss and gradients are sums over rows, so the order changes only
+    rounding. The backward pass runs through the leave-one-out hazard ratios,
+    the survival product, the ranking terms, the kernel matrix, the network.
 
     The kernel W lives in ``buffer``, a C-contiguous float64 array of at
     least n * n elements (``train_embedding`` allocates one per fit);
@@ -330,11 +353,11 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None
     n = X.shape[0]
     if n < 2:
         raise ShapeMismatch("batch must contain at least 2 subjects")
+    kappa, delta = check_labels(kappa, delta, n, m, L)
     W = _block(np.empty(n * n) if buffer is None else buffer, n, n)
     groups = code_groups(kappa, delta, m)
     X = X[groups.order]
-    kappa = np.asarray(kappa, dtype=np.int64)[groups.order]
-    delta = np.asarray(delta, dtype=np.int64)[groups.order]
+    kappa, delta = kappa[groups.order], delta[groups.order]
 
     E, cache = forward_cached(params, X)
     kernel_matrix(E, out=W)
@@ -358,6 +381,7 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None
         dG[:, ev] += dnum[groups.delta[ev] - 1, rows, groups.kappa[ev] - 1].T
         # mode="clip" lets take write straight into scratch ("raise" copies)
         W[rows] *= np.take(dG, group, axis=1, mode="clip", out=scratch[:dG.shape[0]])
+    del psi, inv_N, dpsi, dnum, dden, scratch   # else the network backward sets the peak
 
     dE = kernel_matrix_backward(E, W)
     dw, db = backward(params, cache, dE)
@@ -434,8 +458,8 @@ def criterion_scorer(criterion, train: Cohort, valid: Cohort,
 def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
                               alpha: float = 1.0, sigma: float = 1.0) -> float:
     """The training objective of given count tables (no leave-one-out): the
-    value of :func:`objective_and_dpsi`, whose gradient goes to the buffer
-    of D and is discarded. It is the objective criterion of training and of
+    value of :func:`objective_and_dpsi` on psi computed in D's own buffer; the
+    gradient is discarded. It is the objective criterion of training and of
     summary fine-tuning.
 
     ``weights[i, q]`` is the frozen kernel weight of subject i to exemplar q.
@@ -444,9 +468,10 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
     prediction scores it. With alpha < 1 the ranking penalty is blended in.
     """
     W, _ = fallback_weights(weights)
-    D, _, psi, _ = weighted_hazards((d_tables, n_tables), W)
+    psi = np.empty((d_tables.shape[2], W.shape[0], n_tables.shape[1]))
+    weighted_hazards((d_tables, n_tables), W, psi_out=psi)
     return objective_and_dpsi(psi, np.asarray(kappa, np.int64), np.asarray(delta, np.int64),
-                              alpha, sigma, out=D)[0]
+                              alpha, sigma)[0]
 
 
 def table_criterion(criterion, valid: Cohort, grid: EventTimeGrid, valid_scorer: Scorer,

@@ -1,7 +1,9 @@
 """The dense one-hot training step, two-GEMM kernel backward, validation
 hazards, scalar Brier score, CIF recursion, NLL, pairwise ranking loss,
 n x n concordance risk matrix, per-anchor concordance loop, hand-derived
-fine-tuning objective, whole-cohort fine-tuning gradient, hand-written
+fine-tuning objective, whole-cohort fine-tuning gradient, whole-batch
+ranking recursion with its separate exponential plane, objective summed
+from separate NLL and ranking planes, hand-written
 criterion checks, stopping rule, list-stacking epsilon-net, sorted-time
 counts, per-cluster loops, difference-based neighbor search, ``np.where``
 exemplar weights, row-loop cumulative-product backward and per-cell CSV
@@ -26,7 +28,10 @@ the ranking loss and its backward pass read dense n x n matrices of
 pairwise CIF lookups, the kernel backward multiplies the whole n x n P by
 the augmented embeddings in two GEMMs, the fine-tuning objective derives
 its likelihood and gradient by hand, the fine-tuning gradient holds the
-hazards of every training row at once, the cumulative-product backward loops
+hazards of every training row at once, the whole-batch ranking runs the
+recursion over every row at once and keeps its exponentials in a plane of
+their own, the objective sums a separate NLL gradient plane and ranking
+gradient plane, the cumulative-product backward loops
 over the rows with a zero factor, and the CSV reader and writer handle one
 cell at a time through ``csv.DictReader`` and ``csv.writer`` (the reader's
 event check also rejects nan, infinite and out-of-int64 cells, as the
@@ -166,6 +171,69 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     du = cumprod_backward(u, S, dS)
     dpsi += (-du)[None, :, :]
     return float(rank), dpsi
+
+
+def whole_batch_ranking(psi, kappa, delta, sigma, scale):
+    """``training.ranking_value_and_dpsi`` with the whole-batch recursion:
+    one ``cif_from_hazards`` call over every row, and a separate (n, L)
+    plane A per event type, as the package ran it before its recursion went
+    to row blocks and A to F's own plane. Bit for bit the package's."""
+    m, n, L = psi.shape
+    kappa = np.asarray(kappa, dtype=np.int64)
+    delta = np.asarray(delta, dtype=np.int64)
+    F, _, S_prev, u = cif_from_hazards(psi)
+    dF = F
+    rank = 0.0
+    c = scale / (n * n * sigma)
+    later = kappa[:, None] > np.arange(1, L + 1)[None, :]   # kappa_j > l + 1
+    for d in range(m):
+        rows = np.flatnonzero(delta == d + 1)
+        if rows.size == 0:
+            dF[d] = 0.0
+            continue
+        bins = kappa[rows] - 1
+        A = np.where(later, F[d], -np.inf)
+        shift = A.max(axis=0)
+        shift[shift == -np.inf] = 0.0                      # bins nobody outlives
+        A -= shift
+        A /= sigma
+        np.exp(A, out=A)
+        B = np.exp((shift[bins] - F[d][rows, bins]) / sigma)
+        BT = B * A.sum(axis=0)[bins]
+        rank += BT.sum() / (n * n)
+        np.multiply(A, c * np.bincount(bins, weights=B, minlength=L), out=dF[d])
+        dF[d, rows, bins] -= c * BT
+    dA, g = np.zeros((m, n)), np.zeros(n)
+    for a in range(L - 1, -1, -1):
+        dA += dF[:, :, a]
+        dF[:, :, a] = S_prev[:, a] * (dA - g)
+        g = (dA * psi[:, :, a]).sum(axis=0) + u[:, a] * g
+    return float(rank), dF
+
+
+def separate_planes_objective(psi, kappa, delta, alpha, sigma):
+    """``training.objective_and_dpsi`` as two planes summed: the NLL's
+    dLoss/dpsi in a plane of its own, plus :func:`whole_batch_ranking`'s,
+    as the package composed them before the NLL gradient went into the
+    ranking's plane. Bit for bit the package's."""
+    m, n, L = psi.shape
+    at_risk = _at_risk(kappa, L)
+    unc = np.flatnonzero(delta != 0)
+    own = psi[delta[unc] - 1, unc, kappa[unc] - 1]
+    log_total = np.log(np.clip(own, PSI_CLAMP, 1.0)).sum()
+    hazard_total = np.multiply(psi, at_risk[None, :, :]).sum()
+    nll = float(-(log_total - hazard_total) / n)
+    dpsi = np.divide(at_risk[None, :, :], n, out=np.empty_like(psi))
+    live = own > PSI_CLAMP
+    idx = unc[live]
+    dpsi[delta[idx] - 1, idx, kappa[idx] - 1] -= 1.0 / (n * own[live])
+    dpsi *= alpha
+
+    rank = 0.0
+    if alpha < 1.0:
+        rank, dpsi_rank = whole_batch_ranking(psi, kappa, delta, sigma, scale=1.0 - alpha)
+        dpsi += dpsi_rank
+    return alpha * nll + (1.0 - alpha) * rank, dpsi
 
 
 def risk_matrix_from_curves(curve_values, knot_times, eval_at_times) -> np.ndarray:

@@ -288,6 +288,53 @@ def _psi_batch(batch, high=0.3):
     return psi, kappa, delta
 
 
+class TestObjectiveInRankingPlanes:
+    """At alpha < 1 the objective sums the NLL's gradient into the ranking's
+    planes, and the ranking runs its recursion in row blocks and its
+    exponentials in F's planes: bit for bit the separate NLL and whole-batch
+    ranking planes of :func:`oracle.separate_planes_objective`."""
+
+    @staticmethod
+    def batch(n, m=3, L=16):
+        """psi (m, n, L) and labels with censored rows at kappa 0, no row of
+        event type m, and one own hazard below ``PSI_CLAMP``, at row n - 1."""
+        rng = np.random.default_rng(n)
+        psi = rng.uniform(0, 0.3, (m, n, L))
+        kappa = rng.integers(0, L + 1, n)
+        delta = np.where(kappa == 0, 0, rng.integers(0, m, n))
+        kappa[0], delta[0] = 0, 0
+        kappa[-1], delta[-1] = 3, 1
+        psi[0, n - 1, 2] = training.PSI_CLAMP / 2
+        return psi, kappa, delta
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 1024])
+    def test_bit_equal_to_separate_planes(self, alpha, n):
+        psi, kappa, delta = self.batch(n)
+        loss, dpsi = training.objective_and_dpsi(psi, kappa, delta, alpha, 0.3)
+        want_loss, want_dpsi = oracle.separate_planes_objective(psi, kappa, delta, alpha, 0.3)
+        assert_array_equal(loss, want_loss)
+        assert_array_equal(dpsi, want_dpsi)
+        # a sum -0.0 + 0.0 is +0.0 in either order
+        assert_array_equal(np.signbit(dpsi), np.signbit(want_dpsi))
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 1024])
+    def test_ranking_bit_equal_to_whole_batch_recursion(self, n):
+        psi, kappa, delta = self.batch(n)
+        value, dpsi = ranking_value_and_dpsi(psi, kappa, delta, 0.3, scale=0.7)
+        want_value, want_dpsi = oracle.whole_batch_ranking(psi, kappa, delta, 0.3, scale=0.7)
+        assert value == want_value
+        assert_array_equal(dpsi, want_dpsi)
+
+    def test_peak_below_two_and_a_half_hazard_tensors(self):
+        # above its inputs the objective holds F, S_prev, u and one row
+        # block's recursion: 2.28 hazard tensors at m = 2, where separate NLL
+        # and ranking planes over the whole-batch recursion held 5.02
+        psi, kappa, delta = TestRankingForward.large_batch(n=1024)
+        _, peak = traced_peak(lambda: training.objective_and_dpsi(psi, kappa, delta, 0.5, 0.5))
+        assert peak < 2.5 * psi.nbytes
+
+
 class TestRankingForward:
     """The per-bin ranking loss and its hazard gradient against the dense
     pairwise oracles, on batches whose uncensored rows all have kappa >= 1
@@ -349,8 +396,8 @@ class TestRankingForward:
         assert peak < 6 * psi.nbytes < n * n * 8
 
     def test_backward_peak_below_four_hazard_tensors(self):
-        # dF takes F's array and S is dropped, so the peak is the CIF
-        # recursion's own: 3.5 hazard tensors at m = 2
+        # dF and the exponentials take F's array, and the recursion runs in
+        # row blocks, so the peak is F, S_prev and u: 2.26 hazard tensors at m = 2
         psi, kappa, delta = self.large_batch(n=1024)
         _, peak = traced_peak(lambda: ranking_value_and_dpsi(psi, kappa, delta, 0.5,
                                                              scale=0.5))

@@ -152,6 +152,17 @@ def test_one_hazard_ratio():
     assert callers == [("core", "table_hazards"), ("model", "weighted_hazards")]
 
 
+def test_one_recursion():
+    # the Aalen-Johansen recursion runs in core.cif_from_hazards, which the
+    # step, the ranking, the criterion, prediction and fine-tuning share, and
+    # the censoring distribution's product-limit in metrics.censoring_survival;
+    # no other cumulative product, so no hand-rolled in-place recursion (the
+    # ranking's, say) can drift from the one the model predicts with
+    callers = [(module, owner) for module in sorted(p.stem for p in SRC.glob("*.py"))
+               for owner, name in _calls(module) if name == "cumprod"]
+    assert callers == [("core", "cif_from_hazards"), ("metrics", "censoring_survival")]
+
+
 def test_one_fallback_rule():
     # a row with no exemplar within tau weighs every cluster equally in one
     # place, model.fallback_weights, which prediction, explanation, the

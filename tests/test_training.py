@@ -260,6 +260,39 @@ class TestGradients:
         assert relative_error(flatten_grads(dw, db), fd) <= 1e-4
 
 
+class TestStepLabels:
+    """The step rejects a label that the objective cannot score, naming the
+    first bad row in the caller's order, as fine-tuning does."""
+
+    @staticmethod
+    def batch():
+        X, kappa, delta = random_batch(np.random.default_rng(5))   # 12 rows, m 2, L 5
+        params = init_mlp(EmbeddingConfig(input_dim=3, num_layers=1, hidden_units=4,
+                                          embed_dim=2, activation="tanh"), seed=5)
+        return params, X, kappa, delta
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("kappa, delta", [(0, 1), (8, 0), (3, -1), (3, 3), (-1, 0)])
+    def test_bad_label_names_its_row(self, kappa, delta, alpha):
+        params, X, kap, dl = self.batch()
+        kap[[4, 9]], dl[[4, 9]] = kappa, delta
+        with pytest.raises(ValueError, match=r"^row 4: "):
+            total_loss_and_grad(params, X, kap, dl, 2, 5, alpha, 1.0)
+
+    def test_label_shapes_must_match_the_batch(self):
+        params, X, kap, dl = self.batch()
+        for bad in ((kap[:11], dl), (kap, dl[:, None])):
+            with pytest.raises(ValueError, match=r"must have shape \(12,\)"):
+                total_loss_and_grad(params, X, *bad, 2, 5, 0.5, 1.0)
+
+    def test_edge_labels_accepted(self):
+        # kappa 0 censored, kappa L, delta 0 and delta m are all labels
+        params, X, kap, dl = self.batch()
+        kap[2:6], dl[2:6] = (0, 5, 5, 1), (0, 2, 0, 2)
+        loss, _, _ = total_loss_and_grad(params, X, kap, dl, 2, 5, 0.5, 1.0)
+        assert np.isfinite(loss)
+
+
 def two_cluster_cohorts(n=60, seed=0):
     """Separable toy data: feature sign determines which event dominates."""
     rng = np.random.default_rng(seed)
