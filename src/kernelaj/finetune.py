@@ -111,9 +111,9 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
     A subject with an all-zero weight row is fitted on the pooled tables
     (:func:`model.fallback_weights`). At alpha = 1, a mean over rows, the
     rows run in blocks of ``SFT_BLOCK_ROWS``, each weighted by its share of
-    the rows, so the working planes are (2m + 1, SFT_BLOCK_ROWS, L); the
-    ranking term couples every pair of rows, so at alpha < 1 the one block
-    is the cohort. A bad label raises ValueError naming its row
+    the rows, so each hazard plane holds SFT_BLOCK_ROWS rows; the ranking
+    term couples every pair of rows, so at alpha < 1 the one block is the
+    cohort. A bad label raises ValueError naming its row
     (:func:`training.check_labels`).
     """
     weights = np.asarray(weights, np.float64)
@@ -123,18 +123,15 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
     kap, dl = check_labels(kappa, delta, n, m, L)
     loss, dD_total, dN_total = 0.0, np.zeros((m, *n_prime.shape)), np.zeros(n_prime.shape)
     size = SFT_BLOCK_ROWS if alpha == 1.0 else n
-    planes = np.empty((2 * m + 1, min(size, n), L))  # psi, dLoss/dpsi and 1/N
     for start in range(0, n, size):
         rows = slice(start, start + size)
         k, d = kap[rows], dl[rows]
         W, _ = fallback_weights(weights[rows])
-        block = planes[:, :W.shape[0]]
-        _, _, psi, inv_N = weighted_hazards((d_prime, n_prime), W, block[:m], block[2 * m])
-        value, dpsi = objective_and_dpsi(psi, k, d, alpha, sigma, out=block[m:2 * m])
+        psi, inv_N = weighted_hazards((d_prime, n_prime), W)
+        value, dpsi = objective_and_dpsi(psi, k, d, alpha, sigma)
         loss += value * (W.shape[0] / n)
         dpsi *= W.shape[0] / n
-        # psi is read for the last time here, so dnum * psi overwrites it
-        dD, dN = _ratio_backward(dpsi, psi, inv_N, scratch=psi)
+        dD, dN = _ratio_backward(dpsi, psi, inv_N)
         dD_total += W.T @ dD
         dN_total += W.T @ dN
 

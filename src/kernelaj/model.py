@@ -112,20 +112,23 @@ def frozen_subject_weights(params_mlp: MlpParams, clusters: ClusterModel,
     return exemplar_weights(clusters, _embed_rows(params_mlp, features))
 
 
-def weighted_hazards(tables, W, psi_out=None, inv_out=None):
-    """Kernel-weighted tables D[k] = W d[:, :, k] (m, q, L) and N = W n
-    (q, L) of tables (d (Q, L, m), n (Q, L)) under exemplar weights W (q, Q),
-    each a batch-invariant ``blocked_matmul``, and their hazards psi =
-    D * (1/N) (m, q, L), 0 where N == 0: the one path of prediction and
-    fine-tuning. Returns (D, N, psi, 1/N); ``psi_out`` and ``inv_out``, when
-    given, receive D and N and then psi and 1/N in their place."""
+def _weighted_tables(tables, W):
+    """Kernel-weighted tables D[k] = W d[:, :, k] (m, q, L) and N = W n (q, L) of
+    tables (d (Q, L, m), n (Q, L)) under exemplar weights W (q, Q), by ``blocked_matmul``."""
     d, n = (np.asarray(t, np.float64) for t in tables)
-    D = np.empty((d.shape[2], W.shape[0], n.shape[1])) if psi_out is None else psi_out
+    D = np.empty((d.shape[2], W.shape[0], n.shape[1]))
     for k in range(d.shape[2]):
         blocked_matmul(W, d[:, :, k], out=D[k])
-    N = blocked_matmul(W, n, out=inv_out)
-    inv_N = safe_reciprocal(N, out=inv_out)
-    return D, N, np.multiply(D, inv_N[None, :, :], out=psi_out), inv_N
+    return D, blocked_matmul(W, n)
+
+
+def weighted_hazards(tables, W):
+    """Hazards psi = D * (1/N) (m, q, L), 0 where N == 0, and 1/N (q, L) of the
+    tables of :func:`_weighted_tables`, written over D and N: the one hazard
+    path of prediction, training and fine-tuning."""
+    D, N = _weighted_tables(tables, W)
+    inv_N = safe_reciprocal(N, out=N)
+    return np.multiply(D, inv_N[None, :, :], out=D), inv_N
 
 
 def fallback_weights(W):
@@ -145,7 +148,7 @@ def _curves_from_weights(tables, W):
     (d, n) under exemplar weights W (n, Q); a row with no positive weight
     gets the curves of the pooled tables (:func:`fallback_weights`)."""
     W, fallback = fallback_weights(W)
-    cif, surv, _, _ = cif_from_hazards(weighted_hazards(tables, W)[2])
+    cif, surv, _, _ = cif_from_hazards(weighted_hazards(tables, W)[0])
     return cif, surv, fallback
 
 
@@ -193,7 +196,7 @@ def weighted_summaries(model: KernelAJModel, x: np.ndarray):
     it is empty the tables are the pooled ones (:func:`fallback_weights`).
     """
     W = frozen_subject_weights(model.params, model.clusters, _row(x))
-    D, N, _, _ = weighted_hazards(model.tables, fallback_weights(W)[0])
+    D, N = _weighted_tables(model.tables, fallback_weights(W)[0])
     return D[:, 0].T, N[0], np.flatnonzero(W[0])
 
 

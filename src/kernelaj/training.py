@@ -234,33 +234,32 @@ def check_labels(kappa, delta, n, m, L):
     return kappa, delta
 
 
-def objective_and_dpsi(psi, kappa, delta, alpha, sigma, out=None):
+def objective_and_dpsi(psi, kappa, delta, alpha, sigma):
     """The training objective alpha * NLL + (1 - alpha) * ranking of a hazard
     tensor psi (m, n, L) and its gradient dLoss/dpsi. An own-event hazard at
     or below ``PSI_CLAMP`` enters the NLL clamped and gets no gradient from
-    its log. ``out``, an optional array shaped like psi, serves as the NLL's
-    scratch and, at alpha = 1, then receives dLoss/dpsi. At alpha < 1 the
-    NLL's gradient is added into the ranking's, own-event cells last, so each
-    cell is the sum nll + ranking of two separate planes (module docstring)."""
+    its log. At alpha = 1 the plane of the NLL's hazard product receives
+    dLoss/dpsi. At alpha < 1 the NLL's gradient is added into the ranking's,
+    own-event cells last, so each cell is the sum nll + ranking of two
+    separate planes (module docstring)."""
     m, n, L = psi.shape
     at_risk = _at_risk(kappa, L)
     unc = np.flatnonzero(delta != 0)
     own = psi[delta[unc] - 1, unc, kappa[unc] - 1]
     log_total = np.log(np.clip(own, PSI_CLAMP, 1.0)).sum()
-    hazard_total = np.multiply(psi, at_risk[None, :, :], out=out).sum()
-    nll = float(-(log_total - hazard_total) / n)
+    hazard = np.multiply(psi, at_risk[None, :, :])
+    nll = float(-(log_total - hazard.sum()) / n)
     live = own > PSI_CLAMP
     idx = unc[live]
     cells = delta[idx] - 1, idx, kappa[idx] - 1
 
     rank = 0.0
     if alpha == 1.0:
-        dpsi = np.divide(at_risk[None, :, :], n,
-                         out=np.empty_like(psi) if out is None else out)
+        dpsi = np.divide(at_risk[None, :, :], n, out=hazard)
         dpsi[cells] -= 1.0 / (n * own[live])
         dpsi *= alpha
     else:
-        del at_risk                     # rebuilt below: the ranking sets the peak
+        del at_risk, hazard             # at_risk is rebuilt below: the ranking sets the peak
         rank, dpsi = ranking_value_and_dpsi(psi, kappa, delta, sigma, scale=1.0 - alpha)
         saved = dpsi[cells]
         dpsi += _at_risk(kappa, L) / n * alpha
@@ -268,13 +267,12 @@ def objective_and_dpsi(psi, kappa, delta, alpha, sigma, out=None):
     return alpha * nll + (1.0 - alpha) * rank, dpsi
 
 
-def _ratio_backward(dpsi, psi, inv_den, scratch=None):
+def _ratio_backward(dpsi, psi, inv_den):
     """Gradients (dnum (m, n, L), dden (n, L)) of psi = num * inv_den, with
     inv_den = 1/den and 0 where den == 0 (psi is locally constant there).
-    dnum overwrites dpsi; ``scratch``, an optional array shaped like psi,
-    receives dnum * psi and may hold inv_den or psi itself."""
+    dnum overwrites dpsi and dnum * psi overwrites psi."""
     dnum = np.multiply(dpsi, inv_den[None, :, :], out=dpsi)
-    dden = np.multiply(dnum, psi, out=scratch).sum(axis=0)
+    dden = np.multiply(dnum, psi, out=psi).sum(axis=0)
     return dnum, np.negative(dden, out=dden)
 
 
@@ -363,14 +361,13 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None
     kernel_matrix(E, out=W)
     np.fill_diagonal(W, 0.0)
     tables = groups.tables(m, L)
-    _, _, psi, inv_N = weighted_hazards(tables, np.add.reduceat(W, groups.starts, axis=1),
-                                        np.empty((m, n, L)), np.empty((n, L)))
+    psi, inv_N = weighted_hazards(tables, np.add.reduceat(W, groups.starts, axis=1))
     loss, dpsi = objective_and_dpsi(psi, kappa, delta, alpha, sigma)
 
     # dG = dden n_u^T + sum_k dnum_k d_u[:, :, k]^T (module docstring); the
     # event part is read from dnum: d_u is one-hot, and its product made the
     # acceptance workload's step 17 % slower on a 2-vCPU VM
-    dnum, dden = _ratio_backward(dpsi, psi, inv_N, scratch=psi)
+    dnum, dden = _ratio_backward(dpsi, psi, inv_N)
     n_T = np.ascontiguousarray(tables[1].T)
     ev = np.flatnonzero(groups.delta)
     group = np.repeat(np.arange(groups.starts.size), np.diff(groups.starts, append=n))
@@ -398,7 +395,7 @@ def kernel_hazard_curves(E_query, E_ref, groups: CodeGroups, m, L):
     Returns (psi (m, q, L), F (m, q, L), S (q, L)).
     """
     W = kernel_matrix(E_query, np.asarray(E_ref, np.float64)[groups.order])
-    psi = weighted_hazards(groups.tables(m, L), np.add.reduceat(W, groups.starts, axis=1))[2]
+    psi = weighted_hazards(groups.tables(m, L), np.add.reduceat(W, groups.starts, axis=1))[0]
     return (psi, *cif_from_hazards(psi)[:2])
 
 
@@ -458,9 +455,9 @@ def criterion_scorer(criterion, train: Cohort, valid: Cohort,
 def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
                               alpha: float = 1.0, sigma: float = 1.0) -> float:
     """The training objective of given count tables (no leave-one-out): the
-    value of :func:`objective_and_dpsi` on psi computed in D's own buffer; the
-    gradient is discarded. It is the objective criterion of training and of
-    summary fine-tuning.
+    value of :func:`objective_and_dpsi` on their hazards, gradient discarded;
+    the objective criterion of training and of summary fine-tuning. A bad
+    label raises ValueError naming its row (:func:`check_labels`).
 
     ``weights[i, q]`` is the frozen kernel weight of subject i to exemplar q.
     The mean runs over every subject; one with an all-zero weight row is
@@ -468,10 +465,9 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
     prediction scores it. With alpha < 1 the ranking penalty is blended in.
     """
     W, _ = fallback_weights(weights)
-    psi = np.empty((d_tables.shape[2], W.shape[0], n_tables.shape[1]))
-    weighted_hazards((d_tables, n_tables), W, psi_out=psi)
-    return objective_and_dpsi(psi, np.asarray(kappa, np.int64), np.asarray(delta, np.int64),
-                              alpha, sigma)[0]
+    kappa, delta = check_labels(kappa, delta, W.shape[0], d_tables.shape[2], n_tables.shape[1])
+    psi = weighted_hazards((d_tables, n_tables), W)[0]
+    return objective_and_dpsi(psi, kappa, delta, alpha, sigma)[0]
 
 
 def table_criterion(criterion, valid: Cohort, grid: EventTimeGrid, valid_scorer: Scorer,

@@ -559,17 +559,15 @@ def _sft_objective(params, weights, kappa, delta, alpha, sigma, want_grad):
 
 
 def sft_loss_and_grad(params, weights, kappa, delta, alpha=1.0, sigma=1.0):
-    """``finetune.sft_loss_and_grad`` over the whole cohort at once: one
-    (2m + 1, n, L) array holds psi, dLoss/dpsi and 1/N of every row, and the
-    loss and dLoss/dpsi are the objective's mean over all n rows."""
+    """``finetune.sft_loss_and_grad`` over the whole cohort at once: psi,
+    dLoss/dpsi and 1/N hold every row, and the loss and dLoss/dpsi are the
+    objective's mean over all n rows."""
     W, _ = fallback_weights(weights)
     kap, dl = np.asarray(kappa, np.int64), np.asarray(delta, np.int64)
     d_prime, n_prime = sft_counts(params)
-    _, L, m = d_prime.shape
-    planes = np.empty((2 * m + 1, kap.size, L))
-    _, _, psi, inv_N = weighted_hazards((d_prime, n_prime), W, planes[:m], planes[2 * m])
-    loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma, out=planes[m:2 * m])
-    dD, dN = _ratio_backward(dpsi, psi, inv_N, scratch=psi)
+    psi, inv_N = weighted_hazards((d_prime, n_prime), W)
+    loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma)
+    dD, dN = _ratio_backward(dpsi, psi, inv_N)
     dd_prime = (W.T @ dD).transpose(1, 2, 0)         # (Q, L, m)
     dc_prime = np.cumsum(W.T @ dN, axis=1)           # n' is a reversed cumsum
     dd_prime += dc_prime[:, :, None]

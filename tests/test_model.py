@@ -35,8 +35,8 @@ from kernelaj import (
     weighted_summaries,
 )
 from kernelaj import model as model_module
-from conftest import FIT_TRAIN_ROWS, clusters_from_tables, fits
-from kernelaj.core import EventTimeGrid, label_codes, risk_event_counts
+from conftest import FIT_TRAIN_ROWS, clusters_from_tables, fits, traced_peak
+from kernelaj.core import EventTimeGrid, label_codes, risk_event_counts, safe_reciprocal
 from kernelaj.embedding import MlpParams, embed_batch, pairwise_sq_dists
 from kernelaj.finetune import SftParams, sft_counts
 from kernelaj.model import Explanation, cluster_curves, exemplar_kernel_matrix
@@ -397,6 +397,37 @@ class TestPredictionProperties:
         b = curves_from_counts(3.0 * d_w, 3.0 * n_w, model.grid,
                                allow_zero_risk=True)
         assert_allclose(a.survival.values, b.survival.values, atol=1e-12)
+
+
+class TestWeightedHazards:
+    """The one hazard rule psi = D * (1/N) writes psi and 1/N over the D and
+    N it computes, so a call holds one set of hazard planes."""
+
+    def test_bit_equal_to_the_products(self):
+        rng = np.random.default_rng(11)
+        Q, L, m, q = 5, 7, 2, 9
+        d = rng.integers(0, 3, (Q, L, m)).astype(np.float64)
+        n = d.sum(axis=2) + rng.integers(0, 3, (Q, L))
+        n[:, 4], d[:, 4] = 0.0, 0.0                         # nobody at risk in bin 4
+        W = rng.uniform(0.0, 1.0, (q, Q))
+        W[2] = 0.0                                          # no weight on any exemplar
+        D, N = model_module._weighted_tables((d, n), W)
+        assert (N == 0).any() and (N > 0).any()
+        psi, inv_N = model_module.weighted_hazards((d, n), W)
+        want_inv = safe_reciprocal(N)
+        assert_array_equal(inv_N, want_inv)
+        assert_array_equal(psi, D * want_inv[None, :, :])
+
+    def test_peak_is_one_set_of_planes(self):
+        # psi (1 MiB) and 1/N (0.5 MiB) at q 1,024, L 64, m 2; separate D
+        # and N planes beside them reach 3 MiB
+        rng = np.random.default_rng(12)
+        Q, L, m, q = 60, 64, 2, 1024
+        d = rng.uniform(0.0, 2.0, (Q, L, m))
+        n = d.sum(axis=2) + rng.uniform(0.0, 2.0, (Q, L))
+        W = rng.uniform(0.0, 1.0, (q, Q))
+        _, peak = traced_peak(lambda: model_module.weighted_hazards((d, n), W))
+        assert peak < 2 << 20
 
 
 @st.composite

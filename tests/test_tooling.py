@@ -152,6 +152,19 @@ def test_one_hazard_ratio():
     assert callers == [("core", "table_hazards"), ("model", "weighted_hazards")]
 
 
+def test_hazard_path_takes_no_buffers():
+    # each function that creates a hazard plane owns it: no caller lends a
+    # psi, 1/N or gradient plane, so no caller can alias one it still reads
+    defaulted = {}
+    for module, name in (("model", "weighted_hazards"), ("training", "objective_and_dpsi"),
+                         ("training", "_ratio_backward")):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        args = next(node.args for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        defaulted[name] = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    assert defaulted == {"weighted_hazards": 0, "objective_and_dpsi": 0, "_ratio_backward": 0}
+
+
 def test_one_recursion():
     # the Aalen-Johansen recursion runs in core.cif_from_hazards, which the
     # step, the ranking, the criterion, prediction and fine-tuning share, and

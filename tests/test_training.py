@@ -293,6 +293,27 @@ class TestStepLabels:
         assert np.isfinite(loss)
 
 
+class TestCriterionLabels:
+    """The objective criterion rejects a label that it cannot score, naming
+    the row, as the step and fine-tuning do."""
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(8)                      # 6 rows, Q 4, L 5, m 2
+        d = rng.integers(0, 4, (4, 5, 2)).astype(np.float64)
+        n = core.reverse_cumsum(d.sum(axis=2) + rng.integers(0, 3, (4, 5)))
+        W = rng.uniform(0.1, 1.0, (6, 4))
+        return d, n, W, np.array([1, 2, 3, 4, 5, 2]), np.array([1, 2, 0, 1, 0, 2])
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("kappa, delta", [(2, -1), (0, 1), (6, 0), (-1, 0), (2, 3)])
+    def test_bad_label_names_its_row(self, kappa, delta, alpha):
+        d, n, W, kap, dl = self.problem()
+        kap[5], dl[5] = kappa, delta
+        with pytest.raises(ValueError, match=r"^row 5: "):
+            training.sft_objective_from_tables(d, n, W, kap, dl, alpha)
+
+
 def two_cluster_cohorts(n=60, seed=0):
     """Separable toy data: feature sign determines which event dominates."""
     rng = np.random.default_rng(seed)
