@@ -47,12 +47,10 @@ from .errors import (
     DegenerateRisk,
     Diverged,
     EmptyCohort,
-    EmptyNeighborhood,
     KernelAJError,
     MissingColumn,
     NoComparablePairs,
     NoEvents,
-    NoRisk,
     NonFiniteFeatures,
     ParseError,
     SchemaMismatch,

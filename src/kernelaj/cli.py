@@ -346,7 +346,8 @@ def cmd_explain(model_path: str, out_dir: str, data_path=None,
                             "row": row,
                             "exemplar_ids": info.exemplar_ids.tolist(),
                             "weights": info.weights.tolist(),
-                            "event_probabilities": info.event_probabilities.tolist(),
+                            "event_probabilities": None if info.event_probabilities is None
+                            else info.event_probabilities.tolist(),
                             "conditional_medians": list(info.conditional_medians),
                             "used_fallback": bool(info.used_fallback),
                             "cif": {

@@ -25,14 +25,6 @@ class EmptyCohort(KernelAJError):
     """An operation received a cohort with no records."""
 
 
-class EmptyNeighborhood(KernelAJError):
-    """No exemplar contributes to the prediction for this query point."""
-
-
-class NoRisk(KernelAJError):
-    """All cumulative incidence values are zero at the horizon."""
-
-
 class NoComparablePairs(KernelAJError):
     """No pair of subjects is comparable for the concordance index."""
 

@@ -21,7 +21,7 @@ import numpy as np
 from .clustering import ClusterModel, exemplar_weights
 from .core import CifSet, EventTimeGrid, cif_from_hazards, curves_from_counts, safe_reciprocal
 from .embedding import MlpParams, blocked_matmul, embed_batch, kernel_matrix
-from .errors import EmptyNeighborhood, NoRisk, NonFiniteFeatures, ShapeMismatch
+from .errors import NonFiniteFeatures, ShapeMismatch
 
 PREDICT_BLOCK_ROWS = 1024
 
@@ -207,34 +207,12 @@ def predict_curves(model: KernelAJModel, x: np.ndarray) -> CifSet:
     return CifSet.from_values(model.grid.times, surv[0], cif[:, 0])
 
 
-def _normalized_weights(model: KernelAJModel, w):
-    """Ids and normalized weights of the exemplars with positive weight in w."""
-    positions = np.flatnonzero(w)
-    return model.clusters.exemplar_ids[positions], w[positions] / w[positions].sum()
-
-
-def cluster_weight_decomposition(model: KernelAJModel, x: np.ndarray):
-    """Normalized kernel weights over the contributing exemplars.
-
-    Returns (exemplar_ids, weights summing to 1). Normalization cancels in
-    the hazard ratios, so predictions from normalized and raw weights agree.
-    """
-    ids, weights = _normalized_weights(
-        model, frozen_subject_weights(model.params, model.clusters, _row(x))[0])
-    if ids.size == 0:
-        raise EmptyNeighborhood("no exemplar within tau of the query")
-    return ids, weights
-
-
-def _event_probabilities(cif, first_row=0):
-    """(n, m) earliest-event probabilities from CIF values (m, n, L), the
-    horizon CIFs renormalized; NoRisk names a zero row as first_row + i."""
+def _event_probabilities(cif):
+    """Per row of CIF values (m, n, L), the earliest-event probabilities (m,):
+    the horizon CIFs renormalized, or None for a row whose CIFs are all zero
+    at the horizon (a row that weighs only clusters with no event)."""
     tail = cif[:, :, -1].T
-    total = tail.sum(axis=1)
-    if (total <= 0).any():
-        raise NoRisk(f"row {first_row + int(np.argmax(total <= 0))}: all cumulative "
-                     "incidence values are zero at the horizon")
-    return tail / total[:, None]
+    return [p / t if t > 0 else None for p, t in zip(tail, tail.sum(axis=1))]
 
 
 def _conditional_medians(cif, knots):
@@ -254,7 +232,7 @@ class Explanation:
 
     exemplar_ids: np.ndarray
     weights: np.ndarray
-    event_probabilities: np.ndarray
+    event_probabilities: np.ndarray  # None when every CIF is 0 at the horizon
     conditional_medians: tuple
     used_fallback: bool
 
@@ -266,15 +244,17 @@ def explain_rows(model: KernelAJModel, X: np.ndarray):
     A generator: yields (explanations, cif (m, b, L), survival (b, L)) for
     each block of b rows, the records and the curves they were read from.
     Every row is embedded before the first block, so a row whose features
-    are not finite raises before any record; a row whose CIFs are all zero
-    at the horizon raises NoRisk naming its index in X.
+    are not finite raises before any record. Every other row gets its
+    record: one whose CIFs are all zero at the horizon has survival 1 and
+    ``event_probabilities`` None.
     """
-    def explain(rows, W):
+    def explain(_, W):
         cif, surv, fallback = _curves_from_weights(model.tables, W)
-        probs = _event_probabilities(cif, rows.start)
+        probs = _event_probabilities(cif)
         medians = _conditional_medians(cif, model.grid.times)
-        return [Explanation(*_normalized_weights(model, w), p, med, bool(f))
-                for w, p, med, f in zip(W, probs, medians, fallback)], cif, surv
+        hits = map(np.flatnonzero, W)   # a fallback row has none: empty ids and weights
+        return [Explanation(model.clusters.exemplar_ids[h], w[h] / w[h].sum(), p, med, bool(f))
+                for w, h, p, med, f in zip(W, hits, probs, medians, fallback)], cif, surv
 
     yield from _row_blocks(model, _embed_rows(model.params, X), explain)
 
@@ -284,6 +264,17 @@ def explain_subject(model: KernelAJModel, x: np.ndarray) -> Explanation:
     :func:`explain_rows`."""
     records, _, _ = next(explain_rows(model, _row(x)))
     return records[0]
+
+
+def cluster_weight_decomposition(model: KernelAJModel, x: np.ndarray):
+    """Normalized kernel weights over the contributing exemplars: the
+    (exemplar_ids, weights summing to 1) of :func:`explain_subject`'s record,
+    both empty for a row with no exemplar within tau (``used_fallback``).
+    Normalization cancels in the hazard ratios, so predictions from
+    normalized and raw weights agree.
+    """
+    info = explain_subject(model, x)
+    return info.exemplar_ids, info.weights
 
 
 def cluster_curves(model: KernelAJModel, position: int) -> CifSet:

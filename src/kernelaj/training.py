@@ -74,12 +74,15 @@ Memory
 W, later P, is the step's only n x n array. It lives in the one buffer of
 B^2 float64 that ``train_embedding`` allocates per fit and only the step
 reads, so the epoch loop reuses resident pages instead of fresh ones from
-the allocator, and holds no other array that grows with B^2. No matrix
-product takes W or P whole: the kernel is a ``blocked_matmul`` of 16 rows,
-and ``embedding.kernel_matrix_backward`` multiplies P by blocks of 16 and
-256 rows, because OpenBLAS keeps the pages it packs an operand into
-resident, and a GEMM over all of P raised the fit's peak RSS by about 3 MB
-more at B = 1024. The criterion's arrays grow with n_valid * Q, not with
+the allocator, and holds no other array that grows with B^2. The buffer is
+load-bearing: a step that allocated W itself, with the same bits, raised the
+benchmark's peak RSS from 58.00 to 63.37 MB on acceptance and from 57.26 to
+62.58 MB on ranking-sft (seed 1, higher in 10 of 10 alternating pairs; fit
+time unresolved). No matrix product takes W or P whole: the kernel is a
+``blocked_matmul`` of 16 rows, and ``embedding.kernel_matrix_backward``
+multiplies P by blocks of 16 and 256 rows, because OpenBLAS keeps the pages
+it packs an operand into resident, and a GEMM over all of P raised the fit's
+peak RSS by about 3 MB more at B = 1024. The criterion's arrays grow with n_valid * Q, not with
 n_valid * n_train.
 
 At alpha < 1 the objective holds F (m, n, L), S_prev and u (n, L), filled

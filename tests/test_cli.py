@@ -1118,20 +1118,39 @@ class TestExplain:
             per_cluster[Q] = sum(path.stat().st_size for path in out.iterdir()) / Q
         assert per_cluster[512] <= 1.5 * per_cluster[64]
 
-    def test_no_risk_in_a_later_block_leaves_no_file(self, tmp_path, monkeypatch, capsys):
-        # query row 9 sits on exemplar 1, whose cluster has no events, and tau
-        # keeps exemplar 0 away: its CIFs are zero at the horizon
+    def save_no_risk_model(self, tmp_path, row_9):
+        # query row 9 is row_9; a row at exemplar 1 weighs only its cluster,
+        # which has no events, as tau keeps exemplar 0 away
         save_identity_model(tmp_path / "model.json", np.array([[0.0, 0.0], [9.0, 0.0]]),
                             np.array([[[1.0], [1.0]], [[0.0], [0.0]]]),
                             np.array([[3.0, 1.0], [2.0, 1.0]]), tau=1.0)
         X = np.zeros((12, 2))
-        X[9] = [9.0, 0.0]
+        X[9] = row_9
         write_cohort_csv(Cohort(X, np.ones(12), np.zeros(12, dtype=np.int64), 1),
                          tmp_path / "query.csv")
+        return ["explain", "--model", str(tmp_path / "model.json"),
+                "--data", str(tmp_path / "query.csv"), "--out", str(tmp_path / "rep")]
+
+    def test_no_risk_in_a_later_block_gets_its_record(self, tmp_path, monkeypatch):
+        # its CIFs are zero at the horizon: S = 1 and F = 0, with null
+        # probabilities and medians, not an error
+        argv = self.save_no_risk_model(tmp_path, [9.0, 0.0])
         monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 4)
-        assert main(["explain", "--model", str(tmp_path / "model.json"),
-                     "--data", str(tmp_path / "query.csv"),
-                     "--out", str(tmp_path / "rep")]) == 2
+        assert main(argv) == 0
+        records = json.loads((tmp_path / "rep" / "explanations.json").read_text())
+        assert [r["row"] for r in records] == list(range(12))
+        assert [r["row"] for r in records if r["event_probabilities"] is None] == [9]
+        assert records[9]["conditional_medians"] == [None]
+        assert records[9]["cif"]["survival"] == [1.0, 1.0]
+        assert records[9]["cif"]["event_1"] == [0.0, 0.0]
+
+    def test_features_too_large_to_embed_in_a_later_block_leave_no_file(
+            self, tmp_path, monkeypatch, capsys):
+        # row 9's finite 1e300 overflows the embedding after explanations.json
+        # was opened, so the command's cleanup removes the file
+        argv = self.save_no_risk_model(tmp_path, [1e300, 0.0])
+        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 4)
+        assert main(argv) == 2
         assert "row 9:" in capsys.readouterr().err
         assert not (tmp_path / "rep" / "explanations.json").exists()
 

@@ -15,9 +15,7 @@ import dense_oracle as oracle
 from kernelaj import (
     Cohort,
     EmbeddingConfig,
-    EmptyNeighborhood,
     KernelAJModel,
-    NoRisk,
     aalen_johansen,
     breslow_preprocess,
     build_cluster_model,
@@ -430,6 +428,17 @@ class TestWeightedHazards:
         assert peak < 2 << 20
 
 
+def identity_model(d, n, centers, tau):
+    """A model over the integer cluster tables d (Q, L, m) and n (Q, L) whose
+    network is the identity, so a query's kernel weights are
+    exp(-||x - e_q||^2) of its own features; grid times 1..L."""
+    Q, p = centers.shape
+    return KernelAJModel(params=MlpParams((p, p), (np.eye(p),), (np.zeros(p),)),
+                         clusters=clusters_from_tables(d, n, centers, tau=tau),
+                         grid=EventTimeGrid(np.arange(1.0, n.shape[1] + 1.0)),
+                         cluster_feature_means=np.zeros((Q, p)))
+
+
 @st.composite
 def weighted_cluster_models(draw):
     """A model over random cluster tables plus query rows.
@@ -452,13 +461,7 @@ def weighted_cluster_models(draw):
     censored[np.arange(Q), last] = 0.0
     n = np.flip(np.cumsum(np.flip(d.sum(axis=2) + censored, axis=1), axis=1), axis=1)
     centers = rng.normal(size=(Q, 2))
-    tau = draw(st.sampled_from([0.8, 2.0, np.inf]))
-    clusters = clusters_from_tables(d, n, centers, tau=tau)
-    model = KernelAJModel(
-        params=MlpParams((2, 2), (np.eye(2),), (np.zeros(2),)),
-        clusters=clusters,
-        grid=EventTimeGrid(np.arange(1.0, L + 1.0)),
-        cluster_feature_means=np.zeros((Q, 2)))
+    model = identity_model(d, n, centers, tau=draw(st.sampled_from([0.8, 2.0, np.inf])))
     X = centers[rng.integers(0, Q, 8)] + rng.normal(scale=0.7, size=(8, 2))
     return model, np.vstack((X, [[1e3, -1e3]]))
 
@@ -549,13 +552,11 @@ class TestOneAalenJohansenRule:
             assert_array_equal(from_tables.survival.values, surv[0])
             for d in range(1, model.m + 1):
                 assert_array_equal(from_tables.cif(d).values, cif[d - 1, 0])
-            if fallback[0]:
-                with pytest.raises(EmptyNeighborhood):
-                    cluster_weight_decomposition(model, x)
-                continue
+            # a fallback row's decomposition is its record's two empty arrays
             ids, weights = cluster_weight_decomposition(model, x)
             assert_array_equal(ids, info.exemplar_ids)
             assert_array_equal(weights, info.weights)
+            assert (ids.size == weights.size == 0) == fallback[0]
 
 
 class TestWeightDecomposition:
@@ -580,14 +581,20 @@ class TestWeightDecomposition:
         assert_allclose(w, [1.0])
 
     def test_known_ratios(self):
-        # kernels 0.3 and 0.1 normalize to 0.75 / 0.25
-        w = np.array([0.3, 0.1])
-        assert_allclose(w / w.sum(), [0.75, 0.25])
+        # the query sits at the origin and the exemplars at squared distances
+        # -log 0.3 and -log 0.1: kernels 0.3 and 0.1 normalize to 0.75 / 0.25
+        model = identity_model(np.ones((2, 1, 1)), np.full((2, 1), 2.0), np.array(
+            [[np.sqrt(-np.log(0.3)), 0.0], [0.0, np.sqrt(-np.log(0.1))]]), tau=np.inf)
+        ids, w = cluster_weight_decomposition(model, np.zeros(2))
+        assert_array_equal(ids, [0, 1])
+        assert_allclose(w, [0.75, 0.25], rtol=1e-14)
 
-    def test_empty_neighborhood_raises(self):
+    def test_empty_neighborhood_returns_empty_arrays(self):
         model, cohort, rng = self.setup_model(tau=1e-9)
-        with pytest.raises(EmptyNeighborhood):
-            cluster_weight_decomposition(model, rng.normal(size=cohort.p) * 40)
+        x = rng.normal(size=cohort.p) * 40
+        ids, w = cluster_weight_decomposition(model, x)
+        assert ids.size == w.size == 0
+        assert explain_subject(model, x).used_fallback
 
 
 class TestInterpretationQuantities:
@@ -614,13 +621,13 @@ class TestInterpretationQuantities:
         assert_allclose(model_module._event_probabilities(
             self.cif_with_mass([0.1, 0.25], [0.2, 0.25])), [[0.5, 0.5]])
 
-    def test_no_risk_raises(self):
+    def test_no_risk_row_is_none(self):
         cif = np.concatenate([self.cif_with_mass([0.1, 0.2], [0.0, 0.3]),
                               self.cif_with_mass([0.0, 0.0], [0.0, 0.0])], axis=1)
-        with pytest.raises(NoRisk, match="row 1:"):
-            model_module._event_probabilities(cif)
-        with pytest.raises(NoRisk, match="row 8:"):
-            model_module._event_probabilities(cif, first_row=7)
+        probs = model_module._event_probabilities(cif)
+        assert probs[1] is None
+        assert_array_equal(probs[0], model_module._event_probabilities(cif[:, :1])[0])
+        assert_allclose(probs[0], [0.4, 0.6])
 
     def median(self, cif, knots, delta):
         return model_module._conditional_medians(cif, np.asarray(knots))[0][delta - 1]
@@ -637,20 +644,24 @@ class TestInterpretationQuantities:
 
     def test_no_risk_in_a_later_block_named_by_global_index(self, monkeypatch):
         # the network is the identity and tau small, so a query at exemplar 1
-        # weighs only its cluster, which has no events: zero CIFs at the horizon
-        clusters = clusters_from_tables(
+        # weighs only its cluster, which has no events: zero CIFs at the
+        # horizon, the Aalen-Johansen answer S = 1 and F = 0, not an error
+        model = identity_model(
             np.array([[[1.0], [1.0]], [[0.0], [0.0]]]), np.array([[3.0, 1.0], [2.0, 1.0]]),
             np.array([[0.0, 0.0], [9.0, 0.0]]), tau=1.0)
-        model = KernelAJModel(params=MlpParams((2, 2), (np.eye(2),), (np.zeros(2),)),
-                              clusters=clusters, grid=EventTimeGrid([1.0, 2.0]),
-                              cluster_feature_means=np.zeros((2, 2)))
         X = np.zeros((12, 2))
         X[9] = [9.0, 0.0]
         monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 4)
-        blocks = explain_rows(model, X)
-        assert len(next(blocks)[0]) == 4 and len(next(blocks)[0]) == 4
-        with pytest.raises(NoRisk, match="row 9:"):
-            next(blocks)
+        assert [len(block[0]) for block in explain_rows(model, X)] == [4, 4, 4]
+        records, cif, surv = joined_explanations(model, X)
+        assert [i for i, r in enumerate(records) if r.event_probabilities is None] == [9]
+        assert records[9].conditional_medians == (None,)
+        assert_array_equal(records[9].exemplar_ids, [1])
+        assert_array_equal(records[9].weights, [1.0])
+        assert not records[9].used_fallback
+        assert_array_equal(surv[9], 1.0)
+        assert_array_equal(cif[:, 9], 0.0)
+        assert_same_values([explain_subject(model, X[9])], records[9:10])
 
     def test_explain_subject_record(self):
         rng = np.random.default_rng(10)

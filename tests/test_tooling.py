@@ -354,3 +354,18 @@ def test_every_config_key_has_a_setter():
     unset = [f"{section}.{key}".lstrip(".") for section, keys in sections.items()
              for key in sorted(keys) if key not in setters]
     assert unset == []
+
+
+def test_every_error_has_a_raiser():
+    # every error type the package defines, but the base class, is raised in
+    # src/; test_every_export_has_a_caller counts an import as a use, so an
+    # error whose last raiser went would pass it
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    errors = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert sorted(errors - raised - {"KernelAJError"}) == []
