@@ -102,9 +102,9 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0).astype(np.float64)
+        return (a > 0).astype(np.float64)
     return 1.0 - a * a
 
 
@@ -129,42 +129,42 @@ def blocked_matmul(A: np.ndarray, M: np.ndarray, out=None) -> np.ndarray:
 
 
 def forward_cached(params: MlpParams, X: np.ndarray):
-    """Batch forward pass returning embeddings and layer caches.
+    """Batch forward pass returning embeddings and the layer cache.
 
-    The cache holds per-layer pre-activations and activations, consumed by
-    :func:`backward` to produce exact parameter gradients. Each layer's
-    product is a :func:`blocked_matmul`, so training and prediction embed a
-    row alike.
+    The cache is the list of per-layer activations, the input first, which
+    :func:`backward` reads for exact parameter gradients; no pre-activation
+    is kept. Each layer's product is a :func:`blocked_matmul`, so training
+    and prediction embed a row alike.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ShapeMismatch(
             f"expected input of shape (n, {params.input_dim}), got {X.shape}"
         )
-    a = X
-    zs, activations = [], [X]
-    n_layers = len(params.weights)
+    activations = [X]
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = blocked_matmul(a, w.T) + b
-        zs.append(z)
-        a = z if k == n_layers - 1 else _activate(z, params.activation)
+        a = blocked_matmul(activations[-1], w.T)
+        a += b
+        if k < len(params.weights) - 1:
+            a = _activate(a, params.activation)
         activations.append(a)
-    return a, (zs, activations)
+    return a, activations
 
 
-def backward(params: MlpParams, cache, dE: np.ndarray):
-    """Gradients of a scalar loss w.r.t. all parameters given dLoss/dE.
+def backward(params: MlpParams, activations, dE: np.ndarray):
+    """Gradients of a scalar loss w.r.t. all parameters given dLoss/dE and the
+    activations a of :func:`forward_cached`, whose derivatives are read off a:
+    ReLU's is a > 0 (exactly where z > 0), tanh's 1 - a^2.
 
     Returns (weight_grads, bias_grads) matching the parameter layout.
     """
-    zs, activations = cache
     n_layers = len(params.weights)
     dw = [None] * n_layers
     db = [None] * n_layers
     delta = np.asarray(dE, dtype=np.float64)
     for k in range(n_layers - 1, -1, -1):
         if k != n_layers - 1:
-            delta = delta * _activate_grad(zs[k], activations[k + 1], params.activation)
+            delta = delta * _activate_grad(activations[k + 1], params.activation)
         dw[k] = delta.T @ activations[k]
         db[k] = delta.sum(axis=0)
         if k > 0:

@@ -96,7 +96,6 @@ only as a test oracle.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -107,7 +106,6 @@ from .core import (
     EventTimeGrid,
     breslow_preprocess,
     cif_from_hazards,
-    count_tables,
     label_codes,
     require_int,
     require_real,
@@ -184,8 +182,8 @@ def discretize_times(grid: EventTimeGrid, k: int) -> EventTimeGrid:
 
 
 def _at_risk(kappa, L):
-    """at_risk[i, l] = 1{kappa_i >= l + 1}: the bins whose hazards enter
-    subject i's likelihood term, and the bins where i is at risk."""
+    """at_risk[i, l] = 1{kappa_i >= l + 1}: the bins where row (or code group)
+    i is at risk, and whose hazards enter its likelihood term."""
     kappa = np.asarray(kappa, dtype=np.int64)
     return (np.arange(1, L + 1)[None, :] <= kappa[:, None]).astype(np.float64)
 
@@ -201,19 +199,12 @@ class CodeGroups(NamedTuple):
     delta: np.ndarray
 
     def tables(self, m, L):
-        """The groups' one-row tables (d (U, L, m), n (U, L)), rows of
-        :func:`_code_tables`: d is 1 at (kappa - 1, delta - 1), n on bins l < kappa."""
-        code = self.kappa * (m + 1) + self.delta
-        return tuple(table[code] for table in _code_tables(L, m))
-
-
-@lru_cache(maxsize=1)
-def _code_tables(L, m):
-    """Read-only one-row tables of every code, counted once per (L, m)."""
-    codes = np.arange((L + 1) * (m + 1))
-    d, n = count_tables(codes, (L, m), codes, codes.size)
-    d.flags.writeable = n.flags.writeable = False
-    return d, n
+        """The groups' one-row tables (d (U, L, m), n (U, L)) from their labels:
+        d is 1 at (kappa - 1, delta - 1) of an event group, n is :func:`_at_risk`."""
+        d = np.zeros((self.kappa.size, L, m))
+        ev = np.flatnonzero(self.delta)
+        d[ev, self.kappa[ev] - 1, self.delta[ev] - 1] = 1.0
+        return d, _at_risk(self.kappa, L)
 
 
 def code_groups(kappa, delta, m) -> CodeGroups:

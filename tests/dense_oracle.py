@@ -6,13 +6,14 @@ ranking recursion with its separate exponential plane, objective summed
 from separate NLL and ranking planes, hand-written
 criterion checks, stopping rule, list-stacking epsilon-net, sorted-time
 counts, per-cluster loops, difference-based neighbor search, ``np.where``
-exemplar weights, row-loop cumulative-product backward and per-cell CSV
-reader and writer that ``kernelaj`` replaced, plus the scalar kernel, the
-fine-tuning objective of parameters and the synthetic generator's
-closed-form CIF (:func:`oracle_cif`), which only tests use. The cumulative-product backward
-is the oracle's own route through the survival product in its dense ranking
-backward (``ranking_value_and_dpsi``): a reverse cumulative sum divided by
-the factors, with a loop over the rows holding a zero factor, where
+exemplar weights, row-loop cumulative-product backward, counted code-group
+tables and per-cell CSV reader and writer that ``kernelaj`` replaced, plus
+the scalar kernel, the fine-tuning objective of parameters and the
+synthetic generator's closed-form CIF (:func:`oracle_cif`), which only
+tests use. The cumulative-product backward is the oracle's own route
+through the survival product in its dense ranking backward
+(``ranking_value_and_dpsi``): a reverse cumulative sum divided by the
+factors, with a loop over the rows holding a zero factor, where
 ``kernelaj`` takes one reverse pass over the bins.
 
 The functions below are kept verbatim as test oracles: the kernel comes
@@ -31,16 +32,16 @@ its likelihood and gradient by hand, the fine-tuning gradient holds the
 hazards of every training row at once, the whole-batch ranking runs the
 recursion over every row at once and keeps its exponentials in a plane of
 their own, the objective sums a separate NLL gradient plane and ranking
-gradient plane, the cumulative-product backward loops
-over the rows with a zero factor, and the CSV reader and writer handle one
-cell at a time through ``csv.DictReader`` and ``csv.writer`` (the reader's
-event check also rejects nan, infinite and out-of-int64 cells, as the
-package does). Only the shared building blocks that did not change (the
-network, the floored CIF recursion, the reverse cumulative sum, the at-risk
-mask, the fixed-block distances, curve interpolation, the fine-tuning
-table parameterization, and the objective, weighted hazards and ratio
-backward that the whole-cohort fine-tuning gradient chains) are imported
-from the package.
+gradient plane, a code group's one-row tables are counted from its code,
+the cumulative-product backward loops over the rows with a zero factor,
+and the CSV reader and writer handle one cell at a time through
+``csv.DictReader`` and ``csv.writer`` (the reader's event check also
+rejects nan, infinite and out-of-int64 cells, as the package does). Only the shared building blocks that did not change (the
+network, the floored CIF recursion, the reverse cumulative sum, the table
+counter, the at-risk mask, the fixed-block distances, curve interpolation,
+the fine-tuning table parameterization, and the objective, weighted
+hazards and ratio backward that the whole-cohort fine-tuning gradient
+chains) are imported from the package.
 """
 
 import csv
@@ -48,7 +49,8 @@ import math
 
 import numpy as np
 
-from kernelaj.core import Cohort, StepCurve, cif_from_hazards, reverse_cumsum
+from kernelaj.core import (Cohort, StepCurve, cif_from_hazards, count_tables,
+                           reverse_cumsum)
 from kernelaj.embedding import backward, forward_cached
 from kernelaj.embedding import pairwise_sq_dists as blocked_sq_dists
 from kernelaj.dataio import RawTable
@@ -423,6 +425,14 @@ def kernel_hazard_curves(E_query, E_ref, kappa_ref, delta_ref, m, L):
     psi, _, _, _, _ = _psi_from_weights(Kq, evt, at_risk)
     F, S, _, _ = _cif_from_psi(psi)
     return psi, F, S
+
+
+def code_tables(kappa, delta, m, L):
+    """One-row tables (d (U, L, m), n (U, L)) of code groups with labels
+    (kappa, delta): ``core.count_tables`` of the group codes, one group per
+    code, the counting that ``training`` once ran for every code of a grid."""
+    codes = np.asarray(kappa, np.int64) * (m + 1) + np.asarray(delta, np.int64)
+    return count_tables(codes, (L, m), np.arange(codes.size), codes.size)
 
 
 def _pooled_fallback(weights):

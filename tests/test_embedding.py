@@ -10,6 +10,8 @@ from dense_oracle import kernel
 from kernelaj import EmbeddingConfig, ShapeMismatch, embed, embed_batch, init_mlp
 from kernelaj.embedding import (
     MlpParams,
+    _activate,
+    _activate_grad,
     backward,
     blocked_matmul,
     flatten_grads,
@@ -166,6 +168,27 @@ class TestBackward:
             return float(E.sum()), np.ones_like(E)
 
         self.check_gradient(params, X, loss_fn)
+
+    def test_relu_derivative_read_off_activations(self):
+        # a > 0 exactly where z > 0, at signed zeros, the smallest subnormal,
+        # the infinities and NaN
+        z = np.array([-0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1.0, -1.0])
+        got = _activate_grad(_activate(z, "relu"), "relu")
+        assert got.tobytes() == (z > 0).astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_cache_is_the_activations(self, activation):
+        cfg = EmbeddingConfig(input_dim=3, num_layers=2, hidden_units=4, embed_dim=2,
+                              activation=activation)
+        params = init_mlp(cfg, seed=1)
+        X = np.random.default_rng(1).normal(size=(6, 3))
+        E, cache = forward_cached(params, X)
+        assert isinstance(cache, list) and len(cache) == len(params.weights) + 1
+        assert_array_equal(cache[0], X)
+        assert cache[-1] is E
+        for k, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+            assert_array_equal(cache[k + 1], _activate(blocked_matmul(cache[k], w.T) + b,
+                                                       activation))
 
 
 class TestFlattening:

@@ -1,8 +1,9 @@
-"""The segment-sum training step, blocked kernel backward, validation
-hazards, per-bin ranking loss, blocked interpolation, blocked concordance
-and blocked Brier score against the dense oracles in ``dense_oracle``, the
-one scorer against the per-event composition it replaced, plus the memory
-bounds of the step, the kernel backward, the concordance and the scorer.
+"""The segment-sum training step, the code groups' tables, blocked kernel
+backward, validation hazards, per-bin ranking loss, blocked interpolation,
+blocked concordance and blocked Brier score against the dense oracles in
+``dense_oracle``, the one scorer against the per-event composition it
+replaced, plus the memory bounds of the step, the code groups' tables, the
+kernel backward, the concordance and the scorer.
 
 Random cohorts come from hypothesis under the suite's derandomized profile
 (``conftest.py``), so every run draws the same examples.
@@ -11,6 +12,7 @@ Random cohorts come from hypothesis under the suite's derandomized profile
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +144,9 @@ class TestTrainingStep:
              np.array([0, 0, 1, 0, 1, 0, 1, 0, 0]), 1, 6),
             # all censored, some at kappa = 0
             (np.array([0, 3, 1, 0, 2, 3, 0, 1, 2]), np.zeros(9, np.int64), 2, 4),
+            # the default grid's 512-bin cap: first and last bins, kappa = 0
+            (np.array([512, 1, 0, 300, 512, 511, 2, 0, 300]),
+             np.array([1, 2, 0, 1, 0, 2, 1, 0, 2]), 2, 512),
         ]
         for kappa, delta, m, L in cases:
             assert_step_matches_oracle(X, kappa.astype(np.int64),
@@ -188,6 +193,56 @@ class TestStepBuffers:
         _, peak = traced_peak(lambda: total_loss_and_grad(params, X, kappa, delta, m, L,
                                                           1.0, 1.0, buffer))
         assert peak < B * B * 8
+
+
+def label_batch(rng, n, m, L):
+    """(kappa, delta) of n rows: kappa in 0..L, an event only at kappa >= 1."""
+    kappa = rng.integers(0, L + 1, n)
+    return kappa, np.where(kappa == 0, 0, rng.integers(0, m + 1, n))
+
+
+class TestCodeTables:
+    """The code groups' one-row tables, built from their labels, against the
+    counted tables of their codes (``dense_oracle.code_tables``)."""
+
+    @pytest.mark.parametrize("L", [1, 6, 64, 512])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_bit_equal_to_counted_tables(self, m, L):
+        rng = np.random.default_rng(L * 10 + m)
+        every = np.arange((L + 1) * (m + 1))
+        every = rng.permutation(every[(every > m) | (every == 0)])   # no event at kappa 0
+        batches = [
+            label_batch(rng, 40, m, L),                             # kappa 0 censored rows
+            (rng.integers(0, L + 1, 40), np.zeros(40, np.int64)),   # no event row
+            (every // (m + 1), every % (m + 1)),                    # every code
+        ]
+        for kappa, delta in batches:
+            groups = code_groups(kappa, delta, m)
+            got = groups.tables(m, L)
+            want = oracle.code_tables(groups.kappa, groups.delta, m, L)
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == np.float64 and a.flags.c_contiguous
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        assert groups.kappa.size == every.size
+
+    def test_hold_only_what_they_return(self):
+        # a cache of every code's tables, counted once per grid, held 72 MiB
+        # at L 512 and m 5 and peaked at 156 MiB while it was built; the
+        # first call, at another grid, would evict a cache of one entry
+        m, L = 5, 512
+        groups = code_groups(*label_batch(np.random.default_rng(3), 1024, m, L), m)
+        code_groups(np.ones(2, np.int64), np.ones(2, np.int64), 1).tables(1, 1)
+        tracemalloc.start()
+        try:
+            d, n = groups.tables(m, L)
+            size, peak = d.nbytes + n.nbytes, tracemalloc.get_traced_memory()[1]
+            del d, n
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * size
+        assert left < 64 * 1024
 
 
 # Growth, in KiB, of the peak RSS (ru_maxrss) of one kernel backward of a

@@ -356,6 +356,25 @@ def test_every_config_key_has_a_setter():
     assert unset == []
 
 
+def test_no_process_cache():
+    # nothing in the package memoizes across calls: functools' caches would
+    # keep their results for the life of the process, after a fit returns
+    caching = {"lru_cache", "cache", "cached_property"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "functools"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [(path.stem, a.name) for a in node.names if a.name in caching]
+            elif (isinstance(node, ast.Attribute) and node.attr in caching
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                found.append((path.stem, node.attr))
+    assert found == []
+
+
 def test_every_error_has_a_raiser():
     # every error type the package defines, but the base class, is raised in
     # src/; test_every_export_has_a_caller counts an import as a use, so an
