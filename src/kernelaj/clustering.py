@@ -132,8 +132,8 @@ class ClusterModel:
     ``assignments[i]`` is the exemplar id of training point i, and each
     exemplar is assigned to itself. ``codes[i]`` is point i's
     :func:`~kernelaj.core.label_codes` code on tables of ``table_shape`` (L, m),
-    with no event in bin 0; the tables ``d_cluster`` (Q, L, m) and
-    ``n_cluster`` (Q, L) are counted from the codes here. ``tau`` is the
+    a label's by :func:`~kernelaj.core.check_labels`; the tables ``d_cluster``
+    (Q, L, m) and ``n_cluster`` (Q, L) are counted from the codes here. ``tau`` is the
     prediction-time neighborhood radius in embedding space (not epsilon,
     which prediction never reads); NaN raises ValueError, inf is valid.
     """
@@ -165,9 +165,7 @@ class ClusterModel:
         if (ids.min(initial=0) < 0 or ids.max(initial=-1) >= asg.size
                 or np.unique(ids).size != Q or (asg[ids] != ids).any()):
             raise ValueError("exemplar ids must be distinct training rows assigned to themselves")
-        if not ((codes == 0) | ((codes > m) & (codes < (L + 1) * (m + 1)))).all():
-            raise ValueError(f"codes must be 0 or lie in {m + 1}..{(L + 1) * (m + 1) - 1}")
-        # cluster_positions rejects an assignment that names no exemplar
+        # cluster_positions rejects a stray assignment, count_tables a bad code
         d, n = count_tables(codes, (L, m), cluster_positions(ids, asg), Q)
         for name, value in (("exemplar_ids", ids), ("exemplar_embeddings", emb),
                             ("assignments", asg), ("codes", codes), ("table_shape", (L, m)),

@@ -220,15 +220,29 @@ def label_codes(cohort: Cohort, grid: EventTimeGrid):
     return kappa * (cohort.m + 1) + cohort.event
 
 
+def check_labels(kappa, delta, n, m, L):
+    """(kappa, delta) of n rows as int64 arrays; a label outside 0 <= delta <= m,
+    0 <= kappa <= L, or an event at kappa 0, raises ValueError naming its row:
+    the one label rule, of every function that counts or scores labels."""
+    kappa, delta = np.asarray(kappa, np.int64), np.asarray(delta, np.int64)
+    if kappa.shape != (n,) or delta.shape != (n,):
+        raise ValueError(f"kappa and delta must have shape ({n},)")
+    bad = np.flatnonzero((delta < 0) | (delta > m) | (kappa < (delta != 0)) | (kappa > L))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: kappa {kappa[bad[0]]} and delta {delta[bad[0]]} "
+                         f"are not a label on {L} bins and {m} event types")
+    return kappa, delta
+
+
 def count_tables(codes, shape, group, groups: int):
     """Event counts (groups, L, m) and at-risk counts (groups, L) of the
     records in each group 0..groups-1 (``group``, one per record), from the
-    records' :func:`label_codes` on tables of ``shape`` (L, m).
-
-    A code is its record's flat cell in the (L + 1, m + 1) table, so one
-    count fills every (group, bin, event) cell. At-risk counts are reverse
-    cumulative sums over bins. The counts are integers, so tables summed
-    over groups equal the one-group tables exactly."""
+    records' :func:`label_codes` on tables of ``shape`` (L, m), checked by
+    :func:`check_labels`. A code is its record's flat cell in the (L + 1,
+    m + 1) table, so one count fills every (group, bin, event) cell. At-risk
+    counts are reverse cumulative sums over bins. The counts are integers, so
+    tables summed over groups equal the one-group tables exactly."""
+    check_labels(codes // (shape[1] + 1), codes % (shape[1] + 1), codes.size, shape[1], shape[0])
     cells = np.zeros((groups, shape[0] + 1, shape[1] + 1))
     np.add.at(cells.reshape(groups, -1), (group, codes), 1.0)   # a view of cells
     n = reverse_cumsum(np.einsum("glk->gl", cells[:, 1:]))  # faster than .sum(axis=2)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import ClusterModel
-from .core import Cohort, breslow_preprocess, reverse_cumsum
+from .core import Cohort, breslow_preprocess, check_labels, reverse_cumsum
 from .errors import ShapeMismatch
 from .metrics import Scorer
 from .model import fallback_weights, frozen_subject_weights, weighted_hazards
@@ -40,7 +40,6 @@ from .training import (  # noqa: F401 (sft_objective_from_tables is named here t
     TrainConfig,
     TrainingLog,
     _ratio_backward,
-    check_labels,
     criterion_scorer,
     descend,
     objective_and_dpsi,
@@ -113,8 +112,8 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
     rows run in blocks of ``SFT_BLOCK_ROWS``, each weighted by its share of
     the rows, so each hazard plane holds SFT_BLOCK_ROWS rows; the ranking
     term couples every pair of rows, so at alpha < 1 the one block is the
-    cohort. A bad label raises ValueError naming its row
-    (:func:`training.check_labels`).
+    cohort. A bad label raises ValueError naming its row in the caller's
+    order (:func:`core.check_labels`).
     """
     weights = np.asarray(weights, np.float64)
     d_prime, n_prime = sft_counts(params)

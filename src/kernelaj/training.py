@@ -105,6 +105,7 @@ from .core import (
     Cohort,
     EventTimeGrid,
     breslow_preprocess,
+    check_labels,
     cif_from_hazards,
     label_codes,
     require_int,
@@ -207,25 +208,14 @@ class CodeGroups(NamedTuple):
         return d, _at_risk(self.kappa, L)
 
 
-def code_groups(kappa, delta, m) -> CodeGroups:
-    code = np.asarray(kappa, np.int64) * (m + 1) + np.asarray(delta, np.int64)
+def code_groups(kappa, delta, m, L) -> CodeGroups:
+    """The groups of labels on L bins and m event types (:func:`core.check_labels`)."""
+    kappa, delta = check_labels(kappa, delta, np.size(kappa), m, L)
+    code = kappa * (m + 1) + delta
     order = np.argsort(code, kind="stable")
     code = code[order]
     starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
     return CodeGroups(order, starts, code[starts] // (m + 1), code[starts] % (m + 1))
-
-
-def check_labels(kappa, delta, n, m, L):
-    """(kappa, delta) of n rows as int64 arrays; a label outside 0 <= delta <= m,
-    0 <= kappa <= L, or an event at kappa 0, raises ValueError naming its row."""
-    kappa, delta = np.asarray(kappa, np.int64), np.asarray(delta, np.int64)
-    if kappa.shape != (n,) or delta.shape != (n,):
-        raise ValueError(f"kappa and delta must have shape ({n},)")
-    bad = np.flatnonzero((delta < 0) | (delta > m) | (kappa < (delta != 0)) | (kappa > L))
-    if bad.size:
-        raise ValueError(f"row {bad[0]}: kappa {kappa[bad[0]]} and delta {delta[bad[0]]} "
-                         f"are not a label on {L} bins and {m} event types")
-    return kappa, delta
 
 
 def objective_and_dpsi(psi, kappa, delta, alpha, sigma):
@@ -235,8 +225,9 @@ def objective_and_dpsi(psi, kappa, delta, alpha, sigma):
     its log. At alpha = 1 the plane of the NLL's hazard product receives
     dLoss/dpsi. At alpha < 1 the NLL's gradient is added into the ranking's,
     own-event cells last, so each cell is the sum nll + ranking of two
-    separate planes (module docstring)."""
+    separate planes (module docstring). A bad label raises (:func:`core.check_labels`)."""
     m, n, L = psi.shape
+    kappa, delta = check_labels(kappa, delta, n, m, L)
     at_risk = _at_risk(kappa, L)
     unc = np.flatnonzero(delta != 0)
     own = psi[delta[unc] - 1, unc, kappa[unc] - 1]
@@ -273,7 +264,8 @@ def _ratio_backward(dpsi, psi, inv_den):
 def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     """Ranking loss of a batch plus its gradient w.r.t. the hazard tensor.
 
-    ``psi`` has shape (m, n, L). Returns (value, dpsi) where dpsi already
+    ``psi`` has shape (m, n, L), and (kappa, delta) are int64 labels that
+    :func:`objective_and_dpsi` has checked. Returns (value, dpsi) where dpsi already
     carries the factor ``scale`` (the loss value does not). Each event type
     with an event in the batch adds sum(B * T[bins]) / n^2, from A, B and T
     of the module docstring; the backward pass is one reverse pass over the
@@ -282,8 +274,6 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     plane), and dpsi takes dF's array, a bin at a time, once the pass has read it.
     """
     m, n, L = psi.shape
-    kappa = np.asarray(kappa, dtype=np.int64)
-    delta = np.asarray(delta, dtype=np.int64)
     F, S_prev, u = np.empty_like(psi), np.empty((n, L)), np.empty((n, L))
     for rows in (slice(s, s + RANK_BLOCK_ROWS) for s in range(0, n, RANK_BLOCK_ROWS)):
         F[:, rows], _, S_prev[rows], u[rows] = cif_from_hazards(psi[:, rows])
@@ -330,7 +320,7 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None
     """Total loss of a minibatch and exact gradients for every parameter.
 
     Returns (loss, weight_grads, bias_grads); a bad label raises ValueError
-    (:func:`check_labels`). The batch is processed in (bin, event) order;
+    (:func:`core.check_labels`). The batch is processed in (bin, event) order;
     loss and gradients are sums over rows, so the order changes only
     rounding. The backward pass runs through the leave-one-out hazard ratios,
     the survival product, the ranking terms, the kernel matrix, the network.
@@ -347,7 +337,7 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None
         raise ShapeMismatch("batch must contain at least 2 subjects")
     kappa, delta = check_labels(kappa, delta, n, m, L)
     W = _block(np.empty(n * n) if buffer is None else buffer, n, n)
-    groups = code_groups(kappa, delta, m)
+    groups = code_groups(kappa, delta, m, L)
     X = X[groups.order]
     kappa, delta = kappa[groups.order], delta[groups.order]
 
@@ -383,8 +373,8 @@ def kernel_hazard_curves(E_query, E_ref, groups: CodeGroups, m, L):
     """Kernel-weighted hazards and CIF curves of query points vs a reference
     set (no leave-one-out; queries are assumed disjoint from the reference),
     through the step's ``weighted_hazards`` and ``cif_from_hazards``.
-    ``groups`` is :func:`code_groups` of the reference labels; E_ref is in
-    the reference rows' own order.
+    ``groups`` is :func:`code_groups` of the reference labels, checked by
+    :func:`core.check_labels`; E_ref is in the reference rows' own order.
 
     Returns (psi (m, q, L), F (m, q, L), S (q, L)).
     """
@@ -451,7 +441,7 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
     """The training objective of given count tables (no leave-one-out): the
     value of :func:`objective_and_dpsi` on their hazards, gradient discarded;
     the objective criterion of training and of summary fine-tuning. A bad
-    label raises ValueError naming its row (:func:`check_labels`).
+    label raises ValueError naming its row (:func:`core.check_labels`).
 
     ``weights[i, q]`` is the frozen kernel weight of subject i to exemplar q.
     The mean runs over every subject; one with an all-zero weight row is
@@ -459,7 +449,6 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
     prediction scores it. With alpha < 1 the ranking penalty is blended in.
     """
     W, _ = fallback_weights(weights)
-    kappa, delta = check_labels(kappa, delta, W.shape[0], d_tables.shape[2], n_tables.shape[1])
     psi = weighted_hazards((d_tables, n_tables), W)[0]
     return objective_and_dpsi(psi, kappa, delta, alpha, sigma)[0]
 

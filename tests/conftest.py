@@ -1,15 +1,19 @@
 """Shared helpers: random labeled batches, cluster models of hand-made
-tables, small fits through ``fit_pipeline``, the network's parameters as one
-flat vector and the finite-difference oracles that perturb it, and the traced
+tables, small fits through ``fit_pipeline``, the benchmark's cohort and its
+acceptance fit, made once per session, the network's parameters as one flat
+vector and the finite-difference oracles that perturb it, and the traced
 memory peak of a call; the hypothesis profile of the suite."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from kernelaj import ClusterModel, EmbeddingConfig, RawTable, TrainConfig, fit_apply_preprocessor
+from kernelaj import (ClusterModel, EmbeddingConfig, RawTable, TrainConfig,
+                      fit_apply_preprocessor, generate_synthetic)
 from kernelaj.cli import fit_pipeline
 from kernelaj.embedding import MlpParams, flatten_grads
 from dense_oracle import batch_loss_from_params
@@ -59,6 +63,41 @@ def clusters_from_tables(d, n, embeddings, tau=1.0) -> ClusterModel:
     assert all((got == want).all() for got, want in
                zip((clusters.d_cluster, clusters.n_cluster), tables))
     return clusters
+
+
+# the benchmark's acceptance workload (benchmarks/session.py's _BASE)
+BENCH_ECFG = EmbeddingConfig(input_dim=8, num_layers=2, hidden_units=32, embed_dim=8,
+                             activation="relu", init_seed=0)
+BENCH_TCFG = TrainConfig(learning_rate=0.1, batch_size=1024, max_epochs=16, patience=16,
+                         alpha=1.0, sigma=1.0, num_time_steps=64, early_stop_criterion="ibs",
+                         seed=0)
+BENCH_CLUSTERING = {"epsilon": 0.3, "min_kernel_weight": 0.01}
+
+
+@pytest.fixture(scope="session")
+def bench_cohorts():
+    """The benchmark's cohort at seed 1: (generator config, the raw train,
+    valid and test parts, rows cut 4,800 / 1,200 / 2,000 in order, and the
+    three cohorts with features standardized as ``kernelaj fit`` does)."""
+    from test_acceptance import BENCH_CFG     # the generator the benchmark names
+
+    cfg = replace(BENCH_CFG, seed=1)
+    cohort = generate_synthetic(cfg)
+    parts = [cohort.subset(np.arange(lo, hi))
+             for lo, hi in ((0, 4800), (4800, 6000), (6000, 8000))]
+    schema = {f"x{j + 1}": "continuous" for j in range(cfg.p)}
+    cohorts = fit_apply_preprocessor(*(
+        RawTable({name: part.features[:, j].tolist() for j, name in enumerate(schema)},
+                 part.time, part.event) for part in parts), schema_spec=schema)[:3]
+    return cfg, parts, cohorts
+
+
+@pytest.fixture(scope="session")
+def acceptance_fit(bench_cohorts):
+    """(model, logs) of ``fit_pipeline`` on the benchmark's acceptance
+    workload at seed 1, shared by the tests that read it."""
+    train, valid, _ = bench_cohorts[2]
+    return fit_pipeline(train, valid, BENCH_ECFG, BENCH_TCFG, **BENCH_CLUSTERING)
 
 
 def flatten_params(params: MlpParams) -> np.ndarray:

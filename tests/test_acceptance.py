@@ -19,7 +19,6 @@ from dense_oracle import oracle_cif, sft_negative_log_likelihood
 from kernelaj import (
     Cohort,
     EmbeddingConfig,
-    RawTable,
     SynthConfig,
     TrainConfig,
     aalen_johansen,
@@ -29,7 +28,6 @@ from kernelaj import (
     brier_score,
     concordance_td,
     fine_tune_summaries,
-    fit_apply_preprocessor,
     generate_synthetic,
     init_mlp,
     init_sft_params,
@@ -315,28 +313,13 @@ class TestCriterion6SyntheticRecovery:
                   f"(>= 0.60), ibs = {scores['ibs'][0]:.4f}/{scores['ibs'][1]:.4f} "
                   f"< population {pop_scores['ibs'][0]:.4f}/{pop_scores['ibs'][1]:.4f}")
 
-    def test_closer_to_the_truth_than_the_population(self):
-        # the benchmark's acceptance workload: its cohort (seed 1, rows cut
-        # 4800/1200/2000 in order) and fit config, features standardized as
-        # `kernelaj fit` does. Error: the mean absolute difference from the
+    def test_closer_to_the_truth_than_the_population(self, bench_cohorts, acceptance_fit):
+        # the benchmark's acceptance workload (conftest.bench_cohorts and
+        # acceptance_fit). Error: the mean absolute difference from the
         # generator's closed-form CIFs over the test rows and both events, at
         # the model's grid times up to their 90th percentile
-        cfg = replace(BENCH_CFG, seed=1)
-        cohort = generate_synthetic(cfg)
-        parts = [cohort.subset(np.arange(lo, hi))
-                 for lo, hi in ((0, 4800), (4800, 6000), (6000, 8000))]
-        schema = {f"x{j + 1}": "continuous" for j in range(cfg.p)}
-        train, valid, test, _ = fit_apply_preprocessor(*(
-            RawTable({name: part.features[:, j].tolist() for j, name in enumerate(schema)},
-                     part.time, part.event) for part in parts), schema_spec=schema)
-        ecfg = EmbeddingConfig(input_dim=8, num_layers=2, hidden_units=32,
-                               embed_dim=8, activation="relu", init_seed=0)
-        tcfg = TrainConfig(learning_rate=0.1, batch_size=1024, max_epochs=16,
-                           patience=16, alpha=1.0, sigma=1.0, num_time_steps=64,
-                           early_stop_criterion="ibs", seed=0)
-        model, _ = fit_pipeline(train, valid, ecfg, tcfg, epsilon=0.3,
-                                min_kernel_weight=0.01)
-
+        cfg, parts, (_, _, test) = bench_cohorts
+        model, _ = acceptance_fit
         times = model.grid.times
         upto = times <= np.percentile(times, 90)
         truth = np.stack([oracle_cif(cfg, parts[2].features, d, times[upto])

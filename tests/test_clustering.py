@@ -91,10 +91,11 @@ class TestEpsilonNet:
         ("ids", 0, -1), ("ids", 0, 2), ("ids", 1, 3), ("ids", 0, 1)])
     def test_cluster_model_rejects_bad_arrays(self, array, cell, value):
         # Tables of 2 bins and 1 event type have codes 0..5, and code 1 is an
-        # event in bin 0. Points 1 and 2 join the second exemplar, so
-        # assignment -1 would read the last exemplar, ids -1 and 2 name one
-        # row (it used to give sizes [0, 3]), 2 and 2 repeat, 3 is past the
-        # rows, and 1 and 2 leave exemplar 1 assigned to exemplar 2.
+        # event in bin 0: core.check_labels names the row of each bad code.
+        # Points 1 and 2 join the second exemplar, so assignment -1 would
+        # read the last exemplar, ids -1 and 2 name one row (it used to give
+        # sizes [0, 3]), 2 and 2 repeat, 3 is past the rows, and 1 and 2
+        # leave exemplar 1 assigned to exemplar 2.
         arrays = {"ids": np.array([0, 2]), "emb": np.zeros((2, 2)),
                   "codes": np.array([0, 3, 4]), "asg": np.array([0, 2, 2])}
 
@@ -106,7 +107,7 @@ class TestEpsilonNet:
         assert build().cluster_sizes().tolist() == [1, 2]
         arrays[array][cell] = value
         message = {"ids": "exemplar ids must be distinct", "emb": "must be finite",
-                   "codes": "codes must be 0 or lie in 2..5",
+                   "codes": rf"^row {cell}: ",
                    "asg": "every assignment must reference an exemplar"}[array]
         with pytest.raises(ValueError, match=message):
             build()

@@ -21,6 +21,7 @@ from kernelaj import (
     kaplan_meier,
     risk_event_counts,
 )
+from kernelaj.core import count_tables
 
 
 def make_cohort(times, events, m=2):
@@ -165,6 +166,16 @@ class TestCounts:
             raw, snapped = risk_event_counts(cohort, grid), risk_event_counts(pre, grid)
             for a, b in zip(raw, snapped):
                 assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("code", [1, 2, -1, 12])
+    def test_bad_code_names_its_record(self, code):
+        # tables of 3 bins and 2 event types hold codes 0 and 3..11: codes 1
+        # and 2 are events at kappa 0, which no cell counts, -1 would index
+        # the last cell, and 12, (L + 1)(m + 1), lies past it
+        codes = np.array([0, 3, 4, 8, 11, 5])
+        codes[[3, 5]] = code
+        with pytest.raises(ValueError, match=r"^row 3: "):
+            count_tables(codes, (3, 2), 0, 1)
 
 
 class TestKaplanMeier:

@@ -217,7 +217,7 @@ class TestCodeTables:
             (every // (m + 1), every % (m + 1)),                    # every code
         ]
         for kappa, delta in batches:
-            groups = code_groups(kappa, delta, m)
+            groups = code_groups(kappa, delta, m, L)
             got = groups.tables(m, L)
             want = oracle.code_tables(groups.kappa, groups.delta, m, L)
             for a, b in zip(got, want, strict=True):
@@ -226,13 +226,20 @@ class TestCodeTables:
                 assert a.tobytes() == b.tobytes()
         assert groups.kappa.size == every.size
 
+    def test_event_at_kappa_0_names_its_row(self):
+        # unchecked, the groups' tables, and so kernel_hazard_curves, would
+        # put such an event at bin index -1, the last bin
+        kappa, delta = np.array([1, 0, 2, 0, 0]), np.array([1, 0, 1, 2, 1])
+        with pytest.raises(ValueError, match=r"^row 3: "):
+            code_groups(kappa, delta, 2, 3)
+
     def test_hold_only_what_they_return(self):
         # a cache of every code's tables, counted once per grid, held 72 MiB
         # at L 512 and m 5 and peaked at 156 MiB while it was built; the
         # first call, at another grid, would evict a cache of one entry
         m, L = 5, 512
-        groups = code_groups(*label_batch(np.random.default_rng(3), 1024, m, L), m)
-        code_groups(np.ones(2, np.int64), np.ones(2, np.int64), 1).tables(1, 1)
+        groups = code_groups(*label_batch(np.random.default_rng(3), 1024, m, L), m, L)
+        code_groups(np.ones(2, np.int64), np.ones(2, np.int64), 1, 1).tables(1, 1)
         tracemalloc.start()
         try:
             d, n = groups.tables(m, L)
@@ -309,7 +316,7 @@ class TestValidationHazards:
         rng = np.random.default_rng(seed)
         E_ref = rng.normal(size=(X.shape[0], 2))
         E_query = rng.normal(size=(q, 2))
-        got = kernel_hazard_curves(E_query, E_ref, code_groups(kappa, delta, m), m, L)
+        got = kernel_hazard_curves(E_query, E_ref, code_groups(kappa, delta, m, L), m, L)
         want = oracle.kernel_hazard_curves(E_query, E_ref, kappa, delta, m, L)
         for a, b in zip(got, want):
             assert_allclose(a, b, rtol=0, atol=1e-12)

@@ -188,6 +188,23 @@ def test_one_fallback_rule():
                        ("model", "weighted_summaries"), ("training", "sft_objective_from_tables")]
 
 
+def test_one_label_rule():
+    # a (bin, event) label is checked by one rule, core.check_labels, next to
+    # the code format it guards. The counter of every table, the step's code
+    # groups and the one objective apply it, so no reader can score a label
+    # outside the tables; the step and fine-tuning call it, too, to name rows
+    # in the caller's order and match the labels to their rows
+    defined = [(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name == "check_labels"]
+    assert defined == [("core", "check_labels")]
+    callers = [(module, owner) for module in sorted(p.stem for p in SRC.glob("*.py"))
+               for owner, name in _calls(module) if name == "check_labels"]
+    assert callers == [("core", "count_tables"), ("finetune", "sft_loss_and_grad"),
+                       ("training", "code_groups"), ("training", "objective_and_dpsi"),
+                       ("training", "total_loss_and_grad")]
+
+
 def test_one_batch_buffer():
     # the fit's one B x B buffer belongs to the training step: only
     # training.total_loss_and_grad views it through _block, so no second

@@ -313,6 +313,17 @@ class TestCriterionLabels:
         with pytest.raises(ValueError, match=r"^row 5: "):
             training.sft_objective_from_tables(d, n, W, kap, dl, alpha)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("kappa, delta", [(2, -1), (0, 1), (6, 0), (-1, 0), (2, 3)])
+    def test_objective_names_the_row(self, kappa, delta, alpha):
+        # the objective checks the labels it scores: unchecked, an event at
+        # kappa 0 would read its hazard at bin index -1, the last bin
+        psi = np.random.default_rng(8).uniform(0.01, 0.2, (2, 6, 5))
+        _, _, _, kap, dl = self.problem()
+        kap[5], dl[5] = kappa, delta
+        with pytest.raises(ValueError, match=r"^row 5: "):
+            training.objective_and_dpsi(psi, kap, dl, alpha, 1.0)
+
 
 def two_cluster_cohorts(n=60, seed=0):
     """Separable toy data: feature sign determines which event dominates."""
