@@ -236,14 +236,11 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     grid = discretize_times(build_event_grid(train_cohort), tcfg.num_time_steps)
     train_pre, _ = breslow_preprocess(train_cohort, grid)
     valid_pre, _ = breslow_preprocess(valid_cohort, grid)
-    # one validation scorer per criterion, SFT's checked first
-    criteria = [sft_tcfg.early_stop_criterion] if sft_tcfg else []
-    scorers = {c: criterion_scorer(c, train_pre, valid_pre, grid)
-               for c in dict.fromkeys(criteria + [tcfg.early_stop_criterion])}
+    if sft_tcfg is not None:        # fine-tuning's criterion, checked before training
+        criterion_scorer(sft_tcfg.early_stop_criterion, train_pre, valid_pre, grid)
 
     (params, clusters), train_log = train_embedding(
-        train_pre, valid_pre, ecfg, tcfg, grid, scorers[tcfg.early_stop_criterion],
-        epsilon, tau)
+        train_pre, valid_pre, ecfg, tcfg, grid, epsilon, tau)
 
     # each cluster's rows in input order, so every mean keeps its bits
     order = np.argsort(cluster_positions(clusters.exemplar_ids, clusters.assignments),
@@ -255,8 +252,7 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     logs = {"train": train_log}
 
     if sft_tcfg is not None:
-        model, sft_result = fine_tune_summaries(model, train_pre, valid_pre, sft_tcfg,
-                                                scorers[sft_tcfg.early_stop_criterion])
+        model, sft_result = fine_tune_summaries(model, train_pre, valid_pre, sft_tcfg)
         logs["sft"] = sft_result.log
     return model, logs
 
@@ -274,10 +270,9 @@ def _load_compatible_cohort(path, schema: FeatureSchema, model: KernelAJModel,
 
 
 def cmd_evaluate(model_path: str, data_path: str, out_dir: str,
-                 time_column: str = "time", event_column: str = "event") -> int:
+                 time_column: str, event_column: str) -> int:
     model, schema = _load_model_checked(model_path)
-    cohort = _load_compatible_cohort(data_path, schema, model,
-                                     time_column, event_column)
+    cohort = _load_compatible_cohort(data_path, schema, model, time_column, event_column)
     with _output_dir(out_dir):
         cif, _, _ = predict_cif_grid(model, cohort.features)
         scorer = metricsmod.scorer(
@@ -298,15 +293,13 @@ def cmd_evaluate(model_path: str, data_path: str, out_dir: str,
     return 0
 
 
-def cmd_explain(model_path: str, out_dir: str, data_path=None,
-                clusters_mode=False, time_column: str = "time",
-                event_column: str = "event") -> int:
+def cmd_explain(model_path: str, out_dir: str, data_path, clusters_mode,
+                time_column: str, event_column: str) -> int:
     if clusters_mode == (data_path is not None):
         raise ConfigError("explain takes exactly one of --data <csv> or --clusters")
     model, schema = _load_model_checked(model_path)
     if not clusters_mode:
-        cohort = _load_compatible_cohort(data_path, schema, model,
-                                         time_column, event_column)
+        cohort = _load_compatible_cohort(data_path, schema, model, time_column, event_column)
     with _output_dir(out_dir):
         if clusters_mode:
             ids = model.clusters.exemplar_ids

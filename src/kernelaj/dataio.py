@@ -14,6 +14,7 @@ are fitted on the training rows only and applied unchanged to held-out sets.
 """
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -55,7 +56,8 @@ def load_cohort(path, schema_spec: dict, time_column: str, event_column: str) ->
     ``schema_spec`` maps feature column names to their kind. Raises
     MissingColumn when a declared column (or the time/event column) is
     absent, and ParseError with row/column context on the first bad cell in
-    row-major order (time, event, then the schema's columns).
+    row-major order (time, event, then the schema's columns), a non-finite
+    number or a negative time included.
     """
     for kind in schema_spec.values():
         if kind not in _KINDS:
@@ -74,25 +76,31 @@ def load_cohort(path, schema_spec: dict, time_column: str, event_column: str) ->
         t, e = index[time_column], index[event_column]
         for rownum, row in enumerate(filter(None, reader), start=2):
             row += [None] * (len(header) - len(row))
-            times.append(_parse_float(row[t], rownum, time_column))
+            times.append(_parse_float(row[t], rownum, time_column, "time"))
             events.append(_parse_event(row[e], rownum, event_column))
             for name, j, numeric, store in fields:
                 cell = row[j]
                 store(None if cell is None or cell.strip() in _MISSING else
-                      _parse_float(cell, rownum, name) if numeric else cell.strip())
+                      _parse_float(cell, rownum, name, "feature") if numeric else cell.strip())
     if not times:
         raise ParseError(f"no data rows in {path}")
     return RawTable(columns, np.array(times, dtype=np.float64),
                     np.array(events, dtype=np.int64))
 
 
-def _parse_float(cell, rownum, colname) -> float:
+def _parse_float(cell, rownum, colname, kind=None) -> float:
+    """``float(cell)``; a ``kind`` "time" must be finite and nonnegative, a "feature" finite."""
     try:
-        return float(cell)
+        value = float(cell)
     except (TypeError, ValueError):
         raise ParseError(f"cannot parse '{cell}' as a number "
                          f"(row {rownum}, column '{colname}')",
                          row=rownum, column=colname) from None
+    if kind and not (math.isfinite(value) and (kind == "feature" or value >= 0)):
+        need = "number" if kind == "feature" else "nonnegative number"
+        raise ParseError(f"{kind} must be a finite {need}, got '{cell}' "
+                         f"(row {rownum}, column '{colname}')", row=rownum, column=colname)
+    return value
 
 
 def _parse_event(cell, rownum, colname) -> int:

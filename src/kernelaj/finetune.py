@@ -34,13 +34,11 @@ import numpy as np
 from .clustering import ClusterModel
 from .core import Cohort, breslow_preprocess, check_labels, reverse_cumsum
 from .errors import ShapeMismatch
-from .metrics import Scorer
 from .model import fallback_weights, frozen_subject_weights, weighted_hazards
 from .training import (  # noqa: F401 (sft_objective_from_tables is named here too)
     TrainConfig,
     TrainingLog,
     _ratio_backward,
-    criterion_scorer,
     descend,
     objective_and_dpsi,
     sft_objective_from_tables,
@@ -154,8 +152,7 @@ class SftResult:
     log: TrainingLog
 
 
-def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig,
-                        valid_scorer: Scorer = None):
+def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig):
     """Gradient descent on the summary tables with validation backtracking;
     each epoch is one step of :func:`training.descend`'s update on the
     gradient of :func:`sft_loss_and_grad`, in row blocks at alpha = 1.
@@ -165,16 +162,12 @@ def fine_tune_summaries(model, train: Cohort, valid: Cohort, config: TrainConfig
     the model before fine-tuning; ties or regressions return ``model``
     itself. Every training and validation row counts, one with no exemplar
     within tau on the pooled tables (:func:`model.fallback_weights`).
-    ``valid_scorer``, the criterion's :func:`training.criterion_scorer`, is
-    built here when not given.
     """
     criterion = config.early_stop_criterion
     W_train = frozen_subject_weights(model.params, model.clusters, train.features)
     W_valid = frozen_subject_weights(model.params, model.clusters, valid.features)
     _, kappa_tr = breslow_preprocess(train, model.grid)
-    valid_scorer = valid_scorer or criterion_scorer(criterion, train, valid, model.grid)
-    value = table_criterion(criterion, valid, model.grid, valid_scorer,
-                            config.alpha, config.sigma)
+    value = table_criterion(criterion, train, valid, model.grid, config.alpha, config.sigma)
 
     def evaluate(tables):
         return value(tables, W_valid), tables

@@ -38,7 +38,7 @@ def _unpack(payload) -> np.ndarray:
     return arr.reshape(payload["shape"]).copy()
 
 
-def model_to_dict(model: KernelAJModel, schema=None) -> dict:
+def model_to_dict(model: KernelAJModel, schema) -> dict:
     """The format-5 document: each array of the model once (the training rows'
     (bin, event) codes and m, not the cluster tables counted from them), the
     fine-tuned tables only if accepted (else null), and no fit config, path
@@ -67,7 +67,7 @@ def model_to_dict(model: KernelAJModel, schema=None) -> dict:
     }
 
 
-def save_model(model: KernelAJModel, path, schema=None):
+def save_model(model: KernelAJModel, path, schema):
     doc = model_to_dict(model, schema)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))

@@ -242,7 +242,6 @@ def objective_and_dpsi(psi, kappa, delta, alpha, sigma):
     if alpha == 1.0:
         dpsi = np.divide(at_risk[None, :, :], n, out=hazard)
         dpsi[cells] -= 1.0 / (n * own[live])
-        dpsi *= alpha
     else:
         del at_risk, hazard             # at_risk is rebuilt below: the ranking sets the peak
         rank, dpsi = ranking_value_and_dpsi(psi, kappa, delta, sigma, scale=1.0 - alpha)
@@ -453,13 +452,14 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
     return objective_and_dpsi(psi, kappa, delta, alpha, sigma)[0]
 
 
-def table_criterion(criterion, valid: Cohort, grid: EventTimeGrid, valid_scorer: Scorer,
+def table_criterion(criterion, train: Cohort, valid: Cohort, grid: EventTimeGrid,
                     alpha, sigma):
     """The validation criterion of training and fine-tuning as ``value(tables,
     W)``: tables (d, n) under the validation rows' exemplar weights W on the
-    prediction path, :func:`model._curves_from_weights` scored with
-    ``valid_scorer``, or :func:`sft_objective_from_tables` for the objective;
-    a row with no exemplar within tau is scored on the pooled tables."""
+    prediction path, :func:`model._curves_from_weights` scored with the
+    :func:`criterion_scorer` built here, or :func:`sft_objective_from_tables`
+    for the objective; a row with no exemplar within tau is scored on the pooled tables."""
+    valid_scorer = criterion_scorer(criterion, train, valid, grid)
     _, kappa = breslow_preprocess(valid, grid)
 
     def value(tables, W):
@@ -518,18 +518,18 @@ def descend(stage, tcfg: TrainConfig, log: TrainingLog, params, epoch, value):
 
 
 def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
-                    tcfg: TrainConfig, grid: EventTimeGrid, valid_scorer: Scorer = None,
+                    tcfg: TrainConfig, grid: EventTimeGrid,
                     epsilon: float = 0.0, tau: float = np.inf):
     """Minibatch gradient descent with patience-based early stopping.
 
-    Both cohorts must already be preprocessed on ``grid``. The criterion's
-    :func:`criterion_scorer` is built when ``valid_scorer`` is not given,
-    before the first epoch. The epochs run through :func:`descend`: each is
-    one pass over the shuffled training rows, a plain gradient step of every
-    weight and bias per minibatch (``descend``'s update), then the
-    validation criterion of the model clustered with ``epsilon`` and ``tau``
-    (:func:`_evaluate_criterion`); the defaults, epsilon 0 and tau inf, weigh
-    every distinct training row.
+    Both cohorts must already be preprocessed on ``grid``. The criterion
+    (:func:`table_criterion`) is built before the first epoch, so one that
+    cannot be computed raises before training starts. The epochs run through
+    :func:`descend`: each is one pass over the shuffled training rows, a
+    plain gradient step of every weight and bias per minibatch (``descend``'s
+    update), then the validation criterion of the model clustered with
+    ``epsilon`` and ``tau`` (:func:`_evaluate_criterion`); the defaults,
+    epsilon 0 and tau inf, weigh every distinct training row.
 
     Returns ((best params, the ClusterModel their criterion scored), TrainingLog).
     """
@@ -538,9 +538,7 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
     m, L = train.m, len(grid)
     codes = label_codes(train, grid)
     kappa = codes // (m + 1)                # a code is kappa * (m + 1) + delta
-    valid_scorer = valid_scorer or criterion_scorer(
-        tcfg.early_stop_criterion, train, valid, grid)
-    criterion = table_criterion(tcfg.early_stop_criterion, valid, grid, valid_scorer,
+    criterion = table_criterion(tcfg.early_stop_criterion, train, valid, grid,
                                 tcfg.alpha, tcfg.sigma)
 
     side = min(tcfg.batch_size, train.n)

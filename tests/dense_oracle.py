@@ -761,14 +761,14 @@ def load_cohort(path, schema_spec: dict, time_column: str, event_column: str) ->
         columns = {name: [] for name in schema_spec}
         times, events = [], []
         for rownum, row in enumerate(reader, start=2):
-            times.append(_parse_float(row[time_column], rownum, time_column))
+            times.append(_parse_time(row[time_column], rownum, time_column))
             events.append(_parse_event(row[event_column], rownum, event_column))
             for name, kind in schema_spec.items():
                 cell = row[name]
                 if cell is None or cell.strip() in ("", "NA"):
                     columns[name].append(None)
                 elif kind == "continuous":
-                    columns[name].append(_parse_float(cell, rownum, name))
+                    columns[name].append(_parse_feature(cell, rownum, name))
                 else:
                     columns[name].append(cell.strip())
     if not times:
@@ -784,6 +784,24 @@ def _parse_float(cell, rownum, colname) -> float:
         raise ParseError(f"cannot parse '{cell}' as a number "
                          f"(row {rownum}, column '{colname}')",
                          row=rownum, column=colname) from None
+
+
+def _parse_time(cell, rownum, colname) -> float:
+    value = _parse_float(cell, rownum, colname)
+    if math.isnan(value) or math.isinf(value) or value < 0:
+        raise ParseError(f"time must be a finite nonnegative number, got "
+                         f"'{cell}' (row {rownum}, column '{colname}')",
+                         row=rownum, column=colname)
+    return value
+
+
+def _parse_feature(cell, rownum, colname) -> float:
+    value = _parse_float(cell, rownum, colname)
+    if math.isnan(value) or math.isinf(value):
+        raise ParseError(f"feature must be a finite number, got "
+                         f"'{cell}' (row {rownum}, column '{colname}')",
+                         row=rownum, column=colname)
+    return value
 
 
 def _parse_event(cell, rownum, colname) -> int:

@@ -31,7 +31,7 @@ from kernelaj import (
     save_model,
     write_cohort_csv,
 )
-from kernelaj import cli, finetune, serialize, training
+from kernelaj import cli, serialize
 from kernelaj import metrics as metricsmod
 from kernelaj import model as model_module
 from kernelaj.cli import main
@@ -283,33 +283,6 @@ class TestFit:
             f"error: cannot read data file 'data.train' ({train_csv}): event indicator "
             f"must be a nonnegative integer, got '{cell}' (row 6, column 'event')\n")
 
-    def test_fine_tuning_reuses_the_pre_check_scorer(self, tmp_path, train_csv,
-                                                     monkeypatch):
-        def rebuilt(*args):
-            raise AssertionError("SFT rebuilt the validation scorer")
-
-        monkeypatch.setattr(finetune, "criterion_scorer", rebuilt)
-        config_path, _ = write_config(
-            tmp_path, train_csv,
-            sft={"enabled": True, "max_epochs": 2, "early_stop_criterion": "ibs"})
-        assert main(["fit", "--config", str(config_path)]) == 0
-
-    def test_one_scorer_per_criterion(self, tmp_path, train_csv, monkeypatch):
-        # a ranking-sft-shaped fit: training and SFT both stop on the objective
-        built, build = [], training.criterion_scorer
-
-        def counting(*args):
-            built.append(args[0])
-            return build(*args)
-
-        for module in (cli, training, finetune):
-            monkeypatch.setattr(module, "criterion_scorer", counting)
-        config_path, _ = write_config(
-            tmp_path, train_csv, training={"alpha": 0.5, "early_stop_criterion": "objective"},
-            sft={"enabled": True, "max_epochs": 2})
-        assert main(["fit", "--config", str(config_path)]) == 0
-        assert built == ["objective"]
-
     def test_sft_flag_recorded(self, tmp_path, train_csv):
         config_path, _ = write_config(
             tmp_path, train_csv,
@@ -348,6 +321,9 @@ class TestFit:
         {"sft": {"enabled": True, "learning_rate": float("inf")}},
         {"sft": {"enabled": False, "learning_rate": True}},
         {"sft": {"max_epochs": 2.5}},
+        {"embedding": {"activation": "gelu"}},
+        {"training": {"early_stop_criterion": "auc"}},
+        {"training": {"sigma": 0}},
     ], ids=lambda overrides: json.dumps(overrides))
     def test_integers_and_booleans_checked_before_data(self, tmp_path, train_csv,
                                                         capsys, monkeypatch, overrides):
@@ -567,6 +543,50 @@ _ERROR_PATHS = {
 }
 
 
+def _csv_with(column, cell):
+    """A copy of the train CSV whose row 3 (the second data row) holds
+    ``cell`` in ``column``."""
+    def path(tmp_path, train_csv):
+        header, *lines = train_csv.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[header.split(",").index(column)] = cell
+        lines[1] = ",".join(cells)
+        (tmp_path / "cell.csv").write_text("\n".join([header, *lines]) + "\n")
+        return tmp_path / "cell.csv"
+    return path
+
+
+def _model_text(text):
+    """``evaluate`` of a model file at tmp_path/edited.json holding
+    ``text(model_path)``."""
+    def argv(tmp_path, train_csv, model_path):
+        (tmp_path / "edited.json").write_text(text(model_path))
+        return ["evaluate", "--model", str(tmp_path / "edited.json"), "--data",
+                str(train_csv), "--out", str(tmp_path / "o")]
+    return argv
+
+
+# case -> (argv, the error line, with {tmp} for tmp_path)
+_ERROR_LINES = {
+    "a model file holding a JSON array": (
+        _model_text(lambda model_path: "[1, 2]"),
+        "model file is not valid: {tmp}/edited.json: model file must hold a JSON object"),
+    "evaluate a model whose schema is null": (
+        _model_text(lambda model_path: json.dumps(
+            dict(json.loads(model_path.read_text()), schema=None))),
+        "model file carries no feature schema"),
+    "a schema kind ordinal": (
+        _fit_argv(data={"schema": {"x1": "ordinal"}}), "unknown column kind 'ordinal'"),
+    "simulate censoring_rate 1.5": (
+        _config_file("simulate", json.dumps(
+            {"n": 10, "p": 1, "w1": [0.1], "w2": [0.1], "censoring_rate": 1.5})),
+        "invalid value in '{tmp}/config.json': censoring rate must lie in [0, 1)"),
+    "simulate a w1 of the wrong length": (
+        _config_file("simulate", json.dumps({"n": 10, "p": 2, "w1": [0.1], "w2": [0.1, 0.2]})),
+        "invalid value in '{tmp}/config.json': weight vectors must have length p"),
+}
+
+
 class TestErrorPaths:
     @pytest.fixture(scope="class")
     def model_path(self, tmp_path_factory):
@@ -581,6 +601,28 @@ class TestErrorPaths:
         assert main(_ERROR_PATHS[case](tmp_path, train_csv, model_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", list(_ERROR_LINES))
+    def test_the_error_line(self, tmp_path, train_csv, model_path, capsys, case):
+        argv, line = _ERROR_LINES[case]
+        assert main(argv(tmp_path, train_csv, model_path)) == 2
+        assert capsys.readouterr().err == f"error: {line.format(tmp=tmp_path)}\n"
+
+    @pytest.mark.parametrize("column, cell", [("x2", "inf"), ("x2", "nan"), ("time", "-1")])
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "explain"])
+    def test_non_finite_or_negative_number_names_row_and_column(
+            self, tmp_path, train_csv, model_path, capsys, command, column, cell):
+        rule = ("time must be a finite nonnegative number" if column == "time"
+                else "feature must be a finite number")
+        data = _csv_with(column, cell)(tmp_path, train_csv)
+        if command == "fit":
+            argv, where = _fit_argv()(tmp_path, data, model_path), f"'data.train' ({data})"
+        else:
+            argv = _data_argv(command, lambda *_: data)(tmp_path, train_csv, model_path)
+            where = str(data)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: cannot read data file {where}: {rule}, "
+                                           f"got '{cell}' (row 3, column '{column}')\n")
 
     @pytest.mark.parametrize("case, out", [
         ("fit a missing data file", "out"), ("explain a missing data file", "o"),
@@ -766,6 +808,7 @@ _MODEL_EDITS = {
     "sft tables of another shape": _with_sft_tables(
         lambda tables: tables.update(n=tables["d"])),
     "tau NaN": lambda doc: doc["clusters"].update(tau=float("nan")),
+    "tau -1": lambda doc: doc["clusters"].update(tau=-1.0),
     "feature means too narrow": _edit_array("cluster_feature_means", narrow=True),
     "exemplar embedding NaN": _edit_array("clusters", "exemplar_embeddings", value=np.nan),
     "negative sft_tables cell": _with_sft_tables(

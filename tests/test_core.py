@@ -4,6 +4,8 @@ Reference values are hand evaluations of the product-limit and cumulative
 incidence formulas on tiny cohorts.
 """
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -11,8 +13,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from kernelaj import (
     Cohort,
     DegenerateRisk,
+    EmptyCohort,
     EventTimeGrid,
     NoEvents,
+    ShapeMismatch,
     StepCurve,
     aalen_johansen,
     breslow_preprocess,
@@ -42,6 +46,22 @@ def random_cohort(rng, n_max=50, m_max=3):
     if (events != 0).sum() == 0:
         events[0] = 1
     return make_cohort(times, events, m)
+
+
+class TestCohort:
+    @pytest.mark.parametrize("features, time, event, m, error, message", [
+        (np.zeros(2), [1.0, 2.0], [1, 0], 2, ShapeMismatch, "features must be 2-D"),
+        (np.zeros((0, 1)), [], [], 2, EmptyCohort, "at least one record"),
+        (np.zeros((2, 1)), [1.0], [1, 0], 2, ShapeMismatch, "time/event must have shape"),
+        (np.zeros((2, 1)), [1.0, 2.0], [1, 0], 0, ValueError, "m must be >= 1"),
+        ([[0.0], [np.inf]], [1.0, 2.0], [1, 0], 2, ValueError, "features must be finite"),
+        (np.zeros((2, 1)), [1.0, -1.0], [1, 0], 2, ValueError, "times must be finite"),
+        (np.zeros((2, 1)), [1.0, 2.0], [1, 3], 2, ValueError, "must lie in 0..2"),
+    ], ids=["1-D features", "no rows", "short time", "m 0", "inf feature", "negative time",
+            "event beyond m"])
+    def test_each_check(self, features, time, event, m, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            Cohort(features, time, event, m)
 
 
 class TestEventGrid:

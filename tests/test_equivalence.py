@@ -477,9 +477,7 @@ class TestRankingForward:
         grid = discretize_times(build_event_grid(cohort), 64)
         train, kappa = breslow_preprocess(cohort.subset(np.arange(n_train)), grid)
         valid, _ = breslow_preprocess(cohort.subset(np.arange(n_train, n_train + q)), grid)
-        value = training.table_criterion(
-            criterion, valid, grid, training.criterion_scorer(criterion, train, valid, grid),
-            alpha, 0.5)
+        value = training.table_criterion(criterion, train, valid, grid, alpha, 0.5)
         return (value, small_params(0), train, valid, label_codes(train, grid),
                 (len(grid), train.m), 0.05, 0.05), kappa, grid
 

@@ -188,6 +188,21 @@ def test_one_fallback_rule():
                        ("model", "weighted_summaries"), ("training", "sft_objective_from_tables")]
 
 
+def test_one_criterion_builder():
+    # each stage builds the criterion it scores through
+    # training.table_criterion, the one caller of criterion_scorer but fit's
+    # check of the fine-tuning criterion before training, so no scorer is
+    # built in one place and handed to a stage that scores another criterion
+    modules = sorted(p.stem for p in SRC.glob("*.py"))
+    callers = {name: [(module, owner) for module in modules
+                      for owner, called in _calls(module) if called == name]
+               for name in ("criterion_scorer", "table_criterion")}
+    assert callers == {"criterion_scorer": [("cli", "fit_pipeline"),
+                                            ("training", "table_criterion")],
+                       "table_criterion": [("finetune", "fine_tune_summaries"),
+                                           ("training", "train_embedding")]}
+
+
 def test_one_label_rule():
     # a (bin, event) label is checked by one rule, core.check_labels, next to
     # the code format it guards. The counter of every table, the step's code
@@ -321,35 +336,45 @@ def _defaulted_params(function):
                 zip(function.args.kwonlyargs, function.args.kw_defaults) if default is not None)
 
 
+def _defaults_passed(paths):
+    """(function.parameter, whether each call passes it) of every defaulted
+    parameter of a module-level function in the package, over the calls of
+    that name in ``paths``; a function one of whose calls spreads *args or
+    **kwargs is left out."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                keywords = {k.arg for k in node.keywords}
+                spread = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(None if spread else (len(node.args), keywords))
+    for path in sorted(SRC.glob("*.py")):
+        for function in ast.parse(path.read_text(encoding="utf-8")).body:
+            sites = calls.get(getattr(function, "name", None), [])
+            if isinstance(function, ast.FunctionDef) and None not in sites:
+                for i, name in _defaulted_params(function):
+                    yield f"{function.name}.{name}", [name in keywords or i is not None and i < n
+                                                      for n, keywords in sites]
+
+
 def test_every_parameter_has_a_caller():
     # every defaulted parameter of a module-level function is passed by some
     # call of that name in the package, the acceptance suite or the
     # benchmark; an option only unit tests set is a code path nothing uses
     callers = [*sorted(SRC.glob("*.py")), TESTS / "test_acceptance.py",
                *sorted(LAYERS.parent.glob("*.py"))]
-    calls = {}
-    for path in callers:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                calls.setdefault(name, []).append(node)
-    unpassed = []
-    for path in sorted(SRC.glob("*.py")):
-        for function in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(function, ast.FunctionDef):
-                continue
-            passed = set()
-            for call in calls.get(function.name, []):
-                keywords = {k.arg for k in call.keywords}
-                if None in keywords or any(isinstance(a, ast.Starred) for a in call.args):
-                    passed = None
-                    break
-                passed |= keywords | set(range(len(call.args)))
-            if passed is not None:
-                unpassed += [f"{function.name}.{name}"
-                             for i, name in _defaulted_params(function)
-                             if name not in passed and i not in passed]
-    assert sorted(unpassed) == []
+    assert sorted(name for name, passes in _defaults_passed(callers) if not any(passes)) == []
+
+
+def test_every_default_is_left_out():
+    # the reverse: every default is left out by some call of that name in the
+    # package, its tests, the demos or the benchmark; a default that every
+    # call overrides is a second copy of the value its callers pass
+    callers = [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py")),
+               *sorted((SRC.parents[1] / "demos").glob("*.py")),
+               *sorted(LAYERS.parent.glob("*.py"))]
+    assert sorted(name for name, passes in _defaults_passed(callers) if all(passes)) == []
 
 
 def test_every_config_key_has_a_setter():

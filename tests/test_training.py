@@ -499,8 +499,8 @@ class TestShippedClusters:
         # the shipped model, under the unscripted criterion, scores the best value
         valid, _ = breslow_preprocess(self.valid, model.grid)
         train, _ = breslow_preprocess(self.train, model.grid)
-        value = real_criterion("objective", valid, model.grid, training.criterion_scorer(
-            "objective", train, valid, model.grid), self.tcfg.alpha, self.tcfg.sigma)
+        value = real_criterion("objective", train, valid, model.grid, self.tcfg.alpha,
+                               self.tcfg.sigma)
         W = exemplar_weights(model.clusters, embed_batch(model.params, valid.features))
         assert value(model.tables, W) == log.best_value
 
