@@ -43,7 +43,7 @@ from .errors import ConfigError, KernelAJError, ParseError, SchemaMismatch
 from .finetune import fine_tune_summaries
 from .model import KernelAJModel, explain_rows, predict_cif_grid
 from .serialize import load_model, save_model
-from .training import TrainConfig, criterion_scorer, discretize_times, train_embedding
+from .training import TrainConfig, discretize_times, table_criterion, train_embedding
 
 _TOP_KEYS = {"seed", "output_dir", "data", "embedding", "training",
              "clustering", "sft"}
@@ -230,14 +230,16 @@ def fit_pipeline(train_cohort: Cohort, valid_cohort: Cohort,
     (model, logs dict). A rejected clustering setting (``epsilon``,
     ``min_kernel_weight``) or ``sft_config`` value raises ConfigError, and a
     criterion that cannot be computed on the validation cohort raises, before
-    training starts.
+    training starts (fine-tuning's :func:`training.table_criterion` is built
+    here once more, its value function discarded).
     """
     tau, sft_tcfg = _fit_settings(tcfg, epsilon, min_kernel_weight, sft_config)
     grid = discretize_times(build_event_grid(train_cohort), tcfg.num_time_steps)
     train_pre, _ = breslow_preprocess(train_cohort, grid)
     valid_pre, _ = breslow_preprocess(valid_cohort, grid)
     if sft_tcfg is not None:        # fine-tuning's criterion, checked before training
-        criterion_scorer(sft_tcfg.early_stop_criterion, train_pre, valid_pre, grid)
+        table_criterion(sft_tcfg.early_stop_criterion, train_pre, valid_pre, grid,
+                        sft_tcfg.alpha, sft_tcfg.sigma)
 
     (params, clusters), train_log = train_embedding(
         train_pre, valid_pre, ecfg, tcfg, grid, epsilon, tau)

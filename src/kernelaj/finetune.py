@@ -20,8 +20,9 @@ log(0). The epochs run through training's loop and update,
 :func:`training.descend`: each is one step on every training row's gradient
 (in row blocks at alpha = 1, :func:`sft_loss_and_grad`), then training's
 validation criterion (:func:`training.table_criterion`, so with the same
-criterion and alpha the raw tables score training's best value), stopped by
-its :class:`training.TrainingLog`. The tuned tables become the model's
+criterion and alpha the raw tables score training's best value; ``fit``
+builds it before training, too), stopped by its
+:class:`training.TrainingLog`. The tuned tables become the model's
 ``sft_tables`` only when the validation criterion strictly improves,
 otherwise the original model is returned unchanged; the tables installed are
 the ones the best epoch's criterion scored.

@@ -122,7 +122,7 @@ from .embedding import (
     kernel_matrix_backward,
 )
 from .errors import Diverged, NoEvents, ShapeMismatch
-from .metrics import Scorer, build_eval_grid, score_curves, scorer
+from .metrics import build_eval_grid, score_curves, scorer
 from .model import _curves_from_weights, fallback_weights, weighted_hazards
 
 PSI_CLAMP = 1e-12
@@ -263,9 +263,9 @@ def _ratio_backward(dpsi, psi, inv_den):
 def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     """Ranking loss of a batch plus its gradient w.r.t. the hazard tensor.
 
-    ``psi`` has shape (m, n, L), and (kappa, delta) are int64 labels that
-    :func:`objective_and_dpsi` has checked. Returns (value, dpsi) where dpsi already
-    carries the factor ``scale`` (the loss value does not). Each event type
+    ``psi`` has shape (m, n, L); a bad label (kappa, delta) raises ValueError
+    naming its row (:func:`core.check_labels`). Returns (value, dpsi) where dpsi
+    already carries the factor ``scale`` (the loss value does not). Each event type
     with an event in the batch adds sum(B * T[bins]) / n^2, from A, B and T
     of the module docstring; the backward pass is one reverse pass over the
     bins. The recursion runs in ``RANK_BLOCK_ROWS``-row blocks. Event d's plane
@@ -273,6 +273,7 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     plane), and dpsi takes dF's array, a bin at a time, once the pass has read it.
     """
     m, n, L = psi.shape
+    kappa, delta = check_labels(kappa, delta, n, m, L)
     F, S_prev, u = np.empty_like(psi), np.empty((n, L)), np.empty((n, L))
     for rows in (slice(s, s + RANK_BLOCK_ROWS) for s in range(0, n, RANK_BLOCK_ROWS)):
         F[:, rows], _, S_prev[rows], u[rows] = cif_from_hazards(psi[:, rows])
@@ -414,27 +415,6 @@ class TrainingLog:
         return epoch - self.best_epoch >= patience
 
 
-def criterion_scorer(criterion, train: Cohort, valid: Cohort,
-                     grid: EventTimeGrid) -> Scorer:
-    """The validation cohort's scorer for ``criterion``; IBS is scored on the
-    grid of pooled training and validation event times.
-
-    One prediction set (all zeros) is scored here, so a criterion that
-    cannot be computed raises before training starts, with the scorer's own
-    error: NoComparablePairs naming the event for ctd, DegenerateGrid for
-    IBS with fewer than 2 evaluation times.
-    """
-    eval_grid = None
-    if criterion == "ibs":
-        eval_grid = build_eval_grid(np.concatenate(
-            (train.time[train.event != 0], valid.time[valid.event != 0])))
-    valid_scorer = scorer(valid, eval_grid)
-    if criterion != "objective":
-        zeros = np.broadcast_to(0.0, (train.m, valid.n, len(grid)))
-        score_curves(zeros, grid.times, valid_scorer, (criterion,))
-    return valid_scorer
-
-
 def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
                               alpha: float = 1.0, sigma: float = 1.0) -> float:
     """The training objective of given count tables (no leave-one-out): the
@@ -455,20 +435,30 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
 def table_criterion(criterion, train: Cohort, valid: Cohort, grid: EventTimeGrid,
                     alpha, sigma):
     """The validation criterion of training and fine-tuning as ``value(tables,
-    W)``: tables (d, n) under the validation rows' exemplar weights W on the
-    prediction path, :func:`model._curves_from_weights` scored with the
-    :func:`criterion_scorer` built here, or :func:`sft_objective_from_tables`
-    for the objective; a row with no exemplar within tau is scored on the pooled tables."""
-    valid_scorer = criterion_scorer(criterion, train, valid, grid)
-    _, kappa = breslow_preprocess(valid, grid)
+    W)``: tables (d, n) under the validation rows' exemplar weights W, by
+    :func:`sft_objective_from_tables` for the objective, else on the
+    prediction path, :func:`model._curves_from_weights`, scored by the
+    validation cohort's :func:`metrics.scorer` (IBS on the grid of pooled
+    training and validation event times); a row with no exemplar within tau
+    is scored on the pooled tables. One prediction set (all zeros) is scored
+    here, so a criterion that cannot be computed raises before training
+    starts, with the scorer's own error: NoComparablePairs naming the event
+    for ctd, DegenerateGrid for IBS with fewer than 2 evaluation times."""
+    if criterion == "objective":
+        _, kappa = breslow_preprocess(valid, grid)
+        return lambda tables, W: sft_objective_from_tables(*tables, W, kappa, valid.event,
+                                                           alpha, sigma)
+    eval_grid = None
+    if criterion == "ibs":
+        eval_grid = build_eval_grid(np.concatenate(
+            (train.time[train.event != 0], valid.time[valid.event != 0])))
+    valid_scorer = scorer(valid, eval_grid)
 
-    def value(tables, W):
-        if criterion == "objective":
-            return sft_objective_from_tables(*tables, W, kappa, valid.event, alpha, sigma)
-        cif, _, _ = _curves_from_weights(tables, W)
+    def score(cif):
         return float(np.mean(score_curves(cif, grid.times, valid_scorer,
                                           (criterion,))[criterion]))
-    return value
+    score(np.broadcast_to(0.0, (train.m, valid.n, len(grid))))
+    return lambda tables, W: score(_curves_from_weights(tables, W)[0])
 
 
 def _evaluate_criterion(value, params, train, valid, codes, table_shape, epsilon, tau):
@@ -522,9 +512,10 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
                     epsilon: float = 0.0, tau: float = np.inf):
     """Minibatch gradient descent with patience-based early stopping.
 
-    Both cohorts must already be preprocessed on ``grid``. The criterion
-    (:func:`table_criterion`) is built before the first epoch, so one that
-    cannot be computed raises before training starts. The epochs run through
+    Both cohorts must already be preprocessed on ``grid``. The criterion is
+    built, and scored once on all-zero predictions, by :func:`table_criterion`
+    before the first epoch, so one that cannot be computed raises before
+    training starts. The epochs run through
     :func:`descend`: each is one pass over the shuffled training rows, a
     plain gradient step of every weight and bias per minibatch (``descend``'s
     update), then the validation criterion of the model clustered with

@@ -130,10 +130,17 @@ def assert_same_outcome(got, want):
         assert _float_bits(got.columns[name]) == _float_bits(want.columns[name]), name
 
 
-NUMBERS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.integers(0, 3).map(str),
-    st.sampled_from([" 1.5 ", "1_000", "4.9e-324", "-0.0", "1e308", "\uff11\uff12", "2.0"]))
+def numbers(floats):
+    """Number cells: the repr of ``floats``, small integers and spellings
+    that Python's float() reads."""
+    return st.one_of(
+        floats.map(repr),
+        st.integers(0, 3).map(str),
+        st.sampled_from([" 1.5 ", "1_000", "4.9e-324", "-0.0", "1e308", "\uff11\uff12", "2.0"]))
+
+
+NUMBERS = numbers(st.floats(allow_nan=False, allow_infinity=False))
+TIMES = numbers(st.floats(min_value=0.0, allow_infinity=False))   # ODD_CELLS holds bad times
 EVENTS = st.sampled_from(["0", "1", "2", " 1 ", "2.0", "-0.0", "1e0"])
 ODD_CELLS = st.one_of(
     st.sampled_from(["", "NA", " NA ", "nan", "inf", "-inf", "Infinity", "1e400", "1e19",
@@ -167,7 +174,8 @@ def csv_files(draw):
     for _ in range(draw(st.integers(0, 12))):
         width = len(header) + draw(st.sampled_from(ragged))
         writer.writerow([draw(ODD_CELLS if draw(st.floats(0, 1)) < odd else
-                              EVENTS if name == event_column else NUMBERS)
+                              EVENTS if name == event_column else
+                              TIMES if name == time_column else NUMBERS)
                          for name in (header + ["x"])[:max(width, 0)]])
     return out.getvalue(), schema, time_column, event_column
 

@@ -527,8 +527,9 @@ class TestRankingForward:
                               np.zeros((clusters.num_clusters, train.features.shape[1])))
         cif, _, fallback = predict_cif_grid(model, valid.features)
         assert fallback.any()
-        want = score_curves(cif, grid.times, training.criterion_scorer(
-            criterion, train, valid, grid), (criterion,))[criterion]
+        pooled = np.concatenate((train.time[train.event != 0], valid.time[valid.event != 0]))
+        eval_grid = metrics.build_eval_grid(pooled) if criterion == "ibs" else None
+        want = score_curves(cif, grid.times, scorer(valid, eval_grid), (criterion,))[criterion]
         got, scored = training._evaluate_criterion(*args)
         assert got == float(np.mean(want))
         for name in ("exemplar_ids", "exemplar_embeddings", "assignments", "codes",

@@ -189,26 +189,27 @@ def test_one_fallback_rule():
 
 
 def test_one_criterion_builder():
-    # each stage builds the criterion it scores through
-    # training.table_criterion, the one caller of criterion_scorer but fit's
-    # check of the fine-tuning criterion before training, so no scorer is
-    # built in one place and handed to a stage that scores another criterion
+    # training.table_criterion is the one criterion builder: it builds the
+    # validation scorer and probes it, so each stage and fit's check before
+    # training build the criterion alike, and no scorer is built in one place
+    # and handed to a stage that scores another criterion
     modules = sorted(p.stem for p in SRC.glob("*.py"))
-    callers = {name: [(module, owner) for module in modules
-                      for owner, called in _calls(module) if called == name]
-               for name in ("criterion_scorer", "table_criterion")}
-    assert callers == {"criterion_scorer": [("cli", "fit_pipeline"),
-                                            ("training", "table_criterion")],
-                       "table_criterion": [("finetune", "fine_tune_summaries"),
-                                           ("training", "train_embedding")]}
+    defined = [node.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)]
+    assert "criterion_scorer" not in defined
+    callers = [(module, owner) for module in modules
+               for owner, called in _calls(module) if called == "table_criterion"]
+    assert callers == [("cli", "fit_pipeline"), ("finetune", "fine_tune_summaries"),
+                       ("training", "train_embedding")]
 
 
 def test_one_label_rule():
     # a (bin, event) label is checked by one rule, core.check_labels, next to
     # the code format it guards. The counter of every table, the step's code
-    # groups and the one objective apply it, so no reader can score a label
-    # outside the tables; the step and fine-tuning call it, too, to name rows
-    # in the caller's order and match the labels to their rows
+    # groups, the one objective and the public ranking apply it, so no reader
+    # can score a label outside the tables; the step and fine-tuning call it,
+    # too, to name rows in the caller's order and match the labels to their rows
     defined = [(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef) and node.name == "check_labels"]
@@ -217,6 +218,7 @@ def test_one_label_rule():
                for owner, name in _calls(module) if name == "check_labels"]
     assert callers == [("core", "count_tables"), ("finetune", "sft_loss_and_grad"),
                        ("training", "code_groups"), ("training", "objective_and_dpsi"),
+                       ("training", "ranking_value_and_dpsi"),
                        ("training", "total_loss_and_grad")]
 
 

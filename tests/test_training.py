@@ -41,10 +41,11 @@ from kernelaj import (
     total_loss_and_grad,
     train_embedding,
 )
-from kernelaj import cli, clustering, core, training
+from kernelaj import cli, clustering, core, metrics, training
 from kernelaj.cli import fit_pipeline
 from kernelaj.clustering import exemplar_weights
 from kernelaj.embedding import embed_batch, flatten_grads
+from kernelaj.model import _curves_from_weights
 
 PSI_CLAMP = 1e-12
 
@@ -206,6 +207,17 @@ class TestLossRanking:
             pairs[0, 0, 1] = 0.5 - gap
             losses.append(loss_ranking(pairs, kappa, delta, sigma=1.0))
         assert losses[0] > losses[1] > losses[2]
+
+    @pytest.mark.parametrize("kappa, delta", [(2, 3), (2, -1), (0, 1), (5, 1)])
+    def test_bad_label_names_its_row(self, kappa, delta):
+        # called directly, the ranking checks its labels: unchecked, delta 3
+        # or -1 scored the row as censored, and an event at kappa 0 or L + 1
+        # failed inside numpy
+        psi = np.random.default_rng(9).uniform(0.01, 0.2, (2, 5, 4))   # m 2, n 5, L 4
+        kap, dl = np.array([1, 2, 3, 4, 2]), np.array([1, 0, 2, 1, 0])
+        kap[3], dl[3] = kappa, delta
+        with pytest.raises(ValueError, match=r"^row 3: "):
+            training.ranking_value_and_dpsi(psi, kap, dl, 1.0, 1.0)
 
 
 class TestGradients:
@@ -530,6 +542,26 @@ class TestBatchCif:
                     assert pairs[0, i, j] == F[0, j, kappa[i] - 1]
 
 
+@st.composite
+def criterion_cohorts(draw):
+    """Preprocessed (train, valid, grid): few distinct times, so the pooled
+    event times may give one evaluation time, and validation cohorts that
+    may lack an event type or have it only at their last time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    lattice = draw(st.integers(1, 6))
+
+    def cohort(n):
+        events = rng.integers(0, m + 1, n)
+        events[rng.uniform(size=n) < draw(st.floats(0.0, 0.8))] = 0
+        return Cohort(np.zeros((n, 1)), rng.integers(1, lattice + 1, n) * 1.0, events, m)
+
+    train, valid = cohort(draw(st.integers(1, 12))), cohort(draw(st.integers(1, 30)))
+    train.event[0] = 1
+    grid = build_event_grid(train)
+    return breslow_preprocess(train, grid)[0], breslow_preprocess(valid, grid)[0], grid
+
+
 class TestCriterionFeasibility:
     """An early-stopping criterion that cannot be computed on the validation
     cohort fails before the first training step."""
@@ -579,6 +611,50 @@ class TestCriterionFeasibility:
                          sft_config={"enabled": True, "early_stop_criterion": "ctd"})
         assert calls == []
 
+    @settings(max_examples=150)
+    @given(case=criterion_cohorts())
+    def test_raises_exactly_when_the_hand_written_checks_did(self, case):
+        # table_criterion scores one all-zero prediction set, so it raises
+        # exactly when the hand-written checks do; otherwise its value scores
+        # the validation cohort, IBS on the grid of pooled event times
+        train, valid, grid = case
+        m, L = train.m, len(grid)
+        tables = core.count_tables(core.label_codes(train, grid), (L, m),
+                                  np.arange(train.n) % 2, 2)
+        W = np.random.default_rng(valid.n).uniform(0.1, 1.0, (valid.n, 2))
+        cif, _, _ = _curves_from_weights(tables, W)
+        pooled = np.concatenate((train.time[train.event != 0], valid.time[valid.event != 0]))
+        for criterion in ("objective", "ibs", "ctd"):
+            try:
+                check_criterion(criterion, train, valid)
+            except KernelAJError as exc:
+                with pytest.raises(type(exc)) as got:
+                    training.table_criterion(criterion, train, valid, grid, 1.0, 1.0)
+                if isinstance(exc, NoComparablePairs):
+                    assert str(exc).split()[-2:] == str(got.value).split()[-2:]
+                continue
+            value = training.table_criterion(criterion, train, valid, grid, 1.0, 1.0)
+            if criterion == "objective":
+                want = training.sft_objective_from_tables(
+                    *tables, W, breslow_preprocess(valid, grid)[1], valid.event)
+            else:
+                scorer = metrics.scorer(valid, metrics.build_eval_grid(pooled)
+                                        if criterion == "ibs" else None)
+                want = float(np.mean(metrics.score_curves(cif, grid.times, scorer,
+                                                          (criterion,))[criterion]))
+            assert value(tables, W) == want
+
+    def test_both_checks_can_fire(self):
+        # the strategy above reaches both failures, not only the happy path
+        one_time = Cohort(np.zeros((3, 1)), [1.0, 1.0, 2.0], [1, 1, 0], 1)
+        grid = build_event_grid(one_time)
+        pre, _ = breslow_preprocess(one_time, grid)
+        for criterion in ("ibs", "ctd"):
+            with pytest.raises(KernelAJError):
+                check_criterion(criterion, pre, pre)
+            with pytest.raises(KernelAJError):
+                training.table_criterion(criterion, pre, pre, grid, 1.0, 1.0)
+
     def test_ibs_with_a_single_evaluation_time(self, monkeypatch):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 2))
@@ -598,26 +674,6 @@ class TestCriterionFeasibility:
         assert calls == []
 
 
-@st.composite
-def criterion_cohorts(draw):
-    """Preprocessed (train, valid, grid): few distinct times, so the pooled
-    event times may give one evaluation time, and validation cohorts that
-    may lack an event type or have it only at their last time."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = draw(st.integers(1, 3))
-    lattice = draw(st.integers(1, 6))
-
-    def cohort(n):
-        events = rng.integers(0, m + 1, n)
-        events[rng.uniform(size=n) < draw(st.floats(0.0, 0.8))] = 0
-        return Cohort(np.zeros((n, 1)), rng.integers(1, lattice + 1, n) * 1.0, events, m)
-
-    train, valid = cohort(draw(st.integers(1, 12))), cohort(draw(st.integers(1, 30)))
-    train.event[0] = 1
-    grid = build_event_grid(train)
-    return breslow_preprocess(train, grid)[0], breslow_preprocess(valid, grid)[0], grid
-
-
 class TestFitSettings:
     @pytest.mark.parametrize("setting", [
         {"epsilon": -1.0}, {"epsilon": float("nan")}, {"min_kernel_weight": 1.0},
@@ -634,36 +690,6 @@ class TestFitSettings:
         with pytest.raises(ConfigError, match="^invalid value in 'clustering': ") as info:
             fit_pipeline(train, valid, ecfg, tcfg, **{"epsilon": 0.5, **setting})
         assert info.value.key == "clustering"
-
-class TestCriterionScorer:
-    @settings(max_examples=150)
-    @given(case=criterion_cohorts())
-    def test_raises_exactly_when_the_hand_written_checks_did(self, case):
-        train, valid, grid = case
-        for criterion in ("objective", "ibs", "ctd"):
-            try:
-                check_criterion(criterion, train, valid)
-            except KernelAJError as exc:
-                with pytest.raises(type(exc)) as got:
-                    training.criterion_scorer(criterion, train, valid, grid)
-                if isinstance(exc, NoComparablePairs):
-                    assert str(exc).split()[-2:] == str(got.value).split()[-2:]
-                continue
-            scorer = training.criterion_scorer(criterion, train, valid, grid)
-            assert scorer.cohort is valid
-            assert (scorer.eval_grid is not None) == (criterion == "ibs")
-
-    def test_both_checks_can_fire(self):
-        # the strategy above reaches both failures, not only the happy path
-        one_time = Cohort(np.zeros((3, 1)), [1.0, 1.0, 2.0], [1, 1, 0], 1)
-        grid = build_event_grid(one_time)
-        pre, _ = breslow_preprocess(one_time, grid)
-        for criterion in ("ibs", "ctd"):
-            with pytest.raises(KernelAJError):
-                check_criterion(criterion, pre, pre)
-            with pytest.raises(KernelAJError):
-                training.criterion_scorer(criterion, pre, pre, grid)
-
 
 class TestStoppingRule:
     @settings(max_examples=100)
