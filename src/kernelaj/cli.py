@@ -59,16 +59,15 @@ _SIM_KEYS = {f.name for f in fields(SynthConfig)}
 
 def _check_keys(section: dict, allowed: set, path: str):
     if not isinstance(section, dict):
-        raise ConfigError(f"config section '{path}' must be an object", key=path)
+        raise ConfigError(f"config section '{path}' must be an object")
     for key in section:
         if key not in allowed:
-            raise ConfigError(f"unknown config key '{path}.{key}'", key=f"{path}.{key}")
+            raise ConfigError(f"unknown config key '{path}.{key}'")
 
 
 def _require(section: dict, key: str, path: str):
     if key not in section or section[key] is None:
-        raise ConfigError(f"missing required config key '{path}.{key}'",
-                          key=f"{path}.{key}")
+        raise ConfigError(f"missing required config key '{path}.{key}'")
     return section[key]
 
 
@@ -78,7 +77,7 @@ def _checked(path: str, build):
     try:
         return build()
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value in '{path}': {exc}", key=path) from None
+        raise ConfigError(f"invalid value in '{path}': {exc}") from None
 
 
 def _read_cohort(path, kinds, time_column, event_column, key=None):
@@ -88,7 +87,7 @@ def _read_cohort(path, kinds, time_column, event_column, key=None):
         return load_cohort(path, kinds, time_column, event_column)
     except (OSError, UnicodeDecodeError, csv.Error, ParseError) as exc:
         where = f"'{key}' ({path})" if key else str(path)
-        raise ConfigError(f"cannot read data file {where}: {exc}", key=key) from None
+        raise ConfigError(f"cannot read data file {where}: {exc}") from None
 
 
 @contextmanager
@@ -131,11 +130,10 @@ def _parse_fit_config(doc: dict):
                                       ("output_dir", doc.get("output_dir"), str)]:
         if value is not None and not isinstance(value, kind):
             raise ConfigError(f"invalid value in '{name}': must be "
-                              f"{'a string' if kind is str else 'an object'}, got {value!r}",
-                              key=name)
+                              f"{'a string' if kind is str else 'an object'}, got {value!r}")
     if not data["schema"]:
         raise ConfigError("invalid value in 'data.schema': must name at least one "
-                          "feature column", key="data.schema")
+                          "feature column")
     _check_keys(doc.get("embedding", {}), _EMBED_KEYS, "embedding")
     _check_keys(doc.get("training", {}), _TRAIN_KEYS, "training")
     _check_keys(doc.get("clustering", {}), _CLUSTER_KEYS, "clustering")
@@ -160,7 +158,7 @@ def _fit_settings(tcfg: TrainConfig, epsilon, min_kernel_weight=0.01, sft=None):
     enabled = sft.get("enabled", False)
     if not isinstance(enabled, bool):
         raise ConfigError(f"invalid value in 'sft.enabled': must be true or false, "
-                          f"got {enabled!r}", key="sft.enabled")
+                          f"got {enabled!r}")
     sft_tcfg = _checked("sft", lambda: TrainConfig(
         learning_rate=sft.get("learning_rate", 0.001),
         max_epochs=sft.get("max_epochs", 100),
@@ -180,8 +178,7 @@ def cmd_fit(config_path: str) -> int:
     frac = _checked("data.valid_fraction", lambda: float(
         require_real("valid_fraction", data_cfg.get("valid_fraction", 0.2))))
     if not 0.0 <= frac < 1.0:
-        raise ConfigError("invalid value in 'data.valid_fraction': "
-                          "must lie in [0, 1)", key="data.valid_fraction")
+        raise ConfigError("invalid value in 'data.valid_fraction': must lie in [0, 1)")
     ecfg = _checked("embedding", lambda: EmbeddingConfig(
         input_dim=1, **doc.get("embedding", {})))
     tcfg = _checked("training", lambda: TrainConfig(**doc.get("training", {})))

@@ -300,12 +300,15 @@ def curves_from_counts(d: np.ndarray, n: np.ndarray, grid: EventTimeGrid,
 
     This is the one-subject view of :func:`cif_from_hazards`. Bins with
     n[l] == 0 contribute zero hazard; with ``allow_zero_risk`` False (the
-    population case) such bins raise DegenerateRisk instead.
+    population case) such bins raise DegenerateRisk instead. Counts that are
+    not finite or are negative raise ValueError.
     """
     d = np.asarray(d, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != len(grid) or n.shape != (len(grid),):
         raise ShapeMismatch("counts must have shapes (L, m) and (L,)")
+    if not all(np.isfinite(a).all() and (a >= 0).all() for a in (d, n)):
+        raise ValueError("counts must be finite and nonnegative")
     if not allow_zero_risk and (n <= 0).any():
         raise DegenerateRisk("empty risk set at a grid time")
     F, S, _, _ = cif_from_hazards(table_hazards(d[None], n[None]))

@@ -55,7 +55,7 @@ def load_cohort(path, schema_spec: dict, time_column: str, event_column: str) ->
 
     ``schema_spec`` maps feature column names to their kind. Raises
     MissingColumn when a declared column (or the time/event column) is
-    absent, and ParseError with row/column context on the first bad cell in
+    absent, and ParseError naming the row and column of the first bad cell in
     row-major order (time, event, then the schema's columns), a non-finite
     number or a negative time included.
     """
@@ -94,12 +94,11 @@ def _parse_float(cell, rownum, colname, kind=None) -> float:
         value = float(cell)
     except (TypeError, ValueError):
         raise ParseError(f"cannot parse '{cell}' as a number "
-                         f"(row {rownum}, column '{colname}')",
-                         row=rownum, column=colname) from None
+                         f"(row {rownum}, column '{colname}')") from None
     if kind and not (math.isfinite(value) and (kind == "feature" or value >= 0)):
         need = "number" if kind == "feature" else "nonnegative number"
         raise ParseError(f"{kind} must be a finite {need}, got '{cell}' "
-                         f"(row {rownum}, column '{colname}')", row=rownum, column=colname)
+                         f"(row {rownum}, column '{colname}')")
     return value
 
 
@@ -107,8 +106,7 @@ def _parse_event(cell, rownum, colname) -> int:
     value = _parse_float(cell, rownum, colname)
     if not 0 <= value < 2.0 ** 63 or value != int(value):
         raise ParseError(f"event indicator must be a nonnegative integer, got "
-                         f"'{cell}' (row {rownum}, column '{colname}')",
-                         row=rownum, column=colname)
+                         f"'{cell}' (row {rownum}, column '{colname}')")
     return int(value)
 
 

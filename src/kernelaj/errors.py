@@ -42,12 +42,7 @@ class TooSmall(KernelAJError):
 
 
 class ParseError(KernelAJError):
-    """A CSV cell could not be parsed; carries row and column context."""
-
-    def __init__(self, message, row=None, column=None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
+    """A CSV file has no data rows, or a cell could not be parsed."""
 
 
 class MissingColumn(KernelAJError):
@@ -59,8 +54,4 @@ class SchemaMismatch(KernelAJError):
 
 
 class ConfigError(KernelAJError):
-    """A run configuration is invalid; carries the offending key."""
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
+    """A run configuration or command line is invalid."""

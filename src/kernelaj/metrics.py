@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cohort, StepCurve, reverse_cumsum
+from .core import Cohort, EventTimeGrid, StepCurve, reverse_cumsum
 from .errors import DegenerateGrid, NoComparablePairs, NoEvents, ShapeMismatch
 
 INTERP_BLOCK_ROWS = 256
@@ -86,6 +86,12 @@ def ipcw_weights(cohort: Cohort, times, censor_curve: StepCurve):
             np.atleast_1d(np.asarray(censor_curve(times), dtype=np.float64)))
 
 
+def _check_event(cohort: Cohort, delta):
+    """A ValueError unless ``delta`` is one of the cohort's event types 1..m."""
+    if delta not in range(1, cohort.m + 1):
+        raise ValueError(f"event type {delta} is not one of 1..{cohort.m}")
+
+
 def brier_scores(cif_values, cohort: Cohort, delta: int, times, weights):
     """Censoring-weighted Brier scores for event ``delta`` at every horizon.
 
@@ -96,6 +102,7 @@ def brier_scores(cif_values, cohort: Cohort, delta: int, times, weights):
     and counted. Horizons are scored ``BRIER_BLOCK_HORIZONS`` at a time, so
     the working arrays are (block, n), not (k, n).
     """
+    _check_event(cohort, delta)
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     F = np.asarray(cif_values, dtype=np.float64)
     n = cohort.n
@@ -177,6 +184,7 @@ def _count_concordance(risk_block, cohort: Cohort, delta: int) -> float:
     ``CONCORDANCE_BLOCK_ROWS`` and subjects ``CONCORDANCE_BLOCK_SUBJECTS``
     at a time; the pair counts are integers, so memory is O(block²), not
     n², and the result does not depend on the block sizes."""
+    _check_event(cohort, delta)
     time = cohort.time
     anchors = np.flatnonzero(cohort.event == delta)
     concordant = ties = comparable = 0
@@ -199,15 +207,18 @@ def interpolate_curves(curve_values, knot_times, eval_times) -> np.ndarray:
     """Linear interpolation of per-subject CIF values onto new times.
 
     ``curve_values`` is (n, L) at the model's grid times; curves are anchored
-    at (0, 0) and held flat beyond the last knot. Preserves monotonicity and
+    at (0, 0) and held flat beyond the last knot; ``knot_times`` must be an
+    :class:`EventTimeGrid`'s times, L of them. Preserves monotonicity and
     [0, 1] bounds. Computes np.interp's slope * (t - knot) + value for all
     rows at once: one knot search shared by every row, then two gathers per
     block of ``INTERP_BLOCK_ROWS`` rows.
     """
     V = np.atleast_2d(np.asarray(curve_values, dtype=np.float64))
-    knots = np.concatenate(([0.0], np.asarray(knot_times, dtype=np.float64)))
+    knots = np.concatenate(([0.0], EventTimeGrid(knot_times).times))
     eval_times = np.asarray(eval_times, dtype=np.float64)
     n, k = V.shape[0], knots.size
+    if V.shape[1] != k - 1:
+        raise ShapeMismatch(f"curves have {V.shape[1]} values for {k - 1} knots")
     j = np.searchsorted(knots, eval_times, side="right") - 1
     offset = eval_times - knots[np.clip(j, 0, k - 1)]
     offset[(j < 0) | (j >= k - 1)] = 0.0        # flat before 0 and from the last knot

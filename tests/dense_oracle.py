@@ -782,16 +782,14 @@ def _parse_float(cell, rownum, colname) -> float:
         return float(cell)
     except (TypeError, ValueError):
         raise ParseError(f"cannot parse '{cell}' as a number "
-                         f"(row {rownum}, column '{colname}')",
-                         row=rownum, column=colname) from None
+                         f"(row {rownum}, column '{colname}')") from None
 
 
 def _parse_time(cell, rownum, colname) -> float:
     value = _parse_float(cell, rownum, colname)
     if math.isnan(value) or math.isinf(value) or value < 0:
         raise ParseError(f"time must be a finite nonnegative number, got "
-                         f"'{cell}' (row {rownum}, column '{colname}')",
-                         row=rownum, column=colname)
+                         f"'{cell}' (row {rownum}, column '{colname}')")
     return value
 
 
@@ -799,8 +797,7 @@ def _parse_feature(cell, rownum, colname) -> float:
     value = _parse_float(cell, rownum, colname)
     if math.isnan(value) or math.isinf(value):
         raise ParseError(f"feature must be a finite number, got "
-                         f"'{cell}' (row {rownum}, column '{colname}')",
-                         row=rownum, column=colname)
+                         f"'{cell}' (row {rownum}, column '{colname}')")
     return value
 
 
@@ -808,8 +805,7 @@ def _parse_event(cell, rownum, colname) -> int:
     value = _parse_float(cell, rownum, colname)
     if not math.isfinite(value) or value != int(value) or value < 0 or value >= 2 ** 63:
         raise ParseError(f"event indicator must be a nonnegative integer, got "
-                         f"'{cell}' (row {rownum}, column '{colname}')",
-                         row=rownum, column=colname)
+                         f"'{cell}' (row {rownum}, column '{colname}')")
     return int(value)
 
 

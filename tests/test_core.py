@@ -282,6 +282,17 @@ class TestAalenJohansen:
                 assert (np.diff(c.values) >= -1e-12).all()
                 assert ((c.values >= -1e-12) & (c.values <= 1 + 1e-12)).all()
 
+    @pytest.mark.parametrize("d, n", [([[-1.0], [0.0]], [2.0, 1.0]),
+                                      ([[np.nan], [0.0]], [2.0, 1.0]),
+                                      ([[1.0], [0.0]], [np.inf, 1.0]),
+                                      ([[0.0], [0.0]], [2.0, -1.0])])
+    def test_impossible_counts_raise(self, d, n):
+        # a negative count gave S 1.5 and F -0.5, NaN counts NaN curves, and
+        # n = inf S 1 and F 0
+        grid = EventTimeGrid([1.0, 2.0])
+        with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
+            aalen_johansen(np.array(d), np.array(n), grid)
+
 
 class TestStepCurve:
     def test_right_continuity_and_fill(self):

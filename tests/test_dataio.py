@@ -64,10 +64,8 @@ class TestLoadCohort:
         path = write_csv(tmp_path,
                          "age,stage,smoker,time,event\n"
                          "50,II,1,abc,1\n")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match=r"\(row 2, column 'time'\)$"):
             load_cohort(path, SCHEMA, "time", "event")
-        assert err.value.row == 2
-        assert err.value.column == "time"
 
     def test_missing_cells_marked(self, tmp_path):
         path = write_csv(tmp_path,
@@ -88,7 +86,6 @@ class TestLoadCohort:
             load_cohort(path, SCHEMA, "time", "event")
         assert str(err.value) == (f"event indicator must be a nonnegative integer, "
                                   f"got '{cell}' (row 3, column 'event')")
-        assert (err.value.row, err.value.column) == (3, "event")
 
     def test_first_bad_cell_in_row_major_order(self, tmp_path):
         # row 3's event comes before its age, and row 3 before row 4's time
@@ -96,9 +93,8 @@ class TestLoadCohort:
                                    "50,II,1,3.5,1\n"
                                    "x,II,1,3.5,y\n"
                                    "51,II,1,z,1\n")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match=r"\(row 3, column 'event'\)$"):
             load_cohort(path, SCHEMA, "time", "event")
-        assert (err.value.row, err.value.column) == (3, "event")
 
 
 def _float_bits(values):

@@ -9,12 +9,16 @@ from kernelaj import (
     Cohort,
     DegenerateGrid,
     NoComparablePairs,
+    ShapeMismatch,
     brier_score,
     build_eval_grid,
     censoring_survival,
     concordance_td,
+    concordance_td_from_curves,
     integrated_brier,
     interpolate_curves,
+    score_curves,
+    scorer,
 )
 from kernelaj.metrics import EvalGrid
 from dense_oracle import risk_matrix_from_curves
@@ -137,6 +141,14 @@ class TestBrierScore:
         assert res.n_excluded == 0
         assert np.isfinite(res.value)
 
+    @pytest.mark.parametrize("delta", [0, -1, 3])
+    def test_event_type_outside_1_to_m_raises(self, delta):
+        # event 0 is censoring and 3 is not a type of an m = 2 cohort; both
+        # used to score as if the type existed
+        cohort = make_cohort([1, 2, 3, 4], [1, 2, 0, 1])
+        with pytest.raises(ValueError, match=rf"^event type {delta} is not one of 1\.\.2$"):
+            brier_score(np.full(4, 0.5), cohort, delta, 2.5, censoring_survival(cohort))
+
 
 class TestIntegratedBrier:
     def test_constant_curve(self):
@@ -207,6 +219,23 @@ class TestConcordance:
         # only subject 1 (event 1 at t=2) anchors; single pair vs subject 2
         assert concordance_td(R, cohort, 1) == 1.0
 
+    @pytest.mark.parametrize("delta", [0, 3])
+    def test_event_type_outside_1_to_m_raises(self, delta):
+        # at delta 0 the censored rows would anchor the pairs
+        cohort = make_cohort([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 2], m=2)
+        with pytest.raises(ValueError, match=rf"^event type {delta} is not one of 1\.\.2$"):
+            concordance_td(np.zeros((4, 4)), cohort, delta)
+        with pytest.raises(ValueError, match=rf"^event type {delta} is not one of 1\.\.2$"):
+            concordance_td_from_curves(np.zeros((4, 2)), [1.0, 2.0], cohort, delta)
+
+    @pytest.mark.parametrize("criterion", ["ctd", "ibs"])
+    def test_score_curves_rejects_more_event_planes_than_types(self, criterion):
+        cohort = make_cohort([1.0, 2.0, 3.0, 4.0], [1, 2, 0, 1], m=2)
+        grid = build_eval_grid(cohort.time[cohort.event != 0])
+        curves = np.full((3, 4, 2), 0.2)
+        with pytest.raises(ValueError, match=r"^event type 3 is not one of 1\.\.2$"):
+            score_curves(curves, [1.0, 4.0], scorer(cohort, grid), (criterion,))
+
 
 class TestSanityDirection:
     def test_population_ibs_at_least_oracle_ibs(self):
@@ -265,3 +294,14 @@ class TestInterpolation:
                                     np.array([1.0, 2.0]))
         # R[i, j] = curve of subject j at time of subject i
         assert_allclose(R, [[0.1, 0.3], [0.2, 0.6]])
+
+    @pytest.mark.parametrize("knots", [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, np.inf],
+                                       [1.0, np.nan]])
+    def test_knots_must_be_an_event_time_grid(self, knots):
+        # a knot at 0 divided by zero; repeated or descending knots gave numbers
+        with pytest.raises(ValueError, match="^grid times must be"):
+            interpolate_curves(np.array([[0.2, 0.6]]), knots, [0.5, 1.5])
+
+    def test_curves_must_have_a_value_per_knot(self):
+        with pytest.raises(ShapeMismatch, match="^curves have 5 values for 3 knots$"):
+            interpolate_curves(np.zeros((2, 5)), [1.0, 2.0, 3.0], [0.5, 1.5])

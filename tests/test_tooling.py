@@ -432,3 +432,14 @@ def test_every_error_has_a_raiser():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert sorted(errors - raised - {"KernelAJError"}) == []
+
+
+def test_errors_carry_their_message_only():
+    # every error type is a bare subclass: its context is in the message,
+    # and a method or a stored attribute would be a second copy nothing reads
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    found = [(node.name, type(item).__name__) for node in tree.body
+             if isinstance(node, ast.ClassDef) for item in ast.walk(node)
+             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Assign,
+                                  ast.AnnAssign, ast.AugAssign))]
+    assert found == []
