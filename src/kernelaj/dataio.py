@@ -308,10 +308,10 @@ def _solve_censoring_rate(target: float, lam_total: np.ndarray) -> float:
             break
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _censoring_rate_given(mid, lam_total) < target:
-            lo = mid
-        else:
-            hi = mid
+        bounds = (mid, hi) if _censoring_rate_given(mid, lam_total) < target else (lo, mid)
+        if bounds == (lo, hi):      # a step that changes nothing repeats to the end
+            break
+        lo, hi = bounds
     return 0.5 * (lo + hi)
 
 

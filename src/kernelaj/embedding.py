@@ -18,7 +18,6 @@ from .errors import ShapeMismatch
 
 _ACTIVATIONS = ("relu", "tanh")
 PRODUCT_BLOCK_ROWS = 16
-BACKWARD_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -225,34 +224,6 @@ def kernel_matrix(E1: np.ndarray, E2=None, out=None) -> np.ndarray:
     N = _neg_sq_dists(E1, E2, out)
     np.minimum(N, 0.0, out=N)
     return np.exp(N, out=N)
-
-
-def kernel_matrix_backward(E: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """dLoss/dE given P = dLoss/dK * K for K = exp(-pairwise_sq_dists(E)).
-
-    With d K_ij / d e_i = -2 K_ij (e_i - e_j), dE_i = -2 (sum_j (P_ij + P_ji)
-    e_i - sum_j (P_ij + P_ji) e_j). A column of ones appended to E makes the
-    row and column sums of P come out of the same products as P E and P^T E;
-    no transposed copy of P is formed. P's diagonal is set to 0 in place.
-
-    No product takes the whole n x n P as an operand, for memory, not bits:
-    P E is a :func:`blocked_matmul`, and P^T E is summed over
-    ``BACKWARD_BLOCK_ROWS`` rows of P at a time. The pages OpenBLAS touches
-    while packing an operand stay resident, and two GEMMs over all of P
-    raised the peak RSS by 4.5-4.7 MB at n = 1024 against 1.3-1.4 MB
-    blocked (OpenBLAS 0.3.31, 2 threads), which set a fit's peak. The
-    blocked sums round differently from the two GEMMs in the last bits, the
-    same way on every call.
-    """
-    np.fill_diagonal(P, 0.0)
-    Ea = np.hstack((E, np.ones((E.shape[0], 1))))
-    S = blocked_matmul(P, Ea)
-    col = np.zeros((Ea.shape[1], P.shape[1]))
-    for start in range(0, P.shape[0], BACKWARD_BLOCK_ROWS):
-        rows = slice(start, start + BACKWARD_BLOCK_ROWS)
-        col += Ea[rows].T @ P[rows]
-    S += col.T
-    return -2.0 * (S[:, -1:] * E - S[:, :-1])
 
 
 def flatten_grads(weight_grads, bias_grads) -> np.ndarray:

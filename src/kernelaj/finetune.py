@@ -35,7 +35,7 @@ import numpy as np
 from .clustering import ClusterModel
 from .core import Cohort, breslow_preprocess, check_labels, reverse_cumsum
 from .errors import ShapeMismatch
-from .model import fallback_weights, frozen_subject_weights, weighted_hazards
+from .model import fallback_weights, frozen_subject_weights, row_slices, weighted_hazards
 from .training import (  # noqa: F401 (sft_objective_from_tables is named here too)
     TrainConfig,
     TrainingLog,
@@ -47,7 +47,6 @@ from .training import (  # noqa: F401 (sft_objective_from_tables is named here t
 )
 
 INIT_FLOOR = 1e-12
-SFT_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,11 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
     domega_baseline)).
 
     A subject with an all-zero weight row is fitted on the pooled tables
-    (:func:`model.fallback_weights`). At alpha = 1, a mean over rows, the
-    rows run in blocks of ``SFT_BLOCK_ROWS``, each weighted by its share of
-    the rows, so each hazard plane holds SFT_BLOCK_ROWS rows; the ranking
-    term couples every pair of rows, so at alpha < 1 the one block is the
-    cohort. A bad label raises ValueError naming its row in the caller's
-    order (:func:`core.check_labels`).
+    (:func:`model.fallback_weights`). The rows run in the training step's
+    blocks (:func:`model.row_slices`), each block's objective its part of the
+    mean over all n: ``model.BLOCK_ROWS`` rows at alpha = 1, the cohort at
+    alpha < 1, where the ranking term couples every pair of rows. A bad label
+    raises ValueError naming its row in the caller's order (:func:`core.check_labels`).
     """
     weights = np.asarray(weights, np.float64)
     d_prime, n_prime = sft_counts(params)
@@ -120,15 +118,11 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
     n = weights.shape[0]
     kap, dl = check_labels(kappa, delta, n, m, L)
     loss, dD_total, dN_total = 0.0, np.zeros((m, *n_prime.shape)), np.zeros(n_prime.shape)
-    size = SFT_BLOCK_ROWS if alpha == 1.0 else n
-    for start in range(0, n, size):
-        rows = slice(start, start + size)
-        k, d = kap[rows], dl[rows]
+    for rows in row_slices(n, whole=alpha < 1.0):
         W, _ = fallback_weights(weights[rows])
         psi, inv_N = weighted_hazards((d_prime, n_prime), W)
-        value, dpsi = objective_and_dpsi(psi, k, d, alpha, sigma)
-        loss += value * (W.shape[0] / n)
-        dpsi *= W.shape[0] / n
+        value, dpsi = objective_and_dpsi(psi, kap[rows], dl[rows], alpha, sigma, n)
+        loss += value
         dD, dN = _ratio_backward(dpsi, psi, inv_N)
         dD_total += W.T @ dD
         dN_total += W.T @ dN

@@ -23,7 +23,7 @@ from .core import CifSet, EventTimeGrid, cif_from_hazards, curves_from_counts, s
 from .embedding import MlpParams, blocked_matmul, embed_batch, kernel_matrix
 from .errors import NonFiniteFeatures, ShapeMismatch
 
-PREDICT_BLOCK_ROWS = 1024
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -152,14 +152,20 @@ def _curves_from_weights(tables, W):
     return cif, surv, fallback
 
 
+def row_slices(n, whole=False):
+    """The one row-block rule of prediction, the training step and fine-tuning:
+    slices of ``BLOCK_ROWS`` of n rows or, when ``whole``, one slice of all n."""
+    size = n if whole else BLOCK_ROWS
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
 def _row_blocks(model: KernelAJModel, E: np.ndarray, read):
-    """The one prediction loop: for each ``PREDICT_BLOCK_ROWS`` block of
+    """The one prediction loop: for each :func:`row_slices` block of
     embeddings E (n, d), yields read(rows, W) of the block's slice of the
     rows and its exemplar weights W (b, Q). W lives only while ``read``
     runs, so the weights of one block exist at a time; rows are
     batch-invariant, so the block size does not change the bits."""
-    for start in range(0, E.shape[0], PREDICT_BLOCK_ROWS):
-        rows = slice(start, min(start + PREDICT_BLOCK_ROWS, E.shape[0]))
+    for rows in row_slices(E.shape[0]):
         yield read(rows, exemplar_weights(model.clusters, E[rows]))
 
 
@@ -239,7 +245,7 @@ class Explanation:
 
 def explain_rows(model: KernelAJModel, X: np.ndarray):
     """Interpretation records for the rows of a feature matrix, one
-    ``PREDICT_BLOCK_ROWS`` block at a time (:func:`_row_blocks`).
+    ``BLOCK_ROWS`` block at a time (:func:`_row_blocks`).
 
     A generator: yields (explanations, cif (m, b, L), survival (b, L)) for
     each block of b rows, the records and the curves they were read from.

@@ -51,39 +51,45 @@ Hazard tables
 -------------
 Both sums depend on j only through the pair (kappa_j, delta_j). The step
 therefore stable-sorts the batch by code = kappa * (m + 1) + delta, so the
-rows of each (bin, event) group are adjacent, and builds the zero-diagonal
-kernel matrix W once in that order. One ``np.add.reduceat`` over W's columns
-gives G[i, u], the weight of row i on group u. A group is a one-row table:
-d_u is 1 at (kappa_u - 1, delta_u - 1) for an event group and n_u is 1 on
-the bins l < kappa_u, so the hazards are ``model.weighted_hazards`` of these
-tables under G, the same products as prediction and fine-tuning. The
-validation criterion scores the clustered model (:func:`_evaluate_criterion`);
-training returns the best epoch's, so ``fit`` ships the model it scored.
+rows of each (bin, event) group are adjacent, and builds a row block's
+zero-diagonal kernel rows W against the whole batch in that order. One
+``np.add.reduceat`` over W's columns gives G[i, u], the weight of row i on
+group u. A group is a one-row table: d_u is 1 at (kappa_u - 1, delta_u - 1)
+for an event group and n_u is 1 on the bins l < kappa_u, so the hazards are
+``model.weighted_hazards`` of these tables under G, the same products as
+prediction and fine-tuning. The validation criterion scores the clustered
+model (:func:`_evaluate_criterion`); training returns the best epoch's, so
+``fit`` ships the model it scored.
 
 In the backward pass dLoss/dW[i, j] is dG[i, u] for j in group u, and dG is
 the transposed products, dG = dden n_u^T + sum_k dnum_k d_u[:, :, k]^T.
 The at-risk part is a product; an event group's d_u holds a single 1, so
 its event part is the column of dnum at its own cell. dG is formed and
-spread over each group's columns a block of rows at a time, into W itself:
-W becomes P = dW * W, and the embedding gradient is
+spread over each group's columns a few rows at a time, into W itself: W
+becomes P = dW * W, which the block adds to the sums P Ea and Ea^T P
+(Ea = [E, 1]) of the embedding gradient
 -2 ((rowsum P + colsum P) e_i - (P E)_i - (P^T E)_i). Loss and gradients
-are sums over rows, so the sort changes only rounding.
+are sums over rows, so the sort changes only rounding, and the blocks only
+the loss's.
 
 Memory
 ------
-W, later P, is the step's only n x n array. It lives in the one buffer of
-B^2 float64 that ``train_embedding`` allocates per fit and only the step
-reads, so the epoch loop reuses resident pages instead of fresh ones from
-the allocator, and holds no other array that grows with B^2. The buffer is
-load-bearing: a step that allocated W itself, with the same bits, raised the
-benchmark's peak RSS from 58.00 to 63.37 MB on acceptance and from 57.26 to
-62.58 MB on ranking-sft (seed 1, higher in 10 of 10 alternating pairs; fit
-time unresolved). No matrix product takes W or P whole: the kernel is a
-``blocked_matmul`` of 16 rows, and ``embedding.kernel_matrix_backward``
-multiplies P by blocks of 16 and 256 rows, because OpenBLAS keeps the pages
-it packs an operand into resident, and a GEMM over all of P raised the fit's
-peak RSS by about 3 MB more at B = 1024. The criterion's arrays grow with n_valid * Q, not with
-n_valid * n_train.
+The step, fine-tuning and prediction take their rows in the blocks of
+:func:`model.row_slices`: ``model.BLOCK_ROWS`` (256) at alpha = 1, where a
+row's hazards and gradient need only its own kernel row, and the batch at
+alpha < 1, where the ranking couples every pair; only there is the kernel
+n x n. A block's W, later P, lives in the one buffer (256 x B or B x B
+float64) that ``train_embedding`` allocates per fit and only the step reads.
+It is load-bearing: a step that allocated its B x B W itself raised the
+benchmark's peak RSS from 58.00 to 63.37 MB on acceptance and 57.26 to
+62.58 MB on ranking-sft (seed 1, 10 of 10 alternating pairs). At B = 1024
+and alpha = 1 the step and its buffer peak at 4.4 MiB traced, against
+12.8 MiB with a B x B buffer. No product takes a B x B W or P whole (the
+kernel and P Ea are ``blocked_matmul`` calls, Ea^T P sums 256-row blocks):
+OpenBLAS keeps the pages it packs an operand into resident, and a GEMM over
+all of P raised the fit's peak RSS by 3 MB more at B = 1024. The backward's
+sums come after the objective, whose ranking planes set the peak at
+alpha < 1. The criterion's arrays grow with n_valid * Q, not n_valid * n_train.
 
 At alpha < 1 the objective holds F (m, n, L), S_prev and u (n, L), filled
 ``RANK_BLOCK_ROWS`` rows at a time: 2.3 (m, n, L) planes above its inputs at
@@ -119,11 +125,10 @@ from .embedding import (
     forward_cached,
     init_mlp,
     kernel_matrix,
-    kernel_matrix_backward,
 )
 from .errors import Diverged, NoEvents, ShapeMismatch
 from .metrics import build_eval_grid, score_curves, scorer
-from .model import _curves_from_weights, fallback_weights, weighted_hazards
+from .model import _curves_from_weights, fallback_weights, row_slices, weighted_hazards
 
 PSI_CLAMP = 1e-12
 MAX_TIME_STEPS = 512
@@ -218,16 +223,17 @@ def code_groups(kappa, delta, m, L) -> CodeGroups:
     return CodeGroups(order, starts, code[starts] // (m + 1), code[starts] % (m + 1))
 
 
-def objective_and_dpsi(psi, kappa, delta, alpha, sigma):
-    """The training objective alpha * NLL + (1 - alpha) * ranking of a hazard
-    tensor psi (m, n, L) and its gradient dLoss/dpsi. An own-event hazard at
-    or below ``PSI_CLAMP`` enters the NLL clamped and gets no gradient from
-    its log. At alpha = 1 the plane of the NLL's hazard product receives
-    dLoss/dpsi. At alpha < 1 the NLL's gradient is added into the ranking's,
-    own-event cells last, so each cell is the sum nll + ranking of two
-    separate planes (module docstring). A bad label raises (:func:`core.check_labels`)."""
-    m, n, L = psi.shape
-    kappa, delta = check_labels(kappa, delta, n, m, L)
+def objective_and_dpsi(psi, kappa, delta, alpha, sigma, n):
+    """The training objective alpha * NLL + (1 - alpha) * ranking of a hazard tensor
+    psi (m, b, L) and its gradient dLoss/dpsi, as the b rows' part of the mean over
+    n (b = n at alpha < 1: the ranking couples all rows). An own-event hazard at or
+    below ``PSI_CLAMP`` enters the NLL clamped and gets no gradient from its log. At
+    alpha = 1 the plane of the NLL's hazard product receives dLoss/dpsi. At
+    alpha < 1 the NLL's gradient is added into the ranking's, own-event cells last,
+    so each cell is the sum nll + ranking of two separate planes (module
+    docstring). A bad label raises (:func:`core.check_labels`)."""
+    m, b, L = psi.shape
+    kappa, delta = check_labels(kappa, delta, b, m, L)
     at_risk = _at_risk(kappa, L)
     unc = np.flatnonzero(delta != 0)
     own = psi[delta[unc] - 1, unc, kappa[unc] - 1]
@@ -325,47 +331,60 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None
     rounding. The backward pass runs through the leave-one-out hazard ratios,
     the survival product, the ranking terms, the kernel matrix, the network.
 
-    The kernel W lives in ``buffer``, a C-contiguous float64 array of at
-    least n * n elements (``train_embedding`` allocates one per fit);
-    without it the step allocates its own. dLoss/dW is formed
-    ``GATHER_BLOCK_ROWS`` rows at a time and multiplied into W, which then
-    holds P = dLoss/dW * W. The results do not depend on the buffer.
+    The rows run in :func:`model.row_slices` blocks, ``model.BLOCK_ROWS`` at
+    alpha = 1 and the batch at alpha < 1. The kernel rows W of a block of b
+    rows live in ``buffer``, a C-contiguous float64 array of at least b * n
+    elements (``train_embedding`` allocates one per fit), or in a new array.
+    dLoss/dW is formed ``GATHER_BLOCK_ROWS`` rows at a time and multiplied
+    into W, which then holds P = dLoss/dW * W, added to the kernel backward's
+    sums before the next block. The results do not depend on the buffer.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
         raise ShapeMismatch("batch must contain at least 2 subjects")
     kappa, delta = check_labels(kappa, delta, n, m, L)
-    W = _block(np.empty(n * n) if buffer is None else buffer, n, n)
     groups = code_groups(kappa, delta, m, L)
     X = X[groups.order]
     kappa, delta = kappa[groups.order], delta[groups.order]
 
     E, cache = forward_cached(params, X)
-    kernel_matrix(E, out=W)
-    np.fill_diagonal(W, 0.0)
     tables = groups.tables(m, L)
-    psi, inv_N = weighted_hazards(tables, np.add.reduceat(W, groups.starts, axis=1))
-    loss, dpsi = objective_and_dpsi(psi, kappa, delta, alpha, sigma)
+    loss = 0.0
+    for rows in row_slices(n, whole=alpha < 1.0):
+        b = rows.stop - rows.start
+        W = kernel_matrix(E[rows], E, out=None if buffer is None else _block(buffer, b, n))
+        np.fill_diagonal(W[:, rows.start:], 0.0)
+        psi, inv_N = weighted_hazards(tables, np.add.reduceat(W, groups.starts, axis=1))
+        value, dpsi = objective_and_dpsi(psi, kappa[rows], delta[rows], alpha, sigma, n)
+        loss += value
+        dnum, dden = _ratio_backward(dpsi, psi, inv_N)
+        del psi, inv_N, dpsi
+        if rows.start == 0:     # after the objective: at alpha < 1 its planes set the peak
+            n_T, ev = np.ascontiguousarray(tables[1].T), np.flatnonzero(groups.delta)
+            group = np.repeat(np.arange(groups.starts.size), np.diff(groups.starts, append=n))
+            Ea = np.hstack((E, np.ones((n, 1))))
+            S, col = np.empty((n, Ea.shape[1])), np.zeros((Ea.shape[1], n))
 
-    # dG = dden n_u^T + sum_k dnum_k d_u[:, :, k]^T (module docstring); the
-    # event part is read from dnum: d_u is one-hot, and its product made the
-    # acceptance workload's step 17 % slower on a 2-vCPU VM
-    dnum, dden = _ratio_backward(dpsi, psi, inv_N)
-    n_T = np.ascontiguousarray(tables[1].T)
-    ev = np.flatnonzero(groups.delta)
-    group = np.repeat(np.arange(groups.starts.size), np.diff(groups.starts, append=n))
-    scratch = np.empty((min(GATHER_BLOCK_ROWS, n), n))
-    for start in range(0, n, GATHER_BLOCK_ROWS):
-        rows = slice(start, start + GATHER_BLOCK_ROWS)
-        dG = blocked_matmul(dden[rows], n_T)
-        dG[:, ev] += dnum[groups.delta[ev] - 1, rows, groups.kappa[ev] - 1].T
-        # mode="clip" lets take write straight into scratch ("raise" copies)
-        W[rows] *= np.take(dG, group, axis=1, mode="clip", out=scratch[:dG.shape[0]])
-    del psi, inv_N, dpsi, dnum, dden, scratch   # else the network backward sets the peak
+        # dG = dden n_u^T + sum_k dnum_k d_u[:, :, k]^T (module docstring); the
+        # event part is read from dnum: d_u is one-hot, and its product made the
+        # acceptance workload's step 17 % slower on a 2-vCPU VM
+        scratch = np.empty((min(GATHER_BLOCK_ROWS, b), n))
+        for start in range(0, b, GATHER_BLOCK_ROWS):
+            sub = slice(start, start + GATHER_BLOCK_ROWS)
+            dG = blocked_matmul(dden[sub], n_T)
+            dG[:, ev] += dnum[groups.delta[ev] - 1, sub, groups.kappa[ev] - 1].T
+            # mode="clip" lets take write straight into scratch ("raise" copies)
+            W[sub] *= np.take(dG, group, axis=1, mode="clip", out=scratch[:dG.shape[0]])
+        del dnum, dden, scratch         # else they add to the peak of the products below
+        # the kernel backward's sums P Ea and Ea^T P; rows.start is a multiple
+        # of BLOCK_ROWS, so Ea^T P sums the same row blocks at any alpha
+        blocked_matmul(W, Ea, out=S[rows])
+        for sub in row_slices(b):
+            col += Ea[rows][sub].T @ W[sub]
 
-    dE = kernel_matrix_backward(E, W)
-    dw, db = backward(params, cache, dE)
+    S += col.T                          # Ea's ones column gives P's row and column sums
+    dw, db = backward(params, cache, -2.0 * (S[:, -1:] * E - S[:, :-1]))
     return loss, dw, db
 
 
@@ -429,7 +448,7 @@ def sft_objective_from_tables(d_tables, n_tables, weights, kappa, delta,
     """
     W, _ = fallback_weights(weights)
     psi = weighted_hazards((d_tables, n_tables), W)[0]
-    return objective_and_dpsi(psi, kappa, delta, alpha, sigma)[0]
+    return objective_and_dpsi(psi, kappa, delta, alpha, sigma, W.shape[0])[0]
 
 
 def table_criterion(criterion, train: Cohort, valid: Cohort, grid: EventTimeGrid,
@@ -533,7 +552,7 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
                                 tcfg.alpha, tcfg.sigma)
 
     side = min(tcfg.batch_size, train.n)
-    buffer = np.empty(side * side)
+    buffer = np.empty(row_slices(side, whole=tcfg.alpha < 1.0)[0].stop * side)   # the step's W
     rng = np.random.default_rng(tcfg.seed)
 
     def epoch(params, step):

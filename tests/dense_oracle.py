@@ -1,4 +1,4 @@
-"""The dense one-hot training step, two-GEMM kernel backward, validation
+"""The dense one-hot training step with its two-GEMM kernel backward, validation
 hazards, scalar Brier score, CIF recursion, NLL, pairwise ranking loss,
 n x n concordance risk matrix, per-anchor concordance loop, hand-derived
 fine-tuning objective, whole-cohort fine-tuning gradient, whole-batch
@@ -7,7 +7,8 @@ from separate NLL and ranking planes, hand-written
 criterion checks, stopping rule, list-stacking epsilon-net, sorted-time
 counts, per-cluster loops, difference-based neighbor search, ``np.where``
 exemplar weights, row-loop cumulative-product backward, counted code-group
-tables and per-cell CSV reader and writer that ``kernelaj`` replaced, plus
+tables, per-cell CSV reader and writer and 200-step censoring-rate
+bisection that ``kernelaj`` replaced, plus
 the scalar kernel, the fine-tuning objective of parameters and the
 synthetic generator's closed-form CIF (:func:`oracle_cif`), which only
 tests use. The cumulative-product backward is the oracle's own route
@@ -34,14 +35,16 @@ recursion over every row at once and keeps its exponentials in a plane of
 their own, the objective sums a separate NLL gradient plane and ranking
 gradient plane, a code group's one-row tables are counted from its code,
 the cumulative-product backward loops over the rows with a zero factor,
-and the CSV reader and writer handle one cell at a time through
+the CSV reader and writer handle one cell at a time through
 ``csv.DictReader`` and ``csv.writer`` (the reader's event check also
-rejects nan, infinite and out-of-int64 cells, as the package does). Only the shared building blocks that did not change (the
-network, the floored CIF recursion, the reverse cumulative sum, the table
-counter, the at-risk mask, the fixed-block distances, curve interpolation,
-the fine-tuning table parameterization, and the objective, weighted
-hazards and ratio backward that the whole-cohort fine-tuning gradient
-chains) are imported from the package.
+rejects nan, infinite and out-of-int64 cells, as the package does), and the
+censoring-rate bisection runs all of its steps. Only the shared building
+blocks that did not change (the network, the floored CIF recursion, the
+reverse cumulative sum, the table counter, the at-risk mask, the
+fixed-block distances, curve interpolation, the fine-tuning table
+parameterization, the objective, weighted hazards and ratio backward that
+the whole-cohort fine-tuning gradient chains, and the generator's expected
+censored fraction) are imported from the package.
 """
 
 import csv
@@ -53,7 +56,7 @@ from kernelaj.core import (Cohort, StepCurve, cif_from_hazards, count_tables,
                            reverse_cumsum)
 from kernelaj.embedding import backward, forward_cached
 from kernelaj.embedding import pairwise_sq_dists as blocked_sq_dists
-from kernelaj.dataio import RawTable
+from kernelaj.dataio import RawTable, _censoring_rate_given
 from kernelaj.errors import (
     DegenerateGrid,
     MissingColumn,
@@ -397,10 +400,7 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma):
         dW += dnum[d] @ evt[d].T
     np.fill_diagonal(dW, 0.0)
 
-    M = (dW + dW.T) * K
-    np.fill_diagonal(M, 0.0)
-    dE = -2.0 * (M.sum(axis=1)[:, None] * E - M @ E)
-    dw, db = backward(params, cache, dE)
+    dw, db = backward(params, cache, kernel_matrix_backward(E, dW * K))
     return alpha * nll + (1.0 - alpha) * rank, dw, db
 
 
@@ -576,7 +576,7 @@ def sft_loss_and_grad(params, weights, kappa, delta, alpha=1.0, sigma=1.0):
     kap, dl = np.asarray(kappa, np.int64), np.asarray(delta, np.int64)
     d_prime, n_prime = sft_counts(params)
     psi, inv_N = weighted_hazards((d_prime, n_prime), W)
-    loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma)
+    loss, dpsi = objective_and_dpsi(psi, kap, dl, alpha, sigma, kap.size)
     dD, dN = _ratio_backward(dpsi, psi, inv_N)
     dd_prime = (W.T @ dD).transpose(1, 2, 0)         # (Q, L, m)
     dc_prime = np.cumsum(W.T @ dN, axis=1)           # n' is a reversed cumsum
@@ -851,3 +851,22 @@ def oracle_cif(cfg, x, delta, t):
     lam_d = lam1 if delta == 1 else lam2
     F = (lam_d / lam) * (1.0 - np.exp(-lam * np.atleast_1d(t)[None, :]))
     return float(F[0, 0]) if np.ndim(x) == 1 and np.ndim(t) == 0 else F
+
+
+def solve_censoring_rate(target, lam_total):
+    """``dataio._solve_censoring_rate`` with all 200 bisection steps, also
+    those that leave the bracket as it was."""
+    if target <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while _censoring_rate_given(hi, lam_total) < target:
+        hi *= 2.0
+        if hi > 1e12:
+            break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _censoring_rate_given(mid, lam_total) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

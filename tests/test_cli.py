@@ -1123,8 +1123,8 @@ class TestExplain:
         assert peak - loop_peak < cif.nbytes + surv.nbytes
 
     def test_explain_peak_does_not_grow_with_blocks(self, tmp_path):
-        # a hand-built model with Q = 2048 exemplars: one block's (1024, Q)
-        # weights are 16 MiB, so a loop that kept the weights or records of
+        # a hand-built model with Q = 2048 exemplars: one block's (256, Q)
+        # weights are 4 MiB, so a loop that kept the weights or records of
         # more than one block would grow with the rows
         rng = np.random.default_rng(0)
         Q, L = 2048, 8
@@ -1134,7 +1134,7 @@ class TestExplain:
                             reverse_cumsum(d.sum(axis=2) + 1.0), tau=1.0)
         peaks = []
         for blocks in (2, 4):
-            rows = blocks * model_module.PREDICT_BLOCK_ROWS
+            rows = blocks * model_module.BLOCK_ROWS
             X = centers[rng.integers(0, Q, rows)] + rng.normal(scale=0.3, size=(rows, 2))
             write_cohort_csv(Cohort(X, np.ones(rows), np.zeros(rows, dtype=np.int64), 2),
                              tmp_path / "query.csv")
@@ -1178,7 +1178,7 @@ class TestExplain:
         # its CIFs are zero at the horizon: S = 1 and F = 0, with null
         # probabilities and medians, not an error
         argv = self.save_no_risk_model(tmp_path, [9.0, 0.0])
-        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 4)
+        monkeypatch.setattr(model_module, "BLOCK_ROWS", 4)
         assert main(argv) == 0
         records = json.loads((tmp_path / "rep" / "explanations.json").read_text())
         assert [r["row"] for r in records] == list(range(12))
@@ -1192,7 +1192,7 @@ class TestExplain:
         # row 9's finite 1e300 overflows the embedding after explanations.json
         # was opened, so the command's cleanup removes the file
         argv = self.save_no_risk_model(tmp_path, [1e300, 0.0])
-        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 4)
+        monkeypatch.setattr(model_module, "BLOCK_ROWS", 4)
         assert main(argv) == 2
         assert "row 9:" in capsys.readouterr().err
         assert not (tmp_path / "rep" / "explanations.json").exists()

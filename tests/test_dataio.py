@@ -462,6 +462,16 @@ class TestSyntheticGenerator:
         frac = (cohort.event == 0).mean()
         assert abs(frac - 0.5) < 3 * np.sqrt(0.25 / 6000) + 0.01
 
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 500),
+           target=st.sampled_from([1e-9, 0.01, 0.3, 0.5, 0.9, 0.999999]) | st.floats(1e-9, 0.999999))
+    def test_censoring_rate_bisection_stops_without_changing_bits(self, seed, n, target):
+        # the bisection stops at its first step that leaves the bracket as it
+        # was: every later step would repeat it, so the 200-step loop ends the same
+        lam = np.exp(np.random.default_rng(seed).normal(0.0, 1.5, n))
+        got = dataio._solve_censoring_rate(target, lam)
+        assert struct.pack("<d", got) == struct.pack("<d", oracle.solve_censoring_rate(target, lam))
+
     def test_seed_determinism(self):
         cfg = SynthConfig(n=100, p=2, w1=(0.3, 0.0), w2=(0.0, 0.3), seed=7)
         a = generate_synthetic(cfg)

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import flatten_params, unflatten_params
-from dense_oracle import kernel
+from dense_oracle import kernel, kernel_matrix_backward
 from kernelaj import EmbeddingConfig, ShapeMismatch, embed, embed_batch, init_mlp
 from kernelaj.embedding import (
     MlpParams,
@@ -17,7 +17,6 @@ from kernelaj.embedding import (
     flatten_grads,
     forward_cached,
     kernel_matrix,
-    kernel_matrix_backward,
     pairwise_sq_dists,
 )
 from kernelaj.model import _embed_rows

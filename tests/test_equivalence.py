@@ -42,11 +42,10 @@ from kernelaj.embedding import (
     embed_batch,
     flatten_grads,
     kernel_matrix,
-    kernel_matrix_backward,
     pairwise_sq_dists,
 )
 from kernelaj.errors import NoComparablePairs, ShapeMismatch
-from kernelaj.model import KernelAJModel, predict_cif_grid
+from kernelaj.model import BLOCK_ROWS, KernelAJModel, predict_cif_grid
 from kernelaj.metrics import (
     BRIER_BLOCK_HORIZONS,
     CONCORDANCE_BLOCK_ROWS,
@@ -181,18 +180,52 @@ class TestStepBuffers:
                                 np.ones(5, np.int64), 1, 2, 1.0, 1.0,
                                 np.empty(5 * 5 - 1))
 
-    def test_step_allocates_less_than_one_square(self):
-        B, m, L = 1024, 2, 64
-        rng = np.random.default_rng(7)
-        params = init_mlp(EmbeddingConfig(input_dim=8, num_layers=2, hidden_units=32,
-                                          embed_dim=8))
-        X = rng.normal(size=(B, 8))
-        kappa = rng.integers(0, L + 1, B)
-        delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, B))
-        buffer = np.empty(B * B)
-        _, peak = traced_peak(lambda: total_loss_and_grad(params, X, kappa, delta, m, L,
-                                                          1.0, 1.0, buffer))
-        assert peak < B * B * 8
+    def test_step_allocates_less_than_one_square(self, monkeypatch):
+        # at alpha = 1 the step holds one block's kernel rows; with a B x B
+        # buffer, the step and its buffer peaked at 12.75 MiB
+        params, X, kappa, delta = step_batch(1024)
+        rows = [train_embedding_buffer_rows(monkeypatch, alpha) for alpha in (1.0, 0.5)]
+        assert rows == [BLOCK_ROWS, 1024]
+        _, peak = traced_peak(lambda: total_loss_and_grad(
+            params, X, kappa, delta, 2, 64, 1.0, 1.0, np.empty(BLOCK_ROWS * 1024)))
+        assert peak <= 7 * 2**20
+
+
+def step_batch(B, m=2, L=64):
+    """(params, X, kappa, delta) of a B-row batch on m event types and L bins."""
+    rng = np.random.default_rng(7)
+    params = init_mlp(EmbeddingConfig(input_dim=8, num_layers=2, hidden_units=32,
+                                      embed_dim=8))
+    kappa = rng.integers(0, L + 1, B)
+    return params, rng.normal(size=(B, 8)), kappa, np.where(kappa == 0, 0,
+                                                              rng.integers(0, m + 1, B))
+
+
+class _FirstStep(Exception):
+    pass
+
+
+def train_embedding_buffer_rows(monkeypatch, alpha):
+    """The rows of the buffer that ``train_embedding`` hands its first step
+    (batch 1024 of 1100 training rows), at ``alpha``."""
+    rng = np.random.default_rng(2)
+    cohorts = []
+    for n in (1100, 200):
+        times = rng.integers(1, 9, n).astype(float)
+        cohorts.append(Cohort(rng.normal(size=(n, 3)), times, rng.integers(0, 3, n), 2))
+    grid = discretize_times(build_event_grid(cohorts[0]), 8)
+    train, valid = (breslow_preprocess(c, grid)[0] for c in cohorts)
+    sizes = []
+
+    def first_step(*args):
+        sizes.append(args[-1].size)
+        raise _FirstStep
+
+    monkeypatch.setattr(training, "total_loss_and_grad", first_step)
+    with pytest.raises(_FirstStep):
+        training.train_embedding(train, valid, EmbeddingConfig(input_dim=3),
+                                 training.TrainConfig(batch_size=1024, alpha=alpha), grid)
+    return sizes[0] // 1024
 
 
 def label_batch(rng, n, m, L):
@@ -252,24 +285,30 @@ class TestCodeTables:
         assert left < 64 * 1024
 
 
-# Growth, in KiB, of the peak RSS (ru_maxrss) of one kernel backward of a
-# 1024 x 1024 P, in a fresh process whose one large array is P. Linux carries
-# a parent's peak into ru_maxrss across exec, so a child of the test process
-# reads its own pages' peak, VmHWM, instead.
-_BACKWARD_RSS_PROBE = """
+# Growth, in KiB, of the peak RSS (VmHWM) of one alpha < 1 step on a batch of
+# 1024, in a fresh process whose one large array is the step's resident
+# B x B buffer. Linux carries a parent's peak into ru_maxrss across exec, so
+# a child of the test process reads its own pages' peak, VmHWM, instead.
+_STEP_RSS_PROBE = """
 import numpy as np
-from kernelaj.embedding import kernel_matrix_backward
+from kernelaj import EmbeddingConfig, init_mlp
+from kernelaj.training import total_loss_and_grad
 
 def peak_kib():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
+B, m, L = 1024, 2, 8
 rng = np.random.default_rng(0)
-E = rng.normal(size=(1024, 16))
-P = rng.normal(size=(1024, 1024))
-kernel_matrix_backward(E[:64], P[:64, :64].copy())      # BLAS threads started
+params = init_mlp(EmbeddingConfig(input_dim=4, num_layers=1, hidden_units=8, embed_dim=8))
+X = rng.normal(size=(B, 4))
+kappa = rng.integers(0, L + 1, B)
+delta = np.where(kappa == 0, 0, rng.integers(0, m + 1, B))
+buffer = np.full(B * B, np.nan)        # resident, as after a fit's first step
+args = m, L, 0.5, 1.0, buffer
+total_loss_and_grad(params, X[:64], kappa[:64], delta[:64], *args)    # BLAS threads started
 before = peak_kib()
-kernel_matrix_backward(E, P)
+total_loss_and_grad(params, X, kappa, delta, *args)
 print(peak_kib() - before)
 """
 
@@ -282,28 +321,49 @@ def _numpy_blas():
 
 
 class TestKernelBackward:
-    """The kernel backward's fixed-shape products against the two GEMMs over
-    the whole of P that they replaced."""
+    """The step's kernel backward, the sums P Ea and Ea^T P that it adds a
+    row block at a time, against the two GEMMs over the whole of P of the
+    dense step, and against the same step in one whole-batch block."""
 
     @pytest.mark.parametrize("n", [2, 15, 16, 17, 255, 256, 257, 1024])
     def test_matches_two_gemm_oracle(self, n):
-        rng = np.random.default_rng(n)
-        E = rng.normal(size=(n, 8))
-        P = rng.normal(size=(n, n)) * kernel_matrix(E)
-        got = kernel_matrix_backward(E, P.copy())
-        assert relative_error(got, oracle.kernel_matrix_backward(E, P.copy())) < 1e-12
-        assert_array_equal(kernel_matrix_backward(E, P.copy()), got)
+        params, X, kappa, delta = step_batch(n, L=6)
+        for alpha in (0.5, 1.0):
+            loss, dw, db = total_loss_and_grad(params, X, kappa, delta, 2, 6, alpha, 0.7)
+            want_loss, want_dw, want_db = oracle.total_loss_and_grad(
+                params, X, kappa, delta, 2, 6, alpha, 0.7)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            got = flatten_grads(dw, db)
+            assert relative_error(got, flatten_grads(want_dw, want_db)) < 1e-12
+            again = total_loss_and_grad(params, X, kappa, delta, 2, 6, alpha, 0.7)
+            assert_array_equal(flatten_grads(*again[1:]), got)
+
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 704, 1000, 1024])
+    def test_row_blocks_do_not_change_bits(self, monkeypatch, n):
+        # at alpha < 1 the step runs one block of the whole batch: with the
+        # objective held at alpha = 1 it is the alpha = 1 step in one block,
+        # whose Ea^T P must sum the same 256-row blocks
+        params, X, kappa, delta = step_batch(n)
+        loss, dw, db = total_loss_and_grad(params, X, kappa, delta, 2, 64, 1.0, 1.0)
+        objective = training.objective_and_dpsi
+        monkeypatch.setattr(training, "objective_and_dpsi",
+                            lambda psi, k, d, alpha, sigma, n: objective(psi, k, d, 1.0, sigma, n))
+        whole_loss, whole_dw, whole_db = total_loss_and_grad(params, X, kappa, delta, 2, 64,
+                                                             0.5, 1.0)
+        assert abs(loss - whole_loss) <= 1e-15
+        assert_array_equal(flatten_grads(dw, db), flatten_grads(whole_dw, whole_db))
 
     @pytest.mark.skipif("openblas" not in _numpy_blas() or sys.platform != "linux",
                         reason="needs numpy on OpenBLAS, and Linux's /proc")
     def test_leaves_no_packing_buffers_that_grow_with_p(self):
-        # two GEMMs over all of P raised the peak by 4.5-4.7 MB, mostly
-        # OpenBLAS packing buffers (OpenBLAS 0.3.31, 2 threads); the blocked
-        # products raise it by 1.3-1.4 MB
+        # at alpha < 1 the block is the batch: two GEMMs over all of P raised
+        # the peak by 4.5-4.7 MB, mostly OpenBLAS packing buffers (OpenBLAS
+        # 0.3.31, 2 threads), where the products of 16 and 256 rows of P
+        # raised it by 1.3-1.4 MB
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                    PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        out = subprocess.run([sys.executable, "-c", _BACKWARD_RSS_PROBE], env=env,
+        out = subprocess.run([sys.executable, "-c", _STEP_RSS_PROBE], env=env,
                              capture_output=True, text=True, timeout=120, check=True)
         assert int(out.stdout) < 2 * 1024
 
@@ -373,7 +433,7 @@ class TestObjectiveInRankingPlanes:
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 1024])
     def test_bit_equal_to_separate_planes(self, alpha, n):
         psi, kappa, delta = self.batch(n)
-        loss, dpsi = training.objective_and_dpsi(psi, kappa, delta, alpha, 0.3)
+        loss, dpsi = training.objective_and_dpsi(psi, kappa, delta, alpha, 0.3, n)
         want_loss, want_dpsi = oracle.separate_planes_objective(psi, kappa, delta, alpha, 0.3)
         assert_array_equal(loss, want_loss)
         assert_array_equal(dpsi, want_dpsi)
@@ -393,7 +453,8 @@ class TestObjectiveInRankingPlanes:
         # block's recursion: 2.28 hazard tensors at m = 2, where separate NLL
         # and ranking planes over the whole-batch recursion held 5.02
         psi, kappa, delta = TestRankingForward.large_batch(n=1024)
-        _, peak = traced_peak(lambda: training.objective_and_dpsi(psi, kappa, delta, 0.5, 0.5))
+        _, peak = traced_peak(lambda: training.objective_and_dpsi(psi, kappa, delta, 0.5, 0.5,
+                                                                 kappa.size))
         assert peak < 2.5 * psi.nbytes
 
 

@@ -32,12 +32,11 @@ from kernelaj import (
 from kernelaj import cli, training
 from kernelaj.core import label_codes
 from kernelaj.finetune import (
-    SFT_BLOCK_ROWS,
     SftParams,
     frozen_subject_weights,
     sft_objective_from_tables,
 )
-from kernelaj.model import KernelAJModel
+from kernelaj.model import BLOCK_ROWS, KernelAJModel
 from kernelaj.embedding import MlpParams, embed_batch
 
 FLOOR = 1e-12
@@ -286,12 +285,12 @@ def blocked_problem(n):
     within tau and the second block, rows 256-511, is all censored."""
     params, W, kappa, delta = random_sft_problem(n)
     W[0] = 0.0
-    delta[SFT_BLOCK_ROWS:2 * SFT_BLOCK_ROWS] = 0
+    delta[BLOCK_ROWS:2 * BLOCK_ROWS] = 0
     return params, W, kappa, delta
 
 
 class TestRowBlocks:
-    """Fine-tuning in row blocks of ``SFT_BLOCK_ROWS`` against the
+    """Fine-tuning in row blocks of ``model.BLOCK_ROWS`` against the
     whole-cohort oracle."""
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 529])
@@ -379,7 +378,7 @@ class TestBuffers:
         assert peak < m * n * L * 8
 
     def test_peak_does_not_grow_with_rows(self):
-        # at alpha = 1 every array but the inputs has at most SFT_BLOCK_ROWS
+        # at alpha = 1 every array but the inputs has at most BLOCK_ROWS
         # rows; the whole-cohort planes grew by 9 MiB from 512 to 4,096 rows
         peaks = []
         for n in (512, 4096):

@@ -34,7 +34,8 @@ from kernelaj import (
 )
 from kernelaj import model as model_module
 from conftest import FIT_TRAIN_ROWS, clusters_from_tables, fits, traced_peak
-from kernelaj.core import EventTimeGrid, label_codes, risk_event_counts, safe_reciprocal
+from kernelaj.core import (EventTimeGrid, label_codes, reverse_cumsum, risk_event_counts,
+                           safe_reciprocal)
 from kernelaj.embedding import MlpParams, embed_batch, pairwise_sq_dists
 from kernelaj.finetune import SftParams, sft_counts
 from kernelaj.model import Explanation, cluster_curves, exemplar_kernel_matrix
@@ -57,7 +58,7 @@ def build_model(cohort, params, epsilon, tau, num_time_steps=0):
                          cluster_feature_means=np.zeros((clusters.num_clusters, cohort.p)))
 
 
-BLOCKS = (1, 7, model_module.PREDICT_BLOCK_ROWS, 5000)
+BLOCKS = (1, 7, model_module.BLOCK_ROWS, 1024, 5000)
 
 
 def joined_explanations(model, X):
@@ -355,14 +356,26 @@ class TestPredictionProperties:
                                           embed_dim=8, init_seed=3))
         model = build_model(cohort, params, epsilon=1.0, tau=3.0, num_time_steps=32)
         X = rng.normal(size=(2100, 8)) * 10.0    # some rows fall back
-        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 1 << 20)
+        monkeypatch.setattr(model_module, "BLOCK_ROWS", 1 << 20)
         whole = entry(model, X)
-        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", block)
+        monkeypatch.setattr(model_module, "BLOCK_ROWS", block)
         blocked = entry(model, X)
         fallback = predict_cif_grid(model, X)[2]
         assert fallback.any() and not fallback.all()
         for got, want in zip(blocked, whole):
             assert_same_values(got, want)
+
+    def test_peak_is_one_block_beside_the_curves(self):
+        # acceptance's shape: 57 exemplars, 64 bins, m 2. The curves of 2,000
+        # rows take 2.9 MiB, and blocks of 1024 rows took the peak to 8.0 MiB
+        rng = np.random.default_rng(13)
+        Q, L = 57, 64
+        d = rng.integers(0, 3, (Q, L, 2)).astype(np.float64)
+        model = identity_model(d, reverse_cumsum(d.sum(axis=2) + 1.0),
+                               rng.normal(size=(Q, 8)), tau=np.inf)
+        X = rng.normal(size=(2000, 8))
+        _, peak = traced_peak(lambda: predict_cif_grid(model, X))
+        assert peak <= 5 * 2**20
 
     def test_hand_weighted_summary_sums(self):
         # query embeds at the origin; exemplars sit at squared distances
@@ -651,7 +664,7 @@ class TestInterpretationQuantities:
             np.array([[0.0, 0.0], [9.0, 0.0]]), tau=1.0)
         X = np.zeros((12, 2))
         X[9] = [9.0, 0.0]
-        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 4)
+        monkeypatch.setattr(model_module, "BLOCK_ROWS", 4)
         assert [len(block[0]) for block in explain_rows(model, X)] == [4, 4, 4]
         records, cif, surv = joined_explanations(model, X)
         assert [i for i, r in enumerate(records) if r.event_probabilities is None] == [9]
@@ -713,7 +726,7 @@ class TestNonFiniteFeatures:
             predict_cif_grid(self.model, X)
 
     def test_bad_row_in_a_later_block_named_by_global_index(self, monkeypatch):
-        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 4)
+        monkeypatch.setattr(model_module, "BLOCK_ROWS", 4)
         X = self.cohort.features[:12].copy()
         X[9, 0] = np.nan
         with pytest.raises(ValueError, match="row 9:"):

@@ -223,12 +223,53 @@ def test_one_label_rule():
 
 
 def test_one_batch_buffer():
-    # the fit's one B x B buffer belongs to the training step: only
+    # the fit's one kernel buffer, a row block x B at alpha = 1 and B x B at
+    # alpha < 1, belongs to the training step: only
     # training.total_loss_and_grad views it through _block, so no second
     # buffered kernel path can drift from the step's
     callers = [(module, owner) for module in sorted(p.stem for p in SRC.glob("*.py"))
                for owner, name in _calls(module) if name == "_block"]
     assert callers == [("training", "total_loss_and_grad")]
+
+
+def _function(module, name):
+    return next(node for node in ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_one_row_block():
+    # the training step, fine-tuning and prediction loop over the blocks of
+    # model.row_slices, the one reader of model.BLOCK_ROWS, so a patched
+    # block size reaches all three
+    for module, name in (("training", "total_loss_and_grad"),
+                         ("finetune", "sft_loss_and_grad"), ("model", "_row_blocks")):
+        loops = [node.iter.func for node in ast.walk(_function(module, name))
+                 if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)]
+        assert "row_slices" in [getattr(f, "id", None) for f in loops], (module, name)
+    readers = [(path.stem, getattr(top, "name", None)) for path in sorted(SRC.glob("*.py"))
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Name) and node.id == "BLOCK_ROWS"
+               and isinstance(node.ctx, ast.Load)]
+    assert readers == [("model", "row_slices")]
+    # each objective is its part of the mean over the n rows it is given: no
+    # caller rescales the value or gradient of objective_and_dpsi by a share
+    scaled = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            nodes = list(ast.walk(top))
+            names = {t.id for node in nodes if isinstance(node, ast.Assign)
+                     and getattr(getattr(node.value, "func", None), "id", None)
+                     == "objective_and_dpsi"
+                     for target in node.targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)}
+            scaled += [(path.stem, node.lineno) for node in nodes
+                       if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+                       and getattr(node.target, "id", None) in names
+                       or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                       and {getattr(node.left, "id", None),
+                            getattr(node.right, "id", None)} & names]
+    assert scaled == []
 
 
 def test_no_unused_private_names():

@@ -334,7 +334,7 @@ class TestCriterionLabels:
         _, _, _, kap, dl = self.problem()
         kap[5], dl[5] = kappa, delta
         with pytest.raises(ValueError, match=r"^row 5: "):
-            training.objective_and_dpsi(psi, kap, dl, alpha, 1.0)
+            training.objective_and_dpsi(psi, kap, dl, alpha, 1.0, 6)
 
 
 def two_cluster_cohorts(n=60, seed=0):
