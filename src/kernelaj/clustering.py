@@ -5,9 +5,9 @@ The clustering is defined as a single sequential pass: the first point
 becomes an exemplar; each later point joins its nearest exemplar when the
 Euclidean distance is within epsilon, otherwise it becomes a new exemplar
 itself. The pass is order-dependent: it visits the rows in input order, and
-nearest-exemplar ties break toward the lowest exemplar index. It runs a
-block of rows at a time, bounded by one product per block, with the same
-bits. Only training clusters: every epoch, to score the model that it
+nearest-exemplar ties break toward the lowest exemplar index. It runs
+``EPSNET_BLOCK_ROWS`` rows at a time (:func:`core.row_slices`), bounded by
+one product per block, with the same bits. Only training clusters: every epoch, to score the model that it
 ships, and it ships the best epoch's clusters.
 """
 
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Cohort, EventTimeGrid, count_tables, label_codes, require_int, require_real
+from .core import (Cohort, EventTimeGrid, count_tables, label_codes, require_int, require_real,
+                   row_slices)
 from .embedding import pairwise_sq_dists
 from .errors import ShapeMismatch
 
@@ -72,8 +73,8 @@ def epsilon_net_cluster(embeddings: np.ndarray, epsilon: float):
     exemplars, exemplar_ids = np.empty((n, d)), np.empty(n, dtype=np.int64)
     assignments = np.empty(n, dtype=np.int64)
     q = 0
-    for start in range(0, n, EPSNET_BLOCK_ROWS):
-        X = E[start:start + EPSNET_BLOCK_ROWS]
+    for block in row_slices(n, EPSNET_BLOCK_ROWS):
+        start, X = block.start, E[block]
         b = X.shape[0]
         nearest, owner = np.full(b, np.inf), np.empty(b, dtype=np.int64)
         covered = np.zeros(b, dtype=bool)

@@ -24,6 +24,16 @@ import numpy as np
 
 from .errors import DegenerateRisk, EmptyCohort, NoEvents, ShapeMismatch
 
+BLOCK_ROWS = 256
+
+
+def row_slices(n, size=None):
+    """The one row-block rule: slices of ``size`` of n rows, the last one
+    shorter; ``size`` None means ``BLOCK_ROWS``, read at call time, so a
+    patched block size reaches every blocked loop."""
+    size = BLOCK_ROWS if size is None else size
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
 
 def require_int(name: str, value, minimum: int):
     """``value`` when it is an integer of at least ``minimum``; numpy

@@ -7,8 +7,8 @@ missing values are empty cells or the literal "NA". Rows are read as
 cells are None, extra cells are ignored and a repeated header name takes its
 last column. :func:`write_csv` writes every table, each float as its ``repr``
 (the shortest text that reads back to the same bits), with CRLF line ends
-for cohorts and LF for reports, ``IO_BLOCK_ROWS`` rows per write; the reader
-takes one row at a time, with one ``float`` call per numeric cell.
+for cohorts and LF for reports, a ``core.row_slices`` block per write; the
+reader takes one row at a time, with one ``float`` call per numeric cell.
 Preprocessing statistics (means, standard deviations, category sets, modes)
 are fitted on the training rows only and applied unchanged to held-out sets.
 """
@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Cohort, require_int, require_real
+from .core import Cohort, require_int, require_real, row_slices
 from .errors import MissingColumn, ParseError, SchemaMismatch, TooSmall
 
 _KINDS = ("continuous", "categorical", "binary")
 _MISSING = ("", "NA")
-IO_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -334,13 +333,14 @@ def generate_synthetic(cfg: SynthConfig) -> Cohort:
 
 def write_csv(path, header, columns, newline="\n"):
     """Write a table: the header through ``csv.writer`` (a name is quoted when
-    it needs to be), then ``IO_BLOCK_ROWS`` unquoted rows per ``write``, each
-    cell a string as it is or the ``repr`` of a ``tolist()`` number (the same
-    text as ``str``, but faster). A column is a 1-D array or a 2-D (n, k) block."""
+    it needs to be), then a ``core.row_slices`` block of unquoted rows per
+    ``write``, each cell a string as it is or the ``repr`` of a ``tolist()``
+    number (the same text as ``str``, but faster). A column is a 1-D array
+    or a 2-D (n, k) block."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator=newline).writerow(header)
-        for start in range(0, len(columns[0]), IO_BLOCK_ROWS):
-            blocks = (col[start:start + IO_BLOCK_ROWS] for col in columns)
+        for rows in row_slices(len(columns[0])):
+            blocks = (col[rows] for col in columns)
             cells = [map(str if block.dtype.kind == "U" else repr, values) for block in blocks
                      for values in (block.T.tolist() if block.ndim == 2 else [block.tolist()])]
             fh.write(newline.join(map(",".join, zip(*cells))) + newline)

@@ -33,9 +33,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import ClusterModel
-from .core import Cohort, breslow_preprocess, check_labels, reverse_cumsum
+from .core import Cohort, breslow_preprocess, check_labels, reverse_cumsum, row_slices
 from .errors import ShapeMismatch
-from .model import fallback_weights, frozen_subject_weights, row_slices, weighted_hazards
+from .model import fallback_weights, frozen_subject_weights, weighted_hazards
 from .training import (  # noqa: F401 (sft_objective_from_tables is named here too)
     TrainConfig,
     TrainingLog,
@@ -107,8 +107,8 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
 
     A subject with an all-zero weight row is fitted on the pooled tables
     (:func:`model.fallback_weights`). The rows run in the training step's
-    blocks (:func:`model.row_slices`), each block's objective its part of the
-    mean over all n: ``model.BLOCK_ROWS`` rows at alpha = 1, the cohort at
+    blocks (:func:`core.row_slices`), each block's objective its part of the
+    mean over all n: ``core.BLOCK_ROWS`` rows at alpha = 1, the cohort at
     alpha < 1, where the ranking term couples every pair of rows. A bad label
     raises ValueError naming its row in the caller's order (:func:`core.check_labels`).
     """
@@ -118,7 +118,7 @@ def sft_loss_and_grad(params: SftParams, weights, kappa, delta,
     n = weights.shape[0]
     kap, dl = check_labels(kappa, delta, n, m, L)
     loss, dD_total, dN_total = 0.0, np.zeros((m, *n_prime.shape)), np.zeros(n_prime.shape)
-    for rows in row_slices(n, whole=alpha < 1.0):
+    for rows in row_slices(n, n if alpha < 1.0 else None):
         W, _ = fallback_weights(weights[rows])
         psi, inv_N = weighted_hazards((d_prime, n_prime), W)
         value, dpsi = objective_and_dpsi(psi, kap[rows], dl[rows], alpha, sigma, n)

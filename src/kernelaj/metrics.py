@@ -19,12 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cohort, EventTimeGrid, StepCurve, reverse_cumsum
+from .core import Cohort, EventTimeGrid, StepCurve, reverse_cumsum, row_slices
 from .errors import DegenerateGrid, NoComparablePairs, NoEvents, ShapeMismatch
 
-INTERP_BLOCK_ROWS = 256
-CONCORDANCE_BLOCK_ROWS = 256
-CONCORDANCE_BLOCK_SUBJECTS = 256
 BRIER_BLOCK_HORIZONS = 16
 
 
@@ -117,8 +114,7 @@ def brier_scores(cif_values, cohort: Cohort, delta: int, times, weights):
     lost = (ev != 0) & ~past_ok
     values = np.empty(times.size)
     excluded = np.empty(times.size, dtype=np.int64)
-    for h0 in range(0, times.size, BRIER_BLOCK_HORIZONS):
-        h = slice(h0, h0 + BRIER_BLOCK_HORIZONS)
+    for h in row_slices(times.size, BRIER_BLOCK_HORIZONS):
         # subjects on the contiguous axis, so a horizon's sum is the same
         # pairwise sum whether it is scored alone (brier_score) or in a block
         Fh = np.ascontiguousarray(F[:, h].T)
@@ -180,19 +176,17 @@ def _count_concordance(risk_block, cohort: Cohort, delta: int) -> float:
     """The pair counter of both concordance forms. ``risk_block(subjects,
     rows)`` gives F_delta(Y_i | X_j), one row per subject j that
     ``subjects`` (a slice or index array) selects, at the times of anchor
-    subjects i = ``rows`` (event ``delta``). Anchors come
-    ``CONCORDANCE_BLOCK_ROWS`` and subjects ``CONCORDANCE_BLOCK_SUBJECTS``
-    at a time; the pair counts are integers, so memory is O(block²), not
-    n², and the result does not depend on the block sizes."""
+    subjects i = ``rows`` (event ``delta``). Anchors and subjects come in
+    :func:`core.row_slices` blocks; the pair counts are integers, so memory
+    is O(block²), not n², and the result does not depend on the block size."""
     _check_event(cohort, delta)
     time = cohort.time
     anchors = np.flatnonzero(cohort.event == delta)
     concordant = ties = comparable = 0
-    for start in range(0, anchors.size, CONCORDANCE_BLOCK_ROWS):
-        rows = anchors[start:start + CONCORDANCE_BLOCK_ROWS]
+    for block in row_slices(anchors.size):
+        rows = anchors[block]
         own = risk_block(rows, rows).diagonal().copy()     # contiguous: faster compares
-        for s0 in range(0, cohort.n, CONCORDANCE_BLOCK_SUBJECTS):
-            subjects = slice(s0, s0 + CONCORDANCE_BLOCK_SUBJECTS)
+        for subjects in row_slices(cohort.n):
             risk = risk_block(subjects, rows)
             later = time[subjects, None] > time[rows]
             concordant += int(np.count_nonzero((own > risk) & later))
@@ -211,7 +205,7 @@ def interpolate_curves(curve_values, knot_times, eval_times) -> np.ndarray:
     :class:`EventTimeGrid`'s times, L of them. Preserves monotonicity and
     [0, 1] bounds. Computes np.interp's slope * (t - knot) + value for all
     rows at once: one knot search shared by every row, then two gathers per
-    block of ``INTERP_BLOCK_ROWS`` rows.
+    :func:`core.row_slices` block of rows.
     """
     V = np.atleast_2d(np.asarray(curve_values, dtype=np.float64))
     knots = np.concatenate(([0.0], EventTimeGrid(knot_times).times))
@@ -225,13 +219,13 @@ def interpolate_curves(curve_values, knot_times, eval_times) -> np.ndarray:
     j = np.clip(j, 0, k - 1)
     step = np.diff(knots)
     out = np.empty((n, eval_times.size), dtype=np.float64)
-    for r0 in range(0, n, INTERP_BLOCK_ROWS):
-        block = V[r0:r0 + INTERP_BLOCK_ROWS]
+    for rows in row_slices(n):
+        block = V[rows]
         values = np.zeros((block.shape[0], k))
         values[:, 1:] = block
         slopes = np.zeros((block.shape[0], k))
         np.divide(np.diff(values, axis=1), step, out=slopes[:, :-1])
-        dst = out[r0:r0 + block.shape[0]]
+        dst = out[rows]
         np.multiply(slopes[:, j], offset, out=dst)
         dst += values[:, j]
     return out

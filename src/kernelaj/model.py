@@ -5,10 +5,11 @@ fallback, and the individual-level interpretation records.
 Every prediction goes through one path: exemplar weights,
 :func:`weighted_hazards` and the Aalen-Johansen recursion in ``core``. All
 its products are fixed-shape ``embedding.blocked_matmul`` calls, so a row's
-prediction has the same bits whichever rows are passed with it. One
-row-blocked loop, :func:`_row_blocks`, feeds both batch functions,
-:func:`predict_cif_grid` and :func:`explain_rows`; the per-row entry points
-are one-row views of these.
+prediction has the same bits whichever rows are passed with it. Both batch
+functions, :func:`predict_cif_grid` and :func:`explain_rows`, loop over the
+blocks of :func:`core.row_slices` and weigh each block's rows by
+:func:`clustering.exemplar_weights`; the per-row entry points are one-row
+views of these.
 
 A trained model is immutable; prediction and explanation are pure functions
 and safe for concurrent use.
@@ -19,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterModel, exemplar_weights
-from .core import CifSet, EventTimeGrid, cif_from_hazards, curves_from_counts, safe_reciprocal
+from .core import (CifSet, EventTimeGrid, cif_from_hazards, curves_from_counts, row_slices,
+                   safe_reciprocal)
 from .embedding import MlpParams, blocked_matmul, embed_batch, kernel_matrix
 from .errors import NonFiniteFeatures, ShapeMismatch
-
-BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -152,23 +152,6 @@ def _curves_from_weights(tables, W):
     return cif, surv, fallback
 
 
-def row_slices(n, whole=False):
-    """The one row-block rule of prediction, the training step and fine-tuning:
-    slices of ``BLOCK_ROWS`` of n rows or, when ``whole``, one slice of all n."""
-    size = n if whole else BLOCK_ROWS
-    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
-
-
-def _row_blocks(model: KernelAJModel, E: np.ndarray, read):
-    """The one prediction loop: for each :func:`row_slices` block of
-    embeddings E (n, d), yields read(rows, W) of the block's slice of the
-    rows and its exemplar weights W (b, Q). W lives only while ``read``
-    runs, so the weights of one block exist at a time; rows are
-    batch-invariant, so the block size does not change the bits."""
-    for rows in row_slices(E.shape[0]):
-        yield read(rows, exemplar_weights(model.clusters, E[rows]))
-
-
 def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
     """Batch prediction at the model's grid times.
 
@@ -177,19 +160,16 @@ def predict_cif_grid(model: KernelAJModel, X: np.ndarray):
     positive kernel weight).
     A row whose features are not finite, or too large to embed, raises
     ValueError naming the first such row.
-    The outputs are filled block by block (:func:`_row_blocks`), so the
-    (n, Q) weights and the weighted tables never exist whole.
+    The outputs are filled one :func:`core.row_slices` block at a time, so
+    the (n, Q) weights and the weighted tables never exist whole.
     """
     E = _embed_rows(model.params, X)
     n, L = E.shape[0], len(model.grid)
     cif, surv = np.empty((model.m, n, L)), np.empty((n, L))
     fallback = np.empty(n, dtype=bool)
-
-    def fill(rows, W):
-        cif[:, rows], surv[rows], fallback[rows] = _curves_from_weights(model.tables, W)
-
-    for _ in _row_blocks(model, E, fill):
-        pass
+    for rows in row_slices(n):
+        cif[:, rows], surv[rows], fallback[rows] = _curves_from_weights(
+            model.tables, exemplar_weights(model.clusters, E[rows]))
     return cif, surv, fallback
 
 
@@ -245,7 +225,8 @@ class Explanation:
 
 def explain_rows(model: KernelAJModel, X: np.ndarray):
     """Interpretation records for the rows of a feature matrix, one
-    ``BLOCK_ROWS`` block at a time (:func:`_row_blocks`).
+    :func:`core.row_slices` block at a time; a block's weights live only
+    while its records are built.
 
     A generator: yields (explanations, cif (m, b, L), survival (b, L)) for
     each block of b rows, the records and the curves they were read from.
@@ -254,7 +235,7 @@ def explain_rows(model: KernelAJModel, X: np.ndarray):
     record: one whose CIFs are all zero at the horizon has survival 1 and
     ``event_probabilities`` None.
     """
-    def explain(_, W):
+    def explain(W):
         cif, surv, fallback = _curves_from_weights(model.tables, W)
         probs = _event_probabilities(cif)
         medians = _conditional_medians(cif, model.grid.times)
@@ -262,7 +243,9 @@ def explain_rows(model: KernelAJModel, X: np.ndarray):
         return [Explanation(model.clusters.exemplar_ids[h], w[h] / w[h].sum(), p, med, bool(f))
                 for w, h, p, med, f in zip(W, hits, probs, medians, fallback)], cif, surv
 
-    yield from _row_blocks(model, _embed_rows(model.params, X), explain)
+    E = _embed_rows(model.params, X)
+    for rows in row_slices(E.shape[0]):
+        yield explain(exemplar_weights(model.clusters, E[rows]))
 
 
 def explain_subject(model: KernelAJModel, x: np.ndarray) -> Explanation:

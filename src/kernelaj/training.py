@@ -74,11 +74,11 @@ the loss's.
 
 Memory
 ------
-The step, fine-tuning and prediction take their rows in the blocks of
-:func:`model.row_slices`: ``model.BLOCK_ROWS`` (256) at alpha = 1, where a
-row's hazards and gradient need only its own kernel row, and the batch at
-alpha < 1, where the ranking couples every pair; only there is the kernel
-n x n. A block's W, later P, lives in the one buffer (256 x B or B x B
+Every blocked loop takes its rows from :func:`core.row_slices`. The step,
+fine-tuning and prediction take ``core.BLOCK_ROWS`` (256) rows at alpha = 1,
+where a row's hazards and gradient need only its own kernel row, and the
+batch at alpha < 1, where the ranking couples every pair; only there is the
+kernel n x n. A block's W, later P, lives in the one buffer (256 x B or B x B
 float64) that ``train_embedding`` allocates per fit and only the step reads.
 It is load-bearing: a step that allocated its B x B W itself raised the
 benchmark's peak RSS from 58.00 to 63.37 MB on acceptance and 57.26 to
@@ -92,7 +92,7 @@ sums come after the objective, whose ranking planes set the peak at
 alpha < 1. The criterion's arrays grow with n_valid * Q, not n_valid * n_train.
 
 At alpha < 1 the objective holds F (m, n, L), S_prev and u (n, L), filled
-``RANK_BLOCK_ROWS`` rows at a time: 2.3 (m, n, L) planes above its inputs at
+``SUB_BLOCK_ROWS`` rows at a time: 2.3 (m, n, L) planes above its inputs at
 m = 2, where separate NLL, A and ranking planes over one recursion held 5.0.
 
 Leave-one-out sums run over the current minibatch only, so batch composition
@@ -116,6 +116,7 @@ from .core import (
     label_codes,
     require_int,
     require_real,
+    row_slices,
 )
 from .embedding import (
     EmbeddingConfig,
@@ -128,12 +129,11 @@ from .embedding import (
 )
 from .errors import Diverged, NoEvents, ShapeMismatch
 from .metrics import build_eval_grid, score_curves, scorer
-from .model import _curves_from_weights, fallback_weights, row_slices, weighted_hazards
+from .model import _curves_from_weights, fallback_weights, weighted_hazards
 
 PSI_CLAMP = 1e-12
 MAX_TIME_STEPS = 512
-GATHER_BLOCK_ROWS = 64
-RANK_BLOCK_ROWS = 64
+SUB_BLOCK_ROWS = 64
 
 _CRITERIA = ("objective", "ibs", "ctd")
 
@@ -274,14 +274,14 @@ def ranking_value_and_dpsi(psi, kappa, delta, sigma, scale):
     already carries the factor ``scale`` (the loss value does not). Each event type
     with an event in the batch adds sum(B * T[bins]) / n^2, from A, B and T
     of the module docstring; the backward pass is one reverse pass over the
-    bins. The recursion runs in ``RANK_BLOCK_ROWS``-row blocks. Event d's plane
+    bins. The recursion runs in ``SUB_BLOCK_ROWS``-row blocks. Event d's plane
     of F holds its A, then its dF (an event type with no rows zeroes its
     plane), and dpsi takes dF's array, a bin at a time, once the pass has read it.
     """
     m, n, L = psi.shape
     kappa, delta = check_labels(kappa, delta, n, m, L)
     F, S_prev, u = np.empty_like(psi), np.empty((n, L)), np.empty((n, L))
-    for rows in (slice(s, s + RANK_BLOCK_ROWS) for s in range(0, n, RANK_BLOCK_ROWS)):
+    for rows in row_slices(n, SUB_BLOCK_ROWS):
         F[:, rows], _, S_prev[rows], u[rows] = cif_from_hazards(psi[:, rows])
     dF = F
     rank = 0.0
@@ -331,11 +331,11 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None
     rounding. The backward pass runs through the leave-one-out hazard ratios,
     the survival product, the ranking terms, the kernel matrix, the network.
 
-    The rows run in :func:`model.row_slices` blocks, ``model.BLOCK_ROWS`` at
+    The rows run in :func:`core.row_slices` blocks, ``core.BLOCK_ROWS`` at
     alpha = 1 and the batch at alpha < 1. The kernel rows W of a block of b
     rows live in ``buffer``, a C-contiguous float64 array of at least b * n
     elements (``train_embedding`` allocates one per fit), or in a new array.
-    dLoss/dW is formed ``GATHER_BLOCK_ROWS`` rows at a time and multiplied
+    dLoss/dW is formed ``SUB_BLOCK_ROWS`` rows at a time and multiplied
     into W, which then holds P = dLoss/dW * W, added to the kernel backward's
     sums before the next block. The results do not depend on the buffer.
     """
@@ -351,7 +351,7 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None
     E, cache = forward_cached(params, X)
     tables = groups.tables(m, L)
     loss = 0.0
-    for rows in row_slices(n, whole=alpha < 1.0):
+    for rows in row_slices(n, n if alpha < 1.0 else None):
         b = rows.stop - rows.start
         W = kernel_matrix(E[rows], E, out=None if buffer is None else _block(buffer, b, n))
         np.fill_diagonal(W[:, rows.start:], 0.0)
@@ -369,9 +369,8 @@ def total_loss_and_grad(params, X, kappa, delta, m, L, alpha, sigma, buffer=None
         # dG = dden n_u^T + sum_k dnum_k d_u[:, :, k]^T (module docstring); the
         # event part is read from dnum: d_u is one-hot, and its product made the
         # acceptance workload's step 17 % slower on a 2-vCPU VM
-        scratch = np.empty((min(GATHER_BLOCK_ROWS, b), n))
-        for start in range(0, b, GATHER_BLOCK_ROWS):
-            sub = slice(start, start + GATHER_BLOCK_ROWS)
+        scratch = np.empty((min(SUB_BLOCK_ROWS, b), n))
+        for sub in row_slices(b, SUB_BLOCK_ROWS):
             dG = blocked_matmul(dden[sub], n_T)
             dG[:, ev] += dnum[groups.delta[ev] - 1, sub, groups.kappa[ev] - 1].T
             # mode="clip" lets take write straight into scratch ("raise" copies)
@@ -551,15 +550,15 @@ def train_embedding(train: Cohort, valid: Cohort, ecfg: EmbeddingConfig,
     criterion = table_criterion(tcfg.early_stop_criterion, train, valid, grid,
                                 tcfg.alpha, tcfg.sigma)
 
-    side = min(tcfg.batch_size, train.n)
-    buffer = np.empty(row_slices(side, whole=tcfg.alpha < 1.0)[0].stop * side)   # the step's W
+    side = min(tcfg.batch_size, train.n)    # the step's W, a row block x side, in one buffer
+    buffer = np.empty(row_slices(side, side if tcfg.alpha < 1.0 else None)[0].stop * side)
     rng = np.random.default_rng(tcfg.seed)
 
     def epoch(params, step):
         perm = rng.permutation(train.n)
         epoch_loss, seen = 0.0, 0
-        for start in range(0, train.n, tcfg.batch_size):
-            batch = perm[start:start + tcfg.batch_size]
+        for rows in row_slices(train.n, tcfg.batch_size):
+            batch = perm[rows]
             if batch.size < 2:
                 continue
             loss, dw, db = total_loss_and_grad(

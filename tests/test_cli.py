@@ -31,9 +31,8 @@ from kernelaj import (
     save_model,
     write_cohort_csv,
 )
-from kernelaj import cli, serialize
+from kernelaj import cli, core, serialize
 from kernelaj import metrics as metricsmod
-from kernelaj import model as model_module
 from kernelaj.cli import main
 from kernelaj.core import reverse_cumsum
 from kernelaj.model import cluster_curves, predict_cif_grid
@@ -940,6 +939,36 @@ class TestModelFile:
             assert err.startswith(f"error: model file is not valid: {path}: ")
 
 
+class TestOneBlockSize:
+    def test_patched_block_size_reaches_every_default_stage(self, tmp_path, monkeypatch):
+        # prediction, interpolation, concordance, explanation and the CSV
+        # writer take their blocks from core.row_slices (test_tooling's
+        # test_one_row_block), so one patched core.BLOCK_ROWS re-blocks them
+        # all; each is batch-invariant, so no file may change a byte
+        config_path, _ = write_config(tmp_path, cohort_csv(tmp_path / "train.csv", 300, 1),
+                                      clustering={"epsilon": 0.1})
+        assert main(["fit", "--config", str(config_path)]) == 0
+        model = str(tmp_path / "out" / "model.json")
+        test = str(cohort_csv(tmp_path / "test.csv", 600, 2))
+        cohort = generate_synthetic(SynthConfig(n=600, p=3, w1=(0.6, 0.0, 0.0),
+                                                w2=(0.0, 0.6, 0.0), seed=3))
+        names = ("metrics.csv", "explanations.json", "cluster_summary.csv",
+                 "cluster_cifs.csv", "cluster_features.csv", "cohort.csv")
+        outputs = []
+        for block in (256, 7, 64):
+            monkeypatch.setattr(core, "BLOCK_ROWS", block)
+            out = tmp_path / f"block{block}"
+            for argv in (["evaluate", "--data", test], ["explain", "--data", test],
+                         ["explain", "--clusters"]):
+                assert main([*argv, "--model", model, "--out", str(out)]) == 0
+            write_cohort_csv(cohort, out / "cohort.csv")
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert len(json.loads(outputs[0][1])) == 600
+        assert outputs[0][2].count(b"\n") > 2 * 7 + 1    # more clusters than two blocks of 7
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+
 class TestExplain:
     def test_cluster_reports(self, tmp_path, train_csv):
         config_path, _ = write_config(tmp_path, train_csv)
@@ -1134,7 +1163,7 @@ class TestExplain:
                             reverse_cumsum(d.sum(axis=2) + 1.0), tau=1.0)
         peaks = []
         for blocks in (2, 4):
-            rows = blocks * model_module.BLOCK_ROWS
+            rows = blocks * core.BLOCK_ROWS
             X = centers[rng.integers(0, Q, rows)] + rng.normal(scale=0.3, size=(rows, 2))
             write_cohort_csv(Cohort(X, np.ones(rows), np.zeros(rows, dtype=np.int64), 2),
                              tmp_path / "query.csv")
@@ -1178,7 +1207,7 @@ class TestExplain:
         # its CIFs are zero at the horizon: S = 1 and F = 0, with null
         # probabilities and medians, not an error
         argv = self.save_no_risk_model(tmp_path, [9.0, 0.0])
-        monkeypatch.setattr(model_module, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 4)
         assert main(argv) == 0
         records = json.loads((tmp_path / "rep" / "explanations.json").read_text())
         assert [r["row"] for r in records] == list(range(12))
@@ -1192,7 +1221,7 @@ class TestExplain:
         # row 9's finite 1e300 overflows the embedding after explanations.json
         # was opened, so the command's cleanup removes the file
         argv = self.save_no_risk_model(tmp_path, [1e300, 0.0])
-        monkeypatch.setattr(model_module, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 4)
         assert main(argv) == 2
         assert "row 9:" in capsys.readouterr().err
         assert not (tmp_path / "rep" / "explanations.json").exists()

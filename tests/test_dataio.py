@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import dense_oracle as oracle
 from conftest import traced_peak
-from kernelaj import dataio
+from kernelaj import core, dataio
 from kernelaj import (
     MissingColumn,
     ParseError,
@@ -224,7 +224,7 @@ class TestWholeArrayIO:
     def test_writer_matches_per_row_writer(self, tmp_path_factory, case):
         cohort, block = case
         base = tmp_path_factory.getbasetemp()
-        with mock.patch.object(dataio, "IO_BLOCK_ROWS", block):
+        with mock.patch.object(core, "BLOCK_ROWS", block):
             write_cohort_csv(cohort, base / "got.csv")
         oracle.write_cohort_csv(cohort, base / "want.csv")
         assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
@@ -287,7 +287,7 @@ class TestWriteCsv:
     def test_matches_per_cell_writer(self, tmp_path_factory, case):
         header, columns, newline, block = case
         base = tmp_path_factory.getbasetemp()
-        with mock.patch.object(dataio, "IO_BLOCK_ROWS", block):
+        with mock.patch.object(core, "BLOCK_ROWS", block):
             dataio.write_csv(base / "got.csv", header, columns, newline)
         oracle.write_csv(base / "want.csv", header, columns, newline)
         assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()

@@ -35,9 +35,9 @@ from kernelaj import (
     generate_synthetic,
     init_mlp,
 )
-from kernelaj import metrics, training
+from kernelaj import core, metrics, training
 from kernelaj.clustering import build_cluster_model
-from kernelaj.core import label_codes
+from kernelaj.core import BLOCK_ROWS, label_codes
 from kernelaj.embedding import (
     embed_batch,
     flatten_grads,
@@ -45,12 +45,9 @@ from kernelaj.embedding import (
     pairwise_sq_dists,
 )
 from kernelaj.errors import NoComparablePairs, ShapeMismatch
-from kernelaj.model import BLOCK_ROWS, KernelAJModel, predict_cif_grid
+from kernelaj.model import KernelAJModel, predict_cif_grid
 from kernelaj.metrics import (
     BRIER_BLOCK_HORIZONS,
-    CONCORDANCE_BLOCK_ROWS,
-    CONCORDANCE_BLOCK_SUBJECTS,
-    INTERP_BLOCK_ROWS,
     brier_score,
     brier_scores,
     censoring_survival,
@@ -609,7 +606,7 @@ class TestRankingForward:
 class TestInterpolation:
     def test_matches_per_row_interp(self):
         rng = np.random.default_rng(3)
-        n, L = INTERP_BLOCK_ROWS * 2 + 17, 12
+        n, L = BLOCK_ROWS * 2 + 17, 12
         knots = np.cumsum(rng.uniform(0.1, 1.0, L))
         curves = np.cumsum(rng.uniform(0, 0.05, (n, L)), axis=1)
         eval_times = np.concatenate((
@@ -633,29 +630,27 @@ class TestInterpolation:
 
 @st.composite
 def scored_cohorts(draw):
-    """(cohort, curves, knots, blocks): tied observed times, competing events,
+    """(cohort, curves, knots, block): tied observed times, competing events,
     censoring, and curve values on a coarse lattice, so that interpolated
-    risks tie at knot times; blocks are the (anchor, subject) block sizes."""
+    risks tie at knot times; block is the anchors' and subjects' block size."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m = draw(st.integers(1, 50)), draw(st.integers(1, 3))
     times = rng.integers(1, 12, n) * 0.5
     events = rng.integers(0, m + 1, n)
     knots = np.unique(rng.integers(1, 12, draw(st.integers(1, 8))) * 0.5)
     curves = np.round(rng.uniform(0, 1, (n, knots.size)), 1)
-    blocks = (draw(st.sampled_from([1, 3, CONCORDANCE_BLOCK_ROWS])),
-              draw(st.sampled_from([1, 3, CONCORDANCE_BLOCK_SUBJECTS])))
-    return Cohort(np.zeros((n, 1)), times, events, m), curves, knots, blocks
+    block = draw(st.sampled_from([1, 3, BLOCK_ROWS]))
+    return Cohort(np.zeros((n, 1)), times, events, m), curves, knots, block
 
 
 class TestBlockedConcordance:
     @REPRODUCIBLE
     @given(case=scored_cohorts())
     def test_equals_dense_risk_matrix(self, case):
-        cohort, curves, knots, (anchors, subjects) = case
+        cohort, curves, knots, block = case
         R = oracle.risk_matrix_from_curves(curves, knots, cohort.time)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics, "CONCORDANCE_BLOCK_ROWS", anchors)
-            mp.setattr(metrics, "CONCORDANCE_BLOCK_SUBJECTS", subjects)
+            mp.setattr(core, "BLOCK_ROWS", block)
             for delta in range(1, cohort.m + 1):
                 try:
                     want = oracle.concordance_td(R, cohort, delta)
@@ -669,12 +664,12 @@ class TestBlockedConcordance:
                 assert concordance_td(R, cohort, delta) == want
 
     def test_default_blocks_with_partial_edges(self):
-        # more anchors than one anchor block and more subjects than one
-        # subject block, neither a multiple of its block
-        n = 2 * max(CONCORDANCE_BLOCK_SUBJECTS, CONCORDANCE_BLOCK_ROWS) + 5
+        # more anchors than one block and more subjects than two, neither a
+        # multiple of the block
+        n = 2 * BLOCK_ROWS + 5
         rng = np.random.default_rng(4)
         times = rng.integers(1, 40, n) * 0.25
-        events = np.where(np.arange(n) < CONCORDANCE_BLOCK_ROWS + 7, 1, rng.integers(0, 3, n))
+        events = np.where(np.arange(n) < BLOCK_ROWS + 7, 1, rng.integers(0, 3, n))
         rng.shuffle(events)
         cohort = Cohort(np.zeros((n, 1)), times, events, 2)
         knots = np.unique(rng.integers(1, 40, 12) * 0.25)

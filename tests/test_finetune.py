@@ -30,13 +30,13 @@ from kernelaj import (
     sft_loss_and_grad,
 )
 from kernelaj import cli, training
-from kernelaj.core import label_codes
+from kernelaj.core import BLOCK_ROWS, label_codes
 from kernelaj.finetune import (
     SftParams,
     frozen_subject_weights,
     sft_objective_from_tables,
 )
-from kernelaj.model import BLOCK_ROWS, KernelAJModel
+from kernelaj.model import KernelAJModel
 from kernelaj.embedding import MlpParams, embed_batch
 
 FLOOR = 1e-12
@@ -290,7 +290,7 @@ def blocked_problem(n):
 
 
 class TestRowBlocks:
-    """Fine-tuning in row blocks of ``model.BLOCK_ROWS`` against the
+    """Fine-tuning in row blocks of ``core.BLOCK_ROWS`` against the
     whole-cohort oracle."""
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 529])

@@ -32,6 +32,7 @@ from kernelaj import (
     predict_curves,
     weighted_summaries,
 )
+from kernelaj import core
 from kernelaj import model as model_module
 from conftest import FIT_TRAIN_ROWS, clusters_from_tables, fits, traced_peak
 from kernelaj.core import (EventTimeGrid, label_codes, reverse_cumsum, risk_event_counts,
@@ -58,7 +59,7 @@ def build_model(cohort, params, epsilon, tau, num_time_steps=0):
                          cluster_feature_means=np.zeros((clusters.num_clusters, cohort.p)))
 
 
-BLOCKS = (1, 7, model_module.BLOCK_ROWS, 1024, 5000)
+BLOCKS = (1, 7, core.BLOCK_ROWS, 1024, 5000)
 
 
 def joined_explanations(model, X):
@@ -356,9 +357,9 @@ class TestPredictionProperties:
                                           embed_dim=8, init_seed=3))
         model = build_model(cohort, params, epsilon=1.0, tau=3.0, num_time_steps=32)
         X = rng.normal(size=(2100, 8)) * 10.0    # some rows fall back
-        monkeypatch.setattr(model_module, "BLOCK_ROWS", 1 << 20)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 1 << 20)
         whole = entry(model, X)
-        monkeypatch.setattr(model_module, "BLOCK_ROWS", block)
+        monkeypatch.setattr(core, "BLOCK_ROWS", block)
         blocked = entry(model, X)
         fallback = predict_cif_grid(model, X)[2]
         assert fallback.any() and not fallback.all()
@@ -664,7 +665,7 @@ class TestInterpretationQuantities:
             np.array([[0.0, 0.0], [9.0, 0.0]]), tau=1.0)
         X = np.zeros((12, 2))
         X[9] = [9.0, 0.0]
-        monkeypatch.setattr(model_module, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 4)
         assert [len(block[0]) for block in explain_rows(model, X)] == [4, 4, 4]
         records, cif, surv = joined_explanations(model, X)
         assert [i for i, r in enumerate(records) if r.event_probabilities is None] == [9]
@@ -726,7 +727,7 @@ class TestNonFiniteFeatures:
             predict_cif_grid(self.model, X)
 
     def test_bad_row_in_a_later_block_named_by_global_index(self, monkeypatch):
-        monkeypatch.setattr(model_module, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 4)
         X = self.cohort.features[:12].copy()
         X[9, 0] = np.nan
         with pytest.raises(ValueError, match="row 9:"):

@@ -238,20 +238,40 @@ def _function(module, name):
 
 
 def test_one_row_block():
-    # the training step, fine-tuning and prediction loop over the blocks of
-    # model.row_slices, the one reader of model.BLOCK_ROWS, so a patched
-    # block size reaches all three
+    # every blocked loop takes its slices from core.row_slices, the one reader
+    # of core.BLOCK_ROWS, so a patched block size reaches the training step,
+    # fine-tuning, prediction and explanation, and every default-sized loop
     for module, name in (("training", "total_loss_and_grad"),
-                         ("finetune", "sft_loss_and_grad"), ("model", "_row_blocks")):
+                         ("finetune", "sft_loss_and_grad"), ("model", "predict_cif_grid"),
+                         ("model", "explain_rows")):
         loops = [node.iter.func for node in ast.walk(_function(module, name))
                  if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)]
         assert "row_slices" in [getattr(f, "id", None) for f in loops], (module, name)
-    readers = [(path.stem, getattr(top, "name", None)) for path in sorted(SRC.glob("*.py"))
-               for top in ast.parse(path.read_text(encoding="utf-8")).body
+    tops = [(path.stem, top) for path in sorted(SRC.glob("*.py"))
+            for top in ast.parse(path.read_text(encoding="utf-8")).body]
+    readers = [(module, getattr(top, "name", None)) for module, top in tops
                for node in ast.walk(top)
                if isinstance(node, ast.Name) and node.id == "BLOCK_ROWS"
                and isinstance(node.ctx, ast.Load)]
-    assert readers == [("model", "row_slices")]
+    assert readers == [("core", "row_slices")]
+    # no loop strides rows by hand: the only range that steps by more than
+    # one is row_slices' own
+    strided = [(module, getattr(top, "name", None)) for module, top in tops
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+               and len(node.args) == 3 and ast.unparse(node.args[2]) not in ("1", "-1")]
+    assert strided == [("core", "row_slices")]
+    # one definition of the rule, and five block sizes: the default, the
+    # step's and the ranking's sub-blocks, the epsilon-net's, the Brier
+    # horizons' and the fixed GEMM shape
+    defined = sorted((module, name) for module, top in tops
+                     for name in ([top.name] if isinstance(top, ast.FunctionDef) else
+                                  [t.id for t in getattr(top, "targets", [])
+                                   if isinstance(t, ast.Name)])
+                     if name == "row_slices" or "BLOCK" in name)
+    assert defined == [("clustering", "EPSNET_BLOCK_ROWS"), ("core", "BLOCK_ROWS"),
+                       ("core", "row_slices"), ("embedding", "PRODUCT_BLOCK_ROWS"),
+                       ("metrics", "BRIER_BLOCK_HORIZONS"), ("training", "SUB_BLOCK_ROWS")]
     # each objective is its part of the mean over the n rows it is given: no
     # caller rescales the value or gradient of objective_and_dpsi by a share
     scaled = []

@@ -448,6 +448,27 @@ class TestTrainingLoop:
                                  tcfg, self.grid)
         assert all(0.0 <= row[2] <= 1.0 for row in log.rows)
 
+    def test_epoch_steps_whole_batches_in_permutation_order(self, monkeypatch):
+        # n = k B + 1 rows: each epoch steps k batches of B rows, in the order
+        # of the seeded permutation, and skips the trailing one-row batch,
+        # which has no leave-one-out neighbour (benchmarks' step count
+        # assumes this rule)
+        B, k, epochs = 15, 3, 3
+        train = self.train_pre.subset(np.arange(k * B + 1))
+        seen, real = [], training.total_loss_and_grad
+        monkeypatch.setattr(training, "total_loss_and_grad",
+                            lambda params, X, *args: seen.append(X) or real(params, X, *args))
+        tcfg = TrainConfig(learning_rate=0.02, batch_size=B, max_epochs=epochs,
+                           patience=epochs, seed=5)
+        _, log = train_embedding(train, self.valid_pre, self.ecfg, tcfg, self.grid)
+        assert len(log.rows) == epochs
+        rng = np.random.default_rng(5)
+        want = [perm[i * B:(i + 1) * B]
+                for perm in (rng.permutation(train.n) for _ in range(epochs)) for i in range(k)]
+        assert len(seen) == epochs * k
+        for X, rows in zip(seen, want):
+            assert_array_equal(X, train.features[rows])
+
     @pytest.mark.parametrize("criterion", ["objective", "ibs", "ctd"])
     def test_collapsed_kernel_raises_diverged(self, criterion):
         # learning rate 1e6 keeps every step finite but spreads the
